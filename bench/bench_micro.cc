@@ -1,10 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the primitives the engines lean
 // on: event wire codec, slate compression, JSON slate round-trips, hash
-// ring routing, queue operations, and the 1.0 task-processor protocol.
+// ring routing, queue operations, the slate cache, and the 1.0
+// task-processor protocol.
 // These quantify the §4.5 argument that eliminating serialization inside
 // a machine is worth a generation bump.
 #include <benchmark/benchmark.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <string>
 #include <vector>
 
 #include "common/compress.h"
@@ -13,6 +19,7 @@
 #include "core/hash_ring.h"
 #include "core/intern.h"
 #include "core/slate.h"
+#include "core/slate_cache.h"
 #include "engine/queue.h"
 #include "engine/wire.h"
 #include "json/json.h"
@@ -189,6 +196,73 @@ void BM_InternFind(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InternFind);
+
+// Heap bytes in use, mmapped blocks included; 0 where glibc's mallinfo2
+// is unavailable.
+size_t HeapInUse() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+std::vector<SlateId> SlateIds(size_t n) {
+  std::vector<SlateId> ids;
+  ids.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    ids.push_back(SlateId{"count", "user" + std::to_string(i)});
+  }
+  return ids;
+}
+
+// Fill `cache` to capacity from `ids` and report its heap cost per slate
+// (ids and the "v" value fit the small-string buffer, so this is the
+// cache's own bookkeeping).
+void FillAndCountBytes(benchmark::State& state, SlateCache* cache,
+                       const std::vector<SlateId>& ids, size_t before) {
+  for (size_t i = 0; i < cache->capacity(); ++i) {
+    (void)cache->Insert(ids[i], "v");
+  }
+  state.counters["bytes_per_slate"] =
+      static_cast<double>(HeapInUse() - before) /
+      static_cast<double>(cache->capacity());
+}
+
+void BM_SlateCacheHit(benchmark::State& state) {
+  // The cached-slate read every updater invocation starts with (§4.2).
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<SlateId> ids = SlateIds(n);
+  const size_t before = HeapInUse();
+  SlateCache cache({.capacity = n},
+                   [](const SlateCache::DirtySlate&) { return Status::OK(); });
+  FillAndCountBytes(state, &cache, ids, before);
+  Bytes out;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(ids[i], &out));
+    if (++i == n) i = 0;
+  }
+}
+BENCHMARK(BM_SlateCacheHit)->Arg(1000)->Arg(100000);
+
+void BM_SlateCacheInsertEvict(benchmark::State& state) {
+  // A full cache taking a slate it does not hold: one insert, one LRU
+  // eviction. Cycling 2n ids through capacity n makes every insert a miss.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<SlateId> ids = SlateIds(2 * n);
+  const size_t before = HeapInUse();
+  SlateCache cache({.capacity = n},
+                   [](const SlateCache::DirtySlate&) { return Status::OK(); });
+  FillAndCountBytes(state, &cache, ids, before);
+  size_t i = n;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Insert(ids[i], "v"));
+    if (++i == ids.size()) i = 0;
+  }
+}
+BENCHMARK(BM_SlateCacheInsertEvict)->Arg(1000)->Arg(100000);
 
 void BM_Fnv1a64(benchmark::State& state) {
   const Bytes key(static_cast<size_t>(state.range(0)), 'k');

@@ -8,11 +8,19 @@
 // Eviction is LRU by slate count. Dirty slates are written back through a
 // caller-provided writer according to the per-updater flush policy
 // (write-through / interval / on-evict, §4.2).
+//
+// Layout: one hash-map node per slate. The node holds the key, the value
+// and the recency links (an intrusive doubly linked list threaded through
+// the nodes), so a cached slate costs one allocation and stores its key
+// once (DESIGN.md, "Slate cache layout").
 #ifndef MUPPET_CORE_SLATE_CACHE_H_
 #define MUPPET_CORE_SLATE_CACHE_H_
 
+#include <cstdint>
 #include <functional>
-#include <list>
+#include <set>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -97,29 +105,77 @@ class SlateCache {
   int64_t evictions() const { return evictions_.Get(); }
 
  private:
+  // The cache's own slate key. A cache holds many slates of a few
+  // updaters, so the updater name is interned once (updaters_) and each
+  // key points at it rather than carrying its own std::string.
+  struct Key {
+    const std::string* updater;
+    Bytes key;
+  };
+  // Probe form of a key, so a SlateId is looked up without copying it.
+  // Implicit from Key, so KeyHash and KeyEq serve stored keys as well.
+  struct KeyRef {
+    KeyRef(std::string_view u, BytesView k) : updater(u), key(k) {}
+    KeyRef(const Key& k) : updater(*k.updater), key(k.key) {}
+    std::string_view updater;
+    BytesView key;
+  };
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(const KeyRef& k) const;
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(const KeyRef& a, const KeyRef& b) const {
+      return a.updater == b.updater && a.key == b.key;
+    }
+  };
+
+  struct Entry;
+  using Slot = std::pair<const Key, Entry>;  // one map node's payload
   struct Entry {
-    SlateId id;
     Bytes value;
+    Slot* newer = nullptr;  // recency links; nullptr at the mru_/lru_ ends
+    Slot* older = nullptr;
+    Timestamp dirty_since = 0;
     bool dirty = false;
     bool absent = false;  // negative entry: store has nothing
-    Timestamp dirty_since = 0;
+    // Write-backs of this slate that FlushDirtyFor has in flight outside
+    // the lock; eviction skips the slot while nonzero, so the slate stays
+    // readable until the store holds it. Sits in the bools' padding.
+    uint8_t flushing = 0;
   };
-  using LruList = std::list<Entry>;
 
-  // Evict LRU entries beyond capacity, writing dirty ones back. The
-  // write-back runs under mutex_, which is why the cache sits above the
-  // store in the lock hierarchy.
+  // Evict LRU entries beyond capacity, writing dirty ones back and
+  // skipping slots with a write-back in flight. The write-back runs under
+  // mutex_, which is why the cache sits above the store in the lock
+  // hierarchy.
   Status EvictIfNeededLocked() MUPPET_REQUIRES(mutex_);
-  // Insert or update; requires mutex_ held. Returns the entry.
+  // Insert or update; requires mutex_ held. Returns the entry, now MRU.
   Entry* UpsertLocked(const SlateId& id) MUPPET_REQUIRES(mutex_);
+  Slot* FindLocked(const SlateId& id) MUPPET_REQUIRES(mutex_);
+  // Recency list maintenance.
+  void LinkFrontLocked(Slot* slot) MUPPET_REQUIRES(mutex_);
+  void UnlinkLocked(Slot* slot) MUPPET_REQUIRES(mutex_);
+  void TouchLocked(Slot* slot) MUPPET_REQUIRES(mutex_);
+
+  static SlateId IdOf(const Slot& slot) {
+    return SlateId{*slot.first.updater, slot.first.key};
+  }
 
   SlateCacheOptions options_;
   WriteBack write_back_;
 
   mutable Mutex mutex_{kLockLevel};
-  LruList lru_ MUPPET_GUARDED_BY(mutex_);  // front = most recent
-  std::unordered_map<SlateId, LruList::iterator, SlateIdHash> index_
+  // Node-based, so a Slot's address survives rehashing and the recency
+  // links stay valid.
+  std::unordered_map<Key, Entry, KeyHash, KeyEq> slots_
       MUPPET_GUARDED_BY(mutex_);
+  Slot* mru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  Slot* lru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  // Interned updater names; std::set nodes never move, so Key::updater
+  // stays valid. Never shrinks: an application has a fixed set of them.
+  std::set<std::string, std::less<>> updaters_ MUPPET_GUARDED_BY(mutex_);
 
   Counter hits_;
   Counter misses_;

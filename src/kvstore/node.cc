@@ -85,18 +85,19 @@ Status Shard::Open() {
 }
 
 Status Shard::WriteRecord(Record rec) {
+  // Under tables_mutex_, so a flush never runs between the WAL append and
+  // the memtable insert: it would rotate the WAL out from under the append
+  // ("wal: not open"), or snapshot the memtable without this record, clear
+  // it anyway, and drop the WAL that held it.
+  MutexLock lock(tables_mutex_);
   if (options_.enable_wal) {
     MUPPET_RETURN_IF_ERROR(wal_.Append(rec, options_.sync_wal));
   }
   memtable_.Put(std::move(rec));
   if (memtable_.approximate_bytes() >= options_.memtable_flush_bytes) {
-    MutexLock lock(tables_mutex_);
-    // Re-check under the lock: a concurrent writer may have flushed.
-    if (memtable_.approximate_bytes() >= options_.memtable_flush_bytes) {
-      MUPPET_RETURN_IF_ERROR(FlushLocked());
-      if (options_.auto_compact) {
-        MUPPET_RETURN_IF_ERROR(MaybeCompactLocked());
-      }
+    MUPPET_RETURN_IF_ERROR(FlushLocked());
+    if (options_.auto_compact) {
+      MUPPET_RETURN_IF_ERROR(MaybeCompactLocked());
     }
   }
   return Status::OK();

@@ -128,8 +128,9 @@ class Shard {
   std::atomic<uint64_t> compactions_{0};
 
   // Newest-first list of open tables. Guarded for flush/compact vs read;
-  // log rotation (wal_) and memtable snapshot/clear also happen under it,
-  // hence store-tables sits above store-io in the lock hierarchy.
+  // writes (WAL append + memtable insert), log rotation (wal_) and
+  // memtable snapshot/clear also happen under it, hence store-tables sits
+  // above store-io in the lock hierarchy.
   mutable Mutex tables_mutex_{kTablesLockLevel};
   std::vector<std::unique_ptr<SsTableReader>> tables_
       MUPPET_GUARDED_BY(tables_mutex_);

@@ -580,6 +580,20 @@ bool TcpTransport::DeliverFrame(Conn* conn, WireFrame frame) {
   return true;
 }
 
+void TcpTransport::RedialNow(uint32_t node) {
+  // A HELLO from `node` proves it is listening: a dialer still waiting out
+  // its backoff (the node was down, or not yet up, at the last attempt)
+  // dials on the next loop pass instead of sleeping up to the backoff cap.
+  for (auto& peer : peers_) {
+    if (peer->config.node_id != node) continue;
+    if (peer->state == Peer::DialState::kIdle) {
+      peer->next_dial_at = 0;
+      peer->backoff = options_.reconnect_initial_micros;
+    }
+    return;
+  }
+}
+
 void TcpTransport::HandleConnEvent(Conn* conn, const Epoll::Event& ev) {
   const int fd = conn->fd.get();
   if (ev.error) {
@@ -621,6 +635,7 @@ void TcpTransport::HandleConnEvent(Conn* conn, const Epoll::Event& ev) {
       if (DecodeHello(frame.payload, &node, &hosted).ok()) {
         conn->hello_received = true;
         conn->peer_node = node;
+        RedialNow(node);
       }
       continue;
     }

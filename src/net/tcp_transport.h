@@ -10,7 +10,8 @@
 // simultaneous-dial tie to break and reconnect logic lives entirely on
 // the dialer. Both sides open with a HELLO frame naming their node id and
 // hosted machines; the dialer treats the peer as up once the HELLO reply
-// arrives.
+// arrives. An inbound HELLO also proves its sender is listening, so a
+// dialer to that node that is waiting out its backoff dials at once.
 //
 // Failure semantics match the paper's §4.3 detection-by-failed-send:
 // while a peer's dialed connection is down, sends addressed to its
@@ -74,7 +75,7 @@ struct TcpTransportOptions {
   size_t write_queue_cap_bytes = 16u << 20;
 
   // Dialer backoff: doubles from initial to max on every failed attempt,
-  // resets on an established handshake.
+  // resets on an established handshake or an inbound HELLO from the peer.
   Timestamp reconnect_initial_micros = 50 * 1000;
   Timestamp reconnect_max_micros = 2 * 1000 * 1000;
 
@@ -187,6 +188,8 @@ class TcpTransport : public Transport {
   void DrainPeerWrites(Peer* peer, Timestamp now);
   void AcceptAll();
   void HandleConnEvent(Conn* conn, const Epoll::Event& ev);
+  // An inbound HELLO named `node`: cut short our dialer's backoff to it.
+  void RedialNow(uint32_t node);
   void CloseConn(int fd);
   // Deliver a decoded frame to the local machine handler. Returns false
   // when the handler declined and the frame was parked on `conn`.

@@ -1,8 +1,14 @@
 #include "core/slate_cache.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <map>
+#include <thread>
 #include <vector>
 
+#include "common/sync.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -86,6 +92,12 @@ TEST(SlateCacheTest, FlushDirtyForFiltersUpdater) {
   EXPECT_EQ(cache.FlushDirtyFor("U1", INT64_MAX).value(), 1);
   EXPECT_EQ(sink.store.count(SlateId{"U1", "k"}), 1u);
   EXPECT_EQ(sink.store.count(SlateId{"U2", "k"}), 0u);
+  EXPECT_EQ(cache.FlushDirtyFor("U3", INT64_MAX).value(), 0);
+  // One key under two updaters is two slates.
+  EXPECT_EQ(cache.size(), 2u);
+  Bytes out;
+  ASSERT_OK(cache.Lookup(SlateId{"U2", "k"}, &out));
+  EXPECT_EQ(out, "v2");
 }
 
 TEST(SlateCacheTest, LruEvictionWritesDirtyBack) {
@@ -173,6 +185,93 @@ TEST(SlateCacheTest, CapacityOneWorks) {
   EXPECT_EQ(cache.evictions(), 19);
   // All evicted values reached the store.
   EXPECT_EQ(sink.store.size(), 19u);
+}
+
+TEST(SlateCacheTest, EvictionSkipsSlateWhoseFlushIsInFlight) {
+  // FlushDirty marks a slate clean under the lock and writes it back after
+  // releasing it. Evicting the slate in that gap would leave it in neither
+  // the cache nor the store, and a reader would then cache its absence.
+  Mutex mu{LockLevel::kUnordered};
+  CondVar cv;
+  bool entered = false;
+  bool release = false;
+  std::map<SlateId, Bytes> store;
+  SlateCache cache({.capacity = 2}, [&](const SlateCache::DirtySlate& d) {
+    MutexLock lock(mu);
+    entered = true;
+    cv.NotifyAll();
+    while (!release) cv.Wait(mu);
+    store[d.id] = d.value;
+    return Status::OK();
+  });
+  ASSERT_OK(cache.Update(Id("a"), "va", /*now=*/1, /*write_through=*/false));
+  ASSERT_OK(cache.Insert(Id("b"), "vb"));
+
+  Result<int> flushed = 0;
+  std::thread flusher([&] { flushed = cache.FlushDirty(INT64_MAX); });
+  {
+    MutexLock lock(mu);
+    while (!entered) cv.Wait(mu);
+  }
+  // "a" is least recently used and its write-back is blocked mid-flush:
+  // these inserts must evict around it. (EXPECTs only until the flusher
+  // is joined.)
+  EXPECT_OK(cache.Insert(Id("c"), "vc"));
+  EXPECT_OK(cache.Insert(Id("d"), "vd"));
+  EXPECT_EQ(cache.evictions(), 2);
+  Bytes out;
+  EXPECT_OK(cache.Lookup(Id("a"), &out));
+  EXPECT_EQ(out, "va");
+  EXPECT_TRUE(cache.Lookup(Id("b"), &out).IsNotFound());
+
+  {
+    MutexLock lock(mu);
+    release = true;
+    cv.NotifyAll();
+  }
+  flusher.join();
+  ASSERT_OK(flushed);
+  EXPECT_EQ(flushed.value(), 1);
+  EXPECT_EQ(store.at(Id("a")), "va");
+  // Landed: "a" is evictable again, in LRU order.
+  ASSERT_OK(cache.Lookup(Id("d"), &out));
+  ASSERT_OK(cache.Insert(Id("e"), "ve"));
+  EXPECT_TRUE(cache.Lookup(Id("a"), &out).IsNotFound());
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(SlateCacheTest, PerSlateHeapBytes) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "mallinfo2 is glibc-only";
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes interpose malloc";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  GTEST_SKIP() << "sanitizer runtimes interpose malloc";
+#endif
+#endif
+#if defined(__GLIBC__)
+  constexpr int kSlates = 10000;
+  // Ids and values within the small-string buffer, so every heap byte
+  // counted is the cache's own bookkeeping.
+  std::vector<SlateId> ids;
+  ids.reserve(kSlates);
+  for (int i = 0; i < kSlates; ++i) ids.push_back(Id("k" + std::to_string(i)));
+  // Heap in use, mmapped blocks (a large bucket array) included.
+  auto heap = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  Sink sink;
+  const size_t before = heap();
+  {
+    SlateCache cache({.capacity = kSlates}, sink.AsWriteBack());
+    for (const SlateId& id : ids) ASSERT_OK(cache.Insert(id, "v"));
+    const size_t used = heap() - before;
+    EXPECT_LE(used / kSlates, 192u) << used << " heap bytes for " << kSlates
+                                    << " slates";
+  }
+#endif
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 //    (the paper's §4.3 detection-by-failed-send);
 //  * peer dies mid-frame -> the half-received frame is never delivered,
 //    and the node survives the torn connection;
-//  * reconnect with backoff resumes delivery after the peer restarts;
+//  * reconnect with backoff resumes delivery after the peer restarts,
+//    and the restarted peer's HELLO cuts the dialer's backoff short;
 //  * write-queue overflow surfaces as ResourceExhausted backpressure,
 //    never as a silent drop.
 #include "net/tcp_transport.h"
@@ -14,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -95,6 +97,9 @@ struct Node {
   // (never mutated after), counted from the handler.
   Bytes expect_payload;
   std::atomic<int> expect_hits{0};
+  // Dialer backoff floor, set before Init(). Short by default so the
+  // reconnect test is fast; the cap still exercises the doubling.
+  Timestamp reconnect_initial_micros = 10 * 1000;
 
   void Init(uint32_t node_id, int port, MachineId hosted,
             std::vector<TcpPeerConfig> peers,
@@ -104,10 +109,9 @@ struct Node {
     opts.listen_port = port;
     opts.peers = std::move(peers);
     opts.write_queue_cap_bytes = queue_cap;
-    // Short backoff floor keeps the reconnect test fast; the cap still
-    // exercises the doubling.
-    opts.reconnect_initial_micros = 10 * 1000;
-    opts.reconnect_max_micros = 200 * 1000;
+    opts.reconnect_initial_micros = reconnect_initial_micros;
+    opts.reconnect_max_micros =
+        std::max<Timestamp>(200 * 1000, reconnect_initial_micros);
     transport = std::make_unique<TcpTransport>(std::move(opts));
     ASSERT_TRUE(transport
                     ->RegisterMachine(hosted,
@@ -324,8 +328,9 @@ TEST(TcpTransportTest, ReconnectWithBackoffResumesDelivery) {
   const Status down = a.transport->Send(0, 1, "while down");
   EXPECT_EQ(down.code(), StatusCode::kUnavailable);
 
-  // Phase 3: restart the peer on the same port; the dialer's backoff loop
-  // reconnects (capped at 200ms here) and delivery resumes.
+  // Phase 3: restart the peer on the same port. The restarted peer dials
+  // us, its HELLO cuts our dialer's backoff short (the backoff loop alone
+  // gets there too, capped at 200ms here), and delivery resumes.
   Node b2;
   b2.expect_payload = "after restart";
   b2.Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
@@ -340,6 +345,42 @@ TEST(TcpTransportTest, ReconnectWithBackoffResumesDelivery) {
   // design, so b2 can legitimately see it first. Wait for the payload
   // we actually care about rather than any delivery.
   ASSERT_TRUE(WaitUntil([&] { return b2.expect_hits.load() >= 1; }));
+
+  a.transport->Stop();
+  b2.transport->Stop();
+}
+
+TEST(TcpTransportTest, InboundHelloCutsDialerBackoffShort) {
+  const int port_a = ReservePort();
+  const int port_b = ReservePort();
+  Node a;
+  // Left to its backoff, a's dialer would not retry for 5s or more.
+  a.reconnect_initial_micros = 5 * 1000 * 1000;
+  a.Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1})});
+  ASSERT_TRUE(a.transport->Start().ok());
+
+  Node b;
+  b.Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
+  ASSERT_TRUE(b.transport->Start().ok());
+  ASSERT_TRUE(WaitUntil([&] { return a.transport->PeerUp(2); }));
+
+  // Kill the peer: a's connection tears down and its dialer backs off.
+  b.transport->Stop();
+  ASSERT_TRUE(WaitUntil([&] { return !a.transport->PeerUp(2); }));
+
+  // Restart it. Its HELLO on the connection it dials to a proves it is
+  // listening again, so a redials now instead of sleeping out the 5s.
+  Node b2;
+  b2.Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(b2.transport->Start().ok());
+  ASSERT_TRUE(WaitUntil([&] { return a.transport->PeerUp(2); },
+                        /*timeout_ms=*/1000));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(elapsed.count(), 1000);
+  ASSERT_TRUE(WaitUntil([&] { return a.transport->Send(0, 1, "back").ok(); }));
+  ASSERT_TRUE(WaitUntil([&] { return b2.received.load() >= 1; }));
 
   a.transport->Stop();
   b2.transport->Stop();
