@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitives the engines lean
 // on: event wire codec, slate compression, JSON slate round-trips, hash
-// ring routing, queue operations, the slate cache, and the 1.0
-// task-processor protocol.
+// ring routing, queue operations, the slate cache, the kvstore memtable,
+// and the 1.0 task-processor protocol.
 // These quantify the §4.5 argument that eliminating serialization inside
 // a machine is worth a generation bump.
 #include <benchmark/benchmark.h>
@@ -10,6 +10,7 @@
 #include <malloc.h>
 #endif
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "engine/queue.h"
 #include "engine/wire.h"
 #include "json/json.h"
+#include "kvstore/memtable.h"
 
 namespace muppet {
 namespace {
@@ -263,6 +265,71 @@ void BM_SlateCacheInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlateCacheInsertEvict)->Arg(1000)->Arg(100000);
+
+// Slate-store writes as the kvstore memtable buffers them (§4.2): 20 B
+// storage keys (slate key row, updater column), 33 B values, clock
+// timestamps.
+std::vector<kv::Record> MemTableRecords(size_t n) {
+  std::vector<kv::Record> recs(n);
+  for (size_t i = 0; i < n; ++i) {
+    char row[32];
+    std::snprintf(row, sizeof(row), "user%06zu", i);
+    recs[i].key = kv::EncodeStorageKey(row, "profile_");
+    recs[i].value = Bytes(33, 'v');
+    recs[i].seqno = i + 1;
+    recs[i].write_ts = 1'700'000'000'000'000 + static_cast<Timestamp>(i);
+  }
+  return recs;
+}
+
+// Fill `table` from `recs` and report its heap cost per buffered write.
+void FillMemTable(benchmark::State& state, kv::MemTable* table,
+                  const std::vector<kv::Record>& recs, size_t before) {
+  for (const kv::Record& rec : recs) table->Put(rec);
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(HeapInUse() - before) /
+      static_cast<double>(recs.size());
+}
+
+void BM_MemTablePut(benchmark::State& state) {
+  // overwrite=0: fresh keys into a table that fills to `entries` and is
+  // cleared, as a flush clears it. overwrite=1: a full table taking new
+  // versions of keys it holds, the coalescing E11 measures.
+  const std::vector<kv::Record> recs =
+      MemTableRecords(static_cast<size_t>(state.range(0)));
+  const bool overwrite = state.range(1) != 0;
+  const size_t before = HeapInUse();
+  kv::MemTable table;
+  FillMemTable(state, &table, recs, before);
+  if (!overwrite) table.Clear();
+  size_t i = 0;
+  for (auto _ : state) {
+    table.Put(recs[i]);
+    if (++i == recs.size()) {
+      i = 0;
+      if (!overwrite) table.Clear();
+    }
+  }
+}
+BENCHMARK(BM_MemTablePut)
+    ->ArgNames({"entries", "overwrite"})
+    ->ArgsProduct({{1000, 100000}, {0, 1}});
+
+void BM_MemTableGet(benchmark::State& state) {
+  // The read-path check that precedes every SSTable lookup.
+  const std::vector<kv::Record> recs =
+      MemTableRecords(static_cast<size_t>(state.range(0)));
+  const size_t before = HeapInUse();
+  kv::MemTable table;
+  FillMemTable(state, &table, recs, before);
+  kv::Record out;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Get(recs[i].key, &out));
+    if (++i == recs.size()) i = 0;
+  }
+}
+BENCHMARK(BM_MemTableGet)->Arg(1000)->Arg(100000);
 
 void BM_Fnv1a64(benchmark::State& state) {
   const Bytes key(static_cast<size_t>(state.range(0)), 'k');

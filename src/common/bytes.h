@@ -42,22 +42,30 @@ inline uint64_t DecodeFixed64(const char* p) {
 }
 
 // Varint32/64 (LEB128), used to keep SSTable blocks and compressed payloads
-// compact.
-inline void PutVarint32(Bytes* dst, uint32_t v) {
+// compact. A varint32 is the varint64 of the same value, so one writer
+// serves both. EncodeVarint64 writes into a buffer the caller sized with
+// VarintLength and returns the byte after the last one written.
+inline char* EncodeVarint64(char* dst, uint64_t v) {
   while (v >= 0x80) {
-    dst->push_back(static_cast<char>(v | 0x80));
+    *dst++ = static_cast<char>(v | 0x80);
     v >>= 7;
   }
-  dst->push_back(static_cast<char>(v));
+  *dst++ = static_cast<char>(v);
+  return dst;
+}
+
+inline size_t VarintLength(uint64_t v) {
+  size_t len = 1;
+  for (; v >= 0x80; v >>= 7) ++len;
+  return len;
 }
 
 inline void PutVarint64(Bytes* dst, uint64_t v) {
-  while (v >= 0x80) {
-    dst->push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
-  }
-  dst->push_back(static_cast<char>(v));
+  char buf[10];
+  dst->append(buf, static_cast<size_t>(EncodeVarint64(buf, v) - buf));
 }
+
+inline void PutVarint32(Bytes* dst, uint32_t v) { PutVarint64(dst, v); }
 
 // Parse a varint from [*p, limit). On success advances *p past the varint,
 // stores the value, and returns true. Returns false on truncation/overflow.
@@ -98,6 +106,16 @@ inline bool GetVarint64(const char** p, const char* limit, uint64_t* value) {
 inline void PutLengthPrefixed(Bytes* dst, BytesView s) {
   PutVarint32(dst, static_cast<uint32_t>(s.size()));
   dst->append(s.data(), s.size());
+}
+
+inline char* EncodeLengthPrefixed(char* dst, BytesView s) {
+  dst = EncodeVarint64(dst, static_cast<uint32_t>(s.size()));
+  if (!s.empty()) std::memcpy(dst, s.data(), s.size());
+  return dst + s.size();
+}
+
+inline size_t LengthPrefixedSize(BytesView s) {
+  return VarintLength(static_cast<uint32_t>(s.size())) + s.size();
 }
 
 inline bool GetLengthPrefixed(const char** p, const char* limit,

@@ -51,7 +51,7 @@
 //     70   slate-cache      SlateCache LRU + index
 //     80   store-node       StorageNode column-family registry
 //     90   store-tables     Shard SSTable list
-//    100   store-io         MemTable map, WAL file, SSTable file handle
+//    100   store-io         MemTable index, WAL file, SSTable file handle
 //    110   journal          EventJournal / SlateLogger append files
 //    112   slate-changelog  SlateChangelog segment files + manifest cursor
 //                           (appended under a slate-stripe lock on the

@@ -89,16 +89,33 @@ inline bool DecodeStorageKey(BytesView storage_key, Bytes* row,
   return false;  // missing terminator
 }
 
-// Serialize a record (without its CRC framing) for WAL and SSTable blocks:
+// Serialized record (without its CRC framing) for the WAL, SSTable blocks
+// and memtable entries:
 //   varint32 key_len, key, varint32 value_len, value,
 //   varint64 seqno, varint64 write_ts, varint64 expire_at, flags byte.
+inline size_t EncodedRecordSize(const Record& rec) {
+  return LengthPrefixedSize(rec.key) + LengthPrefixedSize(rec.value) +
+         VarintLength(rec.seqno) +
+         VarintLength(static_cast<uint64_t>(rec.write_ts)) +
+         VarintLength(static_cast<uint64_t>(rec.expire_at)) + 1;
+}
+
+// Write the encoding into `dst`, which has room for EncodedRecordSize(rec)
+// bytes; returns the byte after the last one written.
+inline char* EncodeRecordTo(const Record& rec, char* dst) {
+  dst = EncodeLengthPrefixed(dst, rec.key);
+  dst = EncodeLengthPrefixed(dst, rec.value);
+  dst = EncodeVarint64(dst, rec.seqno);
+  dst = EncodeVarint64(dst, static_cast<uint64_t>(rec.write_ts));
+  dst = EncodeVarint64(dst, static_cast<uint64_t>(rec.expire_at));
+  *dst++ = rec.tombstone ? 1 : 0;
+  return dst;
+}
+
 inline void EncodeRecord(const Record& rec, Bytes* out) {
-  PutLengthPrefixed(out, rec.key);
-  PutLengthPrefixed(out, rec.value);
-  PutVarint64(out, rec.seqno);
-  PutVarint64(out, static_cast<uint64_t>(rec.write_ts));
-  PutVarint64(out, static_cast<uint64_t>(rec.expire_at));
-  out->push_back(rec.tombstone ? 1 : 0);
+  const size_t start = out->size();
+  out->resize(start + EncodedRecordSize(rec));
+  EncodeRecordTo(rec, out->data() + start);
 }
 
 // Parse one record from [*p, limit), advancing *p. Returns Corruption on

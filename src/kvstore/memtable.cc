@@ -1,43 +1,74 @@
 #include "kvstore/memtable.h"
 
+#include <algorithm>
+#include <cstring>
+
+#include "common/logging.h"
+
 namespace muppet {
 namespace kv {
 
 namespace {
-constexpr size_t kPerEntryOverhead = 64;  // map node + bookkeeping estimate
+
+// glibc malloc's chunk for an n-byte request: n plus the 8-byte size
+// header, rounded up to 16, never under 32.
+constexpr size_t ChunkBytes(size_t n) {
+  return std::max<size_t>(32, (n + 8 + 15) & ~size_t{15});
+}
+
+// A set node is the red-black color and three links (32 B), then the
+// element: the block pointer.
+constexpr size_t kNodeBytes = ChunkBytes(32 + sizeof(PackedRecord));
+
+size_t EntryBytes(const PackedRecord& rec) {
+  return kNodeBytes + ChunkBytes(4 + rec.encoded().size());
+}
+
 }  // namespace
 
-void MemTable::Put(Record rec) {
+PackedRecord::PackedRecord(const Record& rec) {
+  const uint32_t len = static_cast<uint32_t>(EncodedRecordSize(rec));
+  block_ = std::make_unique_for_overwrite<char[]>(4 + len);
+  std::memcpy(block_.get(), &len, 4);
+  EncodeRecordTo(rec, block_.get() + 4);
+}
+
+void PackedRecord::DecodeTo(Record* rec) const {
+  const BytesView enc = encoded();
+  const char* p = enc.data();
+  MUPPET_CHECK(DecodeRecord(&p, p + enc.size(), rec).ok());
+}
+
+void MemTable::Put(PackedRecord rec) {
+  const size_t cost = EntryBytes(rec);
   MutexLock lock(mutex_);
-  auto it = entries_.find(rec.key);
-  if (it != entries_.end()) {
-    bytes_ -= it->second.key.size() + it->second.value.size();
-    bytes_ += rec.key.size() + rec.value.size();
-    it->second = std::move(rec);
-  } else {
-    bytes_ += rec.key.size() + rec.value.size() + kPerEntryOverhead;
-    Bytes key = rec.key;
-    entries_.emplace(std::move(key), std::move(rec));
+  auto it = entries_.lower_bound(rec.key());
+  if (it == entries_.end() || it->key() != rec.key()) {
+    entries_.insert(it, std::move(rec));
+    bytes_ += cost;
+    return;
   }
+  // Overwrite: swap the block behind the same set node. The key is
+  // unchanged, so the set's order holds; extract and reinsert would
+  // rebalance the tree twice for nothing.
+  bytes_ = bytes_ - EntryBytes(*it) + cost;
+  const_cast<PackedRecord&>(*it) = std::move(rec);
 }
 
 bool MemTable::Get(BytesView key, Record* rec) const {
   MutexLock lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
-  *rec = it->second;
+  it->DecodeTo(rec);
   return true;
 }
 
 std::vector<Record> MemTable::Scan(BytesView prefix) const {
   MutexLock lock(mutex_);
   std::vector<Record> out;
-  for (auto it = entries_.lower_bound(prefix); it != entries_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix.data(), prefix.size()) !=
-        0) {
-      break;
-    }
-    out.push_back(it->second);
+  for (auto it = entries_.lower_bound(prefix);
+       it != entries_.end() && it->key().starts_with(prefix); ++it) {
+    it->DecodeTo(&out.emplace_back());
   }
   return out;
 }
@@ -46,7 +77,7 @@ std::vector<Record> MemTable::Snapshot() const {
   MutexLock lock(mutex_);
   std::vector<Record> out;
   out.reserve(entries_.size());
-  for (const auto& [key, rec] : entries_) out.push_back(rec);
+  for (const PackedRecord& rec : entries_) rec.DecodeTo(&out.emplace_back());
   return out;
 }
 

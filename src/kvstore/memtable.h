@@ -6,7 +6,8 @@
 #ifndef MUPPET_KVSTORE_MEMTABLE_H_
 #define MUPPET_KVSTORE_MEMTABLE_H_
 
-#include <map>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "common/bytes.h"
@@ -15,6 +16,36 @@
 
 namespace muppet {
 namespace kv {
+
+// One buffered write: the record in its EncodeRecord form (the codec the
+// WAL and SSTables use) in a single heap block laid out as
+// [u32 len][len encoded bytes]. Shard::WriteRecord packs each write once;
+// the WAL frames encoded() and the memtable adopts the block.
+class PackedRecord {
+ public:
+  explicit PackedRecord(const Record& rec);
+
+  BytesView encoded() const {
+    return BytesView(block_.get() + 4, DecodeFixed32(block_.get()));
+  }
+
+  // The storage key, read in place. Inline with a one-byte-length fast
+  // path: the index compares keys on every lookup.
+  BytesView key() const {
+    const char* p = block_.get() + 4;
+    const auto len = static_cast<uint8_t>(*p);
+    if (len < 0x80) return BytesView(p + 1, len);
+    BytesView key;
+    GetLengthPrefixed(&p, p + DecodeFixed32(block_.get()), &key);
+    return key;
+  }
+
+  // Overwrite *rec with the record, reusing its strings' capacity.
+  void DecodeTo(Record* rec) const;
+
+ private:
+  std::unique_ptr<char[]> block_;
+};
 
 // Sorted, thread-safe buffer of the newest version per key. Overwrites
 // replace in place (coalescing); deletes are buffered as tombstones so they
@@ -27,7 +58,8 @@ class MemTable {
   MemTable& operator=(const MemTable&) = delete;
 
   // Insert or overwrite. `rec.key` is the composite storage key.
-  void Put(Record rec);
+  void Put(const Record& rec) { Put(PackedRecord(rec)); }
+  void Put(PackedRecord rec);
 
   // Lookup. Returns true and copies the record if the key is present
   // (including as a tombstone — the caller interprets it). TTL expiry is
@@ -41,7 +73,8 @@ class MemTable {
   std::vector<Record> Snapshot() const;
 
   size_t entry_count() const;
-  // Approximate heap footprint: keys + values + per-entry overhead.
+  // Heap footprint: each entry's set node and block, as glibc malloc sizes
+  // them (DESIGN.md, "Memtable layout").
   size_t approximate_bytes() const;
   bool empty() const { return entry_count() == 0; }
 
@@ -50,10 +83,24 @@ class MemTable {
   static constexpr LockLevel kLockLevel = LockLevel::kStoreIo;
 
  private:
+  // Byte-wise std::string_view order of the storage keys, read out of the
+  // blocks; transparent, so lookups by BytesView build no record.
+  struct KeyOrder {
+    using is_transparent = void;
+    bool operator()(const PackedRecord& a, const PackedRecord& b) const {
+      return a.key() < b.key();
+    }
+    bool operator()(const PackedRecord& a, BytesView b) const {
+      return a.key() < b;
+    }
+    bool operator()(BytesView a, const PackedRecord& b) const {
+      return a < b.key();
+    }
+  };
+
   mutable Mutex mutex_{kLockLevel};
-  // Key is owned by the Record; the map key references... no: map key is its
-  // own copy. Memory is doubled for keys, acceptable for a write buffer.
-  std::map<Bytes, Record, std::less<>> entries_ MUPPET_GUARDED_BY(mutex_);
+  // One node per key, holding the pointer to its block.
+  std::set<PackedRecord, KeyOrder> entries_ MUPPET_GUARDED_BY(mutex_);
   size_t bytes_ MUPPET_GUARDED_BY(mutex_) = 0;
 };
 

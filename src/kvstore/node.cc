@@ -72,9 +72,9 @@ Status Shard::Open() {
     MUPPET_LOG(kWarning) << "shard: WAL " << wal_path
                          << " had a torn tail; replayed the intact prefix";
   }
-  for (Record& rec : replayed) {
+  for (const Record& rec : replayed) {
     max_seqno = std::max(max_seqno, rec.seqno);
-    memtable_.Put(std::move(rec));
+    memtable_.Put(rec);
   }
   next_seqno_.store(max_seqno + 1);
 
@@ -84,16 +84,19 @@ Status Shard::Open() {
   return Status::OK();
 }
 
-Status Shard::WriteRecord(Record rec) {
+Status Shard::WriteRecord(const Record& rec) {
+  // Encoded once: the WAL writes the packed bytes and the memtable keeps
+  // the block.
+  PackedRecord packed(rec);
   // Under tables_mutex_, so a flush never runs between the WAL append and
   // the memtable insert: it would rotate the WAL out from under the append
   // ("wal: not open"), or snapshot the memtable without this record, clear
   // it anyway, and drop the WAL that held it.
   MutexLock lock(tables_mutex_);
   if (options_.enable_wal) {
-    MUPPET_RETURN_IF_ERROR(wal_.Append(rec, options_.sync_wal));
+    MUPPET_RETURN_IF_ERROR(wal_.Append(packed.encoded(), options_.sync_wal));
   }
-  memtable_.Put(std::move(rec));
+  memtable_.Put(std::move(packed));
   if (memtable_.approximate_bytes() >= options_.memtable_flush_bytes) {
     MUPPET_RETURN_IF_ERROR(FlushLocked());
     if (options_.auto_compact) {
@@ -113,7 +116,7 @@ Status Shard::Put(BytesView row, BytesView column, BytesView value,
   rec.expire_at =
       opts.ttl_micros > 0 ? rec.write_ts + opts.ttl_micros : kNoExpiry;
   rec.tombstone = false;
-  return WriteRecord(std::move(rec));
+  return WriteRecord(rec);
 }
 
 Status Shard::Delete(BytesView row, BytesView column,
@@ -124,7 +127,7 @@ Status Shard::Delete(BytesView row, BytesView column,
   rec.write_ts = opts.write_ts != 0 ? opts.write_ts : clock_->Now();
   rec.expire_at = kNoExpiry;
   rec.tombstone = true;
-  return WriteRecord(std::move(rec));
+  return WriteRecord(rec);
 }
 
 // Newest version of `key` across all SSTables, reconciled by seqno.

@@ -105,7 +105,7 @@ class Shard {
   static constexpr LockLevel kTablesLockLevel = LockLevel::kStoreTables;
 
  private:
-  Status WriteRecord(Record rec);
+  Status WriteRecord(const Record& rec);
   Status GetFromTablesLocked(BytesView key, Record* out)
       MUPPET_REQUIRES(tables_mutex_);
   Status FlushLocked() MUPPET_REQUIRES(tables_mutex_);

@@ -34,16 +34,20 @@ Status WalWriter::Open(const std::string& path) {
 Status WalWriter::Append(const Record& rec, bool sync) {
   Bytes payload;
   EncodeRecord(rec, &payload);
-  const uint32_t crc = Crc32(payload);
-  Bytes frame;
-  frame.reserve(payload.size() + 8);
-  PutFixed32(&frame, crc);
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
+  return Append(BytesView(payload), sync);
+}
+
+Status WalWriter::Append(BytesView encoded, bool sync) {
+  const uint32_t crc = Crc32(encoded);
+  const uint32_t len = static_cast<uint32_t>(encoded.size());
+  char header[8];
+  std::memcpy(header, &crc, 4);
+  std::memcpy(header + 4, &len, 4);
 
   MutexLock lock(mutex_);
   if (file_ == nullptr) return Status::FailedPrecondition("wal: not open");
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+  if (std::fwrite(header, 1, 8, file_) != 8 ||
+      std::fwrite(encoded.data(), 1, len, file_) != len) {
     return Status::IOError("wal: short write");
   }
   if (sync) {

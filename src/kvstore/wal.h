@@ -32,6 +32,9 @@ class WalWriter {
   // Append one record. `sync` forces an fflush+fsync (durability at the
   // cost of latency; Muppet favors latency, so the default is buffered).
   Status Append(const Record& rec, bool sync = false);
+  // Append a record already in its EncodeRecord form; the log frames and
+  // writes these bytes as they are.
+  Status Append(BytesView encoded, bool sync = false);
 
   Status Sync();
 

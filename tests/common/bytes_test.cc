@@ -70,6 +70,18 @@ TEST(BytesTest, VarintSizes) {
   EXPECT_EQ(b.size(), 10u);
 }
 
+TEST(BytesTest, VarintLengthMatchesEncoding) {
+  for (int bits = 0; bits <= 64; ++bits) {
+    const uint64_t top = bits == 64 ? std::numeric_limits<uint64_t>::max()
+                                    : (uint64_t{1} << bits) - 1;
+    for (const uint64_t v : {top, top + 1}) {
+      Bytes b;
+      PutVarint64(&b, v);
+      EXPECT_EQ(VarintLength(v), b.size()) << v;
+    }
+  }
+}
+
 TEST(BytesTest, VarintTruncationDetected) {
   Bytes b;
   PutVarint32(&b, 1u << 30);

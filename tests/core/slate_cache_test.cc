@@ -1,9 +1,5 @@
 #include "core/slate_cache.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include <map>
 #include <thread>
 #include <vector>
@@ -241,37 +237,22 @@ TEST(SlateCacheTest, EvictionSkipsSlateWhoseFlushIsInFlight) {
 }
 
 TEST(SlateCacheTest, PerSlateHeapBytes) {
-#if !defined(__GLIBC__)
-  GTEST_SKIP() << "mallinfo2 is glibc-only";
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer runtimes interpose malloc";
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  GTEST_SKIP() << "sanitizer runtimes interpose malloc";
-#endif
-#endif
-#if defined(__GLIBC__)
+  MUPPET_SKIP_WITHOUT_HEAP_ACCOUNTING();
   constexpr int kSlates = 10000;
   // Ids and values within the small-string buffer, so every heap byte
   // counted is the cache's own bookkeeping.
   std::vector<SlateId> ids;
   ids.reserve(kSlates);
   for (int i = 0; i < kSlates; ++i) ids.push_back(Id("k" + std::to_string(i)));
-  // Heap in use, mmapped blocks (a large bucket array) included.
-  auto heap = [] {
-    const struct mallinfo2 info = mallinfo2();
-    return info.uordblks + info.hblkhd;
-  };
   Sink sink;
-  const size_t before = heap();
+  const size_t before = testing::HeapInUse();
   {
     SlateCache cache({.capacity = kSlates}, sink.AsWriteBack());
     for (const SlateId& id : ids) ASSERT_OK(cache.Insert(id, "v"));
-    const size_t used = heap() - before;
+    const size_t used = testing::HeapInUse() - before;
     EXPECT_LE(used / kSlates, 192u) << used << " heap bytes for " << kSlates
                                     << " slates";
   }
-#endif
 }
 
 }  // namespace

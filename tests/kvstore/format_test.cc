@@ -1,6 +1,7 @@
 #include "kvstore/format.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -113,6 +114,30 @@ TEST(RecordTest, MultipleRecordsBackToBack) {
     EXPECT_EQ(decoded.key, "key" + std::to_string(i));
   }
   EXPECT_EQ(p, limit);
+}
+
+TEST(RecordTest, EncodedRecordSizeIsExact) {
+  // Field widths across the varint boundaries: empty, 127/128-byte and
+  // 16 KiB strings; 2^63-scale seqno and timestamps.
+  for (const size_t len : {size_t{0}, size_t{127}, size_t{128},
+                           size_t{16384}}) {
+    Record rec;
+    rec.key = Bytes(len, 'k');
+    rec.value = Bytes(len / 2, 'v');
+    rec.seqno = uint64_t{1} << 63;
+    rec.write_ts = std::numeric_limits<Timestamp>::max();
+    rec.expire_at = static_cast<Timestamp>(len);
+    Bytes wire = "prefix";
+    EncodeRecord(rec, &wire);
+    EXPECT_EQ(wire.size(), 6 + EncodedRecordSize(rec)) << len;
+    const char* p = wire.data() + 6;
+    Record decoded;
+    ASSERT_OK(DecodeRecord(&p, wire.data() + wire.size(), &decoded));
+    EXPECT_EQ(p, wire.data() + wire.size());
+    EXPECT_EQ(decoded.key, rec.key);
+    EXPECT_EQ(decoded.seqno, rec.seqno);
+    EXPECT_EQ(decoded.write_ts, rec.write_ts);
+  }
 }
 
 TEST(RecordTest, TruncationDetected) {

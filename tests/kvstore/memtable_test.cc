@@ -1,14 +1,24 @@
 #include "kvstore/memtable.h"
 
+#include <cstdio>
+#include <limits>
+#include <map>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
+#include "kvstore/node.h"
+#include "tests/test_util.h"
 
 namespace muppet {
 namespace kv {
 namespace {
+
+using ::muppet::testing::TempDir;
 
 Record MakeRecord(const Bytes& row, const Bytes& col, const Bytes& value,
                   uint64_t seqno) {
@@ -105,6 +115,171 @@ TEST(MemTableTest, ConcurrentWritersDistinctKeys) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(table.entry_count(),
             static_cast<size_t>(kThreads) * kPerThread);
+}
+
+TEST(MemTableTest, PerEntryHeapBytes) {
+  MUPPET_SKIP_WITHOUT_HEAP_ACCOUNTING();
+  constexpr int kEntries = 10000;
+  // A slate-store write's shape: 20 B storage keys, 33 B values, a clock
+  // timestamp in microseconds.
+  std::vector<Record> recs;
+  recs.reserve(kEntries);
+  for (int i = 0; i < kEntries; ++i) {
+    char row[16];
+    std::snprintf(row, sizeof(row), "user%06d", i);
+    Record rec = MakeRecord(row, "profile_", Bytes(33, 'v'),
+                            static_cast<uint64_t>(i) + 1);
+    rec.write_ts = 1'700'000'000'000'000 + i;
+    ASSERT_EQ(rec.key.size(), 20u);
+    recs.push_back(std::move(rec));
+  }
+  const size_t before = testing::HeapInUse();
+  {
+    MemTable table;
+    for (const Record& rec : recs) table.Put(rec);
+    const size_t used = testing::HeapInUse() - before;
+    EXPECT_LE(used / kEntries, 160u)
+        << used << " heap bytes for " << kEntries << " entries";
+    EXPECT_NEAR(static_cast<double>(table.approximate_bytes()),
+                static_cast<double>(used), 0.25 * static_cast<double>(used))
+        << "approximate_bytes() against the measured heap";
+  }
+}
+
+auto Fields(const Record& r) {
+  return std::tie(r.key, r.value, r.seqno, r.write_ts, r.expire_at,
+                  r.tombstone);
+}
+
+// Seeded random puts, overwrites and tombstones against a std::map model.
+// Keys hold the bytes EncodeStorageKey escapes (\0, \1) and bytes above
+// 0x7f; values run from empty to past 16 KiB (a three-byte length varint);
+// seqnos and timestamps reach the ten-byte varints near 2^63. A Shard fed
+// the same writes must replay them from its WAL unchanged.
+TEST(MemTableTest, MatchesReferenceMap) {
+  const std::vector<Bytes> rows = {"a",       Bytes("\0", 1), Bytes("\0\1", 2),
+                                   "a\1b",    Bytes("a\0b", 3), "ab",
+                                   "\xff\x80", "user1",          "user10"};
+  const std::vector<Bytes> cols = {"", "U1", Bytes("c\0", 2), "\x01"};
+  std::vector<std::pair<Bytes, Bytes>> pool;
+  for (const Bytes& row : rows) {
+    for (const Bytes& col : cols) pool.emplace_back(row, col);
+  }
+
+  TempDir dir;
+  NodeOptions options;
+  options.data_dir = dir.path();
+  options.memtable_flush_bytes = 64u << 20;  // everything stays in the WAL
+  auto node = std::make_unique<StorageNode>(options);
+  ASSERT_OK(node->Open());
+  auto shard = node->GetColumnFamily("cf");
+  ASSERT_OK(shard);
+
+  MemTable table;
+  std::map<Bytes, Record> model;
+  auto check = [&](int op) {
+    for (const auto& [row, col] : pool) {
+      const Bytes key = EncodeStorageKey(row, col);
+      Record got;
+      const auto it = model.find(key);
+      ASSERT_EQ(table.Get(key, &got), it != model.end()) << "op " << op;
+      if (it != model.end()) {
+        EXPECT_EQ(Fields(got), Fields(it->second)) << "op " << op;
+      }
+    }
+    std::vector<Bytes> prefixes = {"", "a", Bytes("\0", 1), "user1"};
+    for (const Bytes& row : rows) prefixes.push_back(EncodeRowPrefix(row));
+    for (const Bytes& prefix : prefixes) {
+      std::vector<Record> want;
+      for (auto it = model.lower_bound(prefix);
+           it != model.end() && BytesView(it->first).starts_with(prefix);
+           ++it) {
+        want.push_back(it->second);
+      }
+      const std::vector<Record> got = table.Scan(prefix);
+      ASSERT_EQ(got.size(), want.size()) << "op " << op;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(Fields(got[i]), Fields(want[i])) << "op " << op;
+      }
+    }
+    const std::vector<Record> snapshot = table.Snapshot();
+    ASSERT_EQ(snapshot.size(), model.size()) << "op " << op;
+    size_t i = 0;
+    for (const auto& [key, rec] : model) {
+      EXPECT_EQ(Fields(snapshot[i++]), Fields(rec)) << "op " << op;
+    }
+    EXPECT_EQ(table.entry_count(), model.size());
+  };
+
+  constexpr Timestamp kMaxTs = std::numeric_limits<Timestamp>::max();
+  Rng rng(13);
+  constexpr int kOps = 3000;
+  for (int op = 1; op <= kOps; ++op) {
+    const auto& [row, col] = pool[rng.Uniform(pool.size())];
+    Record rec;
+    rec.key = EncodeStorageKey(row, col);
+    rec.tombstone = rng.Chance(0.15);
+    if (!rec.tombstone) {
+      const uint64_t shape = rng.Uniform(10);
+      const size_t len = shape == 0   ? 0
+                         : shape == 1 ? 16384 + rng.Uniform(4096)
+                                      : rng.Uniform(200);
+      rec.value = Bytes(len, static_cast<char>('a' + op % 26));
+    }
+    rec.seqno = rng.Chance(0.5) ? static_cast<uint64_t>(op)
+                                : (uint64_t{1} << 63) - kOps / 2 + op;
+    // Room below kMaxTs for the TTL, so expire_at cannot overflow.
+    rec.write_ts =
+        rng.Chance(0.5)
+            ? kMaxTs - (1 << 21) - static_cast<Timestamp>(rng.Uniform(1 << 20))
+            : 1 + static_cast<Timestamp>(op);
+    const Timestamp ttl =
+        rec.tombstone || rng.Chance(0.5)
+            ? 0
+            : 1 + static_cast<Timestamp>(rng.Uniform(1 << 20));
+    rec.expire_at = ttl > 0 ? rec.write_ts + ttl : kNoExpiry;
+
+    const WriteOptions opts{.ttl_micros = ttl, .write_ts = rec.write_ts};
+    if (rec.tombstone) {
+      ASSERT_OK(shard.value()->Delete(row, col, opts));
+    } else {
+      ASSERT_OK(shard.value()->Put(row, col, rec.value, opts));
+    }
+    table.Put(rec);
+    model[rec.key] = std::move(rec);
+    if (op % 100 == 0) {
+      check(op);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+
+  // The shard stamps its own seqnos; everything else must match the model,
+  // before and after a WAL replay.
+  std::vector<Record> before;
+  for (const auto& [row, col] : pool) {
+    auto got = shard.value()->GetRaw(row, col);
+    const auto it = model.find(EncodeStorageKey(row, col));
+    ASSERT_EQ(got.ok(), it != model.end());
+    if (!got.ok()) continue;
+    Record want = it->second;
+    want.seqno = got.value().seqno;
+    EXPECT_EQ(Fields(got.value()), Fields(want));
+    before.push_back(std::move(got).value());
+  }
+  node.reset();
+  node = std::make_unique<StorageNode>(options);
+  ASSERT_OK(node->Open());
+  shard = node->GetColumnFamily("cf");
+  ASSERT_OK(shard);
+  EXPECT_EQ(shard.value()->sstable_count(), 0u);
+  size_t i = 0;
+  for (const auto& [row, col] : pool) {
+    auto got = shard.value()->GetRaw(row, col);
+    if (!got.ok()) continue;
+    ASSERT_LT(i, before.size());
+    EXPECT_EQ(Fields(got.value()), Fields(before[i++]));
+  }
+  EXPECT_EQ(i, before.size());
 }
 
 }  // namespace

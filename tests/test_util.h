@@ -2,6 +2,10 @@
 #ifndef MUPPET_TESTS_TEST_UTIL_H_
 #define MUPPET_TESTS_TEST_UTIL_H_
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <filesystem>
 #include <random>
 #include <string>
@@ -11,6 +15,44 @@
 
 namespace muppet {
 namespace testing {
+
+// Why HeapInUse() cannot measure this build's allocations, or nullptr if
+// it can: mallinfo2 is glibc's, and sanitizer runtimes replace malloc.
+inline const char* HeapAccountingUnavailable() {
+#if !defined(__GLIBC__)
+  return "mallinfo2 is glibc-only";
+#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return "sanitizer runtimes interpose malloc";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return "sanitizer runtimes interpose malloc";
+#else
+  return nullptr;
+#endif
+#else
+  return nullptr;
+#endif
+}
+
+// Heap bytes in use, mmapped blocks (a large bucket array) included; 0
+// without glibc.
+inline size_t HeapInUse() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+// Skips the calling test where HeapInUse() cannot be trusted.
+#define MUPPET_SKIP_WITHOUT_HEAP_ACCOUNTING()                        \
+  do {                                                               \
+    if (const char* _why =                                           \
+            ::muppet::testing::HeapAccountingUnavailable()) {        \
+      GTEST_SKIP() << _why;                                          \
+    }                                                                \
+  } while (0)
 
 // A unique temporary directory, removed on destruction.
 class TempDir {
