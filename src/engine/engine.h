@@ -92,7 +92,8 @@ struct EngineOptions {
   // spans all num_machines ids — every muppetd process derives the same
   // ring from the shared cluster config — but only hosted machines get
   // queues, worker threads, caches, and transport registrations here.
-  // Muppet 2.0 only.
+  // Muppet 2.0 only (Muppet 1.0's Start() rejects it, and rejects
+  // transport_backend).
   std::vector<MachineId> hosted_machines;
   // Cross-process slate fetch: FetchSlate for a key owned by a non-hosted
   // machine delegates here (muppetd wires an HTTP fetch against the
@@ -138,7 +139,10 @@ struct EngineStats {
   int64_t events_published = 0;   // external events accepted
   int64_t events_processed = 0;   // operator invocations completed
   int64_t events_emitted = 0;     // operator-published events
-  int64_t events_lost_failure = 0;    // lost to machine failure (§4.3)
+  // Lost to a machine or slate-store failure (§4.3): routed to a crashed
+  // machine, cleared from a crashed machine's queues, or failed in
+  // processing (e.g. a slate fetch while the store is down).
+  int64_t events_lost_failure = 0;
   int64_t events_dropped_overflow = 0;  // dropped by overflow policy
   int64_t events_redirected_overflow = 0;  // sent to the overflow stream
   int64_t throttle_signals = 0;
@@ -276,52 +280,48 @@ class Engine {
 
   virtual const AppConfig& config() const = 0;
 
-  // --- Observability plane (optional; defaults are inert so alternative
-  // engine implementations keep compiling).
+  // --- Observability plane.
 
-  // Shared metrics registry backing /metrics; nullptr = none.
-  virtual MetricsRegistry* metrics() { return nullptr; }
+  // Shared metrics registry backing /metrics.
+  virtual MetricsRegistry* metrics() = 0;
 
   // Per-machine trace ring; nullptr when tracing is off or the machine id
   // is unknown.
-  virtual TraceSink* trace_sink(MachineId machine) {
-    (void)machine;
-    return nullptr;
-  }
+  virtual TraceSink* trace_sink(MachineId machine) = 0;
 
   // Per-machine runtime state for /statusz.
-  virtual std::vector<MachineStatus> MachineStatuses() const { return {}; }
+  virtual std::vector<MachineStatus> MachineStatuses() const = 0;
 
   // Hottest (function, key) pairs with their split state, hottest first
   // — the /statusz hot-key panel. Empty when no heat tracking runs.
-  virtual std::vector<HotKeyInfo> HotKeys() const { return {}; }
+  virtual std::vector<HotKeyInfo> HotKeys() const = 0;
 
-  // Suspend the self-tuning load-manager control loop, blocking until the
-  // in-progress tick (and its control-event injections) completes. No-op
-  // for engines without one. The chaos harness pauses before its final
-  // accounting so a mid-tick merge sweep cannot race the conservation
-  // snapshot.
-  virtual void PauseLoadManagement() {}
+  // Suspend the self-tuning load-management control loop, blocking until
+  // the in-progress tick (and its control-event injections) completes.
+  // No-op for engines without one. The chaos harness pauses before its
+  // final accounting so a mid-tick merge sweep cannot race the
+  // conservation snapshot.
+  virtual void PauseLoadManagement() = 0;
 
   // Events accepted but not yet fully processed.
-  virtual int64_t InflightEvents() const { return 0; }
+  virtual int64_t InflightEvents() const = 0;
 
-  // --- Health & SLO plane (DESIGN.md §14; defaults inert).
+  // --- Health & SLO plane (DESIGN.md §14).
 
-  // End-to-end SLO tracker; nullptr when the engine does not run one.
-  virtual SloTracker* slo() { return nullptr; }
+  // End-to-end SLO tracker.
+  virtual SloTracker* slo() = 0;
 
   // Pull newly completed traces from every machine's sink into the SLO
   // tracker now (the /sloz handler calls this so the page is fresh and a
   // drained engine's traces are observed without waiting for the settle
-  // window). No-op without a tracker.
-  virtual void HarvestSlo() {}
+  // window).
+  virtual void HarvestSlo() = 0;
 
-  // Watchdog incident log; nullptr when the engine does not run one.
-  virtual const IncidentLog* incidents() const { return nullptr; }
+  // Watchdog incident log.
+  virtual const IncidentLog* incidents() const = 0;
 
   // Microseconds since Start() on the engine clock; 0 before Start().
-  virtual Timestamp UptimeMicros() const { return 0; }
+  virtual Timestamp UptimeMicros() const = 0;
 };
 
 }  // namespace muppet

@@ -9,24 +9,14 @@
 #ifndef MUPPET_ENGINE_MUPPET1_H_
 #define MUPPET_ENGINE_MUPPET1_H_
 
-#include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/sync.h"
-#include "common/trace.h"
-#include "core/hash_ring.h"
 #include "core/heat.h"
-#include "core/slate_cache.h"
-#include "engine/engine.h"
-#include "engine/master.h"
-#include "engine/queue.h"
+#include "engine/machine_runtime.h"
 
 namespace muppet {
 
@@ -67,56 +57,19 @@ class TaskProcessor {
 
 }  // namespace engine_internal
 
-class Muppet1Engine final : public Engine {
+class Muppet1Engine final : public MachineRuntime {
  public:
   // `config` must outlive the engine and Validate() OK at Start().
   Muppet1Engine(const AppConfig& config, EngineOptions options);
   ~Muppet1Engine() override;
 
-  Status Start() override;
-  Status Publish(const std::string& stream, BytesView key, BytesView value,
-                 Timestamp ts) override;
-  Status Drain() override;
-  Status Stop() override;
   Result<Bytes> FetchSlate(const std::string& updater,
                            BytesView key) override;
-  Status CrashMachine(MachineId machine) override;
-  Status RestartMachine(MachineId machine) override;
-  EngineStats Stats() const override;
-  const AppConfig& config() const override { return config_; }
-
-  // Observability plane (engine.h).
-  MetricsRegistry* metrics() override { return &metrics_; }
-  TraceSink* trace_sink(MachineId machine) override {
-    return SinkFor(machine);
-  }
-  std::vector<MachineStatus> MachineStatuses() const override;
   // Heat observation only: Muppet 1.0 never splits keys (load_manager
   // control loops are 2.0-only), so rows report split=false.
   std::vector<HotKeyInfo> HotKeys() const override;
-  int64_t InflightEvents() const override {
-    return inflight_.load(std::memory_order_acquire);
-  }
-  SloTracker* slo() override { return slo_.get(); }
-  void HarvestSlo() override;
-  const IncidentLog* incidents() const override { return &incident_log_; }
-  Timestamp UptimeMicros() const override;
-
-  // Observe events published to `stream` (tests/examples; invoked inline
-  // on the publishing thread). Register before Start().
-  void TapStream(const std::string& stream,
-                 std::function<void(const Event&)> tap);
-
-  // Introspection for tests and the slate service.
-  Transport& transport() { return transport_; }
-  Master& master() { return master_; }
-  ThrottleGovernor& throttle() { return throttle_; }
-  int64_t events_lost() const { return lost_failure_->Get(); }
-  // The failed-machine set as known on machine `m` (chaos harness asserts
-  // every live machine's view converges to the master's after a drain).
-  std::set<MachineId> KnownFailedOn(MachineId m) const {
-    return FailedSetFor(m);
-  }
+  // 1.0 runs no load-management control loop; nothing to pause.
+  void PauseLoadManagement() override {}
 
  private:
   struct Worker {
@@ -127,71 +80,36 @@ class Muppet1Engine final : public Engine {
     std::unique_ptr<engine_internal::TaskProcessor> task;
     std::unique_ptr<SlateCache> cache;  // updaters only
     UpdaterOptions updater_options;
-    std::thread thread;
     // Per-operator processed counter (registry child, set at Start()).
     Counter* processed_counter = nullptr;
   };
 
-  struct MachineCtx {
-    MachineId id = kInvalidMachine;
-    std::vector<Worker*> workers;
+  // A machine's workers in slot order; worker i drains lane i.
+  struct MachineCtx : MachineBase {
+    std::vector<std::unique_ptr<Worker>> workers;
     // (function, slot) -> worker for incoming dispatch.
     std::map<std::pair<std::string, int32_t>, Worker*> by_slot;
-    mutable Mutex failed_mutex{LockLevel::kFailedSet};
-    std::set<MachineId> failed MUPPET_GUARDED_BY(failed_mutex);
-    std::atomic<bool> crashed{false};
-    std::thread flusher;
-    // Per-machine trace ring (null when tracing is disabled).
-    std::unique_ptr<TraceSink> trace_sink;
-    // Durability plane (engine/slatelog.h); both null in kLossy mode,
-    // dedup additionally null below kExactlyOnce. One changelog per
-    // machine even though 1.0 scatters slates over per-worker caches —
-    // records carry (updater, key), so replay re-homes each slate.
-    std::unique_ptr<SlateChangelog> changelog;
-    std::unique_ptr<DedupTable> dedup;
-    std::atomic<uint64_t> manifest_lsn{0};
-    std::atomic<uint64_t> appends_since_checkpoint{0};
-    std::atomic<int64_t> replays{0};
   };
 
-  void ConductorLoop(Worker* worker);
-  void FlusherLoop(MachineCtx* machine);
-  void WatchdogLoop();
-  WatchdogSignals GatherWatchdogSignals() const;
+  MachineCtx* Ctx(MachineId m) const {
+    return static_cast<MachineCtx*>(Machine(m));
+  }
+
+  // MachineRuntime hooks.
+  Status PrepareEngine() override;
+  Status BuildMachine(MachineId id,
+                      std::unique_ptr<MachineBase>* machine) override;
+  // The conductor loop of the lane's worker.
+  void RunLane(MachineBase* machine, size_t lane) override;
+  // Routes over the steady-state (no-failures) ring to the owning worker:
+  // the records were written by this machine's workers under stable
+  // membership, so their keys route back to the same slots.
+  SlateCache* ReplayCache(MachineBase* machine, const std::string& updater,
+                          BytesView key) override;
+  void RegisterEngineMetrics() override;
+  void DeliverPublished(Event event) override;
+
   Status ProcessOne(Worker* worker, const Event& event, uint64_t dedup);
-
-  // --- Durability plane (engine/slatelog.h; DESIGN.md §12). Same
-  // semantics as the 2.0 engine's: changelog appends on every slate
-  // write, checkpoints from the flusher, replay before rejoin.
-  bool durable() const {
-    return options_.durability.consistency != Consistency::kLossy;
-  }
-  bool exactly_once() const {
-    return options_.durability.consistency == Consistency::kExactlyOnce;
-  }
-  void AppendSlateLog(MachineCtx* machine, SlateLogKind kind,
-                      const std::string& updater, BytesView key,
-                      BytesView value, const Event& event, uint64_t dedup);
-  void MaybeCheckpoint(MachineCtx* machine);
-  Status ReplayChangelog(MachineCtx* machine);
-
-  // Fetch the slate for (worker's updater, key): worker cache, then store.
-  // Returns NotFound if absent everywhere. `source`, when non-null,
-  // reports the slate-fetch span note: "hit", "absent_cached", "store",
-  // "store_absent".
-  Status FetchSlateForWorker(Worker* worker, BytesView key, Bytes* slate,
-                             const char** source = nullptr);
-
-  TraceSink* SinkFor(MachineId machine) const {
-    if (machine < 0 || machine >= static_cast<MachineId>(machines_.size())) {
-      return nullptr;
-    }
-    return machines_[static_cast<size_t>(machine)]->trace_sink.get();
-  }
-
-  // Register the callback-backed gauges/counters once the cluster is
-  // built.
-  void RegisterCallbackMetrics();
 
   // Route an emitted/published event to all subscribers of its stream.
   // `sender` is the emitting worker (nullptr for external publishes).
@@ -204,22 +122,9 @@ class Muppet1Engine final : public Engine {
 
   Status HandleIncoming(MachineId to, BytesView payload);
 
-  std::set<MachineId> FailedSetFor(MachineId machine) const;
-  SlateCache::WriteBack MakeWriteBack(const std::string& updater,
-                                      Timestamp ttl);
-  void RunTaps(const Event& event);
-  uint64_t NextSeq() { return seq_.fetch_add(1, std::memory_order_relaxed); }
-
-  // Decrement in-flight count, waking Drain() when it reaches zero.
-  void DecInflight(int64_t n);
-
-  const AppConfig& config_;
-  EngineOptions options_;
-  Clock* clock_;
-  InMemoryTransport transport_;
-  Master master_;
-  HashRing ring_;
-  ThrottleGovernor throttle_;
+  // The worker that owns (function, key) over the ring view `failed`.
+  Result<Worker*> RouteToWorker(const std::string& function, BytesView key,
+                                const std::set<MachineId>& failed) const;
 
   // Engine-wide heat sketch (created at Start() when
   // options_.load_manager.enabled; 1.0 has no per-machine dispatch point,
@@ -228,58 +133,6 @@ class Muppet1Engine final : public Engine {
   std::unique_ptr<HeatTracker> heat_;
   std::map<std::string, int32_t> heat_fn_ids_;
   std::vector<std::string> heat_fn_names_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopped_{false};
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::unique_ptr<MachineCtx>> machines_;
-
-  std::atomic<uint64_t> seq_{1};
-  std::atomic<int64_t> inflight_{0};
-  std::atomic<bool> shutdown_{false};
-
-  // Health & SLO plane (DESIGN.md §14). Declared before metrics_ users
-  // but after the registry dependencies; incident_log_ is initialized in
-  // the ctor from options_.watchdog.
-  std::unique_ptr<SloTracker> slo_;
-  IncidentLog incident_log_;
-  std::unique_ptr<Watchdog> watchdog_;
-  std::thread wd_thread_;
-  std::atomic<int> drain_waiters_{0};
-  std::atomic<Timestamp> started_at_{0};
-
-  Mutex drain_mutex_{LockLevel::kDrain};
-  CondVar drain_cv_;
-
-  mutable SharedMutex taps_mutex_{LockLevel::kTaps};
-  std::map<std::string, std::vector<std::function<void(const Event&)>>> taps_
-      MUPPET_GUARDED_BY(taps_mutex_);
-
-  // Shared registry backing /metrics; the counters below are registry
-  // children so the admin endpoints and EngineStats read the same cells.
-  // Declared before the pointers (initialization order).
-  MetricsRegistry metrics_;
-  Counter* published_;
-  Counter* processed_;
-  Counter* emitted_;
-  Counter* lost_failure_;
-  Counter* dropped_overflow_;
-  Counter* redirected_overflow_;
-  Counter* deadlocks_avoided_;
-  Counter* store_reads_;
-  Counter* store_writes_;
-  Counter* operator_instances_;
-  Counter* slatelog_appends_;
-  Counter* slatelog_replays_;
-  Counter* slatelog_replayed_;
-  Counter* slatelog_torn_tails_;
-  Counter* slatelog_corrupt_segments_;
-  Counter* checkpoints_;
-  Counter* deduped_;
-  Histogram* latency_;
-  // Per-input-stream published counters (built at Start()).
-  std::map<std::string, Counter*> stream_published_;
 };
 
 }  // namespace muppet

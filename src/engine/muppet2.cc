@@ -7,7 +7,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "common/version.h"
 #include "engine/placement.h"
 #include "engine/wire.h"
 
@@ -133,128 +132,22 @@ class Muppet2Engine::DirectUtilities final : public PerformerUtilities {
 };
 
 Muppet2Engine::Muppet2Engine(const AppConfig& config, EngineOptions options)
-    : config_(config),
-      options_(options),
-      clock_(options.clock != nullptr ? options.clock
-                                      : SystemClock::Default()),
-      ring_(options.ring_vnodes, options.ring_seed),
-      throttle_(options.throttle, clock_),
-      incident_log_(options.watchdog.incident_capacity),
-      published_(metrics_.GetCounter("muppet_events_published_total")),
-      processed_(metrics_.GetCounter("muppet_events_processed_total")),
-      emitted_(metrics_.GetCounter("muppet_events_emitted_total")),
-      lost_failure_(metrics_.GetCounter("muppet_events_lost_failure_total")),
-      dropped_overflow_(
-          metrics_.GetCounter("muppet_events_dropped_overflow_total")),
-      redirected_overflow_(
-          metrics_.GetCounter("muppet_events_redirected_overflow_total")),
-      deadlocks_avoided_(
-          metrics_.GetCounter("muppet_deadlocks_avoided_total")),
-      store_reads_(metrics_.GetCounter("muppet_slate_store_reads_total")),
-      store_writes_(metrics_.GetCounter("muppet_slate_store_writes_total")),
-      operator_instances_(
-          metrics_.GetCounter("muppet_operator_instances_total")),
+    : MachineRuntime(config, std::move(options), "muppet2",
+                     /*load_manager_paces_source=*/true),
       secondary_dispatch_(
           metrics_.GetCounter("muppet_secondary_dispatch_total")),
       slate_contention_(
           metrics_.GetCounter("muppet_slate_contention_total")),
       splits_installed_(metrics_.GetCounter("muppet_key_splits_total")),
       merges_completed_(metrics_.GetCounter("muppet_key_merges_total")),
-      slatelog_appends_(
-          metrics_.GetCounter("muppet_slatelog_appends_total")),
-      slatelog_replays_(
-          metrics_.GetCounter("muppet_slatelog_replays_total")),
-      slatelog_replayed_(
-          metrics_.GetCounter("muppet_slatelog_replayed_records_total")),
-      slatelog_torn_tails_(
-          metrics_.GetCounter("muppet_slatelog_torn_tails_total")),
-      slatelog_corrupt_segments_(metrics_.GetCounter(
-          "muppet_slatelog_corrupt_segments_total")),
-      checkpoints_(metrics_.GetCounter("muppet_checkpoints_total")),
-      deduped_(metrics_.GetCounter("muppet_events_deduped_total")),
-      latency_(metrics_.GetHistogram("muppet_e2e_latency_us")),
-      queue_wait_(metrics_.GetHistogram("muppet_queue_wait_us")) {
-  if (options_.transport_backend != nullptr) {
-    // External backend (muppetd's TcpTransport): not owned, carries its
-    // own loss accounting, started by the caller after Start().
-    transport_ = options_.transport_backend;
-  } else {
-    TransportOptions t = options_.transport;
-    if (t.clock == nullptr) t.clock = options_.clock;
-    // Settle fault-injection deliveries that bypass the synchronous
-    // send path: late losses debit the in-flight count, duplicate
-    // copies pre-charge it, so Drain() stays balanced under chaos.
-    if (t.on_async_loss == nullptr) {
-      t.on_async_loss = [this](int64_t n) {
-        lost_failure_->Add(n);
-        DecInflight(n);
-      };
-    }
-    if (t.on_extra_delivery == nullptr) {
-      t.on_extra_delivery = [this](int64_t n) {
-        inflight_.fetch_add(n, std::memory_order_acq_rel);
-      };
-    }
-    owned_transport_ = std::make_unique<InMemoryTransport>(t);
-    transport_ = owned_transport_.get();
-  }
-}
+      queue_wait_(metrics_.GetHistogram("muppet_queue_wait_us")) {}
 
 Muppet2Engine::~Muppet2Engine() { (void)Stop(); }
 
-uint64_t Muppet2Engine::CombineWork(uint64_t function_hash,
-                                    uint64_t key_hash) {
-  uint64_t h = HashCombine(function_hash, key_hash);
-  if (h == 0) h = 1;  // 0 means "idle"
-  return h;
-}
-
-uint64_t Muppet2Engine::WorkHash(const std::string& function,
-                                 BytesView key) {
-  return CombineWork(Fnv1a64(function), Fnv1a64(key));
-}
-
-Status Muppet2Engine::Start() {
-  if (started_) return Status::FailedPrecondition("engine already started");
-  MUPPET_RETURN_IF_ERROR(config_.Validate());
-  if (options_.num_machines < 1 || options_.threads_per_machine < 1) {
+Status Muppet2Engine::PrepareEngine() {
+  if (options_.threads_per_machine < 1) {
     return Status::InvalidArgument("engine: bad cluster shape");
   }
-  // Hosted subset (multi-process deployment): this process builds worker
-  // state only for the listed ids; the ring still spans all num_machines,
-  // every process deriving the same ring from the shared cluster config.
-  std::vector<bool> hosted(static_cast<size_t>(options_.num_machines),
-                           options_.hosted_machines.empty());
-  if (!options_.hosted_machines.empty()) {
-    for (const MachineId id : options_.hosted_machines) {
-      if (id < 0 || id >= options_.num_machines) {
-        return Status::InvalidArgument(
-            "engine: hosted machine " + std::to_string(id) +
-            " outside [0, num_machines)");
-      }
-      hosted[static_cast<size_t>(id)] = true;
-    }
-  }
-  publish_machine_ = kInvalidMachine;
-  for (int m = 0; m < options_.num_machines; ++m) {
-    if (hosted[static_cast<size_t>(m)]) {
-      publish_machine_ = m;
-      break;
-    }
-  }
-  if (publish_machine_ == kInvalidMachine) {
-    return Status::InvalidArgument("engine: hosts no machines");
-  }
-  if (options_.overflow.policy == OverflowPolicy::kOverflowStream &&
-      !config_.HasStream(options_.overflow.overflow_stream)) {
-    return Status::InvalidArgument("engine: overflow stream is not declared");
-  }
-  if (durable() && options_.durability.dir.empty()) {
-    return Status::InvalidArgument(
-        "engine: durability requires a changelog directory "
-        "(EngineOptions::durability.dir)");
-  }
-
   // Intern operator and stream names into dense ids; precompute the
   // function half of every work hash and each stream's subscriber list.
   // operators() is an ordered map, so ids are deterministic across
@@ -265,10 +158,6 @@ Status Muppet2Engine::Start() {
     ops_.push_back(OpInfo{&spec, Fnv1a64(name)});
     op_processed_.push_back(metrics_.GetCounter(
         "muppet_operator_processed_total", {{"operator", name}}));
-  }
-  for (const std::string& sid : config_.InputStreams()) {
-    stream_published_[sid] = metrics_.GetCounter(
-        "muppet_stream_published_total", {{"stream", sid}});
   }
   for (const std::string& sid : config_.AllStreams()) {
     const uint32_t stream_id = stream_names_.Intern(sid);
@@ -287,237 +176,73 @@ Status Muppet2Engine::Start() {
       ring_.AddWorker(name, WorkerRef{mm, 0});
     }
   }
+  return Status::OK();
+}
 
-  for (int m = 0; m < options_.num_machines; ++m) {
-    if (!hosted[static_cast<size_t>(m)]) {
-      machines_.push_back(nullptr);
-      continue;
-    }
-    auto machine = std::make_unique<MachineCtx>();
-    machine->id = m;
+Status Muppet2Engine::BuildMachine(MachineId id,
+                                   std::unique_ptr<MachineBase>* out) {
+  auto machine = std::make_unique<MachineCtx>();
+  // Central slate cache; the write-back resolves each updater's TTL.
+  machine->cache = std::make_unique<SlateCache>(
+      SlateCacheOptions{options_.slate_cache_capacity}, StoreWriteBack());
+  machine->caches.push_back(machine->cache.get());
 
-    // Central slate cache; the write-back resolves each updater's TTL.
-    machine->cache = std::make_unique<SlateCache>(
-        SlateCacheOptions{options_.slate_cache_capacity},
-        [this](const SlateCache::DirtySlate& dirty) -> Status {
-          if (options_.slate_store == nullptr) return Status::OK();
-          store_writes_->Add();
-          if (dirty.deleted) return options_.slate_store->Delete(dirty.id);
-          Timestamp ttl = 0;
-          const OperatorSpec* spec = config_.FindOperator(dirty.id.updater);
-          if (spec != nullptr) ttl = spec->updater_options.slate_ttl_micros;
-          return options_.slate_store->Write(dirty.id, dirty.value, ttl);
-        });
-
-    // One shared operator instance per function per machine, indexed by
-    // interned id so the hot path never probes a string map.
-    machine->mappers.resize(ops_.size());
-    machine->updaters.resize(ops_.size());
-    for (size_t fid = 0; fid < ops_.size(); ++fid) {
-      const OperatorSpec& spec = *ops_[fid].spec;
-      if (spec.kind == OperatorKind::kMapper) {
-        machine->mappers[fid] = spec.mapper_factory(config_, spec.name);
-      } else {
-        machine->updaters[fid] = spec.updater_factory(config_, spec.name);
-      }
-      operator_instances_->Add();
+  // One shared operator instance per function per machine, indexed by
+  // interned id so the hot path never probes a string map.
+  machine->mappers.resize(ops_.size());
+  machine->updaters.resize(ops_.size());
+  for (size_t fid = 0; fid < ops_.size(); ++fid) {
+    const OperatorSpec& spec = *ops_[fid].spec;
+    if (spec.kind == OperatorKind::kMapper) {
+      machine->mappers[fid] = spec.mapper_factory(config_, spec.name);
+    } else {
+      machine->updaters[fid] = spec.updater_factory(config_, spec.name);
     }
-
-    if (options_.load_manager.enabled) {
-      machine->heat =
-          std::make_unique<HeatTracker>(options_.load_manager.heat);
-    }
-
-    if (durable()) {
-      SlateChangelog::Options log_options;
-      // Exactly-once pays for its guarantee: every record is durable
-      // before the update is acknowledged.
-      log_options.sync_every_records =
-          exactly_once() ? 1 : options_.durability.sync_every_records;
-      machine->changelog = std::make_unique<SlateChangelog>(
-          options_.durability.dir, static_cast<uint64_t>(m), log_options);
-      MUPPET_RETURN_IF_ERROR(machine->changelog->Open());
-      if (exactly_once()) {
-        machine->dedup =
-            std::make_unique<DedupTable>(options_.durability.dedup_capacity);
-      }
-    }
-
-    for (int t = 0; t < options_.threads_per_machine; ++t) {
-      auto thread_ctx = std::make_unique<ThreadCtx>();
-      thread_ctx->index = t;
-      thread_ctx->queue = std::make_unique<EventQueue>(options_.queue_capacity);
-      machine->threads.push_back(std::move(thread_ctx));
-    }
-    if (options_.trace.enabled && options_.trace.sample_period != 0) {
-      TraceSink::Options trace_options;
-      trace_options.recent_capacity = options_.trace.recent_traces;
-      trace_options.slowest_capacity = options_.trace.slowest_traces;
-      machine->trace_sink = std::make_unique<TraceSink>(trace_options);
-    }
-    machines_.push_back(std::move(machine));
-  }
-  RegisterCallbackMetrics();
-
-  for (auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    const MachineId id = machine->id;
-    MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
-        id, [this, id](MachineId from, BytesView payload) {
-          return HandleIncoming(from, id, payload);
-        }));
-    MUPPET_RETURN_IF_ERROR(transport_->RegisterBatchHandler(
-        id, [this, id](MachineId from, BytesView frame, size_t count,
-                       size_t* accepted) {
-          return HandleIncomingFrame(from, id, frame, count, accepted);
-        }));
-  }
-
-  master_.AddListener([this](MachineId failed) {
-    for (auto& machine : machines_) {
-      if (machine == nullptr) continue;
-      MutexLock lock(machine->failed_mutex);
-      machine->failed.insert(failed);
-      machine->failed_count.store(machine->failed.size(),
-                                  std::memory_order_release);
-    }
-  });
-  master_.AddRecoveryListener([this](MachineId recovered) {
-    for (auto& machine : machines_) {
-      if (machine == nullptr) continue;
-      MutexLock lock(machine->failed_mutex);
-      machine->failed.erase(recovered);
-      machine->failed_count.store(machine->failed.size(),
-                                  std::memory_order_release);
-    }
-  });
-
-  // Cold-start replay: a changelog directory left by a previous engine
-  // (warm process restart) restores every machine's slates before any
-  // worker thread runs, so a stop/start cycle in a durable mode loses
-  // nothing past the last sync.
-  if (durable()) {
-    for (auto& machine : machines_) {
-      if (machine == nullptr) continue;
-      MUPPET_RETURN_IF_ERROR(ReplayChangelog(machine.get()));
-    }
-  }
-
-  // Health & SLO plane (DESIGN.md §14): the tracker shares the engine
-  // registry so /sloz and /metrics read the same cells; incidents dump
-  // flight-recorder artifacts on the chaos artifact path.
-  slo_ = std::make_unique<SloTracker>(options_.slo, &metrics_, clock_);
-  incident_log_.SetDumpHook([this](const Incident& incident) {
-    std::vector<TraceSink*> sinks;
-    for (const auto& m : machines_) {
-      if (m != nullptr) sinks.push_back(m->trace_sink.get());
-    }
-    (void)DumpWatchdogArtifacts("muppet2", incident, sinks, &metrics_);
-  });
-
-  for (auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    MachineCtx* m = machine.get();
-    for (auto& thread_ctx : m->threads) {
-      ThreadCtx* t = thread_ctx.get();
-      t->thread = std::thread([this, m, t] { WorkerLoop(m, t); });
-    }
-    m->flusher = std::thread([this, m] { FlusherLoop(m); });
+    operator_instances_->Add();
   }
 
   if (options_.load_manager.enabled) {
-    lm_controller_ = std::make_unique<LoadController>(options_.load_manager);
-    lm_thread_ = std::thread([this] { LoadManagerLoop(); });
-  }
-  if (options_.watchdog.enabled) {
-    watchdog_ = std::make_unique<Watchdog>(options_.watchdog, &incident_log_);
-    wd_thread_ = std::thread([this] { WatchdogLoop(); });
+    machine->heat = std::make_unique<HeatTracker>(options_.load_manager.heat);
   }
 
-  started_at_.store(clock_->Now(), std::memory_order_release);
-  started_ = true;
+  for (int t = 0; t < options_.threads_per_machine; ++t) {
+    auto thread_ctx = std::make_unique<ThreadCtx>();
+    thread_ctx->index = t;
+    thread_ctx->queue = std::make_unique<EventQueue>(options_.queue_capacity);
+    machine->lanes.push_back({thread_ctx->queue.get(), std::thread()});
+    machine->threads.push_back(std::move(thread_ctx));
+  }
+
+  MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
+      id, [this, id](MachineId from, BytesView payload) {
+        return HandleIncoming(from, id, payload);
+      }));
+  MUPPET_RETURN_IF_ERROR(transport_->RegisterBatchHandler(
+      id, [this, id](MachineId from, BytesView frame, size_t count,
+                     size_t* accepted) {
+        return HandleIncomingFrame(from, id, frame, count, accepted);
+      }));
+  *out = std::move(machine);
   return Status::OK();
 }
 
-void Muppet2Engine::TapStream(const std::string& stream,
-                              std::function<void(const Event&)> tap) {
-  WriterMutexLock lock(taps_mutex_);
-  taps_[stream].push_back(std::move(tap));
-  has_taps_.store(true, std::memory_order_release);
+Status Muppet2Engine::Start() {
+  MUPPET_RETURN_IF_ERROR(MachineRuntime::Start());
+  if (options_.load_manager.enabled) {
+    lm_controller_ = std::make_unique<LoadController>(options_.load_manager);
+    control_threads_.emplace_back([this] { LoadManagerLoop(); });
+  }
+  return Status::OK();
 }
 
-void Muppet2Engine::RunTaps(const Event& event) {
-  ReaderMutexLock lock(taps_mutex_);
-  auto it = taps_.find(event.stream);
-  if (it == taps_.end()) return;
-  for (const auto& tap : it->second) tap(event);
-}
-
-std::set<MachineId> Muppet2Engine::FailedSetFor(MachineId machine) const {
-  const MachineCtx* m = Ctx(machine);
-  if (m != nullptr) {
-    MutexLock lock(m->failed_mutex);
-    return m->failed;
-  }
-  return master_.failed();
-}
-
-Status Muppet2Engine::Publish(const std::string& stream, BytesView key,
-                              BytesView value, Timestamp ts) {
-  if (!started_ || stopped_) {
-    return Status::FailedPrecondition("engine not running");
-  }
-  if (!config_.IsInputStream(stream)) {
-    return Status::InvalidArgument("'" + stream +
-                                   "' is not a declared input stream");
-  }
-  if (options_.overflow.policy == OverflowPolicy::kThrottle ||
-      options_.load_manager.enabled) {
-    // The load manager's occupancy floor paces the source even when the
-    // overflow policy is not kThrottle — pacing only ever slows Publish,
-    // so the §5 deadlock-freedom argument is unaffected.
-    throttle_.PaceSource();
-  }
-  Event event;
-  event.stream = stream;
-  event.ts = ts;
-  event.key.assign(key);
-  event.value.assign(value);
-  event.seq = NextSeq();
-  event.origin_ts = clock_->Now();
-  published_->Add();
-  auto sp = stream_published_.find(stream);
-  if (sp != stream_published_.end()) sp->second->Add();
-
-  // Deterministic sampling: the decision is a pure function of the key,
-  // so a chaos replay of the same workload traces the same events.
-  if (options_.trace.enabled &&
-      TraceSampled(Fnv1a64(event.key), options_.trace.sample_period)) {
-    event.trace.trace_id = MakeTraceId(Fnv1a64(event.key), event.seq);
-    TraceSink* sink = SinkFor(publish_machine_);
-    if (sink != nullptr) {
-      // Root span: the external publish itself (the lowest machine this
-      // process hosts accepts all external events published here).
-      Span root;
-      root.trace_id = event.trace.trace_id;
-      root.span_id = NextSpanId();
-      root.kind = SpanKind::kPublish;
-      root.machine = publish_machine_;
-      root.name = stream;
-      root.start_us = event.origin_ts;
-      root.end_us = clock_->Now();
-      event.trace.parent_span = root.span_id;
-      sink->Record(std::move(root));
-    }
-  }
+void Muppet2Engine::DeliverPublished(Event event) {
   DeliverEvent(/*from=*/publish_machine_, /*sender_work=*/0,
                std::move(event));
-  return Status::OK();
 }
 
 void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
                                  Event event) {
-  if (has_taps_.load(std::memory_order_acquire)) RunTaps(event);
+  RunTaps(event);
 
   const int32_t stream_id = stream_names_.Find(event.stream);
   if (stream_id < 0) return;
@@ -998,7 +723,9 @@ Status Muppet2Engine::Dispatch(MachineCtx* machine, RoutedEvent* re) {
   return s;
 }
 
-void Muppet2Engine::WorkerLoop(MachineCtx* machine, ThreadCtx* thread) {
+void Muppet2Engine::RunLane(MachineBase* base, size_t lane) {
+  MachineCtx* machine = static_cast<MachineCtx*>(base);
+  ThreadCtx* thread = machine->threads[lane].get();
   std::vector<RoutedEvent> batch;
   batch.reserve(kWorkerPopBatch);
   while (thread->queue->PopBatch(&batch, kWorkerPopBatch)) {
@@ -1020,44 +747,12 @@ void Muppet2Engine::WorkerLoop(MachineCtx* machine, ThreadCtx* thread) {
         machine->trace_sink->Record(std::move(wait));
       }
       thread->current.store(re.work, std::memory_order_release);
-      Status s = ProcessOne(machine, re);
-      if (!s.ok()) {
-        MUPPET_LOG(kError) << "worker thread " << thread->index << "@"
-                           << machine->id << ": " << s.ToString();
-      }
+      const Status s = ProcessOne(machine, re);
       thread->current.store(0, std::memory_order_release);
-      DecInflight(1);
+      SettleLane(machine, lane, s);
     }
     batch.clear();
   }
-}
-
-Status Muppet2Engine::FetchSlateOnMachine(MachineCtx* machine,
-                                          const std::string& updater,
-                                          BytesView key, Bytes* slate,
-                                          const char** source) {
-  const SlateId id{updater, Bytes(key)};
-  bool absent = false;
-  Status s = machine->cache->LookupWithAbsent(id, slate, &absent);
-  if (s.ok()) {
-    if (source != nullptr) *source = absent ? "absent_cached" : "hit";
-    if (absent) return Status::NotFound("slate absent (cached)");
-    return Status::OK();
-  }
-  if (options_.slate_store != nullptr) {
-    store_reads_->Add();
-    Result<Bytes> fetched = options_.slate_store->Read(id);
-    if (fetched.ok()) {
-      if (source != nullptr) *source = "store";
-      *slate = std::move(fetched).value();
-      (void)machine->cache->Insert(id, *slate);
-      return Status::OK();
-    }
-    if (!fetched.status().IsNotFound()) return fetched.status();
-  }
-  if (source != nullptr) *source = "store_absent";
-  machine->cache->InsertAbsent(id);
-  return Status::NotFound("slate absent");
 }
 
 Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
@@ -1127,8 +822,8 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
       fetch.Begin(sink, clock_,
                   TraceContext{event.trace.trace_id, exec.span_id()},
                   SpanKind::kSlateFetch, machine->id, spec.name);
-      Status s = FetchSlateOnMachine(machine, spec.name, slate_key, &slate,
-                                     &fetch_source);
+      Status s = FetchThroughCache(machine->cache.get(), spec.name, slate_key,
+                                   &slate, &fetch_source);
       if (fetch_source != nullptr) fetch.set_note(fetch_source);
       if (s.ok()) {
         has_slate = true;
@@ -1181,7 +876,8 @@ Status Muppet2Engine::ProcessControl(MachineCtx* machine,
     bool found = false;
     {
       MutexLock guard(machine->slate_locks[re.work % kSlateLockStripes]);
-      Status s = FetchSlateOnMachine(machine, name, shard_key, &slate);
+      Status s =
+          FetchThroughCache(machine->cache.get(), name, shard_key, &slate);
       if (s.ok()) {
         found = true;
         (void)machine->cache->Delete(SlateId{name, shard_key});
@@ -1224,7 +920,8 @@ Status Muppet2Engine::ProcessControl(MachineCtx* machine,
     const SlateMerger& merger = op.spec->updater_options.merger;
     if (fresh && merger != nullptr) {
       Bytes base;
-      Status s = FetchSlateOnMachine(machine, name, re.event.key, &base);
+      Status s =
+          FetchThroughCache(machine->cache.get(), name, re.event.key, &base);
       const Bytes merged = merger(s.ok() ? &base : nullptr, re.event.value);
       const bool write_through = op.spec->updater_options.flush_policy ==
                                  SlateFlushPolicy::kWriteThrough;
@@ -1283,233 +980,6 @@ void Muppet2Engine::SendControl(MachineId from, uint64_t sender_work,
   }
 }
 
-void Muppet2Engine::FlusherLoop(MachineCtx* machine) {
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    clock_->SleepFor(options_.flush_poll_micros);
-    if (machine->crashed.load()) return;
-    const Timestamp now = clock_->Now();
-    for (const auto& [name, spec] : config_.operators()) {
-      if (spec.kind != OperatorKind::kUpdater) continue;
-      if (spec.updater_options.flush_policy != SlateFlushPolicy::kInterval) {
-        continue;
-      }
-      (void)machine->cache->FlushDirtyFor(
-          name, now - spec.updater_options.flush_interval_micros);
-    }
-    if (machine->changelog != nullptr) MaybeCheckpoint(machine);
-  }
-}
-
-void Muppet2Engine::AppendSlateLog(MachineCtx* machine, SlateLogKind kind,
-                                   const std::string& updater,
-                                   BytesView slate_key, BytesView value,
-                                   const Event& event, uint64_t work,
-                                   uint64_t dedup) {
-  if (machine->changelog == nullptr) return;
-  SlateLogRecord rec;
-  rec.kind = static_cast<uint8_t>(kind);
-  rec.updater = updater;
-  rec.key.assign(slate_key);
-  rec.value.assign(value);
-  rec.ts = event.ts;
-  rec.seq = event.seq;
-  rec.work = work;
-  rec.dedup = dedup;
-  Result<uint64_t> lsn = machine->changelog->Append(std::move(rec));
-  if (!lsn.ok()) {
-    MUPPET_LOG(kError) << "slatelog: append failed on machine "
-                       << machine->id << ": " << lsn.status().ToString();
-    return;
-  }
-  slatelog_appends_->Add();
-  machine->appends_since_checkpoint.fetch_add(1, std::memory_order_acq_rel);
-}
-
-void Muppet2Engine::MaybeCheckpoint(MachineCtx* machine) {
-  // Sync the buffered tail on every flusher pass, so the at-least-once
-  // loss window is bounded by sync_every_records even when the workload
-  // pauses mid-cadence.
-  (void)machine->changelog->Sync();
-
-  const uint64_t every = options_.durability.checkpoint_every_records;
-  if (every == 0 || options_.slate_store == nullptr) return;
-  if (machine->appends_since_checkpoint.load(std::memory_order_acquire) <
-      every) {
-    return;
-  }
-
-  // Everything appended up to `cut` is captured by the dirty flush below;
-  // records appended during the flush are simply re-replayed next time
-  // (absolute values — replay is idempotent), so the cut is conservative,
-  // never wrong.
-  const uint64_t cut = machine->changelog->last_lsn();
-  machine->appends_since_checkpoint.store(0, std::memory_order_release);
-  Result<int> flushed = machine->cache->FlushDirty(INT64_MAX);
-  if (!flushed.ok()) {
-    MUPPET_LOG(kError) << "slatelog: checkpoint flush failed on machine "
-                       << machine->id << ": "
-                       << flushed.status().ToString();
-    return;
-  }
-
-  // Close the pre-cut history into its own file so it can be dropped
-  // wholesale once the manifest is durable.
-  (void)machine->changelog->RotateSegment();
-
-  CheckpointManifest manifest;
-  manifest.machine = static_cast<uint64_t>(machine->id);
-  manifest.lsn = cut;
-  manifest.segment = machine->changelog->active_segment();
-  manifest.ts = clock_->Now();
-  Status s = SlateChangelog::WriteManifestFile(options_.durability.dir,
-                                               manifest);
-  if (!s.ok()) {
-    MUPPET_LOG(kError) << "slatelog: manifest write failed on machine "
-                       << machine->id << ": " << s.ToString();
-    return;
-  }
-  machine->manifest_lsn.store(cut, std::memory_order_release);
-
-  // Ops mirror in the kvstore (the manifest file is authoritative; this
-  // makes the cursor visible to store-level tooling).
-  Bytes payload;
-  EncodeCheckpointManifest(manifest, &payload);
-  (void)options_.slate_store->cluster()->Put(
-      kCheckpointColumnFamily,
-      "machine-" + std::to_string(machine->id), "manifest", payload);
-
-  (void)machine->changelog->DropSegmentsCoveredBy(cut);
-  checkpoints_->Add();
-}
-
-Status Muppet2Engine::ReplayChangelog(MachineCtx* machine) {
-  if (machine->changelog == nullptr) return Status::OK();
-  CheckpointManifest manifest;
-  MUPPET_RETURN_IF_ERROR(SlateChangelog::ReadManifestFile(
-      options_.durability.dir, static_cast<uint64_t>(machine->id),
-      &manifest));
-  machine->manifest_lsn.store(manifest.lsn, std::memory_order_release);
-
-  // Slates at or below the manifest live in the kvstore and fault in
-  // through the ordinary miss path; replay applies only the suffix.
-  // Updates re-enter the cache dirty (not written through) so the next
-  // flush persists them — replayed state must survive a later eviction.
-  const Timestamp now = clock_->Now();
-  const size_t seed_window = options_.durability.replay_seed_window;
-  std::deque<uint64_t> identities;
-  SlateLogReplayStats replay_stats;
-  Status s = SlateChangelog::Replay(
-      options_.durability.dir, static_cast<uint64_t>(machine->id),
-      manifest.lsn,
-      [&](const SlateLogRecord& rec) {
-        switch (static_cast<SlateLogKind>(rec.kind)) {
-          case SlateLogKind::kUpdate:
-            (void)machine->cache->Update(SlateId{rec.updater, rec.key},
-                                         rec.value, now,
-                                         /*write_through=*/false);
-            break;
-          case SlateLogKind::kDelete:
-            (void)machine->cache->Delete(SlateId{rec.updater, rec.key});
-            break;
-          case SlateLogKind::kMark:
-            break;
-        }
-        if (rec.dedup != 0 && machine->dedup != nullptr) {
-          identities.push_back(rec.dedup);
-          if (identities.size() > seed_window) identities.pop_front();
-        }
-      },
-      &replay_stats);
-  if (!s.ok()) return s;
-
-  // Epoch cut: the most recent identities re-arm the dedup table so a
-  // redelivered pre-crash batch is suppressed, not re-applied.
-  if (machine->dedup != nullptr) {
-    for (const uint64_t id : identities) machine->dedup->Seed(id);
-  }
-
-  slatelog_replays_->Add();
-  slatelog_replayed_->Add(static_cast<int64_t>(replay_stats.records));
-  if (replay_stats.truncated_tail) slatelog_torn_tails_->Add();
-  if (replay_stats.corrupt_segments > 0) {
-    slatelog_corrupt_segments_->Add(
-        static_cast<int64_t>(replay_stats.corrupt_segments));
-  }
-  machine->replays.fetch_add(1, std::memory_order_acq_rel);
-  MUPPET_LOG(kInfo) << "slatelog: machine " << machine->id << " replayed "
-                    << replay_stats.records << " records ("
-                    << replay_stats.skipped << " below manifest lsn "
-                    << manifest.lsn << ", torn_tail="
-                    << (replay_stats.truncated_tail ? "yes" : "no")
-                    << ", corrupt_segments=" << replay_stats.corrupt_segments
-                    << ")";
-  return Status::OK();
-}
-
-void Muppet2Engine::DecInflight(int64_t n) {
-  if (n <= 0) return;
-  if (inflight_.fetch_sub(n, std::memory_order_acq_rel) <= n) {
-    // Reached (or crossed) zero: wake Drain(). `<=` rather than `==` so
-    // that a batched decrement that skips past zero still notifies —
-    // with `==` only the decrement landing exactly on zero wakes the
-    // drainer, and Drain() would hang forever if counts ever crossed.
-    // Taking the mutex orders the notify against a drainer that just
-    // checked the predicate and is about to block.
-    MutexLock lock(drain_mutex_);
-    drain_cv_.NotifyAll();
-  }
-}
-
-Status Muppet2Engine::Drain() {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  drain_waiters_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    MutexLock lock(drain_mutex_);
-    while (inflight_.load(std::memory_order_acquire) > 0) {
-      drain_cv_.Wait(drain_mutex_);
-    }
-  }
-  drain_waiters_.fetch_sub(1, std::memory_order_acq_rel);
-  return Status::OK();
-}
-
-Status Muppet2Engine::Stop() {
-  if (!started_ || stopped_) return Status::OK();
-  stopped_ = true;
-
-  (void)Drain();
-  // Final SLO harvest: the engine is drained, so every sampled trace is
-  // complete and can be observed before the sinks are torn down.
-  HarvestSlo();
-  shutdown_.store(true, std::memory_order_release);
-  if (lm_thread_.joinable()) lm_thread_.join();
-  if (wd_thread_.joinable()) wd_thread_.join();
-  for (auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    if (machine->flusher.joinable()) machine->flusher.join();
-  }
-  for (auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    if (!machine->crashed.load()) {
-      (void)machine->cache->FlushDirty(INT64_MAX);
-      // Graceful shutdown syncs the changelog tail: a stop/start cycle in
-      // a durable mode is lossless (only crashes lose the unsynced tail).
-      if (machine->changelog != nullptr) (void)machine->changelog->Close();
-    }
-    for (auto& thread_ctx : machine->threads) {
-      thread_ctx->queue->Stop();
-    }
-  }
-  for (auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    for (auto& thread_ctx : machine->threads) {
-      if (thread_ctx->thread.joinable()) thread_ctx->thread.join();
-    }
-    transport_->UnregisterMachine(machine->id);
-  }
-  return Status::OK();
-}
-
 Status Muppet2Engine::FetchRoutedSlate(const std::string& updater,
                                        BytesView key,
                                        const std::set<MachineId>& failed,
@@ -1530,7 +1000,13 @@ Status Muppet2Engine::FetchRoutedSlate(const std::string& updater,
     }
     return Status::Unavailable("slate owner hosted remotely");
   }
-  return FetchSlateOnMachine(machine, updater, key, slate);
+  return FetchThroughCache(machine->cache.get(), updater, key, slate);
+}
+
+SlateCache* Muppet2Engine::ReplayCache(MachineBase* machine,
+                                       const std::string& /*updater*/,
+                                       BytesView /*key*/) {
+  return static_cast<MachineCtx*>(machine)->cache.get();
 }
 
 Result<Bytes> Muppet2Engine::FetchSlate(const std::string& updater,
@@ -1540,10 +1016,7 @@ Result<Bytes> Muppet2Engine::FetchSlate(const std::string& updater,
   if (spec == nullptr || spec->kind != OperatorKind::kUpdater) {
     return Status::NotFound("no such updater: " + updater);
   }
-  std::set<MachineId> failed = master_.failed();
-  for (const auto& m : machines_) {
-    if (m != nullptr && m->crashed.load()) failed.insert(m->id);
-  }
+  const std::set<MachineId> failed = FailedOrCrashed();
 
   // A split key's state is spread over the base slate plus one slate per
   // shard; fold them with the updater's merger at read time (paper §5
@@ -1578,241 +1051,16 @@ Result<Bytes> Muppet2Engine::FetchSlate(const std::string& updater,
   return slate;
 }
 
-Status Muppet2Engine::CrashMachine(MachineId machine_id) {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  MachineCtx* machine = Ctx(machine_id);
-  if (machine == nullptr) {
-    return Status::InvalidArgument("no such machine hosted here");
-  }
-  if (machine->crashed.exchange(true)) return Status::OK();
-
-  transport_->Crash(machine_id);
-  int64_t lost_total = 0;
-  for (auto& thread_ctx : machine->threads) {
-    const size_t lost = thread_ctx->queue->Clear();
-    thread_ctx->queue->Stop();
-    lost_total += static_cast<int64_t>(lost);
-  }
-  lost_failure_->Add(lost_total);
-  DecInflight(lost_total);
-  for (auto& thread_ctx : machine->threads) {
-    if (thread_ctx->thread.joinable()) thread_ctx->thread.join();
-  }
-  // The central slate cache dies with the machine: unflushed updates lost.
-  machine->cache->Clear();
-  // Crash model for the durability plane: buffered-but-unsynced changelog
-  // appends are lost with the machine's memory (the durable prefix stays
-  // on disk for replay); the dedup table is volatile and rebuilt from the
-  // changelog at recovery.
-  if (machine->changelog != nullptr) machine->changelog->CrashClose();
-  if (machine->dedup != nullptr) machine->dedup->Clear();
-  return Status::OK();
-}
-
-Status Muppet2Engine::RestartMachine(MachineId machine_id) {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  MachineCtx* machine = Ctx(machine_id);
-  if (machine == nullptr) {
-    return Status::InvalidArgument("no such machine hosted here");
-  }
-  if (!machine->crashed.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition("machine not crashed");
-  }
-
-  // Recovery ordering (Master::ClearFailure doc): the machine must stay
-  // unroutable — failed on every peer, absent from the ring's live view —
-  // until its slates are restored. BeginRecovery marks the intermediate
-  // state (no-op if no sender ever noticed the crash, in which case no
-  // peer routed away from it either).
-  (void)master_.BeginRecovery(machine_id);
-
-  // FlusherLoop exits once it observes crashed; the worker threads were
-  // joined by CrashMachine. Join the flusher before respawning either.
-  if (machine->flusher.joinable()) machine->flusher.join();
-
-  // Restore the durable state BEFORE any traffic can reach the machine:
-  // reopen the changelog (continuing the lsn sequence past the durable
-  // prefix), then replay the suffix past the manifest into the cache and
-  // re-seed the dedup table. Only after that do the queues re-arm, the
-  // transport endpoint come back, and the failure clear.
-  if (machine->changelog != nullptr) {
-    MUPPET_RETURN_IF_ERROR(machine->changelog->Open());
-    MUPPET_RETURN_IF_ERROR(ReplayChangelog(machine));
-  }
-
-  for (auto& thread_ctx : machine->threads) {
-    thread_ctx->queue->Restart();
-  }
-  machine->crashed.store(false, std::memory_order_release);
-  for (auto& thread_ctx : machine->threads) {
-    ThreadCtx* t = thread_ctx.get();
-    t->thread = std::thread([this, machine, t] { WorkerLoop(machine, t); });
-  }
-  machine->flusher = std::thread([this, machine] { FlusherLoop(machine); });
-  transport_->Restore(machine_id);
-  master_.ClearFailure(machine_id);
-  return Status::OK();
-}
-
 size_t Muppet2Engine::LargestQueueDepth() const {
   size_t largest = 0;
-  for (const auto& machine : machines_) {
+  for (const auto& slot : machines_) {
+    const auto* machine = static_cast<const MachineCtx*>(slot.get());
     if (machine == nullptr) continue;
     for (const auto& thread_ctx : machine->threads) {
       largest = std::max(largest, thread_ctx->queue->size());
     }
   }
   return largest;
-}
-
-EngineStats Muppet2Engine::Stats() const {
-  EngineStats stats;
-  stats.events_published = published_->Get();
-  stats.events_processed = processed_->Get();
-  stats.events_emitted = emitted_->Get();
-  stats.events_lost_failure = lost_failure_->Get();
-  stats.events_dropped_overflow = dropped_overflow_->Get();
-  stats.events_redirected_overflow = redirected_overflow_->Get();
-  stats.throttle_signals = throttle_.overflow_signals();
-  stats.deadlocks_avoided = deadlocks_avoided_->Get();
-  for (const auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    stats.slate_cache_hits += machine->cache->hits();
-    stats.slate_cache_misses += machine->cache->misses();
-    stats.slate_cache_evictions += machine->cache->evictions();
-  }
-  stats.slate_store_reads = store_reads_->Get();
-  stats.slate_store_writes = store_writes_->Get();
-  stats.failures_detected = master_.failures_reported();
-  stats.slatelog_appends = slatelog_appends_->Get();
-  // synced_lsn counts durable records exactly (lsns are dense and survive
-  // restarts), so the sum across machines is the synced-record total.
-  for (const auto& machine : machines_) {
-    if (machine != nullptr && machine->changelog != nullptr) {
-      stats.slatelog_synced_records +=
-          static_cast<int64_t>(machine->changelog->synced_lsn());
-    }
-  }
-  stats.slatelog_replays = slatelog_replays_->Get();
-  stats.slatelog_replayed_records = slatelog_replayed_->Get();
-  stats.slatelog_torn_tails = slatelog_torn_tails_->Get();
-  stats.slatelog_corrupt_segments = slatelog_corrupt_segments_->Get();
-  stats.checkpoints = checkpoints_->Get();
-  stats.events_deduped = deduped_->Get();
-  stats.transport_messages_sent = transport_->messages_sent();
-  stats.transport_messages_local = transport_->messages_local();
-  stats.transport_frames_sent = transport_->frames_sent();
-  stats.transport_bytes_sent = transport_->bytes_sent();
-  stats.faults_dropped = transport_->messages_dropped();
-  stats.faults_duplicated = transport_->messages_duplicated();
-  stats.faults_held = transport_->messages_held();
-  stats.latency_p50_us = latency_->Percentile(0.50);
-  stats.latency_p95_us = latency_->Percentile(0.95);
-  stats.latency_p99_us = latency_->Percentile(0.99);
-  stats.latency_p999_us = latency_->Percentile(0.999);
-  stats.latency_max_us = latency_->max();
-  stats.latency_mean_us = latency_->Mean();
-  stats.operator_instances = operator_instances_->Get();
-  return stats;
-}
-
-std::vector<MachineStatus> Muppet2Engine::MachineStatuses() const {
-  std::vector<MachineStatus> out;
-  if (!started_) return out;
-  for (const auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    MachineStatus ms;
-    ms.machine = machine->id;
-    ms.crashed = machine->crashed.load(std::memory_order_acquire);
-    ms.recovering = master_.IsRecovering(machine->id);
-    for (const auto& thread_ctx : machine->threads) {
-      ms.queue_depths.push_back(thread_ctx->queue->size());
-    }
-    ms.queue_capacity = options_.queue_capacity;
-    ms.slate_cache_slates = machine->cache->size();
-    ms.slate_cache_capacity = machine->cache->capacity();
-    {
-      MutexLock lock(machine->failed_mutex);
-      ms.known_failed.assign(machine->failed.begin(), machine->failed.end());
-    }
-    for (const std::string& function : ring_.Functions()) {
-      auto counts = ring_.OwnershipCounts(function);
-      auto it = counts.find(machine->id);
-      if (it != counts.end()) ms.ring_ownership[function] = it->second;
-    }
-    ms.consistency = ConsistencyName(options_.durability.consistency);
-    if (machine->changelog != nullptr) {
-      ms.slatelog_lsn = machine->changelog->last_lsn();
-      ms.slatelog_synced_lsn = machine->changelog->synced_lsn();
-      ms.slatelog_segments = machine->changelog->segment_count();
-      ms.manifest_lsn =
-          machine->manifest_lsn.load(std::memory_order_acquire);
-      ms.replays = machine->replays.load(std::memory_order_acquire);
-    }
-    if (machine->dedup != nullptr) {
-      ms.dedup_entries = machine->dedup->size();
-      ms.dedup_capacity = machine->dedup->capacity();
-    }
-    out.push_back(std::move(ms));
-  }
-  return out;
-}
-
-void Muppet2Engine::HarvestSlo() {
-  if (slo_ == nullptr) return;
-  std::vector<TraceSink*> sinks;
-  sinks.reserve(machines_.size());
-  for (const auto& machine : machines_) {
-    if (machine != nullptr) sinks.push_back(machine->trace_sink.get());
-  }
-  slo_->Harvest(sinks, clock_->Now(),
-                inflight_.load(std::memory_order_acquire) == 0);
-}
-
-Timestamp Muppet2Engine::UptimeMicros() const {
-  const Timestamp started = started_at_.load(std::memory_order_acquire);
-  if (started == 0 && !started_.load(std::memory_order_acquire)) return 0;
-  return clock_->Now() - started;
-}
-
-WatchdogSignals Muppet2Engine::GatherWatchdogSignals() const {
-  WatchdogSignals signals;
-  signals.now = clock_->Now();
-  for (const auto& machine : machines_) {
-    if (machine == nullptr) continue;
-    WatchdogSignals::Machine m;
-    m.machine = machine->id;
-    m.crashed = machine->crashed.load(std::memory_order_acquire);
-    m.recovering = master_.IsRecovering(machine->id);
-    if (machine->changelog != nullptr) {
-      m.changelog_lsn = machine->changelog->last_lsn();
-      m.changelog_synced_lsn = machine->changelog->synced_lsn();
-    }
-    signals.machines.push_back(std::move(m));
-    for (const auto& thread_ctx : machine->threads) {
-      WatchdogSignals::Queue q;
-      q.machine = machine->id;
-      q.queue_index = thread_ctx->index;
-      q.depth = thread_ctx->queue->size();
-      q.capacity = thread_ctx->queue->capacity();
-      q.pops = thread_ctx->queue->pops();
-      signals.queues.push_back(q);
-    }
-  }
-  signals.draining = drain_waiters_.load(std::memory_order_acquire) > 0;
-  signals.inflight = inflight_.load(std::memory_order_acquire);
-  return signals;
-}
-
-void Muppet2Engine::WatchdogLoop() {
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    clock_->SleepFor(options_.watchdog.tick_micros);
-    if (shutdown_.load(std::memory_order_acquire)) break;
-    watchdog_->Tick(GatherWatchdogSignals());
-    // Opportunistic SLO harvest on the same cadence, so burn windows
-    // advance and settle without requiring a /sloz scrape.
-    HarvestSlo();
-  }
 }
 
 void Muppet2Engine::LoadManagerLoop() {
@@ -1855,7 +1103,8 @@ void Muppet2Engine::LoadManagerTick(int tick) {
   // queue occupancy, and the live split set.
   LoadSignals signals;
   std::map<std::pair<int32_t, Bytes>, int64_t> agg;
-  for (const auto& machine : machines_) {
+  for (const auto& slot : machines_) {
+    const auto* machine = static_cast<const MachineCtx*>(slot.get());
     if (machine == nullptr || machine->heat == nullptr ||
         machine->crashed.load(std::memory_order_acquire)) {
       continue;
@@ -1874,7 +1123,8 @@ void Muppet2Engine::LoadManagerTick(int tick) {
                    [](const HeatReading& a, const HeatReading& b) {
                      return a.count > b.count;
                    });
-  for (const auto& machine : machines_) {
+  for (const auto& slot : machines_) {
+    const auto* machine = static_cast<const MachineCtx*>(slot.get());
     if (machine == nullptr) continue;
     if (machine->crashed.load(std::memory_order_acquire)) continue;
     for (const auto& thread_ctx : machine->threads) {
@@ -1980,7 +1230,8 @@ void Muppet2Engine::ApplyPlacement() {
   const LoadManagerOptions& opt = options_.load_manager;
   PlacementAdvisor advisor(options_.num_machines,
                            opt.placement_balance_slack);
-  for (const auto& machine : machines_) {
+  for (const auto& slot : machines_) {
+    const auto* machine = static_cast<const MachineCtx*>(slot.get());
     if (machine == nullptr || machine->heat == nullptr) continue;
     for (const HeatEntry& e : machine->heat->TopK(opt.heat.capacity)) {
       if (e.function_id < 0 ||
@@ -2018,7 +1269,8 @@ std::vector<HotKeyInfo> Muppet2Engine::HotKeys() const {
   std::vector<HotKeyInfo> out;
   if (!started_) return out;
   std::map<std::pair<int32_t, Bytes>, int64_t> agg;
-  for (const auto& machine : machines_) {
+  for (const auto& slot : machines_) {
+    const auto* machine = static_cast<const MachineCtx*>(slot.get());
     if (machine == nullptr || machine->heat == nullptr) continue;
     for (HeatEntry& e :
          machine->heat->TopK(options_.load_manager.heat.capacity)) {
@@ -2053,68 +1305,9 @@ std::vector<HotKeyInfo> Muppet2Engine::HotKeys() const {
   return out;
 }
 
-void Muppet2Engine::RegisterCallbackMetrics() {
-  // Scrape hygiene: a constant-1 gauge whose labels carry the build and
-  // config identity, plus engine uptime — what muppet-doctor keys off to
-  // tell apart machines running different builds or knobs.
-  metrics_.RegisterCallback(
-      "muppet_build_info",
-      {{"version", kMuppetVersion},
-       {"engine", "muppet2"},
-       {"consistency", ConsistencyName(options_.durability.consistency)}},
-      MetricType::kGauge, [] { return 1; });
-  metrics_.RegisterCallback(
-      "muppet_uptime_seconds", {}, MetricType::kGauge,
-      [this] { return UptimeMicros() / kMicrosPerSecond; });
-  // Watchdog incident families (DESIGN.md §14 incident taxonomy).
-  for (int k = 0; k < kNumIncidentKinds; ++k) {
-    const IncidentKind kind = static_cast<IncidentKind>(k);
-    metrics_.RegisterCallback(
-        "muppet_watchdog_incidents_total", {{"kind", IncidentKindName(kind)}},
-        MetricType::kCounter,
-        [this, kind] { return incident_log_.opened(kind); });
-  }
-  metrics_.RegisterCallback(
-      "muppet_watchdog_open_incidents", {}, MetricType::kGauge,
-      [this] { return static_cast<int64_t>(incident_log_.open_count()); });
-
-  // Transport-level counters: owned by the transport, surfaced here so
-  // /metrics carries the PR-1 datapath and PR-3 fault counters.
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_sent_total", {}, MetricType::kCounter,
-      [this] { return transport_->messages_sent(); });
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_local_total", {}, MetricType::kCounter,
-      [this] { return transport_->messages_local(); });
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_dropped_total", {}, MetricType::kCounter,
-      [this] { return transport_->messages_dropped(); });
-  metrics_.RegisterCallback(
-      "muppet_transport_messages_declined_total", {}, MetricType::kCounter,
-      [this] { return transport_->messages_declined(); });
-  metrics_.RegisterCallback("muppet_transport_frames_sent_total", {},
-                            MetricType::kCounter,
-                            [this] { return transport_->frames_sent(); });
-  metrics_.RegisterCallback("muppet_transport_bytes_sent_total", {},
-                            MetricType::kCounter,
-                            [this] { return transport_->bytes_sent(); });
-  metrics_.RegisterCallback(
-      "muppet_faults_duplicated_total", {}, MetricType::kCounter,
-      [this] { return transport_->messages_duplicated(); });
-  metrics_.RegisterCallback("muppet_faults_held_total", {},
-                            MetricType::kCounter,
-                            [this] { return transport_->messages_held(); });
-  metrics_.RegisterCallback(
-      "muppet_inflight_events", {}, MetricType::kGauge,
-      [this] { return inflight_.load(std::memory_order_acquire); });
-  // Load-management plane: the live source-pacing delay (decayed overflow
-  // signal clamped below by the occupancy floor), the floor itself, the
-  // live split count, and the ring's placement overrides.
-  metrics_.RegisterCallback(
-      "muppet_throttle_delay_micros", {}, MetricType::kGauge,
-      [this] {
-        return static_cast<int64_t>(throttle_.CurrentDelayMicros());
-      });
+void Muppet2Engine::RegisterEngineMetrics() {
+  // Load-management plane: the occupancy floor under the source-pacing
+  // delay, the live split count, and the ring's placement overrides.
   metrics_.RegisterCallback(
       "muppet_throttle_floor_micros", {}, MetricType::kGauge,
       [this] {
@@ -2127,70 +1320,15 @@ void Muppet2Engine::RegisterCallbackMetrics() {
       "muppet_ring_overrides", {}, MetricType::kGauge,
       [this] { return static_cast<int64_t>(ring_.override_count()); });
 
-  for (const auto& machine_ptr : machines_) {
-    if (machine_ptr == nullptr) continue;
-    MachineCtx* machine = machine_ptr.get();
+  for (const auto& slot : machines_) {
+    const auto* machine = static_cast<const MachineCtx*>(slot.get());
+    if (machine == nullptr) continue;
     const MetricLabels m_label = {{"machine", std::to_string(machine->id)}};
-    metrics_.RegisterCallback("muppet_machine_up", m_label,
-                              MetricType::kGauge, [machine] {
-                                return machine->crashed.load(
-                                           std::memory_order_acquire)
-                                           ? 0
-                                           : 1;
-                              });
-    metrics_.RegisterCallback(
-        "muppet_slate_cache_slates", m_label, MetricType::kGauge,
-        [machine] { return static_cast<int64_t>(machine->cache->size()); });
-    metrics_.RegisterCallback("muppet_slate_cache_capacity", m_label,
-                              MetricType::kGauge, [machine] {
-                                return static_cast<int64_t>(
-                                    machine->cache->capacity());
-                              });
-    metrics_.RegisterCallback(
-        "muppet_slate_cache_hits_total", m_label, MetricType::kCounter,
-        [machine] { return machine->cache->hits(); });
-    metrics_.RegisterCallback(
-        "muppet_slate_cache_misses_total", m_label, MetricType::kCounter,
-        [machine] { return machine->cache->misses(); });
     if (machine->heat != nullptr) {
       HeatTracker* heat = machine->heat.get();
       metrics_.RegisterCallback(
           "muppet_heat_samples_total", m_label, MetricType::kCounter,
           [heat] { return heat->samples_recorded(); });
-    }
-    if (machine->changelog != nullptr) {
-      SlateChangelog* changelog = machine->changelog.get();
-      metrics_.RegisterCallback(
-          "muppet_slatelog_lsn", m_label, MetricType::kGauge, [changelog] {
-            return static_cast<int64_t>(changelog->last_lsn());
-          });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_synced_lsn", m_label, MetricType::kGauge,
-          [changelog] {
-            return static_cast<int64_t>(changelog->synced_lsn());
-          });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_segments", m_label, MetricType::kGauge,
-          [changelog] {
-            return static_cast<int64_t>(changelog->segment_count());
-          });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_manifest_lsn", m_label, MetricType::kGauge,
-          [machine] {
-            return static_cast<int64_t>(
-                machine->manifest_lsn.load(std::memory_order_acquire));
-          });
-      metrics_.RegisterCallback(
-          "muppet_slatelog_machine_replays_total", m_label,
-          MetricType::kCounter, [machine] {
-            return machine->replays.load(std::memory_order_acquire);
-          });
-    }
-    if (machine->dedup != nullptr) {
-      DedupTable* dedup = machine->dedup.get();
-      metrics_.RegisterCallback(
-          "muppet_dedup_entries", m_label, MetricType::kGauge,
-          [dedup] { return static_cast<int64_t>(dedup->size()); });
     }
     for (const auto& thread_ptr : machine->threads) {
       ThreadCtx* thread = thread_ptr.get();

@@ -24,69 +24,32 @@
 
 #include <array>
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/metrics.h"
-#include "common/sync.h"
-#include "common/trace.h"
-#include "core/hash_ring.h"
 #include "core/heat.h"
 #include "core/intern.h"
 #include "core/keysplit.h"
-#include "core/slate_cache.h"
-#include "engine/engine.h"
-#include "engine/master.h"
-#include "engine/queue.h"
+#include "engine/machine_runtime.h"
 
 namespace muppet {
 
-class Muppet2Engine final : public Engine {
+class Muppet2Engine final : public MachineRuntime {
  public:
   Muppet2Engine(const AppConfig& config, EngineOptions options);
   ~Muppet2Engine() override;
 
+  // The shared runtime, then the load-management control loop.
   Status Start() override;
-  Status Publish(const std::string& stream, BytesView key, BytesView value,
-                 Timestamp ts) override;
-  Status Drain() override;
-  Status Stop() override;
   Result<Bytes> FetchSlate(const std::string& updater,
                            BytesView key) override;
-  Status CrashMachine(MachineId machine) override;
-  Status RestartMachine(MachineId machine) override;
-  EngineStats Stats() const override;
-  const AppConfig& config() const override { return config_; }
-
-  // Observability plane (engine.h).
-  MetricsRegistry* metrics() override { return &metrics_; }
-  TraceSink* trace_sink(MachineId machine) override {
-    return SinkFor(machine);
-  }
-  std::vector<MachineStatus> MachineStatuses() const override;
   std::vector<HotKeyInfo> HotKeys() const override;
   void PauseLoadManagement() override;
-  int64_t InflightEvents() const override {
-    return inflight_.load(std::memory_order_acquire);
-  }
-  SloTracker* slo() override { return slo_.get(); }
-  void HarvestSlo() override;
-  const IncidentLog* incidents() const override { return &incident_log_; }
-  Timestamp UptimeMicros() const override;
-
-  // Observe events published to `stream` (register before Start()).
-  void TapStream(const std::string& stream,
-                 std::function<void(const Event&)> tap);
 
   // Test/bench introspection.
-  Transport& transport() { return *transport_; }
-  Master& master() { return master_; }
-  ThrottleGovernor& throttle() { return throttle_; }
   // Events that went to their secondary rather than primary queue.
   int64_t secondary_dispatches() const { return secondary_dispatch_->Get(); }
   // Peak distinct threads that ever held the same slate concurrently is
@@ -105,20 +68,11 @@ class Muppet2Engine final : public Engine {
   // Keys split / merges completed by the load manager.
   int64_t key_splits() const { return splits_installed_->Get(); }
   int64_t key_merges() const { return merges_completed_->Get(); }
-  // The failed-machine set as known on machine `m` (chaos harness asserts
-  // every live machine's view converges to the master's after a drain).
-  std::set<MachineId> KnownFailedOn(MachineId m) const {
-    return FailedSetFor(m);
-  }
-
   // Lock-hierarchy levels for the engine's own locks (pinned by
   // tests/common/sync_test.cc against DESIGN.md). The slate stripe is the
   // outermost lock in the system: an updater's publishes — and so queue,
   // transport, cache, and store acquisitions — all happen under it.
   static constexpr LockLevel kSlateStripeLockLevel = LockLevel::kSlateStripe;
-  static constexpr LockLevel kTapsLockLevel = LockLevel::kTaps;
-  static constexpr LockLevel kFailedSetLockLevel = LockLevel::kFailedSet;
-  static constexpr LockLevel kDrainLockLevel = LockLevel::kDrain;
   static constexpr LockLevel kMergeDedupeLockLevel = LockLevel::kMergeDedupe;
 
  private:
@@ -126,10 +80,11 @@ class Muppet2Engine final : public Engine {
   // Max events a worker drains from its queue per lock acquisition.
   static constexpr size_t kWorkerPopBatch = 32;
 
+  // One pool thread: its queue (drained by lane `index`) and the work
+  // unit it is processing.
   struct ThreadCtx {
     int index = 0;
     std::unique_ptr<EventQueue> queue;
-    std::thread thread;
     // Hash of the (function, key) currently being processed; 0 = idle.
     std::atomic<uint64_t> current{0};
   };
@@ -140,8 +95,7 @@ class Muppet2Engine final : public Engine {
     SlateStripeMutex() : Mutex(kSlateStripeLockLevel) {}
   };
 
-  struct MachineCtx {
-    MachineId id = kInvalidMachine;
+  struct MachineCtx : MachineBase {
     std::vector<std::unique_ptr<ThreadCtx>> threads;
     std::unique_ptr<SlateCache> cache;  // the central cache
     // One shared instance per function ("constructed only once and shared
@@ -151,14 +105,6 @@ class Muppet2Engine final : public Engine {
     std::vector<std::unique_ptr<Updater>> updaters;
     // Striped per-slate locks: the two contending threads serialize here.
     std::array<SlateStripeMutex, kSlateLockStripes> slate_locks;
-    mutable Mutex failed_mutex{kFailedSetLockLevel};
-    std::set<MachineId> failed MUPPET_GUARDED_BY(failed_mutex);
-    // Lock-free emptiness check so the hot path skips the failed-set copy.
-    std::atomic<size_t> failed_count{0};
-    std::atomic<bool> crashed{false};
-    std::thread flusher;
-    // Per-machine trace ring (null when tracing is disabled).
-    std::unique_ptr<TraceSink> trace_sink;
     // Heat sketch fed by this machine's dispatches (null when the load
     // manager is disabled).
     std::unique_ptr<HeatTracker> heat;
@@ -167,17 +113,6 @@ class Muppet2Engine final : public Engine {
     // overcount. Keyed by hash of (function, base key, shard, round).
     mutable Mutex merge_dedupe_mutex{kMergeDedupeLockLevel};
     std::set<uint64_t> merge_applied MUPPET_GUARDED_BY(merge_dedupe_mutex);
-    // Durability plane (engine/slatelog.h); both null in kLossy mode,
-    // dedup additionally null below kExactlyOnce.
-    std::unique_ptr<SlateChangelog> changelog;
-    std::unique_ptr<DedupTable> dedup;
-    // Checkpoint cursor as of the last checkpoint or replay.
-    std::atomic<uint64_t> manifest_lsn{0};
-    // Changelog appends since the last checkpoint (cadence trigger, read
-    // by the flusher thread).
-    std::atomic<uint64_t> appends_since_checkpoint{0};
-    // Recovery replays completed on this machine (cold-start included).
-    std::atomic<int64_t> replays{0};
   };
 
   // Interned per-function routing state, indexed by function id.
@@ -190,34 +125,23 @@ class Muppet2Engine final : public Engine {
 
   class DirectUtilities;
 
-  void WorkerLoop(MachineCtx* machine, ThreadCtx* thread);
-  void FlusherLoop(MachineCtx* machine);
-  Status ProcessOne(MachineCtx* machine, const RoutedEvent& re);
+  MachineCtx* Ctx(MachineId m) const {
+    return static_cast<MachineCtx*>(Machine(m));
+  }
 
-  // --- Durability plane (engine/slatelog.h; DESIGN.md §12).
-  bool durable() const {
-    return options_.durability.consistency != Consistency::kLossy;
-  }
-  bool exactly_once() const {
-    return options_.durability.consistency == Consistency::kExactlyOnce;
-  }
-  // Append one changelog record for a slate write/delete/mark on
-  // `machine`. No-op in kLossy mode; append failures are logged, never
-  // fail the update (durability degrades, the data path does not stop).
-  void AppendSlateLog(MachineCtx* machine, SlateLogKind kind,
-                      const std::string& updater, BytesView slate_key,
-                      BytesView value, const Event& event, uint64_t work,
-                      uint64_t dedup);
-  // Flusher-thread checkpoint pass: sync the changelog tail; when the
-  // cadence fires (and a slate store is configured) flush dirty slates,
-  // persist + mirror the manifest, rotate the segment and drop covered
-  // history.
-  void MaybeCheckpoint(MachineCtx* machine);
-  // Recovery replay: restore the machine's slates from the changelog
-  // suffix past the manifest cursor and re-seed the dedup table with the
-  // most recent event identities (the epoch cut). Must complete before
-  // the machine becomes routable again (Master::BeginRecovery doc).
-  Status ReplayChangelog(MachineCtx* machine);
+  // MachineRuntime hooks.
+  Status PrepareEngine() override;
+  Status BuildMachine(MachineId id,
+                      std::unique_ptr<MachineBase>* machine) override;
+  // The worker loop of pool thread `lane`.
+  void RunLane(MachineBase* machine, size_t lane) override;
+  // The central cache holds every slate on the machine.
+  SlateCache* ReplayCache(MachineBase* machine, const std::string& updater,
+                          BytesView key) override;
+  void RegisterEngineMetrics() override;
+  void DeliverPublished(Event event) override;
+
+  Status ProcessOne(MachineCtx* machine, const RoutedEvent& re);
 
   // Control-plane events (merge sweeps/deltas), intercepted by ProcessOne
   // before the operator would run.
@@ -235,12 +159,6 @@ class Muppet2Engine final : public Engine {
   // so chaos conservation accounting stays exact.
   void SendControl(MachineId from, uint64_t sender_work, BytesView route_key,
                    RoutedEvent re);
-
-  // Stall-watchdog control loop (one engine-wide thread) and its signal
-  // collection pass — all lock-free reads (queue sizes/pops, inflight,
-  // changelog cursors), so the watchdog never blocks the data path.
-  void WatchdogLoop();
-  WatchdogSignals GatherWatchdogSignals() const;
 
   // Self-tuning load-management control loop (one engine-wide thread).
   void LoadManagerLoop();
@@ -285,72 +203,10 @@ class Muppet2Engine final : public Engine {
   void RemoteDeliverOne(MachineId from, uint64_t sender_work, MachineId to,
                         RoutedEvent re);
 
-  // `source`, when non-null, reports where the slate came from for the
-  // slate-fetch span note: "hit", "absent_cached", "store", "store_absent".
-  Status FetchSlateOnMachine(MachineCtx* machine,
-                             const std::string& updater, BytesView key,
-                             Bytes* slate, const char** source = nullptr);
-
   // FetchSlate helper: route `key` over the live ring and read the owning
   // machine's cache/store.
   Status FetchRoutedSlate(const std::string& updater, BytesView key,
                           const std::set<MachineId>& failed, Bytes* slate);
-
-  TraceSink* SinkFor(MachineId machine) const {
-    if (machine < 0 || machine >= static_cast<MachineId>(machines_.size()) ||
-        machines_[static_cast<size_t>(machine)] == nullptr) {
-      return nullptr;
-    }
-    return machines_[static_cast<size_t>(machine)]->trace_sink.get();
-  }
-
-  // True when machine `m` runs in THIS process (has a MachineCtx). With
-  // the default single-process deployment every id is hosted; under
-  // muppetd only the slots named in options_.hosted_machines are.
-  bool Hosted(MachineId m) const {
-    return m >= 0 && m < static_cast<MachineId>(machines_.size()) &&
-           machines_[static_cast<size_t>(m)] != nullptr;
-  }
-  MachineCtx* Ctx(MachineId m) const {
-    return Hosted(m) ? machines_[static_cast<size_t>(m)].get() : nullptr;
-  }
-
-  // Register the callback-backed gauges/counters (queue depths, cache
-  // occupancy, transport and fault counters) once the cluster is built.
-  void RegisterCallbackMetrics();
-
-  std::set<MachineId> FailedSetFor(MachineId machine) const;
-  void RunTaps(const Event& event);
-  uint64_t NextSeq() { return seq_.fetch_add(1, std::memory_order_relaxed); }
-
-  // Decrement in-flight count, waking Drain() when it reaches zero.
-  void DecInflight(int64_t n);
-
-  static uint64_t WorkHash(const std::string& function, BytesView key);
-  // Work hash from precomputed halves; never returns 0 ("idle").
-  static uint64_t CombineWork(uint64_t function_hash, uint64_t key_hash);
-
-  const AppConfig& config_;
-  EngineOptions options_;
-  Clock* clock_;
-  // Owned only in the single-process default; with an external
-  // transport_backend the unique_ptr stays null and transport_ aliases
-  // the caller's backend.
-  std::unique_ptr<Transport> owned_transport_;
-  Transport* transport_ = nullptr;
-  Master master_;
-  HashRing ring_;
-  ThrottleGovernor throttle_;
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> stopped_{false};
-
-  // Sized num_machines; slots for machines hosted by other processes stay
-  // null (see Hosted()).
-  std::vector<std::unique_ptr<MachineCtx>> machines_;
-  // Where external Publish() and engine-manufactured control events enter
-  // the cluster: the lowest hosted machine id (0 in single-process runs).
-  MachineId publish_machine_ = 0;
 
   // Built once at Start(), read-only afterwards (lock-free on hot path).
   NameInterner op_names_;
@@ -359,25 +215,12 @@ class Muppet2Engine final : public Engine {
   // stream id -> subscriber function ids (sorted by name, deterministic).
   std::vector<std::vector<uint32_t>> subscribers_;
 
-  std::atomic<uint64_t> seq_{1};
-  std::atomic<int64_t> inflight_{0};
-  std::atomic<bool> shutdown_{false};
-
-  Mutex drain_mutex_{kDrainLockLevel};
-  CondVar drain_cv_;
-
-  std::atomic<bool> has_taps_{false};
-  mutable SharedMutex taps_mutex_{kTapsLockLevel};
-  std::map<std::string, std::vector<std::function<void(const Event&)>>> taps_
-      MUPPET_GUARDED_BY(taps_mutex_);
-
   // --- Self-tuning load management (engine/load_manager.h). The split
   // table is read on the dispatch path (lock-free fast path when no key
   // is split); the controller and the merge bookkeeping below belong to
   // the single load-manager thread.
   SplitTable split_table_;
   std::unique_ptr<LoadController> lm_controller_;
-  std::thread lm_thread_;
   // Pause handshake: PauseLoadManagement() raises paused_ and waits for
   // idle_ so no tick (or its control-event injection) is mid-flight.
   std::atomic<bool> lm_paused_{false};
@@ -394,50 +237,17 @@ class Muppet2Engine final : public Engine {
   // muppet-lint: allow(guarded): confined to the load-manager thread
   std::map<std::pair<int32_t, Bytes>, MergeProgress> merge_progress_;
 
-  // --- Health & SLO plane (DESIGN.md §14).
-  std::unique_ptr<SloTracker> slo_;
-  IncidentLog incident_log_;
-  std::unique_ptr<Watchdog> watchdog_;
-  std::thread wd_thread_;
-  // Live Drain() waiters — the watchdog's drain-stall signal.
-  std::atomic<int> drain_waiters_{0};
-  // Engine clock reading at Start(); 0 before Start().
-  std::atomic<Timestamp> started_at_{0};
-
-  // Shared registry backing /metrics; the counters below are registry
-  // children so the admin endpoints and EngineStats read the same cells.
-  // Declared before the pointers (initialization order).
-  MetricsRegistry metrics_;
-  Counter* published_;
-  Counter* processed_;
-  Counter* emitted_;
-  Counter* lost_failure_;
-  Counter* dropped_overflow_;
-  Counter* redirected_overflow_;
-  Counter* deadlocks_avoided_;
-  Counter* store_reads_;
-  Counter* store_writes_;
-  Counter* operator_instances_;
+  // 2.0-only registry children (the shared ones live in MachineRuntime).
   Counter* secondary_dispatch_;
   Counter* slate_contention_;
   Counter* splits_installed_;
   Counter* merges_completed_;
-  Counter* slatelog_appends_;
-  Counter* slatelog_replays_;
-  Counter* slatelog_replayed_;
-  Counter* slatelog_torn_tails_;
-  Counter* slatelog_corrupt_segments_;
-  Counter* checkpoints_;
-  Counter* deduped_;
-  Histogram* latency_;
   // Time events spend queued before a worker pops them (recorded for
   // every event; the bench's before/after-split p99 comparison).
   Histogram* queue_wait_;
   // Per-operator processed counters, indexed by interned function id
   // (built at Start(), read-only afterwards).
   std::vector<Counter*> op_processed_;
-  // Per-input-stream published counters (built at Start()).
-  std::map<std::string, Counter*> stream_published_;
 };
 
 }  // namespace muppet

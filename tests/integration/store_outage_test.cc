@@ -8,6 +8,7 @@
 #include "core/slate.h"
 #include "core/slate_cache.h"
 #include "core/slate_store.h"
+#include "engine/muppet1.h"
 #include "engine/muppet2.h"
 #include "gtest/gtest.h"
 #include "json/json.h"
@@ -102,6 +103,61 @@ TEST(StoreOutageTest, EngineSurvivesStoreOutageAndConverges) {
   EXPECT_EQ(total, 80) << "the store must converge to the live state after "
                           "the outage";
 }
+
+enum class EngineKind { kMuppet1, kMuppet2 };
+
+class StoreOutageTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(StoreOutageTest, FailedSlateFetchIsCountedAsLost) {
+  // A cache miss while the store is down fails the slate fetch, so the
+  // updater never runs. The event must still settle — as lost — or the
+  // conservation books (and /metrics) silently drop it.
+  TempDir dir;
+  kv::KvClusterOptions kv_options;
+  kv_options.num_nodes = 1;
+  kv_options.replication_factor = 1;
+  kv_options.node.data_dir = dir.path();
+  kv::KvCluster cluster(kv_options);
+  ASSERT_OK(cluster.Open());
+  SlateStore store(&cluster, SlateStoreOptions{});
+
+  AppConfig config;
+  BuildCountingApp(&config);
+  EngineOptions options;
+  options.num_machines = 2;
+  options.slate_store = &store;
+  std::unique_ptr<Engine> engine;
+  if (GetParam() == EngineKind::kMuppet1) {
+    engine = std::make_unique<Muppet1Engine>(config, options);
+  } else {
+    engine = std::make_unique<Muppet2Engine>(config, options);
+  }
+  ASSERT_OK(engine->Start());
+  cluster.CrashNode(0);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_OK(engine->Publish("in", "fresh" + std::to_string(i), "", i + 1));
+  }
+  ASSERT_OK(engine->Drain());
+
+  const EngineStats stats = engine->Stats();
+  EXPECT_EQ(stats.events_published, 40);
+  EXPECT_EQ(stats.events_processed, 0);
+  EXPECT_EQ(stats.events_lost_failure, 40);
+  EXPECT_EQ(stats.events_processed + stats.events_lost_failure +
+                stats.events_dropped_overflow + stats.events_deduped,
+            stats.events_published + stats.events_emitted);
+  cluster.RestoreNode(0);
+  ASSERT_OK(engine->Stop());
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, StoreOutageTest,
+                         ::testing::Values(EngineKind::kMuppet1,
+                                           EngineKind::kMuppet2),
+                         [](const auto& info) {
+                           return info.param == EngineKind::kMuppet1
+                                      ? "Muppet1"
+                                      : "Muppet2";
+                         });
 
 }  // namespace
 }  // namespace muppet

@@ -200,6 +200,28 @@ def diagnose(healthz, statusz, sloz, samples, where="cluster"):
                 f"source throttle active ({int(throttle)}us per publish)",
                 "the cluster is shedding ingest; scale out or accept "
                 "reduced input rate"))
+        # Events settled as lost (§4.3): routed to or queued on a crashed
+        # machine, or failed in processing — a slate fetch that missed
+        # the cache while the store could not serve the read.
+        lost = metric_value(samples, "muppet_events_lost_failure_total")
+        if lost:
+            crashed = [str(m.get("machine", "?"))
+                       for m in (statusz or {}).get("machines", [])
+                       if m.get("crashed", False)]
+            if crashed:
+                hint = (f"machine(s) {', '.join(crashed)} crashed with "
+                        "events queued or in flight; RestartMachine, and "
+                        "replay the input journal if the events matter")
+            else:
+                hint = ("no machine is crashed, so events failed in "
+                        "processing: most likely a slate store outage "
+                        "(cache misses cannot read their slate) — check "
+                        "the kvstore nodes; the engine log names each "
+                        "failure")
+            findings.append(Finding(
+                WARN, where,
+                f"{int(lost)} event(s) lost to machine or store failure",
+                hint))
         open_gauge = metric_value(samples, "muppet_watchdog_open_incidents")
         if open_gauge and statusz is None:
             findings.append(Finding(

@@ -33,8 +33,8 @@ import re
 from dataclasses import dataclass, field
 
 from cpp_model import (ANNOT_RE, ClassInfo, Finding, FunctionInfo,
-                       SourceFile, extract_lambdas, parse_classes,
-                       parse_functions, split_top_level)
+                       MemberField, SourceFile, extract_lambdas,
+                       parse_classes, parse_functions, split_top_level)
 
 CHECK = "lock-graph"
 
@@ -378,17 +378,17 @@ class LockGraphPass:
             if fm is not None and recv in fm.local_types:
                 recv_type = fm.local_types[recv]
             if recv_type is None and fn.cls:
-                for ci in self.classes.get(fn.cls, ()):
-                    fld = ci.field_named(recv)
-                    if fld is not None:
-                        recv_type = self._field_value_type(fld.type_text)
-                        break
+                fld = self._member_field(fn.cls, recv)
+                if fld is not None:
+                    recv_type = self._field_value_type(fld.type_text)
             if recv_type is None and fm is not None:
                 recv_type = self._infer_local_type(fm, fn, recv)
         if recv_type and (recv_type, leaf) in self.mutex_by_class:
             return self.mutex_by_class[(recv_type, leaf)].level
-        if not recv and fn.cls and (fn.cls, leaf) in self.mutex_by_class:
-            return self.mutex_by_class[(fn.cls, leaf)].level
+        if not recv and fn.cls:
+            for cls in self._class_chain(fn.cls):
+                if (cls, leaf) in self.mutex_by_class:
+                    return self.mutex_by_class[(cls, leaf)].level
         # Nested-struct members (e.g. Muppet2 Machine) fall back to the
         # unique-global-name table.
         decls = self.mutex_by_name.get(leaf, [])
@@ -405,6 +405,29 @@ class LockGraphPass:
                 if m and m.group(1) in self.levels:
                     return m.group(1)
                 return "kUnordered"
+        return None
+
+    def _class_chain(self, cls: str) -> list[str]:
+        """`cls` then its base classes, nearest first, so members and
+        methods a class inherits (an engine's MachineRuntime) resolve like
+        its own."""
+        chain: list[str] = []
+        todo = [cls]
+        while todo:
+            name = todo.pop(0)
+            if name in chain:
+                continue
+            chain.append(name)
+            for ci in self.classes.get(name, ()):
+                todo.extend(b.split("::")[-1] for b in ci.bases)
+        return chain
+
+    def _member_field(self, cls: str, name: str) -> MemberField | None:
+        for c in self._class_chain(cls):
+            for ci in self.classes.get(c, ()):
+                fld = ci.field_named(name)
+                if fld is not None:
+                    return fld
         return None
 
     def _field_value_type(self, type_text: str) -> str:
@@ -439,10 +462,9 @@ class LockGraphPass:
         if not re.fullmatch(r"[A-Za-z_]\w*", leaf):
             return None
         if fn.cls:
-            for ci in self.classes.get(fn.cls, ()):
-                fld = ci.field_named(leaf)
-                if fld is not None:
-                    return self._field_value_type(fld.type_text)
+            fld = self._member_field(fn.cls, leaf)
+            if fld is not None:
+                return self._field_value_type(fld.type_text)
         if leaf in fm.local_types:
             return fm.local_types[leaf]
         return None
@@ -488,12 +510,10 @@ class LockGraphPass:
             recv_base = recv_base.split("->")[-1].split(".")[-1]
             recv_type = fm.local_types.get(recv_base)
             if recv_type is None and fn.cls:
-                for ci in self.classes.get(fn.cls, ()):
-                    fld = ci.field_named(recv_base)
-                    if fld is not None:
-                        recv_type = re.sub(r"[<>*&\s].*$", "",
-                                           fld.type_text.split("::")[-1])
-                        break
+                fld = self._member_field(fn.cls, recv_base)
+                if fld is not None:
+                    recv_type = re.sub(r"[<>*&\s].*$", "",
+                                       fld.type_text.split("::")[-1])
             if recv_type and f"{recv_type}::{callee}" in self.funcs:
                 return [f"{recv_type}::{callee}"]
             if recv_type:
@@ -503,8 +523,10 @@ class LockGraphPass:
             keys = [k for k in self.funcs
                     if k.endswith(f"::{callee}") and "lambda#" not in k]
             return keys if len(keys) == 1 else []
-        if fn.cls and f"{fn.cls}::{callee}" in self.funcs:
-            return [f"{fn.cls}::{callee}"]
+        if fn.cls:
+            for cls in self._class_chain(fn.cls):
+                if f"{cls}::{callee}" in self.funcs:
+                    return [f"{cls}::{callee}"]
         if callee in self.funcs:
             return [callee]
         return []
