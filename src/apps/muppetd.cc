@@ -45,6 +45,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -397,16 +398,17 @@ int main(int argc, char** argv) {
         }
         // /publish?stream=S&key=K, body = event value.
         std::string stream, key;
-        std::stringstream qs(req.query);
-        std::string param;
-        while (std::getline(qs, param, '&')) {
+        std::string_view qs = req.query;
+        while (!qs.empty()) {
+          const size_t amp = std::min(qs.find('&'), qs.size());
+          const std::string_view param = qs.substr(0, amp);
+          qs.remove_prefix(std::min(amp + 1, qs.size()));
           const size_t eq = param.find('=');
-          if (eq == std::string::npos) continue;
-          const std::string name = param.substr(0, eq);
-          const std::string value =
-              muppet::UrlDecode(param.substr(eq + 1));
-          if (name == "stream") stream = value;
-          if (name == "key") key = value;
+          if (eq == std::string_view::npos) continue;
+          const std::string_view name = param.substr(0, eq);
+          const std::string_view value = param.substr(eq + 1);
+          if (name == "stream") stream = muppet::UrlDecode(value);
+          if (name == "key") key = muppet::UrlDecode(value);
         }
         if (stream.empty() || key.empty()) {
           return {400, "text/plain", "need stream= and key=\n"};
@@ -433,6 +435,21 @@ int main(int argc, char** argv) {
         return {ds.ok() && fs.ok() ? 200 : 503, "application/json",
                 j.Dump() + "\n"};
       });
+  // Ingress load on /metrics; muppet-doctor warns when every serving
+  // thread is busy (the node is saturated at ingress).
+  muppet::MetricsRegistry* registry = engine.metrics();
+  registry->RegisterCallback(
+      "muppet_http_connections_total", {}, muppet::MetricType::kCounter,
+      [&server] { return server.connections_served(); });
+  registry->RegisterCallback(
+      "muppet_http_deadline_expired_total", {}, muppet::MetricType::kCounter,
+      [&server] { return server.deadlines_expired(); });
+  registry->RegisterCallback(
+      "muppet_http_busy_threads", {}, muppet::MetricType::kGauge,
+      [&server] { return int64_t{server.busy_threads()}; });
+  registry->RegisterCallback(
+      "muppet_http_serving_threads", {}, muppet::MetricType::kGauge,
+      [] { return int64_t{muppet::HttpServer::kServingThreads}; });
   s = server.Start(admin_port);
   if (!s.ok()) {
     std::fprintf(stderr, "muppetd: admin bind: %s\n", s.ToString().c_str());

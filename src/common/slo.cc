@@ -1,6 +1,7 @@
 #include "common/slo.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_map>
 
@@ -38,44 +39,74 @@ CriticalPath ComputeCriticalPath(const std::vector<Span>& spans) {
     if (span.kind == SpanKind::kMapExec || span.kind == SpanKind::kUpdateExec) {
       exec_ids.push_back(span.span_id);
     }
+    if (span.kind == SpanKind::kPublish && path.stream.empty()) {
+      path.stream = span.name;
+    }
   }
   path.machines = static_cast<int>(machines.size());
   path.total_us = std::max<Timestamp>(0, last_end - first_start);
 
-  Timestamp nested_fetch = 0;
+  // Buckets in precedence order: where spans overlap, the first one open
+  // takes the time. Slate fetches nested in an exec span come before exec
+  // so exec is charged exclusive of them.
+  enum Bucket { kNestedFetch, kExec, kFetch, kQueue, kNet, kPublish, kNone };
+  struct Edge {
+    Timestamp at;
+    Bucket bucket;
+    int delta;  // +1 opens a span, -1 closes one
+  };
+  std::vector<Edge> edges;
+  edges.reserve(2 * spans.size());
   for (const Span& span : spans) {
-    const Timestamp d = std::max<Timestamp>(0, span.duration_us());
+    if (span.end_us <= span.start_us) continue;
+    Bucket bucket = kPublish;
     switch (span.kind) {
       case SpanKind::kPublish:
-        path.publish_us += d;
-        if (path.stream.empty()) path.stream = span.name;
         break;
       case SpanKind::kQueueWait:
-        path.queue_wait_us += d;
+        bucket = kQueue;
         break;
       case SpanKind::kMapExec:
       case SpanKind::kUpdateExec:
-        path.exec_us += d;
+        bucket = kExec;
         break;
       case SpanKind::kSlateFetch:
-        path.slate_fetch_us += d;
-        if (std::find(exec_ids.begin(), exec_ids.end(), span.parent_span) !=
-            exec_ids.end()) {
-          nested_fetch += d;
-        }
+        bucket = std::find(exec_ids.begin(), exec_ids.end(),
+                           span.parent_span) != exec_ids.end()
+                     ? kNestedFetch
+                     : kFetch;
         break;
       case SpanKind::kNetHop:
-        path.net_hop_us += d;
+        bucket = kNet;
         break;
     }
+    edges.push_back({span.start_us, bucket, +1});
+    edges.push_back({span.end_us, bucket, -1});
   }
-  // Exec time exclusive of the slate fetches nested inside it.
-  path.exec_us = std::max<Timestamp>(0, path.exec_us - nested_fetch);
+  std::sort(edges.begin(), edges.end(),
+            [](const Edge& a, const Edge& b) { return a.at < b.at; });
 
-  const Timestamp attributed = path.publish_us + path.queue_wait_us +
-                               path.exec_us + path.slate_fetch_us +
-                               path.net_hop_us;
-  path.unattributed_us = std::max<Timestamp>(0, path.total_us - attributed);
+  // Sweep [first_start, last_end]: each stretch between two consecutive
+  // span boundaries goes to one bucket, so the buckets partition total_us.
+  std::array<int, kNone> open{};
+  std::array<Timestamp, kNone + 1> charged{};
+  Timestamp at = first_start;
+  for (const Edge& edge : edges) {
+    if (edge.at > at) {
+      int bucket = 0;
+      while (bucket < kNone && open[bucket] == 0) ++bucket;
+      charged[bucket] += edge.at - at;
+      at = edge.at;
+    }
+    open[edge.bucket] += edge.delta;
+  }
+  charged[kNone] += std::max<Timestamp>(0, last_end - at);
+  path.publish_us = charged[kPublish];
+  path.queue_wait_us = charged[kQueue];
+  path.exec_us = charged[kExec];
+  path.slate_fetch_us = charged[kNestedFetch] + charged[kFetch];
+  path.net_hop_us = charged[kNet];
+  path.unattributed_us = charged[kNone];
   return path;
 }
 

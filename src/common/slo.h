@@ -67,10 +67,14 @@ struct SloOptions {
   size_t seen_capacity = 8192;
 };
 
-// Per-kind critical-path breakdown of one assembled trace. Exec time is
-// exclusive of the slate fetches nested inside it, so the five buckets
-// plus `unattributed_us` (scheduling gaps between spans, cross-machine
-// skew) sum to `total_us`.
+// Per-kind critical-path breakdown of one assembled trace. Every instant
+// of [first span start, last span end] is charged once: to the first kind
+// with a span open then, in the order nested slate fetch > exec > other
+// slate fetch > queue wait > net hop > publish, or to `unattributed_us`
+// (scheduling gaps between spans, cross-machine skew) when none is. Exec
+// time is thus exclusive of the fetches nested in it, overlapping spans
+// (a publish still open while its event waits in a queue) are not counted
+// twice, and the five buckets plus `unattributed_us` sum to `total_us`.
 struct CriticalPath {
   uint64_t trace_id = 0;
   // Stream of the root publish span; empty when the root was not

@@ -56,7 +56,6 @@
 //    112   slate-changelog  SlateChangelog segment files + manifest cursor
 //                           (appended under a slate-stripe lock on the
 //                           update path; synced from the flusher thread)
-//    115   service          HttpServer worker-thread registry
 //    117   slo              SloTracker per-stream latency/burn state (reads
 //                           trace stripes and registry cells while held)
 //    118   incidents        IncidentLog watchdog incident ring
@@ -149,7 +148,6 @@ enum class LockLevel : int {
   kStoreIo = 100,
   kJournal = 110,
   kSlateChangelog = 112,
-  kService = 115,
   kSlo = 117,
   kIncidents = 118,
   kMetrics = 120,

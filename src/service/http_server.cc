@@ -3,13 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstring>
-#include <sstream>
-
-#include "common/logging.h"
 
 namespace muppet {
 
@@ -86,50 +86,46 @@ Status HttpServer::Start(int port) {
     ::close(fd);
     return Status::IOError("http: listen failed");
   }
-  listen_fd_.store(fd);
+  listen_fd_ = fd;
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  for (int i = 0; i < kServingThreads; ++i) {
+    conn_fds_[i].store(-1);
+    threads_[i] = std::thread([this, i] { ServeLoop(&conn_fds_[i]); });
+  }
   return Status::OK();
 }
 
 Status HttpServer::Stop() {
   if (!running_.exchange(false)) return Status::OK();
-  // Closing the listen socket unblocks accept().
-  const int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
+  // Shutdown wakes every accept() and each taken connection's recv()/send();
+  // closing a taken fd only after the join keeps its number from reuse.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  std::array<int, kServingThreads> taken;
+  for (int i = 0; i < kServingThreads; ++i) {
+    taken[i] = conn_fds_[i].exchange(kStopped);
+    if (taken[i] >= 0) ::shutdown(taken[i], SHUT_RDWR);
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> workers;
-  {
-    MutexLock lock(workers_mutex_);
-    workers.swap(workers_);
+  for (int i = 0; i < kServingThreads; ++i) {
+    threads_[i].join();
+    if (taken[i] >= 0) ::close(taken[i]);
   }
-  for (std::thread& t : workers) {
-    if (t.joinable()) t.join();
-  }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   return Status::OK();
 }
 
-void HttpServer::AcceptLoop() {
-  while (running_.load()) {
-    const int lfd = listen_fd_.load();
-    if (lfd < 0) return;
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load()) return;
-      continue;
+void HttpServer::ServeLoop(std::atomic<int>* conn_fd) {
+  while (true) {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0 && !running_.load()) return;
+    if (fd < 0) continue;
+    if (conn_fd->exchange(fd) != kStopped) {  // else Stop() passed already
+      busy_.fetch_add(1);
+      ServeConnection(fd);
+      busy_.fetch_sub(1);
+      connections_.fetch_add(1);
     }
-    MutexLock lock(workers_mutex_);
-    // Reap finished threads opportunistically to bound the vector.
-    if (workers_.size() > 64) {
-      for (std::thread& t : workers_) {
-        if (t.joinable()) t.join();
-      }
-      workers_.clear();
-    }
-    workers_.emplace_back([this, fd] { ServeConnection(fd); });
+    if (conn_fd->exchange(-1) == fd) ::close(fd);  // else Stop() took it
   }
 }
 
@@ -143,95 +139,89 @@ HttpResponse HttpServer::Route(const HttpRequest& request) const {
       best_len = prefix.size();
     }
   }
-  if (best == nullptr) {
-    return HttpResponse{404, "text/plain", "not found\n"};
-  }
+  if (best == nullptr) return HttpResponse{404, "text/plain", "not found\n"};
   return (*best)(request);
 }
 
 void HttpServer::ServeConnection(int fd) {
+  const timeval deadline{kIoDeadlineSeconds, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof(deadline));
+  // Did one recv()/send() move bytes? A deadline hit fails with EAGAIN.
+  auto io_ok = [this](ssize_t n) {
+    if (n < 0 && errno == EAGAIN) deadlines_expired_.fetch_add(1);
+    return n > 0;
+  };
+
   // Read until the end of headers (or 64KB cap).
   std::string buffer;
   char chunk[4096];
+  ssize_t n = 0;
   size_t header_end = std::string::npos;
-  while (buffer.size() < (64u << 10)) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
+  while (header_end == std::string::npos && buffer.size() < (64u << 10) &&
+         io_ok(n = ::recv(fd, chunk, sizeof(chunk), 0))) {
     buffer.append(chunk, static_cast<size_t>(n));
     header_end = buffer.find("\r\n\r\n");
-    if (header_end != std::string::npos) break;
   }
-  if (header_end == std::string::npos) {
-    ::close(fd);
-    return;
-  }
+  if (header_end == std::string::npos) return;
 
   HttpRequest request;
-  {
-    std::istringstream headers(buffer.substr(0, header_end));
-    std::string line;
-    std::getline(headers, line);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    std::istringstream request_line(line);
-    std::string target, version;
-    request_line >> request.method >> target >> version;
-    const size_t q = target.find('?');
-    if (q != std::string::npos) {
-      request.query = target.substr(q + 1);
-      target.resize(q);
+  std::string_view head(buffer.data(), header_end);
+  for (bool first = true; !head.empty(); first = false) {
+    const size_t eol = std::min(head.find('\n'), head.size());
+    std::string_view line = head.substr(0, eol);
+    head.remove_prefix(std::min(eol + 1, head.size()));
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (first) {  // METHOD SP TARGET SP VERSION
+      const size_t sp = line.find(' ');
+      request.method = line.substr(0, sp);
+      std::string_view target =
+          sp == std::string_view::npos ? "" : line.substr(sp + 1);
+      target = target.substr(0, target.find(' '));
+      const size_t q = std::min(target.find('?'), target.size());
+      // Keep the path raw (percent-encoded): handlers decode per segment
+      // so encoded '/' in slate keys survives routing.
+      request.path = target.substr(0, q);
+      request.query = target.substr(std::min(q + 1, target.size()));
+      continue;
     }
-    // Keep the path raw (percent-encoded): handlers decode per segment so
-    // encoded '/' in slate keys survives routing.
-    request.path = target;
-    while (std::getline(headers, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      const size_t colon = line.find(':');
-      if (colon == std::string::npos) continue;
-      std::string name = line.substr(0, colon);
-      for (char& c : name) c = static_cast<char>(std::tolower(
-                               static_cast<unsigned char>(c)));
-      size_t vstart = colon + 1;
-      while (vstart < line.size() && line[vstart] == ' ') ++vstart;
-      request.headers[name] = line.substr(vstart);
-    }
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos) continue;
+    std::string name(line.substr(0, colon));
+    std::transform(name.begin(), name.end(), name.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    std::string_view value = line.substr(colon + 1);
+    value.remove_prefix(std::min(value.find_first_not_of(' '), value.size()));
+    request.headers[std::move(name)] = value;
   }
 
   // Body (Content-Length only).
-  size_t content_length = 0;
-  auto it = request.headers.find("content-length");
-  if (it != request.headers.end()) {
-    content_length = static_cast<size_t>(std::strtoull(
-        it->second.c_str(), nullptr, 10));
-  }
-  request.body = buffer.substr(header_end + 4);
+  const auto it = request.headers.find("content-length");
+  const size_t content_length =
+      it == request.headers.end() ? 0 : std::strtoull(it->second.c_str(),
+                                                      nullptr, 10);
+  buffer.erase(0, header_end + 4);
+  request.body = std::move(buffer);
   while (request.body.size() < content_length &&
-         request.body.size() < (16u << 20)) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
+         request.body.size() < (16u << 20) &&
+         io_ok(n = ::recv(fd, chunk, sizeof(chunk), 0))) {
     request.body.append(chunk, static_cast<size_t>(n));
   }
 
   const HttpResponse response = Route(request);
-
-  std::ostringstream out;
   const char* reason = response.status == 200   ? "OK"
                        : response.status == 404 ? "Not Found"
                        : response.status == 400 ? "Bad Request"
                                                 : "Error";
-  out << "HTTP/1.0 " << response.status << " " << reason << "\r\n"
-      << "Content-Type: " << response.content_type << "\r\n"
-      << "Content-Length: " << response.body.size() << "\r\n"
-      << "Connection: close\r\n\r\n"
-      << response.body;
-  const std::string payload = out.str();
-  size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t n =
-        ::send(fd, payload.data() + sent, payload.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
+  std::string out = "HTTP/1.0 " + std::to_string(response.status) + " " +
+                    reason + "\r\nContent-Type: " + response.content_type +
+                    "\r\nContent-Length: " +
+                    std::to_string(response.body.size()) +
+                    "\r\nConnection: close\r\n\r\n" + response.body;
+  for (size_t sent = 0; sent < out.size(); sent += static_cast<size_t>(n)) {
+    n = ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (!io_ok(n)) break;
   }
-  ::close(fd);
 }
 
 }  // namespace muppet

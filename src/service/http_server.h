@@ -1,20 +1,24 @@
 // Minimal HTTP/1.0 server over POSIX sockets. The paper's Muppet "provides
 // a small HTTP server on each node for slate fetches" (§4.4) plus "basic
 // status information" (§4.5); SlateService mounts those endpoints here.
-// One accept thread, one short-lived thread per connection, close after
-// each response — enough for live slate queries, not a general web server.
+// kServingThreads fixed threads loop accept() -> serve -> close, so no
+// request spawns a thread. Send/receive deadlines (kIoDeadlineSeconds) cap
+// how long a silent client holds a thread, and Stop() shuts down the
+// listening socket and in-flight connections, so it returns promptly.
+// Enough for slate queries and /publish ingress, not a general web server.
 #ifndef MUPPET_SERVICE_HTTP_SERVER_H_
 #define MUPPET_SERVICE_HTTP_SERVER_H_
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
-#include "common/sync.h"
 
 namespace muppet {
 
@@ -32,14 +36,16 @@ struct HttpResponse {
   std::string body;
 };
 
-// Percent-encoding helpers for path segments (slate keys are arbitrary
-// bytes).
+// Percent-encoding for path segments (slate keys are arbitrary bytes).
 std::string UrlEncode(std::string_view s);
 std::string UrlDecode(std::string_view s);
 
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
+
+  static constexpr int kServingThreads = 4;
+  static constexpr int kIoDeadlineSeconds = 2;
 
   HttpServer() = default;
   ~HttpServer();
@@ -59,25 +65,28 @@ class HttpServer {
 
   Status Stop();
 
-  static constexpr LockLevel kLockLevel = LockLevel::kService;
+  // Ingress counters; busy_threads() == kServingThreads means saturated.
+  int64_t connections_served() const { return connections_.load(); }
+  int64_t deadlines_expired() const { return deadlines_expired_.load(); }
+  int busy_threads() const { return busy_.load(); }
 
  private:
-  void AcceptLoop();
+  void ServeLoop(std::atomic<int>* conn_fd);
   void ServeConnection(int fd);
   HttpResponse Route(const HttpRequest& request) const;
 
-  // Written by Start()/Stop(), read concurrently by AcceptLoop().
-  std::atomic<int> listen_fd_{-1};
+  int listen_fd_ = -1;  // set/closed only while no serving thread runs
   int port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  Mutex workers_mutex_{kLockLevel};
-  std::vector<std::thread> workers_ MUPPET_GUARDED_BY(workers_mutex_);
-  // Registered before Start(); the spawn of accept_thread_ publishes the
-  // map to connection threads, which only read it. Not lock-guarded by
-  // design — RegisterHandler after Start() would be a bug.
-  // muppet-lint: allow(guarded): registered pre-Start(), read-only after
+  // Each serving thread's connection (-1 = none), for Stop() to shut down.
+  std::array<std::atomic<int>, kServingThreads> conn_fds_;
+  static constexpr int kStopped = -2;  // a slot Stop() has taken
+  std::atomic<int64_t> connections_{0};
+  std::atomic<int64_t> deadlines_expired_{0};
+  std::atomic<int> busy_{0};
+  // Registered before Start(); the serving threads only read it.
   std::map<std::string, Handler> handlers_;  // by prefix
+  std::array<std::thread, kServingThreads> threads_;
 };
 
 }  // namespace muppet

@@ -78,14 +78,53 @@ TEST(CriticalPathTest, NonNestedFetchIsNotDeductedFromExec) {
   EXPECT_EQ(path.slate_fetch_us, 40);
 }
 
-TEST(CriticalPathTest, UnattributedClampsAtZeroWhenSpansOverlap) {
-  // Two fully overlapping exec spans: attributed time exceeds wall time.
+TEST(CriticalPathTest, OverlappingSpansOfOneKindCountOnce) {
+  // Two fully overlapping exec spans share one stretch of wall time.
   std::vector<Span> spans;
   spans.push_back(MakeSpan(9, 1, SpanKind::kUpdateExec, 0, 100, "a"));
   spans.push_back(MakeSpan(9, 2, SpanKind::kUpdateExec, 0, 100, "b"));
   const CriticalPath path = ComputeCriticalPath(spans);
   EXPECT_EQ(path.total_us, 100);
+  EXPECT_EQ(path.exec_us, 100);
+  EXPECT_EQ(path.unattributed_us, 0);
+}
+
+// A publish span still open while its event waits in a queue, with a net
+// hop overlapping both: each stretch goes to one bucket by precedence
+// (queue wait > net hop > publish), and the buckets partition total_us.
+TEST(SloTest, CriticalPathBucketsPartitionTotalWithOverlappingSpans) {
+  std::vector<Span> spans;
+  spans.push_back(MakeSpan(13, 1, SpanKind::kPublish, 0, 300, "clicks"));
+  spans.push_back(MakeSpan(13, 2, SpanKind::kNetHop, 50, 350, "->m1", 1));
+  spans.push_back(MakeSpan(13, 3, SpanKind::kQueueWait, 100, 400, "c", 2));
+  spans.push_back(MakeSpan(13, 4, SpanKind::kUpdateExec, 400, 500, "c", 3));
+  // A second update after a 100us scheduling gap.
+  spans.push_back(MakeSpan(13, 5, SpanKind::kUpdateExec, 600, 700, "c", 3));
+  const CriticalPath path = ComputeCriticalPath(spans);
+  EXPECT_EQ(path.stream, "clicks");
+  EXPECT_EQ(path.total_us, 700);
+  EXPECT_EQ(path.publish_us, 50);
+  EXPECT_EQ(path.net_hop_us, 50);
+  EXPECT_EQ(path.queue_wait_us, 300);
   EXPECT_EQ(path.exec_us, 200);
+  EXPECT_EQ(path.slate_fetch_us, 0);
+  EXPECT_EQ(path.unattributed_us, 100);
+  EXPECT_EQ(path.publish_us + path.queue_wait_us + path.exec_us +
+                path.slate_fetch_us + path.net_hop_us + path.unattributed_us,
+            path.total_us);
+}
+
+// A slate fetch not nested in an exec span but overlapping one is charged
+// to exec (exec outranks a plain fetch); a nested one outranks exec.
+TEST(CriticalPathTest, FetchOverlappingExecFollowsPrecedence) {
+  std::vector<Span> spans;
+  spans.push_back(MakeSpan(15, 1, SpanKind::kUpdateExec, 0, 100, "u"));
+  spans.push_back(MakeSpan(15, 2, SpanKind::kSlateFetch, 20, 40, "u", 1));
+  spans.push_back(MakeSpan(15, 3, SpanKind::kSlateFetch, 50, 150, "u", 9));
+  const CriticalPath path = ComputeCriticalPath(spans);
+  EXPECT_EQ(path.total_us, 150);
+  EXPECT_EQ(path.exec_us, 80);
+  EXPECT_EQ(path.slate_fetch_us, 70);
   EXPECT_EQ(path.unattributed_us, 0);
 }
 

@@ -26,7 +26,6 @@
 #include "net/tcp_transport.h"
 #include "net/transport.h"
 #include "service/bulk_slates.h"
-#include "service/http_server.h"
 
 namespace muppet {
 namespace {
@@ -276,7 +275,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(SlateLogger::kLockLevel, LockLevel::kJournal);
   EXPECT_EQ(DedupTable::kLockLevel, LockLevel::kDedupTable);
   EXPECT_EQ(SlateChangelog::kLockLevel, LockLevel::kSlateChangelog);
-  EXPECT_EQ(HttpServer::kLockLevel, LockLevel::kService);
   EXPECT_EQ(SloTracker::kLockLevel, LockLevel::kSlo);
   EXPECT_EQ(IncidentLog::kLockLevel, LockLevel::kIncidents);
   EXPECT_EQ(MetricsRegistry::kLockLevel, LockLevel::kMetrics);
@@ -327,28 +325,25 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   // path before dispatch touches any queue lock; changelog appends run
   // under the updater's slate stripe / cache locks and may reach the
   // store (checkpoint flush), so the changelog sits above the whole store
-  // chain but below the service/metrics/logging leaves.
+  // chain but below the metrics/logging leaves.
   EXPECT_TRUE(lt(LockLevel::kRingOverride, LockLevel::kDedupTable));
   EXPECT_TRUE(lt(LockLevel::kDedupTable, LockLevel::kQueue));
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kSlateChangelog));
   EXPECT_TRUE(lt(LockLevel::kSlateCache, LockLevel::kSlateChangelog));
   EXPECT_TRUE(lt(LockLevel::kStoreIo, LockLevel::kSlateChangelog));
   EXPECT_TRUE(lt(LockLevel::kJournal, LockLevel::kSlateChangelog));
-  EXPECT_TRUE(lt(LockLevel::kSlateChangelog, LockLevel::kService));
+  EXPECT_TRUE(lt(LockLevel::kSlateChangelog, LockLevel::kMetrics));
   // Cache eviction writes back under the cache lock: cache -> store chain.
   EXPECT_TRUE(lt(LockLevel::kSlateCache, LockLevel::kStoreNode));
   EXPECT_TRUE(lt(LockLevel::kStoreNode, LockLevel::kStoreTables));
   EXPECT_TRUE(lt(LockLevel::kStoreTables, LockLevel::kStoreIo));
   // Anything may append to a journal/logger, register a metric, or log.
   EXPECT_TRUE(lt(LockLevel::kStoreIo, LockLevel::kJournal));
-  EXPECT_TRUE(lt(LockLevel::kJournal, LockLevel::kService));
-  EXPECT_TRUE(lt(LockLevel::kService, LockLevel::kMetrics));
-  // Health & SLO plane (DESIGN.md Â§14): the SLO tracker registers burn
-  // gauges while holding its own lock, and the admin service reads both
-  // the tracker and the incident log under the server lock.
-  EXPECT_TRUE(lt(LockLevel::kService, LockLevel::kSlo));
+  EXPECT_TRUE(lt(LockLevel::kJournal, LockLevel::kMetrics));
+  // Health & SLO plane (DESIGN.md §14): the SLO tracker registers burn
+  // gauges while holding its own lock; the incident log ring sits beside
+  // it, above the registry.
   EXPECT_TRUE(lt(LockLevel::kSlo, LockLevel::kMetrics));
-  EXPECT_TRUE(lt(LockLevel::kService, LockLevel::kIncidents));
   EXPECT_TRUE(lt(LockLevel::kIncidents, LockLevel::kMetrics));
   // Spans are recorded under subsystem locks (queue, slate stripes), and
   // a stripe eviction may push into the slowest-N list.

@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +46,30 @@ std::string HttpGet(int port, const std::string& target,
   }
   ::close(fd);
   return response;
+}
+
+// Opens a connection to 127.0.0.1:`port` and sends nothing; -1 on error.
+// Reads on it give up after `read_timeout_s` so a test cannot hang.
+int ConnectSilent(int port, int read_timeout_s = 10) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{read_timeout_s, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 TEST(UrlCodecTest, RoundTrip) {
@@ -144,7 +170,9 @@ TEST(HttpServerTest, ManySequentialRequests) {
   ASSERT_OK(server.Stop());
 }
 
-TEST(HttpServerTest, ConcurrentClients) {
+// `threads` clients each send `per_thread` sequential requests at once;
+// every request must be served, and none may hit the socket deadline.
+void ExpectConcurrentClientsServed(int threads, int per_thread) {
   HttpServer server;
   std::atomic<int> hits{0};
   server.RegisterHandler("/", [&](const HttpRequest& request) {
@@ -152,12 +180,11 @@ TEST(HttpServerTest, ConcurrentClients) {
     return HttpResponse{200, "text/plain", "echo:" + request.path};
   });
   ASSERT_OK(server.Start(0));
-  constexpr int kThreads = 4, kPerThread = 25;
   std::atomic<int> ok_responses{0};
   std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) {
+  for (int t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
+      for (int i = 0; i < per_thread; ++i) {
         const std::string target =
             "/t" + std::to_string(t) + "/" + std::to_string(i);
         const std::string response = HttpGet(server.port(), target);
@@ -169,9 +196,15 @@ TEST(HttpServerTest, ConcurrentClients) {
     });
   }
   for (auto& c : clients) c.join();
-  EXPECT_EQ(ok_responses.load(), kThreads * kPerThread);
-  EXPECT_EQ(hits.load(), kThreads * kPerThread);
+  EXPECT_EQ(ok_responses.load(), threads * per_thread);
+  EXPECT_EQ(hits.load(), threads * per_thread);
+  EXPECT_EQ(server.connections_served(), threads * per_thread);
+  EXPECT_EQ(server.deadlines_expired(), 0);
   ASSERT_OK(server.Stop());
+}
+
+TEST(HttpServerTest, ConcurrentClients) {
+  ExpectConcurrentClientsServed(4, 25);
 }
 
 TEST(HttpServerTest, OversizedAndGarbageRequestsSurvive) {
@@ -222,6 +255,70 @@ TEST(HttpServerTest, StopIsIdempotentAndRestartable) {
   ASSERT_OK(server.Start(0));
   EXPECT_NE(HttpGet(server.port(), "/").find("200"), std::string::npos);
   ASSERT_OK(server.Stop());
+}
+
+// A client that connects and never sends must not keep Stop() waiting: the
+// serving thread blocked in recv() on it is woken by the shutdown.
+TEST(HttpServerTest, StopReturnsWhileAClientIsSilent) {
+  HttpServer server;
+  server.RegisterHandler("/", [](const HttpRequest&) {
+    return HttpResponse{200, "text/plain", "ok"};
+  });
+  ASSERT_OK(server.Start(0));
+  const int silent = ConnectSilent(server.port());
+  ASSERT_GE(silent, 0);
+  // Let a serving thread accept it and block reading the request.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_OK(server.Stop());
+  EXPECT_LT(SecondsSince(start), 1.0);
+  ::close(silent);
+}
+
+TEST(HttpServerTest, SilentClientDoesNotBlockOthers) {
+  HttpServer server;
+  server.RegisterHandler("/", [](const HttpRequest&) {
+    return HttpResponse{200, "text/plain", "ok"};
+  });
+  ASSERT_OK(server.Start(0));
+  const int silent = ConnectSilent(server.port());
+  ASSERT_GE(silent, 0);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_NE(HttpGet(server.port(), "/" + std::to_string(i)).find("200 OK"),
+              std::string::npos)
+        << "request " << i;
+  }
+  ASSERT_OK(server.Stop());
+  ::close(silent);
+}
+
+// The receive deadline frees the serving thread: the server closes a
+// connection that never sends a request, and counts the expiry.
+TEST(HttpServerTest, ServerClosesSilentConnectionAfterDeadline) {
+  HttpServer server;
+  server.RegisterHandler("/", [](const HttpRequest&) {
+    return HttpResponse{200, "text/plain", "ok"};
+  });
+  ASSERT_OK(server.Start(0));
+  const int silent = ConnectSilent(server.port());
+  ASSERT_GE(silent, 0);
+  const auto start = std::chrono::steady_clock::now();
+  char byte;
+  EXPECT_EQ(::recv(silent, &byte, 1, 0), 0);  // EOF, not our read timeout
+  const double waited = SecondsSince(start);
+  EXPECT_GT(waited, HttpServer::kIoDeadlineSeconds - 0.5);
+  EXPECT_LT(waited, HttpServer::kIoDeadlineSeconds + 2.0);
+  ::close(silent);
+  // The serving thread updates its counters before it closes the socket.
+  EXPECT_EQ(server.connections_served(), 1);
+  EXPECT_EQ(server.deadlines_expired(), 1);
+  EXPECT_EQ(server.busy_threads(), 0);
+  ASSERT_OK(server.Stop());
+}
+
+TEST(HttpServerTest, MoreConcurrentClientsThanServingThreads) {
+  static_assert(16 > HttpServer::kServingThreads);
+  ExpectConcurrentClientsServed(16, 25);
 }
 
 }  // namespace

@@ -222,6 +222,23 @@ def diagnose(healthz, statusz, sloz, samples, where="cluster"):
                 WARN, where,
                 f"{int(lost)} event(s) lost to machine or store failure",
                 hint))
+        # HTTP ingress (muppetd): a fixed set of serving threads; when all
+        # of them are busy, new connections queue in the listen backlog.
+        busy = metric_value(samples, "muppet_http_busy_threads")
+        pool = metric_value(samples, "muppet_http_serving_threads")
+        if busy is not None and pool and busy >= pool:
+            expired = metric_value(
+                samples, "muppet_http_deadline_expired_total")
+            detail = (f"; {int(expired)} connection read/write(s) hit the "
+                      "socket deadline" if expired else "")
+            findings.append(Finding(
+                WARN, where,
+                f"HTTP ingress saturated: all {int(pool)} serving threads "
+                f"busy{detail}",
+                "new connections wait in the listen backlog (the scrape "
+                "itself holds one thread): spread publishers over more "
+                "nodes, and look for slow handlers (/drainz, cross-node "
+                "/slate reads) or clients that connect and then stall"))
         open_gauge = metric_value(samples, "muppet_watchdog_open_incidents")
         if open_gauge and statusz is None:
             findings.append(Finding(

@@ -96,6 +96,7 @@ for port in $ADM0 $ADM1 $ADM2; do
   python3 "$REPO_ROOT/tools/check_prom.py" "$WORK/metrics_$port.prom" \
     --require muppet_build_info \
     --require muppet_transport_messages_sent_total \
+    --require muppet_http_connections_total \
     || fail "metrics exposition on $port"
 done
 
@@ -135,7 +136,11 @@ echo "net_smoke: slate answers:$counts"
 [ "$(echo "$counts" | tr ' ' '\n' | sort -u | sed '/^$/d' | wc -l)" = "1" ] \
   || fail "nodes disagree on slate value:$counts"
 
-echo "net_smoke: clean shutdown"
+# A client that connects and never sends (a stray nc or curl) must not
+# stop node 0 from shutting down cleanly: HttpServer::Stop() shuts the
+# connection down instead of waiting on it.
+echo "net_smoke: clean shutdown (with a silent client on node 0)"
+exec 3<>"/dev/tcp/127.0.0.1/$ADM0"
 kill -TERM "$PID0" "$PID1B" "$PID2"
 for _ in $(seq 1 100); do
   kill -0 "$PID0" 2>/dev/null || kill -0 "$PID1B" 2>/dev/null \
@@ -145,6 +150,7 @@ done
 grep -q 'stopped clean=1' "$WORK/node0.log" || fail "node 0 unclean shutdown"
 grep -q 'stopped clean=1' "$WORK/node1b.log" || fail "node 1 unclean shutdown"
 grep -q 'stopped clean=1' "$WORK/node2.log" || fail "node 2 unclean shutdown"
+exec 3>&-
 
 echo "net_smoke: gating BENCH_net.json against committed baseline"
 python3 "$REPO_ROOT/tools/check_bench.py" "$REPO_ROOT/BENCH_net.json" \
