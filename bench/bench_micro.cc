@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitives the engines lean
 // on: event wire codec, slate compression, JSON slate round-trips, hash
 // ring routing, queue operations, the slate cache, the kvstore memtable,
-// and the 1.0 task-processor protocol.
+// trace span recording, and the 1.0 task-processor protocol.
 // These quantify the §4.5 argument that eliminating serialization inside
 // a machine is worth a generation bump.
 #include <benchmark/benchmark.h>
@@ -16,6 +16,7 @@
 
 #include "common/compress.h"
 #include "common/hash.h"
+#include "common/trace.h"
 #include "core/event.h"
 #include "core/hash_ring.h"
 #include "core/intern.h"
@@ -350,6 +351,59 @@ void BM_Crc32(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(4096);
+
+// Span recording as the engines do it when every event is traced: three
+// spans per trace (queue wait, update exec, slate fetch) through the label
+// path into a default sink (256 recent + 16 slowest traces) kept full, so
+// every new trace retires one. The threads share the sink, as a machine's
+// lanes do. items/s counts spans; bytes_per_span is the sink's heap cost
+// per retained span once full.
+TraceSink* trace_sink_under_test = nullptr;
+SpanLabel trace_label_under_test = 0;
+
+void RecordTrace(TraceSink* sink, SpanLabel label, uint64_t seq) {
+  const TraceContext context{MakeTraceId(seq, seq), 1};
+  const Timestamp t = static_cast<Timestamp>(seq);
+  const uint64_t exec =
+      sink->Record(context, SpanKind::kUpdateExec, label, t + 1, t + 3);
+  sink->Record(context, SpanKind::kQueueWait, label, t, t + 1);
+  benchmark::DoNotOptimize(
+      sink->Record(TraceContext{context.trace_id, exec}, SpanKind::kSlateFetch,
+                   label, t + 1, t + 2, SpanNote::kHit));
+}
+
+void BM_TraceSinkRecord(benchmark::State& state) {
+  constexpr uint64_t kFillTraces = 4096;
+  if (state.thread_index() == 0) {
+    const size_t before = HeapInUse();
+    trace_sink_under_test = new TraceSink();
+    trace_label_under_test = trace_sink_under_test->Label(1, "count");
+    for (uint64_t seq = 1; seq <= kFillTraces; ++seq) {
+      RecordTrace(trace_sink_under_test, trace_label_under_test, seq);
+    }
+    size_t spans = 0;
+    for (const auto& record : trace_sink_under_test->Recent()) {
+      spans += record.spans.size();
+    }
+    for (const auto& record : trace_sink_under_test->Slowest()) {
+      spans += record.spans.size();
+    }
+    state.counters["bytes_per_span"] =
+        static_cast<double>(HeapInUse() - before) /
+        static_cast<double>(spans);
+  }
+  // Thread 0's setup is visible past the barrier the loop starts with.
+  uint64_t seq = (static_cast<uint64_t>(state.thread_index()) + 1) << 40;
+  for (auto _ : state) {
+    RecordTrace(trace_sink_under_test, trace_label_under_test, ++seq);
+  }
+  state.SetItemsProcessed(state.iterations() * 3);
+  if (state.thread_index() == 0) {
+    delete trace_sink_under_test;
+    trace_sink_under_test = nullptr;
+  }
+}
+BENCHMARK(BM_TraceSinkRecord)->Threads(1)->Threads(4)->UseRealTime();
 
 }  // namespace
 }  // namespace muppet

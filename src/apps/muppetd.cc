@@ -26,6 +26,9 @@
 //       "dir": "/tmp/cluster-state"    // per-node subdir appended
 //     },
 //     "slo": { "target_p99_micros": 2000000 },   // optional
+//     "trace": { "sample_period": 1024 },        // optional: trace 1 in
+//                                                // N events by key hash;
+//                                                // 1 = all, 0 = none
 //     "nodes": [
 //       {"id": 0, "host": "127.0.0.1", "data_port": 7101,
 //        "admin_port": 7201, "machines": [0]},
@@ -83,6 +86,7 @@ struct ClusterSpec {
   muppet::Json engine;      // raw "engine" object (may be null)
   muppet::Json durability;  // raw "durability" object (may be null)
   muppet::Json slo;         // raw "slo" object (may be null)
+  muppet::Json trace;       // raw "trace" object (may be null)
 };
 
 muppet::Status ParseCluster(const std::string& text, ClusterSpec* out) {
@@ -96,6 +100,7 @@ muppet::Status ParseCluster(const std::string& text, ClusterSpec* out) {
   out->engine = root["engine"];
   out->durability = root["durability"];
   out->slo = root["slo"];
+  out->trace = root["trace"];
   const muppet::Json& nodes = root["nodes"];
   if (!nodes.is_array() || nodes.size() == 0) {
     return muppet::Status::InvalidArgument("config: missing nodes[]");
@@ -289,6 +294,17 @@ int main(int argc, char** argv) {
     const int64_t p99 = cluster.slo.GetInt("target_p99_micros", 0);
     if (p99 > 0) objective.target_p99_us = p99;
     options.slo.objectives.push_back(objective);
+  }
+
+  if (cluster.trace.is_object()) {
+    const int64_t period = cluster.trace.GetInt(
+        "sample_period",
+        static_cast<int64_t>(options.trace.sample_period));
+    if (period < 0) {
+      std::fprintf(stderr, "muppetd: trace.sample_period must be >= 0\n");
+      return 2;
+    }
+    options.trace.sample_period = static_cast<uint64_t>(period);
   }
 
   // --- TCP transport: peers = every other node.

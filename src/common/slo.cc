@@ -171,13 +171,18 @@ const Histogram* SloTracker::HistogramFor(const StreamState& state) const {
 
 void SloTracker::Observe(uint64_t trace_id, const std::vector<Span>& spans,
                          Timestamp now) {
+  MutexLock lock(mutex_);
+  ObserveLocked(trace_id, spans, now);
+}
+
+void SloTracker::ObserveLocked(uint64_t trace_id,
+                               const std::vector<Span>& spans, Timestamp now) {
   if (spans.empty()) return;
   CriticalPath path = ComputeCriticalPath(spans);
   path.trace_id = trace_id;
   traces_observed_.Add();
   if (path.stream.empty()) traces_unattributed_.Add();
 
-  MutexLock lock(mutex_);
   StreamState* state = StateFor(path.stream);
   Histogram* h =
       state->latency != nullptr ? state->latency : state->own_latency.get();
@@ -222,23 +227,21 @@ void SloTracker::Harvest(const std::vector<TraceSink*>& sinks, Timestamp now,
                          bool drained) {
   // Stitch: one trace's spans are scattered across machines' sinks (the
   // publish span lands on the accepting machine, exec spans on owners).
+  // A trace any sink has marked was observed by an earlier harvest.
   struct Pending {
     std::vector<Span> spans;
     Timestamp last_end_us = 0;
+    bool harvested = false;
   };
+  MutexLock lock(mutex_);
   std::unordered_map<uint64_t, Pending> traces;
   for (TraceSink* sink : sinks) {
     if (sink == nullptr) continue;
     for (const std::vector<TraceSink::TraceRecord>& records :
          {sink->Recent(), sink->Slowest()}) {
       for (const TraceSink::TraceRecord& record : records) {
-        bool seen;
-        {
-          MutexLock lock(mutex_);
-          seen = seen_.count(record.trace_id) != 0;
-        }
-        if (seen) continue;
         Pending& pending = traces[record.trace_id];
+        pending.harvested |= record.harvested;
         pending.last_end_us = std::max(pending.last_end_us, record.last_end_us);
         pending.spans.insert(pending.spans.end(), record.spans.begin(),
                              record.spans.end());
@@ -247,19 +250,14 @@ void SloTracker::Harvest(const std::vector<TraceSink*>& sinks, Timestamp now,
   }
 
   for (auto& [trace_id, pending] : traces) {
+    if (pending.harvested) continue;
     if (!drained && pending.last_end_us + options_.settle_micros > now) {
       continue;  // may still grow; pick it up on a later harvest
     }
-    {
-      MutexLock lock(mutex_);
-      if (!seen_.insert(trace_id).second) continue;
-      seen_fifo_.push_back(trace_id);
-      while (seen_fifo_.size() > options_.seen_capacity) {
-        seen_.erase(seen_fifo_.front());
-        seen_fifo_.pop_front();
-      }
+    for (TraceSink* sink : sinks) {
+      if (sink != nullptr) sink->MarkHarvested(trace_id);
     }
-    Observe(trace_id, pending.spans, now);
+    ObserveLocked(trace_id, pending.spans, now);
   }
 }
 

@@ -25,7 +25,6 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
@@ -63,8 +62,6 @@ struct SloOptions {
                                          10 * kMicrosPerMinute};
   // Worst critical paths retained per stream, slowest first.
   size_t worst_paths = 4;
-  // Bounded memory of already-observed trace ids (FIFO eviction).
-  size_t seen_capacity = 8192;
 };
 
 // Per-kind critical-path breakdown of one assembled trace. Every instant
@@ -141,9 +138,11 @@ class SloTracker {
 
   // Pull newly completed traces out of `sinks` (recent + slowest rings of
   // every machine), stitch spans across sinks by trace id, and observe
-  // each trace not seen before. `drained` short-circuits the settle
-  // window: with zero events in flight no trace can grow. Idempotent —
-  // observed ids are remembered (bounded FIFO).
+  // each trace no sink has marked harvested, then mark it in every sink
+  // (TraceSink::MarkHarvested). `drained` short-circuits the settle
+  // window: with zero events in flight no trace can grow. Idempotent for
+  // as long as the sinks retain a trace; the tracker itself remembers no
+  // trace ids.
   void Harvest(const std::vector<TraceSink*>& sinks, Timestamp now,
                bool drained = false);
 
@@ -185,6 +184,8 @@ class SloTracker {
 
   StreamState* StateFor(const std::string& stream)
       MUPPET_REQUIRES(mutex_);
+  void ObserveLocked(uint64_t trace_id, const std::vector<Span>& spans,
+                     Timestamp now) MUPPET_REQUIRES(mutex_);
   const Histogram* HistogramFor(const StreamState& state) const;
   double BurnRate(const StreamState& state, Timestamp window,
                   Timestamp now) const MUPPET_REQUIRES(mutex_);
@@ -196,10 +197,10 @@ class SloTracker {
   // ~30 buckets.
   const Timestamp bucket_micros_;
 
+  // Also held across a whole Harvest, so two harvests cannot both observe
+  // a trace before either marks it.
   mutable Mutex mutex_{kLockLevel};
   std::map<std::string, StreamState> streams_ MUPPET_GUARDED_BY(mutex_);
-  std::unordered_set<uint64_t> seen_ MUPPET_GUARDED_BY(mutex_);
-  std::deque<uint64_t> seen_fifo_ MUPPET_GUARDED_BY(mutex_);
 
   Counter traces_observed_;
   // Traces whose root publish span was missing (attributed to "").

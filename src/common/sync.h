@@ -60,8 +60,9 @@
 //                           trace stripes and registry cells while held)
 //    118   incidents        IncidentLog watchdog incident ring
 //    120   metrics          MetricsRegistry name->counter maps
-//    122   trace-stripe     TraceSink per-stripe trace ring buffers
-//    124   trace-slowest    TraceSink slowest-N retention list
+//    122   trace-stripe     TraceSink per-stripe trace slots (recent ring,
+//                           slowest candidates, trace-id index)
+//    124   trace-labels     TraceSink (machine, name) span-label table
 //    130   logging          log sink capture hook (innermost: any
 //                           subsystem may log while holding its locks)
 #ifndef MUPPET_COMMON_SYNC_H_
@@ -152,7 +153,7 @@ enum class LockLevel : int {
   kIncidents = 118,
   kMetrics = 120,
   kTraceStripe = 122,
-  kTraceSlowest = 124,
+  kTraceLabels = 124,
   kLogging = 130,
 };
 

@@ -1,12 +1,12 @@
 // Sampled distributed tracing for the observability plane. A TraceContext
 // (trace id + parent span id) rides with every sampled event — including
 // across machines in the wire frames (engine/wire.h) — and each layer the
-// event passes through records a Span into the local machine's TraceSink:
-// publish, queue wait, map/update execution, slate fetch (hit/miss/store
-// round-trip), and the cross-machine hop. Stitching the spans of one
-// trace id back together reconstructs the event's full path through the
-// cluster (the "where did a slow event spend its time" question the
-// paper's §5 latency claims beg).
+// event passes through records a 32-byte SpanRecord into the local
+// machine's TraceSink: publish, queue wait, map/update execution, slate
+// fetch (hit/miss/store round-trip), and the cross-machine hop. Stitching
+// the spans of one trace id back together reconstructs the event's full
+// path through the cluster (the "where did a slow event spend its time"
+// question the paper's §5 latency claims beg).
 //
 // Sampling is deterministic in the event *content*: an event is traced
 // iff Mix64(hash(key)) falls in the sample window. Engine-assigned state
@@ -18,9 +18,9 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -57,6 +57,21 @@ enum class SpanKind : uint8_t {
 
 const char* SpanKindName(SpanKind kind);
 
+// How a slate fetch was served (the slate_fetch span's note).
+enum class SpanNote : uint8_t {
+  kNone = 0,
+  kHit = 1,           // cached slate
+  kAbsentCached = 2,  // cached "no slate" entry
+  kStore = 3,         // read from the durable store
+  kStoreAbsent = 4,   // absent from the store too
+};
+
+// "", "hit", "absent_cached", "store", "store_absent".
+const char* SpanNoteName(SpanNote note);
+// Inverse of SpanNoteName; kNone for any other string.
+SpanNote SpanNoteFromName(std::string_view name);
+
+// A span as the read side (Recent/Slowest, /tracez, SloTracker) sees it.
 struct Span {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
@@ -66,7 +81,7 @@ struct Span {
   int32_t machine = -1;
   // Operator or stream name; "->mN" for net hops.
   std::string name;
-  // Kind-specific annotation, e.g. "hit" / "miss" / "miss+store".
+  // Kind-specific annotation: a SpanNoteName, e.g. "hit" or "store".
   std::string note;
   Timestamp start_us = 0;
   Timestamp end_us = 0;
@@ -74,7 +89,11 @@ struct Span {
   Timestamp duration_us() const { return end_us - start_us; }
 };
 
-// Process-wide span id allocator; never returns 0.
+// Span id allocator; never returns 0. Ids carry a random per-process
+// salt in their top 20 bits (re-drawn in a forked child), so spans that
+// different muppetd processes record do not share ids. Each thread takes
+// ids from its own block of 1024, touching shared state once per block.
+// The salt only names spans: sampling and fault decisions never see it.
 uint64_t NextSpanId();
 
 // Deterministic sampling decision: true iff the event keyed by `key_hash`
@@ -93,12 +112,42 @@ inline uint64_t MakeTraceId(uint64_t key_hash, uint64_t seq) {
   return id == 0 ? 1 : id;
 }
 
-// Per-machine in-memory flight recorder: a lock-striped ring of the most
-// recent traces plus a separate slowest-N retention list, so a burst of
-// fast traces cannot wash out the outliers a latency investigation needs.
-// Spans arrive from many worker threads; a trace's spans all land in the
-// stripe picked by its trace id, so appends to one trace serialize on one
-// stripe mutex and recording never blocks the whole sink.
+// Dense id of a (machine, name) pair in one TraceSink's label table
+// (TraceSink::Label). Label 0 is reserved for machine -1 with an empty
+// name, the fields of a default Span.
+using SpanLabel = uint16_t;
+
+// A span as a sink stores it: 32 bytes, no strings. The trace id lives
+// in the sink's trace slot and the machine and name in the label, so the
+// record path copies this POD and nothing else.
+struct SpanRecord {
+  uint64_t span_id = 0;
+  uint64_t parent_span = 0;
+  Timestamp start_us = 0;
+  // Clamped to [0, UINT32_MAX] microseconds (about 71 minutes).
+  uint32_t duration_us = 0;
+  SpanLabel label = 0;
+  SpanKind kind = SpanKind::kPublish;
+  SpanNote note = SpanNote::kNone;
+};
+static_assert(sizeof(SpanRecord) == 32, "SpanRecord is a 32-byte POD");
+
+// Per-machine in-memory flight recorder: the most recent traces plus the
+// slowest traces evicted from them, so a burst of fast traces cannot wash
+// out the outliers a latency investigation needs (DESIGN.md §9).
+//
+// Storage is preallocated: 8 lock-striped shards (stripe = trace_id % 8)
+// each own a fixed slab of trace slots, recent_capacity / 8 of them a
+// ring in the order their traces began and ceil(slowest_capacity / 8)
+// holding that stripe's slowest evicted traces. A slot keeps its first
+// three SpanRecords inline and spills the rest to the heap, up to
+// max_spans_per_trace. A new trace takes the ring's oldest slot; if the
+// trace there outlasts the stripe's fastest slowest candidate, it swaps
+// into that candidate's slot first. Recording a span within inline
+// capacity therefore takes one stripe mutex, probes an open-addressed
+// index, and copies 32 bytes: no allocation, no sink-wide lock.
+// Recent() and Slowest() rebuild full Spans, names and notes included,
+// on demand.
 class TraceSink {
  public:
   struct Options {
@@ -106,7 +155,8 @@ class TraceSink {
     size_t recent_capacity = 256;
     // Slowest traces retained after falling out of the recent ring.
     size_t slowest_capacity = 16;
-    // Hard cap on spans per trace (runaway cyclic workflows).
+    // Hard cap on spans per trace (runaway cyclic workflows); at most
+    // 65,535.
     size_t max_spans_per_trace = 128;
   };
 
@@ -115,6 +165,9 @@ class TraceSink {
     Timestamp first_start_us = 0;
     Timestamp last_end_us = 0;
     std::vector<Span> spans;
+    // Set by MarkHarvested once SloTracker::Harvest has observed the
+    // trace.
+    bool harvested = false;
 
     Timestamp duration_us() const { return last_end_us - first_start_us; }
   };
@@ -125,55 +178,120 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  // Append a span to its trace (creating the trace record if new). Spans
-  // with trace_id == 0 are dropped.
-  void Record(Span span);
+  // The label of spans `machine` records under `name`, interned on first
+  // use. Engines intern their stream, operator and net-hop names once at
+  // Start(); the table holds at most 65,536 labels, and names past that
+  // get label 0.
+  SpanLabel Label(int32_t machine, std::string_view name);
 
-  // The most recently touched traces, newest first; `max` 0 = all.
+  // Append a span to trace `trace_id` (claiming a slot if the trace is
+  // new). trace_id 0 is dropped.
+  void Record(uint64_t trace_id, const SpanRecord& span);
+
+  // Record a span of `context`'s trace, parented to context.parent_span,
+  // over [start_us, end_us]. Returns the new span's id.
+  uint64_t Record(const TraceContext& context, SpanKind kind, SpanLabel label,
+                  Timestamp start_us, Timestamp end_us,
+                  SpanNote note = SpanNote::kNone);
+
+  // Record a spelled-out span, interning its (machine, name) label.
+  void Record(const Span& span);
+
+  // The retained recent traces, newest (largest end time) first; `max` 0
+  // = all.
   std::vector<TraceRecord> Recent(size_t max = 0) const;
 
   // The slowest traces evicted from the recent ring, slowest first.
   std::vector<TraceRecord> Slowest() const;
 
-  int64_t spans_recorded() const { return spans_recorded_.Get(); }
-  int64_t spans_dropped() const { return spans_dropped_.Get(); }
-  int64_t traces_evicted() const { return traces_evicted_.Get(); }
+  // Mark every retained record of `trace_id` harvested (SloTracker). The
+  // mark travels with the slot into the slowest set, so a harvested trace
+  // is never observed twice while the sink holds it.
+  void MarkHarvested(uint64_t trace_id);
+
+  int64_t spans_recorded() const;
+  int64_t spans_dropped() const;
+  int64_t traces_evicted() const;
 
   // Lock-hierarchy levels (pinned by tests/common/sync_test.cc). Spans
-  // are recorded while subsystem locks — slate stripes, queue mutexes —
-  // are held, so both levels sit near the leaf end of the hierarchy;
-  // the slowest list nests inside a stripe eviction.
+  // are recorded while subsystem locks (slate stripes, queue mutexes) are
+  // held, so both sit near the leaf end of the hierarchy. The label table
+  // is never locked while a stripe is held.
   static constexpr LockLevel kStripeLockLevel = LockLevel::kTraceStripe;
-  static constexpr LockLevel kSlowestLockLevel = LockLevel::kTraceSlowest;
+  static constexpr LockLevel kLabelsLockLevel = LockLevel::kTraceLabels;
 
  private:
   static constexpr size_t kStripes = 8;
+  static constexpr size_t kInlineSpans = 3;
 
   struct StripeMutex : Mutex {
     StripeMutex() : Mutex(kStripeLockLevel) {}
   };
 
-  struct Stripe {
-    mutable StripeMutex mutex;
-    // Front = most recently touched.
-    std::list<TraceRecord> lru MUPPET_GUARDED_BY(mutex);
-    std::unordered_map<uint64_t, std::list<TraceRecord>::iterator> index
-        MUPPET_GUARDED_BY(mutex);
+  // One trace's spans on this sink. trace_id 0 = free.
+  struct Slot {
+    uint64_t trace_id = 0;
+    // Spans past kInlineSpans; capacity bit_ceil(spans - kInlineSpans),
+    // capped at max_spans_per_trace - kInlineSpans.
+    std::unique_ptr<SpanRecord[]> spill;
+    uint16_t spans = 0;
+    bool harvested = false;
+    SpanRecord inline_spans[kInlineSpans];
+
+    const SpanRecord& at(size_t i) const {
+      return i < kInlineSpans ? inline_spans[i] : spill[i - kInlineSpans];
+    }
   };
 
-  // Offer an evicted trace to the slowest-N list.
-  void OfferSlowest(TraceRecord record);
+  struct alignas(64) Stripe {
+    mutable StripeMutex mutex;
+    // The ring, recent_per_stripe_ slots in the order their traces began
+    // (once full, slots[next] holds the oldest), then slowest_per_stripe_
+    // slowest candidates.
+    std::vector<Slot> slots MUPPET_GUARDED_BY(mutex);
+    size_t next MUPPET_GUARDED_BY(mutex) = 0;
+    size_t live MUPPET_GUARDED_BY(mutex) = 0;
+    // Durations of the slowest candidates (-1 = empty).
+    std::vector<Timestamp> slowest_us MUPPET_GUARDED_BY(mutex);
+    // Open-addressed (linear probing) trace id -> ring slot + 1; 0 = empty.
+    std::vector<uint32_t> index MUPPET_GUARDED_BY(mutex);
+    int64_t recorded MUPPET_GUARDED_BY(mutex) = 0;
+    int64_t dropped MUPPET_GUARDED_BY(mutex) = 0;
+    int64_t evicted MUPPET_GUARDED_BY(mutex) = 0;
+  };
+
+  // A slot's spans copied out under its stripe lock, resolved later.
+  struct RawTrace {
+    uint64_t trace_id = 0;
+    bool harvested = false;
+    std::vector<SpanRecord> spans;
+  };
+
+  size_t IndexHome(uint64_t trace_id) const;
+  // Ring slot holding `trace_id`, or -1.
+  int64_t Find(const Stripe& stripe, uint64_t trace_id) const
+      MUPPET_REQUIRES(stripe.mutex);
+  void IndexErase(Stripe& stripe, uint64_t trace_id)
+      MUPPET_REQUIRES(stripe.mutex);
+  // Claim a ring slot for new trace `trace_id`, retiring the oldest.
+  Slot& StartTrace(Stripe& stripe, uint64_t trace_id)
+      MUPPET_REQUIRES(stripe.mutex);
+  static RawTrace Copy(const Slot& slot);
+  std::vector<TraceRecord> Resolve(std::vector<RawTrace> raw) const;
+  int64_t Sum(int64_t Stripe::*field) const;
 
   Options options_;
-  size_t per_stripe_capacity_;
+  size_t recent_per_stripe_;
+  size_t slowest_per_stripe_;
+  size_t index_mask_;
   std::array<Stripe, kStripes> stripes_;
 
-  mutable Mutex slowest_mutex_{kSlowestLockLevel};
-  std::vector<TraceRecord> slowest_ MUPPET_GUARDED_BY(slowest_mutex_);
-
-  Counter spans_recorded_;
-  Counter spans_dropped_;
-  Counter traces_evicted_;
+  struct LabelEntry {
+    int32_t machine;
+    std::string name;
+  };
+  mutable Mutex labels_mutex_{kLabelsLockLevel};
+  std::vector<LabelEntry> labels_ MUPPET_GUARDED_BY(labels_mutex_);
 };
 
 // RAII span recorder: Begin() arms it, destruction (or End()) stamps the
@@ -189,11 +307,15 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   // Arm the span; start time is taken from `clock` now. `sink` and
-  // `clock` must outlive the ScopedSpan.
+  // `clock` must outlive the ScopedSpan. `label` comes from sink->Label().
   void Begin(TraceSink* sink, Clock* clock, const TraceContext& context,
-             SpanKind kind, int32_t machine, std::string name);
+             SpanKind kind, SpanLabel label);
+  // As above, interning (machine, name) into the sink's labels.
+  void Begin(TraceSink* sink, Clock* clock, const TraceContext& context,
+             SpanKind kind, int32_t machine, std::string_view name);
 
-  void set_note(std::string note) { span_.note = std::move(note); }
+  void set_note(SpanNote note) { span_.note = note; }
+  void set_note(std::string_view note) { set_note(SpanNoteFromName(note)); }
 
   // The armed span's id (0 when disarmed) — what emitted child events use
   // as their parent_span.
@@ -205,7 +327,8 @@ class ScopedSpan {
  private:
   TraceSink* sink_ = nullptr;
   Clock* clock_ = nullptr;
-  Span span_;
+  uint64_t trace_id_ = 0;
+  SpanRecord span_;
 };
 
 }  // namespace muppet

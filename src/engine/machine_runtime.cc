@@ -125,6 +125,14 @@ Status MachineRuntime::Start() {
         "engine: durability requires a changelog directory "
         "(EngineOptions::durability.dir)");
   }
+  // Span label names, fixed before any engine table or machine is built.
+  for (const auto& [name, spec] : config_.operators()) {
+    (void)spec;
+    trace_names_.Intern(name);
+  }
+  for (const std::string& sid : config_.InputStreams()) {
+    trace_names_.Intern(sid);
+  }
   MUPPET_RETURN_IF_ERROR(PrepareEngine());
 
   for (const std::string& sid : config_.InputStreams()) {
@@ -140,11 +148,22 @@ Status MachineRuntime::Start() {
     std::unique_ptr<MachineBase> machine;
     MUPPET_RETURN_IF_ERROR(BuildMachine(m, &machine));
     machine->id = m;
+    TraceSink* sink = nullptr;
     if (options_.trace.enabled && options_.trace.sample_period != 0) {
       TraceSink::Options trace_options;
       trace_options.recent_capacity = options_.trace.recent_traces;
       trace_options.slowest_capacity = options_.trace.slowest_traces;
       machine->trace_sink = std::make_unique<TraceSink>(trace_options);
+      sink = machine->trace_sink.get();
+    }
+    auto label = [&](std::string_view name) -> SpanLabel {
+      return sink != nullptr ? sink->Label(m, name) : 0;
+    };
+    for (uint32_t i = 0; i < trace_names_.size(); ++i) {
+      machine->trace_labels.push_back(label(trace_names_.NameOf(i)));
+    }
+    for (int to = 0; to < options_.num_machines; ++to) {
+      machine->hop_labels.push_back(label("->m" + std::to_string(to)));
     }
     if (durable()) {
       SlateChangelog::Options log_options;
@@ -288,16 +307,10 @@ Status MachineRuntime::Publish(const std::string& stream, BytesView key,
     if (sink != nullptr) {
       // Root span: the external publish itself (the lowest machine this
       // process hosts accepts all external events published here).
-      Span root;
-      root.trace_id = event.trace.trace_id;
-      root.span_id = NextSpanId();
-      root.kind = SpanKind::kPublish;
-      root.machine = publish_machine_;
-      root.name = stream;
-      root.start_us = event.origin_ts;
-      root.end_us = clock_->Now();
-      event.trace.parent_span = root.span_id;
-      sink->Record(std::move(root));
+      event.trace.parent_span = sink->Record(
+          event.trace, SpanKind::kPublish,
+          Machine(publish_machine_)->trace_labels[TraceNameId(stream)],
+          event.origin_ts, clock_->Now());
     }
   }
   DeliverPublished(std::move(event));
@@ -317,12 +330,14 @@ void MachineRuntime::SettleLane(const MachineBase* machine, size_t lane,
 Status MachineRuntime::FetchThroughCache(SlateCache* cache,
                                          const std::string& updater,
                                          BytesView key, Bytes* slate,
-                                         const char** source) {
+                                         SpanNote* source) {
   const SlateId id{updater, Bytes(key)};
   bool absent = false;
   Status s = cache->LookupWithAbsent(id, slate, &absent);
   if (s.ok()) {
-    if (source != nullptr) *source = absent ? "absent_cached" : "hit";
+    if (source != nullptr) {
+      *source = absent ? SpanNote::kAbsentCached : SpanNote::kHit;
+    }
     if (absent) return Status::NotFound("slate absent (cached)");
     return Status::OK();
   }
@@ -330,14 +345,14 @@ Status MachineRuntime::FetchThroughCache(SlateCache* cache,
     store_reads_->Add();
     Result<Bytes> fetched = options_.slate_store->Read(id);
     if (fetched.ok()) {
-      if (source != nullptr) *source = "store";
+      if (source != nullptr) *source = SpanNote::kStore;
       *slate = std::move(fetched).value();
       (void)cache->Insert(id, *slate);
       return Status::OK();
     }
     if (!fetched.status().IsNotFound()) return fetched.status();
   }
-  if (source != nullptr) *source = "store_absent";
+  if (source != nullptr) *source = SpanNote::kStoreAbsent;
   cache->InsertAbsent(id);
   return Status::NotFound("slate absent");
 }

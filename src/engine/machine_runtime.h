@@ -27,6 +27,7 @@
 #include "common/sync.h"
 #include "common/trace.h"
 #include "core/hash_ring.h"
+#include "core/intern.h"
 #include "core/slate_cache.h"
 #include "engine/engine.h"
 #include "engine/master.h"
@@ -62,8 +63,13 @@ struct MachineBase {
   std::atomic<size_t> failed_count{0};
   std::atomic<bool> crashed{false};
   std::thread flusher;
-  // Per-machine trace ring (null when tracing is disabled).
+  // Per-machine trace ring (null when tracing is disabled) and the
+  // labels its spans carry, interned once at Start(): trace_labels by
+  // TraceNameId (operator and input-stream names), hop_labels by a net
+  // hop's destination machine ("->mN"). All 0 without a sink.
   std::unique_ptr<TraceSink> trace_sink;
+  std::vector<SpanLabel> trace_labels;
+  std::vector<SpanLabel> hop_labels;
 
   // Durability plane (engine/slatelog.h); both null in kLossy mode,
   // dedup additionally null below kExactlyOnce. One changelog per machine
@@ -179,6 +185,12 @@ class MachineRuntime : public Engine {
     return machine != nullptr ? machine->trace_sink.get() : nullptr;
   }
 
+  // Dense id of an operator or input-stream name, indexing
+  // MachineBase::trace_labels. Valid from PrepareEngine() on.
+  uint32_t TraceNameId(std::string_view name) const {
+    return static_cast<uint32_t>(trace_names_.Find(name));
+  }
+
   std::set<MachineId> FailedSetFor(MachineId machine) const;
   // The master's failed set plus every hosted machine known crashed, even
   // before a data-path send has detected it (live slate reads).
@@ -207,11 +219,11 @@ class MachineRuntime : public Engine {
   // Read (updater, key) from `cache`, then the durable store (§4.2),
   // caching what the store returns; NotFound if absent everywhere (cached
   // as a negative entry so the updater sees a fresh slate, §3). `source`,
-  // when non-null, reports the slate-fetch span note: "hit",
-  // "absent_cached", "store", "store_absent".
+  // when non-null, reports the slate-fetch span note: kHit,
+  // kAbsentCached, kStore or kStoreAbsent.
   Status FetchThroughCache(SlateCache* cache, const std::string& updater,
                            BytesView key, Bytes* slate,
-                           const char** source = nullptr);
+                           SpanNote* source = nullptr);
   // Cache write-back into the durable store, with each updater's TTL.
   SlateCache::WriteBack StoreWriteBack();
 
@@ -304,6 +316,8 @@ class MachineRuntime : public Engine {
 
   // Per-input-stream published counters (built at Start()).
   std::map<std::string, Counter*> stream_published_;
+  // Operator and input-stream names, by TraceNameId (built at Start()).
+  NameInterner trace_names_;
 
   Mutex drain_mutex_{kDrainLockLevel};
   CondVar drain_cv_;

@@ -228,6 +228,7 @@ Status Muppet1Engine::BuildMachine(MachineId id,
       if (!hosts(i)) continue;
       auto worker = std::make_unique<Worker>();
       worker->function = name;
+      worker->trace_name = TraceNameId(name);
       worker->kind = spec.kind;
       worker->ref =
           WorkerRef{id, static_cast<int32_t>(machine->workers.size())};
@@ -306,8 +307,9 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
   // a network hop.
   ScopedSpan hop;
   if (target.value().machine != from) {
-    hop.Begin(SinkFor(from), clock_, event.trace, SpanKind::kNetHop, from,
-              "->m" + std::to_string(target.value().machine));
+    hop.Begin(SinkFor(from), clock_, event.trace, SpanKind::kNetHop,
+              Machine(from)->hop_labels[static_cast<size_t>(
+                  target.value().machine)]);
   }
 
   const uint64_t signature = EventFaultSignature(re);
@@ -413,20 +415,12 @@ void Muppet1Engine::RunLane(MachineBase* machine, size_t lane) {
   Worker* worker = static_cast<MachineCtx*>(machine)->workers[lane].get();
   RoutedEvent re;
   while (worker->queue->Pop(&re)) {
-    if (re.event.trace.sampled() && re.enqueue_ts != 0) {
-      TraceSink* sink = machine->trace_sink.get();
-      if (sink != nullptr) {
-        Span wait;
-        wait.trace_id = re.event.trace.trace_id;
-        wait.span_id = NextSpanId();
-        wait.parent_span = re.event.trace.parent_span;
-        wait.kind = SpanKind::kQueueWait;
-        wait.machine = worker->ref.machine;
-        wait.name = worker->function;
-        wait.start_us = re.enqueue_ts;
-        wait.end_us = clock_->Now();
-        sink->Record(std::move(wait));
-      }
+    if (re.event.trace.sampled() && re.enqueue_ts != 0 &&
+        machine->trace_sink != nullptr) {
+      machine->trace_sink->Record(
+          re.event.trace, SpanKind::kQueueWait,
+          machine->trace_labels[worker->trace_name], re.enqueue_ts,
+          clock_->Now());
     }
     SettleLane(machine, lane, ProcessOne(worker, re.event, re.dedup));
   }
@@ -438,26 +432,27 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
   // trip, the slate write-back, and the delivery of emitted events (the
   // same window the 2.0 engine's exec span covers). Outputs emitted here
   // parent to it.
+  MachineCtx* machine = Ctx(worker->ref.machine);
+  const SpanLabel label = machine->trace_labels[worker->trace_name];
   ScopedSpan exec;
-  exec.Begin(SinkFor(worker->ref.machine), clock_, event.trace,
+  exec.Begin(machine->trace_sink.get(), clock_, event.trace,
              worker->kind == OperatorKind::kUpdater ? SpanKind::kUpdateExec
                                                     : SpanKind::kMapExec,
-             worker->ref.machine, worker->function);
+             label);
 
   // Conductor: gather the slate, serialize the request, cross the
   // process boundary, decode the response.
   Bytes slate;
   bool has_slate = false;
   if (worker->kind == OperatorKind::kUpdater) {
-    const char* fetch_source = nullptr;
+    SpanNote fetch_source = SpanNote::kNone;
     ScopedSpan fetch;
-    fetch.Begin(SinkFor(worker->ref.machine), clock_,
+    fetch.Begin(machine->trace_sink.get(), clock_,
                 TraceContext{event.trace.trace_id, exec.span_id()},
-                SpanKind::kSlateFetch, worker->ref.machine,
-                worker->function);
+                SpanKind::kSlateFetch, label);
     Status s = FetchThroughCache(worker->cache.get(), worker->function,
                                  event.key, &slate, &fetch_source);
-    if (fetch_source != nullptr) fetch.set_note(fetch_source);
+    fetch.set_note(fetch_source);
     fetch.End();
     if (s.ok()) {
       has_slate = true;
@@ -475,7 +470,6 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
   MUPPET_RETURN_IF_ERROR(
       engine_internal::TaskProcessor::DecodeResponse(response, &decoded));
 
-  MachineCtx* machine = Ctx(worker->ref.machine);
   const uint64_t work = machine->changelog != nullptr
                             ? WorkHash(worker->function, event.key)
                             : 0;

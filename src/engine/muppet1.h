@@ -74,6 +74,8 @@ class Muppet1Engine final : public MachineRuntime {
  private:
   struct Worker {
     std::string function;
+    // Index into MachineBase::trace_labels.
+    uint32_t trace_name = 0;
     OperatorKind kind = OperatorKind::kMapper;
     WorkerRef ref;
     std::unique_ptr<EventQueue> queue;

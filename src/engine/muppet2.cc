@@ -155,7 +155,7 @@ Status Muppet2Engine::PrepareEngine() {
   for (const auto& [name, spec] : config_.operators()) {
     const uint32_t fid = op_names_.Intern(name);
     (void)fid;
-    ops_.push_back(OpInfo{&spec, Fnv1a64(name)});
+    ops_.push_back(OpInfo{&spec, Fnv1a64(name), TraceNameId(name)});
     op_processed_.push_back(metrics_.GetCounter(
         "muppet_operator_processed_total", {{"operator", name}}));
   }
@@ -460,18 +460,12 @@ void Muppet2Engine::FlushRemoteBatch(MachineId from, uint64_t sender_work,
                                   FrameFaultSignature(batch));
   if (hop_start != 0) {
     const Timestamp hop_end = clock_->Now();
+    const SpanLabel hop = Machine(from)->hop_labels[static_cast<size_t>(to)];
     for (const RoutedEvent& re : batch) {
-      if (!re.event.trace.sampled()) continue;
-      Span hop;
-      hop.trace_id = re.event.trace.trace_id;
-      hop.span_id = NextSpanId();
-      hop.parent_span = re.event.trace.parent_span;
-      hop.kind = SpanKind::kNetHop;
-      hop.machine = from;
-      hop.name = "->m" + std::to_string(to);
-      hop.start_us = hop_start;
-      hop.end_us = hop_end;
-      sink->Record(std::move(hop));
+      if (re.event.trace.sampled()) {
+        sink->Record(re.event.trace, SpanKind::kNetHop, hop, hop_start,
+                     hop_end);
+      }
     }
   }
   if (s.ok()) return;
@@ -508,8 +502,8 @@ void Muppet2Engine::RemoteDeliverOne(MachineId from, uint64_t sender_work,
 
   // One hop span covering the whole retry loop (ends at any return).
   ScopedSpan hop;
-  hop.Begin(SinkFor(from), clock_, re.event.trace, SpanKind::kNetHop, from,
-            "->m" + std::to_string(to));
+  hop.Begin(SinkFor(from), clock_, re.event.trace, SpanKind::kNetHop,
+            Machine(from)->hop_labels[static_cast<size_t>(to)]);
 
   const bool tracked = Hosted(to);
   int attempts = 0;
@@ -735,16 +729,11 @@ void Muppet2Engine::RunLane(MachineBase* base, size_t lane) {
       }
       if (re.event.trace.sampled() && machine->trace_sink != nullptr &&
           re.enqueue_ts != 0) {
-        Span wait;
-        wait.trace_id = re.event.trace.trace_id;
-        wait.span_id = NextSpanId();
-        wait.parent_span = re.event.trace.parent_span;
-        wait.kind = SpanKind::kQueueWait;
-        wait.machine = machine->id;
-        wait.name = ops_[static_cast<size_t>(re.function_id)].spec->name;
-        wait.start_us = re.enqueue_ts;
-        wait.end_us = clock_->Now();
-        machine->trace_sink->Record(std::move(wait));
+        const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
+        machine->trace_sink->Record(
+            re.event.trace, SpanKind::kQueueWait,
+            machine->trace_labels[op.trace_name], re.enqueue_ts,
+            clock_->Now());
       }
       thread->current.store(re.work, std::memory_order_release);
       const Status s = ProcessOne(machine, re);
@@ -770,8 +759,8 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
   TraceSink* sink = event.trace.sampled() ? machine->trace_sink.get() : nullptr;
 
   if (spec.kind == OperatorKind::kMapper) {
-    exec.Begin(sink, clock_, event.trace, SpanKind::kMapExec, machine->id,
-               spec.name);
+    exec.Begin(sink, clock_, event.trace, SpanKind::kMapExec,
+               machine->trace_labels[op.trace_name]);
     DirectUtilities utils(this, machine, event, spec.name,
                           /*is_updater=*/false, work, nullptr,
                           exec.span_id());
@@ -811,20 +800,20 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
       slate_key = shard_key;
     }
 
-    exec.Begin(sink, clock_, event.trace, SpanKind::kUpdateExec, machine->id,
-               spec.name);
+    exec.Begin(sink, clock_, event.trace, SpanKind::kUpdateExec,
+               machine->trace_labels[op.trace_name]);
 
     Bytes slate;
     bool has_slate = false;
-    const char* fetch_source = nullptr;
     {
       ScopedSpan fetch;
       fetch.Begin(sink, clock_,
                   TraceContext{event.trace.trace_id, exec.span_id()},
-                  SpanKind::kSlateFetch, machine->id, spec.name);
+                  SpanKind::kSlateFetch, machine->trace_labels[op.trace_name]);
+      SpanNote fetch_source = SpanNote::kNone;
       Status s = FetchThroughCache(machine->cache.get(), spec.name, slate_key,
                                    &slate, &fetch_source);
-      if (fetch_source != nullptr) fetch.set_note(fetch_source);
+      fetch.set_note(fetch_source);
       if (s.ok()) {
         has_slate = true;
       } else if (!s.IsNotFound()) {

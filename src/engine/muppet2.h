@@ -121,6 +121,8 @@ class Muppet2Engine final : public MachineRuntime {
     // Fnv1a64(name), combined with the event's key hash into the work
     // hash — the function half is hashed once per run, not per event.
     uint64_t name_hash = 0;
+    // Index into MachineBase::trace_labels.
+    uint32_t trace_name = 0;
   };
 
   class DirectUtilities;

@@ -284,21 +284,43 @@ TEST(SloTrackerTest, DrainedShortCircuitsSettleWindow) {
   EXPECT_EQ(tracker.traces_observed(), 1);
 }
 
-TEST(SloTrackerTest, SeenSetIsBoundedFifo) {
-  SloOptions options = TwoSecondObjective();
-  options.seen_capacity = 4;
-  SloTracker tracker(options, nullptr, nullptr);
-  TraceSink sink((TraceSink::Options()));
-  for (uint64_t id = 1; id <= 8; ++id) {
-    sink.Record(MakeSpan(id, 1, SpanKind::kPublish, 0, 100, "clicks"));
-  }
+TEST(SloTrackerTest, HarvestMarkFollowsTraceIntoSlowest) {
+  // The harvest mark lives in the sink's trace slot, so it moves with a
+  // trace evicted from the recent ring into the slowest set, and the
+  // tracker keeps no memory of observed ids.
+  TraceSink::Options sink_options;
+  sink_options.recent_capacity = 8;  // one recent slot per stripe
+  sink_options.slowest_capacity = 8;
+  TraceSink sink(sink_options);
+  SloTracker tracker(TwoSecondObjective(), nullptr, nullptr);
+  // Traces 8 and 16 share a stripe (trace_id % 8); 8 is the slow one.
+  sink.Record(MakeSpan(8, 1, SpanKind::kPublish, 0, 5000, "clicks"));
   tracker.Harvest({&sink}, kMicrosPerSecond, /*drained=*/true);
-  EXPECT_EQ(tracker.traces_observed(), 8);
-  // The FIFO evicted the oldest ids, but a re-harvest of the same sink
-  // within the retained window stays idempotent for the ids still held.
+  EXPECT_EQ(tracker.traces_observed(), 1);
+
+  sink.Record(MakeSpan(16, 2, SpanKind::kPublish, 0, 10, "clicks"));
+  const auto slowest = sink.Slowest();
+  ASSERT_EQ(slowest.size(), 1u);
+  EXPECT_EQ(slowest.front().trace_id, 8u);
+  EXPECT_TRUE(slowest.front().harvested);
   tracker.Harvest({&sink}, kMicrosPerSecond, /*drained=*/true);
-  // Evicted ids (at most 8 - 4 = 4) may be re-observed; retained ones not.
-  EXPECT_LE(tracker.traces_observed(), 12);
+  tracker.Harvest({&sink}, 2 * kMicrosPerSecond, /*drained=*/true);
+  EXPECT_EQ(tracker.traces_observed(), 2);  // trace 16, once
+}
+
+TEST(SloTrackerTest, HarvestSkipsTraceMarkedInAnySink) {
+  // A span that reaches a second machine's sink after its trace was
+  // observed does not make the trace observable again.
+  TraceSink sink0((TraceSink::Options()));
+  TraceSink sink1((TraceSink::Options()));
+  sink0.Record(MakeSpan(77, 1, SpanKind::kPublish, 0, 100, "clicks", 0, 0));
+  SloTracker tracker(TwoSecondObjective(), nullptr, nullptr);
+  tracker.Harvest({&sink0, &sink1}, kMicrosPerSecond, /*drained=*/true);
+  EXPECT_EQ(tracker.traces_observed(), 1);
+  sink1.Record(
+      MakeSpan(77, 2, SpanKind::kUpdateExec, 100, 500, "count", 1, 1));
+  tracker.Harvest({&sink0, &sink1}, kMicrosPerSecond, /*drained=*/true);
+  EXPECT_EQ(tracker.traces_observed(), 1);
 }
 
 TEST(SloTrackerTest, RegistryBackedCellsFeedMetricsFamilies) {

@@ -279,7 +279,7 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(IncidentLog::kLockLevel, LockLevel::kIncidents);
   EXPECT_EQ(MetricsRegistry::kLockLevel, LockLevel::kMetrics);
   EXPECT_EQ(TraceSink::kStripeLockLevel, LockLevel::kTraceStripe);
-  EXPECT_EQ(TraceSink::kSlowestLockLevel, LockLevel::kTraceSlowest);
+  EXPECT_EQ(TraceSink::kLabelsLockLevel, LockLevel::kTraceLabels);
 }
 
 TEST(LockHierarchyTest, DocumentedOrderingHolds) {
@@ -345,11 +345,12 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   // it, above the registry.
   EXPECT_TRUE(lt(LockLevel::kSlo, LockLevel::kMetrics));
   EXPECT_TRUE(lt(LockLevel::kIncidents, LockLevel::kMetrics));
-  // Spans are recorded under subsystem locks (queue, slate stripes), and
-  // a stripe eviction may push into the slowest-N list.
+  // Spans are recorded under subsystem locks (queue, slate stripes); an
+  // SLO harvest reads the stripes and the label table under its own lock.
   EXPECT_TRUE(lt(LockLevel::kMetrics, LockLevel::kTraceStripe));
-  EXPECT_TRUE(lt(LockLevel::kTraceStripe, LockLevel::kTraceSlowest));
-  EXPECT_TRUE(lt(LockLevel::kTraceSlowest, LockLevel::kLogging));
+  EXPECT_TRUE(lt(LockLevel::kSlo, LockLevel::kTraceStripe));
+  EXPECT_TRUE(lt(LockLevel::kTraceStripe, LockLevel::kTraceLabels));
+  EXPECT_TRUE(lt(LockLevel::kTraceLabels, LockLevel::kLogging));
   EXPECT_TRUE(lt(LockLevel::kMetrics, LockLevel::kLogging));
 }
 

@@ -1,10 +1,15 @@
 #include "common/trace.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 
 namespace muppet {
 namespace {
@@ -59,6 +64,69 @@ TEST(TraceIdTest, NeverZeroAndSeqSensitive) {
   }
   // Same key, different publishes -> distinct traces.
   EXPECT_EQ(ids.size(), 100u);
+}
+
+TEST(SpanIdTest, ThreadsDrawDistinctNonZeroIds) {
+  constexpr int kThreads = 4;
+  constexpr int kIds = 5000;  // several per-thread blocks each
+  std::vector<std::vector<uint64_t>> drawn(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&drawn, t] {
+      for (int i = 0; i < kIds; ++i) drawn[t].push_back(NextSpanId());
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::set<uint64_t> ids;
+  for (const auto& batch : drawn) {
+    for (uint64_t id : batch) {
+      EXPECT_NE(id, 0u);
+      ids.insert(id);
+    }
+  }
+  EXPECT_EQ(ids.size(), static_cast<size_t>(kThreads) * kIds);
+}
+
+TEST(SpanIdTest, ForkedChildAndParentDrawDisjointIds) {
+  // Two processes (two muppetd nodes) must never hand out the same span
+  // id: /tracez consumers key spans by id across nodes. A forked child
+  // starts from a copy of the parent's allocator state, the worst case.
+  (void)NextSpanId();
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  constexpr int kIds = 2048;
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    uint64_t ids[kIds];
+    for (uint64_t& id : ids) id = NextSpanId();
+    const bool ok = ::write(fds[1], ids, sizeof(ids)) ==
+                    static_cast<ssize_t>(sizeof(ids));
+    ::_exit(ok ? 0 : 1);
+  }
+  ::close(fds[1]);
+  std::set<uint64_t> parent_ids;
+  for (int i = 0; i < kIds; ++i) parent_ids.insert(NextSpanId());
+  std::vector<uint64_t> child_ids(kIds);
+  size_t got = 0;
+  char* out = reinterpret_cast<char*>(child_ids.data());
+  while (got < kIds * sizeof(uint64_t)) {
+    const ssize_t n = ::read(fds[0], out + got, kIds * sizeof(uint64_t) - got);
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_EQ(got, kIds * sizeof(uint64_t));
+  size_t shared = 0;
+  for (uint64_t id : child_ids) {
+    EXPECT_NE(id, 0u);
+    shared += parent_ids.count(id);
+  }
+  EXPECT_EQ(shared, 0u);
 }
 
 TEST(SpanKindTest, NamesCoverTaxonomy) {
@@ -164,6 +232,120 @@ TEST(TraceSinkTest, ConcurrentRecordIsSafeAndLossless) {
   for (const auto& record : sink.Recent()) total_spans += record.spans.size();
   EXPECT_EQ(total_spans,
             static_cast<size_t>(kThreads) * kSpansPerThread);
+}
+
+TEST(TraceSinkTest, SlowestMergesPerStripeCandidates) {
+  // Each stripe keeps its own slowest candidates (no sink-wide list);
+  // Slowest() merges them, slowest first, cut to slowest_capacity.
+  TraceSink::Options options;
+  options.recent_capacity = 8;  // one recent slot per stripe
+  options.slowest_capacity = 4;
+  TraceSink sink(options);
+  // Traces 1..8 fill the ring, one per stripe, with durations 100..800;
+  // traces 9..16 evict them.
+  for (uint64_t t = 1; t <= 8; ++t) {
+    sink.Record(MakeSpan(t, 0, static_cast<Timestamp>(t) * 100));
+  }
+  for (uint64_t t = 9; t <= 16; ++t) sink.Record(MakeSpan(t, 0, 1));
+  EXPECT_EQ(sink.traces_evicted(), 8);
+  const auto slowest = sink.Slowest();
+  ASSERT_EQ(slowest.size(), 4u);
+  EXPECT_EQ(slowest[0].trace_id, 8u);
+  EXPECT_EQ(slowest[1].trace_id, 7u);
+  EXPECT_EQ(slowest[2].trace_id, 6u);
+  EXPECT_EQ(slowest[3].trace_id, 5u);
+}
+
+TEST(TraceSinkTest, SpansPastInlineCapacityKeepTheirOrderAndFields) {
+  TraceSink sink;
+  const SpanLabel label = sink.Label(/*machine=*/3, "count");
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(sink.Record(TraceContext{42, 7}, SpanKind::kSlateFetch,
+                              label, i * 10, i * 10 + 5, SpanNote::kStore));
+  }
+  const auto recent = sink.Recent();
+  ASSERT_EQ(recent.size(), 1u);
+  ASSERT_EQ(recent[0].spans.size(), 20u);
+  EXPECT_EQ(recent[0].first_start_us, 0);
+  EXPECT_EQ(recent[0].last_end_us, 195);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const Span& s = recent[0].spans[i];
+    EXPECT_EQ(s.span_id, ids[i]);
+    EXPECT_EQ(s.trace_id, 42u);
+    EXPECT_EQ(s.parent_span, 7u);
+    EXPECT_EQ(s.kind, SpanKind::kSlateFetch);
+    EXPECT_EQ(s.machine, 3);
+    EXPECT_EQ(s.name, "count");
+    EXPECT_EQ(s.note, "store");
+    EXPECT_EQ(s.start_us, static_cast<Timestamp>(i) * 10);
+    EXPECT_EQ(s.duration_us(), 5);
+  }
+}
+
+TEST(TraceSinkTest, LabelsAreInternedPerMachineAndName) {
+  TraceSink sink;
+  const SpanLabel a = sink.Label(0, "count");
+  EXPECT_EQ(sink.Label(0, "count"), a);
+  EXPECT_NE(sink.Label(1, "count"), a);
+  EXPECT_NE(sink.Label(0, "->m1"), a);
+  // Label 0 is what a default Span carries.
+  EXPECT_EQ(sink.Label(-1, ""), 0);
+}
+
+// Records `traces` count-m2-shaped traces of three spans each (queue wait,
+// update exec, slate fetch) through the engine's label path.
+void RecordCountTraces(TraceSink* sink, uint64_t first_seq, int traces) {
+  const SpanLabel label = sink->Label(1, "count");
+  for (int i = 0; i < traces; ++i) {
+    const uint64_t seq = first_seq + static_cast<uint64_t>(i);
+    const TraceContext context{MakeTraceId(seq, seq), 1};
+    const Timestamp t = static_cast<Timestamp>(seq) * 100;
+    const uint64_t exec =
+        sink->Record(context, SpanKind::kQueueWait, label, t, t + 20);
+    sink->Record(context, SpanKind::kUpdateExec, label, t + 20, t + 60);
+    sink->Record(TraceContext{context.trace_id, exec}, SpanKind::kSlateFetch,
+                 label, t + 25, t + 30, SpanNote::kHit);
+  }
+}
+
+TEST(TraceSinkTest, RetainedBytesAtDefaults) {
+  // The default sink (256 recent + 16 slowest traces) holding ~3-span
+  // traces fits in 40 KiB: 32-byte span records in preallocated slots.
+  MUPPET_SKIP_WITHOUT_HEAP_ACCOUNTING();
+  const size_t before = testing::HeapInUse();
+  auto sink = std::make_unique<TraceSink>();
+  for (uint64_t seq = 1; seq <= 4096; ++seq) {
+    Span span;
+    span.trace_id = MakeTraceId(seq, seq);
+    span.machine = 1;
+    span.name = "count";
+    span.start_us = static_cast<Timestamp>(seq) * 100;
+    span.end_us = span.start_us + 20;
+    for (SpanKind kind : {SpanKind::kQueueWait, SpanKind::kUpdateExec,
+                          SpanKind::kSlateFetch}) {
+      span.span_id = NextSpanId();
+      span.kind = kind;
+      span.note = kind == SpanKind::kSlateFetch ? "hit" : "";
+      sink->Record(span);
+    }
+  }
+  const size_t used = testing::HeapInUse() - before;
+  size_t spans = 0;
+  for (const auto& r : sink->Recent()) spans += r.spans.size();
+  for (const auto& r : sink->Slowest()) spans += r.spans.size();
+  EXPECT_EQ(spans, 272u * 3);
+  EXPECT_LE(used, 40u * 1024) << used / spans << " B per retained span";
+}
+
+TEST(TraceSinkTest, RecordingIntoFullSinkAllocatesNothing) {
+  MUPPET_SKIP_WITHOUT_HEAP_ACCOUNTING();
+  TraceSink sink;
+  RecordCountTraces(&sink, 1, 4096);  // every slot taken
+  const size_t before = testing::HeapInUse();
+  RecordCountTraces(&sink, 100000, 4096);
+  EXPECT_EQ(testing::HeapInUse(), before);
+  EXPECT_EQ(sink.spans_recorded(), 2 * 4096 * 3);
 }
 
 TEST(ScopedSpanTest, RecordsOnDestruction) {

@@ -17,9 +17,9 @@ Checks, per the exposition-format spec:
   * sample values parse as int/float (Inf/NaN allowed)
   * at most one TYPE line per family, appearing before its samples
   * a family's samples are contiguous (no interleaving)
-  * histogram families have _bucket/_sum/_count series, the le ladder is
-    cumulative (monotone non-decreasing), ends at +Inf, and the +Inf
-    bucket equals _count
+  * every labeled series of a histogram family has _bucket/_sum/_count
+    samples, and its le ladder is cumulative (monotone non-decreasing),
+    ends at +Inf, and has a +Inf bucket equal to its _count
   * no duplicate sample (same name + label set)
 
 Exit status 0 = valid; 1 = violations (printed one per line).
@@ -99,7 +99,9 @@ def validate(text):
     family_done = set()  # families whose sample block has ended
     current_family = None
     seen_samples = set()
-    histograms = {}  # family -> {"buckets": [(le, v)], "sum": v, "count": v}
+    # (family, labels other than le) -> {"buckets": [(le, v, lineno)],
+    # "sum": v, "count": v}: each labeled series has its own ladder.
+    histograms = {}
 
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
@@ -169,8 +171,12 @@ def validate(text):
         seen_samples.add(key)
 
         if types.get(family) == "histogram":
+            series_labels = ",".join(
+                f'{k}="{v}"' for k, v in sorted(labels.items()) if k != "le"
+            )
+            series = f"{family}{{{series_labels}}}" if series_labels else family
             h = histograms.setdefault(
-                family, {"buckets": [], "sum": None, "count": None}
+                series, {"buckets": [], "sum": None, "count": None}
             )
             if name.endswith("_bucket"):
                 if "le" not in labels:
@@ -184,31 +190,31 @@ def validate(text):
             elif name.endswith("_count"):
                 h["count"] = value
 
-    for family, h in sorted(histograms.items()):
+    for series, h in sorted(histograms.items()):
         if not h["buckets"]:
-            errors.append(f"histogram {family}: no _bucket samples")
+            errors.append(f"histogram {series}: no _bucket samples")
             continue
         if h["count"] is None:
-            errors.append(f"histogram {family}: missing _count")
+            errors.append(f"histogram {series}: missing _count")
         if h["sum"] is None:
-            errors.append(f"histogram {family}: missing _sum")
+            errors.append(f"histogram {series}: missing _sum")
         prev = None
         for le, value, lineno in h["buckets"]:
             if prev is not None and value < prev:
                 errors.append(
-                    f"line {lineno}: histogram {family} le={le} bucket "
+                    f"line {lineno}: histogram {series} le={le} bucket "
                     f"count {value} < previous {prev} (not cumulative)"
                 )
             prev = value
         last_le = h["buckets"][-1][0]
         if last_le != "+Inf":
             errors.append(
-                f"histogram {family}: bucket ladder ends at le={last_le!r}, "
+                f"histogram {series}: bucket ladder ends at le={last_le!r}, "
                 "not +Inf"
             )
         elif h["count"] is not None and h["buckets"][-1][1] != h["count"]:
             errors.append(
-                f"histogram {family}: +Inf bucket {h['buckets'][-1][1]} != "
+                f"histogram {series}: +Inf bucket {h['buckets'][-1][1]} != "
                 f"_count {h['count']}"
             )
 

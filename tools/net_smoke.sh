@@ -4,9 +4,10 @@
 # it with muppet_loadgen over HTTP, checks /healthz and /metrics on every
 # node, kills one node mid-run and restarts it (the paper's §4.3 failure
 # arc over real sockets), verifies the cluster keeps answering and that
-# every node converges to the same slate values, asserts clean shutdown,
-# and gates the measured throughput against the committed BENCH_net.json
-# baseline with tools/check_bench.py.
+# every node converges to the same slate values, checks that every node
+# records traces and that no span id appears on two nodes, asserts clean
+# shutdown, and gates the measured throughput against the committed
+# BENCH_net.json baseline with tools/check_bench.py.
 #
 # Usage: tools/net_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -42,6 +43,7 @@ cat > "$WORK/cluster.json" <<EOF
              "overflow_policy": "throttle"},
   "durability": {"mode": "exactly_once", "dir": "$WORK/state"},
   "slo": {"target_p99_micros": 5000000},
+  "trace": {"sample_period": 4},
   "nodes": [
     {"id": 0, "host": "127.0.0.1", "data_port": $DATA0,
      "admin_port": $ADM0, "machines": [0]},
@@ -99,6 +101,30 @@ for port in $ADM0 $ADM1 $ADM2; do
     --require muppet_http_connections_total \
     || fail "metrics exposition on $port"
 done
+
+# Traces: at 1 in 4 every node records spans, and span ids must be
+# unique cluster-wide (perfbench and other /tracez readers key spans by id
+# when they stitch a trace across nodes).
+for port in $ADM0 $ADM1 $ADM2; do
+  curl -fsS "http://127.0.0.1:$port/tracez" > "$WORK/tracez_$port.json" \
+    || fail "tracez on $port"
+done
+python3 - "$WORK" $ADM0 $ADM1 $ADM2 <<'EOF' || fail "tracez check"
+import json, sys
+owner = {}
+for port in sys.argv[2:]:
+    doc = json.load(open("%s/tracez_%s.json" % (sys.argv[1], port)))
+    traces = doc["recent"] + doc["slowest"]
+    if not traces:
+        sys.exit("node on %s: /tracez holds no traces" % port)
+    for trace in traces:
+        for span in trace["spans"]:
+            first = owner.setdefault(span["span_id"], port)
+            if first != port:
+                sys.exit("span id %s recorded on nodes %s and %s"
+                         % (span["span_id"], first, port))
+print("net_smoke: %d span ids, none shared across nodes" % len(owner))
+EOF
 
 # Multi-node doctor scrape: a healthy steady-state cluster must produce
 # no critical finding across all three nodes.
