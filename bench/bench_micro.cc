@@ -220,27 +220,29 @@ std::vector<SlateId> SlateIds(size_t n) {
   return ids;
 }
 
-// Fill `cache` to capacity from `ids` and report its heap cost per slate
-// (ids and the "v" value fit the small-string buffer, so this is the
-// cache's own bookkeeping).
+// Fill `cache` to capacity from `ids` with `value` and report its heap
+// cost per slate. The ids and a "v" value fit the small-string buffer, so
+// that is the cache's own bookkeeping.
 void FillAndCountBytes(benchmark::State& state, SlateCache* cache,
-                       const std::vector<SlateId>& ids, size_t before) {
+                       const std::vector<SlateId>& ids, size_t before,
+                       BytesView value) {
   for (size_t i = 0; i < cache->capacity(); ++i) {
-    (void)cache->Insert(ids[i], "v");
+    (void)cache->Insert(ids[i], value);
   }
   state.counters["bytes_per_slate"] =
       static_cast<double>(HeapInUse() - before) /
       static_cast<double>(cache->capacity());
 }
 
-void BM_SlateCacheHit(benchmark::State& state) {
-  // The cached-slate read every updater invocation starts with (§4.2).
+// The cached-slate read every updater invocation starts with (§4.2), on
+// a full cache of state.range(0) slates holding `value`.
+void SlateCacheHits(benchmark::State& state, BytesView value) {
   const size_t n = static_cast<size_t>(state.range(0));
   const std::vector<SlateId> ids = SlateIds(n);
   const size_t before = HeapInUse();
   SlateCache cache({.capacity = n},
                    [](const SlateCache::DirtySlate&) { return Status::OK(); });
-  FillAndCountBytes(state, &cache, ids, before);
+  FillAndCountBytes(state, &cache, ids, before, value);
   Bytes out;
   size_t i = 0;
   for (auto _ : state) {
@@ -248,7 +250,16 @@ void BM_SlateCacheHit(benchmark::State& state) {
     if (++i == n) i = 0;
   }
 }
+
+void BM_SlateCacheHit(benchmark::State& state) { SlateCacheHits(state, "v"); }
 BENCHMARK(BM_SlateCacheHit)->Arg(1000)->Arg(100000);
+
+void BM_SlateCacheHitJsonValue(benchmark::State& state) {
+  // 47-byte values: a JSON user profile slate, past every small-string
+  // buffer.
+  SlateCacheHits(state, Bytes(47, 'v'));
+}
+BENCHMARK(BM_SlateCacheHitJsonValue)->Arg(1000)->Arg(100000);
 
 void BM_SlateCacheInsertEvict(benchmark::State& state) {
   // A full cache taking a slate it does not hold: one insert, one LRU
@@ -258,7 +269,7 @@ void BM_SlateCacheInsertEvict(benchmark::State& state) {
   const size_t before = HeapInUse();
   SlateCache cache({.capacity = n},
                    [](const SlateCache::DirtySlate&) { return Status::OK(); });
-  FillAndCountBytes(state, &cache, ids, before);
+  FillAndCountBytes(state, &cache, ids, before, "v");
   size_t i = n;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.Insert(ids[i], "v"));
@@ -266,6 +277,30 @@ void BM_SlateCacheInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlateCacheInsertEvict)->Arg(1000)->Arg(100000);
+
+void BM_SlateCacheUpdateGrow(benchmark::State& state) {
+  // Interval-flush updates whose values grow 8 -> 16 -> 32 -> 64 bytes
+  // and start over: three of every four outgrow what the slate held.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<SlateId> ids = SlateIds(n);
+  const std::vector<Bytes> values = {Bytes(8, 'v'), Bytes(16, 'v'),
+                                     Bytes(32, 'v'), Bytes(64, 'v')};
+  SlateCache cache({.capacity = n},
+                   [](const SlateCache::DirtySlate&) { return Status::OK(); });
+  for (const SlateId& id : ids) (void)cache.Insert(id, values[0]);
+  size_t i = 0;
+  size_t round = 1;
+  Timestamp now = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cache.Update(ids[i], values[round % values.size()], ++now, false));
+    if (++i == n) {
+      i = 0;
+      ++round;
+    }
+  }
+}
+BENCHMARK(BM_SlateCacheUpdateGrow)->Arg(1000)->Arg(100000);
 
 // Slate-store writes as the kvstore memtable buffers them (§4.2): 20 B
 // storage keys (slate key row, updater column), 33 B values, clock

@@ -48,11 +48,12 @@
 //     55   failed-set       per-machine failed-peer sets (both engines)
 //     60   drain            engine drain_mutex_ (inflight condvar)
 //     65   throttle         ThrottleGovernor delay state
-//     70   slate-cache      SlateCache LRU + index
+//     70   slate-cache      SlateCache LRU + index (Delete waits on it for
+//                           an in-flight flush write-back)
 //     80   store-node       StorageNode column-family registry
 //     90   store-tables     Shard SSTable list
 //    100   store-io         MemTable index, WAL file, SSTable file handle
-//    110   journal          EventJournal / SlateLogger append files
+//    110   journal          SlateLogger append file (bulk slate log)
 //    112   slate-changelog  SlateChangelog segment files + manifest cursor
 //                           (appended under a slate-stripe lock on the
 //                           update path; synced from the flusher thread)

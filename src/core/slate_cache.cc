@@ -1,16 +1,127 @@
 #include "core/slate_cache.h"
 
+#include <malloc.h>
+
+#include <bit>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/logging.h"
 
 namespace muppet {
+namespace slate_cache_internal {
 
-size_t SlateCache::KeyHash::operator()(const KeyRef& k) const {
-  return static_cast<size_t>(
-      HashCombine(Fnv1a64(k.updater), Fnv1a64(k.key)));
+// One cached slate in one heap block: this header, then the key bytes,
+// then the value bytes. A key of kLongKey bytes or more stores its length
+// as a u32 between the header and the key bytes.
+struct Block {
+  Block* newer;  // recency links; nullptr at the mru_/lru_ ends
+  Block* older;
+  Timestamp dirty_since;
+  uint32_t value_len;
+  uint8_t key_len;  // kLongKey: the length is the u32 after the header
+  uint8_t updater;  // index into updaters_
+  uint8_t flags;    // kDirty | kAbsent
+  // Write-backs of this slate that FlushDirtyFor has in flight outside
+  // the lock; eviction skips the block while nonzero, so the slate stays
+  // readable until the store holds it.
+  uint8_t flushing;
+};
+
+}  // namespace slate_cache_internal
+
+namespace {
+
+using slate_cache_internal::Block;
+
+static_assert(sizeof(Block) == 32, "the per-slate budget assumes it");
+
+constexpr uint8_t kDirty = 1;
+constexpr uint8_t kAbsent = 2;  // negative entry: store has nothing
+constexpr uint8_t kLongKey = 0xff;
+
+// A slot is a block address in the low 48 bits under the top 16 bits of
+// the slate's hash (the tag), so a probe rejects most other slates without
+// touching their blocks. 0 is an empty slot.
+constexpr int kTagShift = 48;
+constexpr uint64_t kAddressMask = (uint64_t{1} << kTagShift) - 1;
+constexpr size_t kMinSlots = 16;
+
+Block* BlockOf(uint64_t slot) {
+  return reinterpret_cast<Block*>(static_cast<uintptr_t>(slot & kAddressMask));
 }
+
+uint64_t SlotFor(uint64_t hash, const Block* block) {
+  const auto address = reinterpret_cast<uintptr_t>(block);
+  MUPPET_CHECK((address & ~kAddressMask) == 0) << "heap address above 2^48";
+  return (hash & ~kAddressMask) | address;
+}
+
+// The bytes after the header: [u32 key length if long] key, value.
+char* Tail(Block* b) { return reinterpret_cast<char*>(b + 1); }
+const char* Tail(const Block* b) {
+  return reinterpret_cast<const char*>(b + 1);
+}
+
+size_t KeyLen(const Block* b) {
+  if (b->key_len != kLongKey) return b->key_len;
+  uint32_t len;
+  std::memcpy(&len, Tail(b), 4);
+  return len;
+}
+
+size_t KeyOffset(const Block* b) { return b->key_len == kLongKey ? 4 : 0; }
+
+BytesView KeyOf(const Block* b) {
+  return BytesView(Tail(b) + KeyOffset(b), KeyLen(b));
+}
+
+// Bytes between the header's end and the value's first byte.
+size_t ValueOffset(const Block* b) { return KeyOffset(b) + KeyLen(b); }
+
+BytesView ValueOf(const Block* b) {
+  return BytesView(Tail(b) + ValueOffset(b), b->value_len);
+}
+
+// Value bytes the block holds without moving, the allocator's rounding
+// included (glibc rounds a request plus 8 up to 16).
+size_t ValueCapacity(const Block* b) {
+  return malloc_usable_size(const_cast<Block*>(b)) - sizeof(Block) -
+         ValueOffset(b);
+}
+
+Block* NewBlock(uint8_t updater, BytesView key, BytesView value) {
+  MUPPET_CHECK(key.size() <= std::numeric_limits<uint32_t>::max() &&
+               value.size() <= std::numeric_limits<uint32_t>::max());
+  const bool long_key = key.size() >= kLongKey;
+  const size_t key_offset = long_key ? 4 : 0;
+  void* p = std::malloc(sizeof(Block) + key_offset + key.size() + value.size());
+  MUPPET_CHECK(p != nullptr) << "out of memory";
+  auto* b = static_cast<Block*>(p);
+  b->newer = nullptr;
+  b->older = nullptr;
+  b->dirty_since = 0;
+  b->value_len = static_cast<uint32_t>(value.size());
+  b->key_len = long_key ? kLongKey : static_cast<uint8_t>(key.size());
+  b->updater = updater;
+  b->flags = 0;
+  b->flushing = 0;
+  if (long_key) {
+    const auto len = static_cast<uint32_t>(key.size());
+    std::memcpy(Tail(b), &len, 4);
+  }
+  if (!key.empty()) std::memcpy(Tail(b) + key_offset, key.data(), key.size());
+  if (!value.empty()) {
+    std::memcpy(Tail(b) + key_offset + key.size(), value.data(),
+                value.size());
+  }
+  return b;
+}
+
+}  // namespace
 
 SlateCache::SlateCache(SlateCacheOptions options, WriteBack write_back)
     : options_(options), write_back_(std::move(write_back)) {
@@ -18,61 +129,198 @@ SlateCache::SlateCache(SlateCacheOptions options, WriteBack write_back)
   MUPPET_CHECK(write_back_ != nullptr);
 }
 
-SlateCache::Slot* SlateCache::FindLocked(const SlateId& id) {
-  auto it = slots_.find(KeyRef(id.updater, id.key));
-  return it == slots_.end() ? nullptr : &*it;
+SlateCache::~SlateCache() {
+  MutexLock lock(mutex_);
+  FreeAllLocked();
 }
 
-void SlateCache::LinkFrontLocked(Slot* slot) {
-  slot->second.older = mru_;
-  slot->second.newer = nullptr;
-  if (mru_ != nullptr) mru_->second.newer = slot;
-  mru_ = slot;
-  if (lru_ == nullptr) lru_ = slot;
-}
-
-void SlateCache::UnlinkLocked(Slot* slot) {
-  Entry& e = slot->second;
-  (e.newer != nullptr ? e.newer->second.older : mru_) = e.older;
-  (e.older != nullptr ? e.older->second.newer : lru_) = e.newer;
-  e.newer = nullptr;
-  e.older = nullptr;
-}
-
-void SlateCache::TouchLocked(Slot* slot) {
-  if (slot == mru_) return;
-  UnlinkLocked(slot);
-  LinkFrontLocked(slot);
-}
-
-SlateCache::Entry* SlateCache::UpsertLocked(const SlateId& id) {
-  Slot* slot = FindLocked(id);
-  if (slot != nullptr) {
-    TouchLocked(slot);
-    return &slot->second;
+int SlateCache::FindUpdaterLocked(std::string_view name) const {
+  for (size_t i = 0; i < updaters_.size(); ++i) {
+    if (updaters_[i].name == name) return static_cast<int>(i);
   }
-  auto name = updaters_.find(id.updater);
-  if (name == updaters_.end()) name = updaters_.emplace(id.updater).first;
-  slot = &*slots_.emplace(Key{&*name, id.key}, Entry{}).first;
-  LinkFrontLocked(slot);
-  return &slot->second;
+  return -1;
+}
+
+uint8_t SlateCache::InternLocked(const std::string& name) {
+  const int found = FindUpdaterLocked(name);
+  if (found >= 0) return static_cast<uint8_t>(found);
+  MUPPET_CHECK(updaters_.size() <= std::numeric_limits<uint8_t>::max())
+      << "a slate cache holds slates of at most 256 updaters";
+  updaters_.push_back(Updater{name, Fnv1a64(name)});
+  return static_cast<uint8_t>(updaters_.size() - 1);
+}
+
+uint64_t SlateCache::HashLocked(uint8_t updater, BytesView key) const {
+  // Fibonacci hashing: the multiply carries every bit of the combined hash
+  // into the top bits, which pick the home slot and the tag.
+  return HashCombine(updaters_[updater].hash, Fnv1a64(key)) *
+         0x9e3779b97f4a7c15ULL;
+}
+
+uint64_t SlateCache::HashLocked(const Block* block) const {
+  return HashLocked(block->updater, KeyOf(block));
+}
+
+size_t SlateCache::HomeLocked(uint64_t slot) const {
+  // While the index has at most 2^16 slots the tag holds every bit of the
+  // home; past that the hash is recomputed from the block's key.
+  const uint64_t hash = shift_ >= kTagShift ? slot : HashLocked(BlockOf(slot));
+  return static_cast<size_t>(hash >> shift_);
+}
+
+size_t SlateCache::ProbeLocked(uint64_t hash, uint8_t updater,
+                               BytesView key) const {
+  const size_t mask = slots_.size() - 1;
+  const uint64_t tag = hash & ~kAddressMask;
+  for (size_t i = static_cast<size_t>(hash >> shift_);; i = (i + 1) & mask) {
+    const uint64_t slot = slots_[i];
+    if (slot == 0) return i;
+    if ((slot & ~kAddressMask) != tag) continue;
+    const Block* b = BlockOf(slot);
+    if (b->updater == updater && KeyOf(b) == key) return i;
+  }
+}
+
+size_t SlateCache::SlotOfLocked(const Block* block) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(HashLocked(block) >> shift_);
+  while (BlockOf(slots_[i]) != block) i = (i + 1) & mask;
+  return i;
+}
+
+void SlateCache::GrowLocked() {
+  const size_t n = slots_.empty() ? kMinSlots : 2 * slots_.size();
+  std::vector<uint64_t> old = std::exchange(slots_, std::vector<uint64_t>(n));
+  shift_ = 64 - std::countr_zero(n);
+  for (uint64_t slot : old) {
+    if (slot == 0) continue;
+    size_t i = HomeLocked(slot);
+    while (slots_[i] != 0) i = (i + 1) & (n - 1);
+    slots_[i] = slot;
+  }
+}
+
+Block* SlateCache::FindLocked(const SlateId& id) const {
+  if (size_ == 0) return nullptr;
+  const int updater = FindUpdaterLocked(id.updater);
+  if (updater < 0) return nullptr;
+  const auto u = static_cast<uint8_t>(updater);
+  return BlockOf(slots_[ProbeLocked(HashLocked(u, id.key), u, id.key)]);
+}
+
+void SlateCache::LinkFrontLocked(Block* block) {
+  block->older = mru_;
+  block->newer = nullptr;
+  if (mru_ != nullptr) mru_->newer = block;
+  mru_ = block;
+  if (lru_ == nullptr) lru_ = block;
+}
+
+void SlateCache::UnlinkLocked(Block* block) {
+  (block->newer != nullptr ? block->newer->older : mru_) = block->older;
+  (block->older != nullptr ? block->older->newer : lru_) = block->newer;
+  block->newer = nullptr;
+  block->older = nullptr;
+}
+
+void SlateCache::TouchLocked(Block* block) {
+  if (block == mru_) return;
+  UnlinkLocked(block);
+  LinkFrontLocked(block);
+}
+
+Block* SlateCache::SetValueLocked(size_t slot, BytesView value) {
+  MUPPET_CHECK(value.size() <= std::numeric_limits<uint32_t>::max());
+  Block* b = BlockOf(slots_[slot]);
+  if (value.size() > ValueCapacity(b)) {
+    void* p = std::realloc(b, sizeof(Block) + ValueOffset(b) + value.size());
+    MUPPET_CHECK(p != nullptr) << "out of memory";
+    b = static_cast<Block*>(p);
+    // The block may have moved: repoint its neighbours and its slot.
+    (b->newer != nullptr ? b->newer->older : mru_) = b;
+    (b->older != nullptr ? b->older->newer : lru_) = b;
+    slots_[slot] = SlotFor(slots_[slot], b);
+  }
+  if (!value.empty()) {
+    std::memcpy(Tail(b) + ValueOffset(b), value.data(), value.size());
+  }
+  b->value_len = static_cast<uint32_t>(value.size());
+  return b;
+}
+
+Block* SlateCache::UpsertLocked(const SlateId& id, BytesView value) {
+  const uint8_t u = InternLocked(id.updater);
+  const uint64_t hash = HashLocked(u, id.key);
+  size_t i = 0;
+  if (!slots_.empty()) {
+    i = ProbeLocked(hash, u, id.key);
+    if (slots_[i] != 0) {
+      TouchLocked(BlockOf(slots_[i]));
+      return SetValueLocked(i, value);
+    }
+  }
+  // At most 3/4 full, so probe sequences stay short.
+  if (4 * (size_ + 1) > 3 * slots_.size()) {
+    GrowLocked();
+    i = ProbeLocked(hash, u, id.key);
+  }
+  Block* b = NewBlock(u, id.key, value);
+  slots_[i] = SlotFor(hash, b);
+  ++size_;
+  LinkFrontLocked(b);
+  return b;
+}
+
+void SlateCache::EraseLocked(Block* block) {
+  UnlinkLocked(block);
+  // Backward-shift deletion: pull each later slot of the probe run into
+  // the hole unless its home lies cyclically in (hole, slot].
+  const size_t mask = slots_.size() - 1;
+  size_t hole = SlotOfLocked(block);
+  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    if (((j - HomeLocked(slots_[j])) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
+  --size_;
+  std::free(block);
+}
+
+void SlateCache::FreeAllLocked() {
+  for (Block* b = mru_; b != nullptr;) {
+    Block* older = b->older;
+    std::free(b);
+    b = older;
+  }
+  std::vector<uint64_t>().swap(slots_);
+  shift_ = 64;
+  size_ = 0;
+  mru_ = nullptr;
+  lru_ = nullptr;
+}
+
+SlateId SlateCache::IdOfLocked(const Block* block) const {
+  return SlateId{updaters_[block->updater].name, Bytes(KeyOf(block))};
 }
 
 Status SlateCache::EvictIfNeededLocked() {
-  // Never the MRU slot: with every older slot in flight the cache runs over
-  // capacity until their write-backs land, rather than drop the slate it
-  // was just handed.
-  Slot* victim = lru_;
-  while (slots_.size() > options_.capacity && victim != mru_) {
-    Slot* next = victim->second.newer;
-    if (victim->second.flushing > 0) {
+  // Never the MRU block: with every older block in flight the cache runs
+  // over capacity until their write-backs land, rather than drop the slate
+  // it was just handed.
+  Block* victim = lru_;
+  while (size_ > options_.capacity && victim != mru_) {
+    Block* next = victim->newer;
+    if (victim->flushing > 0) {
       // Its write-back is still on its way to the store: dropping it now
       // would leave the slate in neither place.
       victim = next;
       continue;
     }
-    if (victim->second.dirty) {
-      DirtySlate out{IdOf(*victim), victim->second.value, /*deleted=*/false};
+    if ((victim->flags & kDirty) != 0) {
+      DirtySlate out{IdOfLocked(victim), Bytes(ValueOf(victim)),
+                     /*deleted=*/false};
       Status s = write_back_(out);
       if (!s.ok()) {
         MUPPET_LOG(kWarning) << "slate cache: write-back on eviction failed: "
@@ -82,8 +330,7 @@ Status SlateCache::EvictIfNeededLocked() {
         // paper's failure semantics (§4.3).
       }
     }
-    UnlinkLocked(victim);
-    slots_.erase(slots_.find(victim->first));
+    EraseLocked(victim);
     evictions_.Add();
     victim = next;
   }
@@ -100,35 +347,36 @@ Status SlateCache::Lookup(const SlateId& id, Bytes* value) {
 Status SlateCache::LookupWithAbsent(const SlateId& id, Bytes* value,
                                     bool* absent) {
   MutexLock lock(mutex_);
-  Slot* slot = FindLocked(id);
-  if (slot == nullptr) {
+  Block* b = FindLocked(id);
+  if (b == nullptr) {
     misses_.Add();
     return Status::NotFound("slate cache: miss");
   }
-  TouchLocked(slot);
+  TouchLocked(b);
   hits_.Add();
-  *absent = slot->second.absent;
-  if (!slot->second.absent) *value = slot->second.value;
+  *absent = (b->flags & kAbsent) != 0;
+  if (!*absent) value->assign(ValueOf(b));
   return Status::OK();
 }
 
 Status SlateCache::Insert(const SlateId& id, BytesView value) {
   MutexLock lock(mutex_);
-  Entry* e = UpsertLocked(id);
-  e->value.assign(value);
-  e->absent = false;
+  Block* b = UpsertLocked(id, value);
   // A fetched slate is clean by definition.
-  e->dirty = false;
-  e->dirty_since = 0;
+  b->flags = 0;
+  b->dirty_since = 0;
   return EvictIfNeededLocked();
 }
 
 void SlateCache::InsertAbsent(const SlateId& id) {
   MutexLock lock(mutex_);
-  Entry* e = UpsertLocked(id);
-  if (e->dirty) return;  // an update raced in; keep the real value
-  e->value.clear();
-  e->absent = true;
+  Block* b = FindLocked(id);
+  if (b != nullptr && (b->flags & kDirty) != 0) {
+    TouchLocked(b);
+    return;  // an update raced in; keep the real value
+  }
+  b = UpsertLocked(id, BytesView());
+  b->flags = kAbsent;
   (void)EvictIfNeededLocked();
 }
 
@@ -136,15 +384,13 @@ Status SlateCache::Update(const SlateId& id, BytesView value, Timestamp now,
                           bool write_through) {
   {
     MutexLock lock(mutex_);
-    Entry* e = UpsertLocked(id);
-    e->value.assign(value);
-    e->absent = false;
+    Block* b = UpsertLocked(id, value);
     if (write_through) {
-      e->dirty = false;
-      e->dirty_since = 0;
+      b->flags = 0;
+      b->dirty_since = 0;
     } else {
-      if (!e->dirty) e->dirty_since = now;
-      e->dirty = true;
+      if ((b->flags & kDirty) == 0) b->dirty_since = now;
+      b->flags = kDirty;
     }
     MUPPET_RETURN_IF_ERROR(EvictIfNeededLocked());
   }
@@ -157,13 +403,18 @@ Status SlateCache::Update(const SlateId& id, BytesView value, Timestamp now,
 Status SlateCache::Delete(const SlateId& id) {
   {
     MutexLock lock(mutex_);
-    Slot* slot = FindLocked(id);
-    if (slot != nullptr) {
+    Block* b = FindLocked(id);
+    // A write-back of this slate still in flight would land after the
+    // delete and bring the slate back in the store.
+    while (b != nullptr && b->flushing > 0) {
+      flushed_.Wait(mutex_);
+      b = FindLocked(id);  // it may have moved, or Clear() dropped it
+    }
+    if (b != nullptr) {
       // Keep a negative entry so a subsequent read doesn't refetch a value
       // the store may still hold briefly.
-      slot->second.value.clear();
-      slot->second.absent = true;
-      slot->second.dirty = false;
+      b->value_len = 0;
+      b->flags = kAbsent;
     }
   }
   return write_back_(DirtySlate{id, Bytes(), /*deleted=*/true});
@@ -182,24 +433,24 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
   std::vector<Pending> to_flush;
   {
     MutexLock lock(mutex_);
-    const std::string* only = nullptr;
+    int only = -1;
     if (!updater.empty()) {
-      auto name = updaters_.find(updater);
-      if (name == updaters_.end()) return 0;
-      only = &*name;
+      only = FindUpdaterLocked(updater);
+      if (only < 0) return 0;
     }
-    for (Slot* slot = mru_; slot != nullptr; slot = slot->second.older) {
-      Entry& e = slot->second;
-      if (only != nullptr && slot->first.updater != only) continue;
-      if (e.dirty && e.dirty_since < dirty_before) {
-        to_flush.push_back(
-            Pending{DirtySlate{IdOf(*slot), e.value, false}, e.dirty_since});
-        e.dirty = false;
-        e.dirty_since = 0;
-        ++e.flushing;
+    for (Block* b = mru_; b != nullptr; b = b->older) {
+      if (only >= 0 && b->updater != only) continue;
+      if ((b->flags & kDirty) != 0 && b->dirty_since < dirty_before) {
+        to_flush.push_back(Pending{
+            DirtySlate{IdOfLocked(b), Bytes(ValueOf(b)), false},
+            b->dirty_since});
+        b->flags = 0;
+        b->dirty_since = 0;
+        ++b->flushing;
       }
     }
   }
+  if (to_flush.empty()) return 0;
   std::vector<Status> results;
   results.reserve(to_flush.size());
   for (const Pending& p : to_flush) results.push_back(write_back_(p.slate));
@@ -208,10 +459,9 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
   Status first_error = Status::OK();
   MutexLock lock(mutex_);
   for (size_t i = 0; i < to_flush.size(); ++i) {
-    // The slot is gone only if Clear() dropped it meanwhile.
-    Slot* slot = FindLocked(to_flush[i].slate.id);
-    Entry* e = slot != nullptr ? &slot->second : nullptr;
-    if (e != nullptr && e->flushing > 0) --e->flushing;
+    // The block is gone only if Clear() dropped it meanwhile.
+    Block* b = FindLocked(to_flush[i].slate.id);
+    if (b != nullptr && b->flushing > 0) --b->flushing;
     if (results[i].ok()) {
       ++flushed;
       continue;
@@ -221,25 +471,24 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
     // not be silently dropped — re-mark the entry dirty so a later flush
     // retries. If the slate was updated again meanwhile it is already
     // dirty and this is a no-op.
-    if (e != nullptr && !e->dirty && !e->absent) {
-      e->dirty = true;
-      e->dirty_since = to_flush[i].dirty_since;
+    if (b != nullptr && b->flags == 0) {
+      b->flags = kDirty;
+      b->dirty_since = to_flush[i].dirty_since;
     }
   }
+  flushed_.NotifyAll();
   if (!first_error.ok()) return first_error;
   return flushed;
 }
 
 void SlateCache::Clear() {
   MutexLock lock(mutex_);
-  slots_.clear();
-  mru_ = nullptr;
-  lru_ = nullptr;
+  FreeAllLocked();
 }
 
 size_t SlateCache::size() const {
   MutexLock lock(mutex_);
-  return slots_.size();
+  return size_;
 }
 
 }  // namespace muppet

@@ -9,19 +9,21 @@
 // caller-provided writer according to the per-updater flush policy
 // (write-through / interval / on-evict, §4.2).
 //
-// Layout: one hash-map node per slate. The node holds the key, the value
-// and the recency links (an intrusive doubly linked list threaded through
-// the nodes), so a cached slate costs one allocation and stores its key
-// once (DESIGN.md, "Slate cache layout").
+// Layout: one heap block per slate, holding a 32-byte header (recency
+// links, dirty_since, lengths, a one-byte updater index, flag and
+// flushing bytes) followed by the key bytes and the value bytes. An
+// update rewrites the value in place while it fits the block. The blocks
+// are found through an open-addressed, linearly probed array of 8-byte
+// slots, each a block address under a 16-bit hash tag, which grows with
+// the number of slates rather than with `capacity` (DESIGN.md, "Slate
+// cache layout").
 #ifndef MUPPET_CORE_SLATE_CACHE_H_
 #define MUPPET_CORE_SLATE_CACHE_H_
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -32,6 +34,10 @@
 #include "core/slate.h"
 
 namespace muppet {
+
+namespace slate_cache_internal {
+struct Block;  // one cached slate: header, key bytes, value bytes
+}  // namespace slate_cache_internal
 
 struct SlateCacheOptions {
   // Maximum number of cached slates (the paper sizes caches in slates:
@@ -52,6 +58,7 @@ class SlateCache {
   using WriteBack = std::function<Status(const DirtySlate&)>;
 
   SlateCache(SlateCacheOptions options, WriteBack write_back);
+  ~SlateCache();
 
   SlateCache(const SlateCache&) = delete;
   SlateCache& operator=(const SlateCache&) = delete;
@@ -70,7 +77,8 @@ class SlateCache {
                 bool write_through);
 
   // Delete a slate (tombstones the cache entry and writes the delete
-  // through to the store).
+  // through to the store). Waits out a FlushDirtyFor write-back of the
+  // slate that is in flight, so the delete lands after it.
   Status Delete(const SlateId& id);
 
   // Flush slates dirty since before `dirty_before`; pass INT64_MAX to
@@ -105,77 +113,67 @@ class SlateCache {
   int64_t evictions() const { return evictions_.Get(); }
 
  private:
-  // The cache's own slate key. A cache holds many slates of a few
-  // updaters, so the updater name is interned once (updaters_) and each
-  // key points at it rather than carrying its own std::string.
-  struct Key {
-    const std::string* updater;
-    Bytes key;
-  };
-  // Probe form of a key, so a SlateId is looked up without copying it.
-  // Implicit from Key, so KeyHash and KeyEq serve stored keys as well.
-  struct KeyRef {
-    KeyRef(std::string_view u, BytesView k) : updater(u), key(k) {}
-    KeyRef(const Key& k) : updater(*k.updater), key(k.key) {}
-    std::string_view updater;
-    BytesView key;
-  };
-  struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(const KeyRef& k) const;
-  };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const KeyRef& a, const KeyRef& b) const {
-      return a.updater == b.updater && a.key == b.key;
-    }
-  };
+  using Block = slate_cache_internal::Block;
 
-  struct Entry;
-  using Slot = std::pair<const Key, Entry>;  // one map node's payload
-  struct Entry {
-    Bytes value;
-    Slot* newer = nullptr;  // recency links; nullptr at the mru_/lru_ ends
-    Slot* older = nullptr;
-    Timestamp dirty_since = 0;
-    bool dirty = false;
-    bool absent = false;  // negative entry: store has nothing
-    // Write-backs of this slate that FlushDirtyFor has in flight outside
-    // the lock; eviction skips the slot while nonzero, so the slate stays
-    // readable until the store holds it. Sits in the bools' padding.
-    uint8_t flushing = 0;
+  // An interned updater name. A block names its updater by index into
+  // updaters_, which never shrinks: an application has a fixed set.
+  struct Updater {
+    std::string name;
+    uint64_t hash;
   };
 
   // Evict LRU entries beyond capacity, writing dirty ones back and
-  // skipping slots with a write-back in flight. The write-back runs under
+  // skipping blocks with a write-back in flight. The write-back runs under
   // mutex_, which is why the cache sits above the store in the lock
   // hierarchy.
   Status EvictIfNeededLocked() MUPPET_REQUIRES(mutex_);
-  // Insert or update; requires mutex_ held. Returns the entry, now MRU.
-  Entry* UpsertLocked(const SlateId& id) MUPPET_REQUIRES(mutex_);
-  Slot* FindLocked(const SlateId& id) MUPPET_REQUIRES(mutex_);
-  // Recency list maintenance.
-  void LinkFrontLocked(Slot* slot) MUPPET_REQUIRES(mutex_);
-  void UnlinkLocked(Slot* slot) MUPPET_REQUIRES(mutex_);
-  void TouchLocked(Slot* slot) MUPPET_REQUIRES(mutex_);
+  // The block holding `id` made MRU, with `value` written into it; a new
+  // one (flags clear) if `id` is not cached.
+  Block* UpsertLocked(const SlateId& id, BytesView value)
+      MUPPET_REQUIRES(mutex_);
+  Block* FindLocked(const SlateId& id) const MUPPET_REQUIRES(mutex_);
+  // Writes `value` into the block in slot `slot`, moving the block when
+  // the value outgrows it. Returns the block's address afterwards.
+  Block* SetValueLocked(size_t slot, BytesView value) MUPPET_REQUIRES(mutex_);
+  // Unlink, unindex and free one block.
+  void EraseLocked(Block* block) MUPPET_REQUIRES(mutex_);
+  void FreeAllLocked() MUPPET_REQUIRES(mutex_);
 
-  static SlateId IdOf(const Slot& slot) {
-    return SlateId{*slot.first.updater, slot.first.key};
-  }
+  // Index maintenance. ProbeLocked returns the slot holding (updater, key)
+  // or the empty slot that ends its probe sequence.
+  size_t ProbeLocked(uint64_t hash, uint8_t updater, BytesView key) const
+      MUPPET_REQUIRES(mutex_);
+  size_t SlotOfLocked(const Block* block) const MUPPET_REQUIRES(mutex_);
+  size_t HomeLocked(uint64_t slot) const MUPPET_REQUIRES(mutex_);
+  void GrowLocked() MUPPET_REQUIRES(mutex_);
+  uint64_t HashLocked(uint8_t updater, BytesView key) const
+      MUPPET_REQUIRES(mutex_);
+  uint64_t HashLocked(const Block* block) const MUPPET_REQUIRES(mutex_);
+  // Index of `name` in updaters_, or -1; InternLocked adds it if missing.
+  int FindUpdaterLocked(std::string_view name) const MUPPET_REQUIRES(mutex_);
+  uint8_t InternLocked(const std::string& name) MUPPET_REQUIRES(mutex_);
+
+  // Recency list maintenance.
+  void LinkFrontLocked(Block* block) MUPPET_REQUIRES(mutex_);
+  void UnlinkLocked(Block* block) MUPPET_REQUIRES(mutex_);
+  void TouchLocked(Block* block) MUPPET_REQUIRES(mutex_);
+
+  SlateId IdOfLocked(const Block* block) const MUPPET_REQUIRES(mutex_);
 
   SlateCacheOptions options_;
   WriteBack write_back_;
 
   mutable Mutex mutex_{kLockLevel};
-  // Node-based, so a Slot's address survives rehashing and the recency
-  // links stay valid.
-  std::unordered_map<Key, Entry, KeyHash, KeyEq> slots_
-      MUPPET_GUARDED_BY(mutex_);
-  Slot* mru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
-  Slot* lru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
-  // Interned updater names; std::set nodes never move, so Key::updater
-  // stays valid. Never shrinks: an application has a fixed set of them.
-  std::set<std::string, std::less<>> updaters_ MUPPET_GUARDED_BY(mutex_);
+  // Signalled when FlushDirtyFor's write-backs land; Delete waits on it.
+  CondVar flushed_;
+  // Power-of-two slot array, empty until the first slate; 0 is an empty
+  // slot. A slate's home slot is the top bits of its hash (hash >> shift_).
+  std::vector<uint64_t> slots_ MUPPET_GUARDED_BY(mutex_);
+  int shift_ MUPPET_GUARDED_BY(mutex_) = 64;
+  size_t size_ MUPPET_GUARDED_BY(mutex_) = 0;
+  Block* mru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  Block* lru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  std::vector<Updater> updaters_ MUPPET_GUARDED_BY(mutex_);
 
   Counter hits_;
   Counter misses_;

@@ -13,7 +13,6 @@
 #include "core/heat.h"
 #include "core/keysplit.h"
 #include "core/slate_cache.h"
-#include "engine/journal.h"
 #include "engine/master.h"
 #include "engine/muppet2.h"
 #include "engine/queue.h"
@@ -271,7 +270,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(kv::Shard::kTablesLockLevel, LockLevel::kStoreTables);
   EXPECT_EQ(kv::MemTable::kLockLevel, LockLevel::kStoreIo);
   EXPECT_EQ(kv::WalWriter::kLockLevel, LockLevel::kStoreIo);
-  EXPECT_EQ(EventJournal::kLockLevel, LockLevel::kJournal);
   EXPECT_EQ(SlateLogger::kLockLevel, LockLevel::kJournal);
   EXPECT_EQ(DedupTable::kLockLevel, LockLevel::kDedupTable);
   EXPECT_EQ(SlateChangelog::kLockLevel, LockLevel::kSlateChangelog);
@@ -337,7 +335,7 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   EXPECT_TRUE(lt(LockLevel::kSlateCache, LockLevel::kStoreNode));
   EXPECT_TRUE(lt(LockLevel::kStoreNode, LockLevel::kStoreTables));
   EXPECT_TRUE(lt(LockLevel::kStoreTables, LockLevel::kStoreIo));
-  // Anything may append to a journal/logger, register a metric, or log.
+  // Anything may append to the slate logger, register a metric, or log.
   EXPECT_TRUE(lt(LockLevel::kStoreIo, LockLevel::kJournal));
   EXPECT_TRUE(lt(LockLevel::kJournal, LockLevel::kMetrics));
   // Health & SLO plane (DESIGN.md §14): the SLO tracker registers burn

@@ -211,7 +211,7 @@ def diagnose(healthz, statusz, sloz, samples, where="cluster"):
             if crashed:
                 hint = (f"machine(s) {', '.join(crashed)} crashed with "
                         "events queued or in flight; RestartMachine, and "
-                        "replay the input journal if the events matter")
+                        "republish their inputs if the events matter")
             else:
                 hint = ("no machine is crashed, so events failed in "
                         "processing: most likely a slate store outage "
