@@ -2,7 +2,6 @@
 
 #include <malloc.h>
 
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -43,23 +42,6 @@ constexpr uint8_t kDirty = 1;
 constexpr uint8_t kAbsent = 2;  // negative entry: store has nothing
 constexpr uint8_t kLongKey = 0xff;
 
-// A slot is a block address in the low 48 bits under the top 16 bits of
-// the slate's hash (the tag), so a probe rejects most other slates without
-// touching their blocks. 0 is an empty slot.
-constexpr int kTagShift = 48;
-constexpr uint64_t kAddressMask = (uint64_t{1} << kTagShift) - 1;
-constexpr size_t kMinSlots = 16;
-
-Block* BlockOf(uint64_t slot) {
-  return reinterpret_cast<Block*>(static_cast<uintptr_t>(slot & kAddressMask));
-}
-
-uint64_t SlotFor(uint64_t hash, const Block* block) {
-  const auto address = reinterpret_cast<uintptr_t>(block);
-  MUPPET_CHECK((address & ~kAddressMask) == 0) << "heap address above 2^48";
-  return (hash & ~kAddressMask) | address;
-}
-
 // The bytes after the header: [u32 key length if long] key, value.
 char* Tail(Block* b) { return reinterpret_cast<char*>(b + 1); }
 const char* Tail(const Block* b) {
@@ -91,6 +73,12 @@ BytesView ValueOf(const Block* b) {
 size_t ValueCapacity(const Block* b) {
   return malloc_usable_size(const_cast<Block*>(b)) - sizeof(Block) -
          ValueOffset(b);
+}
+
+// Fibonacci hashing: the multiply carries every bit of the combined hash
+// into the top bits, which pick the home slot and the tag.
+uint64_t SlateHash(uint64_t updater_hash, BytesView key) {
+  return HashCombine(updater_hash, Fnv1a64(key)) * 0x9e3779b97f4a7c15ULL;
 }
 
 Block* NewBlock(uint8_t updater, BytesView key, BytesView value) {
@@ -151,61 +139,30 @@ uint8_t SlateCache::InternLocked(const std::string& name) {
 }
 
 uint64_t SlateCache::HashLocked(uint8_t updater, BytesView key) const {
-  // Fibonacci hashing: the multiply carries every bit of the combined hash
-  // into the top bits, which pick the home slot and the tag.
-  return HashCombine(updaters_[updater].hash, Fnv1a64(key)) *
-         0x9e3779b97f4a7c15ULL;
+  return SlateHash(updaters_[updater].hash, key);
 }
 
-uint64_t SlateCache::HashLocked(const Block* block) const {
-  return HashLocked(block->updater, KeyOf(block));
-}
-
-size_t SlateCache::HomeLocked(uint64_t slot) const {
-  // While the index has at most 2^16 slots the tag holds every bit of the
-  // home; past that the hash is recomputed from the block's key.
-  const uint64_t hash = shift_ >= kTagShift ? slot : HashLocked(BlockOf(slot));
-  return static_cast<size_t>(hash >> shift_);
+auto SlateCache::HashOfLocked() const {
+  // The reference is taken under mutex_, and index_ calls the hasher only
+  // inside the caller's critical section.
+  return [&updaters = updaters_](const Block* b) {
+    return SlateHash(updaters[b->updater].hash, KeyOf(b));
+  };
 }
 
 size_t SlateCache::ProbeLocked(uint64_t hash, uint8_t updater,
                                BytesView key) const {
-  const size_t mask = slots_.size() - 1;
-  const uint64_t tag = hash & ~kAddressMask;
-  for (size_t i = static_cast<size_t>(hash >> shift_);; i = (i + 1) & mask) {
-    const uint64_t slot = slots_[i];
-    if (slot == 0) return i;
-    if ((slot & ~kAddressMask) != tag) continue;
-    const Block* b = BlockOf(slot);
-    if (b->updater == updater && KeyOf(b) == key) return i;
-  }
-}
-
-size_t SlateCache::SlotOfLocked(const Block* block) const {
-  const size_t mask = slots_.size() - 1;
-  size_t i = static_cast<size_t>(HashLocked(block) >> shift_);
-  while (BlockOf(slots_[i]) != block) i = (i + 1) & mask;
-  return i;
-}
-
-void SlateCache::GrowLocked() {
-  const size_t n = slots_.empty() ? kMinSlots : 2 * slots_.size();
-  std::vector<uint64_t> old = std::exchange(slots_, std::vector<uint64_t>(n));
-  shift_ = 64 - std::countr_zero(n);
-  for (uint64_t slot : old) {
-    if (slot == 0) continue;
-    size_t i = HomeLocked(slot);
-    while (slots_[i] != 0) i = (i + 1) & (n - 1);
-    slots_[i] = slot;
-  }
+  return index_.Probe(hash, [updater, key](const Block* b) {
+    return b->updater == updater && KeyOf(b) == key;
+  });
 }
 
 Block* SlateCache::FindLocked(const SlateId& id) const {
-  if (size_ == 0) return nullptr;
+  if (index_.size() == 0) return nullptr;
   const int updater = FindUpdaterLocked(id.updater);
   if (updater < 0) return nullptr;
   const auto u = static_cast<uint8_t>(updater);
-  return BlockOf(slots_[ProbeLocked(HashLocked(u, id.key), u, id.key)]);
+  return index_.at(ProbeLocked(HashLocked(u, id.key), u, id.key));
 }
 
 void SlateCache::LinkFrontLocked(Block* block) {
@@ -231,7 +188,7 @@ void SlateCache::TouchLocked(Block* block) {
 
 Block* SlateCache::SetValueLocked(size_t slot, BytesView value) {
   MUPPET_CHECK(value.size() <= std::numeric_limits<uint32_t>::max());
-  Block* b = BlockOf(slots_[slot]);
+  Block* b = index_.at(slot);
   if (value.size() > ValueCapacity(b)) {
     void* p = std::realloc(b, sizeof(Block) + ValueOffset(b) + value.size());
     MUPPET_CHECK(p != nullptr) << "out of memory";
@@ -239,7 +196,7 @@ Block* SlateCache::SetValueLocked(size_t slot, BytesView value) {
     // The block may have moved: repoint its neighbours and its slot.
     (b->newer != nullptr ? b->newer->older : mru_) = b;
     (b->older != nullptr ? b->older->newer : lru_) = b;
-    slots_[slot] = SlotFor(slots_[slot], b);
+    index_.Replace(slot, b);
   }
   if (!value.empty()) {
     std::memcpy(Tail(b) + ValueOffset(b), value.data(), value.size());
@@ -251,22 +208,15 @@ Block* SlateCache::SetValueLocked(size_t slot, BytesView value) {
 Block* SlateCache::UpsertLocked(const SlateId& id, BytesView value) {
   const uint8_t u = InternLocked(id.updater);
   const uint64_t hash = HashLocked(u, id.key);
-  size_t i = 0;
-  if (!slots_.empty()) {
-    i = ProbeLocked(hash, u, id.key);
-    if (slots_[i] != 0) {
-      TouchLocked(BlockOf(slots_[i]));
+  if (index_.slot_count() > 0) {
+    const size_t i = ProbeLocked(hash, u, id.key);
+    if (Block* b = index_.at(i); b != nullptr) {
+      TouchLocked(b);
       return SetValueLocked(i, value);
     }
   }
-  // At most 3/4 full, so probe sequences stay short.
-  if (4 * (size_ + 1) > 3 * slots_.size()) {
-    GrowLocked();
-    i = ProbeLocked(hash, u, id.key);
-  }
   Block* b = NewBlock(u, id.key, value);
-  slots_[i] = SlotFor(hash, b);
-  ++size_;
+  index_.Insert(hash, b, HashOfLocked());
   LinkFrontLocked(b);
   return b;
 }
@@ -275,16 +225,18 @@ void SlateCache::EraseLocked(Block* block) {
   UnlinkLocked(block);
   // Backward-shift deletion: pull each later slot of the probe run into
   // the hole unless its home lies cyclically in (hole, slot].
-  const size_t mask = slots_.size() - 1;
-  size_t hole = SlotOfLocked(block);
-  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
-    if (((j - HomeLocked(slots_[j])) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
+  const auto hash_of = HashOfLocked();
+  const auto is_block = [block](const Block* b) { return b == block; };
+  const size_t mask = index_.slot_count() - 1;
+  size_t hole = index_.Probe(hash_of(block), is_block);
+  for (size_t j = (hole + 1) & mask; index_.at(j) != nullptr;
+       j = (j + 1) & mask) {
+    if (((j - index_.Home(j, hash_of)) & mask) >= ((j - hole) & mask)) {
+      index_.Move(j, hole);
       hole = j;
     }
   }
-  slots_[hole] = 0;
-  --size_;
+  index_.Vacate(hole);
   std::free(block);
 }
 
@@ -294,9 +246,7 @@ void SlateCache::FreeAllLocked() {
     std::free(b);
     b = older;
   }
-  std::vector<uint64_t>().swap(slots_);
-  shift_ = 64;
-  size_ = 0;
+  index_.Reset();
   mru_ = nullptr;
   lru_ = nullptr;
 }
@@ -310,7 +260,7 @@ Status SlateCache::EvictIfNeededLocked() {
   // over capacity until their write-backs land, rather than drop the slate
   // it was just handed.
   Block* victim = lru_;
-  while (size_ > options_.capacity && victim != mru_) {
+  while (index_.size() > options_.capacity && victim != mru_) {
     Block* next = victim->newer;
     if (victim->flushing > 0) {
       // Its write-back is still on its way to the store: dropping it now
@@ -488,7 +438,7 @@ void SlateCache::Clear() {
 
 size_t SlateCache::size() const {
   MutexLock lock(mutex_);
-  return size_;
+  return index_.size();
 }
 
 }  // namespace muppet

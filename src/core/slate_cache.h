@@ -15,8 +15,8 @@
 // update rewrites the value in place while it fits the block. The blocks
 // are found through an open-addressed, linearly probed array of 8-byte
 // slots, each a block address under a 16-bit hash tag, which grows with
-// the number of slates rather than with `capacity` (DESIGN.md, "Slate
-// cache layout").
+// the number of slates rather than with `capacity` (common/tagged_index.h,
+// shared with the kvstore memtable; DESIGN.md, "Slate cache layout").
 #ifndef MUPPET_CORE_SLATE_CACHE_H_
 #define MUPPET_CORE_SLATE_CACHE_H_
 
@@ -31,6 +31,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "common/tagged_index.h"
 #include "core/slate.h"
 
 namespace muppet {
@@ -139,16 +140,15 @@ class SlateCache {
   void EraseLocked(Block* block) MUPPET_REQUIRES(mutex_);
   void FreeAllLocked() MUPPET_REQUIRES(mutex_);
 
-  // Index maintenance. ProbeLocked returns the slot holding (updater, key)
-  // or the empty slot that ends its probe sequence.
+  // The slot holding (updater, key), or the empty slot that ends its probe
+  // run. Requires a nonempty slot array.
   size_t ProbeLocked(uint64_t hash, uint8_t updater, BytesView key) const
       MUPPET_REQUIRES(mutex_);
-  size_t SlotOfLocked(const Block* block) const MUPPET_REQUIRES(mutex_);
-  size_t HomeLocked(uint64_t slot) const MUPPET_REQUIRES(mutex_);
-  void GrowLocked() MUPPET_REQUIRES(mutex_);
   uint64_t HashLocked(uint8_t updater, BytesView key) const
       MUPPET_REQUIRES(mutex_);
-  uint64_t HashLocked(const Block* block) const MUPPET_REQUIRES(mutex_);
+  // A block's hash, HashLocked(updater, key), as index_ takes it to
+  // rehome blocks.
+  auto HashOfLocked() const MUPPET_REQUIRES(mutex_);
   // Index of `name` in updaters_, or -1; InternLocked adds it if missing.
   int FindUpdaterLocked(std::string_view name) const MUPPET_REQUIRES(mutex_);
   uint8_t InternLocked(const std::string& name) MUPPET_REQUIRES(mutex_);
@@ -166,11 +166,8 @@ class SlateCache {
   mutable Mutex mutex_{kLockLevel};
   // Signalled when FlushDirtyFor's write-backs land; Delete waits on it.
   CondVar flushed_;
-  // Power-of-two slot array, empty until the first slate; 0 is an empty
-  // slot. A slate's home slot is the top bits of its hash (hash >> shift_).
-  std::vector<uint64_t> slots_ MUPPET_GUARDED_BY(mutex_);
-  int shift_ MUPPET_GUARDED_BY(mutex_) = 64;
-  size_t size_ MUPPET_GUARDED_BY(mutex_) = 0;
+  // Finds each block from its slate's hash (common/tagged_index.h).
+  TaggedIndex<Block> index_ MUPPET_GUARDED_BY(mutex_);
   Block* mru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
   Block* lru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
   std::vector<Updater> updaters_ MUPPET_GUARDED_BY(mutex_);

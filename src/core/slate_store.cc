@@ -34,27 +34,4 @@ Status SlateStore::Delete(const SlateId& id) {
                           options_.write_cl);
 }
 
-Status SlateStore::ReadRow(
-    BytesView key,
-    std::vector<std::pair<std::string, Bytes>>* updater_slates) {
-  std::vector<kv::Record> records;
-  MUPPET_RETURN_IF_ERROR(cluster_->ScanRow(options_.column_family, key,
-                                           &records, options_.read_cl));
-  for (kv::Record& rec : records) {
-    Bytes row, column;
-    if (!kv::DecodeStorageKey(rec.key, &row, &column)) {
-      return Status::Corruption("slate store: bad storage key");
-    }
-    if (options_.compress) {
-      Result<Bytes> plain = Decompress(rec.value);
-      if (!plain.ok()) return plain.status();
-      updater_slates->emplace_back(std::string(column),
-                                   std::move(plain).value());
-    } else {
-      updater_slates->emplace_back(std::string(column), std::move(rec.value));
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace muppet

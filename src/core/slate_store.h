@@ -38,13 +38,6 @@ class SlateStore {
 
   Status Delete(const SlateId& id);
 
-  // All slates of one updater for a given key-range scan is not supported
-  // by the row/column layout (rows are keys); instead, bulk reads fetch
-  // every column of a row: all updaters' slates for one key (§5 "Bulk
-  // Reading of Slates" notes users must know the layout).
-  Status ReadRow(BytesView key, std::vector<std::pair<std::string, Bytes>>*
-                                    updater_slates);
-
   kv::KvCluster* cluster() { return cluster_; }
   const SlateStoreOptions& options() const { return options_; }
 

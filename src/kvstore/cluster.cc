@@ -114,10 +114,10 @@ Status KvCluster::Delete(const std::string& cf, BytesView row,
       last_error = Status::Unavailable("kv: node down");
       continue;
     }
-    MUPPET_ASSIGN_OR_RETURN(
-        Shard * shard,
-        nodes_[static_cast<size_t>(node)]->GetColumnFamily(cf));
-    Status s = shard->Delete(row, column, stamped);
+    Result<Shard*> shard =
+        nodes_[static_cast<size_t>(node)]->GetColumnFamily(cf);
+    Status s = shard.ok() ? shard.value()->Delete(row, column, stamped)
+                          : shard.status();
     if (s.ok()) {
       ++acks;
     } else {
@@ -140,23 +140,28 @@ Result<Record> KvCluster::Get(const std::string& cf, BytesView row,
   };
   std::vector<Answer> answers;
 
+  // A replica that errors (unreadable table, column family it cannot
+  // open) gives no answer; the next one may still meet `cl`.
+  Status last_error = Status::OK();
   for (int node : ReplicasFor(row)) {
     if (static_cast<int>(answers.size()) >= required) break;
     if (!NodeIsUp(node)) continue;
-    MUPPET_ASSIGN_OR_RETURN(
-        Shard * shard,
-        nodes_[static_cast<size_t>(node)]->GetColumnFamily(cf));
-    Result<Record> r = shard->GetRaw(row, column);
+    Result<Shard*> shard =
+        nodes_[static_cast<size_t>(node)]->GetColumnFamily(cf);
+    Result<Record> r =
+        shard.ok() ? shard.value()->GetRaw(row, column) : shard.status();
     if (r.ok()) {
       answers.push_back(Answer{node, true, std::move(r).value()});
     } else if (r.status().IsNotFound()) {
       answers.push_back(Answer{node, false, Record{}});
     } else {
-      return r.status();
+      last_error = r.status();
     }
   }
   if (static_cast<int>(answers.size()) < required) {
-    return Status::Unavailable("kv: not enough replicas for read");
+    return last_error.ok()
+               ? Status::Unavailable("kv: not enough replicas for read")
+               : last_error;
   }
 
   // Newest version across answers: (write_ts, seqno is per-node so only a
@@ -205,45 +210,6 @@ Result<Record> KvCluster::Get(const std::string& cf, BytesView row,
     return Status::NotFound("kv: key absent");
   }
   return newest->rec;
-}
-
-Status KvCluster::ScanRow(const std::string& cf, BytesView row,
-                          std::vector<Record>* out, ConsistencyLevel cl) {
-  const int required = Required(cl);
-  int answered = 0;
-  std::vector<std::vector<Record>> streams;
-  for (int node : ReplicasFor(row)) {
-    if (answered >= required) break;
-    if (!NodeIsUp(node)) continue;
-    std::vector<Record> recs;
-    Status s = nodes_[static_cast<size_t>(node)]->ScanRow(cf, row, &recs);
-    if (!s.ok()) return s;
-    streams.push_back(std::move(recs));
-    ++answered;
-  }
-  if (answered < required) {
-    return Status::Unavailable("kv: not enough replicas for scan");
-  }
-  // Merge newest-first by write_ts: sort each key group.
-  std::vector<Record> all;
-  for (auto& s : streams) {
-    std::move(s.begin(), s.end(), std::back_inserter(all));
-  }
-  std::sort(all.begin(), all.end(), [](const Record& a, const Record& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.write_ts > b.write_ts;
-  });
-  bool have_last = false;
-  Bytes last_key;
-  const Timestamp now = clock_->Now();
-  for (Record& rec : all) {
-    if (have_last && rec.key == last_key) continue;
-    have_last = true;
-    last_key = rec.key;
-    if (rec.tombstone || rec.ExpiredAt(now)) continue;
-    out->push_back(std::move(rec));
-  }
-  return Status::OK();
 }
 
 Status KvCluster::ScanAll(const std::string& cf, std::vector<Record>* out) {

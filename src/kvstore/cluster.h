@@ -60,11 +60,6 @@ class KvCluster {
   Result<Record> Get(const std::string& cf, BytesView row, BytesView column,
                      ConsistencyLevel cl = ConsistencyLevel::kQuorum);
 
-  // Row scan from Required(cl) replicas, merged newest-first.
-  Status ScanRow(const std::string& cf, BytesView row,
-                 std::vector<Record>* out,
-                 ConsistencyLevel cl = ConsistencyLevel::kOne);
-
   // Full scan of a column family across all live nodes, deduplicated to
   // the newest version per key, in key order. Supports §5's bulk slate
   // dumps; like Cassandra, this is a heavy operation meant for offline

@@ -34,8 +34,8 @@ struct Record {
 };
 
 // Composite key encoding. Rows are escape-terminated so that the encoding
-// of (row, column) sorts first by row bytes, then by column bytes, and a
-// row prefix can be formed for scans:
+// of (row, column) sorts first by row bytes, then by column bytes, and the
+// keys of one row share a prefix no other row's keys share:
 //   0x00 in row -> 0x00 0x01 ; row terminator -> 0x00 0x00 ; column appended.
 inline Bytes EncodeStorageKey(BytesView row, BytesView column) {
   Bytes out;
@@ -52,11 +52,6 @@ inline Bytes EncodeStorageKey(BytesView row, BytesView column) {
   out.push_back('\0');
   out.append(column.data(), column.size());
   return out;
-}
-
-// Prefix that all keys of `row` share (and no other row's keys share).
-inline Bytes EncodeRowPrefix(BytesView row) {
-  return EncodeStorageKey(row, BytesView());
 }
 
 // Inverse of EncodeStorageKey. Returns false on malformed input.

@@ -7,11 +7,11 @@
 #define MUPPET_KVSTORE_MEMTABLE_H_
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/sync.h"
+#include "common/tagged_index.h"
 #include "kvstore/format.h"
 
 namespace muppet {
@@ -25,34 +25,41 @@ class PackedRecord {
  public:
   explicit PackedRecord(const Record& rec);
 
-  BytesView encoded() const {
-    return BytesView(block_.get() + 4, DecodeFixed32(block_.get()));
-  }
+  BytesView encoded() const { return Encoded(block_.get()); }
 
+  // Readers of a bare block, as the memtable holds blocks once it has
+  // released them from their PackedRecords.
+  static BytesView Encoded(const char* block) {
+    return BytesView(block + 4, DecodeFixed32(block));
+  }
   // The storage key, read in place. Inline with a one-byte-length fast
-  // path: the index compares keys on every lookup.
-  BytesView key() const {
-    const char* p = block_.get() + 4;
+  // path: the index compares keys on every lookup that matches a tag.
+  static BytesView Key(const char* block) {
+    const char* p = block + 4;
     const auto len = static_cast<uint8_t>(*p);
     if (len < 0x80) return BytesView(p + 1, len);
     BytesView key;
-    GetLengthPrefixed(&p, p + DecodeFixed32(block_.get()), &key);
+    GetLengthPrefixed(&p, p + DecodeFixed32(block), &key);
     return key;
   }
-
   // Overwrite *rec with the record, reusing its strings' capacity.
-  void DecodeTo(Record* rec) const;
+  static void DecodeTo(const char* block, Record* rec);
 
  private:
+  friend class MemTable;  // releases the block to index it by address
+
   std::unique_ptr<char[]> block_;
 };
 
-// Sorted, thread-safe buffer of the newest version per key. Overwrites
-// replace in place (coalescing); deletes are buffered as tombstones so they
-// shadow older SSTable versions until compaction drops them.
+// Thread-safe buffer of the newest version per key. Overwrites replace in
+// place (coalescing); deletes are buffered as tombstones so they shadow
+// older SSTable versions until compaction drops them. The blocks are found
+// by key hash (common/tagged_index.h) and sorted only when Snapshot() asks
+// for key order, at flush or a full scan.
 class MemTable {
  public:
   MemTable() = default;
+  ~MemTable();
 
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
@@ -66,42 +73,28 @@ class MemTable {
   // the caller's concern: the memtable stores what it is given.
   bool Get(BytesView key, Record* rec) const;
 
-  // All records with storage keys beginning with `prefix`, in key order.
-  std::vector<Record> Scan(BytesView prefix) const;
-
-  // All records in key order (for flush).
+  // All records in byte-wise key order (for flush and full scans).
   std::vector<Record> Snapshot() const;
 
   size_t entry_count() const;
-  // Heap footprint: each entry's set node and block, as glibc malloc sizes
-  // them (DESIGN.md, "Memtable layout").
+  // Heap footprint: each entry's block and the index's slot array, as
+  // glibc malloc sizes them (DESIGN.md, "Memtable layout").
   size_t approximate_bytes() const;
   bool empty() const { return entry_count() == 0; }
 
+  // Frees every entry and the slot array.
   void Clear();
 
   static constexpr LockLevel kLockLevel = LockLevel::kStoreIo;
 
  private:
-  // Byte-wise std::string_view order of the storage keys, read out of the
-  // blocks; transparent, so lookups by BytesView build no record.
-  struct KeyOrder {
-    using is_transparent = void;
-    bool operator()(const PackedRecord& a, const PackedRecord& b) const {
-      return a.key() < b.key();
-    }
-    bool operator()(const PackedRecord& a, BytesView b) const {
-      return a.key() < b;
-    }
-    bool operator()(BytesView a, const PackedRecord& b) const {
-      return a < b.key();
-    }
-  };
+  void FreeAllLocked() MUPPET_REQUIRES(mutex_);
 
   mutable Mutex mutex_{kLockLevel};
-  // One node per key, holding the pointer to its block.
-  std::set<PackedRecord, KeyOrder> entries_ MUPPET_GUARDED_BY(mutex_);
-  size_t bytes_ MUPPET_GUARDED_BY(mutex_) = 0;
+  // Each entry is a PackedRecord block, released from its PackedRecord.
+  TaggedIndex<char> index_ MUPPET_GUARDED_BY(mutex_);
+  // The blocks' malloc chunks.
+  size_t block_bytes_ MUPPET_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace kv

@@ -184,27 +184,6 @@ Result<Record> Shard::Get(BytesView row, BytesView column) {
   return rec;
 }
 
-Status Shard::ScanRow(BytesView row, std::vector<Record>* out) {
-  const Bytes prefix = EncodeRowPrefix(row);
-  const Timestamp now = clock_->Now();
-
-  std::vector<std::vector<Record>> streams;
-  streams.push_back(memtable_.Scan(prefix));
-  {
-    MutexLock lock(tables_mutex_);
-    for (const auto& table : tables_) {
-      std::vector<Record> recs;
-      MUPPET_RETURN_IF_ERROR(table->Scan(prefix, &recs));
-      streams.push_back(std::move(recs));
-    }
-  }
-  // Newest version wins; garbage dropped for the reader's view.
-  std::vector<Record> merged =
-      MergeRecordStreams(std::move(streams), now, /*drop_garbage=*/true);
-  for (Record& rec : merged) out->push_back(std::move(rec));
-  return Status::OK();
-}
-
 Status Shard::ScanAll(std::vector<Record>* out) {
   const Timestamp now = clock_->Now();
   std::vector<std::vector<Record>> streams;
@@ -379,12 +358,6 @@ Result<Record> StorageNode::Get(const std::string& cf, BytesView row,
                                 BytesView column) {
   MUPPET_ASSIGN_OR_RETURN(Shard * shard, GetColumnFamily(cf));
   return shard->Get(row, column);
-}
-
-Status StorageNode::ScanRow(const std::string& cf, BytesView row,
-                            std::vector<Record>* out) {
-  MUPPET_ASSIGN_OR_RETURN(Shard * shard, GetColumnFamily(cf));
-  return shard->ScanRow(row, out);
 }
 
 Status StorageNode::ScanAll(const std::string& cf,

@@ -82,9 +82,6 @@ class Shard {
   // replicas (a newer tombstone must beat an older live value).
   Result<Record> GetRaw(BytesView row, BytesView column);
 
-  // All live columns of a row, in column order (bulk slate reads, §5).
-  Status ScanRow(BytesView row, std::vector<Record>* out);
-
   // Every live record in the shard, in key order ("large-volume row reads
   // from the durable key-value store itself", §5 Bulk Reading of Slates).
   Status ScanAll(std::vector<Record>* out);
@@ -154,8 +151,6 @@ class StorageNode {
              BytesView value, const WriteOptions& opts = {});
   Status Delete(const std::string& cf, BytesView row, BytesView column);
   Result<Record> Get(const std::string& cf, BytesView row, BytesView column);
-  Status ScanRow(const std::string& cf, BytesView row,
-                 std::vector<Record>* out);
   Status ScanAll(const std::string& cf, std::vector<Record>* out);
 
   // Flush all shards (shutdown path).

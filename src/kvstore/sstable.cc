@@ -275,44 +275,6 @@ Status SsTableReader::Get(BytesView key, Record* rec) {
   return Status::NotFound("sstable: key absent");
 }
 
-Status SsTableReader::Scan(BytesView prefix, std::vector<Record>* out) {
-  if (index_.empty()) return Status::OK();
-  // First block that could contain the prefix: last block whose first_key
-  // <= prefix (the prefix could start mid-block), then forward.
-  size_t lo = 0, hi = index_.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (BytesView(index_[mid].first_key) <= prefix) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  size_t start = (lo == 0) ? 0 : lo - 1;
-  for (size_t i = start; i < index_.size(); ++i) {
-    // Stop once a block starts past the prefix range.
-    if (i > start &&
-        BytesView(index_[i].first_key).substr(
-            0, std::min(prefix.size(), index_[i].first_key.size())) > prefix) {
-      break;
-    }
-    std::vector<Record> block;
-    MUPPET_RETURN_IF_ERROR(ReadBlock(i, /*random=*/i == start, &block));
-    bool past_range = false;
-    for (Record& r : block) {
-      const BytesView k(r.key);
-      if (k.size() >= prefix.size() && k.substr(0, prefix.size()) == prefix) {
-        out->push_back(std::move(r));
-      } else if (k > prefix && k.substr(0, prefix.size()) > prefix) {
-        past_range = true;
-        break;
-      }
-    }
-    if (past_range) break;
-  }
-  return Status::OK();
-}
-
 Status SsTableReader::ReadAll(std::vector<Record>* out) {
   out->reserve(out->size() + entry_count_);
   for (size_t i = 0; i < index_.size(); ++i) {

@@ -38,7 +38,7 @@ Status WriteSsTable(const std::string& path,
                     size_t block_bytes = kDefaultBlockBytes);
 
 // Read-only handle on an SSTable. Open() loads the index and bloom filter
-// into memory; Get/Scan read data blocks through the device model.
+// into memory; Get and ReadAll read data blocks through the device model.
 // Thread-safe for concurrent reads.
 class SsTableReader {
  public:
@@ -53,9 +53,6 @@ class SsTableReader {
   // Point lookup. NotFound if absent (bloom filter short-circuits most
   // true negatives without touching the device).
   Status Get(BytesView key, Record* rec);
-
-  // Append all records whose key starts with `prefix` to *out, in key order.
-  Status Scan(BytesView prefix, std::vector<Record>* out);
 
   // Sequentially decode the entire table (compaction input).
   Status ReadAll(std::vector<Record>* out);

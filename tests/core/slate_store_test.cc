@@ -125,23 +125,5 @@ TEST(SlateStoreTest, TtlGarbageCollection) {
   EXPECT_TRUE(store.Read(id).status().IsNotFound());
 }
 
-TEST(SlateStoreTest, ReadRowReturnsAllUpdatersForKey) {
-  TempDir dir;
-  kv::KvCluster cluster(ClusterFor(dir.path()));
-  ASSERT_OK(cluster.Open());
-  SlateStore store(&cluster, SlateStoreOptions{});
-  ASSERT_OK(store.Write(SlateId{"U1", "user1"}, "slate-u1", 0));
-  ASSERT_OK(store.Write(SlateId{"U2", "user1"}, "slate-u2", 0));
-  ASSERT_OK(store.Write(SlateId{"U1", "user2"}, "other", 0));
-  ASSERT_OK(cluster.FlushAll());
-  std::vector<std::pair<std::string, Bytes>> slates;
-  ASSERT_OK(store.ReadRow("user1", &slates));
-  ASSERT_EQ(slates.size(), 2u);
-  EXPECT_EQ(slates[0].first, "U1");
-  EXPECT_EQ(slates[0].second, "slate-u1");
-  EXPECT_EQ(slates[1].first, "U2");
-  EXPECT_EQ(slates[1].second, "slate-u2");
-}
-
 }  // namespace
 }  // namespace muppet

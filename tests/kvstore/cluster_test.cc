@@ -1,5 +1,6 @@
 #include "kvstore/cluster.h"
 
+#include <cstdio>
 #include <set>
 #include <string>
 
@@ -173,18 +174,52 @@ TEST(KvClusterTest, TtlHonoredThroughCluster) {
   EXPECT_TRUE(cluster.Get("cf", "row", "col").status().IsNotFound());
 }
 
-TEST(KvClusterTest, ScanRowMergesReplicas) {
+TEST(KvClusterTest, ReadSkipsReplicaWithCorruptTable) {
   TempDir dir;
-  KvCluster cluster(SmallCluster(dir.path(), 3, 2));
+  // Two nodes, both replicas of every row; each flushes one table of
+  // several data blocks.
+  KvClusterOptions options = SmallCluster(dir.path(), 2, 2);
+  options.node.memtable_flush_bytes = 1 << 20;
+  int first = 0;
+  {
+    KvCluster cluster(options);
+    ASSERT_OK(cluster.Open());
+    for (int i = 0; i < 100; ++i) {
+      char row[16];
+      std::snprintf(row, sizeof(row), "row%03d", i);
+      ASSERT_OK(cluster.Put("cf", row, "col", Bytes(100, 'v'), {},
+                            ConsistencyLevel::kAll));
+    }
+    ASSERT_OK(cluster.FlushAll());
+    first = cluster.ReplicasFor("row000")[0];
+  }
+  // Flip a byte in the first data block of the first replica's table (as
+  // SsTableTest.CorruptBlockDetectedOnRead does). The table still opens:
+  // Open reads only the index, the bloom filter and the last block.
+  const std::string path =
+      dir.path() + "/node" + std::to_string(first) + "/cf/000001.sst";
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr) << path;
+  std::fseek(f, 20, SEEK_SET);
+  const int c = std::fgetc(f);
+  std::fseek(f, 20, SEEK_SET);
+  std::fputc(c ^ 0xFF, f);
+  std::fclose(f);
+
+  KvCluster cluster(options);
   ASSERT_OK(cluster.Open());
-  ASSERT_OK(cluster.Put("cf", "user1", "U1", "a"));
-  ASSERT_OK(cluster.Put("cf", "user1", "U2", "b"));
-  ASSERT_OK(cluster.Put("cf", "user1", "U1", "a2"));
-  std::vector<Record> out;
-  ASSERT_OK(cluster.ScanRow("cf", "user1", &out));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].value, "a2");
-  EXPECT_EQ(out[1].value, "b");
+  auto direct = cluster.node(first)->Get("cf", "row000", "col");
+  ASSERT_EQ(direct.status().code(), StatusCode::kCorruption)
+      << direct.status().ToString();
+  // The first replica errors; the second one answers.
+  auto got = cluster.Get("cf", "row000", "col", ConsistencyLevel::kOne);
+  ASSERT_OK(got);
+  EXPECT_EQ(got.value().value, Bytes(100, 'v'));
+  // When both must answer, the read fails with the replica's error.
+  EXPECT_EQ(cluster.Get("cf", "row000", "col", ConsistencyLevel::kAll)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
 }
 
 TEST(KvClusterTest, RestartRecoversData) {

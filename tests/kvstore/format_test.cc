@@ -50,7 +50,7 @@ TEST(StorageKeyTest, RowPrefixSelectsExactRow) {
   // "user1" prefix must not match "user10"'s keys.
   const Bytes k1 = EncodeStorageKey("user1", "U1");
   const Bytes k10 = EncodeStorageKey("user10", "U1");
-  const Bytes prefix = EncodeRowPrefix("user1");
+  const Bytes prefix = EncodeStorageKey("user1", "");
   EXPECT_EQ(k1.compare(0, prefix.size(), prefix), 0);
   EXPECT_NE(k10.compare(0, prefix.size(), prefix), 0);
 }

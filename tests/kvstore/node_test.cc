@@ -231,27 +231,6 @@ TEST(NodeTest, AutoCompactionTriggersUnderManyFlushes) {
   }
 }
 
-TEST(NodeTest, ScanRowAcrossStructures) {
-  TempDir dir;
-  StorageNode node(SmallNodeOptions(dir.path()));
-  ASSERT_OK(node.Open());
-  auto cf = node.GetColumnFamily("cf");
-  ASSERT_OK(cf);
-  ASSERT_OK(node.Put("cf", "user1", "U1", "a"));
-  ASSERT_OK(cf.value()->Flush());
-  ASSERT_OK(node.Put("cf", "user1", "U2", "b"));
-  ASSERT_OK(node.Put("cf", "user2", "U1", "c"));
-  std::vector<Record> out;
-  ASSERT_OK(node.ScanRow("cf", "user1", &out));
-  ASSERT_EQ(out.size(), 2u);
-  // Scan merges: newest value for each column.
-  ASSERT_OK(node.Put("cf", "user1", "U1", "a2"));
-  out.clear();
-  ASSERT_OK(node.ScanRow("cf", "user1", &out));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].value, "a2");
-}
-
 TEST(NodeTest, MultipleColumnFamiliesIsolated) {
   TempDir dir;
   StorageNode node(SmallNodeOptions(dir.path()));

@@ -80,31 +80,6 @@ TEST(SsTableTest, ReadAllReturnsEverythingInOrder) {
   }
 }
 
-TEST(SsTableTest, ScanPrefix) {
-  TempDir dir;
-  const std::string path = dir.path() + "/t.sst";
-  std::vector<Record> records;
-  for (const char* row : {"apple", "apricot", "banana", "cherry"}) {
-    for (const char* col : {"U1", "U2"}) {
-      Record rec;
-      rec.key = EncodeStorageKey(row, col);
-      rec.value = std::string(row) + "/" + col;
-      rec.seqno = records.size();
-      records.push_back(std::move(rec));
-    }
-  }
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) { return a.key < b.key; });
-  ASSERT_OK(WriteSsTable(path, records, nullptr));
-  auto reader = SsTableReader::Open(path, nullptr);
-  ASSERT_OK(reader);
-  std::vector<Record> out;
-  ASSERT_OK(reader.value()->Scan(EncodeRowPrefix("apricot"), &out));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].value, "apricot/U1");
-  EXPECT_EQ(out[1].value, "apricot/U2");
-}
-
 TEST(SsTableTest, SmallBlocksManyBlocks) {
   TempDir dir;
   const std::string path = dir.path() + "/t.sst";
