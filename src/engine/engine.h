@@ -102,10 +102,6 @@ struct EngineOptions {
                               BytesView key)>
       remote_fetch;
 
-  // Hash ring shape.
-  int ring_vnodes = 128;
-  uint64_t ring_seed = 0x9173ull;
-
   // Clock for timestamps/latency (nullptr -> system clock).
   Clock* clock = nullptr;
 
@@ -127,9 +123,9 @@ struct EngineOptions {
     // Trace 1-in-N events, decided by hash of the event key (deterministic
     // across runs and chaos replays). 1 = trace everything, 0 = nothing.
     uint64_t sample_period = 1024;
-    // Per-machine TraceSink retention.
+    // Per-machine TraceSink retention of recent traces (the slowest-trace
+    // set keeps TraceSink::Options' default).
     size_t recent_traces = 256;
-    size_t slowest_traces = 16;
   };
   TraceOptions trace;
 };

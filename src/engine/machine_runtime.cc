@@ -8,6 +8,13 @@
 
 namespace muppet {
 
+namespace {
+// Throttle policy (§4.3, §5): a declined send waits this long before it
+// is retried, at most this many times per event.
+constexpr Timestamp kThrottleRetryMicros = 200;
+constexpr int kMaxThrottleRetries = 50;
+}  // namespace
+
 MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
                                const char* engine_name,
                                bool load_manager_paces_source)
@@ -15,7 +22,6 @@ MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
       options_(options),
       clock_(options.clock != nullptr ? options.clock
                                       : SystemClock::Default()),
-      ring_(options.ring_vnodes, options.ring_seed),
       throttle_(options.throttle, clock_),
       published_(metrics_.GetCounter("muppet_events_published_total")),
       processed_(metrics_.GetCounter("muppet_events_processed_total")),
@@ -152,7 +158,6 @@ Status MachineRuntime::Start() {
     if (options_.trace.enabled && options_.trace.sample_period != 0) {
       TraceSink::Options trace_options;
       trace_options.recent_capacity = options_.trace.recent_traces;
-      trace_options.slowest_capacity = options_.trace.slowest_traces;
       machine->trace_sink = std::make_unique<TraceSink>(trace_options);
       sink = machine->trace_sink.get();
     }
@@ -547,6 +552,35 @@ void MachineRuntime::DecInflight(int64_t n) {
     MutexLock lock(drain_mutex_);
     drain_cv_.NotifyAll();
   }
+}
+
+bool MachineRuntime::ResendAfterDecline(
+    const Event& event, bool self_emit, int* attempts,
+    const std::function<void(Event)>& reroute) {
+  switch (options_.overflow.policy) {
+    case OverflowPolicy::kDrop:
+      break;
+    case OverflowPolicy::kOverflowStream: {
+      // The degraded path being full too drops the event.
+      if (event.stream == options_.overflow.overflow_stream) break;
+      redirected_overflow_->Add();
+      Event redirected = event;
+      redirected.stream = options_.overflow.overflow_stream;
+      reroute(std::move(redirected));
+      return false;
+    }
+    case OverflowPolicy::kThrottle:
+      throttle_.NoteOverflow();
+      if (self_emit) {
+        deadlocks_avoided_->Add();
+        break;
+      }
+      if (++*attempts > kMaxThrottleRetries) break;
+      clock_->SleepFor(kThrottleRetryMicros);
+      return true;
+  }
+  dropped_overflow_->Add();
+  return false;
 }
 
 Status MachineRuntime::Drain() {

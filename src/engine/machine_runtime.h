@@ -212,6 +212,18 @@ class MachineRuntime : public Engine {
   // it is logged and counted lost, never silently dropped from the books.
   void SettleLane(const MachineBase* machine, size_t lane, const Status& s);
 
+  // §4.3 queue overflow at the sender, written once for every engine send
+  // path: call after a send of `event` was declined (ResourceExhausted).
+  // Applies options_.overflow.policy and returns true when the caller
+  // should send again (kThrottle, after a 200 µs wait, at most 50 times
+  // per event; `*attempts` counts them).
+  // Otherwise the event is settled: counted dropped, or handed to
+  // `reroute` as a copy on the overflow stream. `self_emit` marks a send
+  // into a queue the sending worker itself drains: waiting there can
+  // never succeed (the §5 deadlock), so throttling drops the event.
+  bool ResendAfterDecline(const Event& event, bool self_emit, int* attempts,
+                          const std::function<void(Event)>& reroute);
+
   // Work hash from precomputed halves; never returns 0 ("idle").
   static uint64_t CombineWork(uint64_t function_hash, uint64_t key_hash);
   static uint64_t WorkHash(const std::string& function, BytesView key);
@@ -244,6 +256,8 @@ class MachineRuntime : public Engine {
   std::unique_ptr<Transport> owned_transport_;
   Transport* transport_ = nullptr;
   Master master_;
+  // HashRing's default shape: every muppetd process must derive the same
+  // ring from the shared cluster config.
   HashRing ring_;
   ThrottleGovernor throttle_;
 

@@ -250,9 +250,14 @@ Status Muppet1Engine::BuildMachine(MachineId id,
       machine->workers.push_back(std::move(worker));
     }
   }
+  // Every 1.0 frame carries one event (SendToWorker), so the resume
+  // offset the handler is handed is always 0.
   MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
-      id, [this, id](MachineId /*from*/, BytesView payload) {
-        return HandleIncoming(id, payload);
+      id, [this, id](MachineId /*from*/, BytesView payload, size_t /*count*/,
+                     size_t* accepted) {
+        Status s = HandleIncoming(id, payload);
+        if (s.ok()) *accepted = 1;
+        return s;
       }));
   *out = std::move(machine);
   return Status::OK();
@@ -313,21 +318,26 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
   }
 
   const uint64_t signature = EventFaultSignature(re);
+  const MachineId to = target.value().machine;
+  // Emitting back into a queue this worker itself drains (§5).
+  const bool self_emit = sender != nullptr && target.value() == sender->ref;
   int attempts = 0;
-  const int kMaxThrottleRetries = 50;
   while (true) {
     inflight_.fetch_add(1, std::memory_order_acq_rel);
+    // Each 1.0 event travels alone, as a frame of one: 1.0 coalesces
+    // nothing (§4.5).
+    size_t accepted = 0;
     Status s =
-        transport_->Send(from, target.value().machine, payload, signature);
+        transport_->SendBatch(from, to, payload, 1, &accepted, signature);
     if (s.ok()) return;
     DecInflight(1);
 
     if (s.IsUnavailable()) {
       // Failure detected on send (§4.3): report to the master, which
       // broadcasts; the event itself is lost, not re-dispatched.
-      master_.ReportFailure(target.value().machine);
+      master_.ReportFailure(to);
       lost_failure_->Add();
-      MUPPET_LOG(kWarning) << "engine: machine " << target.value().machine
+      MUPPET_LOG(kWarning) << "engine: machine " << to
                            << " unreachable; event logged as lost";
       return;
     }
@@ -335,40 +345,11 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
       lost_failure_->Add();
       return;
     }
-
-    // Queue overflow (§4.3): apply the configured policy.
-    switch (options_.overflow.policy) {
-      case OverflowPolicy::kDrop:
-        dropped_overflow_->Add();
-        MUPPET_LOG(kDebug) << "engine: queue full, event dropped";
-        return;
-      case OverflowPolicy::kOverflowStream: {
-        if (event.stream == options_.overflow.overflow_stream) {
-          dropped_overflow_->Add();  // the degraded path is itself full
-          return;
-        }
-        redirected_overflow_->Add();
-        Event redirected = event;
-        redirected.stream = options_.overflow.overflow_stream;
-        DeliverEvent(from, sender, redirected);
-        return;
-      }
-      case OverflowPolicy::kThrottle: {
-        throttle_.NoteOverflow();
-        // Emitting back into a queue this worker itself drains can never
-        // succeed by waiting — that is the paper's §5 deadlock scenario.
-        if (sender != nullptr && target.value() == sender->ref) {
-          deadlocks_avoided_->Add();
-          dropped_overflow_->Add();
-          return;
-        }
-        if (++attempts > kMaxThrottleRetries) {
-          dropped_overflow_->Add();
-          return;
-        }
-        clock_->SleepFor(200);
-        continue;
-      }
+    if (!ResendAfterDecline(event, self_emit, &attempts,
+                            [&](Event redirected) {
+                              DeliverEvent(from, sender, redirected);
+                            })) {
+      return;
     }
   }
 }

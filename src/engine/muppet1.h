@@ -122,6 +122,8 @@ class Muppet1Engine final : public MachineRuntime {
   void SendToWorker(MachineId from, const Worker* sender,
                     const std::string& function, const Event& event);
 
+  // Decode one name-addressed event arriving for machine `to` and push
+  // it onto its worker's queue (ResourceExhausted when the queue is full).
   Status HandleIncoming(MachineId to, BytesView payload);
 
   // The worker that owns (function, key) over the ring view `failed`.

@@ -214,10 +214,6 @@ Status Muppet2Engine::BuildMachine(MachineId id,
   }
 
   MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
-      id, [this, id](MachineId from, BytesView payload) {
-        return HandleIncoming(from, id, payload);
-      }));
-  MUPPET_RETURN_IF_ERROR(transport_->RegisterBatchHandler(
       id, [this, id](MachineId from, BytesView frame, size_t count,
                      size_t* accepted) {
         return HandleIncomingFrame(from, id, frame, count, accepted);
@@ -380,8 +376,9 @@ void Muppet2Engine::LocalDeliver(MachineId machine_id, uint64_t sender_work,
   }
   transport_->CountLocalDelivery();
 
+  // A worker emitting to its own (function,key) work unit (§5).
+  const bool self_emit = sender_work != 0 && re.work == sender_work;
   int attempts = 0;
-  const int kMaxThrottleRetries = 50;
   while (true) {
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     Status s = Dispatch(machine, &re);
@@ -392,37 +389,12 @@ void Muppet2Engine::LocalDeliver(MachineId machine_id, uint64_t sender_work,
       lost_failure_->Add();
       return;
     }
-    switch (options_.overflow.policy) {
-      case OverflowPolicy::kDrop:
-        dropped_overflow_->Add();
-        return;
-      case OverflowPolicy::kOverflowStream: {
-        if (re.event.stream == options_.overflow.overflow_stream) {
-          dropped_overflow_->Add();
-          return;
-        }
-        redirected_overflow_->Add();
-        Event redirected = std::move(re.event);
-        redirected.stream = options_.overflow.overflow_stream;
-        DeliverEvent(machine_id, sender_work, std::move(redirected));
-        return;
-      }
-      case OverflowPolicy::kThrottle: {
-        throttle_.NoteOverflow();
-        // A worker emitting to its own (function,key) work unit while its
-        // queues are full can never make progress by waiting (§5).
-        if (sender_work != 0 && re.work == sender_work) {
-          deadlocks_avoided_->Add();
-          dropped_overflow_->Add();
-          return;
-        }
-        if (++attempts > kMaxThrottleRetries) {
-          dropped_overflow_->Add();
-          return;
-        }
-        clock_->SleepFor(200);
-        continue;
-      }
+    if (!ResendAfterDecline(re.event, self_emit, &attempts,
+                            [&](Event redirected) {
+                              DeliverEvent(machine_id, sender_work,
+                                           std::move(redirected));
+                            })) {
+      return;
     }
   }
 }
@@ -507,7 +479,6 @@ void Muppet2Engine::RemoteDeliverOne(MachineId from, uint64_t sender_work,
 
   const bool tracked = Hosted(to);
   int attempts = 0;
-  const int kMaxThrottleRetries = 50;
   while (true) {
     size_t accepted = 0;
     if (tracked) inflight_.fetch_add(1, std::memory_order_acq_rel);
@@ -524,80 +495,15 @@ void Muppet2Engine::RemoteDeliverOne(MachineId from, uint64_t sender_work,
       lost_failure_->Add();
       return;
     }
-    switch (options_.overflow.policy) {
-      case OverflowPolicy::kDrop:
-        dropped_overflow_->Add();
-        return;
-      case OverflowPolicy::kOverflowStream: {
-        if (re.event.stream == options_.overflow.overflow_stream) {
-          dropped_overflow_->Add();
-          return;
-        }
-        redirected_overflow_->Add();
-        Event redirected = std::move(re.event);
-        redirected.stream = options_.overflow.overflow_stream;
-        DeliverEvent(from, sender_work, std::move(redirected));
-        return;
-      }
-      case OverflowPolicy::kThrottle: {
-        throttle_.NoteOverflow();
-        if (sender_work != 0 && re.work == sender_work && to == from) {
-          deadlocks_avoided_->Add();
-          dropped_overflow_->Add();
-          return;
-        }
-        if (++attempts > kMaxThrottleRetries) {
-          dropped_overflow_->Add();
-          return;
-        }
-        clock_->SleepFor(200);
-        continue;
-      }
+    // A remote queue is never one the sending worker drains.
+    if (!ResendAfterDecline(re.event, /*self_emit=*/false, &attempts,
+                            [&](Event redirected) {
+                              DeliverEvent(from, sender_work,
+                                           std::move(redirected));
+                            })) {
+      return;
     }
   }
-}
-
-Status Muppet2Engine::HandleIncoming(MachineId from, MachineId to,
-                                     BytesView payload) {
-  MachineCtx* machine = Ctx(to);
-  if (machine == nullptr) {
-    return Status::Unavailable("machine not hosted here");
-  }
-  if (machine->crashed.load()) {
-    return Status::Unavailable("machine crashed");
-  }
-  RoutedEvent re;
-  MUPPET_RETURN_IF_ERROR(DecodeRoutedEvent(payload, &re));
-  const int32_t fid = op_names_.Find(re.function);
-  if (fid < 0) return Status::NotFound("unknown function");
-  re.function_id = fid;
-  re.work = CombineWork(ops_[static_cast<size_t>(fid)].name_hash,
-                        Fnv1a64(re.event.key));
-  // A sender in another process never touched this engine's inflight_;
-  // charge it here so Drain()/watchdog accounting tracks the event until
-  // a worker settles it (the DecInflight calls below balance this charge
-  // exactly as they balance an in-process sender's).
-  const bool external = !Hosted(from);
-  if (external) inflight_.fetch_add(1, std::memory_order_acq_rel);
-  const uint64_t dedup_id =
-      (re.ctl == kCtlNone && machine->dedup != nullptr) ? re.dedup : 0;
-  // Reserve the identity atomically before dispatch: a check-then-record
-  // pattern would let two concurrent deliveries of the same identity (a
-  // redelivered batch racing the original during recovery) both pass the
-  // check and double-apply the event.
-  if (dedup_id != 0 && !machine->dedup->CheckAndInsert(dedup_id)) {
-    deduped_->Add();
-    DecInflight(1);
-    return Status::OK();
-  }
-  Status s = Dispatch(machine, &re);
-  // A declined push (queue full) is retried by the sender; unwind the
-  // reservation so the retry is not mistaken for a duplicate.
-  if (!s.ok()) {
-    if (dedup_id != 0) machine->dedup->Remove(dedup_id);
-    if (external) DecInflight(1);
-  }
-  return s;
 }
 
 Status Muppet2Engine::HandleIncomingFrame(MachineId from, MachineId to,
@@ -666,8 +572,8 @@ Status Muppet2Engine::HandleIncomingFrame(MachineId from, MachineId to,
 }
 
 Status Muppet2Engine::Dispatch(MachineCtx* machine, RoutedEvent* re) {
-  // All enqueue paths (local fast path, remote frames, legacy payloads)
-  // funnel through here, so the queue-wait measurement starts now: a span
+  // Both enqueue paths (local fast path, remote frames) funnel through
+  // here, so the queue-wait measurement starts now: a span
   // for traced events, the muppet_queue_wait_us histogram for all events
   // (the load manager's before/after-split p99 signal).
   re->enqueue_ts = clock_->Now();

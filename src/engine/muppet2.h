@@ -177,14 +177,12 @@ class Muppet2Engine final : public MachineRuntime {
   // handling. ResourceExhausted when both candidate queues are full.
   Status Dispatch(MachineCtx* machine, RoutedEvent* re);
 
-  // Legacy name-addressed single-event payloads (Muppet 1.0 wire format).
-  // `from` distinguishes in-process senders (which pre-charged inflight_)
-  // from remote processes (the receiver charges it here).
-  Status HandleIncoming(MachineId from, MachineId to, BytesView payload);
-  // Id-addressed batch frames — the 2.0 cross-machine format. *accepted
-  // is in-out (the Transport::BatchHandler resume contract): events below
-  // the entry value were accepted by an earlier partial delivery of this
-  // same frame and are skipped, not re-applied.
+  // Id-addressed batch frames — the 2.0 cross-machine format. `from`
+  // distinguishes in-process senders (which pre-charged inflight_) from
+  // remote processes (the receiver charges it here). *accepted is in-out
+  // (the Transport::Handler resume contract): events below the entry
+  // value were accepted by an earlier partial delivery of this same frame
+  // and are skipped, not re-applied.
   Status HandleIncomingFrame(MachineId from, MachineId to, BytesView frame,
                              size_t count, size_t* accepted);
 

@@ -5,8 +5,9 @@
 // computationally wasteful").
 //
 // Two formats live here:
-//  * the name-addressed single-event record (EncodeRoutedEvent), used by
-//    Muppet 1.0 and by external senders;
+//  * the name-addressed single-event record (EncodeRoutedEvent), used only
+//    by Muppet 1.0, which sends each record alone as a transport frame of
+//    count 1;
 //  * the id-addressed batch frame (EncodeRoutedEventFrame), the Muppet 2.0
 //    cross-machine format. Events in a frame carry their interned function
 //    id and precomputed work hash so the receiver re-hashes nothing, and a

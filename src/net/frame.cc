@@ -78,8 +78,8 @@ Status FrameDecoder::Next(WireFrame* out, bool* have) {
     return Status::Corruption("tcp frame: unknown wire version");
   }
   const uint8_t raw_type = static_cast<uint8_t>(h[5]);
-  if (raw_type < static_cast<uint8_t>(FrameType::kHello) ||
-      raw_type > static_cast<uint8_t>(FrameType::kBatch)) {
+  if (raw_type != static_cast<uint8_t>(FrameType::kHello) &&
+      raw_type != static_cast<uint8_t>(FrameType::kBatch)) {
     corrupt_ = true;
     return Status::Corruption("tcp frame: unknown frame type");
   }

@@ -33,10 +33,9 @@ enum class FrameType : uint8_t {
   // by its hosted machine ids (u32 count, then count * i32). Sent first on
   // every new connection, both directions.
   kHello = 1,
-  // One logical message for machine `to` (payload = engine wire payload).
-  kSingle = 2,
-  // A batch frame of `count` logical messages (payload = engine batch
-  // frame bytes, decoded by the engine's RoutedEventFrameReader).
+  // `count` logical messages for machine `to`; the payload is opaque to
+  // the transport and handed whole to the machine's handler. Wire value 2
+  // (a retired single-message type) is rejected as corruption.
   kBatch = 3,
 };
 
@@ -48,7 +47,7 @@ constexpr uint8_t kWireVersion = 1;
 constexpr uint32_t kMaxFramePayload = 64u << 20;
 
 struct WireFrame {
-  FrameType type = FrameType::kSingle;
+  FrameType type = FrameType::kBatch;
   MachineId from = kInvalidMachine;
   MachineId to = kInvalidMachine;
   uint32_t count = 1;

@@ -1,7 +1,6 @@
 #include "net/tcp_transport.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -82,15 +81,6 @@ Status TcpTransport::RegisterMachine(MachineId id, Handler handler) {
   return Status::OK();
 }
 
-Status TcpTransport::RegisterBatchHandler(MachineId id,
-                                          BatchHandler handler) {
-  WriterMutexLock lock(state_mutex_);
-  auto it = local_.find(id);
-  if (it == local_.end()) return Status::NotFound("machine not registered");
-  it->second->batch_handler = std::move(handler);
-  return Status::OK();
-}
-
 void TcpTransport::UnregisterMachine(MachineId id) {
   WriterMutexLock lock(state_mutex_);
   local_.erase(id);
@@ -119,33 +109,6 @@ int64_t TcpTransport::SendAttemptsTo(MachineId id) const {
   return it == attempts_.end() ? 0 : it->second;
 }
 
-Status TcpTransport::Send(MachineId from, MachineId to, BytesView payload,
-                          uint64_t fault_signature) {
-  (void)fault_signature;  // no fault plan on the socket backend
-  if (from != to) CountAttempt(to);
-  std::shared_ptr<LocalMachine> local = FindLocal(to);
-  if (local != nullptr) {
-    if (!local->up.load(std::memory_order_acquire)) {
-      messages_dropped_.Add();
-      return Status::Unavailable("machine crashed");
-    }
-    messages_sent_.Add();
-    if (from == to) messages_local_.Add();
-    Status s = local->handler(from, payload);
-    if (s.code() == StatusCode::kResourceExhausted) messages_declined_.Add();
-    return s;
-  }
-  Peer* peer = PeerForMachine(to);
-  if (peer == nullptr) return Status::Unavailable("unknown machine");
-  WireFrame frame;
-  frame.type = FrameType::kSingle;
-  frame.from = from;
-  frame.to = to;
-  frame.count = 1;
-  frame.payload.assign(payload.data(), payload.size());
-  return EnqueueFrame(peer, frame);
-}
-
 Status TcpTransport::SendBatch(MachineId from, MachineId to, BytesView data,
                                size_t count, size_t* accepted,
                                uint64_t fault_signature) {
@@ -158,10 +121,7 @@ Status TcpTransport::SendBatch(MachineId from, MachineId to, BytesView data,
       messages_dropped_.Add(static_cast<int64_t>(count));
       return Status::Unavailable("machine crashed");
     }
-    if (local->batch_handler == nullptr) {
-      return Status::FailedPrecondition("no batch handler registered");
-    }
-    Status s = local->batch_handler(from, data, count, accepted);
+    Status s = local->handler(from, data, count, accepted);
     messages_sent_.Add(static_cast<int64_t>(*accepted));
     if (s.code() == StatusCode::kResourceExhausted) {
       messages_declined_.Add(static_cast<int64_t>(count - *accepted));
@@ -224,16 +184,6 @@ bool TcpTransport::IsUp(MachineId id) const {
   if (local != nullptr) return local->up.load(std::memory_order_acquire);
   Peer* peer = PeerForMachine(id);
   return peer != nullptr && peer->up.load(std::memory_order_acquire);
-}
-
-std::vector<MachineId> TcpTransport::Machines() const {
-  std::set<MachineId> ids;
-  {
-    ReaderMutexLock lock(state_mutex_);
-    for (const auto& [id, m] : local_) ids.insert(id);
-  }
-  for (const auto& [id, peer] : machine_to_peer_) ids.insert(id);
-  return std::vector<MachineId>(ids.begin(), ids.end());
 }
 
 bool TcpTransport::PeerUp(uint32_t node) const {
@@ -550,25 +500,9 @@ bool TcpTransport::DeliverFrame(Conn* conn, WireFrame frame) {
     messages_dropped_.Add(static_cast<int64_t>(frame.count));
     return true;
   }
-  if (frame.type == FrameType::kSingle) {
-    Status s = local->handler(frame.from, frame.payload);
-    if (s.ok()) return true;
-    if (s.code() == StatusCode::kResourceExhausted) {
-      conn->has_pending = true;
-      conn->pending = std::move(frame);
-      conn->pending_accepted = 0;
-      return false;
-    }
-    messages_dropped_.Add(static_cast<int64_t>(frame.count));
-    return true;
-  }
-  if (local->batch_handler == nullptr) {
-    messages_dropped_.Add(static_cast<int64_t>(frame.count));
-    return true;
-  }
   size_t accepted = 0;
-  Status s = local->batch_handler(frame.from, frame.payload, frame.count,
-                                  &accepted);
+  Status s = local->handler(frame.from, frame.payload, frame.count,
+                            &accepted);
   if (s.ok()) return true;
   if (s.code() == StatusCode::kResourceExhausted) {
     conn->has_pending = true;
@@ -666,19 +600,10 @@ void TcpTransport::RetryPending() {
           conn->pending.count -
           static_cast<uint32_t>(conn->pending_accepted)));
       settled = true;
-    } else if (conn->pending.type == FrameType::kSingle) {
-      Status s = local->handler(conn->pending.from, conn->pending.payload);
-      if (s.ok()) {
-        settled = true;
-      } else if (s.code() != StatusCode::kResourceExhausted) {
-        messages_dropped_.Add(1);
-        settled = true;
-      }
     } else {
       size_t accepted = conn->pending_accepted;
-      Status s = local->batch_handler(conn->pending.from,
-                                      conn->pending.payload,
-                                      conn->pending.count, &accepted);
+      Status s = local->handler(conn->pending.from, conn->pending.payload,
+                                conn->pending.count, &accepted);
       conn->pending_accepted = accepted;
       if (s.ok()) {
         settled = true;

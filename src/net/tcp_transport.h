@@ -29,8 +29,8 @@
 // the cap fails with ResourceExhausted, which the engine's overflow
 // machinery (drop / overflow stream / throttle) treats exactly like a
 // declined receiver queue. On the receive side, a handler decline parks
-// the frame (with its accepted-prefix offset, the BatchHandler resume
-// contract) and pauses reads on that connection until the handler
+// the frame (with its accepted-prefix offset, the Transport::Handler
+// resume contract) and pauses reads on that connection until the handler
 // accepts the rest — TCP's own flow control then pushes back on the
 // sender.
 #ifndef MUPPET_NET_TCP_TRANSPORT_H_
@@ -103,17 +103,13 @@ class TcpTransport : public Transport {
   void Stop() override;
 
   Status RegisterMachine(MachineId id, Handler handler) override;
-  Status RegisterBatchHandler(MachineId id, BatchHandler handler) override;
   void UnregisterMachine(MachineId id) override;
-  Status Send(MachineId from, MachineId to, BytesView payload,
-              uint64_t fault_signature = 0) override;
   Status SendBatch(MachineId from, MachineId to, BytesView frame,
                    size_t count, size_t* accepted,
                    uint64_t fault_signature = 0) override;
   void Crash(MachineId id) override;
   void Restore(MachineId id) override;
   bool IsUp(MachineId id) const override;
-  std::vector<MachineId> Machines() const override;
   int64_t SendAttemptsTo(MachineId id) const override;
   Status FlushOutbound(Timestamp timeout_micros) override;
 
@@ -129,7 +125,6 @@ class TcpTransport : public Transport {
  private:
   struct LocalMachine {
     Handler handler;
-    BatchHandler batch_handler;
     std::atomic<bool> up{true};
   };
 

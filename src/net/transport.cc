@@ -1,7 +1,5 @@
 #include "net/transport.h"
 
-#include <algorithm>
-
 #include "net/fault.h"
 
 namespace muppet {
@@ -24,20 +22,6 @@ Status InMemoryTransport::RegisterMachine(MachineId id, Handler handler) {
   }
   it->second = std::make_shared<MachineState>();
   it->second->handler = std::move(handler);
-  return Status::OK();
-}
-
-Status InMemoryTransport::RegisterBatchHandler(MachineId id, BatchHandler handler) {
-  if (handler == nullptr) {
-    return Status::InvalidArgument("transport: null batch handler");
-  }
-  WriterMutexLock lock(mutex_);
-  auto it = machines_.find(id);
-  if (it == machines_.end()) {
-    return Status::NotFound("transport: machine " + std::to_string(id) +
-                            " not registered");
-  }
-  it->second->batch_handler = std::move(handler);
   return Status::OK();
 }
 
@@ -126,28 +110,15 @@ void InMemoryTransport::DeliverHeld(HeldMessage held) {
   if (state == nullptr || !state->up.load(std::memory_order_acquire)) {
     messages_dropped_.Add(static_cast<int64_t>(held.count));
     lost = static_cast<int64_t>(held.count);
-  } else if (held.is_frame) {
+  } else {
     size_t accepted = 0;
     frames_sent_.Add();
-    Status s = state->batch_handler(held.from, held.data, held.count,
-                                    &accepted);
+    Status s = state->handler(held.from, held.data, held.count, &accepted);
     messages_sent_.Add(static_cast<int64_t>(accepted));
     if (s.IsResourceExhausted()) {
       messages_declined_.Add(static_cast<int64_t>(held.count - accepted));
     }
     lost = static_cast<int64_t>(held.count - accepted);
-  } else {
-    Status s = state->handler(held.from, held.data);
-    if (s.ok()) {
-      messages_sent_.Add();
-    } else {
-      if (s.IsResourceExhausted()) {
-        messages_declined_.Add();
-      } else {
-        messages_dropped_.Add();
-      }
-      lost = 1;
-    }
   }
   if (lost > 0 && options_.on_async_loss != nullptr) {
     options_.on_async_loss(lost);
@@ -155,8 +126,7 @@ void InMemoryTransport::DeliverHeld(HeldMessage held) {
 }
 
 void InMemoryTransport::DeliverDuplicate(MachineState* state, MachineId from,
-                                 BytesView data, size_t count,
-                                 bool is_frame) {
+                                         BytesView data, size_t count) {
   messages_duplicated_.Add(static_cast<int64_t>(count));
   // Pre-charge the engine's in-flight counter before any copy can be
   // processed (and decremented) by a worker.
@@ -164,16 +134,9 @@ void InMemoryTransport::DeliverDuplicate(MachineState* state, MachineId from,
     options_.on_extra_delivery(static_cast<int64_t>(count));
   }
   size_t accepted = 0;
-  if (is_frame) {
-    frames_sent_.Add();
-    (void)state->batch_handler(from, data, count, &accepted);
-    messages_sent_.Add(static_cast<int64_t>(accepted));
-  } else {
-    if (state->handler(from, data).ok()) {
-      accepted = 1;
-      messages_sent_.Add();
-    }
-  }
+  frames_sent_.Add();
+  (void)state->handler(from, data, count, &accepted);
+  messages_sent_.Add(static_cast<int64_t>(accepted));
   const int64_t lost = static_cast<int64_t>(count - accepted);
   if (lost > 0 && options_.on_async_loss != nullptr) {
     options_.on_async_loss(lost);
@@ -192,83 +155,10 @@ void InMemoryTransport::FlushHeld() {
   for (HeldMessage& h : all) DeliverHeld(std::move(h));
 }
 
-Status InMemoryTransport::Send(MachineId from, MachineId to, BytesView payload,
-                       uint64_t fault_signature) {
-  FaultInjector* faults = options_.faults;
-  if (faults != nullptr && options_.poll_fault_actions &&
-      faults->HasDueActions(clock_->Now())) {
-    ApplyDueFaultActions();
-  }
-
-  std::shared_ptr<MachineState> state = FindMachine(to);
-  if (from != to && state != nullptr) {
-    state->attempts.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (state == nullptr || !state->up.load(std::memory_order_acquire)) {
-    messages_dropped_.Add();
-    return Status::Unavailable("transport: machine " + std::to_string(to) +
-                               " unreachable");
-  }
-
-  FaultDecision decision;
-  if (from != to && faults != nullptr) {
-    if (faults->Partitioned(from, to)) {
-      faults->NotePartitionedDrop();
-      messages_dropped_.Add();
-      return Status::Unavailable("transport: partition separates " +
-                                 std::to_string(from) + " and " +
-                                 std::to_string(to));
-    }
-    decision =
-        faults->OnMessage(from, to, payload, fault_signature, clock_->Now());
-    if (decision.extra_delay_micros > 0) {
-      clock_->SleepFor(decision.extra_delay_micros);
-    }
-    if (decision.verdict == FaultDecision::Verdict::kDrop) {
-      messages_dropped_.Add();
-      return Status::Unavailable("transport: message dropped by fault plan");
-    }
-    if (decision.verdict == FaultDecision::Verdict::kHold) {
-      // The sender is told OK; the message delivers once `hold_for` later
-      // messages pass it on this link (or at FlushHeld).
-      HeldMessage held;
-      held.from = from;
-      held.to = to;
-      held.data.assign(payload);
-      held.count = 1;
-      held.is_frame = false;
-      held.remaining = decision.hold_for;
-      HoldMessage(std::move(held));
-      messages_held_.Add();
-      bytes_sent_.Add(static_cast<int64_t>(payload.size()));
-      return Status::OK();
-    }
-  }
-
-  if (from != to) {
-    MUPPET_RETURN_IF_ERROR(ChargeHop());
-  }
-
-  messages_sent_.Add();
-  bytes_sent_.Add(static_cast<int64_t>(payload.size()));
-  Status s = state->handler(from, payload);
-  if (s.IsResourceExhausted()) {
-    messages_declined_.Add();
-  }
-
-  if (from != to && faults != nullptr) {
-    if (decision.verdict == FaultDecision::Verdict::kDuplicate) {
-      DeliverDuplicate(state.get(), from, payload, 1, /*is_frame=*/false);
-    }
-    // This delivery overtakes messages waiting in the reorder window.
-    ReleaseDueHeld(from, to);
-  }
-  return s;
-}
-
-Status InMemoryTransport::SendBatch(MachineId from, MachineId to, BytesView frame,
-                            size_t count, size_t* accepted,
-                            uint64_t fault_signature) {
+Status InMemoryTransport::SendBatch(MachineId from, MachineId to,
+                                    BytesView frame, size_t count,
+                                    size_t* accepted,
+                                    uint64_t fault_signature) {
   *accepted = 0;
   FaultInjector* faults = options_.faults;
   if (faults != nullptr && options_.poll_fault_actions &&
@@ -284,11 +174,6 @@ Status InMemoryTransport::SendBatch(MachineId from, MachineId to, BytesView fram
     messages_dropped_.Add(static_cast<int64_t>(count));
     return Status::Unavailable("transport: machine " + std::to_string(to) +
                                " unreachable");
-  }
-  if (state->batch_handler == nullptr) {
-    return Status::FailedPrecondition("transport: machine " +
-                                      std::to_string(to) +
-                                      " accepts no batch frames");
   }
 
   FaultDecision decision;
@@ -311,12 +196,13 @@ Status InMemoryTransport::SendBatch(MachineId from, MachineId to, BytesView fram
       return Status::Unavailable("transport: frame dropped by fault plan");
     }
     if (decision.verdict == FaultDecision::Verdict::kHold) {
+      // The sender is told OK; the frame delivers once `hold_for` later
+      // frames pass it on this link (or at FlushHeld).
       HeldMessage held;
       held.from = from;
       held.to = to;
       held.data.assign(frame);
       held.count = count;
-      held.is_frame = true;
       held.remaining = decision.hold_for;
       HoldMessage(std::move(held));
       messages_held_.Add(static_cast<int64_t>(count));
@@ -337,7 +223,7 @@ Status InMemoryTransport::SendBatch(MachineId from, MachineId to, BytesView fram
 
   frames_sent_.Add();
   bytes_sent_.Add(static_cast<int64_t>(frame.size()));
-  Status s = state->batch_handler(from, frame, count, accepted);
+  Status s = state->handler(from, frame, count, accepted);
   messages_sent_.Add(static_cast<int64_t>(*accepted));
   if (s.IsResourceExhausted()) {
     messages_declined_.Add(static_cast<int64_t>(count - *accepted));
@@ -345,8 +231,9 @@ Status InMemoryTransport::SendBatch(MachineId from, MachineId to, BytesView fram
 
   if (from != to && faults != nullptr) {
     if (decision.verdict == FaultDecision::Verdict::kDuplicate) {
-      DeliverDuplicate(state.get(), from, frame, count, /*is_frame=*/true);
+      DeliverDuplicate(state.get(), from, frame, count);
     }
+    // This delivery overtakes frames waiting in the reorder window.
     ReleaseDueHeld(from, to);
   }
   return s;
@@ -379,15 +266,6 @@ bool InMemoryTransport::IsUp(MachineId id) const {
   auto it = machines_.find(id);
   return it != machines_.end() &&
          it->second->up.load(std::memory_order_acquire);
-}
-
-std::vector<MachineId> InMemoryTransport::Machines() const {
-  ReaderMutexLock lock(mutex_);
-  std::vector<MachineId> out;
-  out.reserve(machines_.size());
-  for (const auto& [id, state] : machines_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace muppet

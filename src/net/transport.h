@@ -6,12 +6,16 @@
 //
 //  * `InMemoryTransport` — the deterministic in-process fabric the chaos
 //    harness and tests replay bit-for-bit: each logical machine registers
-//    a delivery handler, Send() routes a serialized payload to the
-//    destination machine's handler, applying a configurable per-hop
-//    latency and failure model.
+//    a delivery handler, SendBatch() routes a frame to the destination
+//    machine's handler, applying a configurable per-hop latency and
+//    failure model.
 //  * `TcpTransport` (net/tcp_transport.h) — an epoll-based async backend
 //    that carries the same id-addressed frames over real sockets for the
 //    `muppetd` multi-process deployment mode.
+//
+// The frame is the only thing either backend carries: a frame packs
+// `count` logical messages, and a single message is a frame of count 1
+// (Muppet 1.0 sends every event that way; Muppet 2.0 coalesces).
 //
 // Everything the paper's control plane needs is preserved by both:
 //
@@ -85,23 +89,19 @@ struct TransportOptions {
 // (e.g. to forward) and take engine locks freely.
 class Transport {
  public:
-  // Handler invoked when a payload arrives for the machine (on the
-  // sender's thread for the in-memory fabric, on the IO thread for the
-  // socket backend). Return OK to accept; ResourceExhausted to decline
-  // (queue full); any other error is reported to the sender verbatim.
-  using Handler = std::function<Status(MachineId from, BytesView payload)>;
-
-  // Handler for batch frames (SendBatch). `frame` packs `count` logical
-  // messages; the handler accepts a *prefix* of them. *accepted is
-  // IN-OUT: on entry it carries the resume offset — how many leading
-  // messages of this exact frame a previous partial delivery already
-  // accepted (the in-memory fabric never redelivers, so it always passes
-  // 0; the TCP backend retries a declined frame from where it stopped).
-  // On return it holds the TOTAL accepted prefix, including the skipped
-  // part. Return OK when all `count` were accepted; ResourceExhausted
-  // when the handler stopped at a declined message; other errors
-  // verbatim.
-  using BatchHandler =
+  // Handler invoked when a frame arrives for the machine (on the sender's
+  // thread for the in-memory fabric, on the IO thread for the socket
+  // backend). `frame` packs `count` logical messages; the handler accepts
+  // a *prefix* of them. *accepted is IN-OUT: on entry it carries the
+  // resume offset — how many leading messages of this exact frame a
+  // previous partial delivery already accepted (the in-memory fabric
+  // never redelivers, so it always passes 0; the TCP backend retries a
+  // declined frame from where it stopped). On return it holds the TOTAL
+  // accepted prefix, including the skipped part. Return OK when all
+  // `count` were accepted; ResourceExhausted when the handler stopped at
+  // a declined message (queue full); any other error is reported to the
+  // sender verbatim.
+  using Handler =
       std::function<Status(MachineId from, BytesView frame, size_t count,
                            size_t* accepted)>;
 
@@ -120,33 +120,23 @@ class Transport {
   // handler. Fails with AlreadyExists if the id is taken locally.
   virtual Status RegisterMachine(MachineId id, Handler handler) = 0;
 
-  // Optionally attach a batch-frame handler to a registered machine
-  // (required before SendBatch can target it).
-  virtual Status RegisterBatchHandler(MachineId id, BatchHandler handler) = 0;
-
   // Remove a machine entirely (shutdown, not crash).
   virtual void UnregisterMachine(MachineId id) = 0;
 
-  // Deliver `payload` to machine `to`. Local sends (from == to) bypass
-  // the latency/loss model — Muppet 2.0 passes events between threads of
-  // one machine without any network hop (§4.5).
-  // Errors: Unavailable (crashed/unknown/dropped/partitioned),
-  // ResourceExhausted (receiver declined / send queue full), or whatever
-  // the handler returned. `fault_signature` is the content signature
-  // handed to the fault injector (0 = hash the payload); irrelevant
-  // without faults.
-  virtual Status Send(MachineId from, MachineId to, BytesView payload,
-                      uint64_t fault_signature = 0) = 0;
-
-  // Deliver a batch frame of `count` logical messages in one network hop:
-  // one registry lookup, one latency charge, one loss roll for the whole
-  // frame. *accepted receives how many messages the receiver took (0 when
-  // the frame never arrived). For async backends OK means the frame was
-  // durably queued for the peer (*accepted = count); delivery failures
-  // surface on a later send as Unavailable once the peer is declared
-  // down. Remote-hop amortization for Muppet 2.0's send coalescer. Fault
-  // rules treat the frame as one message (whole-frame drop/duplicate/
-  // hold), matching whole-frame loss semantics.
+  // Deliver a frame of `count` logical messages to machine `to` in one
+  // network hop: one registry lookup, one latency charge, one loss roll
+  // for the whole frame. Local sends (from == to) bypass the latency/loss
+  // model and the fault plan. *accepted receives how many messages the
+  // receiver took (0 when the frame never arrived). Errors: Unavailable
+  // (crashed/unknown/dropped/partitioned), ResourceExhausted (receiver
+  // declined / send queue full), or whatever the handler returned. For
+  // async backends OK means the frame was durably queued for the peer
+  // (*accepted = count); delivery failures surface on a later send as
+  // Unavailable once the peer is declared down. Fault rules treat the
+  // frame as one message (whole-frame drop/duplicate/hold), matching
+  // whole-frame loss semantics. `fault_signature` is the content
+  // signature handed to the fault injector (0 = hash the frame);
+  // irrelevant without faults.
   virtual Status SendBatch(MachineId from, MachineId to, BytesView frame,
                            size_t count, size_t* accepted,
                            uint64_t fault_signature = 0) = 0;
@@ -161,10 +151,6 @@ class Transport {
   virtual void Restore(MachineId id) = 0;
 
   virtual bool IsUp(MachineId id) const = 0;
-
-  // All machine ids this transport can currently address (up or
-  // crashed), sorted.
-  virtual std::vector<MachineId> Machines() const = 0;
 
   // Deliver every message still held back by reorder faults, regardless
   // of remaining window. Chaos harnesses call this before Drain() so no
@@ -236,10 +222,7 @@ class InMemoryTransport : public Transport {
   explicit InMemoryTransport(TransportOptions options = {});
 
   Status RegisterMachine(MachineId id, Handler handler) override;
-  Status RegisterBatchHandler(MachineId id, BatchHandler handler) override;
   void UnregisterMachine(MachineId id) override;
-  Status Send(MachineId from, MachineId to, BytesView payload,
-              uint64_t fault_signature = 0) override;
   Status SendBatch(MachineId from, MachineId to, BytesView frame,
                    size_t count, size_t* accepted,
                    uint64_t fault_signature = 0) override;
@@ -247,7 +230,6 @@ class InMemoryTransport : public Transport {
   void Crash(MachineId id) override;
   void Restore(MachineId id) override;
   bool IsUp(MachineId id) const override;
-  std::vector<MachineId> Machines() const override;
   int64_t SendAttemptsTo(MachineId id) const override;
 
   const TransportOptions& options() const { return options_; }
@@ -262,25 +244,23 @@ class InMemoryTransport : public Transport {
   static constexpr LockLevel kHoldLockLevel = LockLevel::kFaultHold;
 
  private:
-  // Heap-allocated, shared_ptr-held state block per machine: Send() takes
-  // a reference under the shared lock instead of copying the handler
+  // Heap-allocated, shared_ptr-held state block per machine: SendBatch()
+  // takes a reference under the shared lock instead of copying the handler
   // std::function (a heap allocation per message, pre-optimization).
   struct MachineState {
     Handler handler;
-    BatchHandler batch_handler;
     std::atomic<bool> up{true};
     std::atomic<int64_t> attempts{0};
   };
 
   // A message accepted from its sender but held back by a reorder fault,
   // released when `remaining` later messages pass it on the link (or at
-  // FlushHeld). Frames keep their logical message count.
+  // FlushHeld). The frame keeps its logical message count.
   struct HeldMessage {
     MachineId from = kInvalidMachine;
     MachineId to = kInvalidMachine;
     Bytes data;
     size_t count = 1;
-    bool is_frame = false;
     uint32_t remaining = 1;
   };
 
@@ -309,9 +289,9 @@ class InMemoryTransport : public Transport {
   // long gone.
   void DeliverHeld(HeldMessage held);
 
-  // Deliver the extra copy of a duplicated message/frame.
+  // Deliver the extra copy of a duplicated frame.
   void DeliverDuplicate(MachineState* state, MachineId from, BytesView data,
-                        size_t count, bool is_frame);
+                        size_t count);
 
   TransportOptions options_;
   Clock* clock_;

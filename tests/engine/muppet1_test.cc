@@ -194,5 +194,37 @@ TEST(Muppet1Test, LargeValuesSurviveSerializationChain) {
   ASSERT_OK(engine.Stop());
 }
 
+// Each 1.0 event crosses the transport as a frame of one. A queue-full
+// decline is not a send: only accepted messages count as sent, so under
+// the drop policy every sent message is processed exactly once.
+TEST(Muppet1Test, TransportCountsOnlyAcceptedMessages) {
+  AppConfig config;
+  ASSERT_OK(config.DeclareInputStream("in"));
+  ASSERT_OK(config.AddUpdater(
+      "slow",
+      MakeUpdaterFactory(
+          [](PerformerUtilities& out, const Event&, const Bytes* slate) {
+            SystemClock::Default()->SleepFor(200);
+            JsonSlate s(slate);
+            s.data()["count"] = s.data().GetInt("count") + 1;
+            (void)out.ReplaceSlate(s.Serialize());
+          }),
+      {"in"}));
+  EngineOptions options = SmallOptions(/*machines=*/2, /*workers=*/2);
+  options.queue_capacity = 2;
+  options.overflow.policy = OverflowPolicy::kDrop;
+  Muppet1Engine engine(config, options);
+  ASSERT_OK(engine.Start());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_OK(engine.Publish("in", "k" + std::to_string(i % 8), "", i + 1));
+  }
+  ASSERT_OK(engine.Drain());
+  const EngineStats stats = engine.Stats();
+  EXPECT_GT(stats.events_dropped_overflow, 0);
+  EXPECT_EQ(stats.events_processed + stats.events_dropped_overflow, 200);
+  EXPECT_EQ(stats.transport_messages_sent, stats.events_processed);
+  ASSERT_OK(engine.Stop());
+}
+
 }  // namespace
 }  // namespace muppet

@@ -190,7 +190,12 @@ TEST(Muppet2Test, HotKeySplitAndMergeLifecycle) {
 
   EngineOptions options = SmallOptions();
   options.load_manager.enabled = true;
-  options.load_manager.tick_micros = 1 * kMicrosPerMilli;
+  // The controller acts only on ticks whose decayed sample total reaches
+  // min_samples. With 1 ms ticks, a publisher slowed by a sanitizer
+  // samples about 4 events per tick, so the total (halved every tick)
+  // stays near 8 and the cooled key never merged. 5 ms ticks span
+  // several publishing rounds at any speed.
+  options.load_manager.tick_micros = 5 * kMicrosPerMilli;
   options.load_manager.heat.sample_period = 1;
   options.load_manager.min_samples = 8;
   options.load_manager.split_heat_fraction = 0.5;
@@ -203,10 +208,17 @@ TEST(Muppet2Test, HotKeySplitAndMergeLifecycle) {
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
 
+  // Each phase publishes until its condition holds, against a wall-clock
+  // deadline rather than a round count: under a sanitizer the load
+  // manager's ticks run far slower than the publishing loop.
+  using SteadyClock = std::chrono::steady_clock;
+  constexpr auto kPhaseLimit = std::chrono::seconds(60);
+
   // Phase 1: hammer one key until the load manager splits it.
   int64_t hot_count = 0;
   int64_t seq = 0;
-  for (int round = 0; round < 2000 && engine.key_splits() == 0; ++round) {
+  const auto split_deadline = SteadyClock::now() + kPhaseLimit;
+  while (engine.key_splits() == 0 && SteadyClock::now() < split_deadline) {
     for (int i = 0; i < 16; ++i) {
       ASSERT_OK(engine.Publish("in", "hot", "", ++seq));
       ++hot_count;
@@ -230,7 +242,8 @@ TEST(Muppet2Test, HotKeySplitAndMergeLifecycle) {
   EXPECT_TRUE(split_row);
 
   // Phase 2: go uniform; the hot key's heat decays and it merges back.
-  for (int round = 0; round < 5000 && engine.key_merges() == 0; ++round) {
+  const auto merge_deadline = SteadyClock::now() + kPhaseLimit;
+  while (engine.key_merges() == 0 && SteadyClock::now() < merge_deadline) {
     for (int k = 0; k < 8; ++k) {
       ASSERT_OK(engine.Publish("in", "u" + std::to_string(k), "", ++seq));
     }

@@ -9,13 +9,17 @@
 
 #include "gtest/gtest.h"
 #include "net/transport.h"
+#include "tests/net/transport_test_util.h"
 #include "tests/test_util.h"
 
 namespace muppet {
 namespace {
 
+using testing::SendOne;
+
 // A transport wired to a fault plan on a simulated clock, with machine 1
-// (and optionally more) recording deliveries in arrival order.
+// (and optionally more) recording each delivered frame and its message
+// count in arrival order.
 struct FaultFixture {
   explicit FaultFixture(FaultPlan plan, int machines = 2)
       : injector(std::move(plan)) {
@@ -28,9 +32,12 @@ struct FaultFixture {
     for (MachineId m = 0; m < machines; ++m) {
       EXPECT_TRUE(transport
                       ->RegisterMachine(m,
-                                        [this, m](MachineId, BytesView p) {
-                                          received[m].push_back(
-                                              std::string(p));
+                                        [this, m](MachineId, BytesView frame,
+                                                  size_t count,
+                                                  size_t* accepted) {
+                                          received[m].emplace_back(frame);
+                                          counts[m].push_back(count);
+                                          *accepted = count;
                                           return Status::OK();
                                         })
                       .ok());
@@ -41,6 +48,7 @@ struct FaultFixture {
   FaultInjector injector;
   std::unique_ptr<InMemoryTransport> transport;
   std::map<MachineId, std::vector<std::string>> received;
+  std::map<MachineId, std::vector<size_t>> counts;
   int64_t async_lost = 0;
   int64_t extra_delivered = 0;
 };
@@ -133,7 +141,7 @@ TEST(FaultTransportTest, DroppedSendReturnsUnavailable) {
   FaultPlan plan;
   plan.Drop(0, 1, 1.0);
   FaultFixture f(std::move(plan));
-  Status s = f.transport->Send(0, 1, "m", /*fault_signature=*/123);
+  Status s = SendOne(*f.transport, 0, 1, "m", /*fault_signature=*/123);
   EXPECT_TRUE(s.IsUnavailable());
   EXPECT_TRUE(f.received[1].empty());
   EXPECT_EQ(f.transport->messages_dropped(), 1);
@@ -144,7 +152,7 @@ TEST(FaultTransportTest, DuplicateDeliversTwiceAndPreChargesReceiver) {
   FaultPlan plan;
   plan.Duplicate(0, 1, 1.0);
   FaultFixture f(std::move(plan));
-  ASSERT_OK(f.transport->Send(0, 1, "m", /*fault_signature=*/5));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "m", /*fault_signature=*/5));
   // One logical message, two deliveries; the receiver was pre-charged for
   // the copy it never expected.
   ASSERT_EQ(f.received[1].size(), 2u);
@@ -159,7 +167,7 @@ TEST(FaultTransportTest, DelayAdvancesSimulatedClock) {
   FaultPlan plan;
   plan.Delay(0, 1, /*delay_micros=*/250);
   FaultFixture f(std::move(plan));
-  ASSERT_OK(f.transport->Send(0, 1, "m", 1));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "m", 1));
   EXPECT_EQ(f.clock.Now(), 250);
   EXPECT_EQ(f.received[1].size(), 1u);
   EXPECT_EQ(f.injector.delayed(), 1);
@@ -172,14 +180,14 @@ TEST(FaultTransportTest, ReorderHoldsWithinBoundedWindow) {
   plan.Reorder(0, 1, 1.0, /*window=*/2, /*start=*/0, /*end=*/100);
   FaultFixture f(std::move(plan));
 
-  ASSERT_OK(f.transport->Send(0, 1, "held", 1));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "held", 1));
   EXPECT_TRUE(f.received[1].empty());  // parked, but sender saw OK
   EXPECT_EQ(f.transport->messages_held(), 1);
   EXPECT_EQ(f.injector.held(), 1);
 
   f.clock.Set(100);  // past the rule window: new sends deliver normally
-  ASSERT_OK(f.transport->Send(0, 1, "a", 2));
-  ASSERT_OK(f.transport->Send(0, 1, "b", 3));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "a", 2));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "b", 3));
 
   // Bounded window: after 2 overtakes the held message must be out.
   ASSERT_EQ(f.received[1].size(), 3u);
@@ -197,8 +205,8 @@ TEST(FaultTransportTest, FlushHeldForcesDeliveryWithoutLinkTraffic) {
   FaultPlan plan;
   plan.Reorder(0, 1, 1.0, /*window=*/4);
   FaultFixture f(std::move(plan));
-  ASSERT_OK(f.transport->Send(0, 1, "h1", 1));
-  ASSERT_OK(f.transport->Send(0, 1, "h2", 2));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "h1", 1));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "h2", 2));
   EXPECT_TRUE(f.received[1].empty());
   f.transport->FlushHeld();
   ASSERT_EQ(f.received[1].size(), 2u);
@@ -212,7 +220,7 @@ TEST(FaultTransportTest, HeldMessageToCrashedMachineCountsAsAsyncLoss) {
   FaultPlan plan;
   plan.Reorder(0, 1, 1.0, /*window=*/4);
   FaultFixture f(std::move(plan));
-  ASSERT_OK(f.transport->Send(0, 1, "doomed", 1));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "doomed", 1));
   f.transport->Crash(1);
   f.transport->FlushHeld();
   EXPECT_TRUE(f.received[1].empty());
@@ -226,20 +234,20 @@ TEST(FaultTransportTest, PartitionSeparatesPairUntilHealed) {
   plan.PartitionAt(10, 0, 1).HealAt(20, 0, 1);
   FaultFixture f(std::move(plan), /*machines=*/3);
 
-  ASSERT_OK(f.transport->Send(0, 1, "before", 1));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "before", 1));
   f.clock.Set(10);
   f.injector.TakeDueActions(f.clock.Now());
   EXPECT_TRUE(f.injector.Partitioned(0, 1));
   EXPECT_TRUE(f.injector.Partitioned(1, 0));  // symmetric
-  EXPECT_TRUE(f.transport->Send(0, 1, "cut", 2).IsUnavailable());
-  EXPECT_TRUE(f.transport->Send(1, 0, "cut", 3).IsUnavailable());
-  ASSERT_OK(f.transport->Send(2, 1, "side", 4));  // other links unaffected
+  EXPECT_TRUE(SendOne(*f.transport, 0, 1, "cut", 2).IsUnavailable());
+  EXPECT_TRUE(SendOne(*f.transport, 1, 0, "cut", 3).IsUnavailable());
+  ASSERT_OK(SendOne(*f.transport, 2, 1, "side", 4));  // other links unaffected
   EXPECT_EQ(f.injector.partitioned_drops(), 2);
 
   f.clock.Set(20);
   f.injector.TakeDueActions(f.clock.Now());
   EXPECT_FALSE(f.injector.Partitioned(0, 1));
-  ASSERT_OK(f.transport->Send(0, 1, "after", 5));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "after", 5));
   ASSERT_EQ(f.received[1].size(), 3u);
 }
 
@@ -250,12 +258,12 @@ TEST(FaultTransportTest, ScriptedCrashAndRestartApplyAtTheTransport) {
   plan.CrashAt(5, 1).RestartAt(15, 1);
   FaultFixture f(std::move(plan));
 
-  ASSERT_OK(f.transport->Send(0, 1, "up", 1));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "up", 1));
   f.clock.Set(5);
-  EXPECT_TRUE(f.transport->Send(0, 1, "down", 2).IsUnavailable());
+  EXPECT_TRUE(SendOne(*f.transport, 0, 1, "down", 2).IsUnavailable());
   EXPECT_FALSE(f.transport->IsUp(1));
   f.clock.Set(15);
-  ASSERT_OK(f.transport->Send(0, 1, "back", 3));  // restart re-registers
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "back", 3));  // restart re-registers
   EXPECT_TRUE(f.transport->IsUp(1));
   ASSERT_EQ(f.received[1].size(), 2u);
   EXPECT_EQ(f.received[1][1], "back");
@@ -282,11 +290,11 @@ TEST(FaultInjectorTest, TakeDueActionsPopsEachActionOnce) {
 
 TEST(FaultTransportTest, SendAttemptsToCountsRoutedSends) {
   FaultFixture f(FaultPlan{}, /*machines=*/3);
-  ASSERT_OK(f.transport->Send(0, 1, "a"));
-  ASSERT_OK(f.transport->Send(2, 1, "b"));
-  ASSERT_OK(f.transport->Send(0, 2, "c"));
+  ASSERT_OK(SendOne(*f.transport, 0, 1, "a"));
+  ASSERT_OK(SendOne(*f.transport, 2, 1, "b"));
+  ASSERT_OK(SendOne(*f.transport, 0, 2, "c"));
   f.transport->Crash(1);
-  (void)f.transport->Send(0, 1, "d");  // failed attempts still count
+  (void)SendOne(*f.transport, 0, 1, "d");  // failed attempts still count
   EXPECT_EQ(f.transport->SendAttemptsTo(1), 3);
   EXPECT_EQ(f.transport->SendAttemptsTo(2), 1);
   EXPECT_EQ(f.transport->SendAttemptsTo(99), 0);
@@ -296,20 +304,14 @@ TEST(FaultTransportTest, BatchFramesAreFaultedWholeFrame) {
   FaultPlan plan;
   plan.Duplicate(0, 1, 1.0);
   FaultFixture f(std::move(plan));
-  std::vector<std::pair<std::string, size_t>> frames;
-  ASSERT_OK(f.transport->RegisterBatchHandler(
-      1, [&frames](MachineId, BytesView frame, size_t count,
-                   size_t* accepted) {
-        frames.emplace_back(std::string(frame), count);
-        *accepted = count;
-        return Status::OK();
-      }));
   size_t accepted = 0;
   ASSERT_OK(f.transport->SendBatch(0, 1, "frame", 3, &accepted,
                                    /*fault_signature=*/9));
   EXPECT_EQ(accepted, 3u);
-  ASSERT_EQ(frames.size(), 2u);  // original + whole-frame duplicate
-  EXPECT_EQ(frames[1].second, 3u);
+  // Original + whole-frame duplicate.
+  ASSERT_EQ(f.received[1].size(), 2u);
+  EXPECT_EQ(f.received[1][1], "frame");
+  EXPECT_EQ(f.counts[1][1], 3u);
   // The duplicate copy carried 3 logical messages.
   EXPECT_EQ(f.transport->messages_duplicated(), 3);
   EXPECT_EQ(f.extra_delivered, 3);

@@ -38,7 +38,7 @@ void ExpectSame(const WireFrame& a, const WireFrame& b) {
 }
 
 TEST(FrameTest, RoundTrip) {
-  const WireFrame in = MakeFrame(2, 5, "hello muppet", FrameType::kSingle, 1);
+  const WireFrame in = MakeFrame(2, 5, "hello muppet", FrameType::kBatch, 1);
   const Bytes wire = EncodeFrame(in);
   ASSERT_EQ(wire.size(), kFrameHeaderSize + in.payload.size());
 
@@ -72,7 +72,7 @@ TEST(FrameTest, ByteAtATime) {
   Bytes wire;
   for (int i = 0; i < 8; ++i) {
     frames.push_back(MakeFrame(i, i + 1, std::string(i * 7, 'x') + "p",
-                               i % 2 == 0 ? FrameType::kSingle
+                               i % 2 == 0 ? FrameType::kHello
                                           : FrameType::kBatch,
                                static_cast<uint32_t>(i + 1)));
     wire += EncodeFrame(frames.back());
@@ -158,6 +158,20 @@ TEST(FrameTest, EveryByteFlipIsRejected) {
       EXPECT_FALSE(dec.Next(&out, &have).ok()) << "byte " << i;
     }
   }
+
+  // A CRC-valid frame whose type byte is 2, the retired single-message
+  // type, is corrupt as well: HELLO and BATCH are the only frame types.
+  FrameDecoder dec;
+  dec.Feed(EncodeFrame(MakeFrame(7, 9, "retired type",
+                                 static_cast<FrameType>(2), /*count=*/1)));
+  WireFrame out;
+  bool have = false;
+  EXPECT_EQ(dec.Next(&out, &have).code(), StatusCode::kCorruption);
+  EXPECT_FALSE(have);
+  EXPECT_TRUE(dec.corrupt());
+  dec.Feed(wire);
+  EXPECT_EQ(dec.Next(&out, &have).code(), StatusCode::kCorruption);
+  EXPECT_FALSE(have);
 }
 
 TEST(FrameTest, OversizedLengthRejectedWithoutBuffering) {

@@ -28,9 +28,12 @@
 
 #include "net/frame.h"
 #include "net/socket.h"
+#include "tests/net/transport_test_util.h"
 
 namespace muppet {
 namespace {
+
+using testing::SendOne;
 
 // Reserve a free loopback port: bind port 0, read it back, release. The
 // tiny race (another process grabbing it before we re-bind) is acceptable
@@ -115,34 +118,23 @@ struct Node {
     transport = std::make_unique<TcpTransport>(std::move(opts));
     ASSERT_TRUE(transport
                     ->RegisterMachine(hosted,
-                                      [this](MachineId, BytesView payload) {
+                                      [this](MachineId, BytesView frame,
+                                             size_t count, size_t* accepted) {
                                         if (decline.load()) {
                                           return Status::ResourceExhausted(
                                               "test decline");
                                         }
-                                        last_payload.assign(payload.data(),
-                                                            payload.size());
+                                        last_payload.assign(frame.data(),
+                                                            frame.size());
                                         if (!expect_payload.empty() &&
-                                            payload == expect_payload) {
+                                            frame == expect_payload) {
                                           expect_hits.fetch_add(1);
                                         }
-                                        received.fetch_add(1);
+                                        *accepted = count;
+                                        received.fetch_add(
+                                            static_cast<int>(count));
                                         return Status::OK();
                                       })
-                    .ok());
-    ASSERT_TRUE(transport
-                    ->RegisterBatchHandler(
-                        hosted,
-                        [this](MachineId, BytesView, size_t count,
-                               size_t* accepted) {
-                          if (decline.load()) {
-                            *accepted = 0;
-                            return Status::ResourceExhausted("test decline");
-                          }
-                          *accepted = count;
-                          received.fetch_add(static_cast<int>(count));
-                          return Status::OK();
-                        })
                     .ok());
   }
 };
@@ -168,8 +160,8 @@ TEST(TcpTransportTest, DeliversAcrossRealSockets) {
   ASSERT_TRUE(WaitUntil([&] { return a.transport->PeerUp(2); }));
   ASSERT_TRUE(WaitUntil([&] { return b.transport->PeerUp(1); }));
 
-  // Single message.
-  ASSERT_TRUE(a.transport->Send(0, 1, "over the wire").ok());
+  // A frame of one message.
+  ASSERT_TRUE(SendOne(*a.transport, 0, 1, "over the wire").ok());
   ASSERT_TRUE(WaitUntil([&] { return b.received.load() == 1; }));
   EXPECT_EQ(b.last_payload, "over the wire");
 
@@ -181,7 +173,7 @@ TEST(TcpTransportTest, DeliversAcrossRealSockets) {
   ASSERT_TRUE(WaitUntil([&] { return b.received.load() == 6; }));
 
   // Reverse direction uses b's own dialed connection.
-  ASSERT_TRUE(b.transport->Send(1, 0, "echo").ok());
+  ASSERT_TRUE(SendOne(*b.transport, 1, 0, "echo").ok());
   ASSERT_TRUE(WaitUntil([&] { return a.received.load() == 1; }));
 
   EXPECT_GE(a.transport->SendAttemptsTo(1), 2);
@@ -203,7 +195,7 @@ TEST(TcpTransportTest, PeerDownAtConnectFailsSendsImmediately) {
   // every send fails fast with Unavailable — no queueing, no blocking.
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 50; ++i) {
-    const Status s = a.transport->Send(0, 1, "lost");
+    const Status s = SendOne(*a.transport, 0, 1, "lost");
     EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.message();
   }
   const auto elapsed = std::chrono::steady_clock::now() - t0;
@@ -223,7 +215,7 @@ TEST(TcpTransportTest, PeerDyingMidFrameDeliversNothing) {
   ASSERT_TRUE(a.transport->Start().ok());
 
   WireFrame f;
-  f.type = FrameType::kSingle;
+  f.type = FrameType::kBatch;
   f.from = 5;
   f.to = 0;
   f.count = 1;
@@ -291,7 +283,7 @@ TEST(TcpTransportTest, CorruptStreamTearsConnectionDownWithoutCrashing) {
   hello.count = 0;
   hello.payload = EncodeHello(3, {7});
   WireFrame msg;
-  msg.type = FrameType::kSingle;
+  msg.type = FrameType::kBatch;
   msg.from = 7;
   msg.to = 0;
   msg.count = 1;
@@ -313,7 +305,7 @@ TEST(TcpTransportTest, ReconnectWithBackoffResumesDelivery) {
   b.Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
   ASSERT_TRUE(b.transport->Start().ok());
   ASSERT_TRUE(WaitUntil([&] { return a.transport->PeerUp(2); }));
-  ASSERT_TRUE(a.transport->Send(0, 1, "before the crash").ok());
+  ASSERT_TRUE(SendOne(*a.transport, 0, 1, "before the crash").ok());
   ASSERT_TRUE(WaitUntil([&] { return b.received.load() == 1; }));
 
   // Phase 2: kill the peer. The dialer notices (read error / failed
@@ -322,10 +314,10 @@ TEST(TcpTransportTest, ReconnectWithBackoffResumesDelivery) {
   b.transport->Stop();
   ASSERT_TRUE(WaitUntil([&] {
     return !a.transport->PeerUp(2) ||
-           !a.transport->Send(0, 1, "probe").ok();
+           !SendOne(*a.transport, 0, 1, "probe").ok();
   }));
   ASSERT_TRUE(WaitUntil([&] { return !a.transport->PeerUp(2); }));
-  const Status down = a.transport->Send(0, 1, "while down");
+  const Status down = SendOne(*a.transport, 0, 1, "while down");
   EXPECT_EQ(down.code(), StatusCode::kUnavailable);
 
   // Phase 3: restart the peer on the same port. The restarted peer dials
@@ -338,7 +330,7 @@ TEST(TcpTransportTest, ReconnectWithBackoffResumesDelivery) {
   ASSERT_TRUE(WaitUntil([&] { return a.transport->PeerUp(2); }));
   ASSERT_TRUE(WaitUntil([&] {
     // The first send may race the handshake flip; retry until accepted.
-    return a.transport->Send(0, 1, "after restart").ok();
+    return SendOne(*a.transport, 0, 1, "after restart").ok();
   }));
   // A "probe" from phase 2 may have been queued before the dialer
   // noticed the crash; retained frames are resent on reconnect by
@@ -379,7 +371,8 @@ TEST(TcpTransportTest, InboundHelloCutsDialerBackoffShort) {
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
   EXPECT_LT(elapsed.count(), 1000);
-  ASSERT_TRUE(WaitUntil([&] { return a.transport->Send(0, 1, "back").ok(); }));
+  ASSERT_TRUE(
+      WaitUntil([&] { return SendOne(*a.transport, 0, 1, "back").ok(); }));
   ASSERT_TRUE(WaitUntil([&] { return b2.received.load() >= 1; }));
 
   a.transport->Stop();
@@ -403,7 +396,7 @@ TEST(TcpTransportTest, WriteQueueOverflowReportsBackpressure) {
   const Bytes big(64 * 1024, 'q');
   bool saw_backpressure = false;
   for (int i = 0; i < 400 && !saw_backpressure; ++i) {
-    const Status s = a.transport->Send(0, 1, big);
+    const Status s = SendOne(*a.transport, 0, 1, big);
     if (s.code() == StatusCode::kResourceExhausted) {
       saw_backpressure = true;
     } else {
@@ -432,27 +425,26 @@ TEST(TcpTransportTest, CrashedLocalMachineRejectsSends) {
   Node a;
   a.Init(1, port_a, /*hosted=*/0, {});
   ASSERT_TRUE(a.transport->Start().ok());
-  ASSERT_TRUE(a.transport->Send(0, 0, "local fast path").ok());
+  ASSERT_TRUE(SendOne(*a.transport, 0, 0, "local delivery").ok());
   EXPECT_EQ(a.received.load(), 1);
-  EXPECT_EQ(a.transport->messages_local(), 1);
+  EXPECT_EQ(a.transport->messages_sent(), 1);
 
   a.transport->Crash(0);
   EXPECT_FALSE(a.transport->IsUp(0));
-  EXPECT_EQ(a.transport->Send(0, 0, "dead").code(),
+  EXPECT_EQ(SendOne(*a.transport, 0, 0, "dead").code(),
             StatusCode::kUnavailable);
   a.transport->Restore(0);
   EXPECT_TRUE(a.transport->IsUp(0));
-  ASSERT_TRUE(a.transport->Send(0, 0, "revived").ok());
+  ASSERT_TRUE(SendOne(*a.transport, 0, 0, "revived").ok());
   EXPECT_EQ(a.received.load(), 2);
   a.transport->Stop();
 }
 
-TEST(TcpTransportTest, MachinesListsLocalAndRemote) {
+TEST(TcpTransportTest, IsUpCoversLocalAndRemoteMachines) {
   const int port_a = ReservePort();
   const int port_b = ReservePort();
   Node a;
   a.Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1, 2})});
-  EXPECT_EQ(a.transport->Machines(), (std::vector<MachineId>{0, 1, 2}));
   EXPECT_TRUE(a.transport->IsUp(0));
   // Remote machines are "up" only once their peer's connection is.
   EXPECT_FALSE(a.transport->IsUp(1));
