@@ -78,9 +78,9 @@ RunResult RunThroughput(bool muppet2, size_t value_bytes) {
 
 // Working-set run (the §4.5 100-vs-125 example, scaled): one machine, a
 // cache budget equal to the working set, cyclic access over the working
-// set (the LRU worst case). Muppet 1.0 splits the budget across its 5
-// workers while keys hash unevenly among them; Muppet 2.0's central cache
-// holds the set exactly.
+// set (the worst case for LRU and for CLOCK). Muppet 1.0 splits the
+// budget across its 5 workers while keys hash unevenly among them; Muppet
+// 2.0's central cache holds the set exactly.
 RunResult RunWorkingSet(bool muppet2) {
   AppConfig config;
   BuildCounting(&config);

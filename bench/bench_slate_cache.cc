@@ -85,7 +85,7 @@ void WarmupCurve() {
       if (fetched.ok()) {
         CheckOk(cache.Insert(id, fetched.value()), "insert");
       } else {
-        cache.InsertAbsent(id);
+        (void)cache.InsertAbsent(id);
       }
     }
     if ((i + 1) % 10000 == 0) {

@@ -48,8 +48,8 @@
 //     55   failed-set       per-machine failed-peer sets (both engines)
 //     60   drain            engine drain_mutex_ (inflight condvar)
 //     65   throttle         ThrottleGovernor delay state
-//     70   slate-cache      SlateCache LRU + index (Delete waits on it for
-//                           an in-flight flush write-back)
+//     70   slate-cache      SlateCache index, blocks and CLOCK hand (Delete
+//                           waits on it for an in-flight flush write-back)
 //     80   store-node       StorageNode column-family registry
 //     90   store-tables     Shard SSTable list
 //    100   store-io         MemTable index, WAL file, SSTable file handle

@@ -17,13 +17,11 @@ namespace slate_cache_internal {
 // then the value bytes. A key of kLongKey bytes or more stores its length
 // as a u32 between the header and the key bytes.
 struct Block {
-  Block* newer;  // recency links; nullptr at the mru_/lru_ ends
-  Block* older;
   Timestamp dirty_since;
   uint32_t value_len;
   uint8_t key_len;  // kLongKey: the length is the u32 after the header
   uint8_t updater;  // index into updaters_
-  uint8_t flags;    // kDirty | kAbsent
+  uint8_t flags;    // kDirty | kAbsent, and kReferenced
   // Write-backs of this slate that FlushDirtyFor has in flight outside
   // the lock; eviction skips the block while nonzero, so the slate stays
   // readable until the store holds it.
@@ -36,11 +34,19 @@ namespace {
 
 using slate_cache_internal::Block;
 
-static_assert(sizeof(Block) == 32, "the per-slate budget assumes it");
+static_assert(sizeof(Block) == 16, "the per-slate budget assumes it");
 
 constexpr uint8_t kDirty = 1;
 constexpr uint8_t kAbsent = 2;  // negative entry: store has nothing
+// Used since the eviction hand last passed: the hand clears it instead of
+// evicting the block (CLOCK, second chance).
+constexpr uint8_t kReferenced = 4;
 constexpr uint8_t kLongKey = 0xff;
+
+// Sets a block's kDirty/kAbsent state, keeping its kReferenced bit.
+void SetState(Block* b, uint8_t state) {
+  b->flags = static_cast<uint8_t>((b->flags & kReferenced) | state);
+}
 
 // The bytes after the header: [u32 key length if long] key, value.
 char* Tail(Block* b) { return reinterpret_cast<char*>(b + 1); }
@@ -81,6 +87,15 @@ uint64_t SlateHash(uint64_t updater_hash, BytesView key) {
   return HashCombine(updater_hash, Fnv1a64(key)) * 0x9e3779b97f4a7c15ULL;
 }
 
+// What Insert and InsertAbsent report for the block they leave cached.
+Status Held(const Block* b, Bytes* cached) {
+  if ((b->flags & kAbsent) != 0) {
+    return Status::NotFound("slate cache: negative entry");
+  }
+  if (cached != nullptr) cached->assign(ValueOf(b));
+  return Status::OK();
+}
+
 Block* NewBlock(uint8_t updater, BytesView key, BytesView value) {
   MUPPET_CHECK(key.size() <= std::numeric_limits<uint32_t>::max() &&
                value.size() <= std::numeric_limits<uint32_t>::max());
@@ -89,8 +104,6 @@ Block* NewBlock(uint8_t updater, BytesView key, BytesView value) {
   void* p = std::malloc(sizeof(Block) + key_offset + key.size() + value.size());
   MUPPET_CHECK(p != nullptr) << "out of memory";
   auto* b = static_cast<Block*>(p);
-  b->newer = nullptr;
-  b->older = nullptr;
   b->dirty_since = 0;
   b->value_len = static_cast<uint32_t>(value.size());
   b->key_len = long_key ? kLongKey : static_cast<uint8_t>(key.size());
@@ -165,27 +178,6 @@ Block* SlateCache::FindLocked(const SlateId& id) const {
   return index_.at(ProbeLocked(HashLocked(u, id.key), u, id.key));
 }
 
-void SlateCache::LinkFrontLocked(Block* block) {
-  block->older = mru_;
-  block->newer = nullptr;
-  if (mru_ != nullptr) mru_->newer = block;
-  mru_ = block;
-  if (lru_ == nullptr) lru_ = block;
-}
-
-void SlateCache::UnlinkLocked(Block* block) {
-  (block->newer != nullptr ? block->newer->older : mru_) = block->older;
-  (block->older != nullptr ? block->older->newer : lru_) = block->newer;
-  block->newer = nullptr;
-  block->older = nullptr;
-}
-
-void SlateCache::TouchLocked(Block* block) {
-  if (block == mru_) return;
-  UnlinkLocked(block);
-  LinkFrontLocked(block);
-}
-
 Block* SlateCache::SetValueLocked(size_t slot, BytesView value) {
   MUPPET_CHECK(value.size() <= std::numeric_limits<uint32_t>::max());
   Block* b = index_.at(slot);
@@ -193,10 +185,7 @@ Block* SlateCache::SetValueLocked(size_t slot, BytesView value) {
     void* p = std::realloc(b, sizeof(Block) + ValueOffset(b) + value.size());
     MUPPET_CHECK(p != nullptr) << "out of memory";
     b = static_cast<Block*>(p);
-    // The block may have moved: repoint its neighbours and its slot.
-    (b->newer != nullptr ? b->newer->older : mru_) = b;
-    (b->older != nullptr ? b->older->newer : lru_) = b;
-    index_.Replace(slot, b);
+    index_.Replace(slot, b);  // the block may have moved
   }
   if (!value.empty()) {
     std::memcpy(Tail(b) + ValueOffset(b), value.data(), value.size());
@@ -205,30 +194,31 @@ Block* SlateCache::SetValueLocked(size_t slot, BytesView value) {
   return b;
 }
 
-Block* SlateCache::UpsertLocked(const SlateId& id, BytesView value) {
+Block* SlateCache::UpsertLocked(const SlateId& id, BytesView value,
+                                bool overwrite, bool* added) {
   const uint8_t u = InternLocked(id.updater);
   const uint64_t hash = HashLocked(u, id.key);
   if (index_.slot_count() > 0) {
     const size_t i = ProbeLocked(hash, u, id.key);
     if (Block* b = index_.at(i); b != nullptr) {
-      TouchLocked(b);
-      return SetValueLocked(i, value);
+      b->flags |= kReferenced;
+      *added = false;
+      return overwrite ? SetValueLocked(i, value) : b;
     }
   }
   Block* b = NewBlock(u, id.key, value);
   index_.Insert(hash, b, HashOfLocked());
-  LinkFrontLocked(b);
+  *added = true;
   return b;
 }
 
-void SlateCache::EraseLocked(Block* block) {
-  UnlinkLocked(block);
+void SlateCache::EraseLocked(size_t slot) {
+  Block* block = index_.at(slot);
   // Backward-shift deletion: pull each later slot of the probe run into
   // the hole unless its home lies cyclically in (hole, slot].
   const auto hash_of = HashOfLocked();
-  const auto is_block = [block](const Block* b) { return b == block; };
   const size_t mask = index_.slot_count() - 1;
-  size_t hole = index_.Probe(hash_of(block), is_block);
+  size_t hole = slot;
   for (size_t j = (hole + 1) & mask; index_.at(j) != nullptr;
        j = (j + 1) & mask) {
     if (((j - index_.Home(j, hash_of)) & mask) >= ((j - hole) & mask)) {
@@ -241,36 +231,40 @@ void SlateCache::EraseLocked(Block* block) {
 }
 
 void SlateCache::FreeAllLocked() {
-  for (Block* b = mru_; b != nullptr;) {
-    Block* older = b->older;
-    std::free(b);
-    b = older;
-  }
+  for (size_t i = 0; i < index_.slot_count(); ++i) std::free(index_.at(i));
   index_.Reset();
-  mru_ = nullptr;
-  lru_ = nullptr;
 }
 
 SlateId SlateCache::IdOfLocked(const Block* block) const {
   return SlateId{updaters_[block->updater].name, Bytes(KeyOf(block))};
 }
 
-Status SlateCache::EvictIfNeededLocked() {
-  // Never the MRU block: with every older block in flight the cache runs
-  // over capacity until their write-backs land, rather than drop the slate
-  // it was just handed.
-  Block* victim = lru_;
-  while (index_.size() > options_.capacity && victim != mru_) {
-    Block* next = victim->newer;
-    if (victim->flushing > 0) {
-      // Its write-back is still on its way to the store: dropping it now
-      // would leave the slate in neither place.
-      victim = next;
+void SlateCache::EvictIfNeededLocked(const Block* handed) {
+  if (index_.size() <= options_.capacity) return;
+  const size_t slots = index_.slot_count();
+  const size_t mask = slots - 1;
+  // An odd stride visits every slot of the power-of-two array once a lap.
+  // A stride of 1 would empty the slots behind the hand while linear
+  // probing piles new blocks into the run ahead of it; one near
+  // slots / phi spreads the holes out.
+  const size_t stride =
+      static_cast<size_t>(static_cast<double>(slots) * 0.618) | 1;
+  // Two laps without an eviction clear every bit and then find every
+  // block handed in or in flight: the cache runs over capacity until
+  // their write-backs land, rather than drop the slate it was just handed.
+  size_t idle = 0;
+  while (index_.size() > options_.capacity && idle++ < 2 * slots) {
+    hand_ = (hand_ + stride) & mask;
+    Block* b = index_.at(hand_);
+    // A block whose write-back is still on its way to the store stays:
+    // dropping it now would leave the slate in neither place.
+    if (b == nullptr || b == handed || b->flushing > 0) continue;
+    if ((b->flags & kReferenced) != 0) {
+      b->flags &= ~kReferenced;
       continue;
     }
-    if ((victim->flags & kDirty) != 0) {
-      DirtySlate out{IdOfLocked(victim), Bytes(ValueOf(victim)),
-                     /*deleted=*/false};
+    if ((b->flags & kDirty) != 0) {
+      DirtySlate out{IdOfLocked(b), Bytes(ValueOf(b)), /*deleted=*/false};
       Status s = write_back_(out);
       if (!s.ok()) {
         MUPPET_LOG(kWarning) << "slate cache: write-back on eviction failed: "
@@ -280,11 +274,10 @@ Status SlateCache::EvictIfNeededLocked() {
         // paper's failure semantics (§4.3).
       }
     }
-    EraseLocked(victim);
+    EraseLocked(hand_);
     evictions_.Add();
-    victim = next;
+    idle = 0;
   }
-  return Status::OK();
 }
 
 Status SlateCache::Lookup(const SlateId& id, Bytes* value) {
@@ -302,47 +295,44 @@ Status SlateCache::LookupWithAbsent(const SlateId& id, Bytes* value,
     misses_.Add();
     return Status::NotFound("slate cache: miss");
   }
-  TouchLocked(b);
+  b->flags |= kReferenced;
   hits_.Add();
   *absent = (b->flags & kAbsent) != 0;
   if (!*absent) value->assign(ValueOf(b));
   return Status::OK();
 }
 
-Status SlateCache::Insert(const SlateId& id, BytesView value) {
+Status SlateCache::Insert(const SlateId& id, BytesView value, Bytes* cached) {
   MutexLock lock(mutex_);
-  Block* b = UpsertLocked(id, value);
-  // A fetched slate is clean by definition.
-  b->flags = 0;
-  b->dirty_since = 0;
-  return EvictIfNeededLocked();
+  bool added = false;
+  Block* b = UpsertLocked(id, value, /*overwrite=*/false, &added);
+  EvictIfNeededLocked(b);
+  return Held(b, cached);
 }
 
-void SlateCache::InsertAbsent(const SlateId& id) {
+Status SlateCache::InsertAbsent(const SlateId& id, Bytes* cached) {
   MutexLock lock(mutex_);
-  Block* b = FindLocked(id);
-  if (b != nullptr && (b->flags & kDirty) != 0) {
-    TouchLocked(b);
-    return;  // an update raced in; keep the real value
-  }
-  b = UpsertLocked(id, BytesView());
-  b->flags = kAbsent;
-  (void)EvictIfNeededLocked();
+  bool added = false;
+  Block* b = UpsertLocked(id, BytesView(), /*overwrite=*/false, &added);
+  if (added) b->flags = kAbsent;
+  EvictIfNeededLocked(b);
+  return Held(b, cached);
 }
 
 Status SlateCache::Update(const SlateId& id, BytesView value, Timestamp now,
                           bool write_through) {
   {
     MutexLock lock(mutex_);
-    Block* b = UpsertLocked(id, value);
+    bool added = false;
+    Block* b = UpsertLocked(id, value, /*overwrite=*/true, &added);
     if (write_through) {
-      b->flags = 0;
+      SetState(b, 0);
       b->dirty_since = 0;
     } else {
       if ((b->flags & kDirty) == 0) b->dirty_since = now;
-      b->flags = kDirty;
+      SetState(b, kDirty);
     }
-    MUPPET_RETURN_IF_ERROR(EvictIfNeededLocked());
+    EvictIfNeededLocked(b);
   }
   if (write_through) {
     return write_back_(DirtySlate{id, Bytes(value), /*deleted=*/false});
@@ -364,7 +354,7 @@ Status SlateCache::Delete(const SlateId& id) {
       // Keep a negative entry so a subsequent read doesn't refetch a value
       // the store may still hold briefly.
       b->value_len = 0;
-      b->flags = kAbsent;
+      SetState(b, kAbsent);
     }
   }
   return write_back_(DirtySlate{id, Bytes(), /*deleted=*/true});
@@ -388,13 +378,14 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
       only = FindUpdaterLocked(updater);
       if (only < 0) return 0;
     }
-    for (Block* b = mru_; b != nullptr; b = b->older) {
-      if (only >= 0 && b->updater != only) continue;
+    for (size_t i = 0; i < index_.slot_count(); ++i) {
+      Block* b = index_.at(i);
+      if (b == nullptr || (only >= 0 && b->updater != only)) continue;
       if ((b->flags & kDirty) != 0 && b->dirty_since < dirty_before) {
         to_flush.push_back(Pending{
             DirtySlate{IdOfLocked(b), Bytes(ValueOf(b)), false},
             b->dirty_since});
-        b->flags = 0;
+        SetState(b, 0);
         b->dirty_since = 0;
         ++b->flushing;
       }
@@ -421,8 +412,8 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
     // not be silently dropped — re-mark the entry dirty so a later flush
     // retries. If the slate was updated again meanwhile it is already
     // dirty and this is a no-op.
-    if (b != nullptr && b->flags == 0) {
-      b->flags = kDirty;
+    if (b != nullptr && (b->flags & (kDirty | kAbsent)) == 0) {
+      SetState(b, kDirty);
       b->dirty_since = to_flush[i].dirty_since;
     }
   }

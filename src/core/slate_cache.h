@@ -5,18 +5,21 @@
 // this class, differing only in how many instances they create (E6
 // measures the working-set consequence).
 //
-// Eviction is LRU by slate count. Dirty slates are written back through a
-// caller-provided writer according to the per-updater flush policy
-// (write-through / interval / on-evict, §4.2).
+// Eviction is CLOCK (second chance) by slate count: a hand sweeps the
+// index and evicts the first slate not used since its last pass. Dirty
+// slates are written back through a caller-provided writer according to
+// the per-updater flush policy (write-through / interval / on-evict,
+// §4.2).
 //
-// Layout: one heap block per slate, holding a 32-byte header (recency
-// links, dirty_since, lengths, a one-byte updater index, flag and
-// flushing bytes) followed by the key bytes and the value bytes. An
-// update rewrites the value in place while it fits the block. The blocks
-// are found through an open-addressed, linearly probed array of 8-byte
-// slots, each a block address under a 16-bit hash tag, which grows with
-// the number of slates rather than with `capacity` (common/tagged_index.h,
-// shared with the kvstore memtable; DESIGN.md, "Slate cache layout").
+// Layout: one heap block per slate, holding a 16-byte header
+// (dirty_since, lengths, a one-byte updater index, flag and flushing
+// bytes) followed by the key bytes and the value bytes. An update
+// rewrites the value in place while it fits the block. The blocks are
+// found through an open-addressed, linearly probed array of 8-byte slots,
+// each a block address under a 16-bit hash tag, which grows with the
+// number of slates rather than with `capacity` (common/tagged_index.h,
+// shared with the kvstore memtable); the eviction hand is a position in
+// that array (DESIGN.md, "Slate cache layout").
 #ifndef MUPPET_CORE_SLATE_CACHE_H_
 #define MUPPET_CORE_SLATE_CACHE_H_
 
@@ -68,8 +71,12 @@ class SlateCache {
   // fetches from the store and calls Insert).
   Status Lookup(const SlateId& id, Bytes* value);
 
-  // Insert a clean slate fetched from the store (may evict).
-  Status Insert(const SlateId& id, BytesView value);
+  // Cache `value`, a clean slate just read from the store (may evict),
+  // unless `id` is cached already: an update, a delete or another read
+  // may have raced in since that read, and what the cache holds is no
+  // older than it. `*cached`, when given, receives the value the cache
+  // holds after the call; NotFound if it holds a negative entry.
+  Status Insert(const SlateId& id, BytesView value, Bytes* cached = nullptr);
 
   // Record a slate update from an updater. `write_through` forces an
   // immediate write-back (SlateFlushPolicy::kWriteThrough); otherwise the
@@ -94,8 +101,9 @@ class SlateCache {
 
   // Negative cache marker: remember that the store has no such slate, so
   // repeated first-touch events don't re-fetch. Represented as a cached
-  // empty "absent" entry.
-  void InsertAbsent(const SlateId& id);
+  // empty "absent" entry. As Insert, it never replaces a cached entry, and
+  // reports what the cache holds: NotFound for a negative entry.
+  Status InsertAbsent(const SlateId& id, Bytes* cached = nullptr);
   // Lookup including absent markers: returns OK with *absent=true for a
   // negative entry.
   Status LookupWithAbsent(const SlateId& id, Bytes* value, bool* absent);
@@ -115,6 +123,7 @@ class SlateCache {
 
  private:
   using Block = slate_cache_internal::Block;
+  friend class SlateCacheTestPeer;  // reads contents without touching them
 
   // An interned updater name. A block names its updater by index into
   // updaters_, which never shrinks: an application has a fixed set.
@@ -123,21 +132,23 @@ class SlateCache {
     uint64_t hash;
   };
 
-  // Evict LRU entries beyond capacity, writing dirty ones back and
-  // skipping blocks with a write-back in flight. The write-back runs under
-  // mutex_, which is why the cache sits above the store in the lock
-  // hierarchy.
-  Status EvictIfNeededLocked() MUPPET_REQUIRES(mutex_);
-  // The block holding `id` made MRU, with `value` written into it; a new
-  // one (flags clear) if `id` is not cached.
-  Block* UpsertLocked(const SlateId& id, BytesView value)
-      MUPPET_REQUIRES(mutex_);
+  // Sweep the hand until the cache is back within capacity: clear a set
+  // kReferenced bit, evict a block whose bit is clear, writing it back if
+  // dirty. Skips `handed`, the block the caller just handed in, and blocks
+  // with a write-back in flight. The write-back runs under mutex_, which
+  // is why the cache sits above the store in the lock hierarchy.
+  void EvictIfNeededLocked(const Block* handed) MUPPET_REQUIRES(mutex_);
+  // The block holding `id`, marked referenced, with `value` written into
+  // it if `overwrite`; or, if `id` is not cached, a new unreferenced block
+  // holding `value`, flags clear. `*added` tells which.
+  Block* UpsertLocked(const SlateId& id, BytesView value, bool overwrite,
+                      bool* added) MUPPET_REQUIRES(mutex_);
   Block* FindLocked(const SlateId& id) const MUPPET_REQUIRES(mutex_);
   // Writes `value` into the block in slot `slot`, moving the block when
   // the value outgrows it. Returns the block's address afterwards.
   Block* SetValueLocked(size_t slot, BytesView value) MUPPET_REQUIRES(mutex_);
-  // Unlink, unindex and free one block.
-  void EraseLocked(Block* block) MUPPET_REQUIRES(mutex_);
+  // Unindex and free the block in slot `slot`.
+  void EraseLocked(size_t slot) MUPPET_REQUIRES(mutex_);
   void FreeAllLocked() MUPPET_REQUIRES(mutex_);
 
   // The slot holding (updater, key), or the empty slot that ends its probe
@@ -153,11 +164,6 @@ class SlateCache {
   int FindUpdaterLocked(std::string_view name) const MUPPET_REQUIRES(mutex_);
   uint8_t InternLocked(const std::string& name) MUPPET_REQUIRES(mutex_);
 
-  // Recency list maintenance.
-  void LinkFrontLocked(Block* block) MUPPET_REQUIRES(mutex_);
-  void UnlinkLocked(Block* block) MUPPET_REQUIRES(mutex_);
-  void TouchLocked(Block* block) MUPPET_REQUIRES(mutex_);
-
   SlateId IdOfLocked(const Block* block) const MUPPET_REQUIRES(mutex_);
 
   SlateCacheOptions options_;
@@ -168,8 +174,8 @@ class SlateCache {
   CondVar flushed_;
   // Finds each block from its slate's hash (common/tagged_index.h).
   TaggedIndex<Block> index_ MUPPET_GUARDED_BY(mutex_);
-  Block* mru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
-  Block* lru_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  // The eviction hand: the index slot it last looked at.
+  size_t hand_ MUPPET_GUARDED_BY(mutex_) = 0;
   std::vector<Updater> updaters_ MUPPET_GUARDED_BY(mutex_);
 
   Counter hits_;

@@ -346,20 +346,21 @@ Status MachineRuntime::FetchThroughCache(SlateCache* cache,
     if (absent) return Status::NotFound("slate absent (cached)");
     return Status::OK();
   }
+  // A live read (FetchSlate) takes no slate lock, so an update, a delete
+  // or another fetch of the slate may reach the cache between this store
+  // read and the insert. The cache keeps the entry that got there first,
+  // and the fetch returns what the cache holds.
   if (options_.slate_store != nullptr) {
     store_reads_->Add();
     Result<Bytes> fetched = options_.slate_store->Read(id);
     if (fetched.ok()) {
       if (source != nullptr) *source = SpanNote::kStore;
-      *slate = std::move(fetched).value();
-      (void)cache->Insert(id, *slate);
-      return Status::OK();
+      return cache->Insert(id, fetched.value(), slate);
     }
     if (!fetched.status().IsNotFound()) return fetched.status();
   }
   if (source != nullptr) *source = SpanNote::kStoreAbsent;
-  cache->InsertAbsent(id);
-  return Status::NotFound("slate absent");
+  return cache->InsertAbsent(id, slate);
 }
 
 SlateCache::WriteBack MachineRuntime::StoreWriteBack() {

@@ -1,17 +1,24 @@
 #include "core/slate_cache.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/sync.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
+#include "workload/zipf_keys.h"
 
 namespace muppet {
 namespace {
@@ -101,19 +108,30 @@ TEST(SlateCacheTest, FlushDirtyForFiltersUpdater) {
   EXPECT_EQ(out, "v2");
 }
 
-TEST(SlateCacheTest, LruEvictionWritesDirtyBack) {
+TEST(SlateCacheTest, EvictionWritesDirtyBack) {
   Sink sink;
   SlateCache cache({.capacity = 3}, sink.AsWriteBack());
   ASSERT_OK(cache.Update(Id("a"), "va", 1, false));
   ASSERT_OK(cache.Update(Id("b"), "vb", 2, false));
   ASSERT_OK(cache.Update(Id("c"), "vc", 3, false));
-  ASSERT_OK(cache.Update(Id("d"), "vd", 4, false));  // evicts "a"
+  ASSERT_OK(cache.Update(Id("d"), "vd", 4, false));  // evicts one of a/b/c
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(sink.store.at(Id("a")), "va") << "dirty victim must be flushed";
+  ASSERT_EQ(sink.store.size(), 1u) << "dirty victim must be flushed";
+  const auto& [victim, value] = *sink.store.begin();
+  EXPECT_EQ(value, "v" + victim.key);
   Bytes out;
-  EXPECT_TRUE(cache.Lookup(Id("a"), &out).IsNotFound());
+  for (const char* key : {"a", "b", "c"}) {
+    const Status s = cache.Lookup(Id(key), &out);
+    if (Id(key) == victim) {
+      EXPECT_TRUE(s.IsNotFound()) << key;
+    } else {
+      EXPECT_OK(s);
+      EXPECT_EQ(out, std::string("v") + key);
+    }
+  }
   ASSERT_OK(cache.Lookup(Id("d"), &out));
+  EXPECT_EQ(out, "vd");
 }
 
 TEST(SlateCacheTest, LookupRefreshesRecency) {
@@ -165,6 +183,48 @@ TEST(SlateCacheTest, InsertAbsentDoesNotClobberDirty) {
   Bytes out;
   ASSERT_OK(cache.Lookup(Id("a"), &out));
   EXPECT_EQ(out, "dirty-value");
+}
+
+TEST(SlateCacheTest, StoreReadNeverReplacesACachedSlate) {
+  // A live read (FetchSlate) takes no slate lock. It misses, reads v0 from
+  // the store, and an updater caches v0 and updates the slate to v1 before
+  // the read's own insert of v0 lands. That insert must not bring v0 back.
+  Sink sink;
+  SlateCache cache({.capacity = 10}, sink.AsWriteBack());
+  Bytes out;
+  ASSERT_TRUE(cache.Lookup(Id("a"), &out).IsNotFound());
+  ASSERT_OK(cache.Insert(Id("a"), "v0"));
+  ASSERT_OK(cache.Update(Id("a"), "v1", /*now=*/1, /*write_through=*/false));
+  (void)cache.Insert(Id("a"), "v0");
+  ASSERT_OK(cache.Lookup(Id("a"), &out));
+  EXPECT_EQ(out, "v1");
+  auto flushed = cache.FlushDirty(INT64_MAX);
+  ASSERT_OK(flushed);
+  EXPECT_EQ(flushed.value(), 1);
+  EXPECT_EQ(sink.store[Id("a")], "v1");
+}
+
+TEST(SlateCacheTest, StoreReadReturnsWhatTheCacheHolds) {
+  Sink sink;
+  SlateCache cache({.capacity = 10}, sink.AsWriteBack());
+  Bytes held;
+  ASSERT_OK(cache.Insert(Id("a"), "v0", &held));
+  EXPECT_EQ(held, "v0");
+  // A write-through update leaves the slate clean; a stale read still
+  // loses to it.
+  ASSERT_OK(cache.Update(Id("a"), "v1", 1, /*write_through=*/true));
+  ASSERT_OK(cache.Insert(Id("a"), "v0", &held));
+  EXPECT_EQ(held, "v1");
+  EXPECT_TRUE(cache.InsertAbsent(Id("a"), &held).ok());
+  EXPECT_EQ(held, "v1");
+  // A delete that raced in wins too: the read reports no slate.
+  ASSERT_OK(cache.Delete(Id("a")));
+  EXPECT_TRUE(cache.Insert(Id("a"), "v1", &held).IsNotFound());
+  EXPECT_TRUE(cache.InsertAbsent(Id("b"), &held).IsNotFound());
+  EXPECT_TRUE(cache.InsertAbsent(Id("b"), &held).IsNotFound());
+  bool absent = false;
+  ASSERT_OK(cache.LookupWithAbsent(Id("a"), &held, &absent));
+  EXPECT_TRUE(absent);
 }
 
 TEST(SlateCacheTest, FailedWriteBackSurfacesOnFlush) {
@@ -302,8 +362,23 @@ TEST(SlateCacheTest, DeleteAfterInFlightFlushStaysDeleted) {
   EXPECT_TRUE(absent);
 }
 
+}  // namespace
+
+// Reads a SlateCache's contents without marking anything referenced or
+// counting a hit, so a test can learn which slates eviction chose.
+class SlateCacheTestPeer {
+ public:
+  static bool Holds(SlateCache& cache, const SlateId& id) {
+    MutexLock lock(cache.mutex_);
+    return cache.FindLocked(id) != nullptr;
+  }
+};
+
+namespace {
+
 // A plain reference for SlateCache's single-threaded behaviour: a map of
-// entries and a recency list, most recent first.
+// entries. Which slate an eviction drops is the cache's choice; the model
+// learns it afterwards (Evict) and checks everything else.
 class ReferenceCache {
  public:
   ReferenceCache(size_t capacity, SlateCache::WriteBack write_back)
@@ -315,33 +390,28 @@ class ReferenceCache {
       ++misses_;
       return Status::NotFound("miss");
     }
-    Touch(id);
     ++hits_;
     *absent = it->second.absent;
     if (!*absent) *value = it->second.value;
     return Status::OK();
   }
 
-  Status Insert(const SlateId& id, BytesView value) {
-    Entry& e = Upsert(id);
-    e.value = Bytes(value);
-    e.absent = false;
-    e.dirty = false;
-    Evict();
-    return Status::OK();
+  // Both keep a cached entry and report what is held.
+  Status Insert(const SlateId& id, BytesView value, Bytes* held) {
+    auto [it, added] = entries_.try_emplace(id);
+    if (added) it->second.value = Bytes(value);
+    return Held(it->second, held);
   }
 
-  void InsertAbsent(const SlateId& id) {
-    Entry& e = Upsert(id);
-    if (e.dirty) return;
-    e.value.clear();
-    e.absent = true;
-    Evict();
+  Status InsertAbsent(const SlateId& id, Bytes* held) {
+    auto [it, added] = entries_.try_emplace(id);
+    if (added) it->second.absent = true;
+    return Held(it->second, held);
   }
 
   Status Update(const SlateId& id, BytesView value, Timestamp now,
                 bool write_through) {
-    Entry& e = Upsert(id);
+    Entry& e = entries_[id];
     e.value = Bytes(value);
     e.absent = false;
     if (write_through) {
@@ -350,7 +420,6 @@ class ReferenceCache {
       if (!e.dirty) e.dirty_since = now;
       e.dirty = true;
     }
-    Evict();
     if (write_through) return write_back_({id, Bytes(value), false});
     return Status::OK();
   }
@@ -365,18 +434,24 @@ class ReferenceCache {
     return write_back_({id, Bytes(), true});
   }
 
-  Result<int> FlushDirtyFor(const std::string& updater, Timestamp before) {
+  // As SlateCache::FlushDirtyFor; `in_flight` runs once the slates are
+  // taken and before any is written back, with their ids.
+  Result<int> FlushDirtyFor(
+      const std::string& updater, Timestamp before,
+      const std::function<void(const std::set<SlateId>&)>& in_flight) {
     std::vector<std::pair<SlateId, Timestamp>> taken;
     std::vector<SlateCache::DirtySlate> out;
-    for (const SlateId& id : recency_) {
-      Entry& e = entries_.at(id);
+    std::set<SlateId> ids;
+    for (auto& [id, e] : entries_) {
       if (!updater.empty() && id.updater != updater) continue;
       if (e.dirty && e.dirty_since < before) {
         out.push_back({id, e.value, false});
         taken.emplace_back(id, e.dirty_since);
+        ids.insert(id);
         e.dirty = false;
       }
     }
+    if (!out.empty()) in_flight(ids);
     int flushed = 0;
     Status first_error = Status::OK();
     for (size_t i = 0; i < out.size(); ++i) {
@@ -386,20 +461,53 @@ class ReferenceCache {
         continue;
       }
       if (first_error.ok()) first_error = s;
-      Entry& e = entries_.at(taken[i].first);
-      if (!e.dirty && !e.absent) {
-        e.dirty = true;
-        e.dirty_since = taken[i].second;
+      auto it = entries_.find(taken[i].first);
+      if (it != entries_.end() && !it->second.dirty && !it->second.absent) {
+        it->second.dirty = true;
+        it->second.dirty_since = taken[i].second;
       }
     }
     if (!first_error.ok()) return first_error;
     return flushed;
   }
 
-  void Clear() {
-    entries_.clear();
-    recency_.clear();
+  // Drops every entry that `cache` no longer holds, writing back the
+  // dirty ones as the cache did. Checks that the victims are as many as
+  // the cache had to evict (`evicting`: the operation could evict) and
+  // that none is `handed` or in `in_flight`.
+  void Evict(SlateCache& cache, bool evicting, const SlateId* handed,
+             const std::set<SlateId>& in_flight) {
+    size_t candidates = 0;
+    for (const auto& [id, e] : entries_) {
+      if (in_flight.count(id) == 0 && (handed == nullptr || id != *handed)) {
+        ++candidates;
+      }
+    }
+    const size_t over = entries_.size() > capacity_
+                            ? entries_.size() - capacity_
+                            : 0;
+    const size_t want = evicting ? std::min(over, candidates) : 0;
+    size_t victims = 0;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (SlateCacheTestPeer::Holds(cache, it->first)) {
+        ++it;
+        continue;
+      }
+      EXPECT_TRUE(handed == nullptr || it->first != *handed)
+          << "evicted the slate it was just handed";
+      EXPECT_EQ(in_flight.count(it->first), 0u)
+          << "evicted a slate whose write-back was in flight";
+      if (it->second.dirty) {
+        (void)write_back_({it->first, it->second.value, false});
+      }
+      it = entries_.erase(it);
+      ++victims;
+      ++evictions_;
+    }
+    EXPECT_EQ(victims, want);
   }
+
+  void Clear() { entries_.clear(); }
 
   size_t size() const { return entries_.size(); }
   int64_t hits() const { return hits_; }
@@ -412,61 +520,55 @@ class ReferenceCache {
     Timestamp dirty_since = 0;
     bool dirty = false;
     bool absent = false;
-    std::list<SlateId>::iterator pos;
   };
 
-  void Touch(const SlateId& id) {
-    Entry& e = entries_.at(id);
-    recency_.splice(recency_.begin(), recency_, e.pos);
-  }
-
-  Entry& Upsert(const SlateId& id) {
-    auto [it, inserted] = entries_.try_emplace(id);
-    if (inserted) {
-      recency_.push_front(id);
-      it->second.pos = recency_.begin();
-    } else {
-      Touch(id);
-    }
-    return it->second;
-  }
-
-  void Evict() {
-    while (entries_.size() > capacity_ && recency_.size() > 1) {
-      const SlateId victim = recency_.back();
-      Entry& e = entries_.at(victim);
-      if (e.dirty) (void)write_back_({victim, e.value, false});
-      recency_.pop_back();
-      entries_.erase(victim);
-      ++evictions_;
-    }
+  static Status Held(const Entry& e, Bytes* held) {
+    if (e.absent) return Status::NotFound("negative entry");
+    *held = e.value;
+    return Status::OK();
   }
 
   size_t capacity_;
   SlateCache::WriteBack write_back_;
   std::map<SlateId, Entry> entries_;
-  std::list<SlateId> recency_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
   int64_t evictions_ = 0;
 };
 
 // A write-back that logs every attempt and refuses some on a seeded
-// schedule. Two sinks with one seed refuse the same attempts.
+// schedule. Two sinks with one seed refuse the same attempts, in whatever
+// order they come: the n-th attempt of one write is refused or not by the
+// seed, the write and n alone.
 struct FlakySink {
-  explicit FlakySink(uint64_t seed) : rng(seed) {}
-  Rng rng;
+  explicit FlakySink(uint64_t seed) : seed(seed) {}
+  uint64_t seed;
+  std::map<std::string, uint64_t> attempts;
   std::vector<std::string> log;
+  // Runs inside the next write-back, then is cleared.
+  std::function<void()> during_next;
 
   SlateCache::WriteBack AsWriteBack() {
     return [this](const SlateCache::DirtySlate& d) -> Status {
-      const bool fail = rng.Chance(0.15);
-      log.push_back((fail ? "refused " : "") + d.id.updater + "/" + d.id.key +
-                    (d.deleted ? " deleted" : " = " + d.value));
+      if (during_next) std::exchange(during_next, nullptr)();
+      const std::string write = d.id.updater + "/" + d.id.key +
+                                (d.deleted ? " deleted" : " = " + d.value);
+      const uint64_t nth = attempts[write]++;
+      const bool fail =
+          Rng(HashCombine(seed, HashCombine(Fnv1a64(write), nth))).Chance(0.15);
+      log.push_back((fail ? "refused " : "") + write);
       return fail ? Status::Unavailable("store refused") : Status::OK();
     };
   }
 };
+
+// The write-backs logged since entry `from`, in sorted order: within one
+// operation the cache's order of write-backs is its own.
+std::vector<std::string> LoggedSince(const FlakySink& sink, size_t from) {
+  std::vector<std::string> out(sink.log.begin() + from, sink.log.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 // Runs `ops` random operations on a SlateCache and on ReferenceCache and
 // compares every result, the caches' counters and the write-back logs.
@@ -504,25 +606,38 @@ void RunModel(uint64_t seed, size_t capacity, int ops) {
   for (int op = 0; op < ops; ++op) {
     SCOPED_TRACE(::testing::Message() << "op " << op);
     now += 1 + static_cast<Timestamp>(rng.Uniform(5));
+    const size_t logged = real_sink.log.size();
+    ASSERT_EQ(model_sink.log.size(), logged);
     const uint64_t kind = rng.Uniform(100);
-    if (kind < 15) {
+    bool evicting = true;
+    std::optional<SlateId> handed;
+    std::set<SlateId> in_flight;
+    if (kind < 23) {
       const SlateId id = random_id();
-      const Bytes v = random_value();
-      ASSERT_TRUE(same_status(cache.Insert(id, v), model.Insert(id, v)));
-    } else if (kind < 45) {
+      Bytes got, want;
+      if (kind < 15) {
+        const Bytes v = random_value();
+        ASSERT_TRUE(same_status(cache.Insert(id, v, &got),
+                                model.Insert(id, v, &want)));
+      } else {
+        ASSERT_TRUE(same_status(cache.InsertAbsent(id, &got),
+                                model.InsertAbsent(id, &want)));
+      }
+      ASSERT_EQ(got, want);
+      handed = id;
+    } else if (kind < 53) {
       const SlateId id = random_id();
       const Bytes v = random_value();
       const bool write_through = rng.Chance(0.25);
       ASSERT_TRUE(same_status(cache.Update(id, v, now, write_through),
                               model.Update(id, v, now, write_through)));
-    } else if (kind < 51) {
+      handed = id;
+    } else if (kind < 59) {
+      evicting = false;
       const SlateId id = random_id();
       ASSERT_TRUE(same_status(cache.Delete(id), model.Delete(id)));
-    } else if (kind < 59) {
-      const SlateId id = random_id();
-      cache.InsertAbsent(id);
-      model.InsertAbsent(id);
     } else if (kind < 89) {
+      evicting = false;
       const SlateId id = random_id();
       Bytes got, want;
       bool got_absent = false, want_absent = false;
@@ -536,21 +651,50 @@ void RunModel(uint64_t seed, size_t capacity, int ops) {
       const Timestamp before =
           rng.Chance(0.3) ? INT64_MAX
                           : now - static_cast<Timestamp>(rng.Uniform(40));
+      // Half the flushes take a store read's insert while their
+      // write-backs are in flight; it may evict, but none of them.
+      evicting = rng.Chance(0.5);
+      const SlateId id = random_id();
+      const Bytes v = random_value();
+      Status got_insert, want_insert;
+      Bytes got_held, want_held;
+      if (evicting) {
+        real_sink.during_next = [&] {
+          got_insert = cache.Insert(id, v, &got_held);
+        };
+      }
       Result<int> got = cache.FlushDirtyFor(updater, before);
-      Result<int> want = model.FlushDirtyFor(updater, before);
+      bool inserted = false;
+      Result<int> want = model.FlushDirtyFor(
+          updater, before, [&](const std::set<SlateId>& ids) {
+            if (!evicting) return;
+            in_flight = ids;
+            want_insert = model.Insert(id, v, &want_held);
+            inserted = true;
+          });
+      if (!inserted) {
+        evicting = false;  // nothing was written back, so nothing inserted
+        real_sink.during_next = nullptr;
+      }
       ASSERT_TRUE(same_status(got.status(), want.status()));
       if (got.ok()) {
         ASSERT_EQ(got.value(), want.value());
       }
+      ASSERT_TRUE(same_status(got_insert, want_insert));
+      ASSERT_EQ(got_held, want_held);
+      if (inserted) handed = id;
     } else {
+      evicting = false;
       cache.Clear();
       model.Clear();
     }
+    model.Evict(cache, evicting, handed ? &*handed : nullptr, in_flight);
+    if (::testing::Test::HasFailure()) return;
     ASSERT_EQ(cache.size(), model.size());
     ASSERT_EQ(cache.hits(), model.hits());
     ASSERT_EQ(cache.misses(), model.misses());
     ASSERT_EQ(cache.evictions(), model.evictions());
-    ASSERT_EQ(real_sink.log, model_sink.log);
+    ASSERT_EQ(LoggedSince(real_sink, logged), LoggedSince(model_sink, logged));
   }
 }
 
@@ -558,30 +702,81 @@ TEST(SlateCacheTest, MatchesReferenceModel) {
   for (size_t capacity : {size_t{1}, size_t{7}, size_t{64}}) {
     for (uint64_t seed = 1; seed <= 12; ++seed) {
       RunModel(seed, capacity, 1500);
-      if (::testing::Test::HasFatalFailure()) return;
+      if (::testing::Test::HasFailure()) return;
     }
+  }
+}
+
+// Hits of an exact LRU cache of `capacity` slates on `keys`, each miss
+// followed by an insert: the recency order SlateCache kept before CLOCK.
+int64_t LruHits(const std::vector<Bytes>& keys, size_t capacity) {
+  std::list<Bytes> recency;  // most recent first
+  std::map<Bytes, std::list<Bytes>::iterator> where;
+  int64_t hits = 0;
+  for (const Bytes& key : keys) {
+    if (auto it = where.find(key); it != where.end()) {
+      ++hits;
+      recency.splice(recency.begin(), recency, it->second);
+      continue;
+    }
+    recency.push_front(key);
+    where[key] = recency.begin();
+    if (recency.size() > capacity) {
+      where.erase(recency.back());
+      recency.pop_back();
+    }
+  }
+  return hits;
+}
+
+TEST(SlateCacheTest, ClockHitsKeepUpWithLruOnZipfKeys) {
+  // E13a's shape (Zipf 1.0 slate popularity), smaller: CLOCK approximates
+  // LRU, and on skewed keys may lose at most a point of hit rate to it.
+  constexpr int kAccesses = 100000;
+  workload::ZipfKeyGenerator zipf(20000, 1.0, "s", 13);
+  std::vector<Bytes> keys;
+  for (int i = 0; i < kAccesses; ++i) keys.push_back(zipf.Next());
+  for (const size_t capacity : {size_t{100}, size_t{1000}, size_t{5000}}) {
+    SCOPED_TRACE(::testing::Message() << "capacity=" << capacity);
+    Sink sink;
+    SlateCache cache({.capacity = capacity}, sink.AsWriteBack());
+    Bytes out;
+    for (const Bytes& key : keys) {
+      if (cache.Lookup(Id(key), &out).IsNotFound()) {
+        ASSERT_OK(cache.Insert(Id(key), "v"));
+      }
+    }
+    const double clock_pct = 100.0 * cache.hits() / kAccesses;
+    const double lru_pct = 100.0 * LruHits(keys, capacity) / kAccesses;
+    EXPECT_GE(clock_pct, lru_pct - 1.0) << "LRU " << lru_pct << "%";
   }
 }
 
 TEST(SlateCacheTest, LargeIndexKeepsEverySlateFindable) {
   // Past 2^16 index slots a slot's tag no longer holds its home, so
-  // growth and eviction rehash the blocks' keys instead.
+  // growth and eviction rehash the blocks' keys instead. Dirty slates
+  // make every victim show in the write-back log.
   constexpr int kCapacity = 70000;
   constexpr int kSlates = 100000;
   Sink sink;
   SlateCache cache({.capacity = kCapacity}, sink.AsWriteBack());
   for (int i = 0; i < kSlates; ++i) {
-    ASSERT_OK(cache.Insert(Id("k" + std::to_string(i)), std::to_string(i)));
+    ASSERT_OK(cache.Update(Id("k" + std::to_string(i)), std::to_string(i),
+                           /*now=*/i, /*write_through=*/false));
   }
   EXPECT_EQ(cache.size(), static_cast<size_t>(kCapacity));
   EXPECT_EQ(cache.evictions(), kSlates - kCapacity);
+  EXPECT_EQ(sink.store.size(), static_cast<size_t>(kSlates - kCapacity));
   Bytes out;
   for (int i = 0; i < kSlates; ++i) {
-    const Status s = cache.Lookup(Id("k" + std::to_string(i)), &out);
-    if (i < kSlates - kCapacity) {
-      ASSERT_TRUE(s.IsNotFound()) << i;
+    const SlateId id = Id("k" + std::to_string(i));
+    const Status s = cache.Lookup(id, &out);
+    const auto stored = sink.store.find(id);
+    if (stored != sink.store.end()) {
+      ASSERT_TRUE(s.IsNotFound()) << i << " is both cached and evicted";
+      ASSERT_EQ(stored->second, std::to_string(i));
     } else {
-      ASSERT_OK(s);
+      ASSERT_TRUE(s.ok()) << i << " is neither cached nor written back";
       ASSERT_EQ(out, std::to_string(i));
     }
   }
@@ -605,7 +800,7 @@ TEST(SlateCacheTest, PerSlateHeapBytes) {
   // 15 bytes.
   std::vector<SlateId> ids;
   for (int i = 0; i < 10000; ++i) ids.push_back(Id("k" + std::to_string(i)));
-  EXPECT_LE(HeapBytesPerSlate(ids, 15), 80u);
+  EXPECT_LE(HeapBytesPerSlate(ids, 15), 64u);
 }
 
 TEST(SlateCacheTest, PerSlateHeapBytesWithJsonValues) {
@@ -618,7 +813,7 @@ TEST(SlateCacheTest, PerSlateHeapBytesWithJsonValues) {
     std::snprintf(key, sizeof(key), "u%06d", i);
     ids.push_back(Id(key));
   }
-  EXPECT_LE(HeapBytesPerSlate(ids, 47), 120u);
+  EXPECT_LE(HeapBytesPerSlate(ids, 47), 104u);
 }
 
 TEST(SlateCacheTest, EmptyCacheReservesNothingForCapacity) {
