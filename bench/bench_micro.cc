@@ -127,20 +127,22 @@ BENCHMARK(BM_HashRingRoute)->Arg(4)->Arg(16)->Arg(64);
 void BM_QueuePushPop(benchmark::State& state) {
   EventQueue queue(1 << 16);
   RoutedEvent re;
-  re.function = "count";
+  re.function_id = 0;
+  re.work = 1;
   re.event = MakeEvent(100);
   for (auto _ : state) {
     benchmark::DoNotOptimize(queue.TryPush(re));
     RoutedEvent out;
-    benchmark::DoNotOptimize(queue.TryPop(&out));
+    benchmark::DoNotOptimize(queue.Pop(&out));
   }
 }
 BENCHMARK(BM_QueuePushPop);
 
 void BM_QueuePushPopBatch(benchmark::State& state) {
-  // Batched counterpart of BM_QueuePushPop: one lock acquisition moves
-  // `batch` events in, one moves them out. Per-event cost should drop
-  // roughly with batch size.
+  // Batched counterpart of BM_QueuePushPop, shaped like a 2.0 lane: the
+  // dispatcher pushes events one at a time (TryPushMove), the worker pops
+  // up to `batch` per lock acquisition. Per-event cost should drop with
+  // batch size on the pop side only.
   const size_t batch = static_cast<size_t>(state.range(0));
   EventQueue queue(1 << 16);
   std::vector<RoutedEvent> in;
@@ -154,7 +156,9 @@ void BM_QueuePushPopBatch(benchmark::State& state) {
   std::vector<RoutedEvent> out;
   out.reserve(batch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(queue.TryPushBatch(&in));  // clears `in`
+    for (RoutedEvent& re : in) {
+      benchmark::DoNotOptimize(queue.TryPushMove(&re));
+    }
     benchmark::DoNotOptimize(queue.PopBatch(&out, batch));
     std::swap(in, out);  // popped events become the next push batch
     out.clear();

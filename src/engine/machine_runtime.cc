@@ -87,10 +87,6 @@ uint64_t MachineRuntime::CombineWork(uint64_t function_hash,
   return h;
 }
 
-uint64_t MachineRuntime::WorkHash(const std::string& function, BytesView key) {
-  return CombineWork(Fnv1a64(function), Fnv1a64(key));
-}
-
 Status MachineRuntime::Start() {
   if (started_) return Status::FailedPrecondition("engine already started");
   MUPPET_RETURN_IF_ERROR(config_.Validate());
@@ -131,13 +127,22 @@ Status MachineRuntime::Start() {
         "engine: durability requires a changelog directory "
         "(EngineOptions::durability.dir)");
   }
-  // Span label names, fixed before any engine table or machine is built.
+  // The operator table, fixed before any engine table or machine is
+  // built: operators intern first, so an operator's id is also its span
+  // label id; then every stream, with its subscribers' ids.
   for (const auto& [name, spec] : config_.operators()) {
-    (void)spec;
-    trace_names_.Intern(name);
+    names_.Intern(name);
+    ops_.push_back(OpInfo{&spec, Fnv1a64(name),
+                          metrics_.GetCounter("muppet_operator_processed_total",
+                                              {{"operator", name}})});
   }
-  for (const std::string& sid : config_.InputStreams()) {
-    trace_names_.Intern(sid);
+  const std::vector<std::string> streams = config_.AllStreams();
+  for (const std::string& sid : streams) names_.Intern(sid);
+  subscribers_.resize(names_.size());
+  for (const std::string& sid : streams) {
+    for (const std::string& sub : config_.SubscribersOf(sid)) {
+      subscribers_[TraceNameId(sid)].push_back(TraceNameId(sub));
+    }
   }
   MUPPET_RETURN_IF_ERROR(PrepareEngine());
 
@@ -164,8 +169,8 @@ Status MachineRuntime::Start() {
     auto label = [&](std::string_view name) -> SpanLabel {
       return sink != nullptr ? sink->Label(m, name) : 0;
     };
-    for (uint32_t i = 0; i < trace_names_.size(); ++i) {
-      machine->trace_labels.push_back(label(trace_names_.NameOf(i)));
+    for (uint32_t i = 0; i < names_.size(); ++i) {
+      machine->trace_labels.push_back(label(names_.NameOf(i)));
     }
     for (int to = 0; to < options_.num_machines; ++to) {
       machine->hop_labels.push_back(label("->m" + std::to_string(to)));
@@ -268,6 +273,17 @@ std::set<MachineId> MachineRuntime::FailedSetFor(MachineId machine) const {
     return m->failed;
   }
   return master_.failed();
+}
+
+const std::set<MachineId>& MachineRuntime::RouteFailedSet(
+    MachineId from, std::set<MachineId>* storage) const {
+  static const std::set<MachineId> kNoFailed;
+  const MachineBase* m = Machine(from);
+  if (m != nullptr && m->failed_count.load(std::memory_order_acquire) == 0) {
+    return kNoFailed;
+  }
+  *storage = FailedSetFor(from);
+  return *storage;
 }
 
 std::set<MachineId> MachineRuntime::FailedOrCrashed() const {

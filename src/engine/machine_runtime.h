@@ -8,6 +8,10 @@
 // Muppet1Engine and Muppet2Engine derive from MachineRuntime and supply
 // only their worker model through the hooks at the bottom of the class.
 //
+// How an event is named and received is written once too: the operator
+// table (interned ids, name hashes, subscriber lists) and ReceiveFrame,
+// the one receive path for id-addressed frames.
+//
 // The hooks run on lifecycle, flush, replay, publish and scrape paths
 // only; the per-event hot path (delivery, dispatch, ProcessOne) stays
 // non-virtual inside each engine.
@@ -32,6 +36,8 @@
 #include "engine/engine.h"
 #include "engine/master.h"
 #include "engine/queue.h"
+#include "engine/slatelog.h"
+#include "engine/wire.h"
 
 namespace muppet {
 
@@ -59,14 +65,15 @@ struct MachineBase {
   // broadcast listeners.
   mutable Mutex failed_mutex{LockLevel::kFailedSet};
   std::set<MachineId> failed MUPPET_GUARDED_BY(failed_mutex);
-  // Lock-free emptiness check so the hot path skips the failed-set copy.
+  // Lock-free emptiness check so routing skips the failed-set copy
+  // (MachineRuntime::RouteFailedSet).
   std::atomic<size_t> failed_count{0};
   std::atomic<bool> crashed{false};
   std::thread flusher;
   // Per-machine trace ring (null when tracing is disabled) and the
   // labels its spans carry, interned once at Start(): trace_labels by
-  // TraceNameId (operator and input-stream names), hop_labels by a net
-  // hop's destination machine ("->mN"). All 0 without a sink.
+  // TraceNameId (an operator's label is at its operator id), hop_labels
+  // by a net hop's destination machine ("->mN"). All 0 without a sink.
   std::unique_ptr<TraceSink> trace_sink;
   std::vector<SpanLabel> trace_labels;
   std::vector<SpanLabel> hop_labels;
@@ -141,8 +148,9 @@ class MachineRuntime : public Engine {
 
   // --- Engine hooks.
 
-  // Engine-specific validation and engine-wide tables (interned names,
-  // hash-ring workers), run by Start() before any machine is built.
+  // Engine-specific validation and engine-wide state (hash-ring workers,
+  // 1.0's heat sketch), run by Start() after the operator table is built
+  // and before any machine is.
   virtual Status PrepareEngine() = 0;
   // Build hosted machine `id`: its workers, queues (one lane each),
   // caches and operator instances; register its transport handlers.
@@ -185,13 +193,36 @@ class MachineRuntime : public Engine {
     return machine != nullptr ? machine->trace_sink.get() : nullptr;
   }
 
-  // Dense id of an operator or input-stream name, indexing
-  // MachineBase::trace_labels. Valid from PrepareEngine() on.
-  uint32_t TraceNameId(std::string_view name) const {
-    return static_cast<uint32_t>(trace_names_.Find(name));
+  // One operator of the application, indexed by its interned id. The
+  // ids are the same in every machine and muppetd process (operators()
+  // is an ordered map), which is what lets them travel in frames.
+  struct OpInfo {
+    const OperatorSpec* spec = nullptr;
+    // Fnv1a64(name), combined with an event's key hash into its work
+    // hash: the function half is hashed once per run, not per event.
+    uint64_t name_hash = 0;
+    // muppet_operator_processed_total{operator}.
+    Counter* processed = nullptr;
+  };
+
+  // Id of operator `name`, or -1. Valid from PrepareEngine() on.
+  int32_t OpId(std::string_view name) const {
+    const int32_t id = names_.Find(name);
+    return id < static_cast<int32_t>(ops_.size()) ? id : -1;
+  }
+  // Ids of the operators subscribed to `stream`, in name order; empty for
+  // an undeclared stream.
+  const std::vector<uint32_t>& SubscriberIds(std::string_view stream) const {
+    const int32_t id = names_.Find(stream);
+    return id < 0 ? no_subscribers_ : subscribers_[static_cast<size_t>(id)];
   }
 
   std::set<MachineId> FailedSetFor(MachineId machine) const;
+  // The failed set machine `from` routes around (§4.3): a shared empty
+  // set while `from` knows of no failure — one atomic load, the common
+  // case — else a copy of its set in *storage.
+  const std::set<MachineId>& RouteFailedSet(
+      MachineId from, std::set<MachineId>* storage) const;
   // The master's failed set plus every hosted machine known crashed, even
   // before a data-path send has detected it (live slate reads).
   std::set<MachineId> FailedOrCrashed() const;
@@ -226,7 +257,23 @@ class MachineRuntime : public Engine {
 
   // Work hash from precomputed halves; never returns 0 ("idle").
   static uint64_t CombineWork(uint64_t function_hash, uint64_t key_hash);
-  static uint64_t WorkHash(const std::string& function, BytesView key);
+
+  // The receive path of both engines: take the id-addressed frame
+  // (engine/wire.h) that `from` sent to hosted machine `to`. *accepted is
+  // the Transport::Handler resume contract: events below its entry value
+  // were accepted by an earlier partial delivery of this same frame and
+  // are skipped, not re-applied (re-running them through dedup would
+  // double-count deduped_ and double-apply control events). Each other
+  // event must name a known operator, else the frame is Corruption. It is
+  // charged to inflight_ when `from` is in another process (in-process
+  // senders pre-charge), and an exactly-once data event whose identity
+  // this machine already processed settles as deduped. The rest go to
+  // `push(RoutedEvent*)`, which enqueues the event and returns OK, or
+  // declines and leaves it intact; a declined push ends the frame with
+  // its status.
+  template <typename Push>
+  Status ReceiveFrame(MachineId from, MachineId to, BytesView frame,
+                      size_t* accepted, Push&& push);
 
   // Read (updater, key) from `cache`, then the durable store (§4.2),
   // caching what the store returns; NotFound if absent everywhere (cached
@@ -250,6 +297,9 @@ class MachineRuntime : public Engine {
   const AppConfig& config_;
   EngineOptions options_;
   Clock* clock_;
+  // The operator table, by interned id (built at Start(), read-only
+  // afterwards, so the hot path reads it without a lock).
+  std::vector<OpInfo> ops_;
   // Owned only in the single-process default; with an external
   // transport_backend the unique_ptr stays null and transport_ aliases
   // the caller's backend.
@@ -330,8 +380,18 @@ class MachineRuntime : public Engine {
 
   // Per-input-stream published counters (built at Start()).
   std::map<std::string, Counter*> stream_published_;
-  // Operator and input-stream names, by TraceNameId (built at Start()).
-  NameInterner trace_names_;
+  // Dense id of an operator or stream name, indexing
+  // MachineBase::trace_labels. Operators intern first, so an operator's
+  // id is its index in ops_.
+  uint32_t TraceNameId(std::string_view name) const {
+    return static_cast<uint32_t>(names_.Find(name));
+  }
+
+  // Operator, then stream, names by TraceNameId; the subscriber ids of
+  // each stream at its name id. Built at Start(), read-only afterwards.
+  NameInterner names_;
+  std::vector<std::vector<uint32_t>> subscribers_;
+  const std::vector<uint32_t> no_subscribers_;
 
   Mutex drain_mutex_{kDrainLockLevel};
   CondVar drain_cv_;
@@ -350,6 +410,50 @@ class MachineRuntime : public Engine {
   // Engine clock reading at Start(); 0 before Start().
   std::atomic<Timestamp> started_at_{0};
 };
+
+template <typename Push>
+Status MachineRuntime::ReceiveFrame(MachineId from, MachineId to,
+                                    BytesView frame, size_t* accepted,
+                                    Push&& push) {
+  const size_t skip = *accepted;
+  MachineBase* machine = Machine(to);
+  if (machine == nullptr) return Status::Unavailable("machine not hosted here");
+  if (machine->crashed.load()) return Status::Unavailable("machine crashed");
+  const bool external = !Hosted(from);
+  RoutedEventFrameReader reader(frame);
+  RoutedEvent re;
+  for (size_t index = 0; reader.Next(&re); ++index) {
+    if (index < skip) continue;
+    if (re.function_id < 0 ||
+        static_cast<size_t>(re.function_id) >= ops_.size()) {
+      return Status::Corruption("wire: frame names unknown function id");
+    }
+    if (external) inflight_.fetch_add(1, std::memory_order_acq_rel);
+    // The identity is reserved atomically BEFORE the push (check-then-
+    // record would let two concurrent deliveries of one identity both
+    // pass) and unwound on a decline, so the sender's retry is not
+    // mistaken for a duplicate.
+    const uint64_t dedup_id =
+        (re.ctl == kCtlNone && machine->dedup != nullptr) ? re.dedup : 0;
+    if (dedup_id != 0 && !machine->dedup->CheckAndInsert(dedup_id)) {
+      deduped_->Add();
+      DecInflight(1);
+      ++*accepted;
+      continue;
+    }
+    Status s = push(&re);
+    if (!s.ok()) {
+      if (dedup_id != 0) machine->dedup->Remove(dedup_id);
+      if (external) DecInflight(1);
+      return s;
+    }
+    ++*accepted;
+  }
+  if (reader.corrupt()) {
+    return Status::Corruption("wire: malformed routed event frame");
+  }
+  return Status::OK();
+}
 
 }  // namespace muppet
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "engine/wire.h"
 
@@ -190,15 +191,9 @@ Status Muppet1Engine::PrepareEngine() {
   }
   // Heat observation for the /statusz hot-key panel. Muppet 1.0 runs no
   // control loop (no splitting, no placement — load_manager actions are
-  // 2.0-only), but the same sketch feeds the panel and metrics. The
-  // sketch keys on a dense function id; build the ad-hoc name<->id map
-  // from the (sorted) operator table so ids are deterministic.
+  // 2.0-only), but the same sketch, keyed by operator id, feeds the panel
+  // and metrics.
   if (options_.load_manager.enabled) {
-    for (const auto& [name, spec] : config_.operators()) {
-      (void)spec;
-      heat_fn_ids_[name] = static_cast<int32_t>(heat_fn_names_.size());
-      heat_fn_names_.push_back(name);
-    }
     heat_ = std::make_unique<HeatTracker>(options_.load_manager.heat);
   }
   return Status::OK();
@@ -214,8 +209,8 @@ Status Muppet1Engine::BuildMachine(MachineId id,
   // budget (§4.5: Muppet 1.0 scatters the machine's slate cache across
   // workers).
   size_t updater_workers = 0;
-  for (const auto& [name, spec] : config_.operators()) {
-    if (spec.kind != OperatorKind::kUpdater) continue;
+  for (const OpInfo& op : ops_) {
+    if (op.spec->kind != OperatorKind::kUpdater) continue;
     for (int i = 0; i < options_.workers_per_function; ++i) {
       if (hosts(i)) ++updater_workers;
     }
@@ -223,41 +218,32 @@ Status Muppet1Engine::BuildMachine(MachineId id,
   const size_t cache_share = std::max<size_t>(
       1, options_.slate_cache_capacity / std::max<size_t>(1, updater_workers));
 
-  for (const auto& [name, spec] : config_.operators()) {
+  for (uint32_t op = 0; op < ops_.size(); ++op) {
+    const OperatorSpec& spec = *ops_[op].spec;
     for (int i = 0; i < options_.workers_per_function; ++i) {
       if (!hosts(i)) continue;
       auto worker = std::make_unique<Worker>();
-      worker->function = name;
-      worker->trace_name = TraceNameId(name);
-      worker->kind = spec.kind;
+      worker->op = op;
       worker->ref =
           WorkerRef{id, static_cast<int32_t>(machine->workers.size())};
       worker->queue = std::make_unique<EventQueue>(options_.queue_capacity);
       worker->task =
           std::make_unique<engine_internal::TaskProcessor>(config_, spec);
-      worker->processed_counter = metrics_.GetCounter(
-          "muppet_operator_processed_total", {{"operator", name}});
       operator_instances_->Add();
       if (spec.kind == OperatorKind::kUpdater) {
-        worker->updater_options = spec.updater_options;
         worker->cache = std::make_unique<SlateCache>(
             SlateCacheOptions{cache_share}, StoreWriteBack());
         machine->caches.push_back(worker->cache.get());
       }
-      ring_.AddWorker(name, worker->ref);
+      ring_.AddWorker(spec.name, worker->ref);
       machine->lanes.push_back({worker->queue.get(), std::thread()});
-      machine->by_slot[{name, worker->ref.slot}] = worker.get();
       machine->workers.push_back(std::move(worker));
     }
   }
-  // Every 1.0 frame carries one event (SendToWorker), so the resume
-  // offset the handler is handed is always 0.
   MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
-      id, [this, id](MachineId /*from*/, BytesView payload, size_t /*count*/,
+      id, [this, id](MachineId from, BytesView payload, size_t /*count*/,
                      size_t* accepted) {
-        Status s = HandleIncoming(id, payload);
-        if (s.ok()) *accepted = 1;
-        return s;
+        return HandleIncoming(from, id, payload, accepted);
       }));
   *out = std::move(machine);
   return Status::OK();
@@ -272,44 +258,53 @@ void Muppet1Engine::DeliverPublished(Event event) {
 void Muppet1Engine::DeliverEvent(MachineId from, const Worker* sender,
                                  const Event& event) {
   RunTaps(event);
-  for (const std::string& function : config_.SubscribersOf(event.stream)) {
-    SendToWorker(from, sender, function, event);
+  const std::vector<uint32_t>& subs = SubscriberIds(event.stream);
+  if (subs.empty()) return;
+  const uint64_t key_hash = Fnv1a64(event.key);
+  std::set<MachineId> failed_copy;
+  const std::set<MachineId>& failed = RouteFailedSet(from, &failed_copy);
+  for (const uint32_t op : subs) {
+    SendToWorker(from, sender, op, key_hash, failed, event);
   }
 }
 
 void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
-                                 const std::string& function,
+                                 uint32_t op, uint64_t key_hash,
+                                 const std::set<MachineId>& failed,
                                  const Event& event) {
   if (heat_ != nullptr && heat_->ShouldSample()) {
-    const auto it = heat_fn_ids_.find(function);
-    if (it != heat_fn_ids_.end()) heat_->Record(it->second, event.key);
+    heat_->Record(static_cast<int32_t>(op), event.key);
   }
-  const std::set<MachineId> failed = FailedSetFor(from);
-  Result<WorkerRef> target = ring_.Route(function, event.key, failed);
+  const OpInfo& info = ops_[op];
+  Result<WorkerRef> target = ring_.Route(info.spec->name, event.key, failed);
   if (!target.ok()) {
     lost_failure_->Add();
-    MUPPET_LOG(kWarning) << "engine: no live worker for " << function
+    MUPPET_LOG(kWarning) << "engine: no live worker for " << info.spec->name
                          << ", event lost";
     return;
   }
 
-  RoutedEvent re{function, event};
+  RoutedEvent re;
+  re.function_id = static_cast<int32_t>(op);
+  re.work = CombineWork(info.name_hash, key_hash);
+  re.event = event;
   re.event.seq = NextSeq();
   // Exactly-once: stamp the delivery identity the receiver dedups on
   // (engine/slatelog.h). Derived after the final seq assignment so each
   // routed copy is a distinct delivery.
   if (exactly_once()) {
-    re.dedup = DedupIdentity(WorkHash(function, event.key), re.event.ts,
-                             re.event.seq);
+    re.dedup = DedupIdentity(re.work, re.event.ts, re.event.seq);
   }
+  // Each 1.0 event travels alone, as a frame of one behind its worker's
+  // slot: 1.0 coalesces nothing (§4.5), and even a same-machine send is
+  // encoded.
   Bytes payload;
   PutVarint32(&payload, static_cast<uint32_t>(target.value().slot));
-  EncodeRoutedEvent(re, &payload);
+  EncodeRoutedEventFrame({&re, 1}, &payload);
 
   // Net-hop span on the sender's sink; the RAII scope covers the retry
-  // loop, so the span absorbs throttle waits like a real wire would. 1.0
-  // serializes even same-machine sends, but only a cross-machine send is
-  // a network hop.
+  // loop, so the span absorbs throttle waits like a real wire would. Only
+  // a cross-machine send is a network hop.
   ScopedSpan hop;
   if (target.value().machine != from) {
     hop.Begin(SinkFor(from), clock_, event.trace, SpanKind::kNetHop,
@@ -324,8 +319,6 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
   int attempts = 0;
   while (true) {
     inflight_.fetch_add(1, std::memory_order_acq_rel);
-    // Each 1.0 event travels alone, as a frame of one: 1.0 coalesces
-    // nothing (§4.5).
     size_t accepted = 0;
     Status s =
         transport_->SendBatch(from, to, payload, 1, &accepted, signature);
@@ -354,42 +347,28 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
   }
 }
 
-Status Muppet1Engine::HandleIncoming(MachineId to, BytesView payload) {
-  MachineCtx* machine = Ctx(to);
-  if (machine->crashed.load()) {
-    return Status::Unavailable("machine crashed");
-  }
+Status Muppet1Engine::HandleIncoming(MachineId from, MachineId to,
+                                     BytesView payload, size_t* accepted) {
   const char* p = payload.data();
   const char* limit = p + payload.size();
   uint32_t slot = 0;
   if (!GetVarint32(&p, limit, &slot)) {
-    return Status::Corruption("engine: bad payload");
+    return Status::Corruption("engine: bad worker slot");
   }
-  RoutedEvent re;
-  MUPPET_RETURN_IF_ERROR(DecodeRoutedEvent(
-      BytesView(p, static_cast<size_t>(limit - p)), &re));
-  auto it = machine->by_slot.find({re.function, static_cast<int32_t>(slot)});
-  if (it == machine->by_slot.end()) {
-    return Status::NotFound("engine: no such worker slot");
-  }
-  if (re.event.trace.sampled()) re.enqueue_ts = clock_->Now();
-  // Exactly-once suppression (engine/slatelog.h): an identity this
-  // machine already processed settles as deduped. The identity is
-  // reserved atomically BEFORE the push — check-then-record would let two
-  // concurrent deliveries of the same identity both pass the check — and
-  // unwound on a declined (queue-full) send so the sender's retry is not
-  // mistaken for a duplicate.
-  const uint64_t dedup_id =
-      (re.ctl == kCtlNone && machine->dedup != nullptr) ? re.dedup : 0;
-  if (dedup_id != 0 && !machine->dedup->CheckAndInsert(dedup_id)) {
-    deduped_->Add();
-    DecInflight(1);
-    return Status::OK();
-  }
-  // The queue declines when full; the decline propagates to the sender.
-  Status s = it->second->queue->TryPush(std::move(re));
-  if (!s.ok() && dedup_id != 0) machine->dedup->Remove(dedup_id);
-  return s;
+  MachineCtx* machine = Ctx(to);
+  return ReceiveFrame(
+      from, to, BytesView(p, static_cast<size_t>(limit - p)), accepted,
+      [&](RoutedEvent* re) {
+        if (slot >= machine->workers.size() ||
+            machine->workers[slot]->op !=
+                static_cast<uint32_t>(re->function_id)) {
+          return Status::NotFound(
+              "engine: slot runs no worker of the frame's function");
+        }
+        if (re->event.trace.sampled()) re->enqueue_ts = clock_->Now();
+        // The queue declines when full; the decline reaches the sender.
+        return machine->workers[slot]->queue->TryPushMove(re);
+      });
 }
 
 void Muppet1Engine::RunLane(MachineBase* machine, size_t lane) {
@@ -400,39 +379,39 @@ void Muppet1Engine::RunLane(MachineBase* machine, size_t lane) {
         machine->trace_sink != nullptr) {
       machine->trace_sink->Record(
           re.event.trace, SpanKind::kQueueWait,
-          machine->trace_labels[worker->trace_name], re.enqueue_ts,
-          clock_->Now());
+          machine->trace_labels[worker->op], re.enqueue_ts, clock_->Now());
     }
-    SettleLane(machine, lane, ProcessOne(worker, re.event, re.dedup));
+    SettleLane(machine, lane, ProcessOne(worker, re));
   }
 }
 
-Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
-                                 uint64_t dedup) {
+Status Muppet1Engine::ProcessOne(Worker* worker, const RoutedEvent& re) {
   // Execution span: covers the slate fetch, the task-processor round
   // trip, the slate write-back, and the delivery of emitted events (the
   // same window the 2.0 engine's exec span covers). Outputs emitted here
   // parent to it.
   MachineCtx* machine = Ctx(worker->ref.machine);
-  const SpanLabel label = machine->trace_labels[worker->trace_name];
+  const Event& event = re.event;
+  const OpInfo& op = ops_[worker->op];
+  const std::string& function = op.spec->name;
+  const bool is_updater = op.spec->kind == OperatorKind::kUpdater;
+  const SpanLabel label = machine->trace_labels[worker->op];
   ScopedSpan exec;
   exec.Begin(machine->trace_sink.get(), clock_, event.trace,
-             worker->kind == OperatorKind::kUpdater ? SpanKind::kUpdateExec
-                                                    : SpanKind::kMapExec,
-             label);
+             is_updater ? SpanKind::kUpdateExec : SpanKind::kMapExec, label);
 
   // Conductor: gather the slate, serialize the request, cross the
   // process boundary, decode the response.
   Bytes slate;
   bool has_slate = false;
-  if (worker->kind == OperatorKind::kUpdater) {
+  if (is_updater) {
     SpanNote fetch_source = SpanNote::kNone;
     ScopedSpan fetch;
     fetch.Begin(machine->trace_sink.get(), clock_,
                 TraceContext{event.trace.trace_id, exec.span_id()},
                 SpanKind::kSlateFetch, label);
-    Status s = FetchThroughCache(worker->cache.get(), worker->function,
-                                 event.key, &slate, &fetch_source);
+    Status s = FetchThroughCache(worker->cache.get(), function, event.key,
+                                 &slate, &fetch_source);
     fetch.set_note(fetch_source);
     fetch.End();
     if (s.ok()) {
@@ -451,29 +430,24 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
   MUPPET_RETURN_IF_ERROR(
       engine_internal::TaskProcessor::DecodeResponse(response, &decoded));
 
-  const uint64_t work = machine->changelog != nullptr
-                            ? WorkHash(worker->function, event.key)
-                            : 0;
-  if (worker->kind == OperatorKind::kUpdater && decoded.slate_action == 1) {
-    const SlateId id{worker->function, event.key};
-    const bool write_through = worker->updater_options.flush_policy ==
+  if (is_updater && decoded.slate_action == 1) {
+    const bool write_through = op.spec->updater_options.flush_policy ==
                                SlateFlushPolicy::kWriteThrough;
-    MUPPET_RETURN_IF_ERROR(worker->cache->Update(id, decoded.slate,
-                                                 clock_->Now(),
+    MUPPET_RETURN_IF_ERROR(worker->cache->Update(SlateId{function, event.key},
+                                                 decoded.slate, clock_->Now(),
                                                  write_through));
-    AppendSlateLog(machine, SlateLogKind::kUpdate, worker->function,
-                   event.key, decoded.slate, event, work, dedup);
-  } else if (worker->kind == OperatorKind::kUpdater &&
-             decoded.slate_action == 2) {
+    AppendSlateLog(machine, SlateLogKind::kUpdate, function, event.key,
+                   decoded.slate, event, re.work, re.dedup);
+  } else if (is_updater && decoded.slate_action == 2) {
     MUPPET_RETURN_IF_ERROR(
-        worker->cache->Delete(SlateId{worker->function, event.key}));
-    AppendSlateLog(machine, SlateLogKind::kDelete, worker->function,
-                   event.key, BytesView(), event, work, dedup);
-  } else if (dedup != 0 && machine->changelog != nullptr) {
+        worker->cache->Delete(SlateId{function, event.key}));
+    AppendSlateLog(machine, SlateLogKind::kDelete, function, event.key,
+                   BytesView(), event, re.work, re.dedup);
+  } else if (re.dedup != 0 && machine->changelog != nullptr) {
     // No slate effect, but the processed identity must survive into
     // replay seeding (exactly-once epoch cut).
-    AppendSlateLog(machine, SlateLogKind::kMark, worker->function, event.key,
-                   BytesView(), event, work, dedup);
+    AppendSlateLog(machine, SlateLogKind::kMark, function, event.key,
+                   BytesView(), event, re.work, re.dedup);
   }
 
   for (Event& out : decoded.outputs) {
@@ -487,7 +461,7 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const Event& event,
   }
   exec.End();
 
-  worker->processed_counter->Add();
+  op.processed->Add();
   processed_->Add();
   if (event.origin_ts > 0) {
     latency_->Record(clock_->Now() - event.origin_ts);
@@ -500,12 +474,9 @@ Result<Muppet1Engine::Worker*> Muppet1Engine::RouteToWorker(
     const std::set<MachineId>& failed) const {
   Result<WorkerRef> target = ring_.Route(function, key, failed);
   if (!target.ok()) return target.status();
-  MachineCtx* machine = Ctx(target.value().machine);
-  auto it = machine->by_slot.find({function, target.value().slot});
-  if (it == machine->by_slot.end()) {
-    return Status::Internal("ring routed to unknown worker");
-  }
-  return it->second;
+  return Ctx(target.value().machine)
+      ->workers[static_cast<size_t>(target.value().slot)]
+      .get();
 }
 
 SlateCache* Muppet1Engine::ReplayCache(MachineBase* machine,
@@ -541,11 +512,11 @@ std::vector<HotKeyInfo> Muppet1Engine::HotKeys() const {
   if (heat_ == nullptr) return out;
   for (const HeatEntry& e : heat_->TopK(16)) {
     if (e.function_id < 0 ||
-        e.function_id >= static_cast<int32_t>(heat_fn_names_.size())) {
+        static_cast<size_t>(e.function_id) >= ops_.size()) {
       continue;
     }
     HotKeyInfo info;
-    info.function = heat_fn_names_[static_cast<size_t>(e.function_id)];
+    info.function = ops_[static_cast<size_t>(e.function_id)].spec->name;
     info.key = e.key;
     info.sampled_count = e.count;
     out.push_back(std::move(info));
@@ -566,7 +537,7 @@ void Muppet1Engine::RegisterEngineMetrics() {
       metrics_.RegisterCallback(
           "muppet_queue_depth",
           {{"machine", std::to_string(machine->id)},
-           {"operator", worker->function},
+           {"operator", ops_[worker->op].spec->name},
            {"slot", std::to_string(worker->ref.slot)}},
           MetricType::kGauge,
           [worker] { return static_cast<int64_t>(worker->queue->size()); });

@@ -9,7 +9,6 @@
 #ifndef MUPPET_ENGINE_MUPPET1_H_
 #define MUPPET_ENGINE_MUPPET1_H_
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -73,24 +72,18 @@ class Muppet1Engine final : public MachineRuntime {
 
  private:
   struct Worker {
-    std::string function;
-    // Index into MachineBase::trace_labels.
-    uint32_t trace_name = 0;
-    OperatorKind kind = OperatorKind::kMapper;
+    // Interned operator id (MachineRuntime::ops_), also its trace label.
+    uint32_t op = 0;
     WorkerRef ref;
     std::unique_ptr<EventQueue> queue;
     std::unique_ptr<engine_internal::TaskProcessor> task;
     std::unique_ptr<SlateCache> cache;  // updaters only
-    UpdaterOptions updater_options;
-    // Per-operator processed counter (registry child, set at Start()).
-    Counter* processed_counter = nullptr;
   };
 
-  // A machine's workers in slot order; worker i drains lane i.
+  // A machine's workers; a worker's slot is its index here, and worker i
+  // drains lane i.
   struct MachineCtx : MachineBase {
     std::vector<std::unique_ptr<Worker>> workers;
-    // (function, slot) -> worker for incoming dispatch.
-    std::map<std::pair<std::string, int32_t>, Worker*> by_slot;
   };
 
   MachineCtx* Ctx(MachineId m) const {
@@ -111,32 +104,33 @@ class Muppet1Engine final : public MachineRuntime {
   void RegisterEngineMetrics() override;
   void DeliverPublished(Event event) override;
 
-  Status ProcessOne(Worker* worker, const Event& event, uint64_t dedup);
+  Status ProcessOne(Worker* worker, const RoutedEvent& re);
 
   // Route an emitted/published event to all subscribers of its stream.
   // `sender` is the emitting worker (nullptr for external publishes).
   void DeliverEvent(MachineId from, const Worker* sender, const Event& event);
 
-  // Send one routed event to a specific worker, applying failure handling
-  // and the overflow policy.
-  void SendToWorker(MachineId from, const Worker* sender,
-                    const std::string& function, const Event& event);
+  // Send one event to the worker of operator `op` that owns its key over
+  // the ring view `failed`, applying failure handling and the overflow
+  // policy. `key_hash` is Fnv1a64(event.key).
+  void SendToWorker(MachineId from, const Worker* sender, uint32_t op,
+                    uint64_t key_hash, const std::set<MachineId>& failed,
+                    const Event& event);
 
-  // Decode one name-addressed event arriving for machine `to` and push
-  // it onto its worker's queue (ResourceExhausted when the queue is full).
-  Status HandleIncoming(MachineId to, BytesView payload);
+  // A 1.0 payload is the destination worker's slot, then a frame of one;
+  // push the event onto that worker's queue (ResourceExhausted when it is
+  // full).
+  Status HandleIncoming(MachineId from, MachineId to, BytesView payload,
+                        size_t* accepted);
 
   // The worker that owns (function, key) over the ring view `failed`.
   Result<Worker*> RouteToWorker(const std::string& function, BytesView key,
                                 const std::set<MachineId>& failed) const;
 
-  // Engine-wide heat sketch (created at Start() when
-  // options_.load_manager.enabled; 1.0 has no per-machine dispatch point,
-  // every send funnels through SendToWorker). The sketch keys on a dense
-  // function id; 1.0 has no interner, so Start() builds this ad-hoc map.
+  // Engine-wide heat sketch, keyed by operator id (created at Start()
+  // when options_.load_manager.enabled; 1.0 has no per-machine dispatch
+  // point, every send funnels through SendToWorker).
   std::unique_ptr<HeatTracker> heat_;
-  std::map<std::string, int32_t> heat_fn_ids_;
-  std::vector<std::string> heat_fn_names_;
 };
 
 }  // namespace muppet

@@ -12,12 +12,6 @@
 
 namespace muppet {
 
-namespace {
-// Route-time view of "no machines failed" — the overwhelmingly common
-// case, served without copying a set under a lock.
-const std::set<MachineId> kNoFailed;
-}  // namespace
-
 // PerformerUtilities that routes outputs immediately — no serialization
 // within the machine (the 1.0 IPC cost 2.0 eliminates, §4.5). Slate
 // mutations are applied to the central cache as they happen.
@@ -148,32 +142,11 @@ Status Muppet2Engine::PrepareEngine() {
   if (options_.threads_per_machine < 1) {
     return Status::InvalidArgument("engine: bad cluster shape");
   }
-  // Intern operator and stream names into dense ids; precompute the
-  // function half of every work hash and each stream's subscriber list.
-  // operators() is an ordered map, so ids are deterministic across
-  // machines and runs — which is what lets ids travel in wire frames.
-  for (const auto& [name, spec] : config_.operators()) {
-    const uint32_t fid = op_names_.Intern(name);
-    (void)fid;
-    ops_.push_back(OpInfo{&spec, Fnv1a64(name), TraceNameId(name)});
-    op_processed_.push_back(metrics_.GetCounter(
-        "muppet_operator_processed_total", {{"operator", name}}));
-  }
-  for (const std::string& sid : config_.AllStreams()) {
-    const uint32_t stream_id = stream_names_.Intern(sid);
-    if (subscribers_.size() <= stream_id) subscribers_.resize(stream_id + 1);
-    for (const std::string& sub : config_.SubscribersOf(sid)) {
-      subscribers_[stream_id].push_back(
-          static_cast<uint32_t>(op_names_.Find(sub)));
-    }
-  }
-
   // Every machine hosts every function; the ring routes keys among all
   // num_machines ids, hosted here or not.
-  for (const auto& [name, spec] : config_.operators()) {
-    (void)spec;
+  for (const OpInfo& op : ops_) {
     for (int mm = 0; mm < options_.num_machines; ++mm) {
-      ring_.AddWorker(name, WorkerRef{mm, 0});
+      ring_.AddWorker(op.spec->name, WorkerRef{mm, 0});
     }
   }
   return Status::OK();
@@ -214,9 +187,12 @@ Status Muppet2Engine::BuildMachine(MachineId id,
   }
 
   MUPPET_RETURN_IF_ERROR(transport_->RegisterMachine(
-      id, [this, id](MachineId from, BytesView frame, size_t count,
-                     size_t* accepted) {
-        return HandleIncomingFrame(from, id, frame, count, accepted);
+      id, [this, id, ctx = machine.get()](MachineId from, BytesView frame,
+                                          size_t /*count*/,
+                                          size_t* accepted) {
+        return ReceiveFrame(from, id, frame, accepted, [&](RoutedEvent* re) {
+          return Dispatch(ctx, re);
+        });
       }));
   *out = std::move(machine);
   return Status::OK();
@@ -240,10 +216,7 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
                                  Event event) {
   RunTaps(event);
 
-  const int32_t stream_id = stream_names_.Find(event.stream);
-  if (stream_id < 0) return;
-  const std::vector<uint32_t>& subs =
-      subscribers_[static_cast<size_t>(stream_id)];
+  const std::vector<uint32_t>& subs = SubscriberIds(event.stream);
   if (subs.empty()) return;
 
   // The key half of the work hash is shared by every subscriber; hash it
@@ -252,14 +225,7 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
 
   const MachineCtx* sender = Ctx(from);
   std::set<MachineId> failed_copy;
-  const std::set<MachineId>* failed = &kNoFailed;
-  if (sender == nullptr) {
-    failed_copy = master_.failed();
-    failed = &failed_copy;
-  } else if (sender->failed_count.load(std::memory_order_acquire) > 0) {
-    failed_copy = FailedSetFor(from);
-    failed = &failed_copy;
-  }
+  const std::set<MachineId>& failed = RouteFailedSet(from, &failed_copy);
 
   // Heat sampling (core/heat.h): one relaxed atomic on the common path,
   // the sketch fold only every Nth arrival. Sampled on the sender's
@@ -274,7 +240,7 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
 
   // A one-machine cluster with nothing failed has exactly one possible
   // destination; skip the ring hash + vnode search per event.
-  const bool trivial_route = machines_.size() == 1 && failed->empty();
+  const bool trivial_route = machines_.size() == 1 && failed.empty();
 
   // Lock-free fast path: no key is split almost always.
   const bool maybe_split = split_table_.HasSplits();
@@ -313,8 +279,8 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
 
     MachineId to = 0;
     if (!trivial_route) {
-      Result<WorkerRef> target = ring_.Route(op.spec->name, route_key,
-                                             *failed);
+      Result<WorkerRef> target =
+          ring_.Route(op.spec->name, route_key, failed);
       if (!target.ok()) {
         lost_failure_->Add();
         continue;
@@ -461,16 +427,10 @@ void Muppet2Engine::FlushRemoteBatch(MachineId from, uint64_t sender_work,
 
 void Muppet2Engine::RemoteDeliverOne(MachineId from, uint64_t sender_work,
                                      MachineId to, RoutedEvent re) {
+  // Frame of one; encoded once, resent verbatim on throttle retries.
   Bytes frame;
-  uint64_t signature = 0;
-  {
-    // Frame of one; encoded once, resent verbatim on throttle retries.
-    std::vector<RoutedEvent> one;
-    one.push_back(std::move(re));
-    EncodeRoutedEventFrame(one, &frame);
-    signature = FrameFaultSignature(one);
-    re = std::move(one.front());
-  }
+  EncodeRoutedEventFrame({&re, 1}, &frame);
+  const uint64_t signature = FrameFaultSignature({&re, 1});
 
   // One hop span covering the whole retry loop (ends at any return).
   ScopedSpan hop;
@@ -504,71 +464,6 @@ void Muppet2Engine::RemoteDeliverOne(MachineId from, uint64_t sender_work,
       return;
     }
   }
-}
-
-Status Muppet2Engine::HandleIncomingFrame(MachineId from, MachineId to,
-                                          BytesView frame, size_t count,
-                                          size_t* accepted) {
-  (void)count;
-  // *accepted carries the resume offset IN: events at the head of the frame
-  // that a previous partial delivery of this exact frame already settled
-  // (the TCP backend re-presents a frame after a queue-full decline; the
-  // in-memory transport always passes 0). Those are skipped wholesale —
-  // re-running them through dedup would double-count deduped_ and, for
-  // control events with no dedup identity, double-apply them.
-  const size_t skip = *accepted;
-  MachineCtx* machine = Ctx(to);
-  if (machine == nullptr) {
-    return Status::Unavailable("machine not hosted here");
-  }
-  if (machine->crashed.load()) {
-    return Status::Unavailable("machine crashed");
-  }
-  // A sender in another process never touched this engine's inflight_;
-  // charge each event here so Drain()/watchdog accounting tracks it until
-  // a worker settles it. In-process senders pre-charged in FlushRemoteBatch.
-  const bool external = !Hosted(from);
-  RoutedEventFrameReader reader(frame);
-  RoutedEvent re;
-  size_t index = 0;
-  while (reader.Next(&re)) {
-    if (index < skip) {
-      ++index;
-      continue;
-    }
-    ++index;
-    if (re.function_id < 0 ||
-        static_cast<size_t>(re.function_id) >= ops_.size()) {
-      return Status::Corruption("wire: frame names unknown function id");
-    }
-    if (external) inflight_.fetch_add(1, std::memory_order_acq_rel);
-    // Exactly-once suppression: a data event whose delivery identity this
-    // machine already processed (a redelivered batch after the recovery
-    // epoch cut, or an injector duplicate) settles here as deduped. The
-    // identity is reserved atomically BEFORE dispatch — check-then-record
-    // would let two concurrent deliveries of the same identity both pass
-    // the check — and unwound if the push is declined (queue full) so the
-    // sender's retry is not mistaken for a duplicate.
-    const uint64_t dedup_id =
-        (re.ctl == kCtlNone && machine->dedup != nullptr) ? re.dedup : 0;
-    if (dedup_id != 0 && !machine->dedup->CheckAndInsert(dedup_id)) {
-      deduped_->Add();
-      DecInflight(1);
-      ++*accepted;
-      continue;
-    }
-    Status s = Dispatch(machine, &re);
-    if (!s.ok()) {
-      if (dedup_id != 0) machine->dedup->Remove(dedup_id);
-      if (external) DecInflight(1);
-      return s;
-    }
-    ++*accepted;
-  }
-  if (reader.corrupt()) {
-    return Status::Corruption("wire: malformed routed event frame");
-  }
-  return Status::OK();
 }
 
 Status Muppet2Engine::Dispatch(MachineCtx* machine, RoutedEvent* re) {
@@ -635,11 +530,10 @@ void Muppet2Engine::RunLane(MachineBase* base, size_t lane) {
       }
       if (re.event.trace.sampled() && machine->trace_sink != nullptr &&
           re.enqueue_ts != 0) {
-        const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
         machine->trace_sink->Record(
             re.event.trace, SpanKind::kQueueWait,
-            machine->trace_labels[op.trace_name], re.enqueue_ts,
-            clock_->Now());
+            machine->trace_labels[static_cast<size_t>(re.function_id)],
+            re.enqueue_ts, clock_->Now());
       }
       thread->current.store(re.work, std::memory_order_release);
       const Status s = ProcessOne(machine, re);
@@ -666,7 +560,7 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
 
   if (spec.kind == OperatorKind::kMapper) {
     exec.Begin(sink, clock_, event.trace, SpanKind::kMapExec,
-               machine->trace_labels[op.trace_name]);
+               machine->trace_labels[fid]);
     DirectUtilities utils(this, machine, event, spec.name,
                           /*is_updater=*/false, work, nullptr,
                           exec.span_id());
@@ -707,7 +601,7 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
     }
 
     exec.Begin(sink, clock_, event.trace, SpanKind::kUpdateExec,
-               machine->trace_labels[op.trace_name]);
+               machine->trace_labels[fid]);
 
     Bytes slate;
     bool has_slate = false;
@@ -715,7 +609,7 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
       ScopedSpan fetch;
       fetch.Begin(sink, clock_,
                   TraceContext{event.trace.trace_id, exec.span_id()},
-                  SpanKind::kSlateFetch, machine->trace_labels[op.trace_name]);
+                  SpanKind::kSlateFetch, machine->trace_labels[fid]);
       SpanNote fetch_source = SpanNote::kNone;
       Status s = FetchThroughCache(machine->cache.get(), spec.name, slate_key,
                                    &slate, &fetch_source);
@@ -742,7 +636,7 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
   }
   exec.End();
 
-  op_processed_[fid]->Add();
+  op.processed->Add();
   processed_->Add();
   if (event.origin_ts > 0) {
     latency_->Record(clock_->Now() - event.origin_ts);
@@ -753,7 +647,7 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
 // Merge sweeps and deltas run as engine-level control events, never
 // reaching operator code. Both count processed_ when consumed (their
 // injection counted emitted_), keeping chaos conservation accounting
-// exact; neither counts op_processed_ or latency (origin_ts is 0).
+// exact; neither counts OpInfo::processed or latency (origin_ts is 0).
 Status Muppet2Engine::ProcessControl(MachineCtx* machine,
                                      const RoutedEvent& re) {
   const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
@@ -839,9 +733,10 @@ void Muppet2Engine::ReshardToBase(MachineCtx* machine,
   if (exactly_once()) {
     base.dedup = DedupIdentity(base.work, base.event.ts, base.event.seq);
   }
-  const std::set<MachineId> failed = FailedSetFor(machine->id);
+  std::set<MachineId> failed_copy;
   Result<WorkerRef> target =
-      ring_.Route(op.spec->name, base.event.key, failed);
+      ring_.Route(op.spec->name, base.event.key,
+                  RouteFailedSet(machine->id, &failed_copy));
   if (!target.ok()) {
     lost_failure_->Add();
     return;
@@ -861,8 +756,9 @@ void Muppet2Engine::SendControl(MachineId from, uint64_t sender_work,
   // once (processed on consumption, lost/dropped on failure) through the
   // shared delivery machinery.
   emitted_->Add();
-  const std::set<MachineId> failed = FailedSetFor(from);
-  Result<WorkerRef> target = ring_.Route(op.spec->name, route_key, failed);
+  std::set<MachineId> failed_copy;
+  Result<WorkerRef> target = ring_.Route(op.spec->name, route_key,
+                                         RouteFailedSet(from, &failed_copy));
   if (!target.ok()) {
     lost_failure_->Add();
     return;
@@ -917,7 +813,7 @@ Result<Bytes> Muppet2Engine::FetchSlate(const std::string& updater,
   // shard; fold them with the updater's merger at read time (paper §5
   // Example 6's re-aggregation). Draining entries aggregate the same way
   // — shards the merge sweeps have not collected yet still count here.
-  const int32_t fid = op_names_.Find(updater);
+  const int32_t fid = OpId(updater);
   SplitTable::State state;
   if (fid >= 0 && split_table_.Lookup(fid, key, &state) &&
       spec->updater_options.merger != nullptr) {
@@ -1153,7 +1049,7 @@ void Muppet2Engine::ApplyPlacement() {
     if (applied >= opt.max_overrides) break;
     // Split keys route per shard; pinning their base key would fight the
     // split. Skip them.
-    const int32_t fid = op_names_.Find(a.function);
+    const int32_t fid = OpId(a.function);
     SplitTable::State state;
     if (fid >= 0 && split_table_.Lookup(fid, a.key, &state)) continue;
     if (ring_.SetOverride(a.function, a.key, a.machine)) ++applied;

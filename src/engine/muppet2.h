@@ -9,8 +9,8 @@
 //
 // Datapath (the §4.5 "no serialization within the machine" argument,
 // implemented literally):
-//  * stream and function names are interned into dense ids at Start();
-//    routed events carry the id plus a work hash computed exactly once;
+//  * routed events carry the operator's interned id (MachineRuntime's
+//    operator table) plus a work hash computed exactly once;
 //  * an event routed to the sender's own machine moves straight into
 //    dispatch — no wire encode, no transport hop, no decode;
 //  * dispatch locks at most the two candidate queues (sticky-owner check
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/heat.h"
-#include "core/intern.h"
 #include "core/keysplit.h"
 #include "engine/machine_runtime.h"
 
@@ -115,16 +114,6 @@ class Muppet2Engine final : public MachineRuntime {
     std::set<uint64_t> merge_applied MUPPET_GUARDED_BY(merge_dedupe_mutex);
   };
 
-  // Interned per-function routing state, indexed by function id.
-  struct OpInfo {
-    const OperatorSpec* spec = nullptr;
-    // Fnv1a64(name), combined with the event's key hash into the work
-    // hash — the function half is hashed once per run, not per event.
-    uint64_t name_hash = 0;
-    // Index into MachineBase::trace_labels.
-    uint32_t trace_name = 0;
-  };
-
   class DirectUtilities;
 
   MachineCtx* Ctx(MachineId m) const {
@@ -177,15 +166,6 @@ class Muppet2Engine final : public MachineRuntime {
   // handling. ResourceExhausted when both candidate queues are full.
   Status Dispatch(MachineCtx* machine, RoutedEvent* re);
 
-  // Id-addressed batch frames — the 2.0 cross-machine format. `from`
-  // distinguishes in-process senders (which pre-charged inflight_) from
-  // remote processes (the receiver charges it here). *accepted is in-out
-  // (the Transport::Handler resume contract): events below the entry
-  // value were accepted by an earlier partial delivery of this same frame
-  // and are skipped, not re-applied.
-  Status HandleIncomingFrame(MachineId from, MachineId to, BytesView frame,
-                             size_t count, size_t* accepted);
-
   // Fan an event out to its stream's subscribers: same-machine targets go
   // straight to Dispatch (zero serialization); remote targets are grouped
   // per destination and flushed as batch frames.
@@ -207,13 +187,6 @@ class Muppet2Engine final : public MachineRuntime {
   // machine's cache/store.
   Status FetchRoutedSlate(const std::string& updater, BytesView key,
                           const std::set<MachineId>& failed, Bytes* slate);
-
-  // Built once at Start(), read-only afterwards (lock-free on hot path).
-  NameInterner op_names_;
-  NameInterner stream_names_;
-  std::vector<OpInfo> ops_;
-  // stream id -> subscriber function ids (sorted by name, deterministic).
-  std::vector<std::vector<uint32_t>> subscribers_;
 
   // --- Self-tuning load management (engine/load_manager.h). The split
   // table is read on the dispatch path (lock-free fast path when no key
@@ -245,9 +218,6 @@ class Muppet2Engine final : public MachineRuntime {
   // Time events spend queued before a worker pops them (recorded for
   // every event; the bench's before/after-split p99 comparison).
   Histogram* queue_wait_;
-  // Per-operator processed counters, indexed by interned function id
-  // (built at Start(), read-only afterwards).
-  std::vector<Counter*> op_processed_;
 };
 
 }  // namespace muppet

@@ -21,29 +21,6 @@ Status EventQueue::TryPushMove(RoutedEvent* item) {
   return Status::OK();
 }
 
-Status EventQueue::TryPushBatch(std::vector<RoutedEvent>* items) {
-  if (items->empty()) return Status::OK();
-  const size_t n = items->size();
-  {
-    MutexLock lock(mutex_);
-    if (stopped_) return Status::Aborted("queue: stopped");
-    if (items_.size() + n > capacity_) {
-      return Status::ResourceExhausted("queue: full");
-    }
-    for (RoutedEvent& item : *items) {
-      items_.push_back(std::move(item));
-    }
-    size_.store(items_.size(), std::memory_order_release);
-  }
-  items->clear();
-  if (n == 1) {
-    not_empty_.NotifyOne();
-  } else {
-    not_empty_.NotifyAll();
-  }
-  return Status::OK();
-}
-
 bool EventQueue::Pop(RoutedEvent* out) {
   MutexLock lock(mutex_);
   while (!stopped_ && items_.empty()) not_empty_.Wait(mutex_);
@@ -67,16 +44,6 @@ bool EventQueue::PopBatch(std::vector<RoutedEvent>* out, size_t max) {
   }
   size_.store(items_.size(), std::memory_order_release);
   pops_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
-  return true;
-}
-
-bool EventQueue::TryPop(RoutedEvent* out) {
-  MutexLock lock(mutex_);
-  if (items_.empty()) return false;
-  *out = std::move(items_.front());
-  items_.pop_front();
-  size_.store(items_.size(), std::memory_order_release);
-  pops_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -15,16 +15,6 @@
 
 namespace muppet {
 
-// An event addressed to a specific function (the queue of a Muppet 2.0
-// thread holds events for many functions; the destination is part of the
-// queued item).
-//
-// On the Muppet 2.0 hot path the destination travels as a dense interned
-// id plus the event's (function, key) work hash, both computed exactly
-// once when the event is routed — dispatch and processing index by id and
-// reuse the cached hash instead of re-hashing strings (§4.5). `function`
-// by name remains for the 1.0 engine and the name-based wire codec; it is
-// empty on the 2.0 fast path.
 // Control-plane event kinds carried in RoutedEvent::ctl. Control events
 // are injected by the engine's load manager, intercepted before the
 // operator runs, and counted emitted/processed like data events so
@@ -39,10 +29,16 @@ enum : uint8_t {
   kCtlMergeDelta = 2,
 };
 
+// An event addressed to a specific function (the queue of a Muppet 2.0
+// thread holds events for many functions; the destination is part of the
+// queued item). The destination travels as the dense interned operator id
+// plus the event's (function, key) work hash, both computed exactly once
+// when the event is routed — dispatch, processing, the changelog and the
+// dedup identity reuse the cached hash instead of re-hashing strings
+// (§4.5). Both engines queue and send the same record.
 struct RoutedEvent {
-  std::string function;
   Event event;
-  // Interned destination function id; -1 when only `function` is set.
+  // Interned destination function id (MachineRuntime's operator table).
   int32_t function_id = -1;
   // Cached work-unit hash of <function, routing key>; 0 = not computed.
   // For split keys this hashes the shard sub-key, not event.key.
@@ -85,12 +81,6 @@ class EventQueue {
   // candidate queue without copying.
   Status TryPushMove(RoutedEvent* item);
 
-  // Non-blocking batched enqueue: moves all of `items` in, or none (a
-  // partial push would deliver events the sender then re-sends elsewhere).
-  // One lock acquisition and one wakeup for the whole batch. On OK `items`
-  // is cleared; on decline it is left untouched for the caller to re-route.
-  Status TryPushBatch(std::vector<RoutedEvent>* items);
-
   // Blocking dequeue. Returns false when stopped and drained.
   bool Pop(RoutedEvent* out);
 
@@ -99,9 +89,6 @@ class EventQueue {
   // the consumer-side amortization of per-event wakeups. Returns false
   // when stopped and drained.
   bool PopBatch(std::vector<RoutedEvent>* out, size_t max);
-
-  // Non-blocking dequeue; false when empty (does not wait).
-  bool TryPop(RoutedEvent* out);
 
   // Wake all poppers and refuse further pushes. Remaining items stay
   // poppable (graceful stop) — use Clear() for crash simulation.
@@ -122,7 +109,7 @@ class EventQueue {
   // while a push/pop is mid-flight.
   size_t size() const { return size_.load(std::memory_order_acquire); }
   size_t capacity() const { return capacity_; }
-  // Cumulative events dequeued (Pop/PopBatch/TryPop). Lock-free read; the
+  // Cumulative events dequeued (Pop/PopBatch). Lock-free read; the
   // watchdog compares successive values as its queue-progress signal.
   int64_t pops() const { return pops_.load(std::memory_order_relaxed); }
   bool stopped() const MUPPET_EXCLUDES(mutex_);

@@ -1,23 +1,17 @@
-// Cross-machine wire encoding of routed events. Muppet 1.0 additionally
-// uses the same encoding *within* a machine for the conductor <-> task
-// processor hop, reproducing the 1.0 IPC copy cost that Muppet 2.0
-// eliminated (§4.5: "Passing data between processes ... can be
-// computationally wasteful").
-//
-// Two formats live here:
-//  * the name-addressed single-event record (EncodeRoutedEvent), used only
-//    by Muppet 1.0, which sends each record alone as a transport frame of
-//    count 1;
-//  * the id-addressed batch frame (EncodeRoutedEventFrame), the Muppet 2.0
-//    cross-machine format. Events in a frame carry their interned function
-//    id and precomputed work hash so the receiver re-hashes nothing, and a
-//    frame carries many events so one network hop amortizes per-message
-//    overhead. Ids/hashes are engine-local but deterministic: every
-//    machine builds the same interner from the same AppConfig at Start().
+// The routed-event wire format: an id-addressed batch frame
+// (EncodeRoutedEventFrame). Events in a frame carry their interned
+// function id and precomputed work hash so the receiver re-hashes
+// nothing, and a frame carries many events so one network hop amortizes
+// per-message overhead. Ids and hashes are engine-local but
+// deterministic: every machine builds the same operator table from the
+// same AppConfig at Start(). Muppet 2.0 coalesces a destination's events
+// into one frame; Muppet 1.0 sends each event alone, as a frame of one
+// behind its destination worker's slot, so it still pays the per-event
+// encode and hop that §4.5 names.
 #ifndef MUPPET_ENGINE_WIRE_H_
 #define MUPPET_ENGINE_WIRE_H_
 
-#include <vector>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -33,8 +27,7 @@ namespace muppet {
 // workload, and hashing them would make fault decisions depend on thread
 // interleaving. Never returns 0 (0 tells the injector to hash the payload).
 inline uint64_t EventFaultSignature(const RoutedEvent& re) {
-  uint64_t h = re.work != 0 ? re.work : Fnv1a64(re.function);
-  h = HashCombine(h, Fnv1a64(re.event.stream));
+  uint64_t h = HashCombine(re.work, Fnv1a64(re.event.stream));
   h = HashCombine(h, Fnv1a64(re.event.key));
   h = HashCombine(h, Fnv1a64(re.event.value));
   h = HashCombine(h, static_cast<uint64_t>(re.event.ts));
@@ -43,7 +36,7 @@ inline uint64_t EventFaultSignature(const RoutedEvent& re) {
 
 // Signature of a whole batch frame: order-sensitive combination of the
 // events' signatures (the frame is one fault-model message).
-inline uint64_t FrameFaultSignature(const std::vector<RoutedEvent>& events) {
+inline uint64_t FrameFaultSignature(std::span<const RoutedEvent> events) {
   uint64_t h = 0x66726d65ULL;  // "frme"
   for (const RoutedEvent& re : events) {
     h = HashCombine(h, EventFaultSignature(re));
@@ -51,44 +44,15 @@ inline uint64_t FrameFaultSignature(const std::vector<RoutedEvent>& events) {
   return h == 0 ? 1 : h;
 }
 
-// Trace context (common/trace.h) rides after the event payload in both
-// formats so a sampled trace follows its event across machines. It is
-// excluded from the fault signatures above on purpose: whether an event
-// is traced must never change which faults it draws.
-inline void EncodeRoutedEvent(const RoutedEvent& re, Bytes* out) {
-  PutLengthPrefixed(out, re.function);
-  Bytes event_bytes;
-  EncodeEvent(re.event, &event_bytes);
-  PutLengthPrefixed(out, event_bytes);
-  PutVarint64(out, re.event.trace.trace_id);
-  PutVarint64(out, re.event.trace.parent_span);
-  PutVarint64(out, re.dedup);
-}
-
-inline Status DecodeRoutedEvent(BytesView data, RoutedEvent* re) {
-  const char* p = data.data();
-  const char* limit = p + data.size();
-  BytesView function, event_bytes;
-  if (!GetLengthPrefixed(&p, limit, &function) ||
-      !GetLengthPrefixed(&p, limit, &event_bytes) ||
-      !GetVarint64(&p, limit, &re->event.trace.trace_id) ||
-      !GetVarint64(&p, limit, &re->event.trace.parent_span) ||
-      !GetVarint64(&p, limit, &re->dedup) || p != limit) {
-    return Status::Corruption("wire: malformed routed event");
-  }
-  re->function.assign(function);
-  // DecodeEvent resets the event's non-wire fields; keep the trace we
-  // just read.
-  const TraceContext trace = re->event.trace;
-  Status s = DecodeEvent(event_bytes, &re->event);
-  re->event.trace = trace;
-  return s;
-}
-
+// Trace context (common/trace.h) rides after the event payload so a
+// sampled trace follows its event across machines. It is excluded from
+// the fault signatures above on purpose: whether an event is traced must
+// never change which faults it draws.
+//
 // Batch frame: varint event count, then per event the interned function
 // id, the cached work hash, the split-routing fields (shard is biased by
 // one so -1/unsplit encodes as a single zero byte), and the event record.
-inline void EncodeRoutedEventFrame(const std::vector<RoutedEvent>& events,
+inline void EncodeRoutedEventFrame(std::span<const RoutedEvent> events,
                                    Bytes* out) {
   PutVarint32(out, static_cast<uint32_t>(events.size()));
   Bytes event_bytes;
@@ -150,7 +114,6 @@ class RoutedEventFrameReader {
     re->function_id = static_cast<int32_t>(fid);
     re->shard = static_cast<int32_t>(shard_plus_one) - 1;
     re->ctl = static_cast<uint8_t>(ctl);
-    re->function.clear();
     --remaining_;
     return true;
   }

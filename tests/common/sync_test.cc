@@ -365,7 +365,7 @@ TEST(LockHierarchyTest, EngineQueueAndCacheHonorHierarchyUnderEnforcement) {
     return Status::OK();
   });
   RoutedEvent re;
-  re.function = "f";
+  re.function_id = 0;
   ASSERT_TRUE(queue.TryPush(std::move(re)).ok());
   RoutedEvent out;
   ASSERT_TRUE(queue.Pop(&out));

@@ -10,9 +10,9 @@
 namespace muppet {
 namespace {
 
-RoutedEvent Item(const std::string& function, int i) {
+RoutedEvent Item(int32_t function_id, int i) {
   RoutedEvent re;
-  re.function = function;
+  re.function_id = function_id;
   re.event.key = "k" + std::to_string(i);
   re.event.seq = static_cast<uint64_t>(i);
   return re;
@@ -20,31 +20,31 @@ RoutedEvent Item(const std::string& function, int i) {
 
 TEST(EventQueueTest, FifoOrder) {
   EventQueue queue(10);
-  for (int i = 0; i < 5; ++i) ASSERT_OK(queue.TryPush(Item("f", i)));
+  for (int i = 0; i < 5; ++i) ASSERT_OK(queue.TryPush(Item(0, i)));
   RoutedEvent out;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.TryPop(&out));
+    ASSERT_TRUE(queue.Pop(&out));
     EXPECT_EQ(out.event.seq, static_cast<uint64_t>(i));
   }
-  EXPECT_FALSE(queue.TryPop(&out));
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(EventQueueTest, DeclinesWhenFull) {
   EventQueue queue(3);
-  for (int i = 0; i < 3; ++i) ASSERT_OK(queue.TryPush(Item("f", i)));
-  Status s = queue.TryPush(Item("f", 3));
+  for (int i = 0; i < 3; ++i) ASSERT_OK(queue.TryPush(Item(0, i)));
+  Status s = queue.TryPush(Item(0, 3));
   EXPECT_TRUE(s.IsResourceExhausted()) << "full queue must decline (§4.3)";
   // Popping frees a slot.
   RoutedEvent out;
-  ASSERT_TRUE(queue.TryPop(&out));
-  EXPECT_OK(queue.TryPush(Item("f", 4)));
+  ASSERT_TRUE(queue.Pop(&out));
+  EXPECT_OK(queue.TryPush(Item(0, 4)));
 }
 
 TEST(EventQueueTest, StopRefusesPushesDrainsPops) {
   EventQueue queue(10);
-  ASSERT_OK(queue.TryPush(Item("f", 1)));
+  ASSERT_OK(queue.TryPush(Item(0, 1)));
   queue.Stop();
-  EXPECT_EQ(queue.TryPush(Item("f", 2)).code(), StatusCode::kAborted);
+  EXPECT_EQ(queue.TryPush(Item(0, 2)).code(), StatusCode::kAborted);
   RoutedEvent out;
   EXPECT_TRUE(queue.Pop(&out));   // remaining item drains
   EXPECT_FALSE(queue.Pop(&out));  // then Pop unblocks with false
@@ -58,14 +58,14 @@ TEST(EventQueueTest, BlockingPopWakesOnPush) {
     if (queue.Pop(&out)) got.store(true);
   });
   SystemClock::Default()->SleepFor(10000);
-  ASSERT_OK(queue.TryPush(Item("f", 1)));
+  ASSERT_OK(queue.TryPush(Item(0, 1)));
   popper.join();
   EXPECT_TRUE(got.load());
 }
 
 TEST(EventQueueTest, ClearDiscardsAndCounts) {
   EventQueue queue(10);
-  for (int i = 0; i < 7; ++i) ASSERT_OK(queue.TryPush(Item("f", i)));
+  for (int i = 0; i < 7; ++i) ASSERT_OK(queue.TryPush(Item(0, i)));
   EXPECT_EQ(queue.Clear(), 7u);
   EXPECT_EQ(queue.size(), 0u);
 }
@@ -73,8 +73,8 @@ TEST(EventQueueTest, ClearDiscardsAndCounts) {
 TEST(EventQueueTest, ZeroCapacityClampedToOne) {
   EventQueue queue(0);
   EXPECT_EQ(queue.capacity(), 1u);
-  ASSERT_OK(queue.TryPush(Item("f", 1)));
-  EXPECT_TRUE(queue.TryPush(Item("f", 2)).IsResourceExhausted());
+  ASSERT_OK(queue.TryPush(Item(0, 1)));
+  EXPECT_TRUE(queue.TryPush(Item(0, 2)).IsResourceExhausted());
 }
 
 TEST(EventQueueTest, MultiProducerMultiConsumer) {
@@ -92,7 +92,7 @@ TEST(EventQueueTest, MultiProducerMultiConsumer) {
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerProducer; ++i) {
-        while (!queue.TryPush(Item("f", i)).ok()) {
+        while (!queue.TryPush(Item(0, i)).ok()) {
           std::this_thread::yield();
         }
         produced.fetch_add(1);
@@ -109,44 +109,23 @@ TEST(EventQueueTest, MultiProducerMultiConsumer) {
 
 TEST(EventQueueTest, TryPushMoveLeavesItemIntactOnDecline) {
   EventQueue queue(1);
-  ASSERT_OK(queue.TryPush(Item("f", 0)));
-  RoutedEvent re = Item("g", 7);
+  ASSERT_OK(queue.TryPush(Item(0, 0)));
+  RoutedEvent re = Item(1, 7);
   Status s = queue.TryPushMove(&re);
   ASSERT_TRUE(s.IsResourceExhausted());
   // The declined item must still be offerable to another queue.
-  EXPECT_EQ(re.function, "g");
+  EXPECT_EQ(re.function_id, 1);
   EXPECT_EQ(re.event.key, "k7");
   EventQueue other(1);
   ASSERT_OK(other.TryPushMove(&re));
   RoutedEvent out;
-  ASSERT_TRUE(other.TryPop(&out));
+  ASSERT_TRUE(other.Pop(&out));
   EXPECT_EQ(out.event.key, "k7");
-}
-
-TEST(EventQueueTest, PushBatchAllOrNothing) {
-  EventQueue queue(4);
-  ASSERT_OK(queue.TryPush(Item("f", 0)));
-  std::vector<RoutedEvent> batch;
-  for (int i = 1; i <= 4; ++i) batch.push_back(Item("f", i));
-  // 1 queued + 4 incoming > capacity 4: nothing may be taken.
-  Status s = queue.TryPushBatch(&batch);
-  ASSERT_TRUE(s.IsResourceExhausted());
-  EXPECT_EQ(batch.size(), 4u) << "declined batch must be left intact";
-  EXPECT_EQ(queue.size(), 1u);
-  batch.pop_back();
-  ASSERT_OK(queue.TryPushBatch(&batch));
-  EXPECT_TRUE(batch.empty()) << "accepted batch is consumed";
-  EXPECT_EQ(queue.size(), 4u);
-  RoutedEvent out;
-  for (int i = 0; i <= 3; ++i) {
-    ASSERT_TRUE(queue.TryPop(&out));
-    EXPECT_EQ(out.event.seq, static_cast<uint64_t>(i)) << "FIFO across batch";
-  }
 }
 
 TEST(EventQueueTest, PopBatchDrainsUpToMax) {
   EventQueue queue(16);
-  for (int i = 0; i < 10; ++i) ASSERT_OK(queue.TryPush(Item("f", i)));
+  for (int i = 0; i < 10; ++i) ASSERT_OK(queue.TryPush(Item(0, i)));
   std::vector<RoutedEvent> out;
   ASSERT_TRUE(queue.PopBatch(&out, 4));
   ASSERT_EQ(out.size(), 4u);
@@ -175,12 +154,10 @@ TEST(EventQueueTest, PopBatchUnblocksOnStop) {
 TEST(EventQueueTest, SizeIsLockFreeConsistent) {
   EventQueue queue(8);
   EXPECT_EQ(queue.size(), 0u);
-  std::vector<RoutedEvent> batch;
-  for (int i = 0; i < 3; ++i) batch.push_back(Item("f", i));
-  ASSERT_OK(queue.TryPushBatch(&batch));
+  for (int i = 0; i < 3; ++i) ASSERT_OK(queue.TryPush(Item(0, i)));
   EXPECT_EQ(queue.size(), 3u);
   RoutedEvent out;
-  ASSERT_TRUE(queue.TryPop(&out));
+  ASSERT_TRUE(queue.Pop(&out));
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.Clear(), 2u);
   EXPECT_EQ(queue.size(), 0u);

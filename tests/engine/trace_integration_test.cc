@@ -1,7 +1,8 @@
-// End-to-end checks of the tracing tentpole: trace context survives both
-// wire codecs, and a sampled event's full path — publish, queue wait,
-// operator exec, slate fetch, cross-machine hop, downstream operator —
-// can be reconstructed from the per-machine trace sinks.
+// End-to-end checks of the tracing tentpole: trace context survives the
+// routed-event frame codec (a frame of one, as 1.0 sends, and a batch),
+// and a sampled event's full path — publish, queue wait, operator exec,
+// slate fetch, cross-machine hop, downstream operator — can be
+// reconstructed from the per-machine trace sinks.
 #include <map>
 #include <set>
 #include <string>
@@ -21,9 +22,11 @@ namespace {
 using ::muppet::testing::BuildCountingApp;
 using ::muppet::testing::BuildFanoutApp;
 
+// A frame of one: how Muppet 1.0 sends every event.
 TEST(TraceWireTest, SingleEventCodecRoundTripsTraceContext) {
   RoutedEvent re;
-  re.function = "count";
+  re.function_id = 3;
+  re.work = 0x5eed;
   re.event.stream = "in";
   re.event.key.assign("k");
   re.event.value.assign("v");
@@ -32,22 +35,27 @@ TEST(TraceWireTest, SingleEventCodecRoundTripsTraceContext) {
   re.event.trace.parent_span = 42;
 
   Bytes wire;
-  EncodeRoutedEvent(re, &wire);
+  EncodeRoutedEventFrame({&re, 1}, &wire);
+  RoutedEventFrameReader reader(wire);
   RoutedEvent decoded;
-  ASSERT_OK(DecodeRoutedEvent(wire, &decoded));
-  EXPECT_EQ(decoded.function, "count");
+  ASSERT_TRUE(reader.Next(&decoded));
+  EXPECT_EQ(decoded.function_id, 3);
+  EXPECT_EQ(decoded.work, 0x5eedu);
   EXPECT_TRUE(decoded.event.trace == re.event.trace);
+  EXPECT_FALSE(reader.Next(&decoded));
+  EXPECT_FALSE(reader.corrupt());
 }
 
 TEST(TraceWireTest, UntracedEventsRoundTripWithZeroContext) {
   RoutedEvent re;
-  re.function = "f";
+  re.function_id = 0;
   re.event.stream = "in";
   Bytes wire;
-  EncodeRoutedEvent(re, &wire);
+  EncodeRoutedEventFrame({&re, 1}, &wire);
+  RoutedEventFrameReader reader(wire);
   RoutedEvent decoded;
   decoded.event.trace.trace_id = 999;  // must be overwritten
-  ASSERT_OK(DecodeRoutedEvent(wire, &decoded));
+  ASSERT_TRUE(reader.Next(&decoded));
   EXPECT_FALSE(decoded.event.trace.sampled());
   EXPECT_EQ(decoded.event.trace.parent_span, 0u);
 }
@@ -82,7 +90,7 @@ TEST(TraceWireTest, BatchFrameRoundTripsTraceContextPerEvent) {
 // sampled can never change which faults it draws (chaos determinism).
 TEST(TraceWireTest, FaultSignatureIgnoresTraceContext) {
   RoutedEvent a;
-  a.function = "f";
+  a.work = 0x5eed;
   a.event.stream = "in";
   a.event.key.assign("k");
   RoutedEvent b = a;
