@@ -162,29 +162,20 @@ struct EngineStats {
   int64_t checkpoints = 0;               // incremental checkpoints taken
   int64_t events_deduped = 0;  // redelivered events suppressed (exactly-once)
 
-  // Transport-level counters (net/transport.h; PR-1 datapath).
-  int64_t transport_messages_sent = 0;   // cross-machine messages
-  int64_t transport_messages_local = 0;  // same-machine fast-path deliveries
-  int64_t transport_frames_sent = 0;     // batch frames sent
-  int64_t transport_bytes_sent = 0;      // payload bytes sent
-  // Fault-injection counters (net/fault.h; zero without an injector).
-  int64_t faults_dropped = 0;
-  int64_t faults_duplicated = 0;
-  int64_t faults_held = 0;
+  // Cross-machine messages (net/transport.h). The transport's other
+  // counters are on /metrics only (muppet_transport_*, muppet_faults_*).
+  int64_t transport_messages_sent = 0;
 
   // End-to-end latency (external publish -> operator completion), usec.
   int64_t latency_p50_us = 0;
   int64_t latency_p95_us = 0;
   int64_t latency_p99_us = 0;
   int64_t latency_p999_us = 0;
-  int64_t latency_max_us = 0;
   double latency_mean_us = 0.0;
 
   // Approximate peak memory devoted to operator code copies, in "operator
   // instances" (Muppet 1.0 constructs one per worker; 2.0 one per machine).
   int64_t operator_instances = 0;
-
-  std::string ToString() const;
 };
 
 // One hot (function, key) pair as seen by the heat sketch, with its

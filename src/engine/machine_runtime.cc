@@ -15,6 +15,29 @@ constexpr Timestamp kThrottleRetryMicros = 200;
 constexpr int kMaxThrottleRetries = 50;
 }  // namespace
 
+Status BuildEmittedEvent(const AppConfig& config, const Event& input,
+                         const std::string& stream, BytesView key,
+                         BytesView value, Timestamp ts, Event* out) {
+  if (!config.HasStream(stream)) {
+    return Status::InvalidArgument("publish: undeclared stream '" + stream +
+                                   "'");
+  }
+  if (config.IsInputStream(stream)) {
+    return Status::InvalidArgument(
+        "publish: operators may not emit into input stream '" + stream + "'");
+  }
+  if (ts <= input.ts) {
+    return Status::InvalidArgument(
+        "publish: output timestamp must exceed input timestamp");
+  }
+  out->stream = stream;
+  out->ts = ts;
+  out->key.assign(key);
+  out->value.assign(value);
+  out->origin_ts = input.origin_ts;
+  return Status::OK();
+}
+
 MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
                                const char* engine_name,
                                bool load_manager_paces_source)
@@ -411,20 +434,18 @@ void MachineRuntime::FlusherLoop(MachineBase* machine) {
 }
 
 void MachineRuntime::AppendSlateLog(MachineBase* machine, SlateLogKind kind,
-                                    const std::string& updater,
-                                    BytesView slate_key, BytesView value,
-                                    const Event& event, uint64_t work,
-                                    uint64_t dedup) {
+                                    const RoutedEvent& re,
+                                    BytesView slate_key, BytesView value) {
   if (machine->changelog == nullptr) return;
   SlateLogRecord rec;
   rec.kind = static_cast<uint8_t>(kind);
-  rec.updater = updater;
+  rec.updater = ops_[static_cast<size_t>(re.function_id)].spec->name;
   rec.key.assign(slate_key);
   rec.value.assign(value);
-  rec.ts = event.ts;
-  rec.seq = event.seq;
-  rec.work = work;
-  rec.dedup = dedup;
+  rec.ts = re.event.ts;
+  rec.seq = re.event.seq;
+  rec.work = re.work;
+  rec.dedup = re.dedup;
   Result<uint64_t> lsn = machine->changelog->Append(std::move(rec));
   if (!lsn.ok()) {
     MUPPET_LOG(kError) << "slatelog: append failed on machine "
@@ -433,6 +454,53 @@ void MachineRuntime::AppendSlateLog(MachineBase* machine, SlateLogKind kind,
   }
   slatelog_appends_->Add();
   machine->appends_since_checkpoint.fetch_add(1, std::memory_order_acq_rel);
+}
+
+Status MachineRuntime::WriteSlate(MachineBase* machine, SlateCache* cache,
+                                  const RoutedEvent& re, BytesView slate_key,
+                                  SlateLogKind kind, BytesView value) {
+  const OperatorSpec& spec = *ops_[static_cast<size_t>(re.function_id)].spec;
+  const SlateId id{spec.name, Bytes(slate_key)};
+  MUPPET_RETURN_IF_ERROR(
+      kind == SlateLogKind::kDelete
+          ? cache->Delete(id)
+          : cache->Update(id, value, clock_->Now(),
+                          spec.updater_options.flush_policy ==
+                              SlateFlushPolicy::kWriteThrough));
+  AppendSlateLog(machine, kind, re, slate_key, value);
+  return Status::OK();
+}
+
+Status MachineRuntime::FetchForExec(MachineBase* machine, SlateCache* cache,
+                                    const RoutedEvent& re,
+                                    BytesView slate_key, uint64_t exec_span,
+                                    Bytes* slate, bool* found) {
+  const size_t op = static_cast<size_t>(re.function_id);
+  ScopedSpan fetch;
+  fetch.Begin(machine->trace_sink.get(), clock_,
+              TraceContext{re.event.trace.trace_id, exec_span},
+              SpanKind::kSlateFetch, machine->trace_labels[op]);
+  SpanNote source = SpanNote::kNone;
+  Status s = FetchThroughCache(cache, ops_[op].spec->name, slate_key, slate,
+                               &source);
+  fetch.set_note(source);
+  *found = s.ok();
+  return s.IsNotFound() ? Status::OK() : s;
+}
+
+void MachineRuntime::FinishExec(MachineBase* machine, const RoutedEvent& re,
+                                BytesView slate_key, bool wrote_slate,
+                                ScopedSpan* exec) {
+  if (re.dedup != 0 && !wrote_slate) {
+    AppendSlateLog(machine, SlateLogKind::kMark, re, slate_key, BytesView());
+  }
+  exec->End();
+  const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
+  op.processed->Add();
+  processed_->Add();
+  if (re.event.origin_ts > 0) {
+    latency_->Record(clock_->Now() - re.event.origin_ts);
+  }
 }
 
 void MachineRuntime::MaybeCheckpoint(MachineBase* machine) {
@@ -519,8 +587,12 @@ Status MachineRuntime::ReplayChangelog(MachineBase* machine) {
           identities.push_back(rec.dedup);
           if (identities.size() > seed_window) identities.pop_front();
         }
+        // Only updates and deletes restore state; a mark carries an
+        // identity alone.
         const SlateLogKind kind = static_cast<SlateLogKind>(rec.kind);
-        if (kind == SlateLogKind::kMark) return;
+        if (kind != SlateLogKind::kUpdate && kind != SlateLogKind::kDelete) {
+          return;
+        }
         SlateCache* cache = ReplayCache(machine, rec.updater, rec.key);
         if (cache == nullptr) return;
         if (kind == SlateLogKind::kUpdate) {
@@ -571,21 +643,27 @@ void MachineRuntime::DecInflight(int64_t n) {
   }
 }
 
-bool MachineRuntime::ResendAfterDecline(
-    const Event& event, bool self_emit, int* attempts,
-    const std::function<void(Event)>& reroute) {
+bool MachineRuntime::SettleFailedSend(MachineId to, const Status& s,
+                                      int64_t n) {
+  if (s.IsResourceExhausted()) return false;
+  // Failure detected on send (§4.3): report it to the master, which
+  // broadcasts; the events themselves are lost, not re-dispatched.
+  if (s.IsUnavailable()) master_.ReportFailure(to);
+  lost_failure_->Add(n);
+  return true;
+}
+
+MachineRuntime::DeclineAction MachineRuntime::OnDecline(const Event& event,
+                                                        bool self_emit,
+                                                        int* attempts) {
   switch (options_.overflow.policy) {
     case OverflowPolicy::kDrop:
       break;
-    case OverflowPolicy::kOverflowStream: {
+    case OverflowPolicy::kOverflowStream:
       // The degraded path being full too drops the event.
       if (event.stream == options_.overflow.overflow_stream) break;
       redirected_overflow_->Add();
-      Event redirected = event;
-      redirected.stream = options_.overflow.overflow_stream;
-      reroute(std::move(redirected));
-      return false;
-    }
+      return DeclineAction::kReroute;
     case OverflowPolicy::kThrottle:
       throttle_.NoteOverflow();
       if (self_emit) {
@@ -594,10 +672,10 @@ bool MachineRuntime::ResendAfterDecline(
       }
       if (++*attempts > kMaxThrottleRetries) break;
       clock_->SleepFor(kThrottleRetryMicros);
-      return true;
+      return DeclineAction::kRetry;
   }
   dropped_overflow_->Add();
-  return false;
+  return DeclineAction::kSettled;
 }
 
 Status MachineRuntime::Drain() {
@@ -759,17 +837,10 @@ EngineStats MachineRuntime::Stats() const {
   stats.checkpoints = checkpoints_->Get();
   stats.events_deduped = deduped_->Get();
   stats.transport_messages_sent = transport_->messages_sent();
-  stats.transport_messages_local = transport_->messages_local();
-  stats.transport_frames_sent = transport_->frames_sent();
-  stats.transport_bytes_sent = transport_->bytes_sent();
-  stats.faults_dropped = transport_->messages_dropped();
-  stats.faults_duplicated = transport_->messages_duplicated();
-  stats.faults_held = transport_->messages_held();
   stats.latency_p50_us = latency_->Percentile(0.50);
   stats.latency_p95_us = latency_->Percentile(0.95);
   stats.latency_p99_us = latency_->Percentile(0.99);
   stats.latency_p999_us = latency_->Percentile(0.999);
-  stats.latency_max_us = latency_->max();
   stats.latency_mean_us = latency_->Mean();
   stats.operator_instances = operator_instances_->Get();
   return stats;

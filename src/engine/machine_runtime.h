@@ -8,13 +8,18 @@
 // Muppet1Engine and Muppet2Engine derive from MachineRuntime and supply
 // only their worker model through the hooks at the bottom of the class.
 //
-// How an event is named and received is written once too: the operator
-// table (interned ids, name hashes, subscriber lists) and ReceiveFrame,
-// the one receive path for id-addressed frames.
+// An event's whole lifecycle is written once too. Naming: the operator
+// table (interned ids, name hashes, subscriber lists). Sending: SendRouted,
+// the §4.3 loop (failure detected on send, then drop, overflow stream or
+// throttle on a decline); an engine supplies only the one-attempt
+// callable. Receiving: ReceiveFrame. Executing: BuildEmittedEvent,
+// FetchForExec, WriteSlate (cache write plus changelog record) and
+// FinishExec (the kMark rule, processed counts, end-to-end latency).
 //
 // The hooks run on lifecycle, flush, replay, publish and scrape paths
 // only; the per-event hot path (delivery, dispatch, ProcessOne) stays
-// non-virtual inside each engine.
+// non-virtual: the shared send loop and receive path are templates over
+// the engine's callables.
 #ifndef MUPPET_ENGINE_MACHINE_RUNTIME_H_
 #define MUPPET_ENGINE_MACHINE_RUNTIME_H_
 
@@ -40,6 +45,14 @@
 #include "engine/wire.h"
 
 namespace muppet {
+
+// The rules every emitted event obeys (§3), for both engines'
+// PerformerUtilities: a declared stream that is not an input stream, and
+// a timestamp past `input`'s. On OK *out is the event, carrying `input`'s
+// origin_ts so end-to-end latency spans the whole chain.
+Status BuildEmittedEvent(const AppConfig& config, const Event& input,
+                         const std::string& stream, BytesView key,
+                         BytesView value, Timestamp ts, Event* out);
 
 // Per-machine state both engines share. Each engine derives its machine
 // context from this and adds its own workers, queues and caches, exposing
@@ -243,17 +256,25 @@ class MachineRuntime : public Engine {
   // it is logged and counted lost, never silently dropped from the books.
   void SettleLane(const MachineBase* machine, size_t lane, const Status& s);
 
-  // §4.3 queue overflow at the sender, written once for every engine send
-  // path: call after a send of `event` was declined (ResourceExhausted).
-  // Applies options_.overflow.policy and returns true when the caller
-  // should send again (kThrottle, after a 200 µs wait, at most 50 times
-  // per event; `*attempts` counts them).
-  // Otherwise the event is settled: counted dropped, or handed to
-  // `reroute` as a copy on the overflow stream. `self_emit` marks a send
-  // into a queue the sending worker itself drains: waiting there can
-  // never succeed (the §5 deadlock), so throttling drops the event.
-  bool ResendAfterDecline(const Event& event, bool self_emit, int* attempts,
-                          const std::function<void(Event)>& reroute);
+  // The §4.3 send of one routed event to machine `to`, written once for
+  // every engine send path. `attempt()` makes one delivery attempt and
+  // returns its status; in-flight is charged for it only when `to` is
+  // hosted here (a receiver in another process charges its own). A failed
+  // attempt settles through SettleFailedSend. A declined one
+  // (ResourceExhausted) applies options_.overflow.policy: drop the event;
+  // reroute a copy of it onto the overflow stream through
+  // `reroute(Event)`; or throttle, trying again after a 200 µs wait, at
+  // most 50 times per event. `self_emit` marks a send into a queue the
+  // sending worker itself drains: waiting there can never succeed (the §5
+  // deadlock), so throttling drops the event.
+  template <typename Attempt, typename Reroute>
+  void SendRouted(MachineId to, const Event& event, bool self_emit,
+                  Attempt&& attempt, Reroute&& reroute);
+  // Settle `n` events whose send to `to` failed with `s`, unless `s` is a
+  // decline: Unavailable is a failure detected on send (§4.3), reported
+  // to the master, and it and any other error lose the events. Returns
+  // false, settling nothing, for ResourceExhausted.
+  bool SettleFailedSend(MachineId to, const Status& s, int64_t n);
 
   // Work hash from precomputed halves; never returns 0 ("idle").
   static uint64_t CombineWork(uint64_t function_hash, uint64_t key_hash);
@@ -283,16 +304,30 @@ class MachineRuntime : public Engine {
   Status FetchThroughCache(SlateCache* cache, const std::string& updater,
                            BytesView key, Bytes* slate,
                            SpanNote* source = nullptr);
+  // An updater's slate fetch for the event `re` executing under the span
+  // `exec_span`: FetchThroughCache inside a kSlateFetch child span. A
+  // slate absent everywhere is OK with *found false (a fresh slate, §3);
+  // any other error fails the event.
+  Status FetchForExec(MachineBase* machine, SlateCache* cache,
+                      const RoutedEvent& re, BytesView slate_key,
+                      uint64_t exec_span, Bytes* slate, bool* found);
   // Cache write-back into the durable store, with each updater's TTL.
   SlateCache::WriteBack StoreWriteBack();
 
-  // Append one changelog record for a slate write/delete/mark on
-  // `machine`. No-op in kLossy mode; append failures are logged, never
-  // fail the update (durability degrades, the data path does not stop).
-  void AppendSlateLog(MachineBase* machine, SlateLogKind kind,
-                      const std::string& updater, BytesView slate_key,
-                      BytesView value, const Event& event, uint64_t work,
-                      uint64_t dedup);
+  // Every slate write on `machine`, written once: kUpdate stores `value`
+  // as the slate (updater `re.function_id`, `slate_key`) in `cache`,
+  // kDelete deletes it; then the changelog records the write under `re`'s
+  // identity. Append failures are logged, never fail the write
+  // (durability degrades, the data path does not stop).
+  Status WriteSlate(MachineBase* machine, SlateCache* cache,
+                    const RoutedEvent& re, BytesView slate_key,
+                    SlateLogKind kind, BytesView value = {});
+  // The end of every operator execution: an exactly-once event that wrote
+  // no slate still logs its identity (kMark) so replay re-seeds the dedup
+  // table past a crash; then `exec` ends, and the event counts processed
+  // with its end-to-end latency.
+  void FinishExec(MachineBase* machine, const RoutedEvent& re,
+                  BytesView slate_key, bool wrote_slate, ScopedSpan* exec);
 
   const AppConfig& config_;
   EngineOptions options_;
@@ -352,6 +387,19 @@ class MachineRuntime : public Engine {
   Histogram* latency_;
 
  private:
+  // What SendRouted does after a declined attempt under the overflow
+  // policy; kSettled counts the event dropped, kRetry after the throttle
+  // wait (`*attempts` counts them), kReroute counts it redirected.
+  enum class DeclineAction { kSettled, kRetry, kReroute };
+  DeclineAction OnDecline(const Event& event, bool self_emit, int* attempts);
+
+  // Append one changelog record for a write to, or a mark on, the slate
+  // (updater `re.function_id`, `slate_key`) under `re`'s identity. No-op
+  // in kLossy mode.
+  void AppendSlateLog(MachineBase* machine, SlateLogKind kind,
+                      const RoutedEvent& re, BytesView slate_key,
+                      BytesView value);
+
   void FlusherLoop(MachineBase* machine);
   // Flusher-thread checkpoint pass: sync the changelog tail; when the
   // cadence fires (and a slate store is configured) flush dirty slates,
@@ -410,6 +458,33 @@ class MachineRuntime : public Engine {
   // Engine clock reading at Start(); 0 before Start().
   std::atomic<Timestamp> started_at_{0};
 };
+
+template <typename Attempt, typename Reroute>
+void MachineRuntime::SendRouted(MachineId to, const Event& event,
+                                bool self_emit, Attempt&& attempt,
+                                Reroute&& reroute) {
+  const bool tracked = Hosted(to);
+  int attempts = 0;
+  while (true) {
+    if (tracked) inflight_.fetch_add(1, std::memory_order_acq_rel);
+    const Status s = attempt();
+    if (s.ok()) return;
+    if (tracked) DecInflight(1);
+    if (SettleFailedSend(to, s, 1)) return;
+    switch (OnDecline(event, self_emit, &attempts)) {
+      case DeclineAction::kRetry:
+        continue;
+      case DeclineAction::kReroute: {
+        Event redirected = event;
+        redirected.stream = options_.overflow.overflow_stream;
+        reroute(std::move(redirected));
+        return;
+      }
+      case DeclineAction::kSettled:
+        return;
+    }
+  }
+}
 
 template <typename Push>
 Status MachineRuntime::ReceiveFrame(MachineId from, MachineId to,

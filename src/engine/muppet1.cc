@@ -26,25 +26,9 @@ class TaskProcessor::CollectingUtilities final : public PerformerUtilities {
 
   Status PublishAt(const std::string& stream, BytesView key, BytesView value,
                    Timestamp ts) override {
-    if (!config_.HasStream(stream)) {
-      return Status::InvalidArgument("publish: undeclared stream '" + stream +
-                                     "'");
-    }
-    if (config_.IsInputStream(stream)) {
-      return Status::InvalidArgument(
-          "publish: operators may not emit into input stream '" + stream +
-          "'");
-    }
-    if (ts <= event_.ts) {
-      return Status::InvalidArgument(
-          "publish: output timestamp must exceed input timestamp");
-    }
     Event out;
-    out.stream = stream;
-    out.ts = ts;
-    out.key.assign(key);
-    out.value.assign(value);
-    out.origin_ts = event_.origin_ts;
+    MUPPET_RETURN_IF_ERROR(
+        BuildEmittedEvent(config_, event_, stream, key, value, ts, &out));
     outputs.push_back(std::move(out));
     return Status::OK();
   }
@@ -305,46 +289,23 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
   // Net-hop span on the sender's sink; the RAII scope covers the retry
   // loop, so the span absorbs throttle waits like a real wire would. Only
   // a cross-machine send is a network hop.
-  ScopedSpan hop;
-  if (target.value().machine != from) {
-    hop.Begin(SinkFor(from), clock_, event.trace, SpanKind::kNetHop,
-              Machine(from)->hop_labels[static_cast<size_t>(
-                  target.value().machine)]);
-  }
-
-  const uint64_t signature = EventFaultSignature(re);
   const MachineId to = target.value().machine;
+  ScopedSpan hop;
+  if (to != from) {
+    hop.Begin(SinkFor(from), clock_, event.trace, SpanKind::kNetHop,
+              Machine(from)->hop_labels[static_cast<size_t>(to)]);
+  }
+  const uint64_t signature = EventFaultSignature(re);
   // Emitting back into a queue this worker itself drains (§5).
   const bool self_emit = sender != nullptr && target.value() == sender->ref;
-  int attempts = 0;
-  while (true) {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    size_t accepted = 0;
-    Status s =
-        transport_->SendBatch(from, to, payload, 1, &accepted, signature);
-    if (s.ok()) return;
-    DecInflight(1);
-
-    if (s.IsUnavailable()) {
-      // Failure detected on send (§4.3): report to the master, which
-      // broadcasts; the event itself is lost, not re-dispatched.
-      master_.ReportFailure(to);
-      lost_failure_->Add();
-      MUPPET_LOG(kWarning) << "engine: machine " << to
-                           << " unreachable; event logged as lost";
-      return;
-    }
-    if (!s.IsResourceExhausted()) {
-      lost_failure_->Add();
-      return;
-    }
-    if (!ResendAfterDecline(event, self_emit, &attempts,
-                            [&](Event redirected) {
-                              DeliverEvent(from, sender, redirected);
-                            })) {
-      return;
-    }
-  }
+  SendRouted(
+      to, event, self_emit,
+      [&] {
+        size_t accepted = 0;
+        return transport_->SendBatch(from, to, payload, 1, &accepted,
+                                     signature);
+      },
+      [&](Event redirected) { DeliverEvent(from, sender, redirected); });
 }
 
 Status Muppet1Engine::HandleIncoming(MachineId from, MachineId to,
@@ -392,33 +353,21 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const RoutedEvent& re) {
   // parent to it.
   MachineCtx* machine = Ctx(worker->ref.machine);
   const Event& event = re.event;
-  const OpInfo& op = ops_[worker->op];
-  const std::string& function = op.spec->name;
-  const bool is_updater = op.spec->kind == OperatorKind::kUpdater;
-  const SpanLabel label = machine->trace_labels[worker->op];
+  const bool is_updater =
+      ops_[worker->op].spec->kind == OperatorKind::kUpdater;
   ScopedSpan exec;
   exec.Begin(machine->trace_sink.get(), clock_, event.trace,
-             is_updater ? SpanKind::kUpdateExec : SpanKind::kMapExec, label);
+             is_updater ? SpanKind::kUpdateExec : SpanKind::kMapExec,
+             machine->trace_labels[worker->op]);
 
   // Conductor: gather the slate, serialize the request, cross the
   // process boundary, decode the response.
   Bytes slate;
   bool has_slate = false;
   if (is_updater) {
-    SpanNote fetch_source = SpanNote::kNone;
-    ScopedSpan fetch;
-    fetch.Begin(machine->trace_sink.get(), clock_,
-                TraceContext{event.trace.trace_id, exec.span_id()},
-                SpanKind::kSlateFetch, label);
-    Status s = FetchThroughCache(worker->cache.get(), function, event.key,
-                                 &slate, &fetch_source);
-    fetch.set_note(fetch_source);
-    fetch.End();
-    if (s.ok()) {
-      has_slate = true;
-    } else if (!s.IsNotFound()) {
-      return s;
-    }
+    MUPPET_RETURN_IF_ERROR(FetchForExec(machine, worker->cache.get(), re,
+                                        event.key, exec.span_id(), &slate,
+                                        &has_slate));
   }
 
   Bytes request;
@@ -430,24 +379,13 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const RoutedEvent& re) {
   MUPPET_RETURN_IF_ERROR(
       engine_internal::TaskProcessor::DecodeResponse(response, &decoded));
 
-  if (is_updater && decoded.slate_action == 1) {
-    const bool write_through = op.spec->updater_options.flush_policy ==
-                               SlateFlushPolicy::kWriteThrough;
-    MUPPET_RETURN_IF_ERROR(worker->cache->Update(SlateId{function, event.key},
-                                                 decoded.slate, clock_->Now(),
-                                                 write_through));
-    AppendSlateLog(machine, SlateLogKind::kUpdate, function, event.key,
-                   decoded.slate, event, re.work, re.dedup);
-  } else if (is_updater && decoded.slate_action == 2) {
-    MUPPET_RETURN_IF_ERROR(
-        worker->cache->Delete(SlateId{function, event.key}));
-    AppendSlateLog(machine, SlateLogKind::kDelete, function, event.key,
-                   BytesView(), event, re.work, re.dedup);
-  } else if (re.dedup != 0 && machine->changelog != nullptr) {
-    // No slate effect, but the processed identity must survive into
-    // replay seeding (exactly-once epoch cut).
-    AppendSlateLog(machine, SlateLogKind::kMark, function, event.key,
-                   BytesView(), event, re.work, re.dedup);
+  const bool wrote_slate = is_updater && decoded.slate_action != 0;
+  if (wrote_slate) {
+    const SlateLogKind kind = decoded.slate_action == 1
+                                  ? SlateLogKind::kUpdate
+                                  : SlateLogKind::kDelete;
+    MUPPET_RETURN_IF_ERROR(WriteSlate(machine, worker->cache.get(), re,
+                                      event.key, kind, decoded.slate));
   }
 
   for (Event& out : decoded.outputs) {
@@ -459,13 +397,7 @@ Status Muppet1Engine::ProcessOne(Worker* worker, const RoutedEvent& re) {
     emitted_->Add();
     DeliverEvent(worker->ref.machine, worker, out);
   }
-  exec.End();
-
-  op.processed->Add();
-  processed_->Add();
-  if (event.origin_ts > 0) {
-    latency_->Record(clock_->Now() - event.origin_ts);
-  }
+  FinishExec(machine, re, event.key, wrote_slate, &exec);
   return Status::OK();
 }
 

@@ -111,8 +111,9 @@ class Muppet1Engine final : public MachineRuntime {
   void DeliverEvent(MachineId from, const Worker* sender, const Event& event);
 
   // Send one event to the worker of operator `op` that owns its key over
-  // the ring view `failed`, applying failure handling and the overflow
-  // policy. `key_hash` is Fnv1a64(event.key).
+  // the ring view `failed`, as a slot-prefixed frame of one through the
+  // shared §4.3 send (MachineRuntime::SendRouted). `key_hash` is
+  // Fnv1a64(event.key).
   void SendToWorker(MachineId from, const Worker* sender, uint32_t op,
                     uint64_t key_hash, const std::set<MachineId>& failed,
                     const Event& event);

@@ -14,63 +14,41 @@ namespace muppet {
 
 // PerformerUtilities that routes outputs immediately — no serialization
 // within the machine (the 1.0 IPC cost 2.0 eliminates, §4.5). Slate
-// mutations are applied to the central cache as they happen.
+// writes reach the central cache as they happen.
 class Muppet2Engine::DirectUtilities final : public PerformerUtilities {
  public:
   // `exec_span` is the span id of the surrounding operator execution (0
-  // when untraced); emitted events parent to it.
-  // `slate_key` is the key the updater's slate lives under: the event key
-  // normally, the shard sub-key (core/keysplit.h) when the event was
-  // routed to a shard of a split hot key.
+  // when untraced); emitted events parent to it. `slate_key` is the key
+  // an updater's slate lives under: the event key normally, the shard
+  // sub-key (core/keysplit.h) when the event was routed to a shard of a
+  // split hot key.
   DirectUtilities(Muppet2Engine* engine, MachineCtx* machine,
-                  const Event& event, const std::string& function,
-                  bool is_updater, uint64_t work,
-                  const UpdaterOptions* updater_options, uint64_t exec_span,
-                  BytesView slate_key = {}, uint64_t dedup = 0)
+                  const RoutedEvent& re, uint64_t exec_span,
+                  BytesView slate_key = {})
       : engine_(engine),
         machine_(machine),
-        event_(event),
-        function_(function),
-        is_updater_(is_updater),
-        work_(work),
-        updater_options_(updater_options),
+        re_(re),
+        is_updater_(engine->ops_[static_cast<size_t>(re.function_id)]
+                        .spec->kind == OperatorKind::kUpdater),
         exec_span_(exec_span),
-        slate_key_(slate_key.empty() ? BytesView(event.key) : slate_key),
-        dedup_(dedup) {}
+        slate_key_(slate_key) {}
 
   Status Publish(const std::string& stream, BytesView key,
                  BytesView value) override {
-    return PublishAt(stream, key, value, event_.ts + 1);
+    return PublishAt(stream, key, value, re_.event.ts + 1);
   }
 
   Status PublishAt(const std::string& stream, BytesView key, BytesView value,
                    Timestamp ts) override {
-    const AppConfig& config = engine_->config_;
-    if (!config.HasStream(stream)) {
-      return Status::InvalidArgument("publish: undeclared stream '" + stream +
-                                     "'");
-    }
-    if (config.IsInputStream(stream)) {
-      return Status::InvalidArgument(
-          "publish: operators may not emit into input stream '" + stream +
-          "'");
-    }
-    if (ts <= event_.ts) {
-      return Status::InvalidArgument(
-          "publish: output timestamp must exceed input timestamp");
-    }
     Event out;
-    out.stream = stream;
-    out.ts = ts;
-    out.key.assign(key);
-    out.value.assign(value);
-    out.origin_ts = event_.origin_ts;
+    MUPPET_RETURN_IF_ERROR(BuildEmittedEvent(engine_->config_, re_.event,
+                                             stream, key, value, ts, &out));
     // A traced input's outputs stay in its trace, parented to this
     // operator execution.
-    out.trace.trace_id = event_.trace.trace_id;
+    out.trace.trace_id = re_.event.trace.trace_id;
     out.trace.parent_span = exec_span_;
     engine_->emitted_->Add();
-    engine_->DeliverEvent(machine_->id, work_, std::move(out));
+    engine_->DeliverEvent(machine_->id, re_.work, std::move(out));
     return Status::OK();
   }
 
@@ -78,50 +56,36 @@ class Muppet2Engine::DirectUtilities final : public PerformerUtilities {
     if (!is_updater_) {
       return Status::FailedPrecondition("mapper cannot replace a slate");
     }
-    const bool write_through = updater_options_->flush_policy ==
-                               SlateFlushPolicy::kWriteThrough;
-    Status s = machine_->cache->Update(SlateId{function_, Bytes(slate_key_)},
-                                       slate, engine_->clock_->Now(),
-                                       write_through);
-    if (s.ok()) {
-      wrote_slate_ = true;
-      engine_->AppendSlateLog(machine_, SlateLogKind::kUpdate, function_,
-                              slate_key_, slate, event_, work_, dedup_);
-    }
-    return s;
+    return Write(SlateLogKind::kUpdate, slate);
   }
 
   Status DeleteSlate() override {
     if (!is_updater_) {
       return Status::FailedPrecondition("mapper cannot delete a slate");
     }
-    Status s = machine_->cache->Delete(SlateId{function_, Bytes(slate_key_)});
-    if (s.ok()) {
-      wrote_slate_ = true;
-      engine_->AppendSlateLog(machine_, SlateLogKind::kDelete, function_,
-                              slate_key_, BytesView(), event_, work_, dedup_);
-    }
-    return s;
+    return Write(SlateLogKind::kDelete, BytesView());
   }
 
-  const Event& current_event() const override { return event_; }
+  const Event& current_event() const override { return re_.event; }
 
-  // Whether the operator wrote (or deleted) its slate — an exactly-once
-  // event with no slate effect still needs a kMark record so its identity
-  // survives into replay seeding.
+  // Whether the operator wrote (or deleted) its slate; FinishExec marks
+  // the event's identity when it did not.
   bool wrote_slate() const { return wrote_slate_; }
 
  private:
+  Status Write(SlateLogKind kind, BytesView value) {
+    Status s = engine_->WriteSlate(machine_, machine_->cache.get(), re_,
+                                   slate_key_, kind, value);
+    if (s.ok()) wrote_slate_ = true;
+    return s;
+  }
+
   Muppet2Engine* engine_;
   MachineCtx* machine_;
-  const Event& event_;
-  const std::string& function_;
+  const RoutedEvent& re_;
   bool is_updater_;
-  uint64_t work_;
-  const UpdaterOptions* updater_options_;
   uint64_t exec_span_;
   BytesView slate_key_;
-  uint64_t dedup_;
   bool wrote_slate_ = false;
 };
 
@@ -308,7 +272,7 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
     }
 
     if (to == from) {
-      LocalDeliver(from, sender_work, std::move(re));
+      SendOne(from, sender_work, to, std::move(re));
     } else {
       auto it = std::find_if(remote.begin(), remote.end(),
                              [to](const auto& p) { return p.first == to; });
@@ -325,44 +289,46 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
   }
 }
 
-void Muppet2Engine::LocalDeliver(MachineId machine_id, uint64_t sender_work,
-                                 RoutedEvent re) {
-  MachineCtx* machine = Ctx(machine_id);
-  if (machine == nullptr) {
-    // Only reachable for a hosted sender (to == from implies hosted).
-    lost_failure_->Add();
+void Muppet2Engine::SendOne(MachineId from, uint64_t sender_work,
+                            MachineId to, RoutedEvent re) {
+  auto reroute = [&](Event redirected) {
+    DeliverEvent(from, sender_work, std::move(redirected));
+  };
+  if (to == from) {
+    MachineCtx* machine = Ctx(to);
+    transport_->CountLocalDelivery();
+    // A worker emitting to its own (function,key) work unit (§5).
+    const bool self_emit = sender_work != 0 && re.work == sender_work;
+    SendRouted(
+        to, re.event, self_emit,
+        [&] {
+          // As on the transport, a failed delivery is how a crash is
+          // detected (§4.3).
+          if (machine->crashed.load(std::memory_order_acquire)) {
+            return Status::Unavailable("machine crashed");
+          }
+          return Dispatch(machine, &re);
+        },
+        reroute);
     return;
   }
-  if (machine->crashed.load(std::memory_order_acquire)) {
-    // Matches the transport Unavailable path: a failed delivery is how
-    // crashes are detected (§4.3).
-    master_.ReportFailure(machine_id);
-    lost_failure_->Add();
-    return;
-  }
-  transport_->CountLocalDelivery();
-
-  // A worker emitting to its own (function,key) work unit (§5).
-  const bool self_emit = sender_work != 0 && re.work == sender_work;
-  int attempts = 0;
-  while (true) {
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    Status s = Dispatch(machine, &re);
-    if (s.ok()) return;
-    DecInflight(1);
-
-    if (!s.IsResourceExhausted()) {
-      lost_failure_->Add();
-      return;
-    }
-    if (!ResendAfterDecline(re.event, self_emit, &attempts,
-                            [&](Event redirected) {
-                              DeliverEvent(machine_id, sender_work,
-                                           std::move(redirected));
-                            })) {
-      return;
-    }
-  }
+  // Frame of one; encoded once, resent verbatim on throttle retries.
+  Bytes frame;
+  EncodeRoutedEventFrame({&re, 1}, &frame);
+  const uint64_t signature = FrameFaultSignature({&re, 1});
+  // One hop span covering the whole send (ends at return).
+  ScopedSpan hop;
+  hop.Begin(SinkFor(from), clock_, re.event.trace, SpanKind::kNetHop,
+            Machine(from)->hop_labels[static_cast<size_t>(to)]);
+  // A remote queue is never one the sending worker drains.
+  SendRouted(
+      to, re.event, /*self_emit=*/false,
+      [&] {
+        size_t accepted = 0;
+        return transport_->SendBatch(from, to, frame, 1, &accepted,
+                                     signature);
+      },
+      reroute);
 }
 
 void Muppet2Engine::FlushRemoteBatch(MachineId from, uint64_t sender_work,
@@ -407,62 +373,13 @@ void Muppet2Engine::FlushRemoteBatch(MachineId from, uint64_t sender_work,
     }
   }
   if (s.ok()) return;
-  if (tracked) DecInflight(static_cast<int64_t>(n - accepted));
-
-  if (s.IsUnavailable()) {
-    master_.ReportFailure(to);
-    lost_failure_->Add(static_cast<int64_t>(n - accepted));
-    return;
-  }
-  if (!s.IsResourceExhausted()) {
-    lost_failure_->Add(static_cast<int64_t>(n - accepted));
-    return;
-  }
-  // The receiver took a prefix and declined the rest; the remainder goes
-  // through the per-event overflow path (§4.3).
+  const int64_t unsent = static_cast<int64_t>(n - accepted);
+  if (tracked) DecInflight(unsent);
+  if (SettleFailedSend(to, s, unsent)) return;
+  // The receiver took a prefix and declined the rest; each declined event
+  // goes through the per-event §4.3 send.
   for (size_t i = accepted; i < n; ++i) {
-    RemoteDeliverOne(from, sender_work, to, std::move(batch[i]));
-  }
-}
-
-void Muppet2Engine::RemoteDeliverOne(MachineId from, uint64_t sender_work,
-                                     MachineId to, RoutedEvent re) {
-  // Frame of one; encoded once, resent verbatim on throttle retries.
-  Bytes frame;
-  EncodeRoutedEventFrame({&re, 1}, &frame);
-  const uint64_t signature = FrameFaultSignature({&re, 1});
-
-  // One hop span covering the whole retry loop (ends at any return).
-  ScopedSpan hop;
-  hop.Begin(SinkFor(from), clock_, re.event.trace, SpanKind::kNetHop,
-            Machine(from)->hop_labels[static_cast<size_t>(to)]);
-
-  const bool tracked = Hosted(to);
-  int attempts = 0;
-  while (true) {
-    size_t accepted = 0;
-    if (tracked) inflight_.fetch_add(1, std::memory_order_acq_rel);
-    Status s = transport_->SendBatch(from, to, frame, 1, &accepted, signature);
-    if (s.ok()) return;
-    if (tracked) DecInflight(1);
-
-    if (s.IsUnavailable()) {
-      master_.ReportFailure(to);
-      lost_failure_->Add();
-      return;
-    }
-    if (!s.IsResourceExhausted()) {
-      lost_failure_->Add();
-      return;
-    }
-    // A remote queue is never one the sending worker drains.
-    if (!ResendAfterDecline(re.event, /*self_emit=*/false, &attempts,
-                            [&](Event redirected) {
-                              DeliverEvent(from, sender_work,
-                                           std::move(redirected));
-                            })) {
-      return;
-    }
+    SendOne(from, sender_work, to, std::move(batch[i]));
   }
 }
 
@@ -548,99 +465,57 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
   if (re.ctl != kCtlNone) return ProcessControl(machine, re);
 
   const size_t fid = static_cast<size_t>(re.function_id);
-  const OpInfo& op = ops_[fid];
-  const OperatorSpec& spec = *op.spec;
   const Event& event = re.event;
-  const uint64_t work = re.work;
 
   // Exec span: wraps the operator invocation; emitted events and the
   // slate fetch parent to it. Disarmed (one branch) for untraced events.
   ScopedSpan exec;
-  TraceSink* sink = event.trace.sampled() ? machine->trace_sink.get() : nullptr;
-
-  if (spec.kind == OperatorKind::kMapper) {
-    exec.Begin(sink, clock_, event.trace, SpanKind::kMapExec,
-               machine->trace_labels[fid]);
-    DirectUtilities utils(this, machine, event, spec.name,
-                          /*is_updater=*/false, work, nullptr,
-                          exec.span_id());
+  if (ops_[fid].spec->kind == OperatorKind::kMapper) {
+    exec.Begin(machine->trace_sink.get(), clock_, event.trace,
+               SpanKind::kMapExec, machine->trace_labels[fid]);
+    DirectUtilities utils(this, machine, re, exec.span_id());
     machine->mappers[fid]->Map(utils, event);
-    // Mappers never write slates; in exactly-once mode the processed
-    // identity still has to reach the changelog (kMark) so replay can
-    // re-seed the dedup table past the crash.
-    if (re.dedup != 0 && machine->changelog != nullptr) {
-      AppendSlateLog(machine, SlateLogKind::kMark, spec.name, event.key,
-                     BytesView(), event, work, re.dedup);
-    }
-  } else {
-    // Up to two threads can vie for the same slate (§4.5); the striped
-    // lock serializes the contending pair.
-    bool contended = false;
-    MutexLock guard(machine->slate_locks[work % kSlateLockStripes],
-                    &contended);
-    if (contended) slate_contention_->Add();
-
-    // Shard validation, inside the stripe lock so it cannot race a merge
-    // sweep of the same shard: an event routed under a split epoch that
-    // has since moved on (split widened, merge begun or finished) must
-    // not touch the stale shard slate — it re-enters delivery under its
-    // base key instead.
-    Bytes shard_key;
-    BytesView slate_key = event.key;
-    if (re.shard >= 0) {
-      SplitTable::State state;
-      const bool live =
-          split_table_.Lookup(re.function_id, event.key, &state) &&
-          state.epoch == re.split_epoch && !state.draining;
-      if (!live) {
-        ReshardToBase(machine, re);
-        return Status::OK();
-      }
-      shard_key = MakeSplitKey(event.key, re.shard);
-      slate_key = shard_key;
-    }
-
-    exec.Begin(sink, clock_, event.trace, SpanKind::kUpdateExec,
-               machine->trace_labels[fid]);
-
-    Bytes slate;
-    bool has_slate = false;
-    {
-      ScopedSpan fetch;
-      fetch.Begin(sink, clock_,
-                  TraceContext{event.trace.trace_id, exec.span_id()},
-                  SpanKind::kSlateFetch, machine->trace_labels[fid]);
-      SpanNote fetch_source = SpanNote::kNone;
-      Status s = FetchThroughCache(machine->cache.get(), spec.name, slate_key,
-                                   &slate, &fetch_source);
-      fetch.set_note(fetch_source);
-      if (s.ok()) {
-        has_slate = true;
-      } else if (!s.IsNotFound()) {
-        return s;
-      }
-    }
-    DirectUtilities utils(this, machine, event, spec.name,
-                          /*is_updater=*/true, work,
-                          &spec.updater_options, exec.span_id(), slate_key,
-                          re.dedup);
-    machine->updaters[fid]->Update(utils, event,
-                                   has_slate ? &slate : nullptr);
-    // An updater that chose not to touch its slate still consumed the
-    // event; mark the identity for exactly-once replay seeding.
-    if (re.dedup != 0 && !utils.wrote_slate() &&
-        machine->changelog != nullptr) {
-      AppendSlateLog(machine, SlateLogKind::kMark, spec.name, slate_key,
-                     BytesView(), event, work, re.dedup);
-    }
+    FinishExec(machine, re, event.key, /*wrote_slate=*/false, &exec);
+    return Status::OK();
   }
-  exec.End();
 
-  op.processed->Add();
-  processed_->Add();
-  if (event.origin_ts > 0) {
-    latency_->Record(clock_->Now() - event.origin_ts);
+  // Up to two threads can vie for the same slate (§4.5); the striped
+  // lock serializes the contending pair.
+  bool contended = false;
+  MutexLock guard(machine->slate_locks[re.work % kSlateLockStripes],
+                  &contended);
+  if (contended) slate_contention_->Add();
+
+  // Shard validation, inside the stripe lock so it cannot race a merge
+  // sweep of the same shard: an event routed under a split epoch that
+  // has since moved on (split widened, merge begun or finished) must
+  // not touch the stale shard slate — it re-enters delivery under its
+  // base key instead.
+  Bytes shard_key;
+  BytesView slate_key = event.key;
+  if (re.shard >= 0) {
+    SplitTable::State state;
+    const bool live =
+        split_table_.Lookup(re.function_id, event.key, &state) &&
+        state.epoch == re.split_epoch && !state.draining;
+    if (!live) {
+      ReshardToBase(machine, re);
+      return Status::OK();
+    }
+    shard_key = MakeSplitKey(event.key, re.shard);
+    slate_key = shard_key;
   }
+
+  exec.Begin(machine->trace_sink.get(), clock_, event.trace,
+             SpanKind::kUpdateExec, machine->trace_labels[fid]);
+  Bytes slate;
+  bool has_slate = false;
+  MUPPET_RETURN_IF_ERROR(FetchForExec(machine, machine->cache.get(), re,
+                                      slate_key, exec.span_id(), &slate,
+                                      &has_slate));
+  DirectUtilities utils(this, machine, re, exec.span_id(), slate_key);
+  machine->updaters[fid]->Update(utils, event, has_slate ? &slate : nullptr);
+  FinishExec(machine, re, slate_key, utils.wrote_slate(), &exec);
   return Status::OK();
 }
 
@@ -669,7 +544,8 @@ Status Muppet2Engine::ProcessControl(MachineCtx* machine,
           FetchThroughCache(machine->cache.get(), name, shard_key, &slate);
       if (s.ok()) {
         found = true;
-        (void)machine->cache->Delete(SlateId{name, shard_key});
+        (void)WriteSlate(machine, machine->cache.get(), re, shard_key,
+                         SlateLogKind::kDelete);
       }
     }
     if (found) {
@@ -712,10 +588,8 @@ Status Muppet2Engine::ProcessControl(MachineCtx* machine,
       Status s =
           FetchThroughCache(machine->cache.get(), name, re.event.key, &base);
       const Bytes merged = merger(s.ok() ? &base : nullptr, re.event.value);
-      const bool write_through = op.spec->updater_options.flush_policy ==
-                                 SlateFlushPolicy::kWriteThrough;
-      (void)machine->cache->Update(SlateId{name, re.event.key}, merged,
-                                   clock_->Now(), write_through);
+      (void)WriteSlate(machine, machine->cache.get(), re, re.event.key,
+                       SlateLogKind::kUpdate, merged);
     }
   }
   processed_->Add();
@@ -733,29 +607,21 @@ void Muppet2Engine::ReshardToBase(MachineCtx* machine,
   if (exactly_once()) {
     base.dedup = DedupIdentity(base.work, base.event.ts, base.event.seq);
   }
-  std::set<MachineId> failed_copy;
-  Result<WorkerRef> target =
-      ring_.Route(op.spec->name, base.event.key,
-                  RouteFailedSet(machine->id, &failed_copy));
-  if (!target.ok()) {
-    lost_failure_->Add();
-    return;
-  }
-  const MachineId to = target.value().machine;
-  if (to == machine->id) {
-    LocalDeliver(machine->id, re.work, std::move(base));
-  } else {
-    RemoteDeliverOne(machine->id, re.work, to, std::move(base));
-  }
+  RouteAndSendOne(machine->id, re.work, re.event.key, std::move(base));
 }
 
 void Muppet2Engine::SendControl(MachineId from, uint64_t sender_work,
                                 BytesView route_key, RoutedEvent re) {
-  const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
   // Injection counts emitted_; every downstream path settles it exactly
   // once (processed on consumption, lost/dropped on failure) through the
   // shared delivery machinery.
   emitted_->Add();
+  RouteAndSendOne(from, sender_work, route_key, std::move(re));
+}
+
+void Muppet2Engine::RouteAndSendOne(MachineId from, uint64_t sender_work,
+                                    BytesView route_key, RoutedEvent re) {
+  const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
   std::set<MachineId> failed_copy;
   Result<WorkerRef> target = ring_.Route(op.spec->name, route_key,
                                          RouteFailedSet(from, &failed_copy));
@@ -763,12 +629,7 @@ void Muppet2Engine::SendControl(MachineId from, uint64_t sender_work,
     lost_failure_->Add();
     return;
   }
-  const MachineId to = target.value().machine;
-  if (to == from) {
-    LocalDeliver(from, sender_work, std::move(re));
-  } else {
-    RemoteDeliverOne(from, sender_work, to, std::move(re));
-  }
+  SendOne(from, sender_work, target.value().machine, std::move(re));
 }
 
 Status Muppet2Engine::FetchRoutedSlate(const std::string& updater,

@@ -150,6 +150,10 @@ class Muppet2Engine final : public MachineRuntime {
   // so chaos conservation accounting stays exact.
   void SendControl(MachineId from, uint64_t sender_work, BytesView route_key,
                    RoutedEvent re);
+  // Route `re` by `route_key` (which must not point into `re`) over
+  // `from`'s live ring view and send it alone; lost when no machine is live.
+  void RouteAndSendOne(MachineId from, uint64_t sender_work,
+                       BytesView route_key, RoutedEvent re);
 
   // Self-tuning load-management control loop (one engine-wide thread).
   void LoadManagerLoop();
@@ -171,17 +175,16 @@ class Muppet2Engine final : public MachineRuntime {
   // per destination and flushed as batch frames.
   void DeliverEvent(MachineId from, uint64_t sender_work, Event event);
 
-  // Same-machine delivery with overflow-policy handling; no transport hop.
-  void LocalDeliver(MachineId machine, uint64_t sender_work, RoutedEvent re);
-
   // One coalesced frame to a remote machine; declined suffixes fall back
-  // to the per-event path.
+  // to the per-event send.
   void FlushRemoteBatch(MachineId from, uint64_t sender_work, MachineId to,
                         std::vector<RoutedEvent> batch);
 
-  // Per-event remote send with the §4.3 overflow/retry policy.
-  void RemoteDeliverOne(MachineId from, uint64_t sender_work, MachineId to,
-                        RoutedEvent re);
+  // One event through the shared §4.3 send (MachineRuntime::SendRouted):
+  // to its own machine straight into Dispatch, with no encode and no
+  // transport hop; to another machine as a frame of one.
+  void SendOne(MachineId from, uint64_t sender_work, MachineId to,
+               RoutedEvent re);
 
   // FetchSlate helper: route `key` over the live ring and read the owning
   // machine's cache/store.

@@ -5,13 +5,17 @@
 // engines.
 #include "engine/slatelog.h"
 
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/keysplit.h"
 #include "engine/muppet1.h"
 #include "engine/muppet2.h"
 #include "gtest/gtest.h"
@@ -665,6 +669,112 @@ EngineOptions DurableOptions(const std::string& dir, Consistency knob) {
   eo.durability.consistency = knob;
   eo.durability.dir = dir;
   return eo;
+}
+
+// A hot key's split and merge write slates outside any operator: a merge
+// sweep deletes each shard slate, and a merge delta folds it into the base
+// slate. Replaying the changelog (last record wins) must restore the
+// merged base slate and no swept shard slate.
+TEST(DurableEngine, MergeWritesReachTheChangelog) {
+  TempDir dir;
+  AppConfig config;
+  UpdaterOptions uo;
+  uo.associativity = Associativity::kAssociativeCommutative;
+  uo.merger = [](const Bytes* base, const Bytes& part) {
+    JsonSlate b(base);
+    JsonSlate p(&part);
+    b.data()["count"] =
+        b.data().GetInt("count", 0) + p.data().GetInt("count", 0);
+    return b.Serialize();
+  };
+  BuildCountingApp(&config, /*forward=*/false, uo);
+
+  EngineOptions eo = DurableOptions<Muppet2Engine>(
+      dir.path(), Consistency::kAtLeastOnce);
+  eo.num_machines = 2;
+  eo.durability.checkpoint_every_records = 0;
+  // The chaos scenarios' hot_split tuning, with Muppet2Test's 5 ms ticks
+  // and full sampling so a sanitizer-slowed publisher still reaches the
+  // controller's min_samples.
+  eo.load_manager.enabled = true;
+  eo.load_manager.tick_micros = 5 * kMicrosPerMilli;
+  eo.load_manager.heat.sample_period = 1;
+  eo.load_manager.heat_decay = 0.5;
+  eo.load_manager.min_samples = 8;
+  eo.load_manager.split_heat_fraction = 0.3;
+  eo.load_manager.merge_heat_fraction = 0.05;
+  eo.load_manager.split_shards = 4;
+  eo.load_manager.placement_enabled = false;
+  Muppet2Engine engine(config, eo);
+  ASSERT_OK(engine.Start());
+
+  using SteadyClock = std::chrono::steady_clock;
+  constexpr auto kPhaseLimit = std::chrono::seconds(60);
+  int64_t hot_count = 0;
+  int64_t seq = 0;
+  const auto split_deadline = SteadyClock::now() + kPhaseLimit;
+  while (engine.key_splits() == 0 && SteadyClock::now() < split_deadline) {
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_OK(engine.Publish("in", "hot", "", ++seq));
+      ++hot_count;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(engine.key_splits(), 0) << "hot key never split";
+  // Keep the key hot a while, so its shards hold slates to sweep.
+  for (int round = 0; round < 32; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_OK(engine.Publish("in", "hot", "", ++seq));
+      ++hot_count;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto merge_deadline = SteadyClock::now() + kPhaseLimit;
+  while (engine.key_merges() == 0 && SteadyClock::now() < merge_deadline) {
+    for (int k = 0; k < 8; ++k) {
+      ASSERT_OK(engine.Publish("in", "u" + std::to_string(k), "", ++seq));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(engine.key_merges(), 0) << "split never merged back";
+  engine.PauseLoadManagement();
+  ASSERT_OK(engine.Drain());
+  ASSERT_EQ(CountOf(engine, "count", "hot"), hot_count);
+  ASSERT_OK(engine.Stop());  // syncs every changelog tail
+
+  // Last record wins; a delete leaves the slate absent.
+  std::map<Bytes, std::optional<Bytes>> replayed;
+  for (uint64_t m = 0; m < 2; ++m) {
+    SlateLogReplayStats stats;
+    ASSERT_OK(SlateChangelog::Replay(
+        dir.path(), m, 0,
+        [&](const SlateLogRecord& rec) {
+          switch (static_cast<SlateLogKind>(rec.kind)) {
+            case SlateLogKind::kUpdate:
+              replayed[rec.key] = rec.value;
+              break;
+            case SlateLogKind::kDelete:
+              replayed[rec.key] = std::nullopt;
+              break;
+            case SlateLogKind::kMark:
+              break;
+          }
+        },
+        &stats));
+  }
+  ASSERT_TRUE(replayed.count("hot") > 0 && replayed["hot"].has_value());
+  JsonSlate base(&*replayed["hot"]);
+  EXPECT_EQ(base.data().GetInt("count", -1), hot_count)
+      << "the base slate replays to its pre-merge value";
+  int shards_written = 0;
+  for (int shard = 0; shard < eo.load_manager.split_shards; ++shard) {
+    auto it = replayed.find(MakeSplitKey("hot", shard));
+    if (it == replayed.end()) continue;
+    ++shards_written;
+    EXPECT_FALSE(it->second.has_value())
+        << "swept shard slate " << shard << " replays live";
+  }
+  EXPECT_GT(shards_written, 0) << "no shard slate was ever written";
 }
 
 TEST(DurableEngine, StartRequiresDirWhenDurable) {
