@@ -112,16 +112,7 @@ CriticalPath ComputeCriticalPath(const std::vector<Span>& spans) {
 
 SloTracker::SloTracker(SloOptions options, MetricsRegistry* registry,
                        Clock* clock)
-    : options_(std::move(options)),
-      registry_(registry),
-      clock_(clock),
-      bucket_micros_([&] {
-        Timestamp shortest = kMicrosPerMinute;
-        for (Timestamp w : options_.burn_windows) {
-          shortest = std::min(shortest, w);
-        }
-        return std::max<Timestamp>(1, shortest / 30);
-      }()) {}
+    : options_(std::move(options)), registry_(registry), clock_(clock) {}
 
 SloTracker::StreamState* SloTracker::StateFor(const std::string& stream) {
   auto it = streams_.find(stream);
@@ -145,7 +136,7 @@ SloTracker::StreamState* SloTracker::StateFor(const std::string& stream) {
     state.breach_events = registry_->GetCounter(
         "muppet_slo_events_total", {{"stream", stream}, {"outcome", "breach"}});
     if (state.objective != nullptr && clock_ != nullptr) {
-      for (Timestamp window : options_.burn_windows) {
+      for (Timestamp window : kBurnWindows) {
         registry_->RegisterCallback(
             "muppet_slo_burn_rate_milli",
             {{"stream", stream}, {"window", WindowLabel(window)}},
@@ -194,12 +185,11 @@ void SloTracker::ObserveLocked(uint64_t trace_id,
   }
 
   // Burn accounting: bucketed good/breach counts, advanced lazily.
-  const int64_t bucket = now / bucket_micros_;
+  const int64_t bucket = now / kBucketMicros;
   if (state->buckets.empty() || state->buckets.back().index != bucket) {
     // Drop buckets older than the longest window.
-    Timestamp longest = 0;
-    for (Timestamp w : options_.burn_windows) longest = std::max(longest, w);
-    const int64_t horizon = bucket - longest / bucket_micros_ - 1;
+    const int64_t horizon =
+        bucket - kBurnWindows[std::size(kBurnWindows) - 1] / kBucketMicros - 1;
     while (!state->buckets.empty() &&
            state->buckets.front().index < horizon) {
       state->buckets.pop_front();
@@ -251,7 +241,7 @@ void SloTracker::Harvest(const std::vector<TraceSink*>& sinks, Timestamp now,
 
   for (auto& [trace_id, pending] : traces) {
     if (pending.harvested) continue;
-    if (!drained && pending.last_end_us + options_.settle_micros > now) {
+    if (!drained && pending.last_end_us + kSettleMicros > now) {
       continue;  // may still grow; pick it up on a later harvest
     }
     for (TraceSink* sink : sinks) {
@@ -263,7 +253,7 @@ void SloTracker::Harvest(const std::vector<TraceSink*>& sinks, Timestamp now,
 
 double SloTracker::BurnRate(const StreamState& state, Timestamp window,
                             Timestamp now) const {
-  const int64_t horizon = now / bucket_micros_ - window / bucket_micros_;
+  const int64_t horizon = now / kBucketMicros - window / kBucketMicros;
   int64_t events = 0;
   int64_t breaches = 0;
   for (const BurnBucket& bucket : state.buckets) {
@@ -307,11 +297,11 @@ std::vector<SloTracker::StreamSnapshot> SloTracker::Snapshot(
       snap.objective = *state.objective;
       snap.meeting_objective =
           snap.events == 0 || snap.p99_us <= state.objective->target_p99_us;
-      for (Timestamp window : options_.burn_windows) {
+      for (Timestamp window : kBurnWindows) {
         BurnSnapshot burn;
         burn.window_micros = window;
         burn.rate = BurnRate(state, window, now);
-        const int64_t horizon = now / bucket_micros_ - window / bucket_micros_;
+        const int64_t horizon = now / kBucketMicros - window / kBucketMicros;
         for (const BurnBucket& bucket : state.buckets) {
           if (bucket.index < horizon) continue;
           burn.events += bucket.events;

@@ -51,15 +51,6 @@ struct SloOptions {
   // Per-stream objectives. Streams without one still get latency
   // histograms and critical paths, but no burn accounting.
   std::vector<SloObjective> objectives;
-  // A trace counts as complete once no span has been recorded into it
-  // for this long (or immediately when the engine reports itself
-  // drained, since nothing can extend a trace with zero events in
-  // flight).
-  Timestamp settle_micros = 50 * kMicrosPerMilli;
-  // Burn-rate windows, shortest first (the classic multi-window alert
-  // pairs a fast window against a slow one).
-  std::vector<Timestamp> burn_windows = {kMicrosPerMinute,
-                                         10 * kMicrosPerMinute};
   // Worst critical paths retained per stream, slowest first.
   size_t worst_paths = 4;
 };
@@ -161,11 +152,22 @@ class SloTracker {
   int64_t traces_observed() const { return traces_observed_.Get(); }
   int64_t traces_unattributed() const { return traces_unattributed_.Get(); }
 
+  // A trace is complete once no span has touched it for this long (at
+  // once when the engine is drained: nothing can extend it then).
+  static constexpr Timestamp kSettleMicros = 50 * kMicrosPerMilli;
+  // Burn-rate windows, shortest first (the classic multi-window alert
+  // pairs a fast window against a slow one).
+  static constexpr Timestamp kBurnWindows[] = {kMicrosPerMinute,
+                                               10 * kMicrosPerMinute};
+
   static constexpr LockLevel kLockLevel = LockLevel::kSlo;
 
  private:
+  // Burn-bucket width: the shortest window spans 30 buckets.
+  static constexpr Timestamp kBucketMicros = kBurnWindows[0] / 30;
+
   struct BurnBucket {
-    int64_t index = 0;  // now / bucket_micros_
+    int64_t index = 0;  // now / kBucketMicros
     int64_t events = 0;
     int64_t breaches = 0;
   };
@@ -193,9 +195,6 @@ class SloTracker {
   const SloOptions options_;
   MetricsRegistry* const registry_;
   Clock* const clock_;
-  // Burn-bucket granularity: fine enough that the shortest window spans
-  // ~30 buckets.
-  const Timestamp bucket_micros_;
 
   // Also held across a whole Harvest, so two harvests cannot both observe
   // a trace before either marks it.

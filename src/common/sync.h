@@ -34,7 +34,6 @@
 //     22   split-table      SplitTable live hot-key split registry (shared;
 //                           read on the dispatch path under a stripe lock)
 //     24   merge-dedupe     per-machine applied merge-delta id sets
-//     25   ring-override    HashRing key->machine override table (shared)
 //     26   dedup-table      exactly-once bounded event-identity dedup table
 //                           (consulted on frame receive; seeded under the
 //                           recovery path while the machine is unroutable)
@@ -70,6 +69,7 @@
 #define MUPPET_COMMON_SYNC_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>  // wrapped below; do not use directly
 #include <mutex>               // wrapped below; do not use directly
 #include <shared_mutex>        // wrapped below; do not use directly
@@ -130,7 +130,6 @@ enum class LockLevel : int {
   kTaps = 20,
   kSplitTable = 22,
   kMergeDedupe = 24,
-  kRingOverride = 25,
   kDedupTable = 26,
   kTransport = 30,
   kTcpState = 31,
@@ -358,6 +357,17 @@ class CondVar {
     std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
     cv_.wait(native);
     native.release();
+  }
+
+  // Waits until done() holds or `timeout` of real time passes (spurious
+  // wake-ups resume the wait); returns done().
+  template <typename Predicate>
+  bool WaitFor(Mutex& mu, std::chrono::microseconds timeout, Predicate done)
+      MUPPET_REQUIRES(mu) {
+    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
+    const bool result = cv_.wait_for(native, timeout, done);
+    native.release();
+    return result;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -6,21 +6,8 @@
 
 namespace muppet {
 
-struct HashRing::OverrideState {
-  std::atomic<size_t> active{0};
-  mutable SharedMutex mutex{kOverrideLockLevel};
-  std::map<std::pair<std::string, Bytes>, MachineId> map
-      MUPPET_GUARDED_BY(mutex);
-};
-
 HashRing::HashRing(int vnodes, uint64_t seed)
-    : vnodes_(vnodes < 1 ? 1 : vnodes),
-      seed_(seed),
-      override_state_(std::make_unique<OverrideState>()) {}
-
-HashRing::HashRing(HashRing&&) noexcept = default;
-HashRing& HashRing::operator=(HashRing&&) noexcept = default;
-HashRing::~HashRing() = default;
+    : vnodes_(vnodes < 1 ? 1 : vnodes), seed_(seed) {}
 
 void HashRing::AddWorker(const std::string& function, WorkerRef worker) {
   FunctionRing& ring = rings_[function];
@@ -53,13 +40,6 @@ Result<WorkerRef> HashRing::RouteNth(const std::string& function,
   const FunctionRing& ring = it->second;
   if (ring.points.empty()) {
     return Status::Unavailable("ring: no workers for '" + function + "'");
-  }
-
-  WorkerRef overridden;
-  if (OverrideFor(function, key, failed, &overridden)) {
-    // Pinned placement: both routing choices collapse onto the override
-    // target so the whole (function, key) stream lands on one machine.
-    return overridden;
   }
 
   const uint64_t h = SeededHash(key, Fnv1a64(function));
@@ -114,78 +94,6 @@ std::map<MachineId, int> HashRing::OwnershipCounts(
   if (it == rings_.end()) return out;
   for (const auto& [hash, worker] : it->second.points) {
     ++out[worker.machine];
-  }
-  return out;
-}
-
-bool HashRing::OverrideFor(const std::string& function, BytesView key,
-                           const std::set<MachineId>& failed,
-                           WorkerRef* out) const {
-  OverrideState& state = *override_state_;
-  if (state.active.load(std::memory_order_acquire) == 0) return false;
-  MachineId machine = kInvalidMachine;
-  {
-    ReaderMutexLock guard(state.mutex);
-    auto it = state.map.find({function, Bytes(key)});
-    if (it == state.map.end()) return false;
-    machine = it->second;
-  }
-  if (failed.count(machine) > 0) return false;
-  auto ring_it = rings_.find(function);
-  if (ring_it == rings_.end()) return false;
-  // The override names a machine; route to that machine's first worker
-  // slot for the function (Muppet 2.0 registers exactly one).
-  for (const WorkerRef& worker : ring_it->second.workers) {
-    if (worker.machine == machine) {
-      *out = worker;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool HashRing::SetOverride(const std::string& function, BytesView key,
-                           MachineId machine) {
-  OverrideState& state = *override_state_;
-  WriterMutexLock guard(state.mutex);
-  auto it = state.map.find({function, Bytes(key)});
-  if (it != state.map.end()) {
-    it->second = machine;
-    return true;
-  }
-  if (state.map.size() >= override_capacity_) return false;
-  state.map[{function, Bytes(key)}] = machine;
-  state.active.store(state.map.size(), std::memory_order_release);
-  return true;
-}
-
-void HashRing::ClearOverride(const std::string& function, BytesView key) {
-  OverrideState& state = *override_state_;
-  WriterMutexLock guard(state.mutex);
-  state.map.erase({function, Bytes(key)});
-  state.active.store(state.map.size(), std::memory_order_release);
-}
-
-void HashRing::ClearAllOverrides() {
-  OverrideState& state = *override_state_;
-  WriterMutexLock guard(state.mutex);
-  state.map.clear();
-  state.active.store(0, std::memory_order_release);
-}
-
-size_t HashRing::override_count() const {
-  OverrideState& state = *override_state_;
-  ReaderMutexLock guard(state.mutex);
-  return state.map.size();
-}
-
-std::vector<HashRing::OverrideEntry> HashRing::Overrides() const {
-  OverrideState& state = *override_state_;
-  ReaderMutexLock guard(state.mutex);
-  std::vector<OverrideEntry> out;
-  out.reserve(state.map.size());
-  for (const auto& [fk, machine] : state.map) {
-    out.push_back(OverrideEntry{fk.first, fk.second, machine});
   }
   return out;
 }

@@ -9,17 +9,14 @@
 #ifndef MUPPET_CORE_HASH_RING_H_
 #define MUPPET_CORE_HASH_RING_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "common/sync.h"
 #include "net/transport.h"
 
 namespace muppet {
@@ -43,9 +40,6 @@ class HashRing {
   // `vnodes` controls placement smoothness; identical arguments produce an
   // identical ring on every machine (determinism is the whole point).
   explicit HashRing(int vnodes = 128, uint64_t seed = 0x9173ull);
-  HashRing(HashRing&&) noexcept;
-  HashRing& operator=(HashRing&&) noexcept;
-  ~HashRing();
 
   // Register a worker as running `function`. A function's events route
   // only among that function's workers (in Muppet 1.0 each worker runs
@@ -75,34 +69,6 @@ class HashRing {
   // Names of all functions with registered workers (sorted).
   std::vector<std::string> Functions() const;
 
-  // --- Placement override table -------------------------------------
-  //
-  // A bounded (function, key) -> machine table consulted before the
-  // vnode walk, letting the load manager re-weight ownership online
-  // without rebuilding the ring. Overrides are advisory: when the
-  // override's machine is in `failed`, Route falls back to the normal
-  // clockwise walk, so rerouting-around-failures (invariant D) is
-  // unaffected. Thread-safe; the no-override fast path is one relaxed
-  // atomic load.
-
-  struct OverrideEntry {
-    std::string function;
-    Bytes key;
-    MachineId machine = kInvalidMachine;
-  };
-
-  // Returns false when the table is at capacity and (function, key) is
-  // not already present.
-  bool SetOverride(const std::string& function, BytesView key,
-                   MachineId machine);
-  void ClearOverride(const std::string& function, BytesView key);
-  void ClearAllOverrides();
-  size_t override_count() const;
-  std::vector<OverrideEntry> Overrides() const;
-  size_t override_capacity() const { return override_capacity_; }
-
-  static constexpr LockLevel kOverrideLockLevel = LockLevel::kRingOverride;
-
  private:
   struct FunctionRing {
     // Sorted (hash, worker) circle.
@@ -116,21 +82,9 @@ class HashRing {
                              const std::set<MachineId>& failed,
                              int nth) const;
 
-  // Override for (function, key) if one exists and its machine hosts a
-  // worker of `function` outside `failed`.
-  bool OverrideFor(const std::string& function, BytesView key,
-                   const std::set<MachineId>& failed, WorkerRef* out) const;
-
   int vnodes_;
   uint64_t seed_;
   std::map<std::string, FunctionRing> rings_;
-
-  static constexpr size_t kDefaultOverrideCapacity = 64;
-  size_t override_capacity_ = kDefaultOverrideCapacity;
-  // Heap-held so HashRing stays movable (tests build rings by value);
-  // allocated in the constructor, never null.
-  struct OverrideState;
-  std::unique_ptr<OverrideState> override_state_;
 };
 
 }  // namespace muppet

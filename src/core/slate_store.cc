@@ -3,6 +3,13 @@
 #include "common/compress.h"
 
 namespace muppet {
+namespace {
+
+// Slates favour latency over replica agreement: one replica answers every
+// read and acknowledges every write (§4.2's "any single machine").
+constexpr kv::ConsistencyLevel kSlateConsistency = kv::ConsistencyLevel::kOne;
+
+}  // namespace
 
 SlateStore::SlateStore(kv::KvCluster* cluster, SlateStoreOptions options)
     : cluster_(cluster), options_(std::move(options)) {}
@@ -15,15 +22,15 @@ Status SlateStore::Write(const SlateId& id, BytesView slate,
     Bytes compressed;
     CompressBytes(slate, &compressed);
     return cluster_->Put(options_.column_family, id.key, id.updater,
-                         compressed, opts, options_.write_cl);
+                         compressed, opts, kSlateConsistency);
   }
   return cluster_->Put(options_.column_family, id.key, id.updater, slate,
-                       opts, options_.write_cl);
+                       opts, kSlateConsistency);
 }
 
 Result<Bytes> SlateStore::Read(const SlateId& id) {
   Result<kv::Record> rec = cluster_->Get(options_.column_family, id.key,
-                                         id.updater, options_.read_cl);
+                                         id.updater, kSlateConsistency);
   if (!rec.ok()) return rec.status();
   if (!options_.compress) return std::move(rec).value().value;
   return Decompress(rec.value().value);
@@ -31,7 +38,7 @@ Result<Bytes> SlateStore::Read(const SlateId& id) {
 
 Status SlateStore::Delete(const SlateId& id) {
   return cluster_->Delete(options_.column_family, id.key, id.updater,
-                          options_.write_cl);
+                          kSlateConsistency);
 }
 
 }  // namespace muppet

@@ -19,8 +19,6 @@ namespace muppet {
 struct SlateStoreOptions {
   std::string column_family = "slates";
   bool compress = true;
-  kv::ConsistencyLevel read_cl = kv::ConsistencyLevel::kOne;
-  kv::ConsistencyLevel write_cl = kv::ConsistencyLevel::kOne;
 };
 
 class SlateStore {

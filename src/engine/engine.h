@@ -51,9 +51,8 @@ struct EngineOptions {
   ThrottleOptions throttle;
 
   // Self-tuning load management (engine/load_manager.h): hotspot
-  // detection, dynamic key splitting of associative updaters,
-  // occupancy-driven source pacing, and placement overrides. Off by
-  // default; Muppet 2.0 only.
+  // detection, dynamic key splitting of associative updaters, and
+  // occupancy-driven source pacing. Off by default; Muppet 2.0 only.
   LoadManagerOptions load_manager;
 
   // Muppet 2.0 dispatch: place the event on the secondary queue when it is
@@ -117,11 +116,9 @@ struct EngineOptions {
 
   // Sampled distributed tracing (common/trace.h).
   struct TraceOptions {
-    // Master switch; when false no spans are recorded and events carry a
-    // zero TraceContext.
-    bool enabled = true;
     // Trace 1-in-N events, decided by hash of the event key (deterministic
-    // across runs and chaos replays). 1 = trace everything, 0 = nothing.
+    // across runs and chaos replays). 1 = trace everything, 0 = nothing:
+    // no spans are recorded and events carry a zero TraceContext.
     uint64_t sample_period = 1024;
     // Per-machine TraceSink retention of recent traces (the slowest-trace
     // set keeps TraceSink::Options' default).

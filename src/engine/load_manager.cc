@@ -16,7 +16,8 @@ LoadActions LoadController::Tick(const LoadSignals& signals) {
   // how far occupancy is from target, which is as PID-ish as a source-only
   // throttle needs to be (there is no actuator to overshoot — pacing just
   // slows Publish()).
-  const double error = signals.max_queue_occupancy - options_.target_occupancy;
+  constexpr double kTargetOccupancy = 0.5;
+  const double error = signals.max_queue_occupancy - kTargetOccupancy;
   floor_ += error * options_.throttle_gain *
             static_cast<double>(options_.max_floor_delay_micros);
   floor_ = std::clamp(floor_, 0.0,

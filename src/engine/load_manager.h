@@ -1,10 +1,9 @@
 // Self-tuning load management: the control loop that turns the heat
-// sketch (core/heat.h), queue-depth gauges, and the placement advisor
-// into runtime actions — dynamic key splits for associative updaters
-// (paper §5, Example 6, automated), an occupancy-driven source-throttle
-// floor (deadlock-free because only the source is paced, §5), and
-// key->machine placement overrides applied through the hash ring's
-// bounded override table.
+// sketch (core/heat.h) and queue-depth gauges into runtime actions —
+// dynamic key splits for associative updaters (paper §5, Example 6,
+// automated) and an occupancy-driven source-throttle floor
+// (deadlock-free because only the source is paced, §5). Placement stays
+// with the hash ring; engine/placement.h analyses it offline.
 //
 // The decision logic lives in LoadController, a pure object with no
 // threads or engine references: the engine's load-manager tick gathers a
@@ -55,29 +54,14 @@ struct LoadManagerOptions {
   int64_t min_samples = 64;
   // Ceiling on concurrently split keys.
   size_t max_splits = 16;
-  // A merge finishes after this many consecutive ticks whose sweeps found
-  // no shard slates (two, because a sweep races in-flight shard events).
-  int merge_quiet_ticks = 2;
 
   // --- Queue-occupancy throttling ------------------------------------
-  // Target occupancy of the hottest queue, as a fraction of capacity.
-  double target_occupancy = 0.5;
   // Integral gain: fraction of max_floor_delay_micros added to the pacing
-  // floor per unit of occupancy error per tick.
+  // floor per unit of occupancy error per tick (the target is half the
+  // hottest queue's capacity).
   double throttle_gain = 0.2;
   // Ceiling on the occupancy-driven pacing floor.
   Timestamp max_floor_delay_micros = 5 * kMicrosPerMilli;
-
-  // --- Placement feedback --------------------------------------------
-  // Periodically rebalance via ring overrides (disabled under chaos runs
-  // without a durable store: moving a key's owner mid-run would strand
-  // cache-only slates).
-  bool placement_enabled = false;
-  // Re-run the placement advisor every this many ticks.
-  int placement_period_ticks = 10;
-  // At most this many concurrent ring overrides.
-  size_t max_overrides = 32;
-  double placement_balance_slack = 0.25;
 };
 
 // One machine-agnostic heat reading: (function, key) and its decayed

@@ -1,5 +1,6 @@
 #include "engine/machine_runtime.h"
 
+#include <chrono>
 #include <deque>
 
 #include "common/hash.h"
@@ -75,8 +76,7 @@ MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
       latency_(metrics_.GetHistogram("muppet_e2e_latency_us")),
       engine_name_(engine_name),
       pace_source_(options.overflow.policy == OverflowPolicy::kThrottle ||
-                   (load_manager_paces_source && options.load_manager.enabled)),
-      incident_log_(options.watchdog.incident_capacity) {
+                   (load_manager_paces_source && options.load_manager.enabled)) {
   if (options_.transport_backend != nullptr) {
     // External backend (muppetd's TcpTransport): not owned, carries its
     // own loss accounting, started by the caller after Start().
@@ -183,7 +183,7 @@ Status MachineRuntime::Start() {
     MUPPET_RETURN_IF_ERROR(BuildMachine(m, &machine));
     machine->id = m;
     TraceSink* sink = nullptr;
-    if (options_.trace.enabled && options_.trace.sample_period != 0) {
+    if (options_.trace.sample_period != 0) {
       TraceSink::Options trace_options;
       trace_options.recent_capacity = options_.trace.recent_traces;
       machine->trace_sink = std::make_unique<TraceSink>(trace_options);
@@ -209,7 +209,7 @@ Status MachineRuntime::Start() {
       MUPPET_RETURN_IF_ERROR(machine->changelog->Open());
       if (exactly_once()) {
         machine->dedup =
-            std::make_unique<DedupTable>(options_.durability.dedup_capacity);
+            std::make_unique<DedupTable>(DedupTable::kMachineCapacity);
       }
     }
     machines_.push_back(std::move(machine));
@@ -265,10 +265,8 @@ Status MachineRuntime::Start() {
     SpawnLanes(m);
     m->flusher = std::thread([this, m] { FlusherLoop(m); });
   }
-  if (options_.watchdog.enabled) {
-    watchdog_ = std::make_unique<Watchdog>(options_.watchdog, &incident_log_);
-    control_threads_.emplace_back([this] { WatchdogLoop(); });
-  }
+  watchdog_ = std::make_unique<Watchdog>(options_.watchdog, &incident_log_);
+  control_threads_.emplace_back([this] { WatchdogLoop(); });
 
   started_at_.store(clock_->Now(), std::memory_order_release);
   started_ = true;
@@ -344,8 +342,7 @@ Status MachineRuntime::Publish(const std::string& stream, BytesView key,
 
   // Deterministic sampling: the decision is a pure function of the key,
   // so a chaos replay of the same workload traces the same events.
-  if (options_.trace.enabled &&
-      TraceSampled(Fnv1a64(event.key), options_.trace.sample_period)) {
+  if (TraceSampled(Fnv1a64(event.key), options_.trace.sample_period)) {
     event.trace.trace_id = MakeTraceId(Fnv1a64(event.key), event.seq);
     TraceSink* sink = SinkFor(publish_machine_);
     if (sink != nullptr) {
@@ -414,9 +411,21 @@ SlateCache::WriteBack MachineRuntime::StoreWriteBack() {
   };
 }
 
+bool MachineRuntime::WaitTick(Timestamp micros) {
+  if (dynamic_cast<SystemClock*>(clock_) == nullptr) {
+    clock_->SleepFor(micros);
+  } else {
+    const auto stopped = [this] {
+      return shutdown_.load(std::memory_order_acquire);
+    };
+    MutexLock lock(drain_mutex_);
+    stop_cv_.WaitFor(drain_mutex_, std::chrono::microseconds(micros), stopped);
+  }
+  return !shutdown_.load(std::memory_order_acquire);
+}
+
 void MachineRuntime::FlusherLoop(MachineBase* machine) {
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    clock_->SleepFor(options_.flush_poll_micros);
+  while (WaitTick(options_.flush_poll_micros)) {
     if (machine->crashed.load()) return;
     const Timestamp now = clock_->Now();
     for (const auto& [name, spec] : config_.operators()) {
@@ -576,7 +585,9 @@ Status MachineRuntime::ReplayChangelog(MachineBase* machine) {
   // the next flush persists them — replayed state must survive a later
   // eviction.
   const Timestamp now = clock_->Now();
-  const size_t seed_window = options_.durability.replay_seed_window;
+  // Exactly-once: how many of the most recent changelog identities are
+  // seeded back into the dedup table (the epoch cut).
+  constexpr size_t kReplaySeedWindow = 4096;
   std::deque<uint64_t> identities;
   SlateLogReplayStats replay_stats;
   Status s = SlateChangelog::Replay(
@@ -585,7 +596,7 @@ Status MachineRuntime::ReplayChangelog(MachineBase* machine) {
       [&](const SlateLogRecord& rec) {
         if (rec.dedup != 0 && machine->dedup != nullptr) {
           identities.push_back(rec.dedup);
-          if (identities.size() > seed_window) identities.pop_front();
+          if (identities.size() > kReplaySeedWindow) identities.pop_front();
         }
         // Only updates and deletes restore state; a mark carries an
         // identity alone.
@@ -700,7 +711,11 @@ Status MachineRuntime::Stop() {
   // Final SLO harvest: the engine is drained, so every sampled trace is
   // complete and can be observed before the sinks are torn down.
   HarvestSlo();
-  shutdown_.store(true, std::memory_order_release);
+  {
+    MutexLock lock(drain_mutex_);
+    shutdown_.store(true, std::memory_order_release);
+  }
+  stop_cv_.NotifyAll();
   for (std::thread& t : control_threads_) {
     if (t.joinable()) t.join();
   }
@@ -940,9 +955,7 @@ WatchdogSignals MachineRuntime::GatherWatchdogSignals() const {
 }
 
 void MachineRuntime::WatchdogLoop() {
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    clock_->SleepFor(options_.watchdog.tick_micros);
-    if (shutdown_.load(std::memory_order_acquire)) break;
+  while (WaitTick(options_.watchdog.tick_micros)) {
     watchdog_->Tick(GatherWatchdogSignals());
     // Opportunistic SLO harvest on the same cadence, so burn windows
     // advance and settle without requiring a /sloz scrape.

@@ -359,6 +359,10 @@ class MachineRuntime : public Engine {
   // Engine-wide control loops (the watchdog, 2.0's load manager): joined
   // by Stop() once shutdown_ is raised.
   std::vector<std::thread> control_threads_;
+  // One control-loop period: waits `micros`, returning early once Stop()
+  // raises shutdown_; false once it is raised. Under a simulated clock
+  // the wait advances that clock, as Clock::SleepFor does.
+  bool WaitTick(Timestamp micros);
 
   std::atomic<uint64_t> seq_{1};
   std::atomic<int64_t> inflight_{0};
@@ -441,8 +445,11 @@ class MachineRuntime : public Engine {
   std::vector<std::vector<uint32_t>> subscribers_;
   const std::vector<uint32_t> no_subscribers_;
 
+  // Also guards the raising of shutdown_, so a WaitTick cannot miss it.
   Mutex drain_mutex_{kDrainLockLevel};
   CondVar drain_cv_;
+  // Wakes WaitTick when Stop() raises shutdown_.
+  CondVar stop_cv_;
   // Live Drain() waiters — the watchdog's drain-stall signal.
   std::atomic<int> drain_waiters_{0};
 

@@ -7,7 +7,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "engine/placement.h"
 #include "engine/wire.h"
 
 namespace muppet {
@@ -716,10 +715,7 @@ size_t Muppet2Engine::LargestQueueDepth() const {
 }
 
 void Muppet2Engine::LoadManagerLoop() {
-  int tick = 0;
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    clock_->SleepFor(options_.load_manager.tick_micros);
-    if (shutdown_.load(std::memory_order_acquire)) break;
+  while (WaitTick(options_.load_manager.tick_micros)) {
     // Pause handshake (seq_cst on purpose: the store of idle_ must be
     // ordered against the load of paused_, and the pauser's store of
     // paused_ against its load of idle_ — release/acquire alone permits
@@ -730,7 +726,7 @@ void Muppet2Engine::LoadManagerLoop() {
       lm_idle_.store(true);
       continue;
     }
-    LoadManagerTick(tick++);
+    LoadManagerTick();
     lm_idle_.store(true);
   }
   lm_idle_.store(true);
@@ -748,7 +744,7 @@ void Muppet2Engine::PauseLoadManagement() {
   }
 }
 
-void Muppet2Engine::LoadManagerTick(int tick) {
+void Muppet2Engine::LoadManagerTick() {
   const LoadManagerOptions& opt = options_.load_manager;
 
   // --- Gather signals: decayed heat aggregated across machines, hottest
@@ -827,9 +823,10 @@ void Muppet2Engine::LoadManagerTick(int tick) {
   }
 
   // ...and drive the draining ones: one sweep round per tick per key,
-  // finishing after merge_quiet_ticks consecutive rounds that found no
+  // finishing after kMergeQuietTicks consecutive rounds that found no
   // shard slate (one quiet round can race the last in-flight shard
   // events; two in a row cannot, since draining keys route unsplit).
+  constexpr int kMergeQuietTicks = 2;
   entries = split_table_.Entries();
   for (const auto& e : entries) {
     if (!e.state.draining) continue;
@@ -839,7 +836,7 @@ void Muppet2Engine::LoadManagerTick(int tick) {
     if (progress.rounds > 0) {
       progress.quiet = found > 0 ? 0 : progress.quiet + 1;
     }
-    if (progress.quiet >= opt.merge_quiet_ticks) {
+    if (progress.quiet >= kMergeQuietTicks) {
       split_table_.Finish(e.function_id, e.key);
       merge_progress_.erase({e.function_id, e.key});
       merges_completed_->Add();
@@ -847,12 +844,6 @@ void Muppet2Engine::LoadManagerTick(int tick) {
     }
     InjectMergeSweeps(e.function_id, e.key, e.state);
     ++progress.rounds;
-  }
-
-  // --- Placement feedback, every placement_period_ticks.
-  if (opt.placement_enabled && opt.placement_period_ticks > 0 &&
-      (tick + 1) % opt.placement_period_ticks == 0) {
-    ApplyPlacement();
   }
 }
 
@@ -875,45 +866,6 @@ void Muppet2Engine::InjectMergeSweeps(int32_t function_id, const Bytes& key,
     // victim) originates engine-wide control traffic.
     SendControl(publish_machine_, /*sender_work=*/0, shard_key,
                 std::move(re));
-  }
-}
-
-void Muppet2Engine::ApplyPlacement() {
-  const LoadManagerOptions& opt = options_.load_manager;
-  PlacementAdvisor advisor(options_.num_machines,
-                           opt.placement_balance_slack);
-  for (const auto& slot : machines_) {
-    const auto* machine = static_cast<const MachineCtx*>(slot.get());
-    if (machine == nullptr || machine->heat == nullptr) continue;
-    for (const HeatEntry& e : machine->heat->TopK(opt.heat.capacity)) {
-      if (e.function_id < 0 ||
-          static_cast<size_t>(e.function_id) >= ops_.size()) {
-        continue;
-      }
-      advisor.ObserveFlow(machine->id,
-                          ops_[static_cast<size_t>(e.function_id)].spec->name,
-                          e.key, e.count);
-    }
-  }
-  if (advisor.total_events() == 0) return;
-
-  PlacementAdvisor::Analysis analysis;
-  std::vector<PlacementAdvisor::Assignment> proposal =
-      advisor.Propose(&analysis);
-  std::stable_sort(
-      proposal.begin(), proposal.end(),
-      [](const PlacementAdvisor::Assignment& a,
-         const PlacementAdvisor::Assignment& b) { return a.events > b.events; });
-  ring_.ClearAllOverrides();
-  size_t applied = 0;
-  for (const auto& a : proposal) {
-    if (applied >= opt.max_overrides) break;
-    // Split keys route per shard; pinning their base key would fight the
-    // split. Skip them.
-    const int32_t fid = OpId(a.function);
-    SplitTable::State state;
-    if (fid >= 0 && split_table_.Lookup(fid, a.key, &state)) continue;
-    if (ring_.SetOverride(a.function, a.key, a.machine)) ++applied;
   }
 }
 
@@ -959,7 +911,7 @@ std::vector<HotKeyInfo> Muppet2Engine::HotKeys() const {
 
 void Muppet2Engine::RegisterEngineMetrics() {
   // Load-management plane: the occupancy floor under the source-pacing
-  // delay, the live split count, and the ring's placement overrides.
+  // delay and the live split count.
   metrics_.RegisterCallback(
       "muppet_throttle_floor_micros", {}, MetricType::kGauge,
       [this] {
@@ -968,9 +920,6 @@ void Muppet2Engine::RegisterEngineMetrics() {
   metrics_.RegisterCallback(
       "muppet_active_splits", {}, MetricType::kGauge,
       [this] { return static_cast<int64_t>(split_table_.size()); });
-  metrics_.RegisterCallback(
-      "muppet_ring_overrides", {}, MetricType::kGauge,
-      [this] { return static_cast<int64_t>(ring_.override_count()); });
 
   for (const auto& slot : machines_) {
     const auto* machine = static_cast<const MachineCtx*>(slot.get());

@@ -157,12 +157,10 @@ class Muppet2Engine final : public MachineRuntime {
 
   // Self-tuning load-management control loop (one engine-wide thread).
   void LoadManagerLoop();
-  void LoadManagerTick(int tick);
+  void LoadManagerTick();
   // One merge-sweep round: a kCtlMergeSweep per shard of a draining key.
   void InjectMergeSweeps(int32_t function_id, const Bytes& key,
                          const SplitTable::State& state);
-  // Placement feedback: rebuild ring overrides from the heat sketches.
-  void ApplyPlacement();
 
   // Two-choice dispatch of an arrived event into one of the machine's
   // thread queues; locks at most the two candidate queues. On success *re

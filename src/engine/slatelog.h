@@ -61,11 +61,6 @@ struct DurabilityOptions {
   // advance the manifest, drop covered segments) every N appends. 0 turns
   // checkpointing off; checkpoints also require a configured slate store.
   uint64_t checkpoint_every_records = 512;
-  // Exactly-once: capacity of the per-machine event-identity dedup table.
-  size_t dedup_capacity = 4096;
-  // Exactly-once: how many of the most recent changelog identities are
-  // seeded back into the dedup table during replay (the epoch cut).
-  size_t replay_seed_window = 4096;
 };
 
 // ---------------------------------------------------------------------------
@@ -301,6 +296,8 @@ class DedupTable {
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
+  // Capacity of each machine's table in exactly-once mode.
+  static constexpr size_t kMachineCapacity = 4096;
   static constexpr LockLevel kLockLevel = LockLevel::kDedupTable;
 
  private:

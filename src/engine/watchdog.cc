@@ -9,6 +9,17 @@
 #include "common/prom.h"
 
 namespace muppet {
+namespace {
+
+// Consecutive bad ticks before a queue-stall incident opens. Conservative:
+// a healthy engine under load dequeues constantly, so three high-occupancy
+// zero-progress observations in a row mean wedged.
+constexpr int kStallTicks = 3;
+// Consecutive good ticks before an open incident clears (hysteresis in the
+// other direction — one lucky dequeue does not end an incident).
+constexpr int kClearTicks = 2;
+
+}  // namespace
 
 const char* IncidentKindName(IncidentKind kind) {
   switch (kind) {
@@ -99,7 +110,7 @@ int Watchdog::Step(const EntityKey& key, bool bad, int open_after,
     log_->Open(incident);
     return 1;
   }
-  if (entity.open_id != 0 && entity.good >= options_.clear_ticks) {
+  if (entity.open_id != 0 && entity.good >= kClearTicks) {
     log_->Clear(entity.open_id, now);
     entity.open_id = 0;
     entity.good = 0;
@@ -131,22 +142,23 @@ int Watchdog::Tick(const WatchdogSignals& signals) {
     const bool observed_before = entity.last_pops >= 0;
     const bool progressed = !observed_before || q.pops != entity.last_pops;
     entity.last_pops = q.pops;
+    // A queue is stalling when it is at least half full AND no event was
+    // dequeued since the previous tick.
+    constexpr double kStallOccupancy = 0.5;
     const bool occupied =
-        q.capacity > 0 &&
-        static_cast<double>(q.depth) >=
-            options_.stall_occupancy * static_cast<double>(q.capacity);
+        q.capacity > 0 && static_cast<double>(q.depth) >=
+                              kStallOccupancy * static_cast<double>(q.capacity);
     const bool bad = !is_crashed(q.machine) && occupied && !progressed;
     std::string detail;
     if (bad) {
       detail = "queue m" + std::to_string(q.machine) + "/q" +
                std::to_string(q.queue_index) + " depth " +
                std::to_string(q.depth) + "/" + std::to_string(q.capacity) +
-               ", no dequeues for " + std::to_string(options_.stall_ticks) +
+               ", no dequeues for " + std::to_string(kStallTicks) +
                " ticks";
     }
-    opened += Step(key, bad, options_.stall_ticks, now,
-                   IncidentKind::kQueueStall, q.machine, q.queue_index,
-                   detail);
+    opened += Step(key, bad, kStallTicks, now, IncidentKind::kQueueStall,
+                   q.machine, q.queue_index, detail);
   }
 
   {

@@ -41,21 +41,9 @@
 namespace muppet {
 
 struct WatchdogOptions {
-  // Master switch; when false the engine starts no watchdog thread.
-  bool enabled = true;
   // Tick cadence of the engine's watchdog thread (the pure core is
   // cadence-agnostic: tests drive Tick() directly).
   Timestamp tick_micros = 100 * kMicrosPerMilli;
-  // A queue is stalling when its occupancy is at least this fraction of
-  // capacity AND no event was dequeued since the previous tick.
-  double stall_occupancy = 0.5;
-  // Consecutive bad ticks before an incident opens. Conservative by
-  // default: a healthy engine under load dequeues constantly, so three
-  // high-occupancy zero-progress observations in a row mean wedged.
-  int stall_ticks = 3;
-  // Consecutive good ticks before an open incident clears (hysteresis in
-  // the other direction — one lucky dequeue does not end an incident).
-  int clear_ticks = 2;
   // Ticks of a Drain() waiter seeing an unchanged nonzero inflight count.
   int drain_stall_ticks = 5;
   // Ticks of changelog last_lsn > synced_lsn with synced_lsn unchanged.
@@ -64,8 +52,6 @@ struct WatchdogOptions {
   // Replays are fast (tests complete in milliseconds); 50 ticks = 5s at
   // the default cadence is far beyond any healthy recovery.
   int recovery_stuck_ticks = 50;
-  // IncidentLog ring capacity.
-  size_t incident_capacity = 64;
 };
 
 // Incident taxonomy (DESIGN.md §14). Keep IncidentKindName in sync.

@@ -23,10 +23,12 @@ KvCluster::KvCluster(KvClusterOptions options)
     nodes_.push_back(std::make_unique<StorageNode>(std::move(node_opts)));
     up_.push_back(std::make_unique<std::atomic<bool>>(true));
   }
-  // Place vnodes on the ring deterministically from the seed.
+  // Place vnodes on the ring deterministically from a fixed seed.
+  constexpr int kVnodesPerNode = 32;
+  constexpr uint64_t kRingSeed = 0x5eedull;
   for (int i = 0; i < options_.num_nodes; ++i) {
-    for (int v = 0; v < options_.vnodes_per_node; ++v) {
-      const uint64_t h = Mix64(options_.ring_seed ^
+    for (int v = 0; v < kVnodesPerNode; ++v) {
+      const uint64_t h = Mix64(kRingSeed ^
                                (static_cast<uint64_t>(i) << 32) ^
                                static_cast<uint64_t>(v));
       ring_.emplace_back(h, i);

@@ -31,9 +31,6 @@ struct KvClusterOptions {
   int num_nodes = 3;
   // Copies of each key (paper: "replicas where the data is assigned").
   int replication_factor = 3;
-  // Virtual nodes per physical node on the placement ring.
-  int vnodes_per_node = 32;
-  uint64_t ring_seed = 0x5eedull;
   // Template for every node; data_dir becomes "<data_dir>/node<i>".
   NodeOptions node;
 };

@@ -94,7 +94,8 @@ Status Shard::WriteRecord(const Record& rec) {
   // it anyway, and drop the WAL that held it.
   MutexLock lock(tables_mutex_);
   if (options_.enable_wal) {
-    MUPPET_RETURN_IF_ERROR(wal_.Append(packed.encoded(), options_.sync_wal));
+    // No fsync per append: Muppet prefers write latency (§4.2).
+    MUPPET_RETURN_IF_ERROR(wal_.Append(packed.encoded()));
   }
   memtable_.Put(std::move(packed));
   if (memtable_.approximate_bytes() >= options_.memtable_flush_bytes) {
@@ -211,8 +212,7 @@ Status Shard::FlushLocked() {
   if (memtable_.empty()) return Status::OK();
   std::vector<Record> records = memtable_.Snapshot();
   const std::string path = NextTablePath();
-  MUPPET_RETURN_IF_ERROR(
-      WriteSsTable(path, records, device_, options_.block_bytes));
+  MUPPET_RETURN_IF_ERROR(WriteSsTable(path, records, device_));
   auto reader = SsTableReader::Open(path, device_);
   if (!reader.ok()) return reader.status();
   tables_.insert(tables_.begin(), std::move(reader).value());
@@ -255,8 +255,7 @@ Status Shard::CompactGroupLocked(const std::vector<size_t>& group,
   const std::string path = NextTablePath();
   std::vector<std::string> old_paths;
   if (!merged.empty()) {
-    MUPPET_RETURN_IF_ERROR(
-        WriteSsTable(path, merged, device_, options_.block_bytes));
+    MUPPET_RETURN_IF_ERROR(WriteSsTable(path, merged, device_));
   }
 
   // Replace inputs with the output, preserving newest-first order: the

@@ -33,8 +33,6 @@ struct NodeOptions {
   size_t memtable_flush_bytes = 4u << 20;
   // Write-ahead logging (off trades durability for write latency).
   bool enable_wal = true;
-  // fsync every WAL append (Muppet prefers latency, so default off).
-  bool sync_wal = false;
   // Storage device latency profile (SSD/HDD/None).
   DeviceProfile device = DeviceProfile::None();
   // Clock for TTL expiry and device latency. nullptr -> system clock.
@@ -43,8 +41,6 @@ struct NodeOptions {
   CompactionPolicy compaction;
   // Disable automatic compaction (benchmarks that measure read amp).
   bool auto_compact = true;
-  // SSTable data block size.
-  size_t block_bytes = kDefaultBlockBytes;
 };
 
 struct WriteOptions {

@@ -273,7 +273,6 @@ ScenarioResult ScenarioRunner::Run() {
     eo.load_manager.split_heat_fraction = 0.3;
     eo.load_manager.merge_heat_fraction = 0.05;
     eo.load_manager.split_shards = 4;
-    eo.load_manager.placement_enabled = false;
   }
 
   std::unique_ptr<Muppet1Engine> m1;

@@ -260,18 +260,16 @@ TEST(SloTrackerTest, HarvestIsIdempotent) {
 }
 
 TEST(SloTrackerTest, HarvestDefersUnsettledTraces) {
-  SloOptions options = TwoSecondObjective();
-  options.settle_micros = 50 * kMicrosPerMilli;
   TraceSink sink((TraceSink::Options()));
   sink.Record(MakeSpan(3, 1, SpanKind::kPublish, 0, 100, "clicks"));
 
-  SloTracker tracker(options, nullptr, nullptr);
+  SloTracker tracker(TwoSecondObjective(), nullptr, nullptr);
   // Trace ended at t=100us; harvesting inside the settle window must not
   // observe it (a late span could still arrive)...
   tracker.Harvest({&sink}, /*now=*/200);
   EXPECT_EQ(tracker.traces_observed(), 0);
   // ...but once the settle window elapses it is picked up.
-  tracker.Harvest({&sink}, 100 + options.settle_micros);
+  tracker.Harvest({&sink}, 100 + SloTracker::kSettleMicros);
   EXPECT_EQ(tracker.traces_observed(), 1);
 }
 

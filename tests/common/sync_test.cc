@@ -9,7 +9,6 @@
 #include "common/metrics.h"
 #include "common/slo.h"
 #include "common/trace.h"
-#include "core/hash_ring.h"
 #include "core/heat.h"
 #include "core/keysplit.h"
 #include "core/slate_cache.h"
@@ -252,7 +251,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(Muppet2Engine::kTapsLockLevel, LockLevel::kTaps);
   EXPECT_EQ(SplitTable::kLockLevel, LockLevel::kSplitTable);
   EXPECT_EQ(Muppet2Engine::kMergeDedupeLockLevel, LockLevel::kMergeDedupe);
-  EXPECT_EQ(HashRing::kOverrideLockLevel, LockLevel::kRingOverride);
   EXPECT_EQ(HeatTracker::kLockLevel, LockLevel::kHeat);
   EXPECT_EQ(Muppet2Engine::kFailedSetLockLevel, LockLevel::kFailedSet);
   EXPECT_EQ(Muppet2Engine::kDrainLockLevel, LockLevel::kDrain);
@@ -291,13 +289,10 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kTaps));
   // Load-management plane: the dispatch path consults the split table and
   // heat sketch under a stripe; merge sweeps take the dedupe lock after
-  // taps; placement overrides are read during routing before the
-  // transport is touched.
+  // taps.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kSplitTable));
   EXPECT_TRUE(lt(LockLevel::kTaps, LockLevel::kMergeDedupe));
   EXPECT_TRUE(lt(LockLevel::kSplitTable, LockLevel::kMergeDedupe));
-  EXPECT_TRUE(lt(LockLevel::kMergeDedupe, LockLevel::kRingOverride));
-  EXPECT_TRUE(lt(LockLevel::kRingOverride, LockLevel::kTransport));
   EXPECT_TRUE(lt(LockLevel::kFaultHold, LockLevel::kHeat));
   EXPECT_TRUE(lt(LockLevel::kHeat, LockLevel::kQueue));
   EXPECT_TRUE(lt(LockLevel::kTaps, LockLevel::kTransport));
@@ -324,7 +319,6 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   // under the updater's slate stripe / cache locks and may reach the
   // store (checkpoint flush), so the changelog sits above the whole store
   // chain but below the metrics/logging leaves.
-  EXPECT_TRUE(lt(LockLevel::kRingOverride, LockLevel::kDedupTable));
   EXPECT_TRUE(lt(LockLevel::kDedupTable, LockLevel::kQueue));
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kSlateChangelog));
   EXPECT_TRUE(lt(LockLevel::kSlateCache, LockLevel::kSlateChangelog));

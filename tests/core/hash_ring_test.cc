@@ -162,66 +162,5 @@ TEST(HashRingTest, WorkersOfListsAll) {
   EXPECT_TRUE(ring.WorkersOf("unknown").empty());
 }
 
-// --- Placement override table -------------------------------------------
-
-TEST(HashRingOverrideTest, RoutingHonorsOverride) {
-  HashRing ring = MakeRing(4, 1, "U1");
-  const WorkerRef natural = ring.Route("U1", "hot", {}).value();
-  const MachineId target = (natural.machine + 1) % 4;
-  ASSERT_TRUE(ring.SetOverride("U1", "hot", target));
-  EXPECT_EQ(ring.Route("U1", "hot", {}).value().machine, target);
-  // Other keys and other functions are unaffected.
-  EXPECT_EQ(ring.Route("U1", "cold", {}).value(),
-            MakeRing(4, 1, "U1").Route("U1", "cold", {}).value());
-  EXPECT_EQ(ring.override_count(), 1u);
-}
-
-TEST(HashRingOverrideTest, OverrideToFailedMachineFallsBack) {
-  // Advisory only: when the override target is down, the normal clockwise
-  // walk takes over so invariant D (reroute around failures) holds.
-  HashRing ring = MakeRing(4, 1, "U1");
-  const WorkerRef natural = ring.Route("U1", "hot", {}).value();
-  const MachineId target = (natural.machine + 1) % 4;
-  ASSERT_TRUE(ring.SetOverride("U1", "hot", target));
-  const WorkerRef routed = ring.Route("U1", "hot", {target}).value();
-  EXPECT_NE(routed.machine, target);
-}
-
-TEST(HashRingOverrideTest, ClearRestoresNaturalRoute) {
-  HashRing ring = MakeRing(4, 1, "U1");
-  const WorkerRef natural = ring.Route("U1", "hot", {}).value();
-  ASSERT_TRUE(ring.SetOverride("U1", "hot", (natural.machine + 1) % 4));
-  ring.ClearOverride("U1", "hot");
-  EXPECT_EQ(ring.Route("U1", "hot", {}).value(), natural);
-  EXPECT_EQ(ring.override_count(), 0u);
-}
-
-TEST(HashRingOverrideTest, CapacityBoundedAndUpdatesInPlace) {
-  HashRing ring = MakeRing(2, 1, "U1");
-  const size_t cap = ring.override_capacity();
-  for (size_t i = 0; i < cap; ++i) {
-    ASSERT_TRUE(ring.SetOverride("U1", "k" + std::to_string(i), 0));
-  }
-  EXPECT_EQ(ring.override_count(), cap);
-  // Full: a new key is refused, re-pointing an existing one is not.
-  EXPECT_FALSE(ring.SetOverride("U1", "one-more", 0));
-  EXPECT_TRUE(ring.SetOverride("U1", "k0", 1));
-  EXPECT_EQ(ring.override_count(), cap);
-
-  ring.ClearAllOverrides();
-  EXPECT_EQ(ring.override_count(), 0u);
-  EXPECT_TRUE(ring.SetOverride("U1", "one-more", 0));
-}
-
-TEST(HashRingOverrideTest, OverridesListsEntries) {
-  HashRing ring = MakeRing(2, 1, "U1");
-  ASSERT_TRUE(ring.SetOverride("U1", "hot", 1));
-  const std::vector<HashRing::OverrideEntry> entries = ring.Overrides();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].function, "U1");
-  EXPECT_EQ(entries[0].key, "hot");
-  EXPECT_EQ(entries[0].machine, 1);
-}
-
 }  // namespace
 }  // namespace muppet

@@ -266,7 +266,6 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
         "muppet_key_splits_total{}",
         "muppet_queue_depth{machine,thread}",
         "muppet_queue_wait_us{}",
-        "muppet_ring_overrides{}",
         "muppet_secondary_dispatch_total{}",
         "muppet_slate_contention_total{}",
         "muppet_throttle_floor_micros{}",

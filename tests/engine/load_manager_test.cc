@@ -22,7 +22,6 @@ LoadManagerOptions BaseOptions() {
   o.merge_cool_ticks = 3;
   o.split_shards = 4;
   o.max_splits = 2;
-  o.target_occupancy = 0.5;
   // Exactly representable gain so floor expectations below are exact.
   o.throttle_gain = 0.25;
   o.max_floor_delay_micros = 1000;

@@ -275,5 +275,24 @@ TEST(Muppet2Test, StopFlushesAndIsIdempotent) {
   ASSERT_OK(engine.Stop());
 }
 
+TEST(Muppet2Test, StopDoesNotWaitOutControlLoopTicks) {
+  // The watchdog, load-manager and flusher loops each wait one period
+  // between passes; Stop() must wake them instead of waiting it out.
+  AppConfig config;
+  BuildCountingApp(&config);
+  EngineOptions options = SmallOptions();
+  options.watchdog.tick_micros = 10 * kMicrosPerSecond;
+  options.load_manager.enabled = true;
+  options.load_manager.tick_micros = 10 * kMicrosPerSecond;
+  options.flush_poll_micros = 10 * kMicrosPerSecond;
+  Muppet2Engine engine(config, options);
+  ASSERT_OK(engine.Start());
+  ASSERT_OK(engine.Publish("in", "k", "", 1));
+  ASSERT_OK(engine.Drain());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_OK(engine.Stop());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
 }  // namespace
 }  // namespace muppet

@@ -704,7 +704,6 @@ TEST(DurableEngine, MergeWritesReachTheChangelog) {
   eo.load_manager.split_heat_fraction = 0.3;
   eo.load_manager.merge_heat_fraction = 0.05;
   eo.load_manager.split_shards = 4;
-  eo.load_manager.placement_enabled = false;
   Muppet2Engine engine(config, eo);
   ASSERT_OK(engine.Start());
 
@@ -956,7 +955,7 @@ TEST(DurableEngine, StatusReportsDurabilityPanel) {
   for (const MachineStatus& ms : engine.MachineStatuses()) {
     EXPECT_EQ(ms.consistency, "exactly-once");
     EXPECT_EQ(ms.slatelog_lsn, ms.slatelog_synced_lsn);
-    EXPECT_EQ(ms.dedup_capacity, eo.durability.dedup_capacity);
+    EXPECT_EQ(ms.dedup_capacity, DedupTable::kMachineCapacity);
     if (ms.slatelog_lsn > 0) some_lsn = true;
   }
   EXPECT_TRUE(some_lsn);

@@ -28,8 +28,6 @@ using ::muppet::testing::TempDir;
 
 WatchdogOptions FastOptions() {
   WatchdogOptions options;
-  options.stall_ticks = 3;
-  options.clear_ticks = 2;
   options.drain_stall_ticks = 3;
   options.changelog_stall_ticks = 3;
   options.recovery_stuck_ticks = 5;
@@ -114,7 +112,7 @@ TEST(WatchdogTest, IncidentClearsAfterGoodTicksWithHysteresis) {
     watchdog.Tick(QueueSignals(t, 8, 8, 100));
   }
   ASSERT_EQ(log.open_count(), 1);
-  // One good tick is not enough (clear_ticks = 2)...
+  // One good tick is not enough (two clear ticks)...
   watchdog.Tick(QueueSignals(5, 8, 8, 150));
   EXPECT_EQ(log.open_count(), 1);
   // ...the second clears, stamping cleared_us.
@@ -381,8 +379,6 @@ TEST(WatchdogIntegrationTest, WedgedQueueOpensIncidentAndDumpsArtifacts) {
   options.threads_per_machine = 1;
   options.queue_capacity = 8;
   options.watchdog.tick_micros = 2 * kMicrosPerMilli;
-  options.watchdog.stall_ticks = 3;
-  options.watchdog.clear_ticks = 2;
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
 

@@ -288,7 +288,7 @@ TEST(AdminServiceSlozTest, SlozReportsObjectiveVerdictAfterDrain) {
     EXPECT_TRUE(stream.GetBool("meeting_objective", false));
     EXPECT_EQ(stream.GetInt("breaches", -1), 0);
     ASSERT_TRUE(stream["burn"].is_array());
-    EXPECT_EQ(stream["burn"].size(), options.slo.burn_windows.size());
+    EXPECT_EQ(stream["burn"].size(), std::size(SloTracker::kBurnWindows));
     for (const Json& burn : stream["burn"].AsArray()) {
       EXPECT_EQ(burn.GetInt("breaches", -1), 0);
     }

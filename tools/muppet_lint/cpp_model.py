@@ -47,7 +47,7 @@ SUPPRESS_RE = re.compile(
     r"muppet-lint:\s*allow\(\s*([a-z][a-z\-]*(?:\s*,\s*[a-z][a-z\-]*)*)\s*\)"
     r"(?:\s*:\s*(.*\S))?")
 
-KNOWN_CHECKS = {"lock-graph", "wire", "determinism", "guarded"}
+KNOWN_CHECKS = {"lock-graph", "wire", "determinism", "guarded", "options"}
 
 
 class Suppressions:
@@ -507,6 +507,7 @@ class FunctionInfo:
     line: int
     header_text: str     # text between name and body (args + qualifiers)
     is_lambda: bool = False
+    intro: int = -1      # lambdas: offset of the `[` that opens them
 
     @property
     def key(self) -> str:
@@ -697,7 +698,8 @@ def extract_lambdas(sf: SourceFile, fn: FunctionInfo,
             lam = FunctionInfo(
                 name=f"{fn.name}::lambda#{counter[0]}", cls=fn.cls,
                 file=sf, body_start=body_open + 1, body_end=body_close,
-                line=sf.line_of(m.start()), header_text="", is_lambda=True)
+                line=sf.line_of(m.start()), header_text="", is_lambda=True,
+                intro=m.start())
             lambdas.append(lam)
             for j in range(body_open + 1 - fn.body_start,
                            body_close - fn.body_start):

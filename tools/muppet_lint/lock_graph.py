@@ -59,6 +59,11 @@ CALL_RE = re.compile(r"([\w\.\]\)]+(?:->|\.))?\b([A-Za-z_]\w*)\s*\(")
 LOCAL_DECL_RE = re.compile(
     r"\b([A-Z]\w*(?:::\w+)*)\s*[*&]?\s+([a-z_]\w*)\s*[=;({]")
 
+# Calls that run a lambda argument on a new thread (`std::thread t(..)`
+# included) or store it for later, rather than call it in the caller.
+DEFERRED_CALLEES = {"thread", "jthread", "async", "emplace_back",
+                    "push_back", "push_front", "emplace", "insert"}
+
 NOT_CALLEES = {
     "if", "for", "while", "switch", "return", "sizeof", "catch", "new",
     "delete", "throw", "assert", "static_cast", "dynamic_cast",
@@ -284,9 +289,14 @@ class LockGraphPass:
                 for lam in lams:
                     all_fns.append(
                         (lam, sf.code[lam.body_start:lam.body_end]))
+            models = []
             for fn, body_text in all_fns:
                 fm = self._model_function(fn, body_text)
                 self.funcs.setdefault(fm_key(fn), []).append(fm)
+                models.append(fm)
+            for fm in models:
+                if fm.fn.is_lambda:
+                    _bind_lambda_argument(fm.fn, models)
 
     def _model_function(self, fn: FunctionInfo, body_text: str) -> FuncModel:
         sf = fn.file
@@ -630,6 +640,52 @@ class LockGraphPass:
 
 def fm_key(fn: FunctionInfo) -> str:
     return f"{fn.cls}::{fn.name}" if fn.cls else fn.name
+
+
+def _bind_lambda_argument(lam: FunctionInfo, models: list[FuncModel]) -> None:
+    """A lambda passed as a call argument (`SendRouted(to, e, [&] {...})`)
+    is modelled as called at that call site, inside the innermost body
+    that contains it, with that body's locks held there. Lambdas handed
+    to a thread constructor or stored for later (`auto f = [..]`) are
+    left as functions nothing calls: they do not run under the caller's
+    locks."""
+    call = _call_taking(lam.file.code, lam.intro)
+    if call is None or DEFERRED_CALLEES.intersection(call):
+        return
+    parents = [fm for fm in models
+               if fm.fn is not lam
+               and fm.fn.body_start <= lam.intro < fm.fn.body_end]
+    if not parents:
+        return
+    parent = max(parents, key=lambda fm: fm.fn.body_start)
+    # Resolves through _candidate_keys to `<cls>::<lam.name>` = fm_key(lam).
+    parent.calls.append((lam.intro, "", lam.name))
+
+
+def _call_taking(code: str, pos: int) -> tuple[str, ...] | None:
+    """Name of the call whose argument list holds `pos`, with the type
+    word before it when it is a declaration (`std::thread t(`), or None
+    when `pos` is not inside a call (a statement or brace boundary comes
+    first)."""
+    depth = 0
+    i = pos - 1
+    while i >= 0:
+        ch = code[i]
+        if ch in ")]}":
+            depth += 1
+        elif ch in "([{":
+            if depth > 0:
+                depth -= 1
+            elif ch != "(":
+                return None
+            else:
+                m = re.search(r"(?:\b([A-Za-z_]\w*)\s+)?([A-Za-z_]\w*)\s*$",
+                              code[max(0, i - 80):i])
+                return tuple(g for g in m.groups() if g) if m else None
+        elif ch == ";" and depth == 0:
+            return None
+        i -= 1
+    return None
 
 
 def _scope_end(body: str, guard_start: int) -> int:

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """muppet-lint: project-semantic static analysis for the muppet repo.
 
-Four passes over src/ (see the module docstrings for details):
+Five passes over src/ (see the module docstrings for details):
 
   lock-graph    whole-program lock acquisition graph vs. the documented
                 hierarchy in common/sync.h; emits a DOT artifact
   wire          encode/decode completeness for every wire struct
   determinism   bans nondeterminism sources in engine/core/net/testing
   guarded       GUARDED_BY coverage for mutex-owning classes
+  options       `*Options` fields that nothing in src/, tests/, bench/,
+                examples/ or perfbench/ assigns
 
 Usage:
   tools/muppet_lint/muppet_lint.py [REPO_ROOT]
-      [--checks lock-graph,wire,determinism,guarded]
+      [--checks lock-graph,wire,determinism,guarded,options]
       [--dot PATH]           write the lock graph as DOT
       [--subdirs src]        comma list of roots to scan (default: src)
       [--verbose]            print unresolved-expression diagnostics
@@ -35,10 +37,11 @@ import clang_frontend  # noqa: E402
 import determinism  # noqa: E402
 import guarded_by  # noqa: E402
 import lock_graph  # noqa: E402
+import options  # noqa: E402
 import wire_codec  # noqa: E402
 from cpp_model import Finding, parse_classes, walk_sources  # noqa: E402
 
-ALL_CHECKS = ("lock-graph", "wire", "determinism", "guarded")
+ALL_CHECKS = ("lock-graph", "wire", "determinism", "guarded", "options")
 
 
 def main(argv: list[str]) -> int:
@@ -89,6 +92,8 @@ def main(argv: list[str]) -> int:
         findings.extend(determinism.run(files))
     if "guarded" in checks:
         findings.extend(guarded_by.run(files))
+    if "options" in checks:
+        findings.extend(options.run(files, args.root))
 
     cindex = clang_frontend.load()
     if cindex is not None:

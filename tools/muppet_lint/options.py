@@ -1,0 +1,139 @@
+"""Pass 5: unused options.
+
+An options struct is the project's configuration surface: every field
+is a knob a caller may set. A field that no caller ever assigns is not
+a knob but a constant spelled as one, and it costs a reader the search
+for who sets it. This pass flags every data member of a `struct
+*Options` declared under src/{common,core,engine,kvstore,net,service,
+apps} that nothing assigns anywhere in src/, tests/, bench/, examples/
+or perfbench/.
+
+An assignment is a write through a member access: `o.name = ...`,
+`o->name += ...`, `o.name[i] = ...`, or a mutating container call such
+as `o.name.push_back(...)`. Every member of the access chain counts, so
+`opts.node.data_dir = ...` assigns both `node` and `data_dir`. A write
+is credited to the struct the access goes through when the pass can
+tell: the type of the member before it (`load_manager.enabled` is
+LoadManagerOptions::enabled, not WatchdogOptions::enabled), or the
+declared type of the variable it starts from in the same file. When the
+type is unknown (`auto`, a call result) the write counts for every field
+of that name, so the pass errs toward silence, never toward a false
+report.
+
+src/testing and src/workload are out of scope: their options describe
+test scenarios and input data, which a scenario table may set in bulk.
+Static and constexpr members are constants already and are skipped.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+
+from cpp_model import Finding, SourceFile, parse_classes, walk_sources
+
+CHECK = "options"
+
+DECL_DIRS = tuple(f"src/{d}/" for d in (
+    "common", "core", "engine", "kvstore", "net", "service", "apps"))
+ASSIGN_ROOTS = ("src", "tests", "bench", "examples", "perfbench")
+
+# An optional root variable, a member-access chain (`.a.b`, `->a[i].b`),
+# then an assignment operator (not `==`) or a mutating container call.
+WRITE_RE = re.compile(
+    r"(?:\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)*)?"
+    r"((?:(?:\.|->)\s*[A-Za-z_]\w*\s*(?:\[[^\]]*\]\s*)*)+)"
+    r"(?:(?:[-+*/|&^]|<<|>>)?=(?!=)|\.\s*(?:push_back|emplace_back|"
+    r"push_front|emplace|insert|assign)\s*\()")
+MEMBER_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)")
+TYPE_BEFORE_RE = re.compile(
+    r"\b([A-Za-z_][\w:]*)\s*(?:<[^;{}()]*>)?\s*[&*]*\s*$")
+NOT_TYPES = {"return", "else", "case", "new", "delete", "throw", "const",
+             "co_return", "sizeof", "typename"}
+
+
+def _value_type(type_text: str) -> str:
+    """`std::vector<SloObjective>` -> SloObjective, `const Foo*` -> Foo."""
+    m = re.search(r"<\s*(?:const\s+)?([\w:]+)", type_text)
+    t = m.group(1) if m else type_text
+    t = re.sub(r"[<>*&\s\[].*$", "", t.strip())
+    return t.split("::")[-1]
+
+
+class _Writes:
+    """(struct, field) pairs some file writes; struct None = unknown."""
+
+    def __init__(self, scan: list[SourceFile]) -> None:
+        self.classes: set[str] = set()
+        self.member_types: dict[str, set[str]] = {}
+        for sf in scan:
+            for ci in parse_classes(sf):
+                self.classes.add(ci.name)
+                for f in ci.fields:
+                    self.member_types.setdefault(f.name, set()).add(
+                        _value_type(f.type_text))
+        self.pairs: set[tuple[str | None, str]] = set()
+        for sf in scan:
+            var_types: dict[str | None, set[str | None]] = {}
+            for m in WRITE_RE.finditer(sf.code):
+                var = m.group(1)
+                if var not in var_types:
+                    var_types[var] = self._var_types(sf, var)
+                owners = var_types[var]
+                for name in MEMBER_RE.findall(m.group(2)):
+                    for owner in owners:
+                        self.pairs.add((owner, name))
+                    owners = self._known(self.member_types.get(name, set()))
+
+    def _known(self, types: set[str]) -> set[str | None]:
+        if not types or any(t not in self.classes for t in types):
+            return {None}
+        return set(types)
+
+    def _var_types(self, sf: SourceFile, var: str | None) -> set[str | None]:
+        if not var:
+            return {None}
+        # Declarations: `Type var`, `const Type<..>& var`, `Type* var`.
+        types = set()
+        for m in re.finditer(r"\b" + re.escape(var) + r"\s*(?:[;=,(){}:]|\[)",
+                             sf.code):
+            tm = TYPE_BEFORE_RE.search(sf.code, max(0, m.start() - 160),
+                                       m.start())
+            if tm:
+                types.add(_value_type(tm.group(1)))
+        types -= NOT_TYPES
+        return self._known(types)
+
+    def assigned(self, struct: str, name: str) -> bool:
+        return (struct, name) in self.pairs or (None, name) in self.pairs
+
+
+def run(files: list[SourceFile], root: str) -> list[Finding]:
+    findings: list[Finding] = []
+    structs = []
+    for sf in files:
+        if not sf.rel.startswith(DECL_DIRS):
+            continue
+        for ci in parse_classes(sf):
+            if ci.kind == "struct" and ci.name.endswith("Options"):
+                structs.append(ci)
+    if not structs:
+        return findings
+    seen = {sf.rel for sf in files}
+    scan = list(files) + [
+        sf for sf in walk_sources(os.path.abspath(root), subdirs=ASSIGN_ROOTS)
+        if sf.rel not in seen]
+    writes = _Writes(scan)
+    for ci in structs:
+        for f in ci.fields:
+            if f.is_static or f.is_constexpr or writes.assigned(ci.name,
+                                                                 f.name):
+                continue
+            if ci.file.allows(CHECK, f.line):
+                continue
+            findings.append(Finding(
+                CHECK, ci.file.rel, f.line,
+                f"{ci.qualified}::{f.name} is never assigned in "
+                f"{', '.join(ASSIGN_ROOTS)}; make it a named constant "
+                f"at its point of use, or set it where it matters"))
+    return findings

@@ -72,6 +72,25 @@ def main() -> int:
                   f"DOT artifact contains node {lvl}")
         check("bad_lock", "->" in dot_text, "DOT artifact contains edges")
 
+    rc, out = _run("bad_lambda_lock")
+    check("bad_lambda_lock", rc == 1,
+          f"exit 1 on an inversion inside a callable (got {rc})")
+    check("bad_lambda_lock", "kMid" in out and "kLow" in out
+          and "Sender::Inverted" in out,
+          "lambda argument modelled as called under the caller's lock")
+    check("bad_lambda_lock", out.count("[lock-graph]") == 1,
+          "thread-spawned and stored lambdas add no edge")
+
+    rc, out = _run("bad_options", ["--checks", "options"])
+    check("bad_options", rc == 1, f"exit 1 on an unset option (got {rc})")
+    check("bad_options", "KnobOptions::never_set" in out,
+          "field written only through another struct's variable is flagged")
+    check("bad_options", "WatchOptions::enabled" in out,
+          "field written only through another struct's member is flagged")
+    check("bad_options", out.count("[options]") == 2,
+          "assigned, nested, appended, static and src/testing fields "
+          "are not flagged")
+
     rc, out = _run("bad_wire")
     check("bad_wire", rc == 1, f"exit 1 on dropped field (got {rc})")
     check("bad_wire", "field-count mismatch" in out,
