@@ -68,7 +68,6 @@ void WriteCoalescing() {
     options.memtable_flush_bytes = memtable_kb << 10;
     options.device = kv::DeviceProfile::Ssd();
     options.clock = &clock;
-    options.enable_wal = false;  // isolate the flush path
     kv::StorageNode node(options);
     CheckOk(node.Open(), "open");
     auto shard = node.GetColumnFamily("slates");
@@ -104,7 +103,6 @@ void ReadAmplification() {
     options.memtable_flush_bytes = 32 << 10;
     options.device = kv::DeviceProfile::Ssd();
     options.clock = &clock;
-    options.enable_wal = false;
     options.auto_compact = compact;
     kv::StorageNode node(options);
     CheckOk(node.Open(), "open");

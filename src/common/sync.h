@@ -51,7 +51,8 @@
 //                           waits on it for an in-flight flush write-back)
 //     80   store-node       StorageNode column-family registry
 //     90   store-tables     Shard SSTable list
-//    100   store-io         MemTable index, WAL file, SSTable file handle
+//    100   store-io         MemTable index, SSTable file handle (the WAL has
+//                           no lock: store-tables serialises its writer)
 //    110   journal          SlateLogger append file (bulk slate log)
 //    112   slate-changelog  SlateChangelog segment files + manifest cursor
 //                           (appended under a slate-stripe lock on the

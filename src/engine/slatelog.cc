@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "common/hash.h"
@@ -94,81 +92,10 @@ Status DecodeCheckpointManifest(BytesView data, CheckpointManifest* manifest) {
 }
 
 // ---------------------------------------------------------------------------
-// StdioLogDevice.
-// ---------------------------------------------------------------------------
-
-StdioLogDevice::~StdioLogDevice() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
-
-Status StdioLogDevice::Open(const std::string& path) {
-  if (file_ != nullptr) {
-    return Status::FailedPrecondition("slatelog: device already open");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    return Status::IOError("slatelog: open " + path + ": " +
-                           std::strerror(errno));
-  }
-  file_ = f;
-  return Status::OK();
-}
-
-Status StdioLogDevice::Write(BytesView frame) {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("slatelog: device not open");
-  }
-  buffer_.append(frame.data(), frame.size());
-  return Status::OK();
-}
-
-Status StdioLogDevice::Sync() {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("slatelog: device not open");
-  }
-  if (!buffer_.empty()) {
-    if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
-        buffer_.size()) {
-      return Status::IOError("slatelog: short write");
-    }
-    buffer_.clear();
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("slatelog: flush failed");
-  }
-  ::fsync(::fileno(file_));
-  return Status::OK();
-}
-
-Status StdioLogDevice::Close() {
-  if (file_ == nullptr) return Status::OK();
-  Status s = Sync();
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
-  buffer_.clear();
-  if (!s.ok()) return s;
-  if (rc != 0) return Status::IOError("slatelog: close failed");
-  return Status::OK();
-}
-
-void StdioLogDevice::CrashClose() {
-  buffer_.clear();  // the crash loses everything past the last sync
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // SlateChangelog.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-constexpr uint32_t kFrameHeaderBytes = 8;  // [u32 crc][u32 len]
-constexpr uint32_t kMaxRecordBytes = 64u << 20;
 
 std::string SegmentFileName(uint64_t machine, uint64_t segment) {
   char buf[64];
@@ -215,53 +142,25 @@ std::vector<uint64_t> ListSegments(const std::string& dir, uint64_t machine) {
   return segments;
 }
 
-// Scan one segment file, invoking `cb` for each intact record in order.
-// Returns false if the scan stopped at a torn/corrupt frame. `clean_end`,
-// when non-null, receives the byte offset just past the last intact frame
-// (the truncation point for a torn tail).
-bool ScanSegment(const std::string& path,
-                 const std::function<void(const SlateLogRecord&)>& cb,
-                 uint64_t* clean_end = nullptr) {
-  if (clean_end != nullptr) *clean_end = 0;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return true;  // vanished segment == empty
-  Bytes header(kFrameHeaderBytes, '\0');
-  Bytes payload;
-  bool clean = true;
-  uint64_t offset = 0;
-  while (true) {
-    const size_t got = std::fread(header.data(), 1, kFrameHeaderBytes, f);
-    if (got == 0) break;  // clean EOF
-    if (got < kFrameHeaderBytes) {
-      clean = false;
-      break;
-    }
-    const uint32_t crc = DecodeFixed32(header.data());
-    const uint32_t len = DecodeFixed32(header.data() + 4);
-    if (len > kMaxRecordBytes) {
-      clean = false;
-      break;
-    }
-    payload.resize(len);
-    if (std::fread(payload.data(), 1, len, f) != len) {
-      clean = false;
-      break;
-    }
-    if (Crc32(payload) != crc) {
-      clean = false;
-      break;
-    }
+// Decode each frame as a SlateLogRecord; an undecodable one ends the scan
+// as if torn.
+FrameVisitor RecordVisitor(
+    const std::function<void(const SlateLogRecord&)>& cb) {
+  return [&cb](BytesView payload) {
     SlateLogRecord rec;
-    if (!DecodeSlateLogRecord(payload, &rec).ok()) {
-      clean = false;
-      break;
-    }
-    offset += kFrameHeaderBytes + len;
-    if (clean_end != nullptr) *clean_end = offset;
+    if (!DecodeSlateLogRecord(payload, &rec).ok()) return false;
     cb(rec);
-  }
-  std::fclose(f);
-  return clean;
+    return true;
+  };
+}
+
+// Scan one segment file, invoking `cb` for each intact record in order.
+// Returns false if the scan stopped at a torn/corrupt frame.
+bool ScanSegment(const std::string& path,
+                 const std::function<void(const SlateLogRecord&)>& cb) {
+  FrameScan scan;
+  const Status s = ScanFramedLog(path, RecordVisitor(cb), &scan);
+  return s.ok() && !scan.torn;
 }
 
 // Make a directory-entry mutation (segment create/unlink, manifest rename)
@@ -291,21 +190,16 @@ std::string SlateChangelog::ManifestPath(const std::string& dir,
 
 SlateChangelog::SlateChangelog(std::string dir, uint64_t machine,
                                Options options)
-    : dir_(std::move(dir)), machine_(machine), options_(std::move(options)) {}
+    : dir_(std::move(dir)),
+      machine_(machine),
+      options_(std::move(options)),
+      log_(options_.device_factory ? options_.device_factory() : nullptr) {}
 
-SlateChangelog::~SlateChangelog() {
-  MutexLock lock(mutex_);
-  if (device_ != nullptr) {
-    (void)device_->Close();
-    device_.reset();
-  }
-}
+SlateChangelog::~SlateChangelog() { (void)Close(); }
 
-Status SlateChangelog::OpenActiveLocked() {
-  device_ = options_.device_factory ? options_.device_factory()
-                                    : std::make_unique<StdioLogDevice>();
+Status SlateChangelog::OpenActiveLocked(const FrameVisitor& replay) {
   MUPPET_RETURN_IF_ERROR(
-      device_->Open(SegmentPath(dir_, machine_, active_segment_)));
+      log_.Open(SegmentPath(dir_, machine_, active_segment_), replay));
   // Persist the segment's directory entry too, so the file itself (not
   // just its contents) survives a crash.
   SyncDir(dir_);
@@ -314,39 +208,13 @@ Status SlateChangelog::OpenActiveLocked() {
 
 Status SlateChangelog::Open() {
   MutexLock lock(mutex_);
-  if (device_ != nullptr) {
+  if (log_.is_open()) {
     return Status::FailedPrecondition("slatelog: already open");
   }
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) {
     return Status::IOError("slatelog: mkdir " + dir_ + ": " + ec.message());
-  }
-  segment_max_lsn_.clear();
-  uint64_t max_lsn = 0;
-  const std::vector<uint64_t> segments = ListSegments(dir_, machine_);
-  for (uint64_t segment : segments) {
-    uint64_t seg_max = 0;
-    uint64_t clean_end = 0;
-    const std::string path = SegmentPath(dir_, machine_, segment);
-    const bool clean = ScanSegment(path,
-                                   [&seg_max](const SlateLogRecord& rec) {
-                                     seg_max = std::max(seg_max, rec.lsn);
-                                   },
-                                   &clean_end);
-    if (!clean && segment == segments.back()) {
-      // Torn tail on the segment we are about to append to: truncate at
-      // the last intact frame, or records appended after the garbage
-      // would be unreachable (Replay stops at the first bad frame).
-      std::error_code ec;
-      fs::resize_file(path, clean_end, ec);
-      if (ec) {
-        return Status::IOError("slatelog: truncate torn tail of " + path +
-                               ": " + ec.message());
-      }
-    }
-    segment_max_lsn_[segment] = seg_max;
-    max_lsn = std::max(max_lsn, seg_max);
   }
   // The checkpoint cursor floors the sequence: a checkpoint may have
   // dropped every segment carrying the highest lsns (leaving only a fresh
@@ -355,31 +223,44 @@ Status SlateChangelog::Open() {
   // missing manifest reads as a zero floor.
   CheckpointManifest manifest;
   (void)ReadManifestFile(dir_, machine_, &manifest);
-  max_lsn = std::max(max_lsn, manifest.lsn);
+  const std::vector<uint64_t> segments = ListSegments(dir_, machine_);
   active_segment_ = segments.empty() ? 1 : segments.back();
   active_segment_ = std::max(active_segment_, manifest.segment);
-  segment_max_lsn_.emplace(active_segment_, max_lsn);
+  segment_max_lsn_.clear();
+  uint64_t max_lsn = manifest.lsn;
+  for (uint64_t segment : segments) {
+    if (segment == active_segment_) continue;  // scanned by the writer
+    uint64_t seg_max = 0;
+    (void)ScanSegment(SegmentPath(dir_, machine_, segment),
+                      [&seg_max](const SlateLogRecord& rec) {
+                        seg_max = std::max(seg_max, rec.lsn);
+                      });
+    segment_max_lsn_[segment] = seg_max;
+    max_lsn = std::max(max_lsn, seg_max);
+  }
+  // Opening the active segment scans it once more and truncates a torn
+  // tail at the last intact frame, so post-recovery appends stay
+  // reachable.
+  uint64_t active_max = 0;
+  MUPPET_RETURN_IF_ERROR(OpenActiveLocked(
+      RecordVisitor([&active_max](const SlateLogRecord& rec) {
+        active_max = std::max(active_max, rec.lsn);
+      })));
+  max_lsn = std::max(max_lsn, active_max);
+  segment_max_lsn_[active_segment_] = max_lsn;
   next_lsn_ = max_lsn + 1;
   // Everything that survived on disk is durable by definition.
   synced_lsn_ = max_lsn;
   unsynced_records_ = 0;
-  return OpenActiveLocked();
+  return Status::OK();
 }
 
 Result<uint64_t> SlateChangelog::Append(SlateLogRecord rec) {
   MutexLock lock(mutex_);
-  if (device_ == nullptr) {
-    return Status::FailedPrecondition("slatelog: not open");
-  }
   rec.lsn = next_lsn_;
   Bytes payload;
   EncodeSlateLogRecord(rec, &payload);
-  Bytes frame;
-  frame.reserve(payload.size() + kFrameHeaderBytes);
-  PutFixed32(&frame, Crc32(payload));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
-  MUPPET_RETURN_IF_ERROR(device_->Write(frame));
+  MUPPET_RETURN_IF_ERROR(log_.Append(payload));
   next_lsn_++;
   segment_max_lsn_[active_segment_] = rec.lsn;
   unsynced_records_++;
@@ -391,7 +272,7 @@ Result<uint64_t> SlateChangelog::Append(SlateLogRecord rec) {
 }
 
 Status SlateChangelog::SyncLocked() {
-  MUPPET_RETURN_IF_ERROR(device_->Sync());
+  MUPPET_RETURN_IF_ERROR(log_.Sync());
   synced_lsn_ = next_lsn_ - 1;
   unsynced_records_ = 0;
   return Status::OK();
@@ -399,20 +280,13 @@ Status SlateChangelog::SyncLocked() {
 
 Status SlateChangelog::Sync() {
   MutexLock lock(mutex_);
-  if (device_ == nullptr) {
-    return Status::FailedPrecondition("slatelog: not open");
-  }
   return SyncLocked();
 }
 
 Status SlateChangelog::RotateSegment() {
   MutexLock lock(mutex_);
-  if (device_ == nullptr) {
-    return Status::FailedPrecondition("slatelog: not open");
-  }
   MUPPET_RETURN_IF_ERROR(SyncLocked());
-  MUPPET_RETURN_IF_ERROR(device_->Close());
-  device_.reset();
+  MUPPET_RETURN_IF_ERROR(log_.Close());
   active_segment_++;
   segment_max_lsn_.emplace(active_segment_, next_lsn_ - 1);
   return OpenActiveLocked();
@@ -441,25 +315,21 @@ Result<int> SlateChangelog::DropSegmentsCoveredBy(uint64_t manifest_lsn) {
 
 void SlateChangelog::CrashClose() {
   MutexLock lock(mutex_);
-  if (device_ == nullptr) return;
-  device_->CrashClose();
-  device_.reset();
-  // The unsynced suffix is gone; the next Open() rescans the durable
-  // prefix and continues the lsn sequence after it.
+  if (!log_.is_open()) return;
+  log_.CrashClose();
+  // The unsynced suffix is gone (unless a full buffer already wrote part
+  // of it); the next Open() rescans what the file holds and continues the
+  // lsn sequence after it.
   next_lsn_ = synced_lsn_ + 1;
   unsynced_records_ = 0;
 }
 
 Status SlateChangelog::Close() {
   MutexLock lock(mutex_);
-  if (device_ == nullptr) return Status::OK();
-  Status s = device_->Close();
-  device_.reset();
-  if (s.ok()) {
-    synced_lsn_ = next_lsn_ - 1;
-    unsynced_records_ = 0;
-  }
-  return s;
+  if (!log_.is_open()) return Status::OK();
+  Status s = SyncLocked();
+  Status closed = log_.Close();
+  return s.ok() ? closed : s;
 }
 
 uint64_t SlateChangelog::last_lsn() const {
@@ -524,27 +394,17 @@ Status SlateChangelog::WriteManifestFile(const std::string& dir,
                                          const CheckpointManifest& manifest) {
   Bytes payload;
   EncodeCheckpointManifest(manifest, &payload);
-  Bytes frame;
-  PutFixed32(&frame, Crc32(payload));
-  PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
-
   const std::string path = ManifestPath(dir, manifest.machine);
   const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("slatelog: open " + tmp + ": " +
-                           std::strerror(errno));
-  }
-  const bool wrote = std::fwrite(frame.data(), 1, frame.size(), f) ==
-                     frame.size();
-  if (std::fflush(f) != 0 || !wrote) {
-    std::fclose(f);
-    return Status::IOError("slatelog: manifest write failed");
-  }
-  ::fsync(::fileno(f));
-  std::fclose(f);
+  // A write that crashed before its rename may have left a tmp file; the
+  // writer would append to it.
   std::error_code ec;
+  fs::remove(tmp, ec);
+  FramedLogWriter writer;
+  MUPPET_RETURN_IF_ERROR(writer.Open(tmp));
+  MUPPET_RETURN_IF_ERROR(writer.Append(payload));
+  MUPPET_RETURN_IF_ERROR(writer.Sync());
+  MUPPET_RETURN_IF_ERROR(writer.Close());
   fs::rename(tmp, path, ec);
   if (ec) {
     return Status::IOError("slatelog: manifest rename: " + ec.message());
@@ -562,26 +422,18 @@ Status SlateChangelog::ReadManifestFile(const std::string& dir,
   *manifest = CheckpointManifest{};
   manifest->machine = machine;
   const std::string path = ManifestPath(dir, machine);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::OK();  // no checkpoint yet
-  Bytes header(kFrameHeaderBytes, '\0');
-  Status s = Status::OK();
-  if (std::fread(header.data(), 1, kFrameHeaderBytes, f) !=
-      kFrameHeaderBytes) {
-    s = Status::Corruption("slatelog: manifest truncated");
-  } else {
-    const uint32_t crc = DecodeFixed32(header.data());
-    const uint32_t len = DecodeFixed32(header.data() + 4);
-    Bytes payload(len, '\0');
-    if (len > kMaxRecordBytes ||
-        std::fread(payload.data(), 1, len, f) != len ||
-        Crc32(payload) != crc) {
-      s = Status::Corruption("slatelog: manifest corrupt");
-    } else {
-      s = DecodeCheckpointManifest(payload, manifest);
-    }
+  std::error_code ec;
+  if (!fs::exists(path, ec)) return Status::OK();  // no checkpoint yet
+  FrameScan scan;
+  Status s = ScanFramedLog(
+      path,
+      [manifest](BytesView payload) {
+        return DecodeCheckpointManifest(payload, manifest).ok();
+      },
+      &scan);
+  if (s.ok() && (scan.frames != 1 || scan.torn)) {
+    s = Status::Corruption("slatelog: manifest corrupt");
   }
-  std::fclose(f);
   if (!s.ok()) *manifest = CheckpointManifest{};
   return s;
 }

@@ -3,11 +3,12 @@
 // The paper accepts that "all the slate updates in the memory of the failed
 // machine" are lost on a crash (§4.4). This subsystem closes that hole: every
 // slate update appends an absolute-value `(sid, ts, work_hash, delta)` record
-// to a per-machine changelog (WAL-style `[u32 crc][u32 len][payload]` framing,
-// torn tails tolerated on replay), periodic incremental checkpoints flush
-// dirty slates into the kvstore and advance a manifest cursor, and recovery
+// to a per-machine changelog, periodic incremental checkpoints flush dirty
+// slates into the kvstore and advance a manifest cursor, and recovery
 // replays the changelog suffix past the manifest before the machine rejoins
-// the ring.
+// the ring. The segments and the manifest are framed logs
+// (common/framed_log.h): torn tails are tolerated on replay and truncated
+// when the active segment reopens.
 //
 // Three consistency positions (EngineOptions::durability.consistency):
 //   kLossy        paper-faithful: no changelog, crash loses cached updates.
@@ -32,6 +33,7 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/framed_log.h"
 #include "common/status.h"
 #include "common/sync.h"
 
@@ -111,51 +113,6 @@ Status DecodeCheckpointManifest(BytesView data, CheckpointManifest* manifest);
 inline constexpr char kCheckpointColumnFamily[] = "ckpt";
 
 // ---------------------------------------------------------------------------
-// LogDevice: minimal append-only file abstraction under the changelog.
-// Production uses StdioLogDevice; tests install fault-injecting shims that
-// truncate or bit-flip frames mid-append to exercise torn-tail recovery.
-// ---------------------------------------------------------------------------
-
-class LogDevice {
- public:
-  virtual ~LogDevice() = default;
-
-  virtual Status Open(const std::string& path) = 0;
-  // Append `frame` to the device's buffer. Buffered data is NOT durable
-  // until Sync(); a crash (CrashClose) discards it.
-  virtual Status Write(BytesView frame) = 0;
-  // Make all buffered writes durable (write-through + fsync).
-  virtual Status Sync() = 0;
-  virtual Status Close() = 0;
-  // Crash model: release the file without flushing buffered writes.
-  // Devices without a private buffer may treat this as Close.
-  virtual void CrashClose() { (void)Close(); }
-};
-
-// Buffers appends in memory and writes + fsyncs on Sync(). The explicit
-// buffer (rather than stdio's) lets CrashClose() model a machine crash that
-// loses everything past the last sync.
-class StdioLogDevice : public LogDevice {
- public:
-  ~StdioLogDevice() override;
-
-  Status Open(const std::string& path) override;
-  Status Write(BytesView frame) override;
-  Status Sync() override;
-  Status Close() override;
-
-  // Drop buffered-but-unsynced bytes and close the file. The durable
-  // prefix stays on disk.
-  void CrashClose();
-
- private:
-  std::FILE* file_ = nullptr;
-  Bytes buffer_;
-};
-
-using LogDeviceFactory = std::function<std::unique_ptr<LogDevice>()>;
-
-// ---------------------------------------------------------------------------
 // SlateChangelog: per-machine segmented append log.
 // ---------------------------------------------------------------------------
 
@@ -174,9 +131,9 @@ class SlateChangelog {
  public:
   struct Options {
     uint32_t sync_every_records = 32;
-    // Test seam: factory for the underlying append device. Defaults to
-    // StdioLogDevice.
-    LogDeviceFactory device_factory;
+    // Test seam: factory for the segment writer's device. Defaults to
+    // FileLogDevice.
+    std::function<std::unique_ptr<LogDevice>()> device_factory;
   };
 
   SlateChangelog(std::string dir, uint64_t machine, Options options);
@@ -233,8 +190,9 @@ class SlateChangelog {
                        SlateLogReplayStats* stats);
 
   // Manifest persistence: atomic write (temp + rename) of the cursor file
-  // next to the segments, and the matching load. A missing manifest yields
-  // a zero cursor (replay from the beginning).
+  // next to the segments, a framed log of one frame, and the matching
+  // load. A missing manifest yields a zero cursor (replay from the
+  // beginning); one that is not exactly one intact frame is Corruption.
   static Status WriteManifestFile(const std::string& dir,
                                   const CheckpointManifest& manifest);
   static Status ReadManifestFile(const std::string& dir, uint64_t machine,
@@ -248,7 +206,8 @@ class SlateChangelog {
   static constexpr LockLevel kLockLevel = LockLevel::kSlateChangelog;
 
  private:
-  Status OpenActiveLocked() MUPPET_REQUIRES(mutex_);
+  Status OpenActiveLocked(const FrameVisitor& replay = nullptr)
+      MUPPET_REQUIRES(mutex_);
   Status SyncLocked() MUPPET_REQUIRES(mutex_);
 
   const std::string dir_;
@@ -256,7 +215,8 @@ class SlateChangelog {
   const Options options_;
 
   mutable Mutex mutex_{kLockLevel};
-  std::unique_ptr<LogDevice> device_ MUPPET_GUARDED_BY(mutex_);
+  // Appends to the active segment.
+  FramedLogWriter log_ MUPPET_GUARDED_BY(mutex_);
   // Closed + active segments and the highest lsn each contains.
   std::map<uint64_t, uint64_t> segment_max_lsn_ MUPPET_GUARDED_BY(mutex_);
   uint64_t active_segment_ MUPPET_GUARDED_BY(mutex_) = 0;

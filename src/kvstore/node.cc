@@ -44,43 +44,43 @@ Status Shard::Open() {
   std::sort(sst_paths.begin(), sst_paths.end());
   uint64_t max_table = 0;
   uint64_t max_seqno = 0;
-  {
-    MutexLock lock(tables_mutex_);
-    for (auto it = sst_paths.rbegin(); it != sst_paths.rend(); ++it) {
-      auto reader = SsTableReader::Open(it->string(), device_);
-      if (!reader.ok()) {
-        MUPPET_LOG(kWarning) << "shard: skipping unreadable table "
-                             << it->string() << ": "
-                             << reader.status().ToString();
-        continue;
-      }
-      max_seqno = std::max(max_seqno, reader.value()->max_seqno());
-      tables_.push_back(std::move(reader).value());
-      const uint64_t number =
-          std::strtoull(it->stem().string().c_str(), nullptr, 10);
-      max_table = std::max(max_table, number);
+  MutexLock lock(tables_mutex_);
+  for (auto it = sst_paths.rbegin(); it != sst_paths.rend(); ++it) {
+    auto reader = SsTableReader::Open(it->string(), device_);
+    if (!reader.ok()) {
+      MUPPET_LOG(kWarning) << "shard: skipping unreadable table "
+                           << it->string() << ": "
+                           << reader.status().ToString();
+      continue;
     }
+    max_seqno = std::max(max_seqno, reader.value()->max_seqno());
+    tables_.push_back(std::move(reader).value());
+    const uint64_t number =
+        std::strtoull(it->stem().string().c_str(), nullptr, 10);
+    max_table = std::max(max_table, number);
   }
   next_table_number_.store(max_table + 1);
 
-  // Replay the WAL into the memtable.
+  // Replay the WAL into the memtable and reopen it for append.
   const std::string wal_path = dir_ + "/" + kWalFileName;
-  std::vector<Record> replayed;
-  bool truncated = false;
-  MUPPET_RETURN_IF_ERROR(ReplayWal(wal_path, &replayed, &truncated));
-  if (truncated) {
+  FrameScan scan;
+  MUPPET_RETURN_IF_ERROR(wal_.Open(
+      wal_path,
+      [this, &max_seqno](BytesView payload) {
+        Record rec;
+        const char* p = payload.data();
+        if (!DecodeRecord(&p, p + payload.size(), &rec).ok()) return false;
+        max_seqno = std::max(max_seqno, rec.seqno);
+        memtable_.Put(rec);
+        return true;
+      },
+      &scan));
+  if (scan.torn) {
     MUPPET_LOG(kWarning) << "shard: WAL " << wal_path
-                         << " had a torn tail; replayed the intact prefix";
-  }
-  for (const Record& rec : replayed) {
-    max_seqno = std::max(max_seqno, rec.seqno);
-    memtable_.Put(rec);
+                         << " had a torn tail; replayed the intact prefix"
+                         << " and truncated the rest";
   }
   next_seqno_.store(max_seqno + 1);
-
-  if (options_.enable_wal) {
-    MUPPET_RETURN_IF_ERROR(wal_.Open(wal_path));
-  }
   return Status::OK();
 }
 
@@ -90,13 +90,12 @@ Status Shard::WriteRecord(const Record& rec) {
   PackedRecord packed(rec);
   // Under tables_mutex_, so a flush never runs between the WAL append and
   // the memtable insert: it would rotate the WAL out from under the append
-  // ("wal: not open"), or snapshot the memtable without this record, clear
-  // it anyway, and drop the WAL that held it.
+  // ("framed log: not open"), or snapshot the memtable without this
+  // record, clear it anyway, and drop the WAL that held it. The same lock
+  // serialises the WAL writer, which has none of its own.
   MutexLock lock(tables_mutex_);
-  if (options_.enable_wal) {
-    // No fsync per append: Muppet prefers write latency (§4.2).
-    MUPPET_RETURN_IF_ERROR(wal_.Append(packed.encoded()));
-  }
+  // No fsync per append: Muppet prefers write latency (§4.2).
+  MUPPET_RETURN_IF_ERROR(wal_.Append(packed.encoded()));
   memtable_.Put(std::move(packed));
   if (memtable_.approximate_bytes() >= options_.memtable_flush_bytes) {
     MUPPET_RETURN_IF_ERROR(FlushLocked());
@@ -219,12 +218,15 @@ Status Shard::FlushLocked() {
   memtable_.Clear();
   flushes_.fetch_add(1);
 
-  if (options_.enable_wal) {
-    // The WAL's contents are now covered by the SSTable; start fresh.
-    MUPPET_RETURN_IF_ERROR(wal_.CloseAndRemove());
-    MUPPET_RETURN_IF_ERROR(wal_.Open(dir_ + "/" + kWalFileName));
+  // The WAL's contents are now covered by the SSTable; start fresh.
+  const std::string wal_path = dir_ + "/" + kWalFileName;
+  MUPPET_RETURN_IF_ERROR(wal_.Close());
+  std::error_code ec;
+  fs::remove(wal_path, ec);
+  if (ec) {
+    return Status::IOError("shard: remove " + wal_path + ": " + ec.message());
   }
-  return Status::OK();
+  return wal_.Open(wal_path);
 }
 
 Status Shard::MaybeCompactLocked() {

@@ -1,7 +1,8 @@
 // A single storage node: the unit that "runs the Cassandra program" in the
 // paper's store cluster (§4.2). A node hosts one shard per column family;
 // each shard is an LSM stack (WAL -> memtable -> SSTables with size-tiered
-// compaction) over a shared device model.
+// compaction) over a shared device model. The WAL is a framed log
+// (common/framed_log.h): a torn tail is truncated when the shard reopens.
 #ifndef MUPPET_KVSTORE_NODE_H_
 #define MUPPET_KVSTORE_NODE_H_
 
@@ -13,6 +14,7 @@
 
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/framed_log.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "kvstore/compaction.h"
@@ -20,7 +22,6 @@
 #include "kvstore/format.h"
 #include "kvstore/memtable.h"
 #include "kvstore/sstable.h"
-#include "kvstore/wal.h"
 
 namespace muppet {
 namespace kv {
@@ -31,8 +32,6 @@ struct NodeOptions {
   // Memtable flush threshold in bytes. The paper argues for large write
   // buffers ("delay flushing the writes ... as long as possible").
   size_t memtable_flush_bytes = 4u << 20;
-  // Write-ahead logging (off trades durability for write latency).
-  bool enable_wal = true;
   // Storage device latency profile (SSD/HDD/None).
   DeviceProfile device = DeviceProfile::None();
   // Clock for TTL expiry and device latency. nullptr -> system clock.
@@ -62,7 +61,7 @@ class Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  // Create the directory, replay the WAL, open existing SSTables.
+  // Create the directory, open existing SSTables, replay the WAL.
   Status Open();
 
   Status Put(BytesView row, BytesView column, BytesView value,
@@ -114,19 +113,20 @@ class Shard {
   friend class StorageNode;
 
   MemTable memtable_;
-  WalWriter wal_;
   std::atomic<uint64_t> next_seqno_{1};
   std::atomic<uint64_t> next_table_number_{1};
   std::atomic<uint64_t> flushes_{0};
   std::atomic<uint64_t> compactions_{0};
 
   // Newest-first list of open tables. Guarded for flush/compact vs read;
-  // writes (WAL append + memtable insert), log rotation (wal_) and
-  // memtable snapshot/clear also happen under it, hence store-tables sits
-  // above store-io in the lock hierarchy.
+  // writes (WAL append + memtable insert), log rotation and memtable
+  // snapshot/clear also happen under it, hence store-tables sits above
+  // store-io in the lock hierarchy.
   mutable Mutex tables_mutex_{kTablesLockLevel};
   std::vector<std::unique_ptr<SsTableReader>> tables_
       MUPPET_GUARDED_BY(tables_mutex_);
+  // The write-ahead log; the writer has no lock of its own.
+  FramedLogWriter wal_ MUPPET_GUARDED_BY(tables_mutex_);
 };
 
 // A storage node hosting many column families.

@@ -1,10 +1,6 @@
 #include "service/bulk_slates.h"
 
-#include <cerrno>
-#include <cstring>
-
 #include "common/compress.h"
-#include "common/hash.h"
 #include "kvstore/format.h"
 
 namespace muppet {
@@ -57,87 +53,43 @@ Status BulkSlateReader::ForEach(
   return Status::OK();
 }
 
-SlateLogger::~SlateLogger() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
 Status SlateLogger::Open(const std::string& path) {
   MutexLock lock(mutex_);
-  if (file_ != nullptr) {
-    return Status::FailedPrecondition("slate logger: already open");
-  }
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::IOError("slate logger: open " + path + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
+  return log_.Open(path);
 }
 
 Status SlateLogger::Append(BytesView key, BytesView payload) {
   Bytes record;
   PutLengthPrefixed(&record, key);
   PutLengthPrefixed(&record, payload);
-  Bytes frame;
-  PutFixed32(&frame, Crc32(record));
-  PutFixed32(&frame, static_cast<uint32_t>(record.size()));
-  frame.append(record);
-
   MutexLock lock(mutex_);
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("slate logger: not open");
-  }
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    return Status::IOError("slate logger: short write");
-  }
+  MUPPET_RETURN_IF_ERROR(log_.Append(record));
   records_written_.Add();
-  return Status::OK();
-}
-
-Status SlateLogger::Flush() {
-  MutexLock lock(mutex_);
-  if (file_ == nullptr) return Status::OK();
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("slate logger: flush failed");
-  }
   return Status::OK();
 }
 
 Status SlateLogger::Close() {
   MutexLock lock(mutex_);
-  if (file_ == nullptr) return Status::OK();
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
-  if (rc != 0) return Status::IOError("slate logger: close failed");
-  return Status::OK();
+  return log_.Close();
 }
 
 Status SlateLogger::ReadLog(const std::string& path,
                             std::vector<std::pair<Bytes, Bytes>>* records) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::OK();  // no log yet
-  Bytes header(8, '\0');
-  Bytes payload;
-  while (true) {
-    const size_t got = std::fread(header.data(), 1, 8, f);
-    if (got < 8) break;
-    const uint32_t crc = DecodeFixed32(header.data());
-    const uint32_t len = DecodeFixed32(header.data() + 4);
-    if (len > (64u << 20)) break;
-    payload.resize(len);
-    if (std::fread(payload.data(), 1, len, f) != len) break;
-    if (Crc32(payload) != crc) break;
-    const char* p = payload.data();
-    const char* limit = p + payload.size();
-    BytesView key, value;
-    if (!GetLengthPrefixed(&p, limit, &key) ||
-        !GetLengthPrefixed(&p, limit, &value)) {
-      break;
-    }
-    records->emplace_back(Bytes(key), Bytes(value));
-  }
-  std::fclose(f);
-  return Status::OK();
+  FrameScan scan;
+  return ScanFramedLog(
+      path,
+      [records](BytesView payload) {
+        const char* p = payload.data();
+        const char* limit = p + payload.size();
+        BytesView key, value;
+        if (!GetLengthPrefixed(&p, limit, &key) ||
+            !GetLengthPrefixed(&p, limit, &value)) {
+          return false;
+        }
+        records->emplace_back(Bytes(key), Bytes(value));
+        return true;
+      },
+      &scan);
 }
 
 }  // namespace muppet

@@ -11,16 +11,18 @@
 //     functions", giving "steady-state write behavior that avoids sudden
 //     bulk I/O". SlateLogger is that append-only log: update functions
 //     write small records as they go; offline consumers stream them later
-//     (the paper mentions piping such logs into HDFS for Hadoop).
+//     (the paper mentions piping such logs into HDFS for Hadoop). The log
+//     is a framed log (common/framed_log.h): reopening it truncates a torn
+//     tail, so records appended after a crash stay readable.
 #ifndef MUPPET_SERVICE_BULK_SLATES_H_
 #define MUPPET_SERVICE_BULK_SLATES_H_
 
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/framed_log.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -55,11 +57,10 @@ class BulkSlateReader {
 // length-prefixed (key, payload) records; readable back in order. Update
 // functions share one logger per application — the paper's caution about
 // "lock contention for the common logger" is real, so appends buffer and
-// the mutex hold is a memcpy.
+// the mutex hold is a crc and a memcpy (a write every 4 KiB).
 class SlateLogger {
  public:
   SlateLogger() = default;
-  ~SlateLogger();
 
   SlateLogger(const SlateLogger&) = delete;
   SlateLogger& operator=(const SlateLogger&) = delete;
@@ -70,12 +71,12 @@ class SlateLogger {
   // write less than the entire slate to minimize the dumped data").
   Status Append(BytesView key, BytesView payload);
 
-  Status Flush();
   Status Close();
 
   int64_t records_written() const { return records_written_.Get(); }
 
-  // Read every intact record of a log file, in append order.
+  // Read every intact record of a log file, in append order. A missing
+  // file reads as empty.
   static Status ReadLog(const std::string& path,
                         std::vector<std::pair<Bytes, Bytes>>* records);
 
@@ -83,7 +84,7 @@ class SlateLogger {
 
  private:
   Mutex mutex_{kLockLevel};
-  std::FILE* file_ MUPPET_GUARDED_BY(mutex_) = nullptr;
+  FramedLogWriter log_ MUPPET_GUARDED_BY(mutex_);
   // Counter (not a guarded int) so records_written() stays lock-free for
   // status endpoints while updaters append concurrently.
   Counter records_written_;

@@ -271,7 +271,6 @@ ScenarioResult ScenarioRunner::Run() {
     eo.load_manager.heat_decay = 0.5;
     eo.load_manager.min_samples = 16;
     eo.load_manager.split_heat_fraction = 0.3;
-    eo.load_manager.merge_heat_fraction = 0.05;
     eo.load_manager.split_shards = 4;
   }
 

@@ -19,7 +19,6 @@
 #include "engine/watchdog.h"
 #include "kvstore/memtable.h"
 #include "kvstore/node.h"
-#include "kvstore/wal.h"
 #include "net/fault.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
@@ -267,7 +266,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(kv::StorageNode::kCfLockLevel, LockLevel::kStoreNode);
   EXPECT_EQ(kv::Shard::kTablesLockLevel, LockLevel::kStoreTables);
   EXPECT_EQ(kv::MemTable::kLockLevel, LockLevel::kStoreIo);
-  EXPECT_EQ(kv::WalWriter::kLockLevel, LockLevel::kStoreIo);
   EXPECT_EQ(SlateLogger::kLockLevel, LockLevel::kJournal);
   EXPECT_EQ(DedupTable::kLockLevel, LockLevel::kDedupTable);
   EXPECT_EQ(SlateChangelog::kLockLevel, LockLevel::kSlateChangelog);

@@ -13,7 +13,6 @@ using ::muppet::testing::TempDir;
 kv::KvClusterOptions ClusterFor(const std::string& dir,
                                 Clock* clock = nullptr) {
   kv::KvClusterOptions options;
-  options.num_nodes = 3;
   options.replication_factor = 2;
   options.node.data_dir = dir;
   options.node.clock = clock;

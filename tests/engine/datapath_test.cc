@@ -168,7 +168,6 @@ TEST(DatapathTest, TwoChoiceOwnershipInvariantWithoutDispatchLock) {
       {"in"}));
 
   EngineOptions options = Shape(1, 8);
-  options.enable_two_choice = true;
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
   constexpr int kN = 4000;

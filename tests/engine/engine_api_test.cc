@@ -203,7 +203,6 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
   options.num_machines = 2;
   options.durability.consistency = Consistency::kExactlyOnce;
   options.durability.dir = dir.path();
-  options.load_manager.enabled = false;
   auto engine = MakeEngine(GetParam(), config, options);
   ASSERT_OK(engine->Start());
   ASSERT_OK(engine->Publish("in", "k", "", 1));

@@ -17,9 +17,6 @@ LoadManagerOptions BaseOptions() {
   LoadManagerOptions o;
   o.enabled = true;
   o.min_samples = 10;
-  o.split_heat_fraction = 0.20;
-  o.merge_heat_fraction = 0.05;
-  o.merge_cool_ticks = 3;
   o.split_shards = 4;
   o.max_splits = 2;
   // Exactly representable gain so floor expectations below are exact.

@@ -212,7 +212,6 @@ TEST(Muppet1Test, TransportCountsOnlyAcceptedMessages) {
       {"in"}));
   EngineOptions options = SmallOptions(/*machines=*/2, /*workers=*/2);
   options.queue_capacity = 2;
-  options.overflow.policy = OverflowPolicy::kDrop;
   Muppet1Engine engine(config, options);
   ASSERT_OK(engine.Start());
   for (int i = 0; i < 200; ++i) {

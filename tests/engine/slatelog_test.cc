@@ -124,9 +124,10 @@ TEST(CheckpointManifestCodec, RoundTripAndTruncation) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-injecting LogDevice shim: wraps StdioLogDevice but can truncate or
-// bit-flip a scripted append on its way to the file, modeling a torn write
-// that reached disk partially or corrupted.
+// Fault-injecting LogDevice shim under the changelog's framed-log writer:
+// wraps FileLogDevice but can truncate or bit-flip a scripted write on its
+// way to the file, modeling a torn write that reached disk partially or
+// corrupted. With a sync every record, each write carries one frame.
 // ---------------------------------------------------------------------------
 
 class FaultyLogDevice : public LogDevice {
@@ -168,10 +169,9 @@ class FaultyLogDevice : public LogDevice {
 
   Status Sync() override { return inner_.Sync(); }
   Status Close() override { return inner_.Close(); }
-  void CrashClose() override { inner_.CrashClose(); }
 
  private:
-  StdioLogDevice inner_;
+  FileLogDevice inner_;
   Script* script_;
 };
 
@@ -568,6 +568,26 @@ TEST(SlateChangelog, ManifestFileRoundTripAndMissingIsZero) {
   EXPECT_FALSE(SlateChangelog::ReadManifestFile(dir.path(), 4, &out).ok());
 }
 
+// A manifest header whose length field claims 4 GiB is rejected from the
+// header alone: the reader checks the length against the file before it
+// allocates a payload buffer.
+TEST(SlateChangelog, ManifestWithHugeLengthIsCorruption) {
+  TempDir dir;
+  Bytes bytes;
+  PutFixed32(&bytes, 0);            // crc
+  PutFixed32(&bytes, 0xFFFFFFFFu);  // len
+  bytes += "tail";
+  const std::string path = SlateChangelog::ManifestPath(dir.path(), 2);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  CheckpointManifest out;
+  const Status s = SlateChangelog::ReadManifestFile(dir.path(), 2, &out);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_EQ(out.lsn, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // DedupTable.
 // ---------------------------------------------------------------------------
@@ -702,7 +722,6 @@ TEST(DurableEngine, MergeWritesReachTheChangelog) {
   eo.load_manager.heat_decay = 0.5;
   eo.load_manager.min_samples = 8;
   eo.load_manager.split_heat_fraction = 0.3;
-  eo.load_manager.merge_heat_fraction = 0.05;
   eo.load_manager.split_shards = 4;
   Muppet2Engine engine(config, eo);
   ASSERT_OK(engine.Start());

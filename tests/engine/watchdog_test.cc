@@ -375,7 +375,6 @@ TEST(WatchdogIntegrationTest, WedgedQueueOpensIncidentAndDumpsArtifacts) {
       {"in"}));
 
   EngineOptions options;
-  options.num_machines = 1;
   options.threads_per_machine = 1;
   options.queue_capacity = 8;
   options.watchdog.tick_micros = 2 * kMicrosPerMilli;

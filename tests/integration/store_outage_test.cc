@@ -59,7 +59,6 @@ TEST(StoreOutageTest, EngineSurvivesStoreOutageAndConverges) {
 
   AppConfig config;
   UpdaterOptions updater_options;
-  updater_options.flush_policy = SlateFlushPolicy::kInterval;
   updater_options.flush_interval_micros = kMicrosPerMilli;
   BuildCountingApp(&config, /*forward=*/false, updater_options);
 

@@ -29,7 +29,6 @@ TEST_P(ClusterFaultTest, QuorumHistoryIsLinearPerKey) {
   TempDir dir;
   KvClusterOptions options;
   options.num_nodes = 5;
-  options.replication_factor = 3;
   options.node.data_dir = dir.path();
   KvCluster cluster(options);
   ASSERT_OK(cluster.Open());
@@ -131,7 +130,6 @@ TEST_P(ClusterFaultTest, OneLevelSurvivesAnySingleReplica) {
   TempDir dir;
   KvClusterOptions options;
   options.num_nodes = 3;
-  options.replication_factor = 3;
   options.node.data_dir = dir.path();
   KvCluster cluster(options);
   ASSERT_OK(cluster.Open());

@@ -1,7 +1,7 @@
 // Model-based property test: a random sequence of Put/Delete/Get/Flush/
 // Compact against the storage shard must agree with a trivial
 // in-memory model, across a grid of store configurations (memtable size,
-// WAL, auto-compaction, device profile). This is the kvstore's main
+// auto-compaction). This is the kvstore's main
 // correctness net: any divergence between LSM mechanics (shadowing,
 // tombstones, merges) and the model is a bug.
 #include <map>
@@ -20,18 +20,17 @@ namespace {
 
 using ::muppet::testing::TempDir;
 
-// (memtable_bytes, enable_wal, auto_compact)
-using StoreParams = std::tuple<size_t, bool, bool>;
+// (memtable_bytes, auto_compact)
+using StoreParams = std::tuple<size_t, bool>;
 
 class KvStorePropertyTest : public ::testing::TestWithParam<StoreParams> {};
 
 TEST_P(KvStorePropertyTest, RandomOpsMatchModel) {
-  const auto [memtable_bytes, enable_wal, auto_compact] = GetParam();
+  const auto [memtable_bytes, auto_compact] = GetParam();
   TempDir dir;
   NodeOptions options;
   options.data_dir = dir.path();
   options.memtable_flush_bytes = memtable_bytes;
-  options.enable_wal = enable_wal;
   options.auto_compact = auto_compact;
   options.compaction.min_threshold = 3;
   StorageNode node(options);
@@ -41,7 +40,7 @@ TEST_P(KvStorePropertyTest, RandomOpsMatchModel) {
   Shard* shard = shard_or.value();
 
   std::map<std::pair<Bytes, Bytes>, Bytes> model;
-  Rng rng(static_cast<uint64_t>(memtable_bytes) * 31 + enable_wal * 7 +
+  Rng rng(static_cast<uint64_t>(memtable_bytes) * 31 + 7 +
           auto_compact * 3);
 
   constexpr int kOps = 3000;
@@ -96,14 +95,12 @@ TEST_P(KvStorePropertyTest, RandomOpsMatchModel) {
 }
 
 TEST_P(KvStorePropertyTest, ReopenPreservesEverythingWalOn) {
-  const auto [memtable_bytes, enable_wal, auto_compact] = GetParam();
-  if (!enable_wal) GTEST_SKIP() << "durability across restart needs the WAL";
+  const auto [memtable_bytes, auto_compact] = GetParam();
 
   TempDir dir;
   NodeOptions options;
   options.data_dir = dir.path();
   options.memtable_flush_bytes = memtable_bytes;
-  options.enable_wal = true;
   options.auto_compact = auto_compact;
 
   std::map<Bytes, Bytes> model;
@@ -143,14 +140,12 @@ INSTANTIATE_TEST_SUITE_P(
     Configurations, KvStorePropertyTest,
     ::testing::Combine(
         ::testing::Values<size_t>(2 << 10, 64 << 10, 4 << 20),
-        ::testing::Bool(),   // WAL
         ::testing::Bool()),  // auto-compaction
     [](const ::testing::TestParamInfo<StoreParams>& info) {
-      return "mem" + std::to_string(std::get<0>(info.param) / 1024) + "k_" +
-             (std::get<1>(info.param) ? std::string("wal")
-                                      : std::string("nowal")) +
-             "_" +
-             (std::get<2>(info.param) ? std::string("compact")
+      // Every run writes through the WAL, as every node does.
+      return "mem" + std::to_string(std::get<0>(info.param) / 1024) +
+             "k_wal_" +
+             (std::get<1>(info.param) ? std::string("compact")
                                       : std::string("nocompact"));
     });
 

@@ -1,5 +1,8 @@
 #include "kvstore/node.h"
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -132,26 +135,6 @@ TEST(NodeTest, RecoveryFromSsTablesAfterRestart) {
   EXPECT_EQ(reopened.Get("cf", "a", "c").value().value, "3");
 }
 
-TEST(NodeTest, RecoveryWithoutWal) {
-  TempDir dir;
-  NodeOptions options = SmallNodeOptions(dir.path());
-  options.enable_wal = false;
-  {
-    StorageNode node(options);
-    ASSERT_OK(node.Open());
-    auto cf = node.GetColumnFamily("cf");
-    ASSERT_OK(cf);
-    ASSERT_OK(node.Put("cf", "a", "c", "persisted"));
-    ASSERT_OK(cf.value()->Flush());
-    ASSERT_OK(node.Put("cf", "b", "c", "volatile"));
-  }
-  StorageNode reopened(options);
-  ASSERT_OK(reopened.Open());
-  EXPECT_EQ(reopened.Get("cf", "a", "c").value().value, "persisted");
-  // Unflushed write is lost without a WAL.
-  EXPECT_TRUE(reopened.Get("cf", "b", "c").status().IsNotFound());
-}
-
 TEST(NodeTest, TtlExpiryOnRead) {
   TempDir dir;
   SimulatedClock clock(1000000);
@@ -262,6 +245,184 @@ TEST(NodeTest, GetRawExposesTombstones) {
   auto raw = cf.value()->GetRaw("k", "c");
   ASSERT_OK(raw);
   EXPECT_TRUE(raw.value().tombstone);
+}
+
+// ---------------------------------------------------------------------------
+// The write-ahead log (a framed log, common/framed_log.h) through the node:
+// what a restart replays after the log was cut or damaged.
+// ---------------------------------------------------------------------------
+
+// A node with the default (large) memtable, so nothing flushes and every
+// row below lives only in the memtable and the WAL.
+NodeOptions WalOnlyOptions(const std::string& dir) {
+  NodeOptions options;
+  options.data_dir = dir;
+  return options;
+}
+
+std::string WalPath(const std::string& dir) { return dir + "/cf/wal.log"; }
+
+// Write rows row<from>..row<to - 1> to column family "cf"; the node's
+// destructor closes the WAL without a flush.
+void WriteRows(const std::string& dir, int from, int to) {
+  StorageNode node(WalOnlyOptions(dir));
+  ASSERT_OK(node.Open());
+  for (int i = from; i < to; ++i) {
+    ASSERT_OK(node.Put("cf", "row" + std::to_string(i), "c",
+                       "v" + std::to_string(i)));
+  }
+}
+
+// Reopen the node and return how many of row0..row<n - 1> it finds;
+// `prefix` is set when the found rows are exactly row0..row<found - 1>.
+size_t RowsFound(const std::string& dir, int n, bool* prefix = nullptr) {
+  StorageNode node(WalOnlyOptions(dir));
+  EXPECT_OK(node.Open());
+  size_t found = 0;
+  bool is_prefix = true;
+  for (int i = 0; i < n; ++i) {
+    auto got = node.Get("cf", "row" + std::to_string(i), "c");
+    if (!got.ok()) continue;
+    EXPECT_EQ(got.value().value, "v" + std::to_string(i));
+    if (found != static_cast<size_t>(i)) is_prefix = false;
+    ++found;
+  }
+  if (prefix != nullptr) *prefix = is_prefix;
+  return found;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void FlipByte(const std::string& path, size_t offset) {
+  std::string bytes = ReadFile(path);
+  ASSERT_LT(offset, bytes.size());
+  bytes[offset] ^= 0x40;
+  WriteFile(path, bytes);
+}
+
+void CutTail(const std::string& path, size_t bytes) {
+  const auto size = std::filesystem::file_size(path);
+  ASSERT_GT(size, bytes);
+  std::filesystem::resize_file(path, size - bytes);
+}
+
+TEST(WalTest, AppendAndReplay) {
+  TempDir dir;
+  WriteRows(dir.path(), 0, 50);
+  bool prefix = false;
+  EXPECT_EQ(RowsFound(dir.path(), 50, &prefix), 50u);
+  EXPECT_TRUE(prefix);
+}
+
+TEST(WalTest, MissingFileReplaysEmpty) {
+  TempDir dir;
+  EXPECT_EQ(RowsFound(dir.path(), 10), 0u);
+  // Opening the column family created an empty log.
+  EXPECT_EQ(std::filesystem::file_size(WalPath(dir.path())), 0u);
+}
+
+TEST(WalTest, TornTailToleratedPrefixKept) {
+  TempDir dir;
+  WriteRows(dir.path(), 0, 10);
+  CutTail(WalPath(dir.path()), 5);  // a crash mid-write
+  bool prefix = false;
+  EXPECT_EQ(RowsFound(dir.path(), 10, &prefix), 9u);  // the torn row is lost
+  EXPECT_TRUE(prefix);
+}
+
+// Rows written after a torn tail must survive the next restart: the reopen
+// truncates the torn frame instead of appending behind it, where no replay
+// would reach.
+TEST(WalTest, WritesAfterATornTailSurviveTheNextRestart) {
+  TempDir dir;
+  WriteRows(dir.path(), 0, 10);
+  CutTail(WalPath(dir.path()), 5);
+  WriteRows(dir.path(), 10, 20);
+  EXPECT_EQ(RowsFound(dir.path(), 20), 19u);  // all but the torn row9
+}
+
+TEST(WalTest, CorruptRecordStopsReplay) {
+  TempDir dir;
+  WriteRows(dir.path(), 0, 10);
+  const std::string path = WalPath(dir.path());
+  FlipByte(path, std::filesystem::file_size(path) / 2);
+  bool prefix = false;
+  EXPECT_LT(RowsFound(dir.path(), 10, &prefix), 10u);
+  EXPECT_TRUE(prefix);  // replay stops at the corrupt record
+}
+
+TEST(WalTest, HeaderFlipStopsReplayAtThatFrame) {
+  TempDir dir;
+  WriteRows(dir.path(), 0, 4);
+  FlipByte(WalPath(dir.path()), 0);  // the first frame's crc
+  EXPECT_EQ(RowsFound(dir.path(), 4), 0u);
+}
+
+// Exhaustive torn-tail sweep: for every truncation point the restart must
+// succeed and find a prefix of the rows, never shorter than at any
+// shorter cut.
+TEST(WalTest, EveryTruncationPointYieldsACleanPrefix) {
+  TempDir full;
+  WriteRows(full.path(), 0, 6);
+  const std::string bytes = ReadFile(WalPath(full.path()));
+  ASSERT_FALSE(bytes.empty());
+  size_t prev_found = 0;
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    TempDir dir;
+    std::filesystem::create_directories(dir.path() + "/cf");
+    WriteFile(WalPath(dir.path()), bytes.substr(0, cut));
+    bool prefix = false;
+    const size_t found = RowsFound(dir.path(), 6, &prefix);
+    EXPECT_TRUE(prefix) << "cut=" << cut;
+    EXPECT_GE(found, prev_found) << "cut=" << cut;
+    prev_found = found;
+  }
+  EXPECT_EQ(prev_found, 6u);
+}
+
+// A flush covers the log's rows with an SSTable, so the log starts over
+// empty.
+TEST(WalTest, CloseAndRemoveDeletesFile) {
+  TempDir dir;
+  {
+    StorageNode node(WalOnlyOptions(dir.path()));
+    ASSERT_OK(node.Open());
+    ASSERT_OK(node.Put("cf", "row0", "c", "v0"));
+    ASSERT_OK(node.GetColumnFamily("cf").value()->Flush());
+    EXPECT_EQ(std::filesystem::file_size(WalPath(dir.path())), 0u);
+  }
+  EXPECT_EQ(RowsFound(dir.path(), 1), 1u);  // from the SSTable
+}
+
+TEST(WalTest, AppendAfterReopenExtends) {
+  TempDir dir;
+  WriteRows(dir.path(), 0, 1);
+  WriteRows(dir.path(), 1, 2);
+  EXPECT_EQ(RowsFound(dir.path(), 2), 2u);
+}
+
+TEST(WalTest, TombstonesRoundTrip) {
+  TempDir dir;
+  {
+    StorageNode node(WalOnlyOptions(dir.path()));
+    ASSERT_OK(node.Open());
+    ASSERT_OK(node.Put("cf", "gone", "c", "v"));
+    ASSERT_OK(node.Delete("cf", "gone", "c"));
+  }
+  StorageNode node(WalOnlyOptions(dir.path()));
+  ASSERT_OK(node.Open());
+  auto raw = node.GetColumnFamily("cf").value()->GetRaw("gone", "c");
+  ASSERT_OK(raw);
+  EXPECT_TRUE(raw.value().tombstone);
+  EXPECT_TRUE(node.Get("cf", "gone", "c").status().IsNotFound());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "service/bulk_slates.h"
 
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -17,7 +18,6 @@ class BulkSlateTest : public ::testing::Test {
  protected:
   void SetUp() override {
     kv::KvClusterOptions options;
-    options.num_nodes = 3;
     options.replication_factor = 2;
     options.node.data_dir = dir_.path() + "/kv";
     cluster_ = std::make_unique<kv::KvCluster>(options);
@@ -155,6 +155,30 @@ TEST(SlateLoggerTest, MissingLogReadsEmpty) {
   std::vector<std::pair<Bytes, Bytes>> records;
   ASSERT_OK(SlateLogger::ReadLog("/nonexistent/slates.log", &records));
   EXPECT_TRUE(records.empty());
+}
+
+// Records appended after a torn tail must be readable: reopening the log
+// truncates the torn frame instead of appending behind it.
+TEST(SlateLoggerTest, RecordsAfterATornTailSurviveReopen) {
+  TempDir dir;
+  const std::string path = dir.path() + "/slates.log";
+  auto append = [&path](int from, int to) {
+    SlateLogger logger;
+    ASSERT_OK(logger.Open(path));
+    for (int i = from; i < to; ++i) {
+      ASSERT_OK(logger.Append("key" + std::to_string(i), "payload"));
+    }
+    ASSERT_OK(logger.Close());
+  };
+  append(0, 10);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
+  append(10, 20);
+  std::vector<std::pair<Bytes, Bytes>> records;
+  ASSERT_OK(SlateLogger::ReadLog(path, &records));
+  ASSERT_EQ(records.size(), 19u);  // all but the torn key9
+  EXPECT_EQ(records[8].first, "key8");
+  EXPECT_EQ(records[9].first, "key10");
+  EXPECT_EQ(records.back().first, "key19");
 }
 
 TEST(SlateLoggerTest, AppendWithoutOpenFails) {

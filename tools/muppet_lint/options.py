@@ -23,6 +23,17 @@ report.
 src/testing and src/workload are out of scope: their options describe
 test scenarios and input data, which a scenario table may set in bulk.
 Static and constexpr members are constants already and are skipped.
+
+A setter that only restates a default is flagged too: `o.name = V;`
+where V is a constant (a number or integer expression, `true`/`false`,
+`nullptr`, or a `Scope::kName` enumerator) equal to the field's declared
+initializer. A field set only that way is a constant in disguise, and
+the line costs the reader a check of the default. The setter counts
+only when the pass knows which struct it writes, and a file that also
+gives the same variable's field any other value (a reset after a change)
+is left alone. Benchmark programs (bench/, perfbench/) are not checked
+for this: they state the configuration a published row was measured
+under in full, so the row does not move when a default does.
 """
 
 from __future__ import annotations
@@ -37,14 +48,20 @@ CHECK = "options"
 DECL_DIRS = tuple(f"src/{d}/" for d in (
     "common", "core", "engine", "kvstore", "net", "service", "apps"))
 ASSIGN_ROOTS = ("src", "tests", "bench", "examples", "perfbench")
+PINNED_ROOTS = ("bench/", "perfbench/")  # may restate defaults
 
 # An optional root variable, a member-access chain (`.a.b`, `->a[i].b`),
 # then an assignment operator (not `==`) or a mutating container call.
 WRITE_RE = re.compile(
     r"(?:\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)*)?"
     r"((?:(?:\.|->)\s*[A-Za-z_]\w*\s*(?:\[[^\]]*\]\s*)*)+)"
-    r"(?:(?:[-+*/|&^]|<<|>>)?=(?!=)|\.\s*(?:push_back|emplace_back|"
+    r"(?:(?P<op>(?:[-+*/|&^]|<<|>>)?=)(?!=)|\.\s*(?:push_back|emplace_back|"
     r"push_front|emplace|insert|assign)\s*\()")
+# The right-hand side of a plain assignment, up to its `;`.
+RHS_RE = re.compile(r"([^;{}]*);")
+NUMBER_RE = re.compile(r"(\d[\d']*(?:\.\d*)?(?:[eE][-+]?\d+)?)[uUlLfF]*")
+NUMERIC_EXPR_RE = re.compile(r"[\d\s+\-*()<>]+")  # once numbers read 0
+ENUMERATOR_RE = re.compile(r"(?:[A-Za-z_]\w*::)+k\w+")
 MEMBER_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)")
 TYPE_BEFORE_RE = re.compile(
     r"\b([A-Za-z_][\w:]*)\s*(?:<[^;{}()]*>)?\s*[&*]*\s*$")
@@ -73,6 +90,9 @@ class _Writes:
                     self.member_types.setdefault(f.name, set()).add(
                         _value_type(f.type_text))
         self.pairs: set[tuple[str | None, str]] = set()
+        # Plain assignments whose owner struct is known:
+        # (file, line, owner, field, access chain, right-hand side).
+        self.setters: list[tuple[SourceFile, int, str, str, str, str]] = []
         for sf in scan:
             var_types: dict[str | None, set[str | None]] = {}
             for m in WRITE_RE.finditer(sf.code):
@@ -81,9 +101,16 @@ class _Writes:
                     var_types[var] = self._var_types(sf, var)
                 owners = var_types[var]
                 for name in MEMBER_RE.findall(m.group(2)):
+                    last_owners = owners
                     for owner in owners:
                         self.pairs.add((owner, name))
                     owners = self._known(self.member_types.get(name, set()))
+                rhs = RHS_RE.match(sf.code, m.end())
+                if m.group("op") == "=" and rhs and None not in last_owners:
+                    chain = (var or "") + re.sub(r"\s+", "", m.group(2))
+                    for owner in last_owners:
+                        self.setters.append((sf, sf.line_of(m.start()), owner,
+                                             name, chain, rhs.group(1)))
 
     def _known(self, types: set[str]) -> set[str | None]:
         if not types or any(t not in self.classes for t in types):
@@ -106,6 +133,51 @@ class _Writes:
 
     def assigned(self, struct: str, name: str) -> bool:
         return (struct, name) in self.pairs or (None, name) in self.pairs
+
+
+def _constant(text: str) -> str | float | None:
+    """The value of a constant expression, or None if it is not one."""
+    t = text.strip()
+    if t.startswith("{") and t.endswith("}"):
+        t = t[1:-1].strip()
+    if t in ("true", "false", "nullptr") or ENUMERATOR_RE.fullmatch(t):
+        return t
+    if not t or not NUMERIC_EXPR_RE.fullmatch(NUMBER_RE.sub("0", t)):
+        return None
+    expr = NUMBER_RE.sub(lambda m: m.group(1).replace("'", ""), t)
+    try:
+        value = eval(expr, {"__builtins__": {}}, {})  # digits and operators
+    except (SyntaxError, TypeError, ValueError, ArithmeticError):
+        return None
+    return float(value) if isinstance(value, (int, float)) else None
+
+
+def _default_setters(writes: _Writes, structs) -> list[Finding]:
+    defaults = {}
+    for ci in structs:
+        for f in ci.fields:
+            if not (f.is_static or f.is_constexpr):
+                value = _constant(f.init_text)
+                if value is not None:
+                    defaults[(ci.name, f.name)] = value
+    # Each (file, access chain)'s right-hand sides: a chain that is also
+    # given another value in the same file is a reset, not a restatement.
+    values: dict[tuple[str, str], set] = {}
+    for sf, _, _, _, chain, rhs in writes.setters:
+        values.setdefault((sf.rel, chain), set()).add(_constant(rhs))
+    findings = []
+    for sf, line, owner, name, chain, rhs in writes.setters:
+        default = defaults.get((owner, name))
+        if (default is None or sf.rel.startswith(PINNED_ROOTS)
+                or values[(sf.rel, chain)] != {default}):
+            continue
+        if sf.allows(CHECK, line):
+            continue
+        findings.append(Finding(
+            CHECK, sf.rel, line,
+            f"{owner}::{name} is set to its default ({rhs.strip()}); "
+            f"delete the setter"))
+    return findings
 
 
 def run(files: list[SourceFile], root: str) -> list[Finding]:
@@ -136,4 +208,4 @@ def run(files: list[SourceFile], root: str) -> list[Finding]:
                 f"{ci.qualified}::{f.name} is never assigned in "
                 f"{', '.join(ASSIGN_ROOTS)}; make it a named constant "
                 f"at its point of use, or set it where it matters"))
-    return findings
+    return findings + _default_setters(writes, structs)

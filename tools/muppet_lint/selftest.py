@@ -91,6 +91,17 @@ def main() -> int:
           "assigned, nested, appended, static and src/testing fields "
           "are not flagged")
 
+    rc, out = _run("bad_options_default", ["--checks", "options"])
+    check("bad_options_default", rc == 1,
+          f"exit 1 on a setter that restates a default (got {rc})")
+    check("bad_options_default", all(
+        f"KnobOptions::{name} is set to its default" in out
+        for name in ("depth", "ratio", "mode")),
+          "integer-expression, float and enumerator restatements flagged")
+    check("bad_options_default", out.count("[options]") == 3,
+          "real settings, resets, unknown owners and benchmark programs "
+          "are not flagged")
+
     rc, out = _run("bad_wire")
     check("bad_wire", rc == 1, f"exit 1 on dropped field (got {rc})")
     check("bad_wire", "field-count mismatch" in out,
