@@ -33,10 +33,11 @@
 //     20   taps             engine tap registries (shared)
 //     22   split-table      SplitTable live hot-key split registry (shared;
 //                           read on the dispatch path under a stripe lock)
-//     24   merge-dedupe     per-machine applied merge-delta id sets
-//     26   dedup-table      exactly-once bounded event-identity dedup table
-//                           (consulted on frame receive; seeded under the
-//                           recovery path while the machine is unroutable)
+//     26   dedup-table      bounded identity dedup tables: exactly-once
+//                           event identities (consulted on frame receive;
+//                           seeded under the recovery path while the
+//                           machine is unroutable) and Muppet2 merge deltas
+//                           (checked under a slate stripe)
 //     30   transport        Transport machine registry (shared)
 //     35   transport-rng    Transport loss-model RNG
 //     36   fault-injector   FaultInjector decision/partition/action state
@@ -130,7 +131,6 @@ enum class LockLevel : int {
   kSlateStripe = 10,
   kTaps = 20,
   kSplitTable = 22,
-  kMergeDedupe = 24,
   kDedupTable = 26,
   kTransport = 30,
   kTcpState = 31,

@@ -1,4 +1,4 @@
-#include "engine/machine_runtime.h"
+#include "engine/engine.h"
 
 #include <chrono>
 #include <deque>
@@ -39,9 +39,8 @@ Status BuildEmittedEvent(const AppConfig& config, const Event& input,
   return Status::OK();
 }
 
-MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
-                               const char* engine_name,
-                               bool load_manager_paces_source)
+Engine::Engine(const AppConfig& config, EngineOptions options,
+               const char* engine_name)
     : config_(config),
       options_(options),
       clock_(options.clock != nullptr ? options.clock
@@ -63,6 +62,7 @@ MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
           metrics_.GetCounter("muppet_operator_instances_total")),
       slatelog_appends_(
           metrics_.GetCounter("muppet_slatelog_appends_total")),
+      slatelog_errors_(metrics_.GetCounter("muppet_slatelog_errors_total")),
       slatelog_replays_(
           metrics_.GetCounter("muppet_slatelog_replays_total")),
       slatelog_replayed_(
@@ -76,7 +76,7 @@ MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
       latency_(metrics_.GetHistogram("muppet_e2e_latency_us")),
       engine_name_(engine_name),
       pace_source_(options.overflow.policy == OverflowPolicy::kThrottle ||
-                   (load_manager_paces_source && options.load_manager.enabled)) {
+                   options.load_manager.enabled) {
   if (options_.transport_backend != nullptr) {
     // External backend (muppetd's TcpTransport): not owned, carries its
     // own loss accounting, started by the caller after Start().
@@ -103,14 +103,13 @@ MachineRuntime::MachineRuntime(const AppConfig& config, EngineOptions options,
   }
 }
 
-uint64_t MachineRuntime::CombineWork(uint64_t function_hash,
-                                     uint64_t key_hash) {
+uint64_t Engine::CombineWork(uint64_t function_hash, uint64_t key_hash) {
   uint64_t h = HashCombine(function_hash, key_hash);
   if (h == 0) h = 1;  // 0 means "idle"
   return h;
 }
 
-Status MachineRuntime::Start() {
+Status Engine::Start() {
   if (started_) return Status::FailedPrecondition("engine already started");
   MUPPET_RETURN_IF_ERROR(config_.Validate());
   if (options_.num_machines < 1) {
@@ -273,21 +272,21 @@ Status MachineRuntime::Start() {
   return Status::OK();
 }
 
-void MachineRuntime::SpawnLanes(MachineBase* machine) {
+void Engine::SpawnLanes(MachineBase* machine) {
   for (size_t i = 0; i < machine->lanes.size(); ++i) {
     machine->lanes[i].thread =
         std::thread([this, machine, i] { RunLane(machine, i); });
   }
 }
 
-void MachineRuntime::TapStream(const std::string& stream,
-                               std::function<void(const Event&)> tap) {
+void Engine::TapStream(const std::string& stream,
+                       std::function<void(const Event&)> tap) {
   WriterMutexLock lock(taps_mutex_);
   taps_[stream].push_back(std::move(tap));
   has_taps_.store(true, std::memory_order_release);
 }
 
-std::set<MachineId> MachineRuntime::FailedSetFor(MachineId machine) const {
+std::set<MachineId> Engine::FailedSetFor(MachineId machine) const {
   const MachineBase* m = Machine(machine);
   if (m != nullptr) {
     MutexLock lock(m->failed_mutex);
@@ -296,7 +295,7 @@ std::set<MachineId> MachineRuntime::FailedSetFor(MachineId machine) const {
   return master_.failed();
 }
 
-const std::set<MachineId>& MachineRuntime::RouteFailedSet(
+const std::set<MachineId>& Engine::RouteFailedSet(
     MachineId from, std::set<MachineId>* storage) const {
   static const std::set<MachineId> kNoFailed;
   const MachineBase* m = Machine(from);
@@ -307,7 +306,7 @@ const std::set<MachineId>& MachineRuntime::RouteFailedSet(
   return *storage;
 }
 
-std::set<MachineId> MachineRuntime::FailedOrCrashed() const {
+std::set<MachineId> Engine::FailedOrCrashed() const {
   std::set<MachineId> failed = master_.failed();
   for (const auto& m : machines_) {
     if (m != nullptr && m->crashed.load()) failed.insert(m->id);
@@ -315,8 +314,8 @@ std::set<MachineId> MachineRuntime::FailedOrCrashed() const {
   return failed;
 }
 
-Status MachineRuntime::Publish(const std::string& stream, BytesView key,
-                               BytesView value, Timestamp ts) {
+Status Engine::Publish(const std::string& stream, BytesView key, BytesView value,
+                       Timestamp ts) {
   if (!started_ || stopped_) {
     return Status::FailedPrecondition("engine not running");
   }
@@ -358,8 +357,8 @@ Status MachineRuntime::Publish(const std::string& stream, BytesView key,
   return Status::OK();
 }
 
-void MachineRuntime::SettleLane(const MachineBase* machine, size_t lane,
-                                const Status& s) {
+void Engine::SettleLane(const MachineBase* machine, size_t lane,
+                        const Status& s) {
   if (!s.ok()) {
     MUPPET_LOG(kError) << "lane " << lane << "@" << machine->id << ": "
                        << s.ToString() << "; event lost";
@@ -368,10 +367,9 @@ void MachineRuntime::SettleLane(const MachineBase* machine, size_t lane,
   DecInflight(1);
 }
 
-Status MachineRuntime::FetchThroughCache(SlateCache* cache,
-                                         const std::string& updater,
-                                         BytesView key, Bytes* slate,
-                                         SpanNote* source) {
+Status Engine::FetchThroughCache(SlateCache* cache, const std::string& updater,
+                                 BytesView key, Bytes* slate,
+                                 SpanNote* source) {
   const SlateId id{updater, Bytes(key)};
   bool absent = false;
   Status s = cache->LookupWithAbsent(id, slate, &absent);
@@ -399,7 +397,20 @@ Status MachineRuntime::FetchThroughCache(SlateCache* cache,
   return cache->InsertAbsent(id, slate);
 }
 
-SlateCache::WriteBack MachineRuntime::StoreWriteBack() {
+Result<Bytes> Engine::FetchSlate(const std::string& updater, BytesView key) {
+  if (!started_) return Status::FailedPrecondition("engine not started");
+  const int32_t op = OpId(updater);
+  if (op < 0 ||
+      ops_[static_cast<size_t>(op)].spec->kind != OperatorKind::kUpdater) {
+    return Status::NotFound("no such updater: " + updater);
+  }
+  Bytes slate;
+  MUPPET_RETURN_IF_ERROR(ReadLiveSlate(static_cast<uint32_t>(op), key,
+                                       FailedOrCrashed(), &slate));
+  return slate;
+}
+
+SlateCache::WriteBack Engine::StoreWriteBack() {
   return [this](const SlateCache::DirtySlate& dirty) -> Status {
     if (options_.slate_store == nullptr) return Status::OK();
     store_writes_->Add();
@@ -411,7 +422,7 @@ SlateCache::WriteBack MachineRuntime::StoreWriteBack() {
   };
 }
 
-bool MachineRuntime::WaitTick(Timestamp micros) {
+bool Engine::WaitTick(Timestamp micros) {
   if (dynamic_cast<SystemClock*>(clock_) == nullptr) {
     clock_->SleepFor(micros);
   } else {
@@ -424,7 +435,7 @@ bool MachineRuntime::WaitTick(Timestamp micros) {
   return !shutdown_.load(std::memory_order_acquire);
 }
 
-void MachineRuntime::FlusherLoop(MachineBase* machine) {
+void Engine::FlusherLoop(MachineBase* machine) {
   while (WaitTick(options_.flush_poll_micros)) {
     if (machine->crashed.load()) return;
     const Timestamp now = clock_->Now();
@@ -442,9 +453,9 @@ void MachineRuntime::FlusherLoop(MachineBase* machine) {
   }
 }
 
-void MachineRuntime::AppendSlateLog(MachineBase* machine, SlateLogKind kind,
-                                    const RoutedEvent& re,
-                                    BytesView slate_key, BytesView value) {
+void Engine::AppendSlateLog(MachineBase* machine, SlateLogKind kind,
+                            const RoutedEvent& re, BytesView slate_key,
+                            BytesView value) {
   if (machine->changelog == nullptr) return;
   SlateLogRecord rec;
   rec.kind = static_cast<uint8_t>(kind);
@@ -457,17 +468,23 @@ void MachineRuntime::AppendSlateLog(MachineBase* machine, SlateLogKind kind,
   rec.dedup = re.dedup;
   Result<uint64_t> lsn = machine->changelog->Append(std::move(rec));
   if (!lsn.ok()) {
-    MUPPET_LOG(kError) << "slatelog: append failed on machine "
-                       << machine->id << ": " << lsn.status().ToString();
+    NoteSlateLogError(machine, "append", lsn.status());
     return;
   }
   slatelog_appends_->Add();
   machine->appends_since_checkpoint.fetch_add(1, std::memory_order_acq_rel);
 }
 
-Status MachineRuntime::WriteSlate(MachineBase* machine, SlateCache* cache,
-                                  const RoutedEvent& re, BytesView slate_key,
-                                  SlateLogKind kind, BytesView value) {
+void Engine::NoteSlateLogError(const MachineBase* machine, const char* op,
+                               const Status& s) {
+  MUPPET_LOG(kError) << "slatelog: " << op << " failed on machine "
+                     << machine->id << ": " << s.ToString();
+  slatelog_errors_->Add();
+}
+
+Status Engine::WriteSlate(MachineBase* machine, SlateCache* cache,
+                          const RoutedEvent& re, BytesView slate_key,
+                          SlateLogKind kind, BytesView value) {
   const OperatorSpec& spec = *ops_[static_cast<size_t>(re.function_id)].spec;
   const SlateId id{spec.name, Bytes(slate_key)};
   MUPPET_RETURN_IF_ERROR(
@@ -480,10 +497,9 @@ Status MachineRuntime::WriteSlate(MachineBase* machine, SlateCache* cache,
   return Status::OK();
 }
 
-Status MachineRuntime::FetchForExec(MachineBase* machine, SlateCache* cache,
-                                    const RoutedEvent& re,
-                                    BytesView slate_key, uint64_t exec_span,
-                                    Bytes* slate, bool* found) {
+Status Engine::FetchForExec(MachineBase* machine, SlateCache* cache,
+                            const RoutedEvent& re, BytesView slate_key,
+                            uint64_t exec_span, Bytes* slate, bool* found) {
   const size_t op = static_cast<size_t>(re.function_id);
   ScopedSpan fetch;
   fetch.Begin(machine->trace_sink.get(), clock_,
@@ -497,9 +513,9 @@ Status MachineRuntime::FetchForExec(MachineBase* machine, SlateCache* cache,
   return s.IsNotFound() ? Status::OK() : s;
 }
 
-void MachineRuntime::FinishExec(MachineBase* machine, const RoutedEvent& re,
-                                BytesView slate_key, bool wrote_slate,
-                                ScopedSpan* exec) {
+void Engine::FinishExec(MachineBase* machine, const RoutedEvent& re,
+                        BytesView slate_key, bool wrote_slate,
+                        ScopedSpan* exec) {
   if (re.dedup != 0 && !wrote_slate) {
     AppendSlateLog(machine, SlateLogKind::kMark, re, slate_key, BytesView());
   }
@@ -512,11 +528,15 @@ void MachineRuntime::FinishExec(MachineBase* machine, const RoutedEvent& re,
   }
 }
 
-void MachineRuntime::MaybeCheckpoint(MachineBase* machine) {
+void Engine::MaybeCheckpoint(MachineBase* machine) {
   // Sync the buffered tail on every flusher pass, so the at-least-once
   // loss window is bounded by sync_every_records even when the workload
   // pauses mid-cadence.
-  (void)machine->changelog->Sync();
+  Status s = machine->changelog->Sync();
+  if (!s.ok()) {
+    NoteSlateLogError(machine, "sync", s);
+    return;
+  }
 
   const uint64_t every = options_.durability.checkpoint_every_records;
   if (every == 0 || options_.slate_store == nullptr) return;
@@ -542,16 +562,20 @@ void MachineRuntime::MaybeCheckpoint(MachineBase* machine) {
   }
 
   // Close the pre-cut history into its own file so it can be dropped
-  // wholesale once the manifest is durable.
-  (void)machine->changelog->RotateSegment();
+  // wholesale once the manifest is durable. A failed rotation writes no
+  // manifest: the cut may not be in a closed segment.
+  s = machine->changelog->RotateSegment();
+  if (!s.ok()) {
+    NoteSlateLogError(machine, "rotate", s);
+    return;
+  }
 
   CheckpointManifest manifest;
   manifest.machine = static_cast<uint64_t>(machine->id);
   manifest.lsn = cut;
   manifest.segment = machine->changelog->active_segment();
   manifest.ts = clock_->Now();
-  Status s = SlateChangelog::WriteManifestFile(options_.durability.dir,
-                                               manifest);
+  s = SlateChangelog::WriteManifestFile(options_.durability.dir, manifest);
   if (!s.ok()) {
     MUPPET_LOG(kError) << "slatelog: manifest write failed on machine "
                        << machine->id << ": " << s.ToString();
@@ -571,7 +595,7 @@ void MachineRuntime::MaybeCheckpoint(MachineBase* machine) {
   checkpoints_->Add();
 }
 
-Status MachineRuntime::ReplayChangelog(MachineBase* machine) {
+Status Engine::ReplayChangelog(MachineBase* machine) {
   if (machine->changelog == nullptr) return Status::OK();
   CheckpointManifest manifest;
   MUPPET_RETURN_IF_ERROR(SlateChangelog::ReadManifestFile(
@@ -640,7 +664,7 @@ Status MachineRuntime::ReplayChangelog(MachineBase* machine) {
   return Status::OK();
 }
 
-void MachineRuntime::DecInflight(int64_t n) {
+void Engine::DecInflight(int64_t n) {
   if (n <= 0) return;
   if (inflight_.fetch_sub(n, std::memory_order_acq_rel) <= n) {
     // Reached (or crossed) zero: wake Drain(). `<=` rather than `==` so
@@ -654,8 +678,7 @@ void MachineRuntime::DecInflight(int64_t n) {
   }
 }
 
-bool MachineRuntime::SettleFailedSend(MachineId to, const Status& s,
-                                      int64_t n) {
+bool Engine::SettleFailedSend(MachineId to, const Status& s, int64_t n) {
   if (s.IsResourceExhausted()) return false;
   // Failure detected on send (§4.3): report it to the master, which
   // broadcasts; the events themselves are lost, not re-dispatched.
@@ -664,9 +687,8 @@ bool MachineRuntime::SettleFailedSend(MachineId to, const Status& s,
   return true;
 }
 
-MachineRuntime::DeclineAction MachineRuntime::OnDecline(const Event& event,
-                                                        bool self_emit,
-                                                        int* attempts) {
+Engine::DeclineAction Engine::OnDecline(const Event& event, bool self_emit,
+                                        int* attempts) {
   switch (options_.overflow.policy) {
     case OverflowPolicy::kDrop:
       break;
@@ -689,7 +711,7 @@ MachineRuntime::DeclineAction MachineRuntime::OnDecline(const Event& event,
   return DeclineAction::kSettled;
 }
 
-Status MachineRuntime::Drain() {
+Status Engine::Drain() {
   if (!started_) return Status::FailedPrecondition("engine not started");
   drain_waiters_.fetch_add(1, std::memory_order_acq_rel);
   {
@@ -702,7 +724,7 @@ Status MachineRuntime::Drain() {
   return Status::OK();
 }
 
-Status MachineRuntime::Stop() {
+Status Engine::Stop() {
   if (!started_ || stopped_) return Status::OK();
   stopped_ = true;
 
@@ -745,7 +767,7 @@ Status MachineRuntime::Stop() {
   return Status::OK();
 }
 
-Status MachineRuntime::CrashMachine(MachineId machine_id) {
+Status Engine::CrashMachine(MachineId machine_id) {
   if (!started_) return Status::FailedPrecondition("engine not started");
   MachineBase* machine = Machine(machine_id);
   if (machine == nullptr) {
@@ -776,7 +798,7 @@ Status MachineRuntime::CrashMachine(MachineId machine_id) {
   return Status::OK();
 }
 
-Status MachineRuntime::RestartMachine(MachineId machine_id) {
+Status Engine::RestartMachine(MachineId machine_id) {
   if (!started_) return Status::FailedPrecondition("engine not started");
   MachineBase* machine = Machine(machine_id);
   if (machine == nullptr) {
@@ -816,7 +838,7 @@ Status MachineRuntime::RestartMachine(MachineId machine_id) {
   return Status::OK();
 }
 
-EngineStats MachineRuntime::Stats() const {
+EngineStats Engine::Stats() const {
   EngineStats stats;
   stats.events_published = published_->Get();
   stats.events_processed = processed_->Get();
@@ -861,7 +883,7 @@ EngineStats MachineRuntime::Stats() const {
   return stats;
 }
 
-std::vector<MachineStatus> MachineRuntime::MachineStatuses() const {
+std::vector<MachineStatus> Engine::MachineStatuses() const {
   std::vector<MachineStatus> out;
   if (!started_) return out;
   for (const auto& machine : machines_) {
@@ -906,7 +928,7 @@ std::vector<MachineStatus> MachineRuntime::MachineStatuses() const {
   return out;
 }
 
-void MachineRuntime::HarvestSlo() {
+void Engine::HarvestSlo() {
   if (slo_ == nullptr) return;
   std::vector<TraceSink*> sinks;
   sinks.reserve(machines_.size());
@@ -917,13 +939,13 @@ void MachineRuntime::HarvestSlo() {
                 inflight_.load(std::memory_order_acquire) == 0);
 }
 
-Timestamp MachineRuntime::UptimeMicros() const {
+Timestamp Engine::UptimeMicros() const {
   const Timestamp started = started_at_.load(std::memory_order_acquire);
   if (started == 0 && !started_.load(std::memory_order_acquire)) return 0;
   return clock_->Now() - started;
 }
 
-WatchdogSignals MachineRuntime::GatherWatchdogSignals() const {
+WatchdogSignals Engine::GatherWatchdogSignals() const {
   WatchdogSignals signals;
   signals.now = clock_->Now();
   for (const auto& machine : machines_) {
@@ -954,7 +976,7 @@ WatchdogSignals MachineRuntime::GatherWatchdogSignals() const {
   return signals;
 }
 
-void MachineRuntime::WatchdogLoop() {
+void Engine::WatchdogLoop() {
   while (WaitTick(options_.watchdog.tick_micros)) {
     watchdog_->Tick(GatherWatchdogSignals());
     // Opportunistic SLO harvest on the same cadence, so burn windows
@@ -963,7 +985,7 @@ void MachineRuntime::WatchdogLoop() {
   }
 }
 
-void MachineRuntime::RegisterCallbackMetrics() {
+void Engine::RegisterCallbackMetrics() {
   // Scrape hygiene: a constant-1 gauge whose labels carry the build and
   // config identity, plus engine uptime — what muppet-doctor keys off to
   // tell apart machines running different builds or knobs.
@@ -1034,6 +1056,14 @@ void MachineRuntime::RegisterCallbackMetrics() {
                                            ? 0
                                            : 1;
                               });
+    for (size_t i = 0; i < machine->lanes.size(); ++i) {
+      const EventQueue* queue = machine->lanes[i].queue;
+      MetricLabels lane_label = m_label;
+      lane_label.emplace_back("lane", std::to_string(i));
+      metrics_.RegisterCallback(
+          "muppet_queue_depth", lane_label, MetricType::kGauge,
+          [queue] { return static_cast<int64_t>(queue->size()); });
+    }
     // Machine-level aggregates over the machine's caches.
     auto cache_sum = [machine](int64_t (*read)(const SlateCache&)) {
       return [machine, read] {

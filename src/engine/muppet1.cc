@@ -158,8 +158,7 @@ Status TaskProcessor::Process(BytesView request, Bytes* response) {
 }  // namespace engine_internal
 
 Muppet1Engine::Muppet1Engine(const AppConfig& config, EngineOptions options)
-    : MachineRuntime(config, std::move(options), "muppet1",
-                     /*load_manager_paces_source=*/false) {}
+    : Engine(config, std::move(options), "muppet1") {}
 
 Muppet1Engine::~Muppet1Engine() { (void)Stop(); }
 
@@ -167,18 +166,14 @@ Status Muppet1Engine::PrepareEngine() {
   if (options_.workers_per_function < 1) {
     return Status::InvalidArgument("engine: bad cluster shape");
   }
-  // Muppet 1.0 places every worker in this process over its own fabric.
+  // Muppet 1.0 places every worker in this process over its own fabric,
+  // and never splits keys.
   if (!options_.hosted_machines.empty() ||
-      options_.transport_backend != nullptr) {
+      options_.transport_backend != nullptr ||
+      options_.load_manager.enabled) {
     return Status::InvalidArgument(
-        "engine: hosted_machines and transport_backend are Muppet 2.0 only");
-  }
-  // Heat observation for the /statusz hot-key panel. Muppet 1.0 runs no
-  // control loop (no splitting, no placement — load_manager actions are
-  // 2.0-only), but the same sketch, keyed by operator id, feeds the panel
-  // and metrics.
-  if (options_.load_manager.enabled) {
-    heat_ = std::make_unique<HeatTracker>(options_.load_manager.heat);
+        "engine: hosted_machines, transport_backend and load_manager are "
+        "Muppet 2.0 only");
   }
   return Status::OK();
 }
@@ -256,9 +251,6 @@ void Muppet1Engine::SendToWorker(MachineId from, const Worker* sender,
                                  uint32_t op, uint64_t key_hash,
                                  const std::set<MachineId>& failed,
                                  const Event& event) {
-  if (heat_ != nullptr && heat_->ShouldSample()) {
-    heat_->Record(static_cast<int32_t>(op), event.key);
-  }
   const OpInfo& info = ops_[op];
   Result<WorkerRef> target = ring_.Route(info.spec->name, event.key, failed);
   if (!target.ok()) {
@@ -422,59 +414,13 @@ SlateCache* Muppet1Engine::ReplayCache(MachineBase* machine,
   return worker.value()->cache.get();
 }
 
-Result<Bytes> Muppet1Engine::FetchSlate(const std::string& updater,
-                                        BytesView key) {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  const OperatorSpec* spec = config_.FindOperator(updater);
-  if (spec == nullptr || spec->kind != OperatorKind::kUpdater) {
-    return Status::NotFound("no such updater: " + updater);
-  }
-  // §4.4: resolve the owning worker and read its cache (forwarding
-  // "internally" — here, direct access), not the durable store.
-  Result<Worker*> worker = RouteToWorker(updater, key, FailedOrCrashed());
+Status Muppet1Engine::ReadLiveSlate(uint32_t op, BytesView key,
+                                    const std::set<MachineId>& failed,
+                                    Bytes* slate) {
+  const std::string& updater = ops_[op].spec->name;
+  Result<Worker*> worker = RouteToWorker(updater, key, failed);
   if (!worker.ok()) return worker.status();
-  Bytes slate;
-  MUPPET_RETURN_IF_ERROR(
-      FetchThroughCache(worker.value()->cache.get(), updater, key, &slate));
-  return slate;
-}
-
-std::vector<HotKeyInfo> Muppet1Engine::HotKeys() const {
-  std::vector<HotKeyInfo> out;
-  if (heat_ == nullptr) return out;
-  for (const HeatEntry& e : heat_->TopK(16)) {
-    if (e.function_id < 0 ||
-        static_cast<size_t>(e.function_id) >= ops_.size()) {
-      continue;
-    }
-    HotKeyInfo info;
-    info.function = ops_[static_cast<size_t>(e.function_id)].spec->name;
-    info.key = e.key;
-    info.sampled_count = e.count;
-    out.push_back(std::move(info));
-  }
-  return out;
-}
-
-void Muppet1Engine::RegisterEngineMetrics() {
-  if (heat_ != nullptr) {
-    metrics_.RegisterCallback("muppet_heat_samples_total", {},
-                              MetricType::kCounter,
-                              [this] { return heat_->samples_recorded(); });
-  }
-  for (const auto& machine_ptr : machines_) {
-    const auto* machine = static_cast<const MachineCtx*>(machine_ptr.get());
-    for (const auto& worker_ptr : machine->workers) {
-      const Worker* worker = worker_ptr.get();
-      metrics_.RegisterCallback(
-          "muppet_queue_depth",
-          {{"machine", std::to_string(machine->id)},
-           {"operator", ops_[worker->op].spec->name},
-           {"slot", std::to_string(worker->ref.slot)}},
-          MetricType::kGauge,
-          [worker] { return static_cast<int64_t>(worker->queue->size()); });
-    }
-  }
+  return FetchThroughCache(worker.value()->cache.get(), updater, key, slate);
 }
 
 }  // namespace muppet

@@ -14,8 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/heat.h"
-#include "engine/machine_runtime.h"
+#include "engine/engine.h"
 
 namespace muppet {
 
@@ -56,23 +55,15 @@ class TaskProcessor {
 
 }  // namespace engine_internal
 
-class Muppet1Engine final : public MachineRuntime {
+class Muppet1Engine final : public Engine {
  public:
   // `config` must outlive the engine and Validate() OK at Start().
   Muppet1Engine(const AppConfig& config, EngineOptions options);
   ~Muppet1Engine() override;
 
-  Result<Bytes> FetchSlate(const std::string& updater,
-                           BytesView key) override;
-  // Heat observation only: Muppet 1.0 never splits keys (load_manager
-  // control loops are 2.0-only), so rows report split=false.
-  std::vector<HotKeyInfo> HotKeys() const override;
-  // 1.0 runs no load-management control loop; nothing to pause.
-  void PauseLoadManagement() override {}
-
  private:
   struct Worker {
-    // Interned operator id (MachineRuntime::ops_), also its trace label.
+    // Interned operator id (Engine::ops_), also its trace label.
     uint32_t op = 0;
     WorkerRef ref;
     std::unique_ptr<EventQueue> queue;
@@ -90,7 +81,8 @@ class Muppet1Engine final : public MachineRuntime {
     return static_cast<MachineCtx*>(Machine(m));
   }
 
-  // MachineRuntime hooks.
+  // Worker-model hooks. PrepareEngine rejects the options 1.0 does not
+  // run: a hosted subset, an external transport and the load manager.
   Status PrepareEngine() override;
   Status BuildMachine(MachineId id,
                       std::unique_ptr<MachineBase>* machine) override;
@@ -101,7 +93,11 @@ class Muppet1Engine final : public MachineRuntime {
   // membership, so their keys route back to the same slots.
   SlateCache* ReplayCache(MachineBase* machine, const std::string& updater,
                           BytesView key) override;
-  void RegisterEngineMetrics() override;
+  // §4.4: resolve the owning worker and read its cache (forwarding
+  // "internally" — here, direct access), not the durable store.
+  Status ReadLiveSlate(uint32_t op, BytesView key,
+                       const std::set<MachineId>& failed,
+                       Bytes* slate) override;
   void DeliverPublished(Event event) override;
 
   Status ProcessOne(Worker* worker, const RoutedEvent& re);
@@ -112,7 +108,7 @@ class Muppet1Engine final : public MachineRuntime {
 
   // Send one event to the worker of operator `op` that owns its key over
   // the ring view `failed`, as a slot-prefixed frame of one through the
-  // shared §4.3 send (MachineRuntime::SendRouted). `key_hash` is
+  // shared §4.3 send (Engine::SendRouted). `key_hash` is
   // Fnv1a64(event.key).
   void SendToWorker(MachineId from, const Worker* sender, uint32_t op,
                     uint64_t key_hash, const std::set<MachineId>& failed,
@@ -127,11 +123,6 @@ class Muppet1Engine final : public MachineRuntime {
   // The worker that owns (function, key) over the ring view `failed`.
   Result<Worker*> RouteToWorker(const std::string& function, BytesView key,
                                 const std::set<MachineId>& failed) const;
-
-  // Engine-wide heat sketch, keyed by operator id (created at Start()
-  // when options_.load_manager.enabled; 1.0 has no per-machine dispatch
-  // point, every send funnels through SendToWorker).
-  std::unique_ptr<HeatTracker> heat_;
 };
 
 }  // namespace muppet

@@ -89,8 +89,7 @@ class Muppet2Engine::DirectUtilities final : public PerformerUtilities {
 };
 
 Muppet2Engine::Muppet2Engine(const AppConfig& config, EngineOptions options)
-    : MachineRuntime(config, std::move(options), "muppet2",
-                     /*load_manager_paces_source=*/true),
+    : Engine(config, std::move(options), "muppet2"),
       secondary_dispatch_(
           metrics_.GetCounter("muppet_secondary_dispatch_total")),
       slate_contention_(
@@ -143,7 +142,6 @@ Status Muppet2Engine::BuildMachine(MachineId id,
 
   for (int t = 0; t < options_.threads_per_machine; ++t) {
     auto thread_ctx = std::make_unique<ThreadCtx>();
-    thread_ctx->index = t;
     thread_ctx->queue = std::make_unique<EventQueue>(options_.queue_capacity);
     machine->lanes.push_back({thread_ctx->queue.get(), std::thread()});
     machine->threads.push_back(std::move(thread_ctx));
@@ -162,7 +160,7 @@ Status Muppet2Engine::BuildMachine(MachineId id,
 }
 
 Status Muppet2Engine::Start() {
-  MUPPET_RETURN_IF_ERROR(MachineRuntime::Start());
+  MUPPET_RETURN_IF_ERROR(Engine::Start());
   if (options_.load_manager.enabled) {
     lm_controller_ = std::make_unique<LoadController>(options_.load_manager);
     control_threads_.emplace_back([this] { LoadManagerLoop(); });
@@ -576,11 +574,7 @@ Status Muppet2Engine::ProcessControl(MachineCtx* machine,
       static_cast<uint64_t>(re.split_epoch));
   {
     MutexLock guard(machine->slate_locks[re.work % kSlateLockStripes]);
-    bool fresh = false;
-    {
-      MutexLock dedupe(machine->merge_dedupe_mutex);
-      fresh = machine->merge_applied.insert(dedupe_key).second;
-    }
+    const bool fresh = machine->merge_applied.CheckAndInsert(dedupe_key);
     const SlateMerger& merger = op.spec->updater_options.merger;
     if (fresh && merger != nullptr) {
       Bytes base;
@@ -660,46 +654,29 @@ SlateCache* Muppet2Engine::ReplayCache(MachineBase* machine,
   return static_cast<MachineCtx*>(machine)->cache.get();
 }
 
-Result<Bytes> Muppet2Engine::FetchSlate(const std::string& updater,
-                                        BytesView key) {
-  if (!started_) return Status::FailedPrecondition("engine not started");
-  const OperatorSpec* spec = config_.FindOperator(updater);
-  if (spec == nullptr || spec->kind != OperatorKind::kUpdater) {
-    return Status::NotFound("no such updater: " + updater);
-  }
-  const std::set<MachineId> failed = FailedOrCrashed();
-
-  // A split key's state is spread over the base slate plus one slate per
-  // shard; fold them with the updater's merger at read time (paper §5
-  // Example 6's re-aggregation). Draining entries aggregate the same way
-  // — shards the merge sweeps have not collected yet still count here.
-  const int32_t fid = OpId(updater);
+Status Muppet2Engine::ReadLiveSlate(uint32_t op, BytesView key,
+                                    const std::set<MachineId>& failed,
+                                    Bytes* slate) {
+  const OperatorSpec& spec = *ops_[op].spec;
+  // Paper §5 Example 6's re-aggregation. Draining entries aggregate the
+  // same way — shards the merge sweeps have not collected yet still count
+  // here.
   SplitTable::State state;
-  if (fid >= 0 && split_table_.Lookup(fid, key, &state) &&
-      spec->updater_options.merger != nullptr) {
-    Bytes acc;
-    bool has = false;
-    Bytes part;
-    if (FetchRoutedSlate(updater, key, failed, &part).ok()) {
-      acc = std::move(part);
+  if (!split_table_.Lookup(static_cast<int32_t>(op), key, &state) ||
+      spec.updater_options.merger == nullptr) {
+    return FetchRoutedSlate(spec.name, key, failed, slate);
+  }
+  bool has = FetchRoutedSlate(spec.name, key, failed, slate).ok();
+  Bytes part;
+  for (int shard = 0; shard < state.shards; ++shard) {
+    part.clear();
+    if (FetchRoutedSlate(spec.name, MakeSplitKey(key, shard), failed, &part)
+            .ok()) {
+      *slate = spec.updater_options.merger(has ? slate : nullptr, part);
       has = true;
     }
-    for (int shard = 0; shard < state.shards; ++shard) {
-      const Bytes shard_key = MakeSplitKey(key, shard);
-      part.clear();
-      if (FetchRoutedSlate(updater, shard_key, failed, &part).ok()) {
-        acc = spec->updater_options.merger(has ? &acc : nullptr, part);
-        has = true;
-      }
-    }
-    if (!has) return Status::NotFound("slate absent");
-    return acc;
   }
-
-  Bytes slate;
-  Status s = FetchRoutedSlate(updater, key, failed, &slate);
-  if (!s.ok()) return s;
-  return slate;
+  return has ? Status::OK() : Status::NotFound("slate absent");
 }
 
 size_t Muppet2Engine::LargestQueueDepth() const {
@@ -924,20 +901,12 @@ void Muppet2Engine::RegisterEngineMetrics() {
   for (const auto& slot : machines_) {
     const auto* machine = static_cast<const MachineCtx*>(slot.get());
     if (machine == nullptr) continue;
-    const MetricLabels m_label = {{"machine", std::to_string(machine->id)}};
     if (machine->heat != nullptr) {
       HeatTracker* heat = machine->heat.get();
       metrics_.RegisterCallback(
-          "muppet_heat_samples_total", m_label, MetricType::kCounter,
+          "muppet_heat_samples_total",
+          {{"machine", std::to_string(machine->id)}}, MetricType::kCounter,
           [heat] { return heat->samples_recorded(); });
-    }
-    for (const auto& thread_ptr : machine->threads) {
-      ThreadCtx* thread = thread_ptr.get();
-      MetricLabels qt_label = m_label;
-      qt_label.emplace_back("thread", std::to_string(thread->index));
-      metrics_.RegisterCallback(
-          "muppet_queue_depth", qt_label, MetricType::kGauge,
-          [thread] { return static_cast<int64_t>(thread->queue->size()); });
     }
   }
 }

@@ -9,8 +9,8 @@
 //
 // Datapath (the §4.5 "no serialization within the machine" argument,
 // implemented literally):
-//  * routed events carry the operator's interned id (MachineRuntime's
-//    operator table) plus a work hash computed exactly once;
+//  * routed events carry the operator's interned id (Engine's operator
+//    table) plus a work hash computed exactly once;
 //  * an event routed to the sender's own machine moves straight into
 //    dispatch — no wire encode, no transport hop, no decode;
 //  * dispatch locks at most the two candidate queues (sticky-owner check
@@ -32,19 +32,17 @@
 
 #include "core/heat.h"
 #include "core/keysplit.h"
-#include "engine/machine_runtime.h"
+#include "engine/engine.h"
 
 namespace muppet {
 
-class Muppet2Engine final : public MachineRuntime {
+class Muppet2Engine final : public Engine {
  public:
   Muppet2Engine(const AppConfig& config, EngineOptions options);
   ~Muppet2Engine() override;
 
   // The shared runtime, then the load-management control loop.
   Status Start() override;
-  Result<Bytes> FetchSlate(const std::string& updater,
-                           BytesView key) override;
   std::vector<HotKeyInfo> HotKeys() const override;
   void PauseLoadManagement() override;
 
@@ -72,17 +70,15 @@ class Muppet2Engine final : public MachineRuntime {
   // outermost lock in the system: an updater's publishes — and so queue,
   // transport, cache, and store acquisitions — all happen under it.
   static constexpr LockLevel kSlateStripeLockLevel = LockLevel::kSlateStripe;
-  static constexpr LockLevel kMergeDedupeLockLevel = LockLevel::kMergeDedupe;
 
  private:
   static constexpr size_t kSlateLockStripes = 64;
   // Max events a worker drains from its queue per lock acquisition.
   static constexpr size_t kWorkerPopBatch = 32;
 
-  // One pool thread: its queue (drained by lane `index`) and the work
-  // unit it is processing.
+  // One pool thread: its queue (drained by the lane at its index in
+  // MachineCtx::threads) and the work unit it is processing.
   struct ThreadCtx {
-    int index = 0;
     std::unique_ptr<EventQueue> queue;
     // Hash of the (function, key) currently being processed; 0 = idle.
     std::atomic<uint64_t> current{0};
@@ -110,8 +106,10 @@ class Muppet2Engine final : public MachineRuntime {
     // Merge-delta dedupe: the fault injector may duplicate a frame, and
     // folding the same shard slate into the base key twice would
     // overcount. Keyed by hash of (function, base key, shard, round).
-    mutable Mutex merge_dedupe_mutex{kMergeDedupeLockLevel};
-    std::set<uint64_t> merge_applied MUPPET_GUARDED_BY(merge_dedupe_mutex);
+    // FIFO-bounded: the injector queues a duplicate right behind its
+    // original, and a round emits at most max_splits * split_shards
+    // deltas, far below the table's capacity.
+    DedupTable merge_applied{DedupTable::kMachineCapacity};
   };
 
   class DirectUtilities;
@@ -120,7 +118,7 @@ class Muppet2Engine final : public MachineRuntime {
     return static_cast<MachineCtx*>(Machine(m));
   }
 
-  // MachineRuntime hooks.
+  // Worker-model hooks.
   Status PrepareEngine() override;
   Status BuildMachine(MachineId id,
                       std::unique_ptr<MachineBase>* machine) override;
@@ -129,6 +127,11 @@ class Muppet2Engine final : public MachineRuntime {
   // The central cache holds every slate on the machine.
   SlateCache* ReplayCache(MachineBase* machine, const std::string& updater,
                           BytesView key) override;
+  // A split key's state is spread over the base slate plus one slate per
+  // shard; they are folded with the updater's merger at read time.
+  Status ReadLiveSlate(uint32_t op, BytesView key,
+                       const std::set<MachineId>& failed,
+                       Bytes* slate) override;
   void RegisterEngineMetrics() override;
   void DeliverPublished(Event event) override;
 
@@ -178,14 +181,14 @@ class Muppet2Engine final : public MachineRuntime {
   void FlushRemoteBatch(MachineId from, uint64_t sender_work, MachineId to,
                         std::vector<RoutedEvent> batch);
 
-  // One event through the shared §4.3 send (MachineRuntime::SendRouted):
+  // One event through the shared §4.3 send (Engine::SendRouted):
   // to its own machine straight into Dispatch, with no encode and no
   // transport hop; to another machine as a frame of one.
   void SendOne(MachineId from, uint64_t sender_work, MachineId to,
                RoutedEvent re);
 
-  // FetchSlate helper: route `key` over the live ring and read the owning
-  // machine's cache/store.
+  // ReadLiveSlate helper: route `key` over the live ring and read the
+  // owning machine's cache/store.
   Status FetchRoutedSlate(const std::string& updater, BytesView key,
                           const std::set<MachineId>& failed, Bytes* slate);
 
@@ -211,7 +214,7 @@ class Muppet2Engine final : public MachineRuntime {
   // muppet-lint: allow(guarded): confined to the load-manager thread
   std::map<std::pair<int32_t, Bytes>, MergeProgress> merge_progress_;
 
-  // 2.0-only registry children (the shared ones live in MachineRuntime).
+  // 2.0-only registry children (the shared ones live in Engine).
   Counter* secondary_dispatch_;
   Counter* slate_contention_;
   Counter* splits_installed_;

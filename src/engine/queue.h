@@ -38,7 +38,7 @@ enum : uint8_t {
 // (§4.5). Both engines queue and send the same record.
 struct RoutedEvent {
   Event event;
-  // Interned destination function id (MachineRuntime's operator table).
+  // Interned destination function id (Engine's operator table).
   int32_t function_id = -1;
   // Cached work-unit hash of <function, routing key>; 0 = not computed.
   // For split keys this hashes the shard sub-key, not event.key.

@@ -99,8 +99,10 @@ class TcpTransport : public Transport {
   explicit TcpTransport(TcpTransportOptions options);
   ~TcpTransport() override;
 
-  Status Start() override;
-  void Stop() override;
+  // Bind the listener and begin dialing peers. Stop() is idempotent and
+  // joins the IO thread.
+  Status Start();
+  void Stop();
 
   Status RegisterMachine(MachineId id, Handler handler) override;
   void UnregisterMachine(MachineId id) override;
@@ -109,9 +111,13 @@ class TcpTransport : public Transport {
                    uint64_t fault_signature = 0) override;
   void Crash(MachineId id) override;
   void Restore(MachineId id) override;
-  bool IsUp(MachineId id) const override;
+  // A local machine not crashed, or a remote one whose peer is connected.
+  bool IsUp(MachineId id) const;
   int64_t SendAttemptsTo(MachineId id) const override;
-  Status FlushOutbound(Timestamp timeout_micros) override;
+  // Block until every queued outbound byte for every peer is handed to
+  // the kernel, or `timeout_micros` elapses (TimedOut). Clean-shutdown
+  // aid for muppetd.
+  Status FlushOutbound(Timestamp timeout_micros);
 
   // The actual bound data port (valid after Start()).
   int listen_port() const { return listen_port_.load(std::memory_order_acquire); }

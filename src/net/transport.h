@@ -110,12 +110,6 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  // Lifecycle. The in-memory fabric is born started; socket backends
-  // bind their listener and begin dialing peers here. Stop() is
-  // idempotent and joins any IO threads.
-  virtual Status Start() { return Status::OK(); }
-  virtual void Stop() {}
-
   // Register a machine hosted by THIS transport instance and its delivery
   // handler. Fails with AlreadyExists if the id is taken locally.
   virtual Status RegisterMachine(MachineId id, Handler handler) = 0;
@@ -150,21 +144,11 @@ class Transport {
   // Bring a crashed machine back.
   virtual void Restore(MachineId id) = 0;
 
-  virtual bool IsUp(MachineId id) const = 0;
-
   // Deliver every message still held back by reorder faults, regardless
   // of remaining window. Chaos harnesses call this before Drain() so no
   // accepted-but-undelivered message outlives the run. No-op for
   // backends without a fault plan.
   virtual void FlushHeld() {}
-
-  // Block until every queued outbound byte for every peer is handed to
-  // the kernel, or `timeout_micros` elapses (TimedOut). No-op
-  // for synchronous backends. Clean-shutdown aid for muppetd.
-  virtual Status FlushOutbound(Timestamp timeout_micros) {
-    (void)timeout_micros;
-    return Status::OK();
-  }
 
   // Cross-machine send/frame attempts routed at machine `id` since
   // Start, whatever their outcome; held-message releases do not count
@@ -229,7 +213,8 @@ class InMemoryTransport : public Transport {
   void FlushHeld() override;
   void Crash(MachineId id) override;
   void Restore(MachineId id) override;
-  bool IsUp(MachineId id) const override;
+  // False while `id` is crashed or unknown.
+  bool IsUp(MachineId id) const;
   int64_t SendAttemptsTo(MachineId id) const override;
 
   const TransportOptions& options() const { return options_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -27,6 +26,14 @@
 
 namespace muppet {
 namespace chaos {
+
+std::unique_ptr<Engine> MakeEngine(EngineKind kind, const AppConfig& config,
+                                   const EngineOptions& options) {
+  if (kind == EngineKind::kMuppet1) {
+    return std::make_unique<Muppet1Engine>(config, options);
+  }
+  return std::make_unique<Muppet2Engine>(config, options);
+}
 
 namespace {
 
@@ -261,10 +268,10 @@ ScenarioResult ScenarioRunner::Run() {
   eo.durability.dir = options_.durability_dir;
   eo.durability.sync_every_records = options_.sync_every_records;
   eo.durability.checkpoint_every_records = options_.checkpoint_every_records;
-  if (options_.hot_split) {
+  if (options_.hot_split && options_.engine == EngineKind::kMuppet2) {
     // Aggressive self-tuning so a split triggers (and later merges back)
-    // within a handful of 100ms steps. Placement stays off: overrides
-    // move key ownership, which the strict oracle treats as disruptive.
+    // within a handful of 100ms steps. Muppet 1.0 runs no load manager:
+    // its hot_split run is the skewed workload alone.
     eo.load_manager.enabled = true;
     eo.load_manager.tick_micros = 2 * kMicrosPerMilli;
     eo.load_manager.heat.sample_period = 4;
@@ -274,26 +281,7 @@ ScenarioResult ScenarioRunner::Run() {
     eo.load_manager.split_shards = 4;
   }
 
-  std::unique_ptr<Muppet1Engine> m1;
-  std::unique_ptr<Muppet2Engine> m2;
-  Engine* engine = nullptr;
-  Transport* transport = nullptr;
-  Master* master = nullptr;
-  std::function<std::set<MachineId>(MachineId)> known_failed;
-  if (options_.engine == EngineKind::kMuppet1) {
-    m1 = std::make_unique<Muppet1Engine>(config, eo);
-    engine = m1.get();
-    transport = &m1->transport();
-    master = &m1->master();
-    known_failed = [&m1](MachineId m) { return m1->KnownFailedOn(m); };
-  } else {
-    m2 = std::make_unique<Muppet2Engine>(config, eo);
-    engine = m2.get();
-    transport = &m2->transport();
-    master = &m2->master();
-    known_failed = [&m2](MachineId m) { return m2->KnownFailedOn(m); };
-  }
-
+  std::unique_ptr<Engine> engine = MakeEngine(options_.engine, config, eo);
   s = engine->Start();
   if (!s.ok()) {
     fail("scenario: engine start: " + s.ToString());
@@ -346,7 +334,7 @@ ScenarioResult ScenarioRunner::Run() {
     std::atomic<bool> drained{false};
     std::thread flush_pump([&]() {
       while (!drained.load(std::memory_order_acquire)) {
-        transport->FlushHeld();
+        engine->transport().FlushHeld();
         // Pacing only: the quiesce result depends on the drained flag,
         // not on how many times this loop spins, so real-time sleep
         // cannot leak into oracle-visible state.
@@ -391,10 +379,10 @@ ScenarioResult ScenarioRunner::Run() {
       break;
     }
 
-    const std::set<MachineId> failed_now = master->failed();
+    const std::set<MachineId> failed_now = engine->master().failed();
     for (MachineId m : failed_now) {
       if (dead_attempts.find(m) == dead_attempts.end()) {
-        dead_attempts[m] = transport->SendAttemptsTo(m);
+        dead_attempts[m] = engine->transport().SendAttemptsTo(m);
       }
     }
     for (auto it = dead_attempts.begin(); it != dead_attempts.end();) {
@@ -417,7 +405,7 @@ ScenarioResult ScenarioRunner::Run() {
   // ---- Invariant D: the ring reroutes; nothing is sent to a machine
   // whose failure is cluster-known.
   for (const auto& [m, snapshot] : dead_attempts) {
-    const int64_t now_attempts = transport->SendAttemptsTo(m);
+    const int64_t now_attempts = engine->transport().SendAttemptsTo(m);
     if (now_attempts > snapshot) {
       fail("invariant D (rerouting): machine " + std::to_string(m) +
            " received " + std::to_string(now_attempts - snapshot) +
@@ -427,10 +415,10 @@ ScenarioResult ScenarioRunner::Run() {
 
   // ---- Invariant C: every live machine's failed set converged to the
   // master's (the §4.3 broadcast reached everyone).
-  const std::set<MachineId> master_failed = master->failed();
+  const std::set<MachineId> master_failed = engine->master().failed();
   for (MachineId m = 0; m < options_.num_machines; ++m) {
     if (crashed.count(m) > 0) continue;
-    if (known_failed(m) != master_failed) {
+    if (engine->KnownFailedOn(m) != master_failed) {
       fail("invariant C (convergence): machine " + std::to_string(m) +
            "'s failed set differs from the master's");
     }
@@ -443,8 +431,8 @@ ScenarioResult ScenarioRunner::Run() {
   // rather than processing it twice. (kOverflowStream re-routes instead
   // of settling, so it is exempt.)
   result.stats = engine->Stats();
-  result.messages_duplicated = transport->messages_duplicated();
-  result.messages_held = transport->messages_held();
+  result.messages_duplicated = engine->transport().messages_duplicated();
+  result.messages_held = engine->transport().messages_held();
   result.faults_dropped = injector.dropped();
   if (options_.overflow_policy != OverflowPolicy::kOverflowStream) {
     const int64_t pushed = result.stats.events_published +
@@ -583,7 +571,7 @@ ScenarioResult ScenarioRunner::Run() {
   }
 
   if (!result.violations.empty()) {
-    DumpFlightRecorder(options_, engine, &result);
+    DumpFlightRecorder(options_, engine.get(), &result);
   }
 
   (void)engine->Stop();

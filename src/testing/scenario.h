@@ -22,6 +22,7 @@
 #define MUPPET_TESTING_SCENARIO_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@ namespace muppet {
 namespace chaos {
 
 enum class EngineKind { kMuppet1, kMuppet2 };
+
+// A Muppet1Engine or Muppet2Engine over `config` (which must outlive it).
+std::unique_ptr<Engine> MakeEngine(EngineKind kind, const AppConfig& config,
+                                   const EngineOptions& options);
 
 struct ScenarioOptions {
   EngineKind engine = EngineKind::kMuppet2;

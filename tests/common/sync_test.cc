@@ -249,7 +249,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(Muppet2Engine::kSlateStripeLockLevel, LockLevel::kSlateStripe);
   EXPECT_EQ(Muppet2Engine::kTapsLockLevel, LockLevel::kTaps);
   EXPECT_EQ(SplitTable::kLockLevel, LockLevel::kSplitTable);
-  EXPECT_EQ(Muppet2Engine::kMergeDedupeLockLevel, LockLevel::kMergeDedupe);
   EXPECT_EQ(HeatTracker::kLockLevel, LockLevel::kHeat);
   EXPECT_EQ(Muppet2Engine::kFailedSetLockLevel, LockLevel::kFailedSet);
   EXPECT_EQ(Muppet2Engine::kDrainLockLevel, LockLevel::kDrain);
@@ -286,11 +285,10 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   // failed-set -> drain/throttle -> cache -> store.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kTaps));
   // Load-management plane: the dispatch path consults the split table and
-  // heat sketch under a stripe; merge sweeps take the dedupe lock after
-  // taps.
+  // heat sketch under a stripe; a merge delta checks the dedup table
+  // under its stripe.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kSplitTable));
-  EXPECT_TRUE(lt(LockLevel::kTaps, LockLevel::kMergeDedupe));
-  EXPECT_TRUE(lt(LockLevel::kSplitTable, LockLevel::kMergeDedupe));
+  EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kDedupTable));
   EXPECT_TRUE(lt(LockLevel::kFaultHold, LockLevel::kHeat));
   EXPECT_TRUE(lt(LockLevel::kHeat, LockLevel::kQueue));
   EXPECT_TRUE(lt(LockLevel::kTaps, LockLevel::kTransport));

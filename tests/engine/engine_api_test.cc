@@ -12,11 +12,11 @@
 #include "core/reference_executor.h"
 #include "core/slate.h"
 #include "engine/muppet1.h"
-#include "engine/muppet2.h"
 #include "engine/slatelog.h"
 #include "gtest/gtest.h"
 #include "json/json.h"
 #include "net/transport.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 
@@ -25,16 +25,8 @@ namespace {
 
 using ::muppet::testing::BuildCountingApp;
 using ::muppet::testing::TempDir;
-
-enum class EngineKind { kMuppet1, kMuppet2 };
-
-std::unique_ptr<Engine> MakeEngine(EngineKind kind, const AppConfig& config,
-                                   const EngineOptions& options) {
-  if (kind == EngineKind::kMuppet1) {
-    return std::make_unique<Muppet1Engine>(config, options);
-  }
-  return std::make_unique<Muppet2Engine>(config, options);
-}
+using ::muppet::chaos::EngineKind;
+using ::muppet::chaos::MakeEngine;
 
 class EngineApiTest : public ::testing::TestWithParam<EngineKind> {};
 
@@ -54,15 +46,7 @@ TEST_P(EngineApiTest, PublishAtValidatesTimestamps) {
   EngineOptions options;
   auto engine = MakeEngine(GetParam(), config, options);
   std::atomic<Timestamp> out_ts{0};
-  if (GetParam() == EngineKind::kMuppet1) {
-    static_cast<Muppet1Engine*>(engine.get())
-        ->TapStream("out",
-                    [&out_ts](const Event& e) { out_ts.store(e.ts); });
-  } else {
-    static_cast<Muppet2Engine*>(engine.get())
-        ->TapStream("out",
-                    [&out_ts](const Event& e) { out_ts.store(e.ts); });
-  }
+  engine->TapStream("out", [&out_ts](const Event& e) { out_ts.store(e.ts); });
   ASSERT_OK(engine->Start());
   ASSERT_OK(engine->Publish("in", "k", "", 1000));
   ASSERT_OK(engine->Drain());
@@ -87,15 +71,7 @@ TEST_P(EngineApiTest, SinkStreamEventsAreObservableAndCounted) {
   EngineOptions options;
   auto engine = MakeEngine(GetParam(), config, options);
   std::atomic<int> sink_events{0};
-  if (GetParam() == EngineKind::kMuppet1) {
-    static_cast<Muppet1Engine*>(engine.get())
-        ->TapStream("sink",
-                    [&sink_events](const Event&) { sink_events++; });
-  } else {
-    static_cast<Muppet2Engine*>(engine.get())
-        ->TapStream("sink",
-                    [&sink_events](const Event&) { sink_events++; });
-  }
+  engine->TapStream("sink", [&sink_events](const Event&) { sink_events++; });
   ASSERT_OK(engine->Start());
   for (int i = 0; i < 20; ++i) ASSERT_OK(engine->Publish("in", "k", "", i + 1));
   ASSERT_OK(engine->Drain());
@@ -208,7 +184,7 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
   ASSERT_OK(engine->Publish("in", "k", "", 1));
   ASSERT_OK(engine->Drain());
 
-  // The 45 families both engines register.
+  // The 47 families both engines register.
   std::set<std::string> expected = {
       "muppet_build_info{consistency,engine,version}",
       "muppet_checkpoints_total{}",
@@ -228,6 +204,7 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
       "muppet_machine_up{machine}",
       "muppet_operator_instances_total{}",
       "muppet_operator_processed_total{operator}",
+      "muppet_queue_depth{lane,machine}",
       "muppet_slate_cache_capacity{machine}",
       "muppet_slate_cache_hits_total{machine}",
       "muppet_slate_cache_misses_total{machine}",
@@ -236,6 +213,7 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
       "muppet_slate_store_writes_total{}",
       "muppet_slatelog_appends_total{}",
       "muppet_slatelog_corrupt_segments_total{}",
+      "muppet_slatelog_errors_total{}",
       "muppet_slatelog_lsn{machine}",
       "muppet_slatelog_machine_replays_total{machine}",
       "muppet_slatelog_manifest_lsn{machine}",
@@ -256,14 +234,11 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
       "muppet_watchdog_incidents_total{kind}",
       "muppet_watchdog_open_incidents{}",
   };
-  if (GetParam() == EngineKind::kMuppet1) {
-    expected.insert("muppet_queue_depth{machine,operator,slot}");
-  } else {
+  if (GetParam() == EngineKind::kMuppet2) {
     expected.insert({
         "muppet_active_splits{}",
         "muppet_key_merges_total{}",
         "muppet_key_splits_total{}",
-        "muppet_queue_depth{machine,thread}",
         "muppet_queue_wait_us{}",
         "muppet_secondary_dispatch_total{}",
         "muppet_slate_contention_total{}",
@@ -290,6 +265,12 @@ TEST(EngineApiTest, Muppet1RejectsMultiProcessOptions) {
   external.transport_backend = &backend;
   Muppet1Engine external_engine(config, external);
   EXPECT_EQ(external_engine.Start().code(), StatusCode::kInvalidArgument);
+
+  // Nor does it split hot keys: the load manager would never run.
+  EngineOptions load_managed;
+  load_managed.load_manager.enabled = true;
+  Muppet1Engine load_managed_engine(config, load_managed);
+  EXPECT_EQ(load_managed_engine.Start().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ChangelogParityTest, BothEnginesLogTheSameRecords) {

@@ -10,10 +10,9 @@
 #include <tuple>
 
 #include "core/slate.h"
-#include "engine/muppet1.h"
-#include "engine/muppet2.h"
 #include "gtest/gtest.h"
 #include "json/json.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 #include "workload/zipf_keys.h"
@@ -21,6 +20,7 @@
 namespace muppet {
 namespace {
 
+using ::muppet::chaos::EngineKind;
 using ::muppet::testing::BuildCountingApp;
 using ::muppet::testing::BuildFanoutApp;
 using ::muppet::testing::CountOf;
@@ -37,10 +37,9 @@ class EngineShapeTest : public ::testing::TestWithParam<ShapeParams> {
     options.workers_per_function = width;
     options.threads_per_machine = width;
     options.queue_capacity = 1 << 15;
-    if (muppet2) {
-      return std::make_unique<Muppet2Engine>(config, options);
-    }
-    return std::make_unique<Muppet1Engine>(config, options);
+    return chaos::MakeEngine(
+        muppet2 ? EngineKind::kMuppet2 : EngineKind::kMuppet1, config,
+        options);
   }
 };
 

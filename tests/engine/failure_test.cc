@@ -5,10 +5,9 @@
 #include <string>
 
 #include "core/slate_store.h"
-#include "engine/muppet1.h"
-#include "engine/muppet2.h"
 #include "gtest/gtest.h"
 #include "kvstore/cluster.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 
@@ -18,16 +17,8 @@ namespace {
 using ::muppet::testing::BuildCountingApp;
 using ::muppet::testing::CountOf;
 using ::muppet::testing::TempDir;
-
-enum class EngineKind { kMuppet1, kMuppet2 };
-
-std::unique_ptr<Engine> MakeEngine(EngineKind kind, const AppConfig& config,
-                                   const EngineOptions& options) {
-  if (kind == EngineKind::kMuppet1) {
-    return std::make_unique<Muppet1Engine>(config, options);
-  }
-  return std::make_unique<Muppet2Engine>(config, options);
-}
+using ::muppet::chaos::EngineKind;
+using ::muppet::chaos::MakeEngine;
 
 class FailureTest : public ::testing::TestWithParam<EngineKind> {};
 

@@ -11,17 +11,17 @@
 
 #include "core/slate.h"
 #include "core/slate_store.h"
-#include "engine/muppet1.h"
-#include "engine/muppet2.h"
 #include "gtest/gtest.h"
 #include "json/json.h"
 #include "kvstore/cluster.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 
 namespace muppet {
 namespace {
 
+using ::muppet::chaos::EngineKind;
 using ::muppet::testing::BuildCountingApp;
 using ::muppet::testing::TempDir;
 
@@ -55,12 +55,8 @@ TEST_P(FlushPolicyTest, StoreWriteVolumeMatchesPolicy) {
   options.slate_cache_capacity = 1 << 14;  // never evict in this test
   options.slate_store = &store;
   options.flush_poll_micros = 2 * kMicrosPerMilli;
-  std::unique_ptr<Engine> engine;
-  if (muppet2) {
-    engine = std::make_unique<Muppet2Engine>(config, options);
-  } else {
-    engine = std::make_unique<Muppet1Engine>(config, options);
-  }
+  std::unique_ptr<Engine> engine = chaos::MakeEngine(
+      muppet2 ? EngineKind::kMuppet2 : EngineKind::kMuppet1, config, options);
   ASSERT_OK(engine->Start());
 
   constexpr int kEvents = 500;
@@ -130,12 +126,8 @@ TEST_P(FlushPolicyTest, EvictionWritesBackUnderTinyCache) {
   options.threads_per_machine = 1;
   options.slate_cache_capacity = 4;  // far below the key count
   options.slate_store = &store;
-  std::unique_ptr<Engine> engine;
-  if (muppet2) {
-    engine = std::make_unique<Muppet2Engine>(config, options);
-  } else {
-    engine = std::make_unique<Muppet1Engine>(config, options);
-  }
+  std::unique_ptr<Engine> engine = chaos::MakeEngine(
+      muppet2 ? EngineKind::kMuppet2 : EngineKind::kMuppet1, config, options);
   ASSERT_OK(engine->Start());
   // Cyclic sweep over 32 keys with a 4-slot cache: constant eviction.
   for (int i = 0; i < 320; ++i) {

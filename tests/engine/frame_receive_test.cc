@@ -1,5 +1,5 @@
-// The one receive path both engines share (MachineRuntime::ReceiveFrame),
-// fed frames no engine would send. Each is refused whole: nothing is
+// The one receive path both engines share (Engine::ReceiveFrame), fed
+// frames no engine would send. Each is refused whole: nothing is
 // processed, no event is charged to the books for good, and Drain()
 // still returns with nothing in flight. Frames are injected from a
 // machine id outside the cluster, so the receiver charges inflight itself
@@ -7,10 +7,9 @@
 #include <memory>
 #include <string>
 
-#include "engine/muppet1.h"
-#include "engine/muppet2.h"
 #include "engine/wire.h"
 #include "gtest/gtest.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 
@@ -19,8 +18,8 @@ namespace {
 
 using ::muppet::testing::BuildFanoutApp;
 using ::muppet::testing::TempDir;
-
-enum class EngineKind { kMuppet1, kMuppet2 };
+using ::muppet::chaos::EngineKind;
+using ::muppet::chaos::MakeEngine;
 
 // A sender the receiving process does not host.
 constexpr MachineId kExternal = 7;
@@ -28,18 +27,13 @@ constexpr MachineId kExternal = 7;
 constexpr int32_t kCountOp = 0;
 constexpr int32_t kSplitOp = 1;
 
-std::unique_ptr<MachineRuntime> MakeEngine(EngineKind kind,
-                                           const AppConfig& config,
-                                           EngineOptions options) {
+// Two machines; under 1.0, one worker per function per machine: on
+// machine 1, slot 0 runs "count" and slot 1 runs "split".
+EngineOptions TwoMachines(EngineOptions options) {
   options.num_machines = 2;
-  // 1.0: one worker per function per machine; on machine 1, slot 0 runs
-  // "count" and slot 1 runs "split".
   options.workers_per_function = 2;
   options.threads_per_machine = 2;
-  if (kind == EngineKind::kMuppet1) {
-    return std::make_unique<Muppet1Engine>(config, options);
-  }
-  return std::make_unique<Muppet2Engine>(config, options);
+  return options;
 }
 
 Bytes FrameOfOne(int32_t function_id, uint64_t dedup = 0) {
@@ -64,7 +58,7 @@ Bytes Payload(EngineKind kind, uint32_t slot, const Bytes& frame) {
   return out;
 }
 
-Status Inject(MachineRuntime& engine, const Bytes& payload) {
+Status Inject(Engine& engine, const Bytes& payload) {
   size_t accepted = 0;
   Status s = engine.transport().SendBatch(kExternal, 1, payload, 1, &accepted,
                                           /*fault_signature=*/0);
@@ -73,7 +67,7 @@ Status Inject(MachineRuntime& engine, const Bytes& payload) {
 }
 
 // Nothing reached an operator, and the books are where they started.
-void ExpectUntouched(MachineRuntime& engine) {
+void ExpectUntouched(Engine& engine) {
   ASSERT_OK(engine.Drain());
   EXPECT_EQ(engine.InflightEvents(), 0);
   const EngineStats stats = engine.Stats();
@@ -84,7 +78,7 @@ void ExpectUntouched(MachineRuntime& engine) {
 
 // The engine still conserves events after the refusals: every published
 // event reaches "split", and both of its copies reach "count".
-void ExpectConservesAfterwards(MachineRuntime& engine) {
+void ExpectConservesAfterwards(Engine& engine) {
   constexpr int kEvents = 50;
   for (int i = 0; i < kEvents; ++i) {
     ASSERT_OK(engine.Publish("in", "k" + std::to_string(i % 5), "", i + 1));
@@ -104,7 +98,7 @@ class FrameReceiveTest : public ::testing::TestWithParam<EngineKind> {};
 TEST_P(FrameReceiveTest, UnknownFunctionIdIsCorruption) {
   AppConfig config;
   BuildFanoutApp(&config);
-  auto engine = MakeEngine(GetParam(), config, {});
+  auto engine = MakeEngine(GetParam(), config, TwoMachines({}));
   ASSERT_OK(engine->Start());
   const Status s = Inject(*engine, Payload(GetParam(), 0, FrameOfOne(99)));
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -116,7 +110,7 @@ TEST_P(FrameReceiveTest, UnknownFunctionIdIsCorruption) {
 TEST_P(FrameReceiveTest, TruncatedFrameIsCorruption) {
   AppConfig config;
   BuildFanoutApp(&config);
-  auto engine = MakeEngine(GetParam(), config, {});
+  auto engine = MakeEngine(GetParam(), config, TwoMachines({}));
   ASSERT_OK(engine->Start());
   const Bytes whole = FrameOfOne(kCountOp);
   for (const size_t cut : {size_t{0}, size_t{1}, whole.size() / 2,
@@ -139,7 +133,7 @@ TEST_P(FrameReceiveTest, RedeliveredFrameSettlesAsDeduped) {
   EngineOptions options;
   options.durability.consistency = Consistency::kExactlyOnce;
   options.durability.dir = dir.path();
-  auto engine = MakeEngine(GetParam(), config, options);
+  auto engine = MakeEngine(GetParam(), config, TwoMachines(options));
   ASSERT_OK(engine->Start());
   const Bytes payload = Payload(GetParam(), 0, FrameOfOne(kCountOp, 42));
   ASSERT_OK(Inject(*engine, payload));
@@ -172,7 +166,8 @@ TEST(FrameReceiveMuppet1Test, SlotOfAnotherFunctionIsRefused) {
   EngineOptions options;
   options.durability.consistency = Consistency::kExactlyOnce;
   options.durability.dir = dir.path();
-  auto engine = MakeEngine(EngineKind::kMuppet1, config, options);
+  auto engine =
+      MakeEngine(EngineKind::kMuppet1, config, TwoMachines(options));
   ASSERT_OK(engine->Start());
   const Bytes frame = FrameOfOne(kCountOp, 42);
   for (const uint32_t slot : {1u, 7u}) {

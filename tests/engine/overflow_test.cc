@@ -6,9 +6,8 @@
 #include <string>
 
 #include "core/hash_ring.h"
-#include "engine/muppet1.h"
-#include "engine/muppet2.h"
 #include "gtest/gtest.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 
@@ -16,17 +15,8 @@ namespace muppet {
 namespace {
 
 using ::muppet::testing::CountOf;
-
-enum class EngineKind { kMuppet1, kMuppet2 };
-
-std::unique_ptr<MachineRuntime> MakeEngine(EngineKind kind,
-                                           const AppConfig& config,
-                                           const EngineOptions& options) {
-  if (kind == EngineKind::kMuppet1) {
-    return std::make_unique<Muppet1Engine>(config, options);
-  }
-  return std::make_unique<Muppet2Engine>(config, options);
-}
+using ::muppet::chaos::EngineKind;
+using ::muppet::chaos::MakeEngine;
 
 // Counting updater that takes `work_micros` per event — a deliberately
 // slow consumer to back up its queue.

@@ -12,10 +12,9 @@
 #include "apps/retailer.h"
 #include "core/reference_executor.h"
 #include "core/slate.h"
-#include "engine/muppet1.h"
-#include "engine/muppet2.h"
 #include "gtest/gtest.h"
 #include "json/json.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 #include "workload/checkins.h"
@@ -23,15 +22,8 @@
 namespace muppet {
 namespace {
 
-enum class EngineKind { kMuppet1, kMuppet2 };
-
-std::unique_ptr<Engine> MakeEngine(EngineKind kind, const AppConfig& config,
-                                   const EngineOptions& options) {
-  if (kind == EngineKind::kMuppet1) {
-    return std::make_unique<Muppet1Engine>(config, options);
-  }
-  return std::make_unique<Muppet2Engine>(config, options);
-}
+using ::muppet::chaos::EngineKind;
+using ::muppet::chaos::MakeEngine;
 
 class ParityTest : public ::testing::TestWithParam<EngineKind> {};
 
@@ -215,13 +207,7 @@ TEST_P(ParityTest, LockstepMatchesReferenceForOrderSensitiveApp) {
   options.threads_per_machine = 2;
   auto engine = MakeEngine(GetParam(), config, options);
   std::atomic<int> hot{0};
-  if (GetParam() == EngineKind::kMuppet1) {
-    static_cast<Muppet1Engine*>(engine.get())
-        ->TapStream("S4", [&hot](const Event&) { hot.fetch_add(1); });
-  } else {
-    static_cast<Muppet2Engine*>(engine.get())
-        ->TapStream("S4", [&hot](const Event&) { hot.fetch_add(1); });
-  }
+  engine->TapStream("S4", [&hot](const Event&) { hot.fetch_add(1); });
   ASSERT_OK(engine->Start());
   for (const auto& [user, json, ts] : tweets) {
     ASSERT_OK(engine->Publish("S1", user, json, ts));

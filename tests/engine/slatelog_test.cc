@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,9 +17,11 @@
 
 #include "common/rng.h"
 #include "core/keysplit.h"
+#include "core/slate_store.h"
 #include "engine/muppet1.h"
 #include "engine/muppet2.h"
 #include "gtest/gtest.h"
+#include "kvstore/cluster.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 
@@ -978,6 +981,55 @@ TEST(DurableEngine, StatusReportsDurabilityPanel) {
     if (ms.slatelog_lsn > 0) some_lsn = true;
   }
   EXPECT_TRUE(some_lsn);
+  ASSERT_OK(engine.Stop());
+}
+
+// A changelog that stops working is counted, and the data path keeps
+// running. Removing the changelog directory makes the next checkpoint's
+// segment rotation fail (ENOENT); that leaves the log closed, so every
+// later append fails too.
+TEST(DurableEngine, ChangelogErrorsAreCountedAndUpdatesContinue) {
+  TempDir log_dir;
+  TempDir store_dir;
+  kv::KvClusterOptions kv_options;
+  kv_options.num_nodes = 1;
+  kv_options.replication_factor = 1;
+  kv_options.node.data_dir = store_dir.path();
+  kv::KvCluster cluster(kv_options);
+  ASSERT_OK(cluster.Open());
+  SlateStore store(&cluster, SlateStoreOptions{});
+
+  AppConfig config;
+  BuildCountingApp(&config);
+  EngineOptions eo =
+      DurableOptions<Muppet2Engine>(log_dir.path(), Consistency::kAtLeastOnce);
+  eo.num_machines = 1;
+  eo.slate_store = &store;
+  eo.durability.checkpoint_every_records = 4;
+  Muppet2Engine engine(config, eo);
+  ASSERT_OK(engine.Start());
+  const Counter* errors =
+      engine.metrics()->GetCounter("muppet_slatelog_errors_total");
+  int published = 0;
+  auto publish = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_OK(engine.Publish("in", "k", "", ++published));
+    }
+    ASSERT_OK(engine.Drain());
+  };
+
+  std::filesystem::remove_all(log_dir.path());
+  // Publish past the checkpoint cadence until a flusher pass has tried
+  // to rotate the segment.
+  for (int round = 0; round < 500 && errors->Get() == 0; ++round) {
+    publish(8);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GT(errors->Get(), 0);
+
+  publish(10);
+  EXPECT_EQ(engine.Stats().events_processed, published);
+  EXPECT_EQ(CountOf(engine, "count", "k"), published);
   ASSERT_OK(engine.Stop());
 }
 

@@ -156,10 +156,10 @@ TEST_P(ScenarioTest, StoreBackedCrashRestartPreservesDurableCounts) {
 }
 
 TEST_P(ScenarioTest, HotSplitWorkloadStaysExact) {
-  // hot_split declares the updater associative and runs the load manager
-  // aggressively over a skewed-then-uniform workload; on Muppet 2.0 the
-  // hot key actually splits (and merges back) mid-run, on 1.0 the heat
-  // plane only observes. No fault destroys state, so the oracle is
+  // hot_split declares the updater associative and skews the workload
+  // onto one hot key, then spreads it; on Muppet 2.0 the load manager runs
+  // aggressively and the hot key actually splits (and merges back)
+  // mid-run, while 1.0 runs no load manager. No fault destroys state, so the oracle is
   // strict: FetchSlate's base+shard aggregation must equal the reference
   // for every key, whatever split state the run ended in.
   ScenarioOptions o = BaseOptions(GetParam());

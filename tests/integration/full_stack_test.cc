@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "kvstore/cluster.h"
 #include "service/slate_service.h"
+#include "testing/scenario.h"
 #include "tests/test_util.h"
 #include "workload/checkins.h"
 #include "workload/tweets.h"
@@ -26,6 +27,7 @@
 namespace muppet {
 namespace {
 
+using ::muppet::chaos::EngineKind;
 using ::muppet::testing::TempDir;
 
 std::string HttpGet(int port, const std::string& target) {
@@ -201,12 +203,9 @@ TEST(FullStackTest, MixedWorkloadBothEnginesAgree) {
     options.workers_per_function = 2;
     options.threads_per_machine = 2;
     options.slate_store = &store;
-    std::unique_ptr<Engine> engine;
-    if (muppet2) {
-      engine = std::make_unique<Muppet2Engine>(config, options);
-    } else {
-      engine = std::make_unique<Muppet1Engine>(config, options);
-    }
+    std::unique_ptr<Engine> engine = chaos::MakeEngine(
+        muppet2 ? EngineKind::kMuppet2 : EngineKind::kMuppet1, config,
+        options);
     ASSERT_OK(engine->Start());
 
     workload::TweetOptions gen_options;

@@ -8,11 +8,11 @@
 #include "core/slate.h"
 #include "core/slate_cache.h"
 #include "core/slate_store.h"
-#include "engine/muppet1.h"
 #include "engine/muppet2.h"
 #include "gtest/gtest.h"
 #include "json/json.h"
 #include "kvstore/cluster.h"
+#include "testing/scenario.h"
 #include "tests/engine/engine_test_util.h"
 #include "tests/test_util.h"
 
@@ -103,7 +103,7 @@ TEST(StoreOutageTest, EngineSurvivesStoreOutageAndConverges) {
                           "the outage";
 }
 
-enum class EngineKind { kMuppet1, kMuppet2 };
+using ::muppet::chaos::EngineKind;
 
 class StoreOutageTest : public ::testing::TestWithParam<EngineKind> {};
 
@@ -125,12 +125,8 @@ TEST_P(StoreOutageTest, FailedSlateFetchIsCountedAsLost) {
   EngineOptions options;
   options.num_machines = 2;
   options.slate_store = &store;
-  std::unique_ptr<Engine> engine;
-  if (GetParam() == EngineKind::kMuppet1) {
-    engine = std::make_unique<Muppet1Engine>(config, options);
-  } else {
-    engine = std::make_unique<Muppet2Engine>(config, options);
-  }
+  std::unique_ptr<Engine> engine =
+      chaos::MakeEngine(GetParam(), config, options);
   ASSERT_OK(engine->Start());
   cluster.CrashNode(0);
   for (int i = 0; i < 40; ++i) {

@@ -55,9 +55,12 @@ ELEMENT_OF_RE = re.compile(r"(?:std::)?(?:array|vector)\s*<\s*([\w:]+)")
 GUARD_DECL_RE = re.compile(
     r"\b(MutexLock|ReaderMutexLock|WriterMutexLock)\s+\w+\s*"
     r"([\(\{])\s*([^;]*?)\s*[\)\}]\s*;")
-CALL_RE = re.compile(r"([\w\.\]\)]+(?:->|\.))?\b([A-Za-z_]\w*)\s*\(")
+# The receiver keeps its whole member chain (`machine->changelog->`).
+CALL_RE = re.compile(r"((?:[\w\]\)]+(?:->|\.))+)?\b([A-Za-z_]\w*)\s*\(")
 LOCAL_DECL_RE = re.compile(
     r"\b([A-Z]\w*(?:::\w+)*)\s*[*&]?\s+([a-z_]\w*)\s*[=;({]")
+PARAM_DECL_RE = re.compile(
+    r"\b([A-Z]\w*(?:::\w+)*)\s*[*&]?\s*([a-z_]\w*)\s*[,)=]")
 
 # Calls that run a lambda argument on a new thread (`std::thread t(..)`
 # included) or store it for later, rather than call it in the caller.
@@ -101,6 +104,7 @@ class FuncModel:
     entry_held: list[str] = field(default_factory=list)   # levels
     excludes: list[str] = field(default_factory=list)     # levels
     local_types: dict[str, str] = field(default_factory=dict)
+    param_types: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -315,6 +319,8 @@ class LockGraphPass:
 
         for m in LOCAL_DECL_RE.finditer(body_text):
             fm.local_types.setdefault(m.group(2), m.group(1).split("::")[-1])
+        for m in PARAM_DECL_RE.finditer(fn.header_text):
+            fm.param_types.setdefault(m.group(2), m.group(1).split("::")[-1])
 
         base = fn.body_start
         for gm in GUARD_DECL_RE.finditer(body_text):
@@ -419,7 +425,7 @@ class LockGraphPass:
 
     def _class_chain(self, cls: str) -> list[str]:
         """`cls` then its base classes, nearest first, so members and
-        methods a class inherits (an engine's MachineRuntime) resolve like
+        methods a class inherits (Muppet2Engine's from Engine) resolve like
         its own."""
         chain: list[str] = []
         todo = [cls]
@@ -479,6 +485,28 @@ class LockGraphPass:
             return fm.local_types[leaf]
         return None
 
+    def _chain_type(self, fm: FuncModel, recv: str) -> str | None:
+        """Type of a receiver chain `a->b.c`: `a` is a local, a parameter
+        or a member of the enclosing class; each later name is a member
+        of the type before it. None when the chain has one link or any
+        link is untyped."""
+        recv = re.sub(r"^this\s*->\s*", "", recv)
+        links = [re.sub(r"\[[^\]]*\]|\(\)$", "", x).strip()
+                 for x in re.split(r"->|\.", recv)]
+        if len(links) < 2:
+            return None
+        head = links[0]
+        t = fm.local_types.get(head) or fm.param_types.get(head)
+        if t is None and fm.fn.cls:
+            fld = self._member_field(fm.fn.cls, head)
+            t = self._field_value_type(fld.type_text) if fld else None
+        for link in links[1:]:
+            if t is None:
+                return None
+            fld = self._member_field(t, link)
+            t = self._field_value_type(fld.type_text) if fld else None
+        return t
+
     def _transitive_acquires(self) -> dict[str, set[str]]:
         """funcKey -> set of levels the function may acquire, transitively."""
         direct: dict[str, set[str]] = {}
@@ -528,6 +556,11 @@ class LockGraphPass:
                 return [f"{recv_type}::{callee}"]
             if recv_type:
                 return []
+            # A member chain (`machine->changelog->Append`): type its head,
+            # then each member in turn.
+            chain_type = self._chain_type(fm, recv)
+            if chain_type and f"{chain_type}::{callee}" in self.funcs:
+                return [f"{chain_type}::{callee}"]
             # Unknown receiver: resolve only if exactly one class defines
             # the method.
             keys = [k for k in self.funcs
@@ -707,6 +740,34 @@ def _example_site(edge: Edge) -> tuple[str, int]:
     if m:
         return m.group(1), int(m.group(2))
     return edge.example, 1
+
+
+def compare_edges(graph: "LockGraphPass", path: str, rel: str
+                  ) -> list[Finding]:
+    """One finding (reported against `rel`) per edge the graph has that
+    `path` does not list, and per listed edge the graph lacks. `path`
+    holds one `kFrom -> kTo` per line; `#` starts a comment."""
+    expected: set[tuple[str, str]] = set()
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            src, _, dst = line.partition("->")
+            expected.add((src.strip(), dst.strip()))
+    found = set(graph.edges)
+    out = []
+    for src, dst in sorted(found - expected):
+        out.append(Finding(CHECK, rel, 1,
+                           f"new lock-graph edge {src} -> {dst} "
+                           f"[at {graph.edges[(src, dst)].example}]; "
+                           f"add it to the expected edges if it is real"))
+    for src, dst in sorted(expected - found):
+        out.append(Finding(CHECK, rel, 1,
+                           f"expected lock-graph edge {src} -> {dst} is "
+                           f"missing; remove it from the expected edges "
+                           f"if the code no longer takes it"))
+    return out
 
 
 def run(files: list[SourceFile], dot_path: str | None = None

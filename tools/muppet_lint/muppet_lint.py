@@ -18,6 +18,10 @@ Usage:
       [--subdirs src]        comma list of roots to scan (default: src)
       [--verbose]            print unresolved-expression diagnostics
 
+When REPO_ROOT has tools/muppet_lint/lock_edges.txt, the lock-graph pass
+fails unless the graph has exactly the edges listed there, one
+`kFrom -> kTo` a line.
+
 Suppressions: `// muppet-lint: allow(<check>): <justification>` on the
 offending line, or alone on the line above. The justification is
 mandatory; a bare allow() is itself reported.
@@ -42,6 +46,7 @@ import wire_codec  # noqa: E402
 from cpp_model import Finding, parse_classes, walk_sources  # noqa: E402
 
 ALL_CHECKS = ("lock-graph", "wire", "determinism", "guarded", "options")
+EDGES_FILE = os.path.join("tools", "muppet_lint", "lock_edges.txt")
 
 
 def main(argv: list[str]) -> int:
@@ -86,6 +91,10 @@ def main(argv: list[str]) -> int:
         if args.verbose and graph is not None:
             for note in graph.unresolved:
                 print(f"muppet-lint: note: {note}", file=sys.stderr)
+        pinned = os.path.join(args.root, EDGES_FILE)
+        if graph is not None and os.path.isfile(pinned):
+            findings.extend(lock_graph.compare_edges(graph, pinned,
+                                                     EDGES_FILE))
     if "wire" in checks:
         findings.extend(wire_codec.run(files))
     if "determinism" in checks:

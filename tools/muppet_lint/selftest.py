@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shutil
 import sys
 import tempfile
 
@@ -29,7 +30,7 @@ _failures: list[str] = []
 
 def _run(fixture: str, extra_args: list[str] | None = None
          ) -> tuple[int, str]:
-    root = os.path.join(TESTDATA, fixture)
+    root = os.path.join(TESTDATA, fixture)  # an absolute path passes as is
     argv = ["muppet-lint", root] + (extra_args or [])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -80,6 +81,33 @@ def main() -> int:
           "lambda argument modelled as called under the caller's lock")
     check("bad_lambda_lock", out.count("[lock-graph]") == 1,
           "thread-spawned and stored lambdas add no edge")
+
+    rc, out = _run("bad_chained_lock")
+    check("bad_chained_lock", rc == 1,
+          f"exit 1 on an inversion behind a member chain (got {rc})")
+    check("bad_chained_lock", "kMid" in out and "kLow" in out
+          and "via Log::Append" in out,
+          "machine->log->Append() resolved through the chain's types")
+    check("bad_chained_lock", out.count("[lock-graph]") == 1,
+          "the chain to the lock-free Append adds no edge")
+
+    with tempfile.TemporaryDirectory() as td:
+        root = os.path.join(td, "bad_lock")
+        shutil.copytree(os.path.join(TESTDATA, "bad_lock"), root)
+        edges = os.path.join(root, muppet_lint.EDGES_FILE)
+        os.makedirs(os.path.dirname(edges))
+        with open(edges, "w", encoding="utf-8") as f:
+            f.write("# pinned\nkMid -> kLow\nkHigh -> kLow\n")
+        rc, out = _run(root, ["--checks", "lock-graph"])
+        check("bad_lock", "edge kHigh -> kLow is missing" in out,
+              "a pinned edge the graph lacks is named")
+        check("bad_lock", "new lock-graph edge" not in out,
+              "a pinned edge the graph has passes")
+        with open(edges, "w", encoding="utf-8") as f:
+            f.write("")
+        rc, out = _run(root, ["--checks", "lock-graph"])
+        check("bad_lock", "new lock-graph edge kMid -> kLow" in out,
+              "an edge missing from the pinned list is named")
 
     rc, out = _run("bad_options", ["--checks", "options"])
     check("bad_options", rc == 1, f"exit 1 on an unset option (got {rc})")
