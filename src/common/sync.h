@@ -39,7 +39,6 @@
 //                           machine is unroutable) and Muppet2 merge deltas
 //                           (checked under a slate stripe)
 //     30   transport        Transport machine registry (shared)
-//     35   transport-rng    Transport loss-model RNG
 //     36   fault-injector   FaultInjector decision/partition/action state
 //     38   fault-hold       Transport reorder holdback buffer
 //     39   heat             HeatTracker heavy-hitter sketch
@@ -135,7 +134,6 @@ enum class LockLevel : int {
   kTransport = 30,
   kTcpState = 31,
   kTcpWriteQueue = 32,
-  kTransportRng = 35,
   kFaultInjector = 36,
   kFaultHold = 38,
   kHeat = 39,

@@ -82,23 +82,19 @@ Engine::Engine(const AppConfig& config, EngineOptions options,
     // own loss accounting, started by the caller after Start().
     transport_ = options_.transport_backend;
   } else {
-    TransportOptions t = options_.transport;
-    if (t.clock == nullptr) t.clock = options_.clock;
+    TransportOptions t;
+    t.faults = options_.faults;
     // Settle fault-injection deliveries that bypass the synchronous
     // send path: late losses debit the in-flight count, duplicate
     // copies pre-charge it, so Drain() stays balanced under chaos.
-    if (t.on_async_loss == nullptr) {
-      t.on_async_loss = [this](int64_t n) {
-        lost_failure_->Add(n);
-        DecInflight(n);
-      };
-    }
-    if (t.on_extra_delivery == nullptr) {
-      t.on_extra_delivery = [this](int64_t n) {
-        inflight_.fetch_add(n, std::memory_order_acq_rel);
-      };
-    }
-    owned_transport_ = std::make_unique<InMemoryTransport>(t);
+    t.on_async_loss = [this](int64_t n) {
+      lost_failure_->Add(n);
+      DecInflight(n);
+    };
+    t.on_extra_delivery = [this](int64_t n) {
+      inflight_.fetch_add(n, std::memory_order_acq_rel);
+    };
+    owned_transport_ = std::make_unique<InMemoryTransport>(std::move(t));
     transport_ = owned_transport_.get();
   }
 }

@@ -108,15 +108,17 @@ struct EngineOptions {
   // Background flusher cadence for SlateFlushPolicy::kInterval updaters.
   Timestamp flush_poll_micros = 10 * kMicrosPerMilli;
 
-  // Simulated network between machines (used only when the engine builds
-  // its own in-memory fabric, i.e. transport_backend is null).
-  TransportOptions transport;
+  // Scripted faults on the engine's own in-memory fabric (net/fault.h;
+  // ignored with transport_backend). Not owned; must outlive the engine.
+  // The harness that owns the injector applies its machine actions
+  // (CrashMachine/RestartMachine). nullptr: a fault-free fabric.
+  FaultInjector* faults = nullptr;
 
   // --- Multi-process deployment (net/tcp_transport.h, apps/muppetd.cc).
   // External transport backend carrying cross-machine frames. Not owned;
   // must outlive the engine and be Start()ed by the caller AFTER
   // Engine::Start() has registered its handlers. nullptr -> the engine
-  // builds its own deterministic InMemoryTransport from `transport`.
+  // builds its own deterministic InMemoryTransport.
   Transport* transport_backend = nullptr;
   // Machine ids hosted by THIS process. Empty -> all ids in
   // [0, num_machines) (the single-process default). The hash ring still

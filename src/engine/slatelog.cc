@@ -252,11 +252,20 @@ Status SlateChangelog::Open() {
   // Everything that survived on disk is durable by definition.
   synced_lsn_ = max_lsn;
   unsynced_records_ = 0;
+  reopen_ = false;
   return Status::OK();
+}
+
+Status SlateChangelog::OpenRotatedLocked() {
+  Status s = OpenActiveLocked();
+  reopen_ = !s.ok();
+  if (s.ok()) segment_max_lsn_.emplace(active_segment_, next_lsn_ - 1);
+  return s;
 }
 
 Result<uint64_t> SlateChangelog::Append(SlateLogRecord rec) {
   MutexLock lock(mutex_);
+  if (reopen_) MUPPET_RETURN_IF_ERROR(OpenRotatedLocked());
   rec.lsn = next_lsn_;
   Bytes payload;
   EncodeSlateLogRecord(rec, &payload);
@@ -280,6 +289,7 @@ Status SlateChangelog::SyncLocked() {
 
 Status SlateChangelog::Sync() {
   MutexLock lock(mutex_);
+  if (reopen_) MUPPET_RETURN_IF_ERROR(OpenRotatedLocked());
   return SyncLocked();
 }
 
@@ -288,8 +298,7 @@ Status SlateChangelog::RotateSegment() {
   MUPPET_RETURN_IF_ERROR(SyncLocked());
   MUPPET_RETURN_IF_ERROR(log_.Close());
   active_segment_++;
-  segment_max_lsn_.emplace(active_segment_, next_lsn_ - 1);
-  return OpenActiveLocked();
+  return OpenRotatedLocked();
 }
 
 Result<int> SlateChangelog::DropSegmentsCoveredBy(uint64_t manifest_lsn) {
@@ -315,6 +324,7 @@ Result<int> SlateChangelog::DropSegmentsCoveredBy(uint64_t manifest_lsn) {
 
 void SlateChangelog::CrashClose() {
   MutexLock lock(mutex_);
+  reopen_ = false;
   if (!log_.is_open()) return;
   log_.CrashClose();
   // The unsynced suffix is gone (unless a full buffer already wrote part
@@ -326,6 +336,7 @@ void SlateChangelog::CrashClose() {
 
 Status SlateChangelog::Close() {
   MutexLock lock(mutex_);
+  reopen_ = false;
   if (!log_.is_open()) return Status::OK();
   Status s = SyncLocked();
   Status closed = log_.Close();

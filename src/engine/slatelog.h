@@ -159,7 +159,9 @@ class SlateChangelog {
   Status Sync();
 
   // Start a new segment (taken at checkpoint time so covered history can
-  // be dropped as whole files).
+  // be dropped as whole files). When the new segment cannot be opened the
+  // log stays closed, and every later Append and Sync first retries the
+  // open, so the log resumes once the directory is usable again.
   Status RotateSegment();
 
   // Delete closed segments whose records are all covered by `manifest_lsn`.
@@ -208,6 +210,8 @@ class SlateChangelog {
  private:
   Status OpenActiveLocked(const FrameVisitor& replay = nullptr)
       MUPPET_REQUIRES(mutex_);
+  // Open the segment a rotation moved to, and only then track it.
+  Status OpenRotatedLocked() MUPPET_REQUIRES(mutex_);
   Status SyncLocked() MUPPET_REQUIRES(mutex_);
 
   const std::string dir_;
@@ -223,6 +227,8 @@ class SlateChangelog {
   uint64_t next_lsn_ MUPPET_GUARDED_BY(mutex_) = 1;
   uint64_t synced_lsn_ MUPPET_GUARDED_BY(mutex_) = 0;
   uint32_t unsynced_records_ MUPPET_GUARDED_BY(mutex_) = 0;
+  // A rotation failed to open the active segment: Append and Sync retry.
+  bool reopen_ MUPPET_GUARDED_BY(mutex_) = false;
 };
 
 // ---------------------------------------------------------------------------

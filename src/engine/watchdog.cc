@@ -230,20 +230,32 @@ Json IncidentToJson(const Incident& incident) {
   return j;
 }
 
-namespace {
-
 std::string HexId(uint64_t id) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, id);
   return std::string(buf);
 }
 
-// Self-contained span/trace serialization: service/admin_service.h has
-// the richer document builders, but service/ depends on engine/ — the
-// dump cannot call up the stack.
-Json SpanJson(const Span& span) {
+Json CriticalPathToJson(const CriticalPath& path) {
+  Json j = Json::MakeObject();
+  j["trace_id"] = HexId(path.trace_id);
+  if (!path.stream.empty()) j["stream"] = path.stream;
+  j["total_us"] = path.total_us;
+  j["publish_us"] = path.publish_us;
+  j["queue_wait_us"] = path.queue_wait_us;
+  j["exec_us"] = path.exec_us;
+  j["slate_fetch_us"] = path.slate_fetch_us;
+  j["net_hop_us"] = path.net_hop_us;
+  j["unattributed_us"] = path.unattributed_us;
+  j["spans"] = static_cast<int64_t>(path.spans);
+  j["machines"] = static_cast<int64_t>(path.machines);
+  return j;
+}
+
+Json SpanToJson(const Span& span) {
   Json j = Json::MakeObject();
   j["span_id"] = HexId(span.span_id);
+  j["parent_span"] = HexId(span.parent_span);
   j["kind"] = SpanKindName(span.kind);
   j["machine"] = static_cast<int64_t>(span.machine);
   j["name"] = span.name;
@@ -253,23 +265,40 @@ Json SpanJson(const Span& span) {
   return j;
 }
 
-Json SinkJson(const TraceSink& sink) {
+Json TraceToJson(const TraceSink::TraceRecord& record) {
   Json j = Json::MakeObject();
-  Json traces = Json::MakeArray();
-  for (const TraceSink::TraceRecord& record : sink.Recent()) {
-    Json t = Json::MakeObject();
-    t["trace_id"] = HexId(record.trace_id);
-    t["duration_us"] = record.duration_us();
-    Json spans = Json::MakeArray();
-    for (const Span& span : record.spans) spans.Append(SpanJson(span));
-    t["spans"] = std::move(spans);
-    traces.Append(std::move(t));
-  }
-  j["recent"] = std::move(traces);
+  j["trace_id"] = HexId(record.trace_id);
+  j["start_us"] = record.first_start_us;
+  j["duration_us"] = record.duration_us();
+  Json spans = Json::MakeArray();
+  for (const Span& span : record.spans) spans.Append(SpanToJson(span));
+  j["spans"] = std::move(spans);
+  // Where the time went (DESIGN.md §14): the same per-kind reduction
+  // /sloz applies to its worst traces, inline on every trace.
+  j["critical_path"] = CriticalPathToJson(ComputeCriticalPath(record.spans));
   return j;
 }
 
-}  // namespace
+Json TraceSinkToJson(const TraceSink* sink, MachineId machine) {
+  Json doc = Json::MakeObject();
+  doc["machine"] = static_cast<int64_t>(machine);
+  Json recent = Json::MakeArray();
+  Json slowest = Json::MakeArray();
+  if (sink != nullptr) {
+    for (const auto& record : sink->Recent()) {
+      recent.Append(TraceToJson(record));
+    }
+    for (const auto& record : sink->Slowest()) {
+      slowest.Append(TraceToJson(record));
+    }
+    doc["spans_recorded"] = sink->spans_recorded();
+    doc["spans_dropped"] = sink->spans_dropped();
+    doc["traces_evicted"] = sink->traces_evicted();
+  }
+  doc["recent"] = std::move(recent);
+  doc["slowest"] = std::move(slowest);
+  return doc;
+}
 
 std::string DumpWatchdogArtifacts(const std::string& engine_name,
                                   const Incident& incident,
@@ -282,12 +311,8 @@ std::string DumpWatchdogArtifacts(const std::string& engine_name,
   doc["engine"] = engine_name;
   doc["incident"] = IncidentToJson(incident);
   Json machines = Json::MakeArray();
-  for (TraceSink* sink : sinks) {
-    if (sink == nullptr) {
-      machines.Append(Json());
-      continue;
-    }
-    machines.Append(SinkJson(*sink));
+  for (size_t m = 0; m < sinks.size(); ++m) {
+    machines.Append(TraceSinkToJson(sinks[m], static_cast<MachineId>(m)));
   }
   doc["machines"] = std::move(machines);
 

@@ -33,6 +33,7 @@
 
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/slo.h"
 #include "common/sync.h"
 #include "common/trace.h"
 #include "json/json.h"
@@ -191,7 +192,8 @@ class Watchdog {
 };
 
 // Flight-recorder dump for one incident: writes
-//   watchdog-<engine>-incident-<id>.json   (incident + every sink's traces)
+//   watchdog-<engine>-incident-<id>.json   (incident + every sink's
+//                                           TraceSinkToJson document)
 //   watchdog-<engine>-incident-<id>-metrics.prom
 // under $MUPPET_CHAOS_ARTIFACT_DIR — the chaos harness's artifact path —
 // and returns the .json path. No-op (returns "") when the variable is
@@ -203,6 +205,17 @@ std::string DumpWatchdogArtifacts(const std::string& engine_name,
 
 // JSON form shared by the /statusz incident panel and the artifact dump.
 Json IncidentToJson(const Incident& incident);
+
+// The one trace renderer, shared by /tracez, /sloz, the chaos flight
+// recorder and the artifact dump. Ids print as 16 hex digits.
+std::string HexId(uint64_t id);
+Json CriticalPathToJson(const CriticalPath& path);
+Json SpanToJson(const Span& span);
+// Every span plus the trace's critical path.
+Json TraceToJson(const TraceSink::TraceRecord& record);
+// One machine's /tracez document: its recent and slowest traces and the
+// sink's counters (`sink` may be null: empty lists, no counters).
+Json TraceSinkToJson(const TraceSink* sink, MachineId machine);
 
 }  // namespace muppet
 

@@ -161,22 +161,20 @@ std::string FaultPlan::ToString() const {
   return out;
 }
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
+FaultInjector::FaultInjector(FaultPlan plan, Clock* clock)
+    : plan_(std::move(plan)), clock_(clock) {
   std::stable_sort(plan_.actions.begin(), plan_.actions.end(),
                    [](const FaultAction& x, const FaultAction& y) {
                      return x.at_micros < y.at_micros;
                    });
-  if (!plan_.actions.empty()) {
-    next_due_.store(plan_.actions.front().at_micros,
-                    std::memory_order_release);
-  }
 }
 
 FaultDecision FaultInjector::OnMessage(MachineId from, MachineId to,
-                                       BytesView payload, uint64_t signature,
-                                       Timestamp now) {
+                                       BytesView payload,
+                                       uint64_t signature) {
   FaultDecision d;
   if (plan_.rules.empty()) return d;
+  const Timestamp now = clock_->Now();
 
   // Content-addressed roll base: link + content + occurrence index. The
   // occurrence map is the only shared state touched per message.
@@ -237,7 +235,8 @@ bool FaultInjector::Partitioned(MachineId a, MachineId b) const {
   return partitions_.count(NormalizePair(a, b)) > 0;
 }
 
-std::vector<FaultAction> FaultInjector::TakeDueActions(Timestamp now) {
+std::vector<FaultAction> FaultInjector::TakeDueActions() {
+  const Timestamp now = clock_->Now();
   std::vector<FaultAction> due;
   MutexLock lock(mutex_);
   while (next_action_ < plan_.actions.size() &&
@@ -250,10 +249,6 @@ std::vector<FaultAction> FaultInjector::TakeDueActions(Timestamp now) {
     }
     due.push_back(a);
   }
-  next_due_.store(next_action_ < plan_.actions.size()
-                      ? plan_.actions[next_action_].at_micros
-                      : kFaultTimeMax,
-                  std::memory_order_release);
   return due;
 }
 

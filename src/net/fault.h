@@ -131,36 +131,38 @@ struct FaultDecision {
   uint32_t hold_for = 0;
 };
 
-// Runtime enforcement of a FaultPlan. Thread-safe; see the determinism
-// contract in the file comment. One injector drives exactly one run.
+// Runtime enforcement of a FaultPlan, and the only fault path of the
+// in-memory transport: every drop, delay, duplicate, reorder, partition and
+// scripted action comes from here. The injector owns the fault timeline's
+// clock: rule windows and due actions are read on it, and the transport
+// charges rule delays to it. Thread-safe; see the determinism contract in
+// the file comment. One injector drives exactly one run.
 class FaultInjector {
  public:
-  explicit FaultInjector(FaultPlan plan);
+  // `clock` is not owned and must outlive the injector.
+  FaultInjector(FaultPlan plan, Clock* clock);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   const FaultPlan& plan() const { return plan_; }
+  Clock* clock() const { return clock_; }
 
-  // Decide the fate of one message on link from->to at virtual time `now`.
+  // Decide the fate of one message on link from->to at the clock's now.
   // `signature` is the sender's content signature (0 = hash the payload —
   // only deterministic when payloads are themselves run-stable).
   FaultDecision OnMessage(MachineId from, MachineId to, BytesView payload,
-                          uint64_t signature, Timestamp now);
+                          uint64_t signature);
 
   // True while an unhealed partition separates a and b (symmetric).
   bool Partitioned(MachineId a, MachineId b) const;
 
-  // Cheap check (one atomic load): any scripted action due at `now`?
-  bool HasDueActions(Timestamp now) const {
-    return now >= next_due_.load(std::memory_order_acquire);
-  }
-
-  // Pop every scripted action due at or before `now`, in timeline order.
-  // Each action is returned exactly once; partition/heal actions also
-  // update the injector's own partition set as they pass through, so the
-  // caller only has to apply crash/restart/store actions.
-  std::vector<FaultAction> TakeDueActions(Timestamp now);
+  // Pop every scripted action due at or before the clock's now, in
+  // timeline order. Each action is returned exactly once; partition/heal
+  // actions also update the injector's own partition set as they pass
+  // through, so the caller (the harness that owns the injector) only has
+  // to apply crash/restart/store actions.
+  std::vector<FaultAction> TakeDueActions();
 
   // Fault counters (fired decisions, not rule matches).
   int64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
@@ -187,6 +189,7 @@ class FaultInjector {
   }
 
   FaultPlan plan_;  // actions sorted by at_micros at construction
+  Clock* const clock_;
 
   mutable Mutex mutex_{kLockLevel};
   // Index of the first not-yet-fired action.
@@ -195,10 +198,6 @@ class FaultInjector {
   std::unordered_map<uint64_t, uint32_t> occurrence_ MUPPET_GUARDED_BY(mutex_);
   std::set<std::pair<MachineId, MachineId>> partitions_
       MUPPET_GUARDED_BY(mutex_);
-
-  // at_micros of the first unfired action (kFaultTimeMax when exhausted);
-  // lets HasDueActions stay off the mutex on the per-send fast path.
-  std::atomic<Timestamp> next_due_{kFaultTimeMax};
 
   std::atomic<int64_t> dropped_{0};
   std::atomic<int64_t> duplicated_{0};

@@ -5,10 +5,7 @@
 namespace muppet {
 
 InMemoryTransport::InMemoryTransport(TransportOptions options)
-    : options_(options),
-      clock_(options.clock != nullptr ? options.clock
-                                      : SystemClock::Default()),
-      rng_(options.seed) {}
+    : options_(std::move(options)) {}
 
 Status InMemoryTransport::RegisterMachine(MachineId id, Handler handler) {
   if (handler == nullptr) {
@@ -36,43 +33,6 @@ std::shared_ptr<InMemoryTransport::MachineState> InMemoryTransport::FindMachine(
   auto it = machines_.find(id);
   if (it == machines_.end()) return nullptr;
   return it->second;
-}
-
-Status InMemoryTransport::ChargeHop() {
-  if (options_.loss_probability > 0.0) {
-    bool drop;
-    {
-      MutexLock lock(rng_mutex_);
-      drop = rng_.Chance(options_.loss_probability);
-    }
-    if (drop) {
-      messages_dropped_.Add();
-      return Status::Unavailable("transport: message lost");
-    }
-  }
-  if (options_.hop_latency_micros > 0) {
-    clock_->SleepFor(options_.hop_latency_micros);
-  }
-  return Status::OK();
-}
-
-void InMemoryTransport::ApplyDueFaultActions() {
-  for (const FaultAction& a :
-       options_.faults->TakeDueActions(clock_->Now())) {
-    switch (a.kind) {
-      case FaultAction::Kind::kCrashMachine:
-        Crash(a.a);
-        break;
-      case FaultAction::Kind::kRestartMachine:
-        Restore(a.a);
-        break;
-      default:
-        // Partition/heal update the injector's own state as they pass
-        // through TakeDueActions; store actions belong to the engine-level
-        // harness.
-        break;
-    }
-  }
 }
 
 void InMemoryTransport::HoldMessage(HeldMessage held) {
@@ -161,10 +121,6 @@ Status InMemoryTransport::SendBatch(MachineId from, MachineId to,
                                     uint64_t fault_signature) {
   *accepted = 0;
   FaultInjector* faults = options_.faults;
-  if (faults != nullptr && options_.poll_fault_actions &&
-      faults->HasDueActions(clock_->Now())) {
-    ApplyDueFaultActions();
-  }
 
   std::shared_ptr<MachineState> state = FindMachine(to);
   if (from != to && state != nullptr) {
@@ -185,13 +141,12 @@ Status InMemoryTransport::SendBatch(MachineId from, MachineId to,
                                  std::to_string(from) + " and " +
                                  std::to_string(to));
     }
-    decision =
-        faults->OnMessage(from, to, frame, fault_signature, clock_->Now());
+    decision = faults->OnMessage(from, to, frame, fault_signature);
     if (decision.extra_delay_micros > 0) {
-      clock_->SleepFor(decision.extra_delay_micros);
+      faults->clock()->SleepFor(decision.extra_delay_micros);
     }
     if (decision.verdict == FaultDecision::Verdict::kDrop) {
-      // Whole-frame loss, like the built-in loss model.
+      // Whole-frame loss: one network message, `count` logical messages.
       messages_dropped_.Add(static_cast<int64_t>(count));
       return Status::Unavailable("transport: frame dropped by fault plan");
     }
@@ -209,15 +164,6 @@ Status InMemoryTransport::SendBatch(MachineId from, MachineId to,
       bytes_sent_.Add(static_cast<int64_t>(frame.size()));
       *accepted = count;
       return Status::OK();
-    }
-  }
-
-  if (from != to) {
-    Status hop = ChargeHop();
-    if (!hop.ok()) {
-      // Whole-frame loss: one network message, `count` logical messages.
-      messages_dropped_.Add(static_cast<int64_t>(count) - 1);
-      return hop;
     }
   }
 

@@ -7,8 +7,8 @@
 //  * `InMemoryTransport` — the deterministic in-process fabric the chaos
 //    harness and tests replay bit-for-bit: each logical machine registers
 //    a delivery handler, SendBatch() routes a frame to the destination
-//    machine's handler, applying a configurable per-hop latency and
-//    failure model.
+//    machine's handler, applying the faults of an optional FaultInjector
+//    (net/fault.h) and nothing else.
 //  * `TcpTransport` (net/tcp_transport.h) — an epoll-based async backend
 //    that carries the same id-addressed frames over real sockets for the
 //    `muppetd` multi-process deployment mode.
@@ -38,9 +38,7 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/clock.h"
 #include "common/metrics.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/sync.h"
 
@@ -52,27 +50,13 @@ constexpr MachineId kInvalidMachine = -1;
 class FaultInjector;  // net/fault.h
 
 struct TransportOptions {
-  // One-way delivery latency applied to every cross-machine send, in
-  // microseconds. 0 disables the delay (throughput benchmarks). With a
-  // SimulatedClock this advances logical time; with the system clock it
-  // sleeps.
-  Timestamp hop_latency_micros = 0;
-  // Probability in [0,1] that a send to a healthy machine is dropped
-  // (models transient packet/connection loss; the sender sees Unavailable).
-  double loss_probability = 0.0;
-  // Clock used for latency simulation. nullptr -> SystemClock::Default().
-  Clock* clock = nullptr;
-  // Seed for the loss model.
-  uint64_t seed = 1;
-
-  // Scripted fault injection (chaos harness, net/fault.h). Not owned; must
-  // outlive the transport. nullptr disables all fault hooks.
+  // Scripted fault injection (net/fault.h): the only source of drops,
+  // delays, duplicates, reorders and partitions, on the injector's clock.
+  // Its scripted machine actions are applied by the harness that owns it,
+  // never by the transport. Not owned; must outlive the transport.
+  // nullptr: every send to a live machine is delivered, and the transport
+  // reads no clock.
   FaultInjector* faults = nullptr;
-  // When true the transport itself applies due machine actions from the
-  // plan (crash/restart at the transport level) at the top of every send.
-  // Engine-level harnesses set this false and apply machine actions
-  // through the engine so queue/cache loss is modeled too.
-  bool poll_fault_actions = true;
   // Invoked when a logical message whose send already returned OK is later
   // lost or declined (a held reorder delivery that fails, the unaccepted
   // tail of a duplicate copy). Engines balance their in-flight and
@@ -118,10 +102,10 @@ class Transport {
   virtual void UnregisterMachine(MachineId id) = 0;
 
   // Deliver a frame of `count` logical messages to machine `to` in one
-  // network hop: one registry lookup, one latency charge, one loss roll
-  // for the whole frame. Local sends (from == to) bypass the latency/loss
-  // model and the fault plan. *accepted receives how many messages the
-  // receiver took (0 when the frame never arrived). Errors: Unavailable
+  // network hop: one registry lookup and one fault decision for the whole
+  // frame. Local sends (from == to) bypass the fault plan. *accepted
+  // receives how many messages the receiver took (0 when the frame never
+  // arrived). Errors: Unavailable
   // (crashed/unknown/dropped/partitioned), ResourceExhausted (receiver
   // declined / send queue full), or whatever the handler returned. For
   // async backends OK means the frame was durably queued for the peer
@@ -199,8 +183,8 @@ class Transport {
 };
 
 // The deterministic in-process fabric (the default backend, and the only
-// one the chaos harness drives — its latency/loss/fault model is seeded
-// and replayable).
+// one the chaos harness drives — its one fault model, the FaultInjector,
+// is seeded and replayable).
 class InMemoryTransport : public Transport {
  public:
   explicit InMemoryTransport(TransportOptions options = {});
@@ -217,15 +201,12 @@ class InMemoryTransport : public Transport {
   bool IsUp(MachineId id) const;
   int64_t SendAttemptsTo(MachineId id) const override;
 
-  const TransportOptions& options() const { return options_; }
-
   // Lock-hierarchy levels (pinned by tests/common/sync_test.cc). All are
   // leaves on the send path: FindMachine() drops the registry lock before
   // the receiver's handler runs, and the holdback lock is released before
   // any held message is delivered, so no transport lock is ever held while
   // queue or engine locks are acquired.
   static constexpr LockLevel kRegistryLockLevel = LockLevel::kTransport;
-  static constexpr LockLevel kRngLockLevel = LockLevel::kTransportRng;
   static constexpr LockLevel kHoldLockLevel = LockLevel::kFaultHold;
 
  private:
@@ -252,14 +233,6 @@ class InMemoryTransport : public Transport {
   // nullptr when unknown. Bumps only a refcount under the shared lock.
   std::shared_ptr<MachineState> FindMachine(MachineId id) const;
 
-  // Latency/loss model for one cross-machine hop; OK when the frame goes
-  // through.
-  Status ChargeHop();
-
-  // Fault-plan machine actions due now (crash/restore); called lock-free
-  // unless something is due.
-  void ApplyDueFaultActions();
-
   // Park a message in the holdback buffer (reorder fault). The sender has
   // already been told OK.
   void HoldMessage(HeldMessage held);
@@ -279,14 +252,10 @@ class InMemoryTransport : public Transport {
                         size_t count);
 
   TransportOptions options_;
-  Clock* clock_;
 
   mutable SharedMutex mutex_{kRegistryLockLevel};
   std::unordered_map<MachineId, std::shared_ptr<MachineState>> machines_
       MUPPET_GUARDED_BY(mutex_);
-
-  Mutex rng_mutex_{kRngLockLevel};
-  Rng rng_ MUPPET_GUARDED_BY(rng_mutex_);
 
   Mutex hold_mutex_{kHoldLockLevel};
   // (from, to) -> held messages in arrival order.

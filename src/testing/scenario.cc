@@ -218,11 +218,11 @@ ScenarioResult ScenarioRunner::Run() {
     return result;
   }
 
-  // Virtual time drives only the transport/fault timeline; the engines
-  // keep the system clock (their flusher threads sleep on it, and a
-  // simulated engine clock would busy-spin the timeline forward).
+  // Virtual time drives only the fault timeline (the injector's clock);
+  // the engines keep the system clock (their flusher threads sleep on it,
+  // and a simulated engine clock would busy-spin the timeline forward).
   SimulatedClock sim(0);
-  FaultInjector injector(options_.plan);
+  FaultInjector injector(options_.plan, &sim);
   Recorder recorder;
 
   AppConfig config;
@@ -256,11 +256,9 @@ ScenarioResult ScenarioRunner::Run() {
   eo.queue_capacity = options_.queue_capacity;
   eo.overflow.policy = options_.overflow_policy;
   eo.slate_store = store.get();
-  eo.transport.clock = &sim;
-  eo.transport.faults = &injector;
-  // Machine crash/restart actions go through the engine (below) so queue
-  // and cache loss is modeled, not just transport reachability.
-  eo.transport.poll_fault_actions = false;
+  // The injector's machine crash/restart actions go through the engine
+  // (below) so queue and cache loss is modeled, not just reachability.
+  eo.faults = &injector;
   // Trace every event: chaos runs are small, and a violation report is
   // worth far more with the full flight recorder attached.
   eo.trace.sample_period = 1;
@@ -353,7 +351,7 @@ ScenarioResult ScenarioRunner::Run() {
     const Timestamp base =
         static_cast<Timestamp>(step) * options_.step_micros;
     if (sim.Now() < base) sim.Set(base);
-    for (const FaultAction& a : injector.TakeDueActions(sim.Now())) {
+    for (const FaultAction& a : injector.TakeDueActions()) {
       apply_action(a);
     }
     if (step < options_.steps) {

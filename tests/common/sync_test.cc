@@ -255,7 +255,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(InMemoryTransport::kRegistryLockLevel, LockLevel::kTransport);
   EXPECT_EQ(TcpTransport::kStateLockLevel, LockLevel::kTcpState);
   EXPECT_EQ(TcpTransport::kWriteQueueLockLevel, LockLevel::kTcpWriteQueue);
-  EXPECT_EQ(InMemoryTransport::kRngLockLevel, LockLevel::kTransportRng);
   EXPECT_EQ(FaultInjector::kLockLevel, LockLevel::kFaultInjector);
   EXPECT_EQ(InMemoryTransport::kHoldLockLevel, LockLevel::kFaultHold);
   EXPECT_EQ(EventQueue::kLockLevel, LockLevel::kQueue);
@@ -281,7 +280,7 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   auto lt = [](LockLevel a, LockLevel b) {
     return static_cast<int>(a) < static_cast<int>(b);
   };
-  // Updater path: stripe -> taps -> transport/rng -> queue -> master ->
+  // Updater path: stripe -> taps -> transport -> queue -> master ->
   // failed-set -> drain/throttle -> cache -> store.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kTaps));
   // Load-management plane: the dispatch path consults the split table and
@@ -296,15 +295,13 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   // while holding the state lock (DrainPeerWrites), never the reverse.
   EXPECT_TRUE(lt(LockLevel::kTransport, LockLevel::kTcpState));
   EXPECT_TRUE(lt(LockLevel::kTcpState, LockLevel::kTcpWriteQueue));
-  EXPECT_TRUE(lt(LockLevel::kTcpWriteQueue, LockLevel::kTransportRng));
-  EXPECT_TRUE(lt(LockLevel::kTransport, LockLevel::kTransportRng));
+  EXPECT_TRUE(lt(LockLevel::kTcpWriteQueue, LockLevel::kFaultInjector));
   // Fault path: the injector's decision lock and the reorder holdback lock
-  // are leaves between the rng and the receiver's queues; both are
+  // are leaves between the registry and the receiver's queues; both are
   // released before any handler (and so any queue lock) runs.
-  EXPECT_TRUE(lt(LockLevel::kTransportRng, LockLevel::kFaultInjector));
+  EXPECT_TRUE(lt(LockLevel::kTransport, LockLevel::kFaultInjector));
   EXPECT_TRUE(lt(LockLevel::kFaultInjector, LockLevel::kFaultHold));
   EXPECT_TRUE(lt(LockLevel::kFaultHold, LockLevel::kQueue));
-  EXPECT_TRUE(lt(LockLevel::kTransportRng, LockLevel::kQueue));
   EXPECT_TRUE(lt(LockLevel::kQueue, LockLevel::kMaster));
   EXPECT_TRUE(lt(LockLevel::kMaster, LockLevel::kFailedSet));
   EXPECT_TRUE(lt(LockLevel::kFailedSet, LockLevel::kDrain));

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 

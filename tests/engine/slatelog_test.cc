@@ -987,7 +987,9 @@ TEST(DurableEngine, StatusReportsDurabilityPanel) {
 // A changelog that stops working is counted, and the data path keeps
 // running. Removing the changelog directory makes the next checkpoint's
 // segment rotation fail (ENOENT); that leaves the log closed, so every
-// later append fails too.
+// later append and sync fails too. Once the directory is back, the next
+// append or sync reopens the log: the errors stop and the synced cursor
+// moves again.
 TEST(DurableEngine, ChangelogErrorsAreCountedAndUpdatesContinue) {
   TempDir log_dir;
   TempDir store_dir;
@@ -1029,6 +1031,22 @@ TEST(DurableEngine, ChangelogErrorsAreCountedAndUpdatesContinue) {
 
   publish(10);
   EXPECT_EQ(engine.Stats().events_processed, published);
+  EXPECT_EQ(CountOf(engine, "count", "k"), published);
+
+  ASSERT_TRUE(std::filesystem::create_directories(log_dir.path()));
+  publish(10);
+  const int64_t errors_before = errors->Get();
+  auto synced_lsn = [&engine] {
+    return engine.MachineStatuses()[0].slatelog_synced_lsn;
+  };
+  const uint64_t synced_before = synced_lsn();
+  publish(10);
+  // The 10 ms flusher pass syncs the new appends.
+  for (int i = 0; i < 500 && synced_lsn() <= synced_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GT(synced_lsn(), synced_before);
+  EXPECT_EQ(errors->Get(), errors_before);
   EXPECT_EQ(CountOf(engine, "count", "k"), published);
   ASSERT_OK(engine.Stop());
 }

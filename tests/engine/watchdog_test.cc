@@ -321,6 +321,20 @@ TEST(WatchdogTest, DumpArtifactsWritesIncidentAndMetrics) {
   EXPECT_EQ(doc["incident"]["id"].AsInt(), 3);
   EXPECT_EQ(doc["incident"]["kind"].AsString(), "queue-stall");
   EXPECT_EQ(doc["machines"].size(), 2u);
+  // Each machine entry is the /tracez document: counters, slowest traces
+  // and a critical path on every trace.
+  const JsonArray& machines = doc["machines"].AsArray();
+  ASSERT_EQ(machines.size(), 2u);
+  const Json& m0 = machines[0];
+  EXPECT_EQ(m0["machine"].AsInt(), 0);
+  EXPECT_TRUE(m0["slowest"].is_array());
+  EXPECT_EQ(m0["spans_recorded"].AsInt(), 1);
+  ASSERT_EQ(m0["recent"].size(), 1u);
+  const Json& trace = m0["recent"].AsArray()[0];
+  EXPECT_EQ(trace["critical_path"]["total_us"].AsInt(), 50);
+  EXPECT_EQ(trace["spans"].AsArray()[0]["parent_span"].AsString(),
+            "0000000000000000");
+  EXPECT_TRUE(machines[1]["recent"].is_array());
   EXPECT_TRUE(
       std::filesystem::exists(dir.path() + "/watchdog-muppet2-incident-3-metrics.prom"));
 }

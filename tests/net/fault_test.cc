@@ -1,6 +1,7 @@
 // Per-primitive tests for the scripted fault injector and its transport
 // integration: deterministic drops, duplicate delivery, bounded reorder
-// windows, partitions that heal, and scripted crash/restart actions.
+// windows, partitions that heal, scripted actions popped exactly once,
+// and local sends that bypass the plan.
 #include "net/fault.h"
 
 #include <map>
@@ -22,9 +23,8 @@ using testing::SendOne;
 // count in arrival order.
 struct FaultFixture {
   explicit FaultFixture(FaultPlan plan, int machines = 2)
-      : injector(std::move(plan)) {
+      : injector(std::move(plan), &clock) {
     TransportOptions options;
-    options.clock = &clock;
     options.faults = &injector;
     options.on_async_loss = [this](int64_t n) { async_lost += n; };
     options.on_extra_delivery = [this](int64_t n) { extra_delivered += n; };
@@ -79,10 +79,11 @@ TEST(FaultInjectorTest, DropDecisionsAreContentAddressedAndReproducible) {
   plan.Drop(0, 1, 0.5);
 
   auto run = [&plan]() {
-    FaultInjector inj(plan);
+    SimulatedClock clock(0);
+    FaultInjector inj(plan, &clock);
     std::vector<bool> dropped;
     for (int i = 0; i < 64; ++i) {
-      FaultDecision d = inj.OnMessage(0, 1, "payload", 1000 + i, /*now=*/0);
+      FaultDecision d = inj.OnMessage(0, 1, "payload", 1000 + i);
       dropped.push_back(d.verdict == FaultDecision::Verdict::kDrop);
     }
     return dropped;
@@ -103,11 +104,12 @@ TEST(FaultInjectorTest, OccurrenceIndexDistinguishesRepeatedContent) {
   plan.Drop(0, 1, 0.5);
 
   auto run = [&plan]() {
-    FaultInjector inj(plan);
+    SimulatedClock clock(0);
+    FaultInjector inj(plan, &clock);
     std::vector<bool> dropped;
     for (int i = 0; i < 64; ++i) {
       // Same signature every time: only the occurrence index varies.
-      FaultDecision d = inj.OnMessage(0, 1, "same", 77, /*now=*/0);
+      FaultDecision d = inj.OnMessage(0, 1, "same", 77);
       dropped.push_back(d.verdict == FaultDecision::Verdict::kDrop);
     }
     return dropped;
@@ -124,16 +126,21 @@ TEST(FaultInjectorTest, OccurrenceIndexDistinguishesRepeatedContent) {
 TEST(FaultInjectorTest, RulesOnlyFireInsideTheirWindowAndOnTheirLink) {
   FaultPlan plan;
   plan.Drop(0, 1, 1.0, /*start=*/100, /*end=*/200);
-  FaultInjector inj(plan);
-  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1, 50).verdict,
+  SimulatedClock clock(50);
+  FaultInjector inj(plan, &clock);
+  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1).verdict,
             FaultDecision::Verdict::kDeliver);
-  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1, 100).verdict,
+  clock.Set(100);
+  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1).verdict,
             FaultDecision::Verdict::kDrop);
-  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1, 199).verdict,
+  clock.Set(199);
+  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1).verdict,
             FaultDecision::Verdict::kDrop);
-  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1, 200).verdict,
+  clock.Set(200);
+  EXPECT_EQ(inj.OnMessage(0, 1, "x", 1).verdict,
             FaultDecision::Verdict::kDeliver);  // end is exclusive
-  EXPECT_EQ(inj.OnMessage(2, 1, "x", 1, 150).verdict,
+  clock.Set(150);
+  EXPECT_EQ(inj.OnMessage(2, 1, "x", 1).verdict,
             FaultDecision::Verdict::kDeliver);  // other link untouched
 }
 
@@ -161,6 +168,23 @@ TEST(FaultTransportTest, DuplicateDeliversTwiceAndPreChargesReceiver) {
   EXPECT_EQ(f.transport->messages_duplicated(), 1);
   EXPECT_EQ(f.extra_delivered, 1);
   EXPECT_EQ(f.async_lost, 0);
+}
+
+// Muppet 2.0 passes events between functions on one machine without the
+// network (§4.5), so a local send never meets the fault plan: not its
+// drops, not its delays. The same frame across machines is dropped.
+TEST(FaultTransportTest, LocalSendsBypassTheFaultPlan) {
+  FaultPlan plan;
+  plan.Drop(kAnyMachine, kAnyMachine, 1.0)
+      .Delay(kAnyMachine, kAnyMachine, /*delay_micros=*/150);
+  FaultFixture f(std::move(plan));
+  ASSERT_OK(SendOne(*f.transport, 1, 1, "local", 1));
+  ASSERT_EQ(f.received[1].size(), 1u);
+  EXPECT_EQ(f.received[1][0], "local");
+  EXPECT_EQ(f.clock.Now(), 0) << "local sends pay no fault delay";
+  EXPECT_TRUE(SendOne(*f.transport, 0, 1, "remote", 2).IsUnavailable());
+  EXPECT_EQ(f.received[1].size(), 1u);
+  EXPECT_EQ(f.injector.dropped(), 1);
 }
 
 TEST(FaultTransportTest, DelayAdvancesSimulatedClock) {
@@ -236,7 +260,7 @@ TEST(FaultTransportTest, PartitionSeparatesPairUntilHealed) {
 
   ASSERT_OK(SendOne(*f.transport, 0, 1, "before", 1));
   f.clock.Set(10);
-  f.injector.TakeDueActions(f.clock.Now());
+  f.injector.TakeDueActions();
   EXPECT_TRUE(f.injector.Partitioned(0, 1));
   EXPECT_TRUE(f.injector.Partitioned(1, 0));  // symmetric
   EXPECT_TRUE(SendOne(*f.transport, 0, 1, "cut", 2).IsUnavailable());
@@ -245,47 +269,31 @@ TEST(FaultTransportTest, PartitionSeparatesPairUntilHealed) {
   EXPECT_EQ(f.injector.partitioned_drops(), 2);
 
   f.clock.Set(20);
-  f.injector.TakeDueActions(f.clock.Now());
+  f.injector.TakeDueActions();
   EXPECT_FALSE(f.injector.Partitioned(0, 1));
   ASSERT_OK(SendOne(*f.transport, 0, 1, "after", 5));
   ASSERT_EQ(f.received[1].size(), 3u);
 }
 
-TEST(FaultTransportTest, ScriptedCrashAndRestartApplyAtTheTransport) {
-  // poll_fault_actions=true (the default): the transport itself applies
-  // due machine actions at the top of each send.
-  FaultPlan plan;
-  plan.CrashAt(5, 1).RestartAt(15, 1);
-  FaultFixture f(std::move(plan));
-
-  ASSERT_OK(SendOne(*f.transport, 0, 1, "up", 1));
-  f.clock.Set(5);
-  EXPECT_TRUE(SendOne(*f.transport, 0, 1, "down", 2).IsUnavailable());
-  EXPECT_FALSE(f.transport->IsUp(1));
-  f.clock.Set(15);
-  ASSERT_OK(SendOne(*f.transport, 0, 1, "back", 3));  // restart re-registers
-  EXPECT_TRUE(f.transport->IsUp(1));
-  ASSERT_EQ(f.received[1].size(), 2u);
-  EXPECT_EQ(f.received[1][1], "back");
-}
-
 TEST(FaultInjectorTest, TakeDueActionsPopsEachActionOnce) {
   FaultPlan plan;
   plan.CrashAt(30, 2).CrashAt(10, 1).RestartAt(20, 1);
-  FaultInjector inj(plan);
+  SimulatedClock clock(9);
+  FaultInjector inj(plan, &clock);
 
-  EXPECT_TRUE(inj.HasDueActions(10));
-  EXPECT_FALSE(inj.HasDueActions(9));
-  std::vector<FaultAction> due = inj.TakeDueActions(20);
+  EXPECT_TRUE(inj.TakeDueActions().empty());  // nothing due before t=10
+  clock.Set(20);
+  std::vector<FaultAction> due = inj.TakeDueActions();
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0].at_micros, 10);
   EXPECT_EQ(due[1].at_micros, 20);
-  EXPECT_TRUE(inj.TakeDueActions(20).empty());  // exactly once
-  due = inj.TakeDueActions(1000);
+  EXPECT_TRUE(inj.TakeDueActions().empty());  // exactly once
+  clock.Set(1000);
+  due = inj.TakeDueActions();
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].kind, FaultAction::Kind::kCrashMachine);
   EXPECT_EQ(due[0].a, 2);
-  EXPECT_FALSE(inj.HasDueActions(kFaultTimeMax - 1));
+  EXPECT_TRUE(inj.TakeDueActions().empty());
 }
 
 TEST(FaultTransportTest, SendAttemptsToCountsRoutedSends) {

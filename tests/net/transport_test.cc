@@ -109,55 +109,6 @@ TEST(TransportTest, HandlerErrorPropagatesVerbatim) {
   EXPECT_EQ(SendOne(transport, 0, 1, "x").code(), StatusCode::kCorruption);
 }
 
-TEST(TransportTest, LossModelDropsSome) {
-  TransportOptions options;
-  options.loss_probability = 0.5;
-  options.seed = 7;
-  InMemoryTransport transport(options);
-  int delivered = 0;
-  ASSERT_OK(transport.RegisterMachine(
-      1, OneMessageHandler([&](MachineId, BytesView) {
-        ++delivered;
-        return Status::OK();
-      })));
-  int failures = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (!SendOne(transport, 0, 1, "x").ok()) ++failures;
-  }
-  EXPECT_GT(failures, 300);
-  EXPECT_LT(failures, 700);
-  EXPECT_EQ(delivered, 1000 - failures);
-}
-
-TEST(TransportTest, LocalSendSkipsLossAndLatency) {
-  TransportOptions options;
-  options.loss_probability = 1.0;  // all cross-machine sends fail
-  InMemoryTransport transport(options);
-  int delivered = 0;
-  ASSERT_OK(transport.RegisterMachine(
-      1, OneMessageHandler([&](MachineId, BytesView) {
-        ++delivered;
-        return Status::OK();
-      })));
-  // from == to bypasses the loss model (Muppet 2.0 local passing, §4.5).
-  ASSERT_OK(SendOne(transport, 1, 1, "local"));
-  EXPECT_EQ(delivered, 1);
-  EXPECT_TRUE(SendOne(transport, 0, 1, "remote").IsUnavailable());
-}
-
-TEST(TransportTest, HopLatencyChargedOnSimulatedClock) {
-  SimulatedClock clock;
-  TransportOptions options;
-  options.hop_latency_micros = 150;
-  options.clock = &clock;
-  InMemoryTransport transport(options);
-  ASSERT_OK(transport.RegisterMachine(1, AcceptAll));
-  ASSERT_OK(SendOne(transport, 0, 1, "x"));
-  EXPECT_EQ(clock.Now(), 150);
-  ASSERT_OK(SendOne(transport, 1, 1, "local"));
-  EXPECT_EQ(clock.Now(), 150) << "local sends pay no hop latency";
-}
-
 TEST(TransportTest, BatchFrameCountsFrameOnceAndMessagesPerEvent) {
   InMemoryTransport transport;
   ASSERT_OK(transport.RegisterMachine(1, AcceptAll));

@@ -16,7 +16,8 @@ Usage:
       [--checks lock-graph,wire,determinism,guarded,options]
       [--dot PATH]           write the lock graph as DOT
       [--subdirs src]        comma list of roots to scan (default: src)
-      [--verbose]            print unresolved-expression diagnostics
+      [--verbose]            print unresolved-expression diagnostics,
+                             and the options written only under tests/
 
 When REPO_ROOT has tools/muppet_lint/lock_edges.txt, the lock-graph pass
 fails unless the graph has exactly the edges listed there, one
@@ -102,7 +103,11 @@ def main(argv: list[str]) -> int:
     if "guarded" in checks:
         findings.extend(guarded_by.run(files))
     if "options" in checks:
-        findings.extend(options.run(files, args.root))
+        notes: list[str] = []
+        findings.extend(options.run(files, args.root, notes))
+        if args.verbose:
+            for note in notes:
+                print(f"muppet-lint: info: {note}")
 
     cindex = clang_frontend.load()
     if cindex is not None:

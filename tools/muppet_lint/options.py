@@ -34,6 +34,11 @@ gives the same variable's field any other value (a reset after a change)
 is left alone. Benchmark programs (bench/, perfbench/) are not checked
 for this: they state the configuration a published row was measured
 under in full, so the row does not move when a default does.
+
+A write under tests/ counts as use, so a knob that only tests turn
+passes the gate. With --verbose the pass also lists every field whose
+only writes are under tests/, as info lines rather than findings: the
+inventory of test-only knobs, each a candidate for deletion.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ class _Writes:
                 for f in ci.fields:
                     self.member_types.setdefault(f.name, set()).add(
                         _value_type(f.type_text))
-        self.pairs: set[tuple[str | None, str]] = set()
+        # (struct, field) -> top-level roots of the files that write it.
+        self.pairs: dict[tuple[str | None, str], set[str]] = {}
         # Plain assignments whose owner struct is known:
         # (file, line, owner, field, access chain, right-hand side).
         self.setters: list[tuple[SourceFile, int, str, str, str, str]] = []
@@ -103,7 +109,8 @@ class _Writes:
                 for name in MEMBER_RE.findall(m.group(2)):
                     last_owners = owners
                     for owner in owners:
-                        self.pairs.add((owner, name))
+                        self.pairs.setdefault((owner, name), set()).add(
+                            sf.rel.split("/")[0])
                     owners = self._known(self.member_types.get(name, set()))
                 rhs = RHS_RE.match(sf.code, m.end())
                 if m.group("op") == "=" and rhs and None not in last_owners:
@@ -131,8 +138,10 @@ class _Writes:
         types -= NOT_TYPES
         return self._known(types)
 
-    def assigned(self, struct: str, name: str) -> bool:
-        return (struct, name) in self.pairs or (None, name) in self.pairs
+    def roots(self, struct: str, name: str) -> set[str]:
+        """Top-level roots whose files write the field (empty: none)."""
+        return (self.pairs.get((struct, name), set())
+                | self.pairs.get((None, name), set()))
 
 
 def _constant(text: str) -> str | float | None:
@@ -180,7 +189,10 @@ def _default_setters(writes: _Writes, structs) -> list[Finding]:
     return findings
 
 
-def run(files: list[SourceFile], root: str) -> list[Finding]:
+def run(files: list[SourceFile], root: str,
+        notes: list[str]) -> list[Finding]:
+    """Findings for unset fields and default setters; appends one line
+    to `notes` per field written only under tests/."""
     findings: list[Finding] = []
     structs = []
     for sf in files:
@@ -198,10 +210,13 @@ def run(files: list[SourceFile], root: str) -> list[Finding]:
     writes = _Writes(scan)
     for ci in structs:
         for f in ci.fields:
-            if f.is_static or f.is_constexpr or writes.assigned(ci.name,
-                                                                 f.name):
+            if f.is_static or f.is_constexpr:
                 continue
-            if ci.file.allows(CHECK, f.line):
+            roots = writes.roots(ci.name, f.name)
+            if roots == {"tests"}:
+                notes.append(f"{ci.file.rel}:{f.line}: {ci.qualified}::"
+                             f"{f.name} is written only under tests/")
+            if roots or ci.file.allows(CHECK, f.line):
                 continue
             findings.append(Finding(
                 CHECK, ci.file.rel, f.line,

@@ -130,6 +130,22 @@ def main() -> int:
           "real settings, resets, unknown owners and benchmark programs "
           "are not flagged")
 
+    rc, out = _run("test_only_options", ["--checks", "options"])
+    check("test_only_options", rc == 0,
+          f"a test-only knob is no finding (got exit {rc})")
+    check("test_only_options", "info:" not in out,
+          "no info lines without --verbose")
+    rc, out = _run("test_only_options", ["--checks", "options",
+                                         "--verbose"])
+    check("test_only_options", rc == 0,
+          f"--verbose leaves the gate as it is (got exit {rc})")
+    check("test_only_options",
+          "info: src/engine/knobs.h:11: KnobOptions::test_only is written "
+          "only under tests/" in out,
+          "the field written only under tests/ is listed with its line")
+    check("test_only_options", out.count("info:") == 1,
+          "fields written in src/ or bench/ are not listed")
+
     rc, out = _run("bad_wire")
     check("bad_wire", rc == 1, f"exit 1 on dropped field (got {rc})")
     check("bad_wire", "field-count mismatch" in out,
