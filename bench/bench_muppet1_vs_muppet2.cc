@@ -12,9 +12,11 @@
 
 #include "bench/bench_util.h"
 #include "core/slate.h"
+#include "core/slate_store.h"
 #include "engine/muppet1.h"
 #include "engine/muppet2.h"
 #include "json/json.h"
+#include "kvstore/cluster.h"
 #include "workload/zipf_keys.h"
 
 namespace muppet {
@@ -80,8 +82,18 @@ RunResult RunThroughput(bool muppet2, size_t value_bytes) {
 // cache budget equal to the working set, cyclic access over the working
 // set (the worst case for LRU and for CLOCK). Muppet 1.0 splits the
 // budget across its 5 workers while keys hash unevenly among them; Muppet
-// 2.0's central cache holds the set exactly.
+// 2.0's central cache holds the set exactly. A slate store stands behind
+// the caches, as in §4.2: without one a cache never evicts.
 RunResult RunWorkingSet(bool muppet2) {
+  ScratchDir dir;
+  kv::KvClusterOptions kv_options;
+  kv_options.num_nodes = 1;
+  kv_options.replication_factor = 1;
+  kv_options.node.data_dir = dir.path();
+  kv::KvCluster cluster(kv_options);
+  CheckOk(cluster.Open(), "kv open");
+  SlateStore store(&cluster, SlateStoreOptions{});
+
   AppConfig config;
   BuildCounting(&config);
   EngineOptions options;
@@ -90,6 +102,7 @@ RunResult RunWorkingSet(bool muppet2) {
   options.threads_per_machine = 5;
   options.queue_capacity = 1 << 16;
   options.slate_cache_capacity = 100;  // == working set
+  options.slate_store = &store;
   std::unique_ptr<Engine> engine;
   if (muppet2) {
     engine = std::make_unique<Muppet2Engine>(config, options);

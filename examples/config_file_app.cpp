@@ -21,7 +21,6 @@
 namespace {
 
 constexpr char kWorkflow[] = R"({
-  "slate_column_family": "wordcount",
   "input_streams": ["lines"],
   "streams": ["words"],
   "settings": {"min_word_length": 3},

@@ -208,9 +208,7 @@ void SloTracker::ObserveLocked(uint64_t trace_id,
         return a.total_us > b.total_us;
       });
   state->worst.insert(pos, path);
-  if (state->worst.size() > options_.worst_paths) {
-    state->worst.resize(options_.worst_paths);
-  }
+  if (state->worst.size() > kWorstPaths) state->worst.resize(kWorstPaths);
 }
 
 void SloTracker::Harvest(const std::vector<TraceSink*>& sinks, Timestamp now,

@@ -51,8 +51,6 @@ struct SloOptions {
   // Per-stream objectives. Streams without one still get latency
   // histograms and critical paths, but no burn accounting.
   std::vector<SloObjective> objectives;
-  // Worst critical paths retained per stream, slowest first.
-  size_t worst_paths = 4;
 };
 
 // Per-kind critical-path breakdown of one assembled trace. Every instant
@@ -159,6 +157,8 @@ class SloTracker {
   // pairs a fast window against a slow one).
   static constexpr Timestamp kBurnWindows[] = {kMicrosPerMinute,
                                                10 * kMicrosPerMinute};
+  // Worst critical paths retained per stream, slowest first.
+  static constexpr size_t kWorstPaths = 4;
 
   static constexpr LockLevel kLockLevel = LockLevel::kSlo;
 

@@ -128,15 +128,13 @@ TraceSink::TraceSink(Options options)
     : options_(options),
       recent_per_stripe_(
           std::max<size_t>(1, options.recent_capacity / kStripes)),
-      slowest_per_stripe_((options.slowest_capacity + kStripes - 1) /
-                          kStripes),
       index_mask_(std::bit_ceil(2 * recent_per_stripe_) - 1) {
   options_.max_spans_per_trace = std::min<size_t>(
       options_.max_spans_per_trace, std::numeric_limits<uint16_t>::max());
   for (Stripe& stripe : stripes_) {
     MutexLock lock(stripe.mutex);
-    stripe.slots.resize(recent_per_stripe_ + slowest_per_stripe_);
-    stripe.slowest_us.assign(slowest_per_stripe_, -1);
+    stripe.slots.resize(recent_per_stripe_ + kSlowestPerStripe);
+    stripe.slowest_us.assign(kSlowestPerStripe, -1);
     stripe.index.assign(index_mask_ + 1, 0);
   }
   MutexLock lock(labels_mutex_);
@@ -194,20 +192,18 @@ TraceSink::Slot& TraceSink::StartTrace(Stripe& stripe, uint64_t trace_id) {
     // stripe's fastest candidate there (which it then replaces).
     IndexErase(stripe, slot.trace_id);
     ++stripe.evicted;
-    if (slowest_per_stripe_ > 0) {
-      Timestamp first = slot.spans > 0 ? slot.at(0).start_us : 0;
-      Timestamp last = first;
-      for (size_t i = 0; i < slot.spans; ++i) {
-        first = std::min(first, slot.at(i).start_us);
-        last = std::max(last, EndOf(slot.at(i)));
-      }
-      const auto fastest = std::min_element(stripe.slowest_us.begin(),
-                                            stripe.slowest_us.end());
-      if (last - first > *fastest) {
-        *fastest = last - first;
-        std::swap(slot, stripe.slots[recent_per_stripe_ +
-                                     (fastest - stripe.slowest_us.begin())]);
-      }
+    Timestamp first = slot.spans > 0 ? slot.at(0).start_us : 0;
+    Timestamp last = first;
+    for (size_t i = 0; i < slot.spans; ++i) {
+      first = std::min(first, slot.at(i).start_us);
+      last = std::max(last, EndOf(slot.at(i)));
+    }
+    const auto fastest = std::min_element(stripe.slowest_us.begin(),
+                                          stripe.slowest_us.end());
+    if (last - first > *fastest) {
+      *fastest = last - first;
+      std::swap(slot, stripe.slots[recent_per_stripe_ +
+                                   (fastest - stripe.slowest_us.begin())]);
     }
   } else {
     ++stripe.live;
@@ -353,21 +349,19 @@ std::vector<TraceSink::TraceRecord> TraceSink::Slowest() const {
   std::vector<RawTrace> raw;
   for (const Stripe& stripe : stripes_) {
     MutexLock lock(stripe.mutex);
-    for (size_t k = 0; k < slowest_per_stripe_; ++k) {
+    for (size_t k = 0; k < kSlowestPerStripe; ++k) {
       if (stripe.slowest_us[k] >= 0) {
         raw.push_back(Copy(stripe.slots[recent_per_stripe_ + k]));
       }
     }
   }
-  // Each stripe keeps its own candidates; the merge happens here.
+  // Each stripe keeps its own candidates, kSlowestCapacity in all; the
+  // merge happens here.
   std::vector<TraceRecord> out = Resolve(std::move(raw));
   std::sort(out.begin(), out.end(),
             [](const TraceRecord& a, const TraceRecord& b) {
               return a.duration_us() > b.duration_us();
             });
-  if (out.size() > options_.slowest_capacity) {
-    out.resize(options_.slowest_capacity);
-  }
   return out;
 }
 
@@ -376,7 +370,7 @@ void TraceSink::MarkHarvested(uint64_t trace_id) {
   MutexLock lock(stripe.mutex);
   const int64_t found = Find(stripe, trace_id);
   if (found >= 0) stripe.slots[static_cast<size_t>(found)].harvested = true;
-  for (size_t k = 0; k < slowest_per_stripe_; ++k) {
+  for (size_t k = 0; k < kSlowestPerStripe; ++k) {
     Slot& slot = stripe.slots[recent_per_stripe_ + k];
     if (stripe.slowest_us[k] >= 0 && slot.trace_id == trace_id) {
       slot.harvested = true;

@@ -138,9 +138,9 @@ static_assert(sizeof(SpanRecord) == 32, "SpanRecord is a 32-byte POD");
 //
 // Storage is preallocated: 8 lock-striped shards (stripe = trace_id % 8)
 // each own a fixed slab of trace slots, recent_capacity / 8 of them a
-// ring in the order their traces began and ceil(slowest_capacity / 8)
-// holding that stripe's slowest evicted traces. A slot keeps its first
-// three SpanRecords inline and spills the rest to the heap, up to
+// ring in the order their traces began and kSlowestCapacity / 8 holding
+// that stripe's slowest evicted traces. A slot keeps its first three
+// SpanRecords inline and spills the rest to the heap, up to
 // max_spans_per_trace. A new trace takes the ring's oldest slot; if the
 // trace there outlasts the stripe's fastest slowest candidate, it swaps
 // into that candidate's slot first. Recording a span within inline
@@ -153,8 +153,6 @@ class TraceSink {
   struct Options {
     // Traces retained in the recent ring (across all stripes).
     size_t recent_capacity = 256;
-    // Slowest traces retained after falling out of the recent ring.
-    size_t slowest_capacity = 16;
     // Hard cap on spans per trace (runaway cyclic workflows); at most
     // 65,535.
     size_t max_spans_per_trace = 128;
@@ -201,7 +199,8 @@ class TraceSink {
   // = all.
   std::vector<TraceRecord> Recent(size_t max = 0) const;
 
-  // The slowest traces evicted from the recent ring, slowest first.
+  // The slowest traces evicted from the recent ring, slowest first; at
+  // most kSlowestCapacity.
   std::vector<TraceRecord> Slowest() const;
 
   // Mark every retained record of `trace_id` harvested (SloTracker). The
@@ -220,9 +219,16 @@ class TraceSink {
   static constexpr LockLevel kStripeLockLevel = LockLevel::kTraceStripe;
   static constexpr LockLevel kLabelsLockLevel = LockLevel::kTraceLabels;
 
+  // Slowest traces retained after falling out of the recent ring (across
+  // all stripes).
+  static constexpr size_t kSlowestCapacity = 16;
+
  private:
   static constexpr size_t kStripes = 8;
   static constexpr size_t kInlineSpans = 3;
+  static constexpr size_t kSlowestPerStripe = kSlowestCapacity / kStripes;
+  static_assert(kSlowestCapacity % kStripes == 0,
+                "every stripe keeps the same number of slowest candidates");
 
   struct StripeMutex : Mutex {
     StripeMutex() : Mutex(kStripeLockLevel) {}
@@ -246,7 +252,7 @@ class TraceSink {
   struct alignas(64) Stripe {
     mutable StripeMutex mutex;
     // The ring, recent_per_stripe_ slots in the order their traces began
-    // (once full, slots[next] holds the oldest), then slowest_per_stripe_
+    // (once full, slots[next] holds the oldest), then kSlowestPerStripe
     // slowest candidates.
     std::vector<Slot> slots MUPPET_GUARDED_BY(mutex);
     size_t next MUPPET_GUARDED_BY(mutex) = 0;
@@ -282,7 +288,6 @@ class TraceSink {
 
   Options options_;
   size_t recent_per_stripe_;
-  size_t slowest_per_stripe_;
   size_t index_mask_;
   std::array<Stripe, kStripes> stripes_;
 

@@ -78,9 +78,6 @@ Status LoadAppConfigFromJson(const std::string& json_text,
     return Status::InvalidArgument("config: document must be an object");
   }
 
-  if (doc.Contains("slate_column_family")) {
-    config->set_slate_column_family(doc.GetString("slate_column_family"));
-  }
   if (doc.Contains("settings")) {
     config->settings() = doc["settings"];
   }
@@ -173,7 +170,6 @@ Status LoadAppConfigFromJson(const std::string& json_text,
 
 std::string AppConfigToJson(const AppConfig& config) {
   Json doc = Json::MakeObject();
-  doc["slate_column_family"] = config.slate_column_family();
   doc["settings"] = config.settings();
   Json inputs = Json::MakeArray();
   for (const std::string& sid : config.InputStreams()) inputs.Append(sid);

@@ -9,7 +9,6 @@
 // Example document:
 //
 // {
-//   "slate_column_family": "myapp",
 //   "input_streams": ["S1"],
 //   "streams": ["S2"],
 //   "settings": {"threshold": 4},

@@ -127,7 +127,6 @@ Block* NewBlock(uint8_t updater, BytesView key, BytesView value) {
 SlateCache::SlateCache(SlateCacheOptions options, WriteBack write_back)
     : options_(options), write_back_(std::move(write_back)) {
   MUPPET_CHECK(options_.capacity > 0);
-  MUPPET_CHECK(write_back_ != nullptr);
 }
 
 SlateCache::~SlateCache() {
@@ -239,8 +238,12 @@ SlateId SlateCache::IdOfLocked(const Block* block) const {
   return SlateId{updaters_[block->updater].name, Bytes(KeyOf(block))};
 }
 
+Status SlateCache::Persist(const DirtySlate& slate) const {
+  return write_back_ == nullptr ? Status::OK() : write_back_(slate);
+}
+
 void SlateCache::EvictIfNeededLocked(const Block* handed) {
-  if (index_.size() <= options_.capacity) return;
+  if (write_back_ == nullptr || index_.size() <= options_.capacity) return;
   const size_t slots = index_.slot_count();
   const size_t mask = slots - 1;
   // An odd stride visits every slot of the power-of-two array once a lap.
@@ -335,7 +338,7 @@ Status SlateCache::Update(const SlateId& id, BytesView value, Timestamp now,
     EvictIfNeededLocked(b);
   }
   if (write_through) {
-    return write_back_(DirtySlate{id, Bytes(value), /*deleted=*/false});
+    return Persist(DirtySlate{id, Bytes(value), /*deleted=*/false});
   }
   return Status::OK();
 }
@@ -357,7 +360,7 @@ Status SlateCache::Delete(const SlateId& id) {
       SetState(b, kAbsent);
     }
   }
-  return write_back_(DirtySlate{id, Bytes(), /*deleted=*/true});
+  return Persist(DirtySlate{id, Bytes(), /*deleted=*/true});
 }
 
 Result<int> SlateCache::FlushDirty(Timestamp dirty_before) {
@@ -394,7 +397,7 @@ Result<int> SlateCache::FlushDirtyFor(const std::string& updater,
   if (to_flush.empty()) return 0;
   std::vector<Status> results;
   results.reserve(to_flush.size());
-  for (const Pending& p : to_flush) results.push_back(write_back_(p.slate));
+  for (const Pending& p : to_flush) results.push_back(Persist(p.slate));
 
   int flushed = 0;
   Status first_error = Status::OK();

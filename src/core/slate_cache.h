@@ -53,7 +53,10 @@ class SlateCache {
  public:
   // Writer invoked to persist a dirty slate (on write-through, interval
   // flush, or eviction). An empty value with `deleted` set means the slate
-  // was deleted.
+  // was deleted. A null writer means no store stands behind the cache:
+  // nothing is written, and nothing is evicted either, since an evicted
+  // slate would have no other copy. The cache then holds more than
+  // `capacity` slates.
   struct DirtySlate {
     SlateId id;
     Bytes value;
@@ -138,6 +141,8 @@ class SlateCache {
   // with a write-back in flight. The write-back runs under mutex_, which
   // is why the cache sits above the store in the lock hierarchy.
   void EvictIfNeededLocked(const Block* handed) MUPPET_REQUIRES(mutex_);
+  // write_back_(slate), or OK when there is no writer.
+  Status Persist(const DirtySlate& slate) const;
   // The block holding `id`, marked referenced, with `value` written into
   // it if `overwrite`; or, if `id` is not cached, a new unreferenced block
   // holding `value`, flags clear. `*added` tells which.

@@ -18,21 +18,16 @@ Status SlateStore::Write(const SlateId& id, BytesView slate,
                          Timestamp ttl_micros) {
   kv::WriteOptions opts;
   opts.ttl_micros = ttl_micros;
-  if (options_.compress) {
-    Bytes compressed;
-    CompressBytes(slate, &compressed);
-    return cluster_->Put(options_.column_family, id.key, id.updater,
-                         compressed, opts, kSlateConsistency);
-  }
-  return cluster_->Put(options_.column_family, id.key, id.updater, slate,
-                       opts, kSlateConsistency);
+  Bytes compressed;
+  CompressBytes(slate, &compressed);
+  return cluster_->Put(options_.column_family, id.key, id.updater,
+                       compressed, opts, kSlateConsistency);
 }
 
 Result<Bytes> SlateStore::Read(const SlateId& id) {
   Result<kv::Record> rec = cluster_->Get(options_.column_family, id.key,
                                          id.updater, kSlateConsistency);
   if (!rec.ok()) return rec.status();
-  if (!options_.compress) return std::move(rec).value().value;
   return Decompress(rec.value().value);
 }
 

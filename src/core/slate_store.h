@@ -17,8 +17,9 @@
 namespace muppet {
 
 struct SlateStoreOptions {
+  // The application's column family (§4.2): applications sharing one
+  // store keep their slates apart by naming different families.
   std::string column_family = "slates";
-  bool compress = true;
 };
 
 class SlateStore {

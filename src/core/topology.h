@@ -116,14 +116,6 @@ class AppConfig {
   Json& settings() { return settings_; }
   const Json& settings() const { return settings_; }
 
-  // Column family under which this application's slates are persisted.
-  void set_slate_column_family(std::string cf) {
-    slate_column_family_ = std::move(cf);
-  }
-  const std::string& slate_column_family() const {
-    return slate_column_family_;
-  }
-
  private:
   Status DeclareStreamInternal(const std::string& sid, bool is_input);
 
@@ -133,7 +125,6 @@ class AppConfig {
   // stream -> sorted subscriber names.
   std::map<std::string, std::set<std::string>> subscribers_;
   Json settings_ = Json::MakeObject();
-  std::string slate_column_family_ = "slates";
 };
 
 }  // namespace muppet

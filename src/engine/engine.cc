@@ -14,6 +14,8 @@ namespace {
 // is retried, at most this many times per event.
 constexpr Timestamp kThrottleRetryMicros = 200;
 constexpr int kMaxThrottleRetries = 50;
+// Background flusher cadence for SlateFlushPolicy::kInterval updaters.
+constexpr Timestamp kFlushPollMicros = 10 * kMicrosPerMilli;
 }  // namespace
 
 Status BuildEmittedEvent(const AppConfig& config, const Event& input,
@@ -260,7 +262,7 @@ Status Engine::Start() {
     SpawnLanes(m);
     m->flusher = std::thread([this, m] { FlusherLoop(m); });
   }
-  watchdog_ = std::make_unique<Watchdog>(options_.watchdog, &incident_log_);
+  watchdog_ = std::make_unique<Watchdog>(&incident_log_);
   control_threads_.emplace_back([this] { WatchdogLoop(); });
 
   started_at_.store(clock_->Now(), std::memory_order_release);
@@ -407,8 +409,10 @@ Result<Bytes> Engine::FetchSlate(const std::string& updater, BytesView key) {
 }
 
 SlateCache::WriteBack Engine::StoreWriteBack() {
+  // Without a store the caches hold the only copy of every slate, so they
+  // get no writer and never evict (slate_cache.h).
+  if (options_.slate_store == nullptr) return nullptr;
   return [this](const SlateCache::DirtySlate& dirty) -> Status {
-    if (options_.slate_store == nullptr) return Status::OK();
     store_writes_->Add();
     if (dirty.deleted) return options_.slate_store->Delete(dirty.id);
     Timestamp ttl = 0;
@@ -432,7 +436,7 @@ bool Engine::WaitTick(Timestamp micros) {
 }
 
 void Engine::FlusherLoop(MachineBase* machine) {
-  while (WaitTick(options_.flush_poll_micros)) {
+  while (WaitTick(kFlushPollMicros)) {
     if (machine->crashed.load()) return;
     const Timestamp now = clock_->Now();
     for (const auto& [name, spec] : config_.operators()) {
@@ -973,7 +977,7 @@ WatchdogSignals Engine::GatherWatchdogSignals() const {
 }
 
 void Engine::WatchdogLoop() {
-  while (WaitTick(options_.watchdog.tick_micros)) {
+  while (WaitTick(Watchdog::kTickMicros)) {
     watchdog_->Tick(GatherWatchdogSignals());
     // Opportunistic SLO harvest on the same cadence, so burn windows
     // advance and settle without requiring a /sloz scrape.

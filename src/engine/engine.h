@@ -95,7 +95,8 @@ struct EngineOptions {
   // degenerates to Muppet 1.0-style single ownership).
   bool enable_two_choice = true;
 
-  // Durable slate store; nullptr runs cache-only (volatile slates).
+  // Durable slate store; nullptr runs cache-only (volatile slates): the
+  // caches then never evict, and may hold more than slate_cache_capacity.
   SlateStore* slate_store = nullptr;
 
   // Durability / consistency knob (engine/slatelog.h, DESIGN.md §12):
@@ -104,9 +105,6 @@ struct EngineOptions {
   // and replay-on-recovery; kExactlyOnce syncs every append and dedups
   // redelivered cross-machine batches after the recovery epoch cut.
   DurabilityOptions durability;
-
-  // Background flusher cadence for SlateFlushPolicy::kInterval updaters.
-  Timestamp flush_poll_micros = 10 * kMicrosPerMilli;
 
   // Scripted faults on the engine's own in-memory fabric (net/fault.h;
   // ignored with transport_backend). Not owned; must outlive the engine.
@@ -143,11 +141,6 @@ struct EngineOptions {
   // muppet_slo_* metric families surface the verdicts.
   SloOptions slo;
 
-  // Stall watchdog (engine/watchdog.h): wedged-queue / stuck-drain /
-  // changelog-stall / stuck-recovery detection feeding the incident log,
-  // /healthz, and the flight recorder.
-  WatchdogOptions watchdog;
-
   // Sampled distributed tracing (common/trace.h).
   struct TraceOptions {
     // Trace 1-in-N events, decided by hash of the event key (deterministic
@@ -155,7 +148,7 @@ struct EngineOptions {
     // no spans are recorded and events carry a zero TraceContext.
     uint64_t sample_period = 1024;
     // Per-machine TraceSink retention of recent traces (the slowest-trace
-    // set keeps TraceSink::Options' default).
+    // set holds TraceSink::kSlowestCapacity).
     size_t recent_traces = 256;
   };
   TraceOptions trace;
@@ -590,7 +583,8 @@ class Engine {
   Status FetchForExec(MachineBase* machine, SlateCache* cache,
                       const RoutedEvent& re, BytesView slate_key,
                       uint64_t exec_span, Bytes* slate, bool* found);
-  // Cache write-back into the durable store, with each updater's TTL.
+  // Cache write-back into the durable store, with each updater's TTL;
+  // null without a store, so the caches never evict.
   SlateCache::WriteBack StoreWriteBack();
 
   // Every slate write on `machine`, written once: kUpdate stores `value`

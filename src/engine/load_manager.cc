@@ -18,10 +18,8 @@ LoadActions LoadController::Tick(const LoadSignals& signals) {
   // slows Publish()).
   constexpr double kTargetOccupancy = 0.5;
   const double error = signals.max_queue_occupancy - kTargetOccupancy;
-  floor_ += error * options_.throttle_gain *
-            static_cast<double>(options_.max_floor_delay_micros);
-  floor_ = std::clamp(floor_, 0.0,
-                      static_cast<double>(options_.max_floor_delay_micros));
+  floor_ += error * kThrottleGain * static_cast<double>(kMaxFloorDelayMicros);
+  floor_ = std::clamp(floor_, 0.0, static_cast<double>(kMaxFloorDelayMicros));
   actions.floor_delay_micros = static_cast<Timestamp>(floor_);
 
   if (signals.sampled_total < options_.min_samples) return actions;
@@ -37,7 +35,7 @@ LoadActions LoadController::Tick(const LoadSignals& signals) {
   // Splits: hot enough, not already split, room in the table.
   size_t live = signals.active_splits.size();
   for (const HeatReading& reading : signals.top) {
-    if (live >= options_.max_splits) break;
+    if (live >= kMaxSplits) break;
     const double fraction = static_cast<double>(reading.count) / total;
     if (fraction < options_.split_heat_fraction) break;  // top is sorted
     if (split_for(reading.function_id, reading.key) != nullptr) continue;

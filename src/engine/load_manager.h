@@ -52,16 +52,6 @@ struct LoadManagerOptions {
   int merge_cool_ticks = 3;
   // Ignore heat readings until this many samples accumulated.
   int64_t min_samples = 64;
-  // Ceiling on concurrently split keys.
-  size_t max_splits = 16;
-
-  // --- Queue-occupancy throttling ------------------------------------
-  // Integral gain: fraction of max_floor_delay_micros added to the pacing
-  // floor per unit of occupancy error per tick (the target is half the
-  // hottest queue's capacity).
-  double throttle_gain = 0.2;
-  // Ceiling on the occupancy-driven pacing floor.
-  Timestamp max_floor_delay_micros = 5 * kMicrosPerMilli;
 };
 
 // One machine-agnostic heat reading: (function, key) and its decayed
@@ -106,6 +96,15 @@ struct LoadActions {
 class LoadController {
  public:
   explicit LoadController(const LoadManagerOptions& options);
+
+  // Ceiling on concurrently split keys.
+  static constexpr size_t kMaxSplits = 16;
+  // Queue-occupancy throttling. Integral gain: fraction of
+  // kMaxFloorDelayMicros added to the pacing floor per unit of occupancy
+  // error per tick (the target is half the hottest queue's capacity).
+  static constexpr double kThrottleGain = 0.2;
+  // Ceiling on the occupancy-driven pacing floor.
+  static constexpr Timestamp kMaxFloorDelayMicros = 5 * kMicrosPerMilli;
 
   LoadActions Tick(const LoadSignals& signals);
 

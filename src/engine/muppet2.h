@@ -107,8 +107,8 @@ class Muppet2Engine final : public Engine {
     // folding the same shard slate into the base key twice would
     // overcount. Keyed by hash of (function, base key, shard, round).
     // FIFO-bounded: the injector queues a duplicate right behind its
-    // original, and a round emits at most max_splits * split_shards
-    // deltas, far below the table's capacity.
+    // original, and a round emits at most LoadController::kMaxSplits *
+    // split_shards deltas, far below the table's capacity.
     DedupTable merge_applied{DedupTable::kMachineCapacity};
   };
 

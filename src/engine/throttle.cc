@@ -24,10 +24,9 @@ Timestamp ThrottleGovernor::CurrentDelayMicros() {
   {
     MutexLock lock(mutex_);
     const Timestamp now = clock_->Now();
-    if (now > last_decay_ && delay_micros_ > 0.0 &&
-        options_.halflife_micros > 0) {
+    if (now > last_decay_ && delay_micros_ > 0.0) {
       const double halflives = static_cast<double>(now - last_decay_) /
-                               static_cast<double>(options_.halflife_micros);
+                               static_cast<double>(kHalflifeMicros);
       delay_micros_ *= std::pow(0.5, halflives);
       if (delay_micros_ < 1.0) delay_micros_ = 0.0;
     }

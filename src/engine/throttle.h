@@ -22,8 +22,6 @@ struct ThrottleOptions {
   Timestamp step_micros = 200;
   // Ceiling on the publish delay.
   Timestamp max_delay_micros = 20 * kMicrosPerMilli;
-  // The delay halves every `halflife_micros` without new signals.
-  Timestamp halflife_micros = 50 * kMicrosPerMilli;
 };
 
 class ThrottleGovernor {
@@ -33,6 +31,9 @@ class ThrottleGovernor {
 
   ThrottleGovernor(const ThrottleGovernor&) = delete;
   ThrottleGovernor& operator=(const ThrottleGovernor&) = delete;
+
+  // The delay halves every kHalflifeMicros without new signals.
+  static constexpr Timestamp kHalflifeMicros = 50 * kMicrosPerMilli;
 
   // A queue somewhere declined an event: increase pressure.
   void NoteOverflow();

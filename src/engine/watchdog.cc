@@ -9,17 +9,6 @@
 #include "common/prom.h"
 
 namespace muppet {
-namespace {
-
-// Consecutive bad ticks before a queue-stall incident opens. Conservative:
-// a healthy engine under load dequeues constantly, so three high-occupancy
-// zero-progress observations in a row mean wedged.
-constexpr int kStallTicks = 3;
-// Consecutive good ticks before an open incident clears (hysteresis in the
-// other direction — one lucky dequeue does not end an incident).
-constexpr int kClearTicks = 2;
-
-}  // namespace
 
 const char* IncidentKindName(IncidentKind kind) {
   switch (kind) {
@@ -83,8 +72,7 @@ int IncidentLog::open_count() const {
   return open;
 }
 
-Watchdog::Watchdog(WatchdogOptions options, IncidentLog* log)
-    : options_(options), log_(log) {}
+Watchdog::Watchdog(IncidentLog* log) : log_(log) {}
 
 int Watchdog::Step(const EntityKey& key, bool bad, int open_after,
                    Timestamp now, IncidentKind kind, MachineId machine,
@@ -154,10 +142,10 @@ int Watchdog::Tick(const WatchdogSignals& signals) {
       detail = "queue m" + std::to_string(q.machine) + "/q" +
                std::to_string(q.queue_index) + " depth " +
                std::to_string(q.depth) + "/" + std::to_string(q.capacity) +
-               ", no dequeues for " + std::to_string(kStallTicks) +
+               ", no dequeues for " + std::to_string(kQueueStallTicks) +
                " ticks";
     }
-    opened += Step(key, bad, kStallTicks, now, IncidentKind::kQueueStall,
+    opened += Step(key, bad, kQueueStallTicks, now, IncidentKind::kQueueStall,
                    q.machine, q.queue_index, detail);
   }
 
@@ -175,7 +163,7 @@ int Watchdog::Tick(const WatchdogSignals& signals) {
       detail = "drain blocked, inflight stuck at " +
                std::to_string(signals.inflight);
     }
-    opened += Step(key, bad, options_.drain_stall_ticks, now,
+    opened += Step(key, bad, kDrainStallTicks, now,
                    IncidentKind::kDrainStall, kInvalidMachine, -1, detail);
   }
 
@@ -197,7 +185,7 @@ int Watchdog::Tick(const WatchdogSignals& signals) {
                  std::to_string(m.changelog_synced_lsn) + " < lsn " +
                  std::to_string(m.changelog_lsn) + ", no sync progress";
       }
-      opened += Step(key, bad, options_.changelog_stall_ticks, now,
+      opened += Step(key, bad, kChangelogStallTicks, now,
                      IncidentKind::kChangelogStall, m.machine, -1, detail);
     }
     {
@@ -208,7 +196,7 @@ int Watchdog::Tick(const WatchdogSignals& signals) {
         detail = "machine m" + std::to_string(m.machine) +
                  " stuck between BeginRecovery and ClearFailure";
       }
-      opened += Step(key, m.recovering, options_.recovery_stuck_ticks, now,
+      opened += Step(key, m.recovering, kRecoveryStuckTicks, now,
                      IncidentKind::kRecoveryStuck, m.machine, -1, detail);
     }
   }

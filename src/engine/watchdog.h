@@ -41,20 +41,6 @@
 
 namespace muppet {
 
-struct WatchdogOptions {
-  // Tick cadence of the engine's watchdog thread (the pure core is
-  // cadence-agnostic: tests drive Tick() directly).
-  Timestamp tick_micros = 100 * kMicrosPerMilli;
-  // Ticks of a Drain() waiter seeing an unchanged nonzero inflight count.
-  int drain_stall_ticks = 5;
-  // Ticks of changelog last_lsn > synced_lsn with synced_lsn unchanged.
-  int changelog_stall_ticks = 5;
-  // Ticks a machine may sit between BeginRecovery and ClearFailure.
-  // Replays are fast (tests complete in milliseconds); 50 ticks = 5s at
-  // the default cadence is far beyond any healthy recovery.
-  int recovery_stuck_ticks = 50;
-};
-
 // Incident taxonomy (DESIGN.md §14). Keep IncidentKindName in sync.
 enum class IncidentKind : uint8_t {
   kQueueStall = 0,      // wedged worker queue
@@ -158,7 +144,27 @@ struct WatchdogSignals {
 // through the IncidentLog.
 class Watchdog {
  public:
-  Watchdog(WatchdogOptions options, IncidentLog* log);
+  explicit Watchdog(IncidentLog* log);
+
+  // Tick cadence of the engine's watchdog thread (the pure core is
+  // cadence-agnostic: tests drive Tick() directly).
+  static constexpr Timestamp kTickMicros = 100 * kMicrosPerMilli;
+  // Consecutive bad ticks before an incident opens, per kind. A queue
+  // stall is a queue at least half full with no dequeue: a healthy engine
+  // under load dequeues constantly, so three such ticks in a row mean
+  // wedged.
+  static constexpr int kQueueStallTicks = 3;
+  // Ticks of a Drain() waiter seeing an unchanged nonzero inflight count.
+  static constexpr int kDrainStallTicks = 5;
+  // Ticks of changelog last_lsn > synced_lsn with synced_lsn unchanged.
+  static constexpr int kChangelogStallTicks = 5;
+  // Ticks a machine may sit between BeginRecovery and ClearFailure.
+  // Replays are fast (tests complete in milliseconds); 50 ticks = 5s is
+  // far beyond any healthy recovery.
+  static constexpr int kRecoveryStuckTicks = 50;
+  // Consecutive good ticks before an open incident clears (hysteresis in
+  // the other direction: one lucky dequeue does not end an incident).
+  static constexpr int kClearTicks = 2;
 
   // Evaluate one tick of signals; opens/clears incidents in the log.
   // Deterministic: a fixed signal sequence yields a fixed incident
@@ -185,7 +191,6 @@ class Watchdog {
            IncidentKind kind, MachineId machine, int queue_index,
            const std::string& detail_if_open);
 
-  const WatchdogOptions options_;
   IncidentLog* const log_;
   std::map<EntityKey, EntityState> state_;
   int64_t next_id_ = 1;

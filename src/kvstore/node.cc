@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "common/logging.h"
+#include "kvstore/compaction.h"
 
 namespace muppet {
 namespace kv {
@@ -233,7 +234,7 @@ Status Shard::MaybeCompactLocked() {
   std::vector<uint64_t> sizes;
   sizes.reserve(tables_.size());
   for (const auto& t : tables_) sizes.push_back(t->file_size());
-  const auto groups = PickSizeTieredCompactions(sizes, options_.compaction);
+  const auto groups = PickSizeTieredCompactions(sizes, CompactionPolicy{});
   for (const auto& group : groups) {
     const bool covers_all = group.size() == tables_.size();
     MUPPET_RETURN_IF_ERROR(CompactGroupLocked(group, covers_all));

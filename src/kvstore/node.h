@@ -17,7 +17,6 @@
 #include "common/framed_log.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "kvstore/compaction.h"
 #include "kvstore/device.h"
 #include "kvstore/format.h"
 #include "kvstore/memtable.h"
@@ -36,9 +35,8 @@ struct NodeOptions {
   DeviceProfile device = DeviceProfile::None();
   // Clock for TTL expiry and device latency. nullptr -> system clock.
   Clock* clock = nullptr;
-  // Size-tiered compaction policy; compaction runs inline after flushes.
-  CompactionPolicy compaction;
-  // Disable automatic compaction (benchmarks that measure read amp).
+  // Size-tiered compaction (CompactionPolicy's defaults) runs inline
+  // after flushes; false disables it (benchmarks that measure read amp).
   bool auto_compact = true;
 };
 

@@ -21,7 +21,7 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
   for (const TcpPeerConfig& pc : options_.peers) {
     auto peer = std::make_unique<Peer>();
     peer->config = pc;
-    peer->backoff = options_.reconnect_initial_micros;
+    peer->backoff = kReconnectInitialMicros;
     for (MachineId m : pc.machines) machine_to_peer_[m] = peer.get();
     peers_.push_back(std::move(peer));
   }
@@ -153,8 +153,7 @@ Status TcpTransport::EnqueueFrame(Peer* peer, const WireFrame& frame) {
   Bytes encoded = EncodeFrame(frame);
   {
     MutexLock lock(peer->q_mutex);
-    if (peer->queued_bytes + encoded.size() >
-        options_.write_queue_cap_bytes) {
+    if (peer->queued_bytes + encoded.size() > kWriteQueueCapBytes) {
       messages_declined_.Add(static_cast<int64_t>(frame.count));
       return Status::ResourceExhausted("tcp write queue full for node " +
                                        std::to_string(peer->config.node_id));
@@ -295,8 +294,7 @@ void TcpTransport::DialPeer(Peer* peer, Timestamp now) {
   Status s = TcpConnectStart(peer->config.host, peer->config.port, &fd);
   if (!s.ok()) {
     peer->next_dial_at = now + peer->backoff;
-    peer->backoff =
-        std::min(peer->backoff * 2, options_.reconnect_max_micros);
+    peer->backoff = std::min(peer->backoff * 2, kReconnectMaxMicros);
     return;
   }
   peer->state = Peer::DialState::kConnecting;
@@ -317,7 +315,7 @@ void TcpTransport::TearDownPeer(Peer* peer, Timestamp now, const char* why) {
   }
   peer->state = Peer::DialState::kIdle;
   peer->next_dial_at = now + peer->backoff;
-  peer->backoff = std::min(peer->backoff * 2, options_.reconnect_max_micros);
+  peer->backoff = std::min(peer->backoff * 2, kReconnectMaxMicros);
   {
     // A partially written head frame is resent from its first byte on
     // reconnect: the receiver cannot have decoded a partial frame, so the
@@ -397,7 +395,7 @@ void TcpTransport::HandlePeerEvent(Peer* peer, const Epoll::Event& ev,
           return;
         }
         peer->state = Peer::DialState::kUp;
-        peer->backoff = options_.reconnect_initial_micros;
+        peer->backoff = kReconnectInitialMicros;
         peer->up.store(true, std::memory_order_release);
         MUPPET_LOG(kInfo) << "tcp: node " << peer->config.node_id << " up";
         if (options_.on_peer_up != nullptr) {
@@ -522,7 +520,7 @@ void TcpTransport::RedialNow(uint32_t node) {
     if (peer->config.node_id != node) continue;
     if (peer->state == Peer::DialState::kIdle) {
       peer->next_dial_at = 0;
-      peer->backoff = options_.reconnect_initial_micros;
+      peer->backoff = kReconnectInitialMicros;
     }
     return;
   }

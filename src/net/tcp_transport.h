@@ -70,19 +70,11 @@ struct TcpTransportOptions {
   int listen_port = 0;
   std::vector<TcpPeerConfig> peers;
 
-  // Per-peer outbound queue bound, in encoded-frame bytes. An enqueue
-  // that would exceed it fails with ResourceExhausted.
-  size_t write_queue_cap_bytes = 16u << 20;
-
-  // Dialer backoff: doubles from initial to max on every failed attempt,
-  // resets on an established handshake or an inbound HELLO from the peer.
-  Timestamp reconnect_initial_micros = 50 * 1000;
-  Timestamp reconnect_max_micros = 2 * 1000 * 1000;
-
   // Clock for backoff deadlines and FlushOutbound waits. nullptr ->
-  // SystemClock::Default(). (A SimulatedClock makes no sense here — the
-  // kernel does not simulate time — but the seam keeps lint and tests
-  // uniform.)
+  // SystemClock::Default(). The kernel does not simulate time, but a
+  // SimulatedClock that nothing advances holds every backoff deadline
+  // off, so a test can tell a redial that an inbound HELLO triggered
+  // from one the backoff timer did.
   Clock* clock = nullptr;
 
   // Invoked from the IO thread (no transport lock held) when a peer's
@@ -124,6 +116,14 @@ class TcpTransport : public Transport {
 
   // True once `node`'s dialed connection has completed its handshake.
   bool PeerUp(uint32_t node) const;
+
+  // Per-peer outbound queue bound, in encoded-frame bytes. An enqueue
+  // that would exceed it fails with ResourceExhausted.
+  static constexpr size_t kWriteQueueCapBytes = 16u << 20;
+  // Dialer backoff: doubles from initial to max on every failed attempt,
+  // resets on an established handshake or an inbound HELLO from the peer.
+  static constexpr Timestamp kReconnectInitialMicros = 50 * kMicrosPerMilli;
+  static constexpr Timestamp kReconnectMaxMicros = 2 * kMicrosPerSecond;
 
   static constexpr LockLevel kStateLockLevel = LockLevel::kTcpState;
   static constexpr LockLevel kWriteQueueLockLevel = LockLevel::kTcpWriteQueue;

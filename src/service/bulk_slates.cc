@@ -17,16 +17,10 @@ Status BulkSlateReader::DumpAll(
     if (!kv::DecodeStorageKey(rec.key, &row, &column)) {
       return Status::Corruption("bulk: undecodable storage key");
     }
-    Bytes plain;
-    if (store_->options().compress) {
-      Result<Bytes> decompressed = Decompress(rec.value);
-      if (!decompressed.ok()) return decompressed.status();
-      plain = std::move(decompressed).value();
-    } else {
-      plain = std::move(rec.value);
-    }
+    Result<Bytes> plain = Decompress(rec.value);
+    if (!plain.ok()) return plain.status();
     slates->emplace_back(SlateId{std::string(column), std::move(row)},
-                         std::move(plain));
+                         std::move(plain).value());
   }
   return Status::OK();
 }

@@ -210,9 +210,7 @@ TEST(SloTrackerTest, BurnWindowForgetsOldBuckets) {
 }
 
 TEST(SloTrackerTest, WorstPathsAreBoundedAndSorted) {
-  SloOptions options = TwoSecondObjective();
-  options.worst_paths = 3;
-  SloTracker tracker(options, nullptr, nullptr);
+  SloTracker tracker(TwoSecondObjective(), nullptr, nullptr);
   for (uint64_t i = 1; i <= 10; ++i) {
     std::vector<Span> spans;
     spans.push_back(MakeSpan(i, 1, SpanKind::kPublish, 0,
@@ -221,10 +219,11 @@ TEST(SloTrackerTest, WorstPathsAreBoundedAndSorted) {
   }
   const auto snaps = tracker.Snapshot(kMicrosPerSecond);
   ASSERT_EQ(snaps.size(), 1u);
-  ASSERT_EQ(snaps[0].worst.size(), 3u);
-  EXPECT_EQ(snaps[0].worst[0].total_us, 1000);
-  EXPECT_EQ(snaps[0].worst[1].total_us, 900);
-  EXPECT_EQ(snaps[0].worst[2].total_us, 800);
+  ASSERT_EQ(snaps[0].worst.size(), SloTracker::kWorstPaths);
+  for (size_t i = 0; i < SloTracker::kWorstPaths; ++i) {
+    EXPECT_EQ(snaps[0].worst[i].total_us,
+              1000 - 100 * static_cast<Timestamp>(i));
+  }
 }
 
 TEST(SloTrackerTest, HarvestStitchesSpansAcrossSinks) {
@@ -288,7 +287,6 @@ TEST(SloTrackerTest, HarvestMarkFollowsTraceIntoSlowest) {
   // tracker keeps no memory of observed ids.
   TraceSink::Options sink_options;
   sink_options.recent_capacity = 8;  // one recent slot per stripe
-  sink_options.slowest_capacity = 8;
   TraceSink sink(sink_options);
   SloTracker tracker(TwoSecondObjective(), nullptr, nullptr);
   // Traces 8 and 16 share a stripe (trace_id % 8); 8 is the slow one.

@@ -183,7 +183,6 @@ TEST(TraceSinkTest, RecentIsNewestFirstAndBounded) {
 TEST(TraceSinkTest, EvictionRetainsSlowestTraces) {
   TraceSink::Options options;
   options.recent_capacity = 8;  // 1 per stripe
-  options.slowest_capacity = 4;
   TraceSink sink(options);
   // One very slow trace, then a flood sharing its stripe to evict it.
   // Stripe = trace_id % 8, so ids congruent mod 8 collide.
@@ -236,24 +235,23 @@ TEST(TraceSinkTest, ConcurrentRecordIsSafeAndLossless) {
 
 TEST(TraceSinkTest, SlowestMergesPerStripeCandidates) {
   // Each stripe keeps its own slowest candidates (no sink-wide list);
-  // Slowest() merges them, slowest first, cut to slowest_capacity.
+  // Slowest() merges them, slowest first.
   TraceSink::Options options;
   options.recent_capacity = 8;  // one recent slot per stripe
-  options.slowest_capacity = 4;
   TraceSink sink(options);
-  // Traces 1..8 fill the ring, one per stripe, with durations 100..800;
-  // traces 9..16 evict them.
-  for (uint64_t t = 1; t <= 8; ++t) {
+  static_assert(TraceSink::kSlowestCapacity == 16);  // two per stripe
+  // Traces 1..16 take durations 100..1600; traces 17..32 evict them,
+  // and are too fast to displace any of them from the slowest set.
+  for (uint64_t t = 1; t <= 16; ++t) {
     sink.Record(MakeSpan(t, 0, static_cast<Timestamp>(t) * 100));
   }
-  for (uint64_t t = 9; t <= 16; ++t) sink.Record(MakeSpan(t, 0, 1));
-  EXPECT_EQ(sink.traces_evicted(), 8);
+  for (uint64_t t = 17; t <= 32; ++t) sink.Record(MakeSpan(t, 0, 1));
+  EXPECT_EQ(sink.traces_evicted(), 24);
   const auto slowest = sink.Slowest();
-  ASSERT_EQ(slowest.size(), 4u);
-  EXPECT_EQ(slowest[0].trace_id, 8u);
-  EXPECT_EQ(slowest[1].trace_id, 7u);
-  EXPECT_EQ(slowest[2].trace_id, 6u);
-  EXPECT_EQ(slowest[3].trace_id, 5u);
+  ASSERT_EQ(slowest.size(), TraceSink::kSlowestCapacity);
+  for (size_t i = 0; i < slowest.size(); ++i) {
+    EXPECT_EQ(slowest[i].trace_id, 16 - i);
+  }
 }
 
 TEST(TraceSinkTest, SpansPastInlineCapacityKeepTheirOrderAndFields) {

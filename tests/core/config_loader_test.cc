@@ -36,7 +36,6 @@ OperatorRegistry MakeRegistry() {
 }
 
 constexpr char kDocument[] = R"({
-  "slate_column_family": "myapp",
   "input_streams": ["S1"],
   "streams": ["S2"],
   "settings": {"threshold": 4},
@@ -53,7 +52,6 @@ TEST(ConfigLoaderTest, LoadsCompleteWorkflow) {
   AppConfig config;
   ASSERT_OK(LoadAppConfigFromJson(kDocument, registry, &config));
 
-  EXPECT_EQ(config.slate_column_family(), "myapp");
   EXPECT_EQ(config.settings().GetInt("threshold"), 4);
   EXPECT_TRUE(config.IsInputStream("S1"));
   EXPECT_TRUE(config.HasStream("S2"));
@@ -164,7 +162,6 @@ TEST(ConfigLoaderTest, RoundTripThroughToJson) {
   const std::string dumped = AppConfigToJson(config);
   Result<Json> parsed = Json::Parse(dumped);
   ASSERT_OK(parsed);
-  EXPECT_EQ(parsed.value().GetString("slate_column_family"), "myapp");
   EXPECT_EQ(parsed.value()["operators"].size(), 2u);
   EXPECT_EQ(parsed.value()["input_streams"].AsArray()[0].AsString(), "S1");
 }

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/compress.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -35,9 +36,7 @@ TEST(SlateStoreTest, CompressionTransparent) {
   TempDir dir;
   kv::KvCluster cluster(ClusterFor(dir.path()));
   ASSERT_OK(cluster.Open());
-  SlateStoreOptions options;
-  options.compress = true;
-  SlateStore store(&cluster, options);
+  SlateStore store(&cluster, SlateStoreOptions{});
   // A large, repetitive slate: compression must round-trip it.
   Bytes big = "{";
   for (int i = 0; i < 500; ++i) {
@@ -55,34 +54,24 @@ TEST(SlateStoreTest, CompressionTransparent) {
   EXPECT_LT(raw.value().value.size(), big.size() / 2);
 }
 
-TEST(SlateStoreTest, UncompressedMode) {
-  TempDir dir;
-  kv::KvCluster cluster(ClusterFor(dir.path()));
-  ASSERT_OK(cluster.Open());
-  SlateStoreOptions options;
-  options.compress = false;
-  SlateStore store(&cluster, options);
-  const SlateId id{"U1", "k"};
-  ASSERT_OK(store.Write(id, "plain", 0));
-  auto raw = cluster.Get("slates", "k", "U1");
-  ASSERT_OK(raw);
-  EXPECT_EQ(raw.value().value, "plain");
-  EXPECT_EQ(store.Read(id).value(), "plain");
-}
-
 TEST(SlateStoreTest, RowColumnLayoutMatchesPaper) {
   // "Muppet stores slate S(U,k) as a value at row k and column U" (§4.2).
   TempDir dir;
   kv::KvCluster cluster(ClusterFor(dir.path()));
   ASSERT_OK(cluster.Open());
+  // The slates live in the application's column family, so two
+  // applications sharing one store do not see each other's slates.
   SlateStoreOptions options;
-  options.compress = false;
   options.column_family = "myapp";
   SlateStore store(&cluster, options);
+  SlateStore other(&cluster, SlateStoreOptions{});
   ASSERT_OK(store.Write(SlateId{"U7", "key9"}, "s", 0));
   auto direct = cluster.Get("myapp", "key9", "U7");
   ASSERT_OK(direct);
-  EXPECT_EQ(direct.value().value, "s");
+  auto plain = Decompress(direct.value().value);
+  ASSERT_OK(plain);
+  EXPECT_EQ(plain.value(), "s");
+  EXPECT_TRUE(other.Read(SlateId{"U7", "key9"}).status().IsNotFound());
 }
 
 TEST(SlateStoreTest, NotFoundForAbsent) {

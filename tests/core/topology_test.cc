@@ -148,12 +148,5 @@ TEST(TopologyTest, CyclicWorkflowAllowed) {
   EXPECT_OK(config.Validate());
 }
 
-TEST(TopologyTest, SlateColumnFamilyConfigurable) {
-  AppConfig config;
-  EXPECT_EQ(config.slate_column_family(), "slates");
-  config.set_slate_column_family("myapp");
-  EXPECT_EQ(config.slate_column_family(), "myapp");
-}
-
 }  // namespace
 }  // namespace muppet

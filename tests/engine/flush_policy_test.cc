@@ -4,7 +4,8 @@
 //   * write-through writes the store once per update;
 //   * interval coalesces (fewer store writes than updates);
 //   * on-evict writes only at eviction or shutdown;
-//   * regardless of policy, a clean Stop() leaves the store complete.
+//   * regardless of policy, a clean Stop() leaves the store complete;
+//   * without a store, the cache holds the only copy and never evicts.
 #include <memory>
 #include <string>
 #include <tuple>
@@ -23,6 +24,7 @@ namespace {
 
 using ::muppet::chaos::EngineKind;
 using ::muppet::testing::BuildCountingApp;
+using ::muppet::testing::CountOf;
 using ::muppet::testing::TempDir;
 
 using PolicyParams = std::tuple<bool, SlateFlushPolicy>;
@@ -54,7 +56,6 @@ TEST_P(FlushPolicyTest, StoreWriteVolumeMatchesPolicy) {
   options.threads_per_machine = 2;
   options.slate_cache_capacity = 1 << 14;  // never evict in this test
   options.slate_store = &store;
-  options.flush_poll_micros = 2 * kMicrosPerMilli;
   std::unique_ptr<Engine> engine = chaos::MakeEngine(
       muppet2 ? EngineKind::kMuppet2 : EngineKind::kMuppet1, config, options);
   ASSERT_OK(engine->Start());
@@ -168,6 +169,50 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "unknown";
     });
+
+// With no slate store an evicted slate would have nowhere to go, and the
+// key would restart from an empty slate. The cache keeps every slate
+// instead and runs over capacity.
+class NoStoreCacheTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(NoStoreCacheTest, EvictionNeverDropsTheOnlyCopy) {
+  AppConfig config;
+  BuildCountingApp(&config);
+  EngineOptions options;
+  options.num_machines = 1;
+  options.workers_per_function = 1;
+  options.threads_per_machine = 1;
+  options.slate_cache_capacity = 4;  // far below the key count
+  std::unique_ptr<Engine> engine =
+      chaos::MakeEngine(GetParam(), config, options);
+  ASSERT_OK(engine->Start());
+  constexpr int kKeys = 16;
+  for (int round = 0; round < 2; ++round) {
+    for (int k = 0; k < kKeys; ++k) {
+      ASSERT_OK(engine->Publish("in", "k" + std::to_string(k), "",
+                                round * kKeys + k + 1));
+    }
+  }
+  ASSERT_OK(engine->Drain());
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_EQ(CountOf(*engine, "count", "k" + std::to_string(k)), 2)
+        << "k" << k;
+  }
+  EXPECT_EQ(engine->Stats().slate_cache_evictions, 0);
+  const MachineStatus status = engine->MachineStatuses()[0];
+  EXPECT_EQ(status.slate_cache_slates, static_cast<size_t>(kKeys));
+  EXPECT_EQ(status.slate_cache_capacity, 4u);
+  ASSERT_OK(engine->Stop());
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, NoStoreCacheTest,
+                         ::testing::Values(EngineKind::kMuppet1,
+                                           EngineKind::kMuppet2),
+                         [](const auto& info) {
+                           return info.param == EngineKind::kMuppet1
+                                      ? "Muppet1"
+                                      : "Muppet2";
+                         });
 
 }  // namespace
 }  // namespace muppet

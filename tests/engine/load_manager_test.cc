@@ -18,10 +18,6 @@ LoadManagerOptions BaseOptions() {
   o.enabled = true;
   o.min_samples = 10;
   o.split_shards = 4;
-  o.max_splits = 2;
-  // Exactly representable gain so floor expectations below are exact.
-  o.throttle_gain = 0.25;
-  o.max_floor_delay_micros = 1000;
   return o;
 }
 
@@ -56,14 +52,19 @@ TEST(LoadControllerTest, MinSamplesGatesEverything) {
 }
 
 TEST(LoadControllerTest, MaxSplitsCapCountsActiveOnes) {
-  LoadController c(BaseOptions());  // max_splits = 2
+  LoadController c(BaseOptions());
+  // Live splits fill all but two of the kMaxSplits slots.
+  std::vector<LoadSignals::ActiveSplit> active;
+  for (size_t i = 0; i + 2 < LoadController::kMaxSplits; ++i) {
+    active.push_back({1, "live" + std::to_string(i), /*draining=*/false});
+  }
   LoadActions a = c.Tick(Signals(
-      100, {{1, "a", 40}, {1, "b", 30}, {1, "c", 25}}));
+      100, {{1, "a", 40}, {1, "b", 30}, {1, "c", 25}}, active));
   EXPECT_EQ(a.splits.size(), 2u);
 
-  // With one split already live, only one slot remains.
-  a = c.Tick(Signals(100, {{1, "b", 40}, {1, "c", 30}},
-                     {{1, "a", /*draining=*/false}}));
+  // With one more split live, only one slot remains.
+  active.push_back({1, "a", /*draining=*/false});
+  a = c.Tick(Signals(100, {{1, "b", 40}, {1, "c", 30}}, active));
   ASSERT_EQ(a.splits.size(), 1u);
   EXPECT_EQ(a.splits[0].key, "b");
 }
@@ -116,24 +117,25 @@ TEST(LoadControllerTest, DrainingSplitsNeverMergedAgain) {
 }
 
 TEST(LoadControllerTest, ThrottleFloorRampsClampsAndBleeds) {
-  LoadController c(BaseOptions());  // target 0.5, gain 0.25, max 1000us
+  static_assert(LoadController::kMaxFloorDelayMicros == 5000);
+  LoadController c(BaseOptions());  // target 0.5, gain 0.2, max 5000us
   // Occupancy at target: floor stays zero.
   LoadSignals s = Signals(0, {});
   s.max_queue_occupancy = 0.5;
   EXPECT_EQ(c.Tick(s).floor_delay_micros, 0);
 
-  // Full queues: +0.5 error * 0.25 gain * 1000us = +125us per tick,
+  // Full queues: +0.5 error * 0.2 gain * 5000us = +500us per tick,
   // clamped at max after enough ticks.
   s.max_queue_occupancy = 1.0;
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 125);
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 250);
-  for (int i = 0; i < 50; ++i) c.Tick(s);
+  EXPECT_EQ(c.Tick(s).floor_delay_micros, 500);
   EXPECT_EQ(c.Tick(s).floor_delay_micros, 1000);
-  EXPECT_EQ(c.floor_delay_micros(), 1000);
+  for (int i = 0; i < 50; ++i) c.Tick(s);
+  EXPECT_EQ(c.Tick(s).floor_delay_micros, 5000);
+  EXPECT_EQ(c.floor_delay_micros(), 5000);
 
   // Empty queues bleed it back off, clamped at zero.
   s.max_queue_occupancy = 0.0;
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 875);
+  EXPECT_EQ(c.Tick(s).floor_delay_micros, 4500);
   for (int i = 0; i < 50; ++i) c.Tick(s);
   EXPECT_EQ(c.Tick(s).floor_delay_micros, 0);
 }
@@ -144,7 +146,7 @@ TEST(LoadControllerTest, ThrottleActsEvenBelowMinSamples) {
   LoadSignals s = Signals(0, {{1, "hot", 0}});
   s.max_queue_occupancy = 1.0;
   LoadActions a = c.Tick(s);
-  EXPECT_EQ(a.floor_delay_micros, 125);
+  EXPECT_EQ(a.floor_delay_micros, 500);
   EXPECT_TRUE(a.splits.empty());
 }
 

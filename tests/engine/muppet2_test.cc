@@ -277,14 +277,14 @@ TEST(Muppet2Test, StopFlushesAndIsIdempotent) {
 
 TEST(Muppet2Test, StopDoesNotWaitOutControlLoopTicks) {
   // The watchdog, load-manager and flusher loops each wait one period
-  // between passes; Stop() must wake them instead of waiting it out.
+  // between passes in Engine::WaitTick; Stop() must wake them instead of
+  // waiting it out. The load manager's period is the one a caller sets,
+  // so it stretches the wait here.
   AppConfig config;
   BuildCountingApp(&config);
   EngineOptions options = SmallOptions();
-  options.watchdog.tick_micros = 10 * kMicrosPerSecond;
   options.load_manager.enabled = true;
   options.load_manager.tick_micros = 10 * kMicrosPerSecond;
-  options.flush_poll_micros = 10 * kMicrosPerSecond;
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
   ASSERT_OK(engine.Publish("in", "k", "", 1));

@@ -9,9 +9,10 @@ ThrottleOptions TestOptions() {
   ThrottleOptions options;
   options.step_micros = 100;
   options.max_delay_micros = 1000;
-  options.halflife_micros = 1000;
   return options;
 }
+
+constexpr Timestamp kHalflife = ThrottleGovernor::kHalflifeMicros;
 
 TEST(ThrottleTest, NoDelayWithoutSignals) {
   SimulatedClock clock;
@@ -41,10 +42,10 @@ TEST(ThrottleTest, DelayDecaysWithHalflife) {
   ThrottleGovernor governor(TestOptions(), &clock);
   for (int i = 0; i < 8; ++i) governor.NoteOverflow();  // 800us
   EXPECT_EQ(governor.CurrentDelayMicros(), 800);
-  clock.Advance(1000);  // one halflife
+  clock.Advance(kHalflife);
   const Timestamp decayed = governor.CurrentDelayMicros();
   EXPECT_NEAR(static_cast<double>(decayed), 400.0, 40.0);
-  clock.Advance(10000);  // many halflives
+  clock.Advance(10 * kHalflife);
   EXPECT_EQ(governor.CurrentDelayMicros(), 0);
 }
 
@@ -63,7 +64,7 @@ TEST(ThrottleTest, PressureReturnsAfterNewSignals) {
   SimulatedClock clock;
   ThrottleGovernor governor(TestOptions(), &clock);
   governor.NoteOverflow();
-  clock.Advance(100000);
+  clock.Advance(100 * kHalflife);
   EXPECT_EQ(governor.CurrentDelayMicros(), 0);
   governor.NoteOverflow();
   EXPECT_GT(governor.CurrentDelayMicros(), 0);
@@ -90,7 +91,7 @@ TEST(ThrottleTest, HugeForwardClockJumpDecaysCleanlyToZero) {
   SimulatedClock clock;
   ThrottleGovernor governor(TestOptions(), &clock);
   for (int i = 0; i < 10; ++i) governor.NoteOverflow();
-  clock.Advance(3600LL * 1000 * 1000);  // one hour: ~3.6M halflives
+  clock.Advance(3600LL * 1000 * 1000);  // one hour: 72,000 halflives
   EXPECT_EQ(governor.CurrentDelayMicros(), 0);
   // Pressure still accumulates normally afterwards.
   governor.NoteOverflow();
@@ -101,14 +102,14 @@ TEST(ThrottleTest, BackwardClockJumpNeverInflatesDelay) {
   // now < last_decay (clock stepped back): no decay happens, but the
   // delay must not grow either — pow(0.5, negative) would double it.
   SimulatedClock clock;
-  clock.Advance(10000);
+  clock.Advance(10 * kHalflife);
   ThrottleGovernor governor(TestOptions(), &clock);
   for (int i = 0; i < 4; ++i) governor.NoteOverflow();
-  clock.Set(5000);
+  clock.Set(5 * kHalflife);
   EXPECT_EQ(governor.CurrentDelayMicros(), 400);
   // Once the clock moves forward again, decay resumes from the rewound
   // reference point.
-  clock.Advance(1000);  // one halflife past the rewound instant
+  clock.Advance(kHalflife);  // one halflife past the rewound instant
   EXPECT_NEAR(static_cast<double>(governor.CurrentDelayMicros()), 200.0, 20.0);
 }
 
@@ -124,11 +125,11 @@ TEST(ThrottleTest, FloorClampsCurrentDelayFromBelow) {
   for (int i = 0; i < 4; ++i) governor.NoteOverflow();
   EXPECT_EQ(governor.CurrentDelayMicros(), 400);
   // ...and once it decays below the floor, the floor takes over again.
-  clock.Advance(10000);
+  clock.Advance(10 * kHalflife);
   EXPECT_EQ(governor.CurrentDelayMicros(), 250);
 
   // The floor does not decay: only the controller moves it.
-  clock.Advance(100000);
+  clock.Advance(100 * kHalflife);
   EXPECT_EQ(governor.CurrentDelayMicros(), 250);
   governor.SetFloorDelayMicros(0);
   EXPECT_EQ(governor.CurrentDelayMicros(), 0);

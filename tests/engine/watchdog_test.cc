@@ -26,14 +26,6 @@ using ::muppet::testing::TempDir;
 // yields a fixed incident sequence — no threads, no clock, no sleeps.
 // ---------------------------------------------------------------------------
 
-WatchdogOptions FastOptions() {
-  WatchdogOptions options;
-  options.drain_stall_ticks = 3;
-  options.changelog_stall_ticks = 3;
-  options.recovery_stuck_ticks = 5;
-  return options;
-}
-
 // One machine, one queue at `depth`/`capacity` with cumulative `pops`.
 WatchdogSignals QueueSignals(Timestamp now, size_t depth, size_t capacity,
                              int64_t pops, bool crashed = false) {
@@ -55,7 +47,7 @@ WatchdogSignals QueueSignals(Timestamp now, size_t depth, size_t capacity,
 
 TEST(WatchdogTest, QueueStallOpensAfterHysteresis) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   // Tick 1 only establishes the pops baseline — never bad.
   EXPECT_EQ(watchdog.Tick(QueueSignals(1, 8, 8, 100)), 0);
   // Three consecutive full-and-frozen observations open the incident.
@@ -75,7 +67,7 @@ TEST(WatchdogTest, QueueStallOpensAfterHysteresis) {
 
 TEST(WatchdogTest, DequeueProgressResetsTheCounter) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   watchdog.Tick(QueueSignals(1, 8, 8, 100));
   watchdog.Tick(QueueSignals(2, 8, 8, 100));
   watchdog.Tick(QueueSignals(3, 8, 8, 101));  // one pop: progress
@@ -88,7 +80,7 @@ TEST(WatchdogTest, DequeueProgressResetsTheCounter) {
 
 TEST(WatchdogTest, LowOccupancyIsNeverAStall) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   // Frozen pops but a near-empty queue: an idle engine, not a wedge.
   for (Timestamp t = 1; t <= 10; ++t) {
     EXPECT_EQ(watchdog.Tick(QueueSignals(t, 1, 8, 100)), 0);
@@ -98,7 +90,7 @@ TEST(WatchdogTest, LowOccupancyIsNeverAStall) {
 
 TEST(WatchdogTest, CrashedMachineQueuesAreSkipped) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   for (Timestamp t = 1; t <= 10; ++t) {
     watchdog.Tick(QueueSignals(t, 8, 8, 100, /*crashed=*/true));
   }
@@ -107,7 +99,7 @@ TEST(WatchdogTest, CrashedMachineQueuesAreSkipped) {
 
 TEST(WatchdogTest, IncidentClearsAfterGoodTicksWithHysteresis) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   for (Timestamp t = 1; t <= 4; ++t) {
     watchdog.Tick(QueueSignals(t, 8, 8, 100));
   }
@@ -125,7 +117,7 @@ TEST(WatchdogTest, IncidentClearsAfterGoodTicksWithHysteresis) {
 
 TEST(WatchdogTest, DrainStallRequiresFrozenInflight) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   auto drain_signals = [](Timestamp now, bool draining, int64_t inflight) {
     WatchdogSignals signals;
     signals.now = now;
@@ -138,7 +130,7 @@ TEST(WatchdogTest, DrainStallRequiresFrozenInflight) {
     watchdog.Tick(drain_signals(t, true, 100 - static_cast<int64_t>(t)));
   }
   EXPECT_EQ(log.opened_total(), 0);
-  // Draining with inflight frozen at 7: opens after drain_stall_ticks.
+  // Draining with inflight frozen at 7: opens after kDrainStallTicks.
   int opened = 0;
   for (Timestamp t = 10; t <= 20 && opened == 0; ++t) {
     opened = watchdog.Tick(drain_signals(t, true, 7));
@@ -150,7 +142,7 @@ TEST(WatchdogTest, DrainStallRequiresFrozenInflight) {
 
 TEST(WatchdogTest, DrainBaselineResetsWhenNotDraining) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   WatchdogSignals idle;
   idle.inflight = 7;
   idle.draining = false;
@@ -165,7 +157,7 @@ TEST(WatchdogTest, DrainBaselineResetsWhenNotDraining) {
 
 TEST(WatchdogTest, ChangelogStallDetectsFrozenSyncCursor) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   auto signals = [](Timestamp now, uint64_t lsn, uint64_t synced) {
     WatchdogSignals s;
     s.now = now;
@@ -193,7 +185,7 @@ TEST(WatchdogTest, ChangelogStallDetectsFrozenSyncCursor) {
 
 TEST(WatchdogTest, RecoveryStuckOpensAfterBudget) {
   IncidentLog log;
-  Watchdog watchdog(FastOptions(), &log);
+  Watchdog watchdog(&log);
   auto signals = [](Timestamp now, bool recovering) {
     WatchdogSignals s;
     s.now = now;
@@ -203,15 +195,15 @@ TEST(WatchdogTest, RecoveryStuckOpensAfterBudget) {
     s.machines.push_back(m);
     return s;
   };
-  // recovery_stuck_ticks = 5 in FastOptions.
-  for (Timestamp t = 1; t <= 4; ++t) {
+  constexpr Timestamp kBudget = Watchdog::kRecoveryStuckTicks;
+  for (Timestamp t = 1; t < kBudget; ++t) {
     EXPECT_EQ(watchdog.Tick(signals(t, true)), 0);
   }
-  EXPECT_EQ(watchdog.Tick(signals(5, true)), 1);
+  EXPECT_EQ(watchdog.Tick(signals(kBudget, true)), 1);
   EXPECT_EQ(log.opened(IncidentKind::kRecoveryStuck), 1);
   // ClearFailure ends the condition; the incident clears.
-  watchdog.Tick(signals(6, false));
-  watchdog.Tick(signals(7, false));
+  watchdog.Tick(signals(kBudget + 1, false));
+  watchdog.Tick(signals(kBudget + 2, false));
   EXPECT_EQ(log.open_count(), 0);
 }
 
@@ -220,7 +212,7 @@ TEST(WatchdogTest, DeterministicAcrossRuns) {
   // incident sequences. Run the same script twice and compare.
   auto run = [] {
     IncidentLog log;
-    Watchdog watchdog(FastOptions(), &log);
+    Watchdog watchdog(&log);
     for (Timestamp t = 1; t <= 30; ++t) {
       const int64_t pops = t < 10 ? 100 : 100 + static_cast<int64_t>(t) / 7;
       watchdog.Tick(QueueSignals(t, 8, 8, pops));
@@ -391,7 +383,6 @@ TEST(WatchdogIntegrationTest, WedgedQueueOpensIncidentAndDumpsArtifacts) {
   EngineOptions options;
   options.threads_per_machine = 1;
   options.queue_capacity = 8;
-  options.watchdog.tick_micros = 2 * kMicrosPerMilli;
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
 

@@ -73,7 +73,6 @@ TEST(FullStackTest, RetailerPipelineOverFullStack) {
   options.num_machines = 3;
   options.threads_per_machine = 2;
   options.slate_store = &store;
-  options.flush_poll_micros = 2000;
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
 

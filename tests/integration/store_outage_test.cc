@@ -66,7 +66,6 @@ TEST(StoreOutageTest, EngineSurvivesStoreOutageAndConverges) {
   options.num_machines = 2;
   options.threads_per_machine = 2;
   options.slate_store = &store;
-  options.flush_poll_micros = kMicrosPerMilli;
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
 

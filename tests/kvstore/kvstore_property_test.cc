@@ -32,7 +32,6 @@ TEST_P(KvStorePropertyTest, RandomOpsMatchModel) {
   options.data_dir = dir.path();
   options.memtable_flush_bytes = memtable_bytes;
   options.auto_compact = auto_compact;
-  options.compaction.min_threshold = 3;
   StorageNode node(options);
   ASSERT_OK(node.Open());
   auto shard_or = node.GetColumnFamily("cf");

@@ -196,7 +196,6 @@ TEST(NodeTest, AutoCompactionTriggersUnderManyFlushes) {
   TempDir dir;
   NodeOptions options = SmallNodeOptions(dir.path());
   options.memtable_flush_bytes = 2 << 10;
-  options.compaction.min_threshold = 4;
   StorageNode node(options);
   ASSERT_OK(node.Open());
   auto cf = node.GetColumnFamily("cf");

@@ -15,7 +15,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -100,21 +99,16 @@ struct Node {
   // (never mutated after), counted from the handler.
   Bytes expect_payload;
   std::atomic<int> expect_hits{0};
-  // Dialer backoff floor, set before Init(). Short by default so the
-  // reconnect test is fast; the cap still exercises the doubling.
-  Timestamp reconnect_initial_micros = 10 * 1000;
+  // The transport's clock, set before Init(); nullptr = the system clock.
+  Clock* clock = nullptr;
 
   void Init(uint32_t node_id, int port, MachineId hosted,
-            std::vector<TcpPeerConfig> peers,
-            size_t queue_cap = 16u << 20) {
+            std::vector<TcpPeerConfig> peers) {
     TcpTransportOptions opts;
     opts.node_id = node_id;
     opts.listen_port = port;
     opts.peers = std::move(peers);
-    opts.write_queue_cap_bytes = queue_cap;
-    opts.reconnect_initial_micros = reconnect_initial_micros;
-    opts.reconnect_max_micros =
-        std::max<Timestamp>(200 * 1000, reconnect_initial_micros);
+    opts.clock = clock;
     transport = std::make_unique<TcpTransport>(std::move(opts));
     ASSERT_TRUE(transport
                     ->RegisterMachine(hosted,
@@ -322,7 +316,8 @@ TEST(TcpTransportTest, ReconnectWithBackoffResumesDelivery) {
 
   // Phase 3: restart the peer on the same port. The restarted peer dials
   // us, its HELLO cuts our dialer's backoff short (the backoff loop alone
-  // gets there too, capped at 200ms here), and delivery resumes.
+  // gets there too, capped at TcpTransport::kReconnectMaxMicros), and
+  // delivery resumes.
   Node b2;
   b2.expect_payload = "after restart";
   b2.Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
@@ -346,8 +341,10 @@ TEST(TcpTransportTest, InboundHelloCutsDialerBackoffShort) {
   const int port_a = ReservePort();
   const int port_b = ReservePort();
   Node a;
-  // Left to its backoff, a's dialer would not retry for 5s or more.
-  a.reconnect_initial_micros = 5 * 1000 * 1000;
+  // a's clock never moves, so its dialer never sees a backoff deadline
+  // pass: it dials only when an inbound HELLO tells it the peer is up.
+  SimulatedClock frozen;
+  a.clock = &frozen;
   a.Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1})});
   ASSERT_TRUE(a.transport->Start().ok());
 
@@ -361,7 +358,7 @@ TEST(TcpTransportTest, InboundHelloCutsDialerBackoffShort) {
   ASSERT_TRUE(WaitUntil([&] { return !a.transport->PeerUp(2); }));
 
   // Restart it. Its HELLO on the connection it dials to a proves it is
-  // listening again, so a redials now instead of sleeping out the 5s.
+  // listening again, so a redials now instead of sleeping out its backoff.
   Node b2;
   b2.Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
   const auto t0 = std::chrono::steady_clock::now();
@@ -383,17 +380,17 @@ TEST(TcpTransportTest, WriteQueueOverflowReportsBackpressure) {
   const int port_a = ReservePort();
   const int port_b = ReservePort();
   Node a, b;
-  // Tiny queue cap; receiver declines everything, so frames pile up in
-  // the receiver's parked frame + kernel buffers + sender queue.
-  a.Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1})},
-         /*queue_cap=*/512 * 1024);
+  // The receiver declines everything, so frames pile up in the
+  // receiver's parked frame + kernel buffers + sender queue until the
+  // queue holds TcpTransport::kWriteQueueCapBytes (16 MiB).
+  a.Init(1, port_a, /*hosted=*/0, {PeerOf(2, port_b, {1})});
   b.Init(2, port_b, /*hosted=*/1, {PeerOf(1, port_a, {0})});
   b.decline.store(true);
   ASSERT_TRUE(a.transport->Start().ok());
   ASSERT_TRUE(b.transport->Start().ok());
   ASSERT_TRUE(WaitUntil([&] { return a.transport->PeerUp(2); }));
 
-  const Bytes big(64 * 1024, 'q');
+  const Bytes big(1 << 20, 'q');
   bool saw_backpressure = false;
   for (int i = 0; i < 400 && !saw_backpressure; ++i) {
     const Status s = SendOne(*a.transport, 0, 1, big);

@@ -9,7 +9,7 @@ Five passes over src/ (see the module docstrings for details):
   determinism   bans nondeterminism sources in engine/core/net/testing
   guarded       GUARDED_BY coverage for mutex-owning classes
   options       `*Options` fields that nothing in src/, tests/, bench/,
-                examples/ or perfbench/ assigns
+                examples/ or perfbench/ assigns, or that only tests/ does
 
 Usage:
   tools/muppet_lint/muppet_lint.py [REPO_ROOT]
@@ -17,7 +17,7 @@ Usage:
       [--dot PATH]           write the lock graph as DOT
       [--subdirs src]        comma list of roots to scan (default: src)
       [--verbose]            print unresolved-expression diagnostics,
-                             and the options written only under tests/
+                             and the test-only options TEST_ONLY keeps
 
 When REPO_ROOT has tools/muppet_lint/lock_edges.txt, the lock-graph pass
 fails unless the graph has exactly the edges listed there, one

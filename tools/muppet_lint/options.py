@@ -13,8 +13,8 @@ An assignment is a write through a member access: `o.name = ...`,
 as `o.name.push_back(...)`. Every member of the access chain counts, so
 `opts.node.data_dir = ...` assigns both `node` and `data_dir`. A write
 is credited to the struct the access goes through when the pass can
-tell: the type of the member before it (`load_manager.enabled` is
-LoadManagerOptions::enabled, not WatchdogOptions::enabled), or the
+tell: the type of the member before it (`node.clock` is
+NodeOptions::clock, not EngineOptions::clock), or the
 declared type of the variable it starts from in the same file. When the
 type is unknown (`auto`, a call result) the write counts for every field
 of that name, so the pass errs toward silence, never toward a false
@@ -35,10 +35,13 @@ is left alone. Benchmark programs (bench/, perfbench/) are not checked
 for this: they state the configuration a published row was measured
 under in full, so the row does not move when a default does.
 
-A write under tests/ counts as use, so a knob that only tests turn
-passes the gate. With --verbose the pass also lists every field whose
-only writes are under tests/, as info lines rather than findings: the
-inventory of test-only knobs, each a candidate for deletion.
+A field whose only writes are under tests/ is flagged too: no caller
+sets it, so it is a constant that tests vary, and a test that needs
+another value should reach it through a seam that exists anyway (a
+simulated clock, a direct call, more data). The one exception is a field
+in TEST_ONLY below, whose entry names the behaviour a test checks that
+no constant can reach. With --verbose the pass lists those fields, with
+their reasons, as info lines.
 """
 
 from __future__ import annotations
@@ -54,6 +57,15 @@ DECL_DIRS = tuple(f"src/{d}/" for d in (
     "common", "core", "engine", "kvstore", "net", "service", "apps"))
 ASSIGN_ROOTS = ("src", "tests", "bench", "examples", "perfbench")
 PINNED_ROOTS = ("bench/", "perfbench/")  # may restate defaults
+
+# Option fields only tests set, each kept for the behaviour its entry
+# names. Keep this list short: every entry is a knob no deployment turns.
+TEST_ONLY = {
+    "SlateStoreOptions::column_family":
+        "the application's column family (§4.2): two applications "
+        "sharing one store keep their slates apart "
+        "(SlateStoreTest.RowColumnLayoutMatchesPaper)",
+}
 
 # An optional root variable, a member-access chain (`.a.b`, `->a[i].b`),
 # then an assignment operator (not `==`) or a mutating container call.
@@ -191,8 +203,8 @@ def _default_setters(writes: _Writes, structs) -> list[Finding]:
 
 def run(files: list[SourceFile], root: str,
         notes: list[str]) -> list[Finding]:
-    """Findings for unset fields and default setters; appends one line
-    to `notes` per field written only under tests/."""
+    """Findings for unset fields, fields only tests set and default
+    setters; appends one line to `notes` per field TEST_ONLY keeps."""
     findings: list[Finding] = []
     structs = []
     for sf in files:
@@ -213,14 +225,24 @@ def run(files: list[SourceFile], root: str,
             if f.is_static or f.is_constexpr:
                 continue
             roots = writes.roots(ci.name, f.name)
+            name = f"{ci.qualified}::{f.name}"
             if roots == {"tests"}:
-                notes.append(f"{ci.file.rel}:{f.line}: {ci.qualified}::"
-                             f"{f.name} is written only under tests/")
+                where = f"{ci.file.rel}:{f.line}: {name}"
+                if name in TEST_ONLY:
+                    notes.append(f"{where} is written only under tests/ "
+                                 f"(kept: {TEST_ONLY[name]})")
+                    continue
+                findings.append(Finding(
+                    CHECK, ci.file.rel, f.line,
+                    f"{name} is written only under tests/; make it a "
+                    f"named constant at its point of use, or name the "
+                    f"behaviour its test needs in options.py's TEST_ONLY"))
+                continue
             if roots or ci.file.allows(CHECK, f.line):
                 continue
             findings.append(Finding(
                 CHECK, ci.file.rel, f.line,
-                f"{ci.qualified}::{f.name} is never assigned in "
+                f"{name} is never assigned in "
                 f"{', '.join(ASSIGN_ROOTS)}; make it a named constant "
                 f"at its point of use, or set it where it matters"))
     return findings + _default_setters(writes, structs)
