@@ -42,7 +42,6 @@ void Run(double skew, bool two_choice, uint64_t sample_period, Table& table,
   options.threads_per_machine = 4;
   options.queue_capacity = 1 << 16;
   options.enable_two_choice = two_choice;
-  options.secondary_queue_bias = 4;
   options.trace.sample_period = sample_period;
   Muppet2Engine engine(config, options);
   CheckOk(engine.Start(), "start");

@@ -1,10 +1,12 @@
 // muppet_loadgen: concurrent HTTP publishers against a running muppetd
 // cluster.
 //
-//   muppet_loadgen --targets=127.0.0.1:7201,127.0.0.1:7202 \
-//                  --stream=lines --publishers=8 --events=5000 \
-//                  [--key-space=128] [--value="fast data"] \
+//   muppet_loadgen --targets=127.0.0.1:7201,127.0.0.1:7202
+//                  --stream=lines --publishers=8 --events=5000
+//                  [--key-space=128] [--value="fast data"]
 //                  [--out=BENCH_net.json]
+//
+// (one command line, wrapped here).
 //
 // Each publisher thread publishes `events` events round-robin over the
 // target admin endpoints (POST /publish), retrying briefly on

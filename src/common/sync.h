@@ -43,8 +43,8 @@
 //     38   fault-hold       Transport reorder holdback buffer
 //     39   heat             HeatTracker heavy-hitter sketch
 //     40   queue            EventQueue mutex (items + stopped flag)
-//     50   master           Master failed-set + listener registry
-//     55   failed-set       per-machine failed-peer sets (both engines)
+//     50   master           Master failed and recovering sets (read by
+//                           routing under a slate-stripe lock)
 //     60   drain            engine drain_mutex_ (inflight condvar)
 //     65   throttle         ThrottleGovernor delay state
 //     70   slate-cache      SlateCache index, blocks and CLOCK hand (Delete
@@ -139,7 +139,6 @@ enum class LockLevel : int {
   kHeat = 39,
   kQueue = 40,
   kMaster = 50,
-  kFailedSet = 55,
   kDrain = 60,
   kThrottle = 65,
   kSlateCache = 70,

@@ -29,10 +29,8 @@ void HashRing::AddWorker(const std::string& function, WorkerRef worker) {
             });
 }
 
-Result<WorkerRef> HashRing::RouteNth(const std::string& function,
-                                     BytesView key,
-                                     const std::set<MachineId>& failed,
-                                     int nth) const {
+Result<WorkerRef> HashRing::Route(const std::string& function, BytesView key,
+                                  const std::set<MachineId>& failed) const {
   auto it = rings_.find(function);
   if (it == rings_.end()) {
     return Status::NotFound("ring: unknown function '" + function + "'");
@@ -52,39 +50,14 @@ Result<WorkerRef> HashRing::RouteNth(const std::string& function,
                        }) -
       ring.points.begin());
 
-  std::vector<WorkerRef> seen;
+  // Walk clockwise to the first worker on a surviving machine.
   for (size_t walked = 0; walked < ring.points.size(); ++walked) {
-    const auto& [hash, worker] = ring.points[(pos + walked) %
-                                             ring.points.size()];
-    if (failed.count(worker.machine) > 0) continue;
-    if (std::find(seen.begin(), seen.end(), worker) != seen.end()) continue;
-    if (static_cast<int>(seen.size()) == nth) return worker;
-    seen.push_back(worker);
-  }
-  if (!seen.empty()) {
-    // Fewer than nth+1 distinct survivors: wrap to the primary.
-    return seen.front();
+    const WorkerRef& worker =
+        ring.points[(pos + walked) % ring.points.size()].second;
+    if (failed.count(worker.machine) == 0) return worker;
   }
   return Status::Unavailable("ring: all workers of '" + function +
                              "' are on failed machines");
-}
-
-Result<WorkerRef> HashRing::Route(const std::string& function, BytesView key,
-                                  const std::set<MachineId>& failed) const {
-  return RouteNth(function, key, failed, 0);
-}
-
-Result<WorkerRef> HashRing::RouteSecondary(
-    const std::string& function, BytesView key,
-    const std::set<MachineId>& failed) const {
-  return RouteNth(function, key, failed, 1);
-}
-
-std::vector<WorkerRef> HashRing::WorkersOf(const std::string& function) const {
-  auto it = rings_.find(function);
-  if (it == rings_.end()) return {};
-  return std::vector<WorkerRef>(it->second.workers.begin(),
-                                it->second.workers.end());
 }
 
 std::map<MachineId, int> HashRing::OwnershipCounts(

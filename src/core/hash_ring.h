@@ -52,15 +52,6 @@ class HashRing {
   Result<WorkerRef> Route(const std::string& function, BytesView key,
                           const std::set<MachineId>& failed) const;
 
-  // Second-choice routing for Muppet 2.0's two-queue dispatch: the next
-  // distinct worker after the primary on the ring. Equals the primary if
-  // the function has a single surviving worker.
-  Result<WorkerRef> RouteSecondary(const std::string& function, BytesView key,
-                                   const std::set<MachineId>& failed) const;
-
-  // All workers of a function (sorted).
-  std::vector<WorkerRef> WorkersOf(const std::string& function) const;
-
   // Vnode points of `function` owned per machine — the /statusz view of
   // how key space is spread across the cluster. Empty map for unknown
   // functions.
@@ -75,12 +66,6 @@ class HashRing {
     std::vector<std::pair<uint64_t, WorkerRef>> points;
     std::set<WorkerRef> workers;
   };
-
-  // Walk the ring clockwise from hash(key), returning the nth distinct
-  // surviving worker (n = 0 primary, 1 secondary).
-  Result<WorkerRef> RouteNth(const std::string& function, BytesView key,
-                             const std::set<MachineId>& failed,
-                             int nth) const;
 
   int vnodes_;
   uint64_t seed_;

@@ -213,26 +213,6 @@ Status Engine::Start() {
   }
   RegisterCallbackMetrics();
 
-  // Failure broadcast: every machine keeps its own failed list (§4.3).
-  master_.AddListener([this](MachineId failed) {
-    for (auto& machine : machines_) {
-      if (machine == nullptr) continue;
-      MutexLock lock(machine->failed_mutex);
-      machine->failed.insert(failed);
-      machine->failed_count.store(machine->failed.size(),
-                                  std::memory_order_release);
-    }
-  });
-  master_.AddRecoveryListener([this](MachineId recovered) {
-    for (auto& machine : machines_) {
-      if (machine == nullptr) continue;
-      MutexLock lock(machine->failed_mutex);
-      machine->failed.erase(recovered);
-      machine->failed_count.store(machine->failed.size(),
-                                  std::memory_order_release);
-    }
-  });
-
   // Cold-start replay: a changelog directory left by a previous engine
   // (warm process restart) restores every machine's slates before any
   // worker thread runs, so a stop/start cycle in a durable mode loses
@@ -284,23 +264,11 @@ void Engine::TapStream(const std::string& stream,
   has_taps_.store(true, std::memory_order_release);
 }
 
-std::set<MachineId> Engine::FailedSetFor(MachineId machine) const {
-  const MachineBase* m = Machine(machine);
-  if (m != nullptr) {
-    MutexLock lock(m->failed_mutex);
-    return m->failed;
-  }
-  return master_.failed();
-}
-
 const std::set<MachineId>& Engine::RouteFailedSet(
-    MachineId from, std::set<MachineId>* storage) const {
+    std::set<MachineId>* storage) const {
   static const std::set<MachineId> kNoFailed;
-  const MachineBase* m = Machine(from);
-  if (m != nullptr && m->failed_count.load(std::memory_order_acquire) == 0) {
-    return kNoFailed;
-  }
-  *storage = FailedSetFor(from);
+  if (!master_.AnyFailed()) return kNoFailed;
+  *storage = master_.failed();
   return *storage;
 }
 
@@ -583,14 +551,6 @@ void Engine::MaybeCheckpoint(MachineBase* machine) {
   }
   machine->manifest_lsn.store(cut, std::memory_order_release);
 
-  // Ops mirror in the kvstore (the manifest file is authoritative; this
-  // makes the cursor visible to store-level tooling).
-  Bytes payload;
-  EncodeCheckpointManifest(manifest, &payload);
-  (void)options_.slate_store->cluster()->Put(
-      kCheckpointColumnFamily,
-      "machine-" + std::to_string(machine->id), "manifest", payload);
-
   (void)machine->changelog->DropSegmentsCoveredBy(cut);
   checkpoints_->Add();
 }
@@ -680,8 +640,9 @@ void Engine::DecInflight(int64_t n) {
 
 bool Engine::SettleFailedSend(MachineId to, const Status& s, int64_t n) {
   if (s.IsResourceExhausted()) return false;
-  // Failure detected on send (§4.3): report it to the master, which
-  // broadcasts; the events themselves are lost, not re-dispatched.
+  // Failure detected on send (§4.3): report it to the master, whose failed
+  // set every sender routes on; the events themselves are lost, not
+  // re-dispatched.
   if (s.IsUnavailable()) master_.ReportFailure(to);
   lost_failure_->Add(n);
   return true;
@@ -900,10 +861,6 @@ std::vector<MachineStatus> Engine::MachineStatuses() const {
     for (const SlateCache* cache : machine->caches) {
       ms.slate_cache_slates += cache->size();
       ms.slate_cache_capacity += cache->capacity();
-    }
-    {
-      MutexLock lock(machine->failed_mutex);
-      ms.known_failed.assign(machine->failed.begin(), machine->failed.end());
     }
     for (const std::string& function : ring_.Functions()) {
       auto counts = ring_.OwnershipCounts(function);

@@ -87,10 +87,6 @@ struct EngineOptions {
   // (Muppet 1.0's Start() rejects it).
   LoadManagerOptions load_manager;
 
-  // Muppet 2.0 dispatch: place the event on the secondary queue when it is
-  // at least this many events shorter than the primary ("significantly
-  // shorter").
-  int secondary_queue_bias = 4;
   // Muppet 2.0: disable the secondary queue entirely (ablation for E7 —
   // degenerates to Muppet 1.0-style single ownership).
   bool enable_two_choice = true;
@@ -231,8 +227,6 @@ struct MachineStatus {
   // Slate cache occupancy.
   size_t slate_cache_slates = 0;
   size_t slate_cache_capacity = 0;
-  // Machines this machine currently believes failed (§4.3).
-  std::vector<MachineId> known_failed;
   // Hash-ring ownership: function name -> vnode points owned by this
   // machine's workers.
   std::map<std::string, int> ring_ownership;
@@ -277,13 +271,6 @@ struct MachineBase {
   // central cache in 2.0. Not owned.
   std::vector<SlateCache*> caches;
 
-  // Machines this machine believes failed (§4.3), kept by the master's
-  // broadcast listeners.
-  mutable Mutex failed_mutex{LockLevel::kFailedSet};
-  std::set<MachineId> failed MUPPET_GUARDED_BY(failed_mutex);
-  // Lock-free emptiness check so routing skips the failed-set copy
-  // (Engine::RouteFailedSet).
-  std::atomic<size_t> failed_count{0};
   std::atomic<bool> crashed{false};
   std::thread flusher;
   // Per-machine trace ring (null when tracing is disabled) and the
@@ -344,8 +331,8 @@ class Engine {
   Status CrashMachine(MachineId machine);
 
   // Bring a crashed machine back: re-arm its queues, respawn its worker
-  // threads, re-register it with the transport, and broadcast the recovery
-  // through the master so peers shrink their failed sets. Test/ops path
+  // threads, re-register it with the transport, and clear its failure at
+  // the master so the ring routes to it again. Test/ops path
   // only (the paper's Muppet fixes cluster membership for a run, §5).
   // FailedPrecondition if the machine is not crashed.
   Status RestartMachine(MachineId machine);
@@ -408,16 +395,10 @@ class Engine {
   // Introspection for tests, the chaos harness and muppetd.
   Transport& transport() { return *transport_; }
   Master& master() { return master_; }
-  // The failed-machine set as known on machine `m` (chaos harness asserts
-  // every live machine's view converges to the master's after a drain).
-  std::set<MachineId> KnownFailedOn(MachineId m) const {
-    return FailedSetFor(m);
-  }
 
   // Lock-hierarchy levels for the engine's own locks (pinned by
   // tests/common/sync_test.cc against DESIGN.md).
   static constexpr LockLevel kTapsLockLevel = LockLevel::kTaps;
-  static constexpr LockLevel kFailedSetLockLevel = LockLevel::kFailedSet;
   static constexpr LockLevel kDrainLockLevel = LockLevel::kDrain;
 
  protected:
@@ -505,12 +486,11 @@ class Engine {
     return id < 0 ? no_subscribers_ : subscribers_[static_cast<size_t>(id)];
   }
 
-  std::set<MachineId> FailedSetFor(MachineId machine) const;
-  // The failed set machine `from` routes around (§4.3): a shared empty
-  // set while `from` knows of no failure — one atomic load, the common
-  // case — else a copy of its set in *storage.
+  // The failed set routing goes around (§4.3): a shared empty set while
+  // the master knows of no failure — one atomic load, the common case —
+  // else a copy of the master's set in *storage.
   const std::set<MachineId>& RouteFailedSet(
-      MachineId from, std::set<MachineId>* storage) const;
+      std::set<MachineId>* storage) const;
 
   void RunTaps(const Event& event) {
     if (!has_taps_.load(std::memory_order_acquire)) return;

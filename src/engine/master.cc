@@ -4,43 +4,26 @@
 
 namespace muppet {
 
-void Master::AddListener(FailureListener listener) {
-  MutexLock lock(mutex_);
-  listeners_.push_back(std::move(listener));
-}
-
-void Master::AddRecoveryListener(RecoveryListener listener) {
-  MutexLock lock(mutex_);
-  recovery_listeners_.push_back(std::move(listener));
-}
-
 bool Master::ReportFailure(MachineId machine) {
-  std::vector<FailureListener> listeners;
   {
     MutexLock lock(mutex_);
     recovering_.erase(machine);  // a re-crash aborts any recovery in flight
     if (!failed_.insert(machine).second) return false;  // already known
-    listeners = listeners_;
+    num_failed_.store(failed_.size(), std::memory_order_release);
   }
   failures_reported_.Add();
-  MUPPET_LOG(kWarning) << "master: machine " << machine
-                       << " reported failed; broadcasting";
-  for (const FailureListener& l : listeners) l(machine);
+  MUPPET_LOG(kWarning) << "master: machine " << machine << " reported failed";
   return true;
 }
 
 bool Master::ClearFailure(MachineId machine) {
-  std::vector<RecoveryListener> listeners;
   {
     MutexLock lock(mutex_);
     if (failed_.erase(machine) == 0) return false;  // was not failed
     recovering_.erase(machine);
-    listeners = recovery_listeners_;
+    num_failed_.store(failed_.size(), std::memory_order_release);
   }
-  recoveries_reported_.Add();
-  MUPPET_LOG(kInfo) << "master: machine " << machine
-                    << " recovered; broadcasting";
-  for (const RecoveryListener& l : listeners) l(machine);
+  MUPPET_LOG(kInfo) << "master: machine " << machine << " recovered";
   return true;
 }
 

@@ -241,7 +241,7 @@ void Muppet1Engine::DeliverEvent(MachineId from, const Worker* sender,
   if (subs.empty()) return;
   const uint64_t key_hash = Fnv1a64(event.key);
   std::set<MachineId> failed_copy;
-  const std::set<MachineId>& failed = RouteFailedSet(from, &failed_copy);
+  const std::set<MachineId>& failed = RouteFailedSet(&failed_copy);
   for (const uint32_t op : subs) {
     SendToWorker(from, sender, op, key_hash, failed, event);
   }

@@ -186,7 +186,7 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
 
   const MachineCtx* sender = Ctx(from);
   std::set<MachineId> failed_copy;
-  const std::set<MachineId>& failed = RouteFailedSet(from, &failed_copy);
+  const std::set<MachineId>& failed = RouteFailedSet(&failed_copy);
 
   // Heat sampling (core/heat.h): one relaxed atomic on the common path,
   // the sketch fold only every Nth arrival. Sampled on the sender's
@@ -413,9 +413,7 @@ Status Muppet2Engine::Dispatch(MachineCtx* machine, RoutedEvent* re) {
     choice = primary;
   } else if (ts->current.load(std::memory_order_acquire) == work) {
     choice = secondary;
-  } else if (ts->queue->size() +
-                 static_cast<size_t>(options_.secondary_queue_bias) <
-             tp->queue->size()) {
+  } else if (ts->queue->size() + kSecondaryQueueBias < tp->queue->size()) {
     choice = secondary;
   } else {
     choice = primary;
@@ -617,7 +615,7 @@ void Muppet2Engine::RouteAndSendOne(MachineId from, uint64_t sender_work,
   const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
   std::set<MachineId> failed_copy;
   Result<WorkerRef> target = ring_.Route(op.spec->name, route_key,
-                                         RouteFailedSet(from, &failed_copy));
+                                         RouteFailedSet(&failed_copy));
   if (!target.ok()) {
     lost_failure_->Add();
     return;

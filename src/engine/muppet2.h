@@ -75,6 +75,10 @@ class Muppet2Engine final : public Engine {
   static constexpr size_t kSlateLockStripes = 64;
   // Max events a worker drains from its queue per lock acquisition.
   static constexpr size_t kWorkerPopBatch = 32;
+  // Two-choice dispatch places an event on the secondary queue only when
+  // that queue is at least this many events shorter than the primary
+  // ("significantly shorter", §4.5).
+  static constexpr size_t kSecondaryQueueBias = 4;
 
   // One pool thread: its queue (drained by the lane at its index in
   // MachineCtx::threads) and the work unit it is processing.

@@ -108,10 +108,6 @@ struct CheckpointManifest {
 void EncodeCheckpointManifest(const CheckpointManifest& manifest, Bytes* out);
 Status DecodeCheckpointManifest(BytesView data, CheckpointManifest* manifest);
 
-// Column family holding mirrored checkpoint manifests in the kvstore
-// (row = "machine-<id>", column = "manifest").
-inline constexpr char kCheckpointColumnFamily[] = "ckpt";
-
 // ---------------------------------------------------------------------------
 // SlateChangelog: per-machine segmented append log.
 // ---------------------------------------------------------------------------

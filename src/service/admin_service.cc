@@ -41,6 +41,13 @@ Json StatuszDocument(Engine* engine, MachineId machine) {
   durability["events_deduped"] = stats.events_deduped;
   doc["durability"] = std::move(durability);
 
+  // The master's failed-machine set (§4.3), the one view routing uses.
+  Json failed = Json::MakeArray();
+  for (MachineId f : engine->master().failed()) {
+    failed.Append(static_cast<int64_t>(f));
+  }
+  doc["failed_machines"] = std::move(failed);
+
   Json machines = Json::MakeArray();
   for (const MachineStatus& ms : engine->MachineStatuses()) {
     Json jm = Json::MakeObject();
@@ -55,9 +62,6 @@ Json StatuszDocument(Engine* engine, MachineId machine) {
     cache["slates"] = static_cast<int64_t>(ms.slate_cache_slates);
     cache["capacity"] = static_cast<int64_t>(ms.slate_cache_capacity);
     jm["slate_cache"] = std::move(cache);
-    Json failed = Json::MakeArray();
-    for (MachineId f : ms.known_failed) failed.Append(static_cast<int64_t>(f));
-    jm["failed"] = std::move(failed);
     Json ring = Json::MakeObject();
     for (const auto& [function, points] : ms.ring_ownership) {
       ring[function] = static_cast<int64_t>(points);

@@ -411,17 +411,6 @@ ScenarioResult ScenarioRunner::Run() {
     }
   }
 
-  // ---- Invariant C: every live machine's failed set converged to the
-  // master's (the §4.3 broadcast reached everyone).
-  const std::set<MachineId> master_failed = engine->master().failed();
-  for (MachineId m = 0; m < options_.num_machines; ++m) {
-    if (crashed.count(m) > 0) continue;
-    if (engine->KnownFailedOn(m) != master_failed) {
-      fail("invariant C (convergence): machine " + std::to_string(m) +
-           "'s failed set differs from the master's");
-    }
-  }
-
   // ---- Invariant A: conservation. Every accepted logical event settles
   // exactly once. Duplicate-fault copies enter on the left because the
   // transport manufactured deliveries the application never published;

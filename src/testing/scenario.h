@@ -10,8 +10,6 @@
 //   B  oracle        — surviving slates match (or, after state-destroying
 //                      crashes, never exceed) the ReferenceExecutor run on
 //                      the ledger of events the updater actually processed;
-//   C  convergence   — every live machine's failed-machine set equals the
-//                      master's after a drain (the §4.3 broadcast);
 //   D  rerouting     — once a machine's failure is known cluster-wide, no
 //                      further send is attempted to it (ring rerouting).
 //

@@ -250,7 +250,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(Muppet2Engine::kTapsLockLevel, LockLevel::kTaps);
   EXPECT_EQ(SplitTable::kLockLevel, LockLevel::kSplitTable);
   EXPECT_EQ(HeatTracker::kLockLevel, LockLevel::kHeat);
-  EXPECT_EQ(Muppet2Engine::kFailedSetLockLevel, LockLevel::kFailedSet);
   EXPECT_EQ(Muppet2Engine::kDrainLockLevel, LockLevel::kDrain);
   EXPECT_EQ(InMemoryTransport::kRegistryLockLevel, LockLevel::kTransport);
   EXPECT_EQ(TcpTransport::kStateLockLevel, LockLevel::kTcpState);
@@ -281,7 +280,7 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
     return static_cast<int>(a) < static_cast<int>(b);
   };
   // Updater path: stripe -> taps -> transport -> queue -> master ->
-  // failed-set -> drain/throttle -> cache -> store.
+  // drain/throttle -> cache -> store.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kTaps));
   // Load-management plane: the dispatch path consults the split table and
   // heat sketch under a stripe; a merge delta checks the dedup table
@@ -303,8 +302,7 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   EXPECT_TRUE(lt(LockLevel::kFaultInjector, LockLevel::kFaultHold));
   EXPECT_TRUE(lt(LockLevel::kFaultHold, LockLevel::kQueue));
   EXPECT_TRUE(lt(LockLevel::kQueue, LockLevel::kMaster));
-  EXPECT_TRUE(lt(LockLevel::kMaster, LockLevel::kFailedSet));
-  EXPECT_TRUE(lt(LockLevel::kFailedSet, LockLevel::kDrain));
+  EXPECT_TRUE(lt(LockLevel::kMaster, LockLevel::kDrain));
   EXPECT_TRUE(lt(LockLevel::kDrain, LockLevel::kThrottle));
   EXPECT_TRUE(lt(LockLevel::kThrottle, LockLevel::kSlateCache));
   // Durability plane (DESIGN.md §12): the dedup check runs on the receive

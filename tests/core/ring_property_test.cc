@@ -102,26 +102,6 @@ TEST_P(RingPropertyTest, ImbalanceBounded) {
   }
 }
 
-TEST_P(RingPropertyTest, SecondaryIsConsistentAndDistinct) {
-  const auto [machines, workers, vnodes] = GetParam();
-  HashRing ring = MakeRing();
-  const int total_workers = machines * workers;
-  for (int i = 0; i < 500; ++i) {
-    auto primary = ring.Route("U", Key(i), {});
-    auto secondary = ring.RouteSecondary("U", Key(i), {});
-    ASSERT_OK(primary);
-    ASSERT_OK(secondary);
-    if (total_workers >= 2) {
-      EXPECT_FALSE(primary.value() == secondary.value());
-    } else {
-      EXPECT_EQ(primary.value(), secondary.value());
-    }
-    // Stable across repeated calls.
-    EXPECT_EQ(ring.RouteSecondary("U", Key(i), {}).value(),
-              secondary.value());
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, RingPropertyTest,
     ::testing::Combine(::testing::Values(1, 2, 4, 16),  // machines

@@ -1,104 +1,67 @@
 #include "engine/master.h"
 
-#include <string>
-#include <vector>
+#include <set>
 
 #include "gtest/gtest.h"
 
 namespace muppet {
 namespace {
 
+// Every engine in a process routes on the master's set, so a report is
+// "broadcast" (§4.3) the moment it lands there: AnyFailed() is the routing
+// fast path's check.
 TEST(MasterTest, FirstReportBroadcasts) {
   Master master;
-  std::vector<MachineId> broadcasts;
-  master.AddListener([&](MachineId m) { broadcasts.push_back(m); });
+  EXPECT_FALSE(master.AnyFailed());
   EXPECT_TRUE(master.ReportFailure(3));
-  ASSERT_EQ(broadcasts.size(), 1u);
-  EXPECT_EQ(broadcasts[0], 3);
   EXPECT_TRUE(master.IsFailed(3));
+  EXPECT_TRUE(master.AnyFailed());
+  EXPECT_EQ(master.failed(), std::set<MachineId>({3}));
   EXPECT_EQ(master.failures_reported(), 1);
 }
 
 TEST(MasterTest, DuplicateReportsIdempotent) {
   Master master;
-  int broadcasts = 0;
-  master.AddListener([&](MachineId) { ++broadcasts; });
   EXPECT_TRUE(master.ReportFailure(1));
   EXPECT_FALSE(master.ReportFailure(1));
   EXPECT_FALSE(master.ReportFailure(1));
-  EXPECT_EQ(broadcasts, 1);
+  EXPECT_EQ(master.failed(), std::set<MachineId>({1}));
   EXPECT_EQ(master.failures_reported(), 1);
-}
-
-TEST(MasterTest, MultipleListenersAllNotified) {
-  Master master;
-  int a = 0, b = 0;
-  master.AddListener([&](MachineId) { ++a; });
-  master.AddListener([&](MachineId) { ++b; });
-  master.ReportFailure(7);
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 1);
 }
 
 TEST(MasterTest, FailedSetAccumulates) {
   Master master;
   master.ReportFailure(1);
   master.ReportFailure(4);
-  const auto failed = master.failed();
-  EXPECT_EQ(failed.size(), 2u);
-  EXPECT_TRUE(failed.count(1) > 0);
-  EXPECT_TRUE(failed.count(4) > 0);
+  EXPECT_EQ(master.failed(), std::set<MachineId>({1, 4}));
   EXPECT_FALSE(master.IsFailed(2));
+  EXPECT_EQ(master.failures_reported(), 2);
 }
 
 TEST(MasterTest, ClearFailureRestores) {
   Master master;
   master.ReportFailure(1);
-  master.ClearFailure(1);
-  EXPECT_FALSE(master.IsFailed(1));
-  // A new report broadcasts again.
-  int broadcasts = 0;
-  master.AddListener([&](MachineId) { ++broadcasts; });
-  EXPECT_TRUE(master.ReportFailure(1));
-  EXPECT_EQ(broadcasts, 1);
-}
-
-TEST(MasterTest, ClearFailureBroadcastsToRecoveryListeners) {
-  Master master;
-  std::vector<MachineId> recoveries;
-  master.AddRecoveryListener([&](MachineId m) { recoveries.push_back(m); });
   master.ReportFailure(2);
+  EXPECT_TRUE(master.ClearFailure(1));
+  EXPECT_FALSE(master.IsFailed(1));
+  EXPECT_EQ(master.failed(), std::set<MachineId>({2}));
+  EXPECT_TRUE(master.AnyFailed());
   EXPECT_TRUE(master.ClearFailure(2));
-  ASSERT_EQ(recoveries.size(), 1u);
-  EXPECT_EQ(recoveries[0], 2);
-  EXPECT_EQ(master.recoveries_reported(), 1);
+  EXPECT_TRUE(master.failed().empty());
+  EXPECT_FALSE(master.AnyFailed());
 }
 
 TEST(MasterTest, ClearFailureOfHealthyMachineDoesNotBroadcast) {
   Master master;
-  int recoveries = 0;
-  master.AddRecoveryListener([&](MachineId) { ++recoveries; });
-  // Never reported failed: nothing to clear, nothing to broadcast.
+  // Never reported failed: nothing to clear.
   EXPECT_FALSE(master.ClearFailure(5));
-  EXPECT_EQ(recoveries, 0);
-  EXPECT_EQ(master.recoveries_reported(), 0);
-  // And clearing twice broadcasts only once.
+  EXPECT_TRUE(master.failed().empty());
+  EXPECT_FALSE(master.AnyFailed());
+  // And clearing twice clears only once.
   master.ReportFailure(5);
   EXPECT_TRUE(master.ClearFailure(5));
   EXPECT_FALSE(master.ClearFailure(5));
-  EXPECT_EQ(recoveries, 1);
-  EXPECT_EQ(master.recoveries_reported(), 1);
-}
-
-TEST(MasterTest, MultipleRecoveryListenersAllNotified) {
-  Master master;
-  int a = 0, b = 0;
-  master.AddRecoveryListener([&](MachineId) { ++a; });
-  master.AddRecoveryListener([&](MachineId) { ++b; });
-  master.ReportFailure(3);
-  master.ClearFailure(3);
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 1);
+  EXPECT_FALSE(master.IsFailed(5));
 }
 
 // ---- Durable recovery ordering (DESIGN.md §12): a recovering machine
@@ -108,20 +71,17 @@ TEST(MasterTest, MultipleRecoveryListenersAllNotified) {
 
 TEST(MasterTest, BeginRecoveryKeepsMachineUnroutable) {
   Master master;
-  int recoveries = 0;
-  master.AddRecoveryListener([&](MachineId) { ++recoveries; });
   master.ReportFailure(2);
   EXPECT_TRUE(master.BeginRecovery(2));
-  // Still failed for routing, flagged as recovering, and crucially no
-  // recovery broadcast yet — peers must keep routing around it.
+  // Still failed for routing, flagged as recovering.
   EXPECT_TRUE(master.IsFailed(2));
   EXPECT_TRUE(master.IsRecovering(2));
-  EXPECT_EQ(recoveries, 0);
+  EXPECT_EQ(master.failed(), std::set<MachineId>({2}));
   // Replay done: ClearFailure rejoins the machine and ends recovery.
   EXPECT_TRUE(master.ClearFailure(2));
   EXPECT_FALSE(master.IsFailed(2));
   EXPECT_FALSE(master.IsRecovering(2));
-  EXPECT_EQ(recoveries, 1);
+  EXPECT_FALSE(master.AnyFailed());
 }
 
 TEST(MasterTest, BeginRecoveryRequiresAFailedMachine) {
@@ -139,29 +99,24 @@ TEST(MasterTest, ReCrashDuringRecoveryAbortsIt) {
   EXPECT_TRUE(master.BeginRecovery(1));
   // The machine dies again mid-replay: the recovery is abandoned and the
   // machine is plain-failed, so a later restart must BeginRecovery anew.
-  master.ReportFailure(1);
+  // The failure was already known, so the report is not a new one.
+  EXPECT_FALSE(master.ReportFailure(1));
   EXPECT_FALSE(master.IsRecovering(1));
   EXPECT_TRUE(master.IsFailed(1));
   EXPECT_TRUE(master.BeginRecovery(1));
+  EXPECT_EQ(master.failures_reported(), 1);
 }
 
 TEST(MasterTest, FailClearFailCycleBroadcastsEachTransition) {
   Master master;
-  std::vector<std::string> log;
-  master.AddListener([&](MachineId m) {
-    log.push_back("fail:" + std::to_string(m));
-  });
-  master.AddRecoveryListener([&](MachineId m) {
-    log.push_back("recover:" + std::to_string(m));
-  });
-  master.ReportFailure(1);
-  master.ClearFailure(1);
-  master.ReportFailure(1);
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0], "fail:1");
-  EXPECT_EQ(log[1], "recover:1");
-  EXPECT_EQ(log[2], "fail:1");
+  EXPECT_TRUE(master.ReportFailure(1));
+  EXPECT_TRUE(master.AnyFailed());
+  EXPECT_TRUE(master.ClearFailure(1));
+  EXPECT_FALSE(master.AnyFailed());
+  EXPECT_TRUE(master.ReportFailure(1));
+  EXPECT_TRUE(master.AnyFailed());
   EXPECT_TRUE(master.IsFailed(1));
+  EXPECT_EQ(master.failures_reported(), 2);
 }
 
 }  // namespace

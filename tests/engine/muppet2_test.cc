@@ -98,8 +98,7 @@ TEST(Muppet2Test, SecondaryDispatchEngagesUnderSkew) {
   AppConfig config;
   BuildCountingApp(&config);
   EngineOptions options = SmallOptions(1, 4);
-  options.secondary_queue_bias = 0;  // any imbalance diverts
-  options.queue_capacity = 16384;    // never overflow in this test
+  options.queue_capacity = 16384;  // never overflow in this test
   Muppet2Engine engine(config, options);
   ASSERT_OK(engine.Start());
   // One hot key: its primary queue backs up, so two-choice dispatch
@@ -110,6 +109,7 @@ TEST(Muppet2Test, SecondaryDispatchEngagesUnderSkew) {
   ASSERT_OK(engine.Drain());
   EXPECT_EQ(CountOf(engine, "count", "hot"), 5000);
   EXPECT_EQ(engine.Stats().events_dropped_overflow, 0);
+  EXPECT_GT(engine.secondary_dispatches(), 0);
   ASSERT_OK(engine.Stop());
 }
 

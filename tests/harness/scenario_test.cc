@@ -1,6 +1,6 @@
 // Tier-1 chaos scenarios: scripted fault plans against both engines, with
-// the invariant checks (conservation, reference oracle, failed-set
-// convergence, no-send-to-dead) and the bit-reproducibility guarantee.
+// the invariant checks (conservation, reference oracle, no-send-to-dead)
+// and the bit-reproducibility guarantee.
 #include "testing/scenario.h"
 
 #include <cstdlib>

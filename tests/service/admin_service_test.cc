@@ -243,6 +243,45 @@ TEST(AdminServiceHealthzTest, ReadinessFollowsRecoveryLifecycle) {
   ASSERT_OK(engine.Stop());
 }
 
+// /statusz reports the master's failed set once, at the top level: a
+// crashed machine appears in `failed_machines` after a send to it fails,
+// no per-machine entry repeats it, and a restart empties the list.
+TEST(AdminServiceStatuszTest, FailedMachinesListedOnceUntilRestart) {
+  AppConfig config;
+  BuildCountingApp(&config);
+  EngineOptions options;
+  options.num_machines = 3;
+  options.threads_per_machine = 2;
+  Muppet2Engine engine(config, options);
+  ASSERT_OK(engine.Start());
+  ASSERT_OK(engine.CrashMachine(2));
+  // Keys spread over the ring, so some route to machine 2 and the send
+  // failure reports it to the master.
+  for (int i = 0; i < 1000 && engine.Stats().failures_detected == 0; ++i) {
+    (void)engine.Publish("in", "k" + std::to_string(i), "", i + 1);
+  }
+  ASSERT_OK(engine.Drain());
+  ASSERT_EQ(engine.Stats().failures_detected, 1);
+
+  AdminService admin(&engine, /*machine=*/0);
+  Result<Json> parsed = Json::Parse(admin.Statusz().body);
+  ASSERT_OK(parsed.status());
+  const Json& failed = parsed.value()["failed_machines"];
+  ASSERT_TRUE(failed.is_array());
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed.AsArray()[0].AsInt(), 2);
+  for (const Json& m : parsed.value()["machines"].AsArray()) {
+    EXPECT_FALSE(m.Contains("failed")) << m.Dump();
+  }
+
+  ASSERT_OK(engine.RestartMachine(2));
+  parsed = Json::Parse(admin.Statusz().body);
+  ASSERT_OK(parsed.status());
+  ASSERT_TRUE(parsed.value()["failed_machines"].is_array());
+  EXPECT_EQ(parsed.value()["failed_machines"].size(), 0u);
+  ASSERT_OK(engine.Stop());
+}
+
 // /sloz surfaces per-stream percentiles, the declared objective with its
 // burn windows, and the worst critical paths once traffic has drained.
 TEST(AdminServiceSlozTest, SlozReportsObjectiveVerdictAfterDrain) {
