@@ -11,9 +11,9 @@
 // serialize behind one stripe and the split overlaps them across shards —
 // the win is from overlapping waits, so it shows on any host, including
 // single-core CI runners where a CPU-bound hot key could not speed up.
-// Reports drain throughput, p99 queue wait, split/merge counts, and
-// correctness (the re-aggregated count of every key must equal its true
-// count); emits BENCH_hotspot.json.
+// Reports drain throughput, p99 queue wait, split count, and correctness
+// (the re-aggregated count of every key must equal its true count);
+// emits BENCH_hotspot.json, and exits 1 when any row is inexact.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -68,7 +68,6 @@ struct RunResult {
   double events_per_sec = 0;
   int64_t queue_wait_p99_us = 0;
   int64_t splits = 0;
-  int64_t merges = 0;
   bool exact = false;
   EngineStats stats;
 };
@@ -98,17 +97,10 @@ RunResult Run(double skew, bool lm_enabled, Table& table, JsonReport& report) {
     options.load_manager.min_samples = 32;
     // Split everything above 3% of traffic: at these skews that covers
     // the top 4-8 ranks, pushing the serialization bottleneck down to a
-    // rank cold enough for a >=3x gain. The wide split/merge hysteresis
-    // band and slow decay keep sampling noise from churning splits
-    // mid-run (a merged-then-resplit key re-serializes while draining).
+    // rank cold enough for a >=3x gain. Slow decay keeps the ranks'
+    // heat steady between ticks.
     options.load_manager.split_heat_fraction = 0.03;
-    options.load_manager.merge_heat_fraction = 0.01;
     options.load_manager.heat_decay = 0.9;
-    // Mid-rank Zipf keys hover around the merge threshold; with a short
-    // cool window they churn (merge, re-serialize, re-split), costing
-    // 20-40% throughput at high skew. Hold splits for the whole run —
-    // merge-back is exercised by the engine lifecycle test, not here.
-    options.load_manager.merge_cool_ticks = 1000;
   }
 
   Muppet2Engine engine(config, options);
@@ -125,10 +117,7 @@ RunResult Run(double skew, bool lm_enabled, Table& table, JsonReport& report) {
   CheckOk(engine.Drain(), "drain");
   const int64_t elapsed = timer.ElapsedMicros();
 
-  // Let in-flight merge traffic settle, then check every key's
-  // re-aggregated count against the true count.
-  engine.PauseLoadManagement();
-  CheckOk(engine.Drain(), "final drain");
+  // Every key's re-aggregated count must equal its true count.
   bool exact = true;
   for (int rank = 0; rank < kNumKeys; ++rank) {
     int64_t live = 0;
@@ -146,13 +135,12 @@ RunResult Run(double skew, bool lm_enabled, Table& table, JsonReport& report) {
   r.queue_wait_p99_us =
       engine.metrics()->GetHistogram("muppet_queue_wait_us")->Percentile(0.99);
   r.splits = engine.key_splits();
-  r.merges = engine.key_merges();
   r.exact = exact;
   r.stats = engine.Stats();
   CheckOk(engine.Stop(), "stop");
 
   table.Row({Fmt(skew), lm_enabled ? "on" : "off", Eps(kEvents, elapsed),
-             FmtInt(r.queue_wait_p99_us), FmtInt(r.splits), FmtInt(r.merges),
+             FmtInt(r.queue_wait_p99_us), FmtInt(r.splits),
              r.exact ? "yes" : "NO"});
 
   Json& row = report.AddRow();
@@ -163,19 +151,18 @@ RunResult Run(double skew, bool lm_enabled, Table& table, JsonReport& report) {
   row["events_per_sec"] = r.events_per_sec;
   row["queue_wait_p99_us"] = r.queue_wait_p99_us;
   row["key_splits"] = r.splits;
-  row["key_merges"] = r.merges;
   row["exact"] = r.exact;
   JsonReport::PutLatency(r.stats, &row);
   return r;
 }
 
-void Main() {
+// Returns false when any row's counts were inexact.
+bool Main() {
   Banner(
       "E8: self-tuning hot-key splitting (paper §5 Example 6, automated; "
       "Zipf skew sweep, load manager off vs on)");
   JsonReport report("hotspot");
-  Table table({"skew", "lm", "events/s", "qwait_p99_us", "splits", "merges",
-               "exact"});
+  Table table({"skew", "lm", "events/s", "qwait_p99_us", "splits", "exact"});
   bool all_exact = true;
   double speedup_12 = 0;
   for (double skew : {0.8, 1.0, 1.2}) {
@@ -195,13 +182,11 @@ void Main() {
       "shards, and\nre-aggregates exactly (Example 6's trick, self-tuned). "
       "s=1.2 speedup: %.2fx%s\n",
       speedup_12, all_exact ? "" : "  [COUNT MISMATCH]");
+  return all_exact;
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace muppet
 
-int main() {
-  muppet::bench::Main();
-  return 0;
-}
+int main() { return muppet::bench::Main() ? 0 : 1; }

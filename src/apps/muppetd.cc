@@ -19,7 +19,7 @@
 //     "engine": {                      // optional overrides
 //       "threads_per_machine": 2,
 //       "queue_capacity": 1024,
-//       "overflow_policy": "throttle"  // drop | overflow_stream | throttle
+//       "overflow_policy": "throttle"  // drop | throttle
 //     },
 //     "durability": {
 //       "mode": "exactly_once",        // lossy | at_least_once | exactly_once
@@ -35,6 +35,9 @@
 //       ...
 //     ]
 //   }
+//
+// An unknown overflow_policy or durability mode, or a negative
+// sample_period, is refused with exit code 2.
 //
 // Runs until SIGINT/SIGTERM (or --run-seconds elapses), then drains,
 // flushes the outbound queues, and stops cleanly.
@@ -262,14 +265,18 @@ int main(int argc, char** argv) {
         cluster.engine.GetInt("threads_per_machine", 2));
     options.queue_capacity = static_cast<size_t>(
         cluster.engine.GetInt("queue_capacity", 1024));
+    // No overflow_stream: the config cannot name the stream, and Start()
+    // refuses an undeclared one.
     const std::string policy =
         cluster.engine.GetString("overflow_policy", "drop");
-    if (policy == "overflow_stream") {
-      options.overflow.policy = muppet::OverflowPolicy::kOverflowStream;
-    } else if (policy == "throttle") {
+    if (policy == "throttle") {
       options.overflow.policy = muppet::OverflowPolicy::kThrottle;
-    } else {
-      options.overflow.policy = muppet::OverflowPolicy::kDrop;
+    } else if (policy != "drop") {
+      std::fprintf(stderr,
+                   "muppetd: engine.overflow_policy must be drop or "
+                   "throttle, not \"%s\"\n",
+                   policy.c_str());
+      return 2;
     }
   } else {
     options.threads_per_machine = 2;
@@ -280,6 +287,12 @@ int main(int argc, char** argv) {
       options.durability.consistency = muppet::Consistency::kAtLeastOnce;
     } else if (mode == "exactly_once") {
       options.durability.consistency = muppet::Consistency::kExactlyOnce;
+    } else if (mode != "lossy") {
+      std::fprintf(stderr,
+                   "muppetd: durability.mode must be lossy, at_least_once "
+                   "or exactly_once, not \"%s\"\n",
+                   mode.c_str());
+      return 2;
     }
     const std::string dir = cluster.durability.GetString("dir", "");
     if (!dir.empty()) {

@@ -33,11 +33,11 @@
 //     20   taps             engine tap registries (shared)
 //     22   split-table      SplitTable live hot-key split registry (shared;
 //                           read on the dispatch path under a stripe lock)
-//     26   dedup-table      bounded identity dedup tables: exactly-once
-//                           event identities (consulted on frame receive;
+//     26   dedup-table      bounded exactly-once event identity tables
+//                           (consulted on frame receive, which in process
+//                           runs on the sender's thread, under its stripe;
 //                           seeded under the recovery path while the
-//                           machine is unroutable) and Muppet2 merge deltas
-//                           (checked under a slate stripe)
+//                           machine is unroutable)
 //     30   transport        Transport machine registry (shared)
 //     36   fault-injector   FaultInjector decision/partition/action state
 //     38   fault-hold       Transport reorder holdback buffer

@@ -90,80 +90,32 @@ SplitTable::SplitTable(size_t max_entries)
     : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
 bool SplitTable::Lookup(int32_t function_id, BytesView key,
-                        State* state) const {
+                        int* shards) const {
   ReaderMutexLock guard(mutex_);
   auto it = cells_.find({function_id, Bytes(key)});
   if (it == cells_.end()) return false;
-  if (state != nullptr) *state = it->second.state;
+  *shards = it->second.shards;
   return true;
 }
 
-int SplitTable::RouteShard(int32_t function_id, BytesView key,
-                           State* state) const {
+int SplitTable::RouteShard(int32_t function_id, BytesView key) const {
   ReaderMutexLock guard(mutex_);
   auto it = cells_.find({function_id, Bytes(key)});
   if (it == cells_.end()) return -1;
-  if (state != nullptr) *state = it->second.state;
   const Cell& cell = it->second;
-  if (cell.state.draining || cell.state.shards <= 1) return -1;
-  const uint64_t cursor =
-      cell.cursor.fetch_add(1, std::memory_order_relaxed);
-  return static_cast<int>(cursor %
-                          static_cast<uint64_t>(cell.state.shards));
+  const uint64_t cursor = cell.cursor.fetch_add(1, std::memory_order_relaxed);
+  return static_cast<int>(cursor % static_cast<uint64_t>(cell.shards));
 }
 
 bool SplitTable::Split(int32_t function_id, BytesView key, int shards) {
   if (shards <= 1) return false;
   WriterMutexLock guard(mutex_);
-  auto it = cells_.find({function_id, Bytes(key)});
-  if (it != cells_.end()) {
-    // Never shrink a live split: narrowing would strand slates in the
-    // dropped shards until the next merge.
-    Cell& cell = it->second;
-    if (cell.state.draining || shards <= cell.state.shards) return false;
-    cell.state.shards = shards;
-    ++cell.state.epoch;
-    return true;
-  }
   if (cells_.size() >= max_entries_) return false;
-  Cell& cell = cells_[{function_id, Bytes(key)}];
-  cell.state.shards = shards;
-  cell.state.epoch = 1;
+  auto [it, inserted] = cells_.try_emplace({function_id, Bytes(key)});
+  if (!inserted) return false;
+  it->second.shards = shards;
   active_.store(cells_.size(), std::memory_order_release);
   return true;
-}
-
-bool SplitTable::BeginMerge(int32_t function_id, BytesView key) {
-  WriterMutexLock guard(mutex_);
-  auto it = cells_.find({function_id, Bytes(key)});
-  if (it == cells_.end() || it->second.state.draining) return false;
-  it->second.state.draining = true;
-  ++it->second.state.epoch;
-  it->second.state.merge_found = 0;
-  return true;
-}
-
-void SplitTable::NoteMergeFound(int32_t function_id, BytesView key,
-                                int64_t bytes) {
-  WriterMutexLock guard(mutex_);
-  auto it = cells_.find({function_id, Bytes(key)});
-  if (it == cells_.end()) return;
-  it->second.state.merge_found += bytes;
-}
-
-int64_t SplitTable::TakeMergeFound(int32_t function_id, BytesView key) {
-  WriterMutexLock guard(mutex_);
-  auto it = cells_.find({function_id, Bytes(key)});
-  if (it == cells_.end()) return 0;
-  const int64_t found = it->second.state.merge_found;
-  it->second.state.merge_found = 0;
-  return found;
-}
-
-void SplitTable::Finish(int32_t function_id, BytesView key) {
-  WriterMutexLock guard(mutex_);
-  cells_.erase({function_id, Bytes(key)});
-  active_.store(cells_.size(), std::memory_order_release);
 }
 
 std::vector<SplitTable::Entry> SplitTable::Entries() const {
@@ -171,18 +123,9 @@ std::vector<SplitTable::Entry> SplitTable::Entries() const {
   std::vector<Entry> entries;
   entries.reserve(cells_.size());
   for (const auto& [id_key, cell] : cells_) {
-    Entry entry;
-    entry.function_id = id_key.first;
-    entry.key = id_key.second;
-    entry.state = cell.state;
-    entries.push_back(std::move(entry));
+    entries.push_back(Entry{id_key.first, id_key.second, cell.shards});
   }
   return entries;
-}
-
-size_t SplitTable::size() const {
-  ReaderMutexLock guard(mutex_);
-  return cells_.size();
 }
 
 }  // namespace muppet

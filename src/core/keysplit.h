@@ -2,9 +2,9 @@
 // update computation is associative and commutative, an overloaded key
 // ("Best Buy") can be partitioned into sub-keys ("Best Buy#0", "Best
 // Buy#1", ...) counted by independent updaters whose partial results are
-// periodically re-aggregated under the original key by a downstream
-// updater. These helpers implement the mechanical parts: sub-key naming,
-// deterministic-but-balanced shard selection, and parsing back.
+// re-aggregated under the original key on read. These helpers implement
+// the mechanical parts: sub-key naming, deterministic-but-balanced shard
+// selection, parsing back, and the engine's live split registry.
 #ifndef MUPPET_CORE_KEYSPLIT_H_
 #define MUPPET_CORE_KEYSPLIT_H_
 
@@ -56,73 +56,46 @@ class KeySplitter {
 };
 
 // Live registry of dynamically split hot keys, shared between the dispatch
-// path (readers) and the load manager (writer). Each split carries an
-// epoch that is bumped on every state change and travels on the wire with
-// routed events, so a processor can tell whether an event's shard
-// assignment is still current; stale-epoch events are re-routed to the
-// base key instead of resurrecting a drained shard slate.
-//
-// Lifecycle per (function, key):
-//   Split(shards)   — active, events fan out round-robin over shards
-//   BeginMerge()    — draining: new events route to the base key while
-//                     merge sweeps collect the shard slates
-//   Finish()        — entry removed; the key routes like any other
+// path (readers) and the load manager (writer). A split is permanent: once
+// installed, a (function, key) fans out over the same shards until the
+// engine stops. Reads fold the base slate and every shard slate through the
+// updater's merger, which is exact for an associative-commutative update
+// over any partition of its input, so nothing ever has to be merged back.
+// The table is volatile: a restarted engine starts with no splits.
 class SplitTable {
  public:
-  struct State {
-    int shards = 1;
-    uint32_t epoch = 0;
-    bool draining = false;
-    // Bytes of shard slate found by merge sweeps since the last
-    // TakeMergeFound (monotone while draining).
-    int64_t merge_found = 0;
-  };
-
   struct Entry {
     int32_t function_id = -1;
     Bytes key;
-    State state;
+    int shards = 1;
   };
 
-  explicit SplitTable(size_t max_entries = 64);
+  explicit SplitTable(size_t max_entries);
 
-  // Dispatch fast path: one relaxed load; when false, Lookup cannot match.
+  // Dispatch fast path: one acquire load; when false, no key is split.
   bool HasSplits() const {
     return active_.load(std::memory_order_acquire) > 0;
   }
 
-  // Split state for (function_id, key); false when the key is not split.
-  bool Lookup(int32_t function_id, BytesView key, State* state) const;
+  // Shard count of (function_id, key) into *shards; false when the key is
+  // not split.
+  bool Lookup(int32_t function_id, BytesView key, int* shards) const;
 
-  // Lookup + round-robin shard pick in one call. Returns the shard to
-  // route to, or -1 when the key is unsplit or draining.
-  int RouteShard(int32_t function_id, BytesView key, State* state) const;
+  // Round-robin shard pick for one event. Returns the shard to route to,
+  // or -1 when the key is unsplit.
+  int RouteShard(int32_t function_id, BytesView key) const;
 
-  // Install (or widen) a split. Bumps the epoch. Returns false when the
-  // table is full or `shards` <= 1.
+  // Install a split. Returns false when the key is already split (a split
+  // never widens), the table is full, or `shards` <= 1.
   bool Split(int32_t function_id, BytesView key, int shards);
 
-  // Transition to draining; new events route unsplit. Returns false when
-  // no active entry exists.
-  bool BeginMerge(int32_t function_id, BytesView key);
-
-  // Merge sweeps report recovered shard slate bytes here.
-  void NoteMergeFound(int32_t function_id, BytesView key, int64_t bytes);
-
-  // Reads and resets the merge_found accumulator (load-manager tick).
-  int64_t TakeMergeFound(int32_t function_id, BytesView key);
-
-  // Drop the entry entirely (merge complete).
-  void Finish(int32_t function_id, BytesView key);
-
   std::vector<Entry> Entries() const;
-  size_t size() const;
 
   static constexpr LockLevel kLockLevel = LockLevel::kSplitTable;
 
  private:
   struct Cell {
-    State state;
+    int shards = 1;
     // Round-robin cursor; atomic so RouteShard works under the reader lock.
     mutable std::atomic<uint64_t> cursor{0};
   };

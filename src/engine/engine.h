@@ -83,8 +83,9 @@ struct EngineOptions {
 
   // Self-tuning load management (engine/load_manager.h): hotspot
   // detection, dynamic key splitting of associative updaters, and
-  // occupancy-driven source pacing. Off by default; Muppet 2.0 only
-  // (Muppet 1.0's Start() rejects it).
+  // occupancy-driven source pacing. Off by default; Muppet 2.0 in a
+  // single process only (Start() rejects it on Muppet 1.0, and with
+  // hosted_machines or transport_backend).
   LoadManagerOptions load_manager;
 
   // Muppet 2.0: disable the secondary queue entirely (ablation for E7 —
@@ -207,8 +208,6 @@ struct HotKeyInfo {
   int64_t sampled_count = 0;
   bool split = false;
   int shards = 1;
-  uint32_t split_epoch = 0;
-  bool draining = false;
 };
 
 // Point-in-time view of one machine's runtime state, for /statusz
@@ -357,13 +356,6 @@ class Engine {
   // — the /statusz hot-key panel. Empty when no heat tracking runs (only
   // Muppet 2.0's load manager tracks heat).
   virtual std::vector<HotKeyInfo> HotKeys() const { return {}; }
-
-  // Suspend the self-tuning load-management control loop, blocking until
-  // the in-progress tick (and its control-event injections) completes.
-  // No-op for engines without one. The chaos harness pauses before its
-  // final accounting so a mid-tick merge sweep cannot race the
-  // conservation snapshot.
-  virtual void PauseLoadManagement() {}
 
   // Events accepted but not yet fully processed.
   int64_t InflightEvents() const {
@@ -775,8 +767,7 @@ Status Engine::ReceiveFrame(MachineId from, MachineId to, BytesView frame,
     // record would let two concurrent deliveries of one identity both
     // pass) and unwound on a decline, so the sender's retry is not
     // mistaken for a duplicate.
-    const uint64_t dedup_id =
-        (re.ctl == kCtlNone && machine->dedup != nullptr) ? re.dedup : 0;
+    const uint64_t dedup_id = machine->dedup != nullptr ? re.dedup : 0;
     if (dedup_id != 0 && !machine->dedup->CheckAndInsert(dedup_id)) {
       deduped_->Add();
       DecInflight(1);

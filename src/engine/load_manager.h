@@ -1,9 +1,9 @@
 // Self-tuning load management: the control loop that turns the heat
 // sketch (core/heat.h) and queue-depth gauges into runtime actions —
-// dynamic key splits for associative updaters (paper §5, Example 6,
+// permanent key splits for associative updaters (paper §5, Example 6,
 // automated) and an occupancy-driven source-throttle floor
 // (deadlock-free because only the source is paced, §5). Placement stays
-// with the hash ring; engine/placement.h analyses it offline.
+// with the hash ring.
 //
 // The decision logic lives in LoadController, a pure object with no
 // threads or engine references: the engine's load-manager tick gathers a
@@ -14,7 +14,6 @@
 #define MUPPET_ENGINE_LOAD_MANAGER_H_
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -38,18 +37,10 @@ struct LoadManagerOptions {
   double heat_decay = 0.8;
 
   // --- Key splitting -------------------------------------------------
-  // Shards installed per split key.
-  int split_shards = 8;
   // Split a key once it draws at least this fraction of sampled arrivals
-  // (and the updater is declared associative/commutative).
+  // (and the updater is declared associative/commutative). A split lasts
+  // until the engine stops.
   double split_heat_fraction = 0.20;
-  // Merge a split key back once its fraction falls below this.
-  double merge_heat_fraction = 0.05;
-  // ... for this many consecutive ticks. One low tick is routinely just
-  // sampling noise (a few samples per tick at modest rates), and a
-  // spurious merge is expensive: the key re-serializes while draining and
-  // the next hot tick re-splits it.
-  int merge_cool_ticks = 3;
   // Ignore heat readings until this many samples accumulated.
   int64_t min_samples = 64;
 };
@@ -71,24 +62,18 @@ struct LoadSignals {
   // Depth/capacity of the fullest live queue.
   double max_queue_occupancy = 0.0;
 
-  struct ActiveSplit {
-    int32_t function_id = -1;
-    Bytes key;
-    bool draining = false;
-  };
-  std::vector<ActiveSplit> active_splits;
+  // Keys already split, as (function, key).
+  std::vector<std::pair<int32_t, Bytes>> active_splits;
 };
 
 struct LoadActions {
   struct Split {
     int32_t function_id = -1;
     Bytes key;
-    int shards = 1;
   };
-  // Keys to split now (engine filters for associativity + table bounds).
+  // Keys to split now, into kSplitShards shards each (engine filters for
+  // associativity).
   std::vector<Split> splits;
-  // Active splits to begin merging (heat subsided).
-  std::vector<std::pair<int32_t, Bytes>> merges;
   // New source-pacing floor.
   Timestamp floor_delay_micros = 0;
 };
@@ -97,8 +82,11 @@ class LoadController {
  public:
   explicit LoadController(const LoadManagerOptions& options);
 
-  // Ceiling on concurrently split keys.
+  // Ceiling on split keys (the SplitTable's capacity: splits are never
+  // undone, so this bounds them for the engine's life).
   static constexpr size_t kMaxSplits = 16;
+  // Shards installed per split key.
+  static constexpr int kSplitShards = 8;
   // Queue-occupancy throttling. Integral gain: fraction of
   // kMaxFloorDelayMicros added to the pacing floor per unit of occupancy
   // error per tick (the target is half the hottest queue's capacity).
@@ -117,9 +105,6 @@ class LoadController {
   // Integral throttle state, in micros (double so sub-micro gains
   // accumulate across ticks).
   double floor_ = 0.0;
-  // Consecutive ticks each active split has spent below the merge
-  // threshold (merge_cool_ticks hysteresis).
-  std::map<std::pair<int32_t, Bytes>, int> cool_;
 };
 
 }  // namespace muppet

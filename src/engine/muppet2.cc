@@ -1,8 +1,7 @@
 #include "engine/muppet2.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <map>
 #include <utility>
 
 #include "common/hash.h"
@@ -95,7 +94,6 @@ Muppet2Engine::Muppet2Engine(const AppConfig& config, EngineOptions options)
       slate_contention_(
           metrics_.GetCounter("muppet_slate_contention_total")),
       splits_installed_(metrics_.GetCounter("muppet_key_splits_total")),
-      merges_completed_(metrics_.GetCounter("muppet_key_merges_total")),
       queue_wait_(metrics_.GetHistogram("muppet_queue_wait_us")) {}
 
 Muppet2Engine::~Muppet2Engine() { (void)Stop(); }
@@ -103,6 +101,15 @@ Muppet2Engine::~Muppet2Engine() { (void)Stop(); }
 Status Muppet2Engine::PrepareEngine() {
   if (options_.threads_per_machine < 1) {
     return Status::InvalidArgument("engine: bad cluster shape");
+  }
+  // The split table and heat sketches live in this process: a peer
+  // process would route shard events its own reads never fold.
+  if (options_.load_manager.enabled &&
+      (!options_.hosted_machines.empty() ||
+       options_.transport_backend != nullptr)) {
+    return Status::InvalidArgument(
+        "engine: load_manager runs in a single process only (no "
+        "hosted_machines or transport_backend)");
   }
   // Every machine hosts every function; the ring routes keys among all
   // num_machines ids, hosted here or not.
@@ -163,7 +170,9 @@ Status Muppet2Engine::Start() {
   MUPPET_RETURN_IF_ERROR(Engine::Start());
   if (options_.load_manager.enabled) {
     lm_controller_ = std::make_unique<LoadController>(options_.load_manager);
-    control_threads_.emplace_back([this] { LoadManagerLoop(); });
+    control_threads_.emplace_back([this] {
+      while (WaitTick(options_.load_manager.tick_micros)) LoadManagerTick();
+    });
   }
   return Status::OK();
 }
@@ -218,21 +227,15 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
     // Dynamic key splitting: a hot key of an associative updater fans out
     // round-robin over shard sub-keys. The event's own key is never
     // rewritten — the shard widens routing and slate addressing only, and
-    // travels with the event alongside the epoch it was decided under.
+    // travels with the event.
     int32_t shard = -1;
-    uint32_t split_epoch = 0;
     uint64_t route_key_hash = key_hash;
     Bytes shard_key;
     BytesView route_key = event.key;
     if (maybe_split && op.spec->kind == OperatorKind::kUpdater) {
-      SplitTable::State state;
-      const int picked =
-          split_table_.RouteShard(static_cast<int32_t>(fid), event.key,
-                                  &state);
-      if (picked >= 0) {
-        shard = picked;
-        split_epoch = state.epoch;
-        shard_key = MakeSplitKey(event.key, picked);
+      shard = split_table_.RouteShard(static_cast<int32_t>(fid), event.key);
+      if (shard >= 0) {
+        shard_key = MakeSplitKey(event.key, shard);
         route_key = shard_key;
         route_key_hash = Fnv1a64(route_key);
       }
@@ -252,7 +255,6 @@ void Muppet2Engine::DeliverEvent(MachineId from, uint64_t sender_work,
     re.function_id = static_cast<int32_t>(fid);
     re.work = CombineWork(op.name_hash, route_key_hash);
     re.shard = shard;
-    re.split_epoch = split_epoch;
     // The last subscriber takes the event by move — for the common
     // single-subscriber workflow the payload is never copied.
     if (i + 1 == n) {
@@ -457,8 +459,6 @@ void Muppet2Engine::RunLane(MachineBase* base, size_t lane) {
 }
 
 Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
-  if (re.ctl != kCtlNone) return ProcessControl(machine, re);
-
   const size_t fid = static_cast<size_t>(re.function_id);
   const Event& event = re.event;
 
@@ -481,22 +481,10 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
                   &contended);
   if (contended) slate_contention_->Add();
 
-  // Shard validation, inside the stripe lock so it cannot race a merge
-  // sweep of the same shard: an event routed under a split epoch that
-  // has since moved on (split widened, merge begun or finished) must
-  // not touch the stale shard slate — it re-enters delivery under its
-  // base key instead.
+  // A shard event updates its shard slate; reads fold it back in.
   Bytes shard_key;
   BytesView slate_key = event.key;
   if (re.shard >= 0) {
-    SplitTable::State state;
-    const bool live =
-        split_table_.Lookup(re.function_id, event.key, &state) &&
-        state.epoch == re.split_epoch && !state.draining;
-    if (!live) {
-      ReshardToBase(machine, re);
-      return Status::OK();
-    }
     shard_key = MakeSplitKey(event.key, re.shard);
     slate_key = shard_key;
   }
@@ -512,115 +500,6 @@ Status Muppet2Engine::ProcessOne(MachineCtx* machine, const RoutedEvent& re) {
   machine->updaters[fid]->Update(utils, event, has_slate ? &slate : nullptr);
   FinishExec(machine, re, slate_key, utils.wrote_slate(), &exec);
   return Status::OK();
-}
-
-// Merge sweeps and deltas run as engine-level control events, never
-// reaching operator code. Both count processed_ when consumed (their
-// injection counted emitted_), keeping chaos conservation accounting
-// exact; neither counts OpInfo::processed or latency (origin_ts is 0).
-Status Muppet2Engine::ProcessControl(MachineCtx* machine,
-                                     const RoutedEvent& re) {
-  const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
-  const std::string& name = op.spec->name;
-
-  if (re.ctl == kCtlMergeSweep) {
-    // Read-and-delete the shard slate under its stripe lock (the same
-    // lock shard events serialize on), then forward the bytes toward the
-    // base key's owner. Safe under any interleaving: an associative fold
-    // moves slate mass, never duplicates or drops it — even a straggler
-    // sweep arriving after the merge finished (or after the key re-split)
-    // just moves that shard's mass home early.
-    const Bytes shard_key = MakeSplitKey(re.event.key, re.shard);
-    Bytes slate;
-    bool found = false;
-    {
-      MutexLock guard(machine->slate_locks[re.work % kSlateLockStripes]);
-      Status s =
-          FetchThroughCache(machine->cache.get(), name, shard_key, &slate);
-      if (s.ok()) {
-        found = true;
-        (void)WriteSlate(machine, machine->cache.get(), re, shard_key,
-                         SlateLogKind::kDelete);
-      }
-    }
-    if (found) {
-      split_table_.NoteMergeFound(re.function_id, re.event.key,
-                                  static_cast<int64_t>(slate.size()));
-      RoutedEvent delta;
-      delta.function_id = re.function_id;
-      delta.work = CombineWork(op.name_hash, Fnv1a64(re.event.key));
-      delta.shard = re.shard;
-      delta.split_epoch = re.split_epoch;  // merge round id rides along
-      delta.ctl = kCtlMergeDelta;
-      delta.event.key = re.event.key;
-      delta.event.value = std::move(slate);
-      delta.event.seq = NextSeq();
-      SendControl(machine->id, re.work, re.event.key, std::move(delta));
-    }
-    processed_->Add();
-    return Status::OK();
-  }
-
-  // kCtlMergeDelta: fold the carried shard slate into the base slate via
-  // the updater's merger — exactly once per (shard, round), because the
-  // fault injector can duplicate the frame and a second fold would
-  // overcount.
-  const uint64_t dedupe_key = HashCombine(
-      HashCombine(HashCombine(static_cast<uint64_t>(re.function_id),
-                              Fnv1a64(re.event.key)),
-                  static_cast<uint64_t>(re.shard)),
-      static_cast<uint64_t>(re.split_epoch));
-  {
-    MutexLock guard(machine->slate_locks[re.work % kSlateLockStripes]);
-    const bool fresh = machine->merge_applied.CheckAndInsert(dedupe_key);
-    const SlateMerger& merger = op.spec->updater_options.merger;
-    if (fresh && merger != nullptr) {
-      Bytes base;
-      Status s =
-          FetchThroughCache(machine->cache.get(), name, re.event.key, &base);
-      const Bytes merged = merger(s.ok() ? &base : nullptr, re.event.value);
-      (void)WriteSlate(machine, machine->cache.get(), re, re.event.key,
-                       SlateLogKind::kUpdate, merged);
-    }
-  }
-  processed_->Add();
-  return Status::OK();
-}
-
-void Muppet2Engine::ReshardToBase(MachineCtx* machine,
-                                  const RoutedEvent& re) {
-  const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
-  RoutedEvent base = re;
-  base.shard = -1;
-  base.split_epoch = 0;
-  base.work = CombineWork(op.name_hash, Fnv1a64(base.event.key));
-  base.event.seq = NextSeq();
-  if (exactly_once()) {
-    base.dedup = DedupIdentity(base.work, base.event.ts, base.event.seq);
-  }
-  RouteAndSendOne(machine->id, re.work, re.event.key, std::move(base));
-}
-
-void Muppet2Engine::SendControl(MachineId from, uint64_t sender_work,
-                                BytesView route_key, RoutedEvent re) {
-  // Injection counts emitted_; every downstream path settles it exactly
-  // once (processed on consumption, lost/dropped on failure) through the
-  // shared delivery machinery.
-  emitted_->Add();
-  RouteAndSendOne(from, sender_work, route_key, std::move(re));
-}
-
-void Muppet2Engine::RouteAndSendOne(MachineId from, uint64_t sender_work,
-                                    BytesView route_key, RoutedEvent re) {
-  const OpInfo& op = ops_[static_cast<size_t>(re.function_id)];
-  std::set<MachineId> failed_copy;
-  Result<WorkerRef> target = ring_.Route(op.spec->name, route_key,
-                                         RouteFailedSet(&failed_copy));
-  if (!target.ok()) {
-    lost_failure_->Add();
-    return;
-  }
-  SendOne(from, sender_work, target.value().machine, std::move(re));
 }
 
 Status Muppet2Engine::FetchRoutedSlate(const std::string& updater,
@@ -656,17 +535,16 @@ Status Muppet2Engine::ReadLiveSlate(uint32_t op, BytesView key,
                                     const std::set<MachineId>& failed,
                                     Bytes* slate) {
   const OperatorSpec& spec = *ops_[op].spec;
-  // Paper §5 Example 6's re-aggregation. Draining entries aggregate the
-  // same way — shards the merge sweeps have not collected yet still count
-  // here.
-  SplitTable::State state;
-  if (!split_table_.Lookup(static_cast<int32_t>(op), key, &state) ||
+  // Paper §5 Example 6's re-aggregation: the base slate folded with
+  // every shard slate through the updater's merger.
+  int shards = 0;
+  if (!split_table_.Lookup(static_cast<int32_t>(op), key, &shards) ||
       spec.updater_options.merger == nullptr) {
     return FetchRoutedSlate(spec.name, key, failed, slate);
   }
   bool has = FetchRoutedSlate(spec.name, key, failed, slate).ok();
   Bytes part;
-  for (int shard = 0; shard < state.shards; ++shard) {
+  for (int shard = 0; shard < shards; ++shard) {
     part.clear();
     if (FetchRoutedSlate(spec.name, MakeSplitKey(key, shard), failed, &part)
             .ok()) {
@@ -687,36 +565,6 @@ size_t Muppet2Engine::LargestQueueDepth() const {
     }
   }
   return largest;
-}
-
-void Muppet2Engine::LoadManagerLoop() {
-  while (WaitTick(options_.load_manager.tick_micros)) {
-    // Pause handshake (seq_cst on purpose: the store of idle_ must be
-    // ordered against the load of paused_, and the pauser's store of
-    // paused_ against its load of idle_ — release/acquire alone permits
-    // both sides to miss each other and a tick to run after
-    // PauseLoadManagement returned).
-    lm_idle_.store(false);
-    if (lm_paused_.load()) {
-      lm_idle_.store(true);
-      continue;
-    }
-    LoadManagerTick();
-    lm_idle_.store(true);
-  }
-  lm_idle_.store(true);
-}
-
-void Muppet2Engine::PauseLoadManagement() {
-  if (!options_.load_manager.enabled) return;
-  lm_paused_.store(true);
-  while (!lm_idle_.load()) {
-    // Settle spin against the load-manager thread: waits on lm_idle_,
-    // not on simulated time, so routing it through Clock would deadlock
-    // a paused virtual clock.
-    // muppet-lint: allow(determinism): bounded real-time settle spin
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
 }
 
 void Muppet2Engine::LoadManagerTick() {
@@ -758,10 +606,8 @@ void Muppet2Engine::LoadManagerTick() {
           std::max(signals.max_queue_occupancy, occ);
     }
   }
-  std::vector<SplitTable::Entry> entries = split_table_.Entries();
-  for (const auto& e : entries) {
-    signals.active_splits.push_back(
-        LoadSignals::ActiveSplit{e.function_id, e.key, e.state.draining});
+  for (SplitTable::Entry& e : split_table_.Entries()) {
+    signals.active_splits.emplace_back(e.function_id, std::move(e.key));
   }
 
   LoadActions actions = lm_controller_->Tick(signals);
@@ -785,62 +631,10 @@ void Muppet2Engine::LoadManagerTick() {
       continue;
     }
     if (spec.updater_options.merger == nullptr) continue;
-    if (split_table_.Split(split.function_id, split.key, split.shards)) {
+    if (split_table_.Split(split.function_id, split.key,
+                           LoadController::kSplitShards)) {
       splits_installed_->Add();
     }
-  }
-
-  // --- Merges: flip cooled-off splits to draining...
-  for (const auto& [mfid, mkey] : actions.merges) {
-    if (split_table_.BeginMerge(mfid, mkey)) {
-      merge_progress_[{mfid, mkey}] = MergeProgress{};
-    }
-  }
-
-  // ...and drive the draining ones: one sweep round per tick per key,
-  // finishing after kMergeQuietTicks consecutive rounds that found no
-  // shard slate (one quiet round can race the last in-flight shard
-  // events; two in a row cannot, since draining keys route unsplit).
-  constexpr int kMergeQuietTicks = 2;
-  entries = split_table_.Entries();
-  for (const auto& e : entries) {
-    if (!e.state.draining) continue;
-    MergeProgress& progress = merge_progress_[{e.function_id, e.key}];
-    const int64_t found =
-        split_table_.TakeMergeFound(e.function_id, e.key);
-    if (progress.rounds > 0) {
-      progress.quiet = found > 0 ? 0 : progress.quiet + 1;
-    }
-    if (progress.quiet >= kMergeQuietTicks) {
-      split_table_.Finish(e.function_id, e.key);
-      merge_progress_.erase({e.function_id, e.key});
-      merges_completed_->Add();
-      continue;
-    }
-    InjectMergeSweeps(e.function_id, e.key, e.state);
-    ++progress.rounds;
-  }
-}
-
-void Muppet2Engine::InjectMergeSweeps(int32_t function_id, const Bytes& key,
-                                      const SplitTable::State& state) {
-  const uint32_t round =
-      merge_round_seq_.fetch_add(1, std::memory_order_relaxed);
-  const OpInfo& op = ops_[static_cast<size_t>(function_id)];
-  for (int shard = 0; shard < state.shards; ++shard) {
-    const Bytes shard_key = MakeSplitKey(key, shard);
-    RoutedEvent re;
-    re.function_id = function_id;
-    re.work = CombineWork(op.name_hash, Fnv1a64(shard_key));
-    re.shard = shard;
-    re.split_epoch = round;  // merge round id, not a split epoch
-    re.ctl = kCtlMergeSweep;
-    re.event.key = key;
-    re.event.seq = NextSeq();
-    // The publisher machine (lowest hosted id; §4.1, never a chaos crash
-    // victim) originates engine-wide control traffic.
-    SendControl(publish_machine_, /*sender_work=*/0, shard_key,
-                std::move(re));
   }
 }
 
@@ -868,13 +662,7 @@ std::vector<HotKeyInfo> Muppet2Engine::HotKeys() const {
     info.function = ops_[static_cast<size_t>(fk.first)].spec->name;
     info.key = fk.second;
     info.sampled_count = count;
-    SplitTable::State state;
-    if (split_table_.Lookup(fk.first, fk.second, &state)) {
-      info.split = true;
-      info.shards = state.shards;
-      info.split_epoch = state.epoch;
-      info.draining = state.draining;
-    }
+    info.split = split_table_.Lookup(fk.first, fk.second, &info.shards);
     out.push_back(std::move(info));
   }
   std::stable_sort(out.begin(), out.end(),
@@ -886,15 +674,13 @@ std::vector<HotKeyInfo> Muppet2Engine::HotKeys() const {
 
 void Muppet2Engine::RegisterEngineMetrics() {
   // Load-management plane: the occupancy floor under the source-pacing
-  // delay and the live split count.
+  // delay. Splits are permanent, so muppet_key_splits_total is also the
+  // live split count.
   metrics_.RegisterCallback(
       "muppet_throttle_floor_micros", {}, MetricType::kGauge,
       [this] {
         return static_cast<int64_t>(throttle_.floor_delay_micros());
       });
-  metrics_.RegisterCallback(
-      "muppet_active_splits", {}, MetricType::kGauge,
-      [this] { return static_cast<int64_t>(split_table_.size()); });
 
   for (const auto& slot : machines_) {
     const auto* machine = static_cast<const MachineCtx*>(slot.get());

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -44,7 +43,6 @@ class Muppet2Engine final : public Engine {
   // The shared runtime, then the load-management control loop.
   Status Start() override;
   std::vector<HotKeyInfo> HotKeys() const override;
-  void PauseLoadManagement() override;
 
   // Test/bench introspection.
   // Events that went to their secondary rather than primary queue.
@@ -59,12 +57,8 @@ class Muppet2Engine final : public Engine {
   // Status endpoint data (§4.5: "basic status information (such as the
   // event count of the largest event queues)").
   size_t LargestQueueDepth() const;
-  // Live split registry (test/bench introspection; the load manager is
-  // the only writer during normal operation).
-  SplitTable& split_table() { return split_table_; }
-  // Keys split / merges completed by the load manager.
+  // Keys split by the load manager.
   int64_t key_splits() const { return splits_installed_->Get(); }
-  int64_t key_merges() const { return merges_completed_->Get(); }
   // Lock-hierarchy levels for the engine's own locks (pinned by
   // tests/common/sync_test.cc against DESIGN.md). The slate stripe is the
   // outermost lock in the system: an updater's publishes — and so queue,
@@ -107,13 +101,6 @@ class Muppet2Engine final : public Engine {
     // Heat sketch fed by this machine's dispatches (null when the load
     // manager is disabled).
     std::unique_ptr<HeatTracker> heat;
-    // Merge-delta dedupe: the fault injector may duplicate a frame, and
-    // folding the same shard slate into the base key twice would
-    // overcount. Keyed by hash of (function, base key, shard, round).
-    // FIFO-bounded: the injector queues a duplicate right behind its
-    // original, and a round emits at most LoadController::kMaxSplits *
-    // split_shards deltas, far below the table's capacity.
-    DedupTable merge_applied{DedupTable::kMachineCapacity};
   };
 
   class DirectUtilities;
@@ -141,33 +128,9 @@ class Muppet2Engine final : public Engine {
 
   Status ProcessOne(MachineCtx* machine, const RoutedEvent& re);
 
-  // Control-plane events (merge sweeps/deltas), intercepted by ProcessOne
-  // before the operator would run.
-  Status ProcessControl(MachineCtx* machine, const RoutedEvent& re);
-
-  // An event whose shard routing went stale (the split epoch moved on
-  // while it was in flight) re-enters delivery under its base key instead
-  // of resurrecting a drained shard slate. Counts neither emitted nor
-  // processed — like an overflow redirect, the logical event settles once,
-  // wherever it finally lands.
-  void ReshardToBase(MachineCtx* machine, const RoutedEvent& re);
-
-  // Inject one engine-manufactured control event, routed by `route_key`
-  // over the live ring. Counts emitted_ (the consumer counts processed_),
-  // so chaos conservation accounting stays exact.
-  void SendControl(MachineId from, uint64_t sender_work, BytesView route_key,
-                   RoutedEvent re);
-  // Route `re` by `route_key` (which must not point into `re`) over
-  // `from`'s live ring view and send it alone; lost when no machine is live.
-  void RouteAndSendOne(MachineId from, uint64_t sender_work,
-                       BytesView route_key, RoutedEvent re);
-
-  // Self-tuning load-management control loop (one engine-wide thread).
-  void LoadManagerLoop();
+  // One pass of the self-tuning load-management loop, which one
+  // engine-wide thread runs every tick_micros.
   void LoadManagerTick();
-  // One merge-sweep round: a kCtlMergeSweep per shard of a draining key.
-  void InjectMergeSweeps(int32_t function_id, const Bytes& key,
-                         const SplitTable::State& state);
 
   // Two-choice dispatch of an arrived event into one of the machine's
   // thread queues; locks at most the two candidate queues. On success *re
@@ -198,31 +161,14 @@ class Muppet2Engine final : public Engine {
 
   // --- Self-tuning load management (engine/load_manager.h). The split
   // table is read on the dispatch path (lock-free fast path when no key
-  // is split); the controller and the merge bookkeeping below belong to
-  // the single load-manager thread.
-  SplitTable split_table_;
+  // is split); the controller belongs to the single load-manager thread.
+  SplitTable split_table_{LoadController::kMaxSplits};
   std::unique_ptr<LoadController> lm_controller_;
-  // Pause handshake: PauseLoadManagement() raises paused_ and waits for
-  // idle_ so no tick (or its control-event injection) is mid-flight.
-  std::atomic<bool> lm_paused_{false};
-  std::atomic<bool> lm_idle_{true};
-  // Merge rounds get globally unique ids (carried in the control events'
-  // split_epoch field) so delta dedupe distinguishes rounds.
-  std::atomic<uint32_t> merge_round_seq_{1};
-  // Load-manager-thread-only: per draining key, sweep rounds injected and
-  // consecutive quiet (nothing-found) ticks.
-  struct MergeProgress {
-    int rounds = 0;
-    int quiet = 0;
-  };
-  // muppet-lint: allow(guarded): confined to the load-manager thread
-  std::map<std::pair<int32_t, Bytes>, MergeProgress> merge_progress_;
 
   // 2.0-only registry children (the shared ones live in Engine).
   Counter* secondary_dispatch_;
   Counter* slate_contention_;
   Counter* splits_installed_;
-  Counter* merges_completed_;
   // Time events spend queued before a worker pops them (recorded for
   // every event; the bench's before/after-split p99 comparison).
   Histogram* queue_wait_;

@@ -6,9 +6,8 @@
 #ifndef MUPPET_ENGINE_OVERFLOW_H_
 #define MUPPET_ENGINE_OVERFLOW_H_
 
+#include <cstdint>
 #include <string>
-
-#include "common/metrics.h"
 
 namespace muppet {
 
@@ -23,13 +22,6 @@ struct OverflowOptions {
   // Target stream for kOverflowStream. Its subscribers should be cheap
   // ("substituting expensive operations ... with approximate operations").
   std::string overflow_stream;
-};
-
-// Shared counters so engines and benches report consistent numbers.
-struct OverflowStats {
-  Counter dropped;        // events dropped by policy
-  Counter redirected;     // events diverted to the overflow stream
-  Counter throttle_hits;  // overflow signals forwarded to the governor
 };
 
 }  // namespace muppet

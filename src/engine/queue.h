@@ -15,20 +15,6 @@
 
 namespace muppet {
 
-// Control-plane event kinds carried in RoutedEvent::ctl. Control events
-// are injected by the engine's load manager, intercepted before the
-// operator runs, and counted emitted/processed like data events so
-// conservation accounting stays exact.
-enum : uint8_t {
-  kCtlNone = 0,
-  // Read-and-delete one shard slate of a draining split key, emitting a
-  // kCtlMergeDelta with the slate bytes toward the base key's owner.
-  kCtlMergeSweep = 1,
-  // Fold the carried shard slate (event.value) into the base key's slate
-  // via the updater's SlateMerger.
-  kCtlMergeDelta = 2,
-};
-
 // An event addressed to a specific function (the queue of a Muppet 2.0
 // thread holds events for many functions; the destination is part of the
 // queued item). The destination travels as the dense interned operator id
@@ -44,19 +30,12 @@ struct RoutedEvent {
   // For split keys this hashes the shard sub-key, not event.key.
   uint64_t work = 0;
   // Dynamic key splitting (core/keysplit.h SplitTable): the shard this
-  // event was routed to (-1 = unsplit) and the split epoch the routing
-  // decision was made under. event.key always stays the base key; the
-  // shard only widens routing and slate addressing, so a processor whose
-  // table moved on (epoch mismatch) can re-route to the base key instead
-  // of resurrecting a drained shard slate.
+  // event was routed to (-1 = unsplit). event.key always stays the base
+  // key; the shard only widens routing and slate addressing.
   int32_t shard = -1;
-  uint32_t split_epoch = 0;
-  // Control-plane kind (kCtlNone for data events). For control events
-  // split_epoch carries the merge round id instead.
-  uint8_t ctl = kCtlNone;
   // Exactly-once delivery identity (engine/slatelog.h DedupIdentity): set
   // by the sender when the durability knob is kExactlyOnce, 0 otherwise.
-  // The receiving machine suppresses data events whose identity it has
+  // The receiving machine suppresses events whose identity it has
   // already processed (redelivered batches after a recovery epoch cut).
   uint64_t dedup = 0;
   // When the event is traced: time it entered this queue, for the

@@ -50,8 +50,9 @@ inline uint64_t FrameFaultSignature(std::span<const RoutedEvent> events) {
 // never change which faults it draws.
 //
 // Batch frame: varint event count, then per event the interned function
-// id, the cached work hash, the split-routing fields (shard is biased by
-// one so -1/unsplit encodes as a single zero byte), and the event record.
+// id, the cached work hash, the split shard (biased by one so -1/unsplit
+// encodes as a single zero byte), the dedup identity, and the event
+// record.
 inline void EncodeRoutedEventFrame(std::span<const RoutedEvent> events,
                                    Bytes* out) {
   PutVarint32(out, static_cast<uint32_t>(events.size()));
@@ -60,8 +61,6 @@ inline void EncodeRoutedEventFrame(std::span<const RoutedEvent> events,
     PutVarint32(out, static_cast<uint32_t>(re.function_id));
     PutVarint64(out, re.work);
     PutVarint32(out, static_cast<uint32_t>(re.shard + 1));
-    PutVarint32(out, re.split_epoch);
-    PutVarint32(out, re.ctl);
     PutVarint64(out, re.dedup);
     event_bytes.clear();
     EncodeEvent(re.event, &event_bytes);
@@ -93,14 +92,11 @@ class RoutedEventFrameReader {
     if (remaining_ == 0) return false;
     uint32_t fid = 0;
     uint32_t shard_plus_one = 0;
-    uint32_t ctl = 0;
     BytesView event_bytes;
     TraceContext trace;
     if (!GetVarint32(&p_, limit_, &fid) ||
         !GetVarint64(&p_, limit_, &re->work) ||
         !GetVarint32(&p_, limit_, &shard_plus_one) ||
-        !GetVarint32(&p_, limit_, &re->split_epoch) ||
-        !GetVarint32(&p_, limit_, &ctl) ||
         !GetVarint64(&p_, limit_, &re->dedup) ||
         !GetLengthPrefixed(&p_, limit_, &event_bytes) ||
         !GetVarint64(&p_, limit_, &trace.trace_id) ||
@@ -113,7 +109,6 @@ class RoutedEventFrameReader {
     re->event.trace = trace;
     re->function_id = static_cast<int32_t>(fid);
     re->shard = static_cast<int32_t>(shard_plus_one) - 1;
-    re->ctl = static_cast<uint8_t>(ctl);
     --remaining_;
     return true;
   }

@@ -40,7 +40,9 @@ enum class FrameType : uint8_t {
 };
 
 constexpr size_t kFrameHeaderSize = 28;
-constexpr uint8_t kWireVersion = 1;
+// Version 2 dropped the split epoch and control kind from each routed
+// event (engine/wire.h); a version-1 peer's frames are rejected.
+constexpr uint8_t kWireVersion = 2;
 // Upper bound on a frame payload. A corrupt length field must not drive a
 // multi-gigabyte allocation; real batch frames are bounded by the engine's
 // coalescer (well under a megabyte).

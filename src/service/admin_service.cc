@@ -90,11 +90,7 @@ Json StatuszDocument(Engine* engine, MachineId machine) {
     jh["key"] = hk.key;
     jh["sampled_count"] = hk.sampled_count;
     jh["split"] = hk.split;
-    if (hk.split) {
-      jh["shards"] = static_cast<int64_t>(hk.shards);
-      jh["split_epoch"] = static_cast<int64_t>(hk.split_epoch);
-      jh["draining"] = hk.draining;
-    }
+    if (hk.split) jh["shards"] = static_cast<int64_t>(hk.shards);
     hot.Append(std::move(jh));
   }
   doc["hot_keys"] = std::move(hot);

@@ -267,8 +267,8 @@ ScenarioResult ScenarioRunner::Run() {
   eo.durability.sync_every_records = options_.sync_every_records;
   eo.durability.checkpoint_every_records = options_.checkpoint_every_records;
   if (options_.hot_split && options_.engine == EngineKind::kMuppet2) {
-    // Aggressive self-tuning so a split triggers (and later merges back)
-    // within a handful of 100ms steps. Muppet 1.0 runs no load manager:
+    // Aggressive self-tuning so a split triggers within a handful of
+    // 100ms steps. Muppet 1.0 runs no load manager:
     // its hot_split run is the skewed workload alone.
     eo.load_manager.enabled = true;
     eo.load_manager.tick_micros = 2 * kMicrosPerMilli;
@@ -276,7 +276,6 @@ ScenarioResult ScenarioRunner::Run() {
     eo.load_manager.heat_decay = 0.5;
     eo.load_manager.min_samples = 16;
     eo.load_manager.split_heat_fraction = 0.3;
-    eo.load_manager.split_shards = 4;
   }
 
   std::unique_ptr<Engine> engine = MakeEngine(options_.engine, config, eo);
@@ -356,7 +355,7 @@ ScenarioResult ScenarioRunner::Run() {
     }
     if (step < options_.steps) {
       // hot_split skews ~half the traffic onto k0 for the first half of
-      // the steps (split triggers), then goes uniform (merge triggers).
+      // the steps (split triggers), then goes uniform (the split stays).
       const bool hot_phase =
           options_.hot_split && step * 2 < options_.steps;
       for (int i = 0; i < options_.events_per_step; ++i) {
@@ -388,16 +387,6 @@ ScenarioResult ScenarioRunner::Run() {
       it = failed_now.count(it->first) == 0 ? dead_attempts.erase(it)
                                             : std::next(it);
     }
-  }
-
-  // The load manager injects control events (merge sweeps/deltas) from
-  // its own thread. Pause it before the final accounting so a mid-tick
-  // injection cannot race the conservation snapshot, then drain once more
-  // so control events already in flight settle.
-  engine->PauseLoadManagement();
-  if (!aborted) {
-    s = quiesce();
-    if (!s.ok()) fail("scenario: final drain: " + s.ToString());
   }
 
   // ---- Invariant D: the ring reroutes; nothing is sent to a machine

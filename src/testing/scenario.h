@@ -55,11 +55,11 @@ struct ScenarioOptions {
   // declared associative/commutative with a count-summing merger, the
   // load manager runs with an aggressive tick so splits trigger inside a
   // short scenario, and the workload skews ~half its events onto one hot
-  // key for the first half of the steps (uniform after, so the split
-  // drains and merges back). The oracle checks are unchanged — split or
-  // not, per-key counts must match the reference exactly when no fault
-  // destroys state, because FetchSlate aggregates base + shard slates
-  // and the associative fold moves mass without duplicating or dropping.
+  // key for the first half of the steps (uniform after, while the split
+  // stays). The oracle checks are unchanged — split or not, per-key
+  // counts must match the reference exactly when no fault destroys
+  // state, because FetchSlate folds base + shard slates with the merger,
+  // and an associative fold over any partition of the events is exact.
   bool hot_split = false;
 
   // Durable slate store backed by a KvCluster under `data_dir` (required

@@ -283,8 +283,9 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   // drain/throttle -> cache -> store.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kTaps));
   // Load-management plane: the dispatch path consults the split table and
-  // heat sketch under a stripe; a merge delta checks the dedup table
-  // under its stripe.
+  // heat sketch under a stripe. An updater's publish to another machine
+  // reaches that machine's exactly-once dedup table under the stripe too,
+  // since the in-memory transport delivers a frame on the sender's thread.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kSplitTable));
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kDedupTable));
   EXPECT_TRUE(lt(LockLevel::kFaultHold, LockLevel::kHeat));

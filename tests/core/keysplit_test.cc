@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
@@ -124,24 +125,22 @@ TEST(KeySplitterTest, PerKeyCursorsIndependent) {
   EXPECT_EQ(splitter.RouteKey("a"), MakeSplitKey("a", 0));
 }
 
-TEST(SplitTableTest, LifecycleSplitDrainFinish) {
-  SplitTable table;
+TEST(SplitTableTest, SplitRoutesRoundRobin) {
+  SplitTable table(/*max_entries=*/16);
   EXPECT_FALSE(table.HasSplits());
-  SplitTable::State state;
-  EXPECT_FALSE(table.Lookup(1, "hot", &state));
-  EXPECT_EQ(table.RouteShard(1, "hot", &state), -1);
+  int shards = 0;
+  EXPECT_FALSE(table.Lookup(1, "hot", &shards));
+  EXPECT_EQ(table.RouteShard(1, "hot"), -1);
 
   ASSERT_TRUE(table.Split(1, "hot", 4));
   EXPECT_TRUE(table.HasSplits());
-  ASSERT_TRUE(table.Lookup(1, "hot", &state));
-  EXPECT_EQ(state.shards, 4);
-  EXPECT_FALSE(state.draining);
-  const uint32_t split_epoch = state.epoch;
+  ASSERT_TRUE(table.Lookup(1, "hot", &shards));
+  EXPECT_EQ(shards, 4);
 
   // Round-robin covers every shard evenly.
   std::map<int, int> picked;
   for (int i = 0; i < 40; ++i) {
-    const int shard = table.RouteShard(1, "hot", &state);
+    const int shard = table.RouteShard(1, "hot");
     ASSERT_GE(shard, 0);
     ASSERT_LT(shard, 4);
     picked[shard]++;
@@ -149,58 +148,38 @@ TEST(SplitTableTest, LifecycleSplitDrainFinish) {
   EXPECT_EQ(picked.size(), 4u);
   for (const auto& [shard, count] : picked) EXPECT_EQ(count, 10);
 
-  // Draining: entry still visible (FetchSlate aggregation needs it) but
-  // new events route unsplit, and the epoch moved.
-  ASSERT_TRUE(table.BeginMerge(1, "hot"));
-  ASSERT_TRUE(table.Lookup(1, "hot", &state));
-  EXPECT_TRUE(state.draining);
-  EXPECT_NE(state.epoch, split_epoch);
-  EXPECT_EQ(table.RouteShard(1, "hot", &state), -1);
-
-  table.NoteMergeFound(1, "hot", 128);
-  table.NoteMergeFound(1, "hot", 64);
-  EXPECT_EQ(table.TakeMergeFound(1, "hot"), 192);
-  EXPECT_EQ(table.TakeMergeFound(1, "hot"), 0);
-
-  table.Finish(1, "hot");
-  EXPECT_FALSE(table.HasSplits());
-  EXPECT_FALSE(table.Lookup(1, "hot", &state));
+  const std::vector<SplitTable::Entry> entries = table.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].function_id, 1);
+  EXPECT_EQ(entries[0].key, "hot");
+  EXPECT_EQ(entries[0].shards, 4);
 }
 
-TEST(SplitTableTest, WidenBumpsEpochAndNeverShrinks) {
-  SplitTable table;
+TEST(SplitTableTest, SplitInstallsOnceAndNeverWidens) {
+  SplitTable table(/*max_entries=*/16);
   ASSERT_TRUE(table.Split(1, "hot", 2));
-  SplitTable::State state;
-  ASSERT_TRUE(table.Lookup(1, "hot", &state));
-  const uint32_t e1 = state.epoch;
-
-  ASSERT_TRUE(table.Split(1, "hot", 8));
-  ASSERT_TRUE(table.Lookup(1, "hot", &state));
-  EXPECT_EQ(state.shards, 8);
-  EXPECT_NE(state.epoch, e1);
-
-  // Narrowing is refused: shard slates beyond the narrower width would be
-  // stranded with no event ever routed to sweep them.
+  // A second split of the same key, wider or narrower, is refused: the
+  // shard count a split was installed with is the one reads fold.
+  EXPECT_FALSE(table.Split(1, "hot", 8));
   EXPECT_FALSE(table.Split(1, "hot", 2));
-  ASSERT_TRUE(table.Lookup(1, "hot", &state));
-  EXPECT_EQ(state.shards, 8);
+  int shards = 0;
+  ASSERT_TRUE(table.Lookup(1, "hot", &shards));
+  EXPECT_EQ(shards, 2);
+  EXPECT_EQ(table.Entries().size(), 1u);
 }
 
 TEST(SplitTableTest, KeysAndFunctionsIndependent) {
-  SplitTable table;
+  SplitTable table(/*max_entries=*/16);
   ASSERT_TRUE(table.Split(1, "a", 2));
   ASSERT_TRUE(table.Split(2, "a", 4));
-  SplitTable::State state;
-  ASSERT_TRUE(table.Lookup(1, "a", &state));
-  EXPECT_EQ(state.shards, 2);
-  ASSERT_TRUE(table.Lookup(2, "a", &state));
-  EXPECT_EQ(state.shards, 4);
-  EXPECT_FALSE(table.Lookup(1, "b", &state));
-  EXPECT_EQ(table.size(), 2u);
-
-  table.Finish(1, "a");
-  EXPECT_TRUE(table.HasSplits());
-  ASSERT_TRUE(table.Lookup(2, "a", &state));
+  int shards = 0;
+  ASSERT_TRUE(table.Lookup(1, "a", &shards));
+  EXPECT_EQ(shards, 2);
+  ASSERT_TRUE(table.Lookup(2, "a", &shards));
+  EXPECT_EQ(shards, 4);
+  EXPECT_FALSE(table.Lookup(1, "b", &shards));
+  EXPECT_EQ(table.RouteShard(1, "b"), -1);
+  EXPECT_EQ(table.Entries().size(), 2u);
 }
 
 TEST(SplitTableTest, CapacityBounded) {
@@ -208,14 +187,12 @@ TEST(SplitTableTest, CapacityBounded) {
   EXPECT_TRUE(table.Split(1, "a", 2));
   EXPECT_TRUE(table.Split(1, "b", 2));
   EXPECT_FALSE(table.Split(1, "c", 2));
-  // Widening an existing entry is not a new entry.
-  EXPECT_TRUE(table.Split(1, "a", 4));
-  table.Finish(1, "a");
-  EXPECT_TRUE(table.Split(1, "c", 2));
+  EXPECT_EQ(table.RouteShard(1, "c"), -1);
+  EXPECT_EQ(table.Entries().size(), 2u);
 }
 
 TEST(SplitTableTest, RejectsDegenerateShardCounts) {
-  SplitTable table;
+  SplitTable table(/*max_entries=*/16);
   EXPECT_FALSE(table.Split(1, "a", 1));
   EXPECT_FALSE(table.Split(1, "a", 0));
   EXPECT_FALSE(table.Split(1, "a", -3));

@@ -236,8 +236,6 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
   };
   if (GetParam() == EngineKind::kMuppet2) {
     expected.insert({
-        "muppet_active_splits{}",
-        "muppet_key_merges_total{}",
         "muppet_key_splits_total{}",
         "muppet_queue_wait_us{}",
         "muppet_secondary_dispatch_total{}",

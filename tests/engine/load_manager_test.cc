@@ -1,6 +1,6 @@
 // LoadController policy tests: the controller is a pure object (no
-// threads, no engine), so every split/merge/throttle decision is pinned
-// here without a cluster.
+// threads, no engine), so every split/throttle decision is pinned here
+// without a cluster.
 #include "engine/load_manager.h"
 
 #include <string>
@@ -17,13 +17,12 @@ LoadManagerOptions BaseOptions() {
   LoadManagerOptions o;
   o.enabled = true;
   o.min_samples = 10;
-  o.split_shards = 4;
   return o;
 }
 
 LoadSignals Signals(int64_t total,
                     std::vector<HeatReading> top,
-                    std::vector<LoadSignals::ActiveSplit> active = {}) {
+                    std::vector<std::pair<int32_t, Bytes>> active = {}) {
   LoadSignals s;
   s.sampled_total = total;
   s.top = std::move(top);
@@ -39,8 +38,6 @@ TEST(LoadControllerTest, SplitsKeysAboveHeatFraction) {
   ASSERT_EQ(a.splits.size(), 1u);
   EXPECT_EQ(a.splits[0].function_id, 1);
   EXPECT_EQ(a.splits[0].key, "hot");
-  EXPECT_EQ(a.splits[0].shards, 4);
-  EXPECT_TRUE(a.merges.empty());
 }
 
 TEST(LoadControllerTest, MinSamplesGatesEverything) {
@@ -48,22 +45,23 @@ TEST(LoadControllerTest, MinSamplesGatesEverything) {
   // 9 < min_samples(10): even a 100%-share key is ignored.
   LoadActions a = c.Tick(Signals(9, {{1, "hot", 9}}));
   EXPECT_TRUE(a.splits.empty());
-  EXPECT_TRUE(a.merges.empty());
 }
 
 TEST(LoadControllerTest, MaxSplitsCapCountsActiveOnes) {
   LoadController c(BaseOptions());
-  // Live splits fill all but two of the kMaxSplits slots.
-  std::vector<LoadSignals::ActiveSplit> active;
+  // Splits whose keys have cooled out of the sketch still hold their
+  // slots (a split is never undone); they fill all but two of the
+  // kMaxSplits slots.
+  std::vector<std::pair<int32_t, Bytes>> active;
   for (size_t i = 0; i + 2 < LoadController::kMaxSplits; ++i) {
-    active.push_back({1, "live" + std::to_string(i), /*draining=*/false});
+    active.emplace_back(1, "live" + std::to_string(i));
   }
   LoadActions a = c.Tick(Signals(
       100, {{1, "a", 40}, {1, "b", 30}, {1, "c", 25}}, active));
   EXPECT_EQ(a.splits.size(), 2u);
 
   // With one more split live, only one slot remains.
-  active.push_back({1, "a", /*draining=*/false});
+  active.emplace_back(1, "a");
   a = c.Tick(Signals(100, {{1, "b", 40}, {1, "c", 30}}, active));
   ASSERT_EQ(a.splits.size(), 1u);
   EXPECT_EQ(a.splits[0].key, "b");
@@ -71,49 +69,12 @@ TEST(LoadControllerTest, MaxSplitsCapCountsActiveOnes) {
 
 TEST(LoadControllerTest, AlreadySplitKeysNotResplit) {
   LoadController c(BaseOptions());
-  LoadActions a = c.Tick(Signals(100, {{1, "hot", 40}, {2, "other", 30}},
-                                 {{1, "hot", /*draining=*/false}}));
-  // "hot" stays split (still warm, no merge) and is not split again;
-  // the different-function "other" key gets the remaining slot.
+  LoadActions a =
+      c.Tick(Signals(100, {{1, "hot", 40}, {2, "other", 30}}, {{1, "hot"}}));
+  // "hot" stays split and is not split again; the different-function
+  // "other" key gets the remaining slot.
   ASSERT_EQ(a.splits.size(), 1u);
   EXPECT_EQ(a.splits[0].function_id, 2);
-  EXPECT_TRUE(a.merges.empty());
-}
-
-TEST(LoadControllerTest, MergeRequiresConsecutiveCoolTicks) {
-  LoadController c(BaseOptions());  // merge_cool_ticks = 3
-  const LoadSignals cold =
-      Signals(100, {{1, "other", 40}}, {{1, "hot", false}});
-  // Two cold ticks: not yet.
-  EXPECT_TRUE(c.Tick(cold).merges.empty());
-  EXPECT_TRUE(c.Tick(cold).merges.empty());
-  // Third consecutive cold tick triggers the merge.
-  LoadActions a = c.Tick(cold);
-  ASSERT_EQ(a.merges.size(), 1u);
-  EXPECT_EQ(a.merges[0].first, 1);
-  EXPECT_EQ(a.merges[0].second, "hot");
-}
-
-TEST(LoadControllerTest, WarmTickResetsCoolCounter) {
-  LoadController c(BaseOptions());
-  const LoadSignals cold =
-      Signals(100, {{1, "other", 40}}, {{1, "hot", false}});
-  // 10% share is above merge_heat_fraction (5%): still warm.
-  const LoadSignals warm =
-      Signals(100, {{1, "other", 40}, {1, "hot", 10}}, {{1, "hot", false}});
-  EXPECT_TRUE(c.Tick(cold).merges.empty());
-  EXPECT_TRUE(c.Tick(cold).merges.empty());
-  EXPECT_TRUE(c.Tick(warm).merges.empty());  // counter resets here
-  EXPECT_TRUE(c.Tick(cold).merges.empty());
-  EXPECT_TRUE(c.Tick(cold).merges.empty());
-  EXPECT_EQ(c.Tick(cold).merges.size(), 1u);
-}
-
-TEST(LoadControllerTest, DrainingSplitsNeverMergedAgain) {
-  LoadController c(BaseOptions());
-  const LoadSignals cold = Signals(100, {{1, "other", 40}},
-                                   {{1, "hot", /*draining=*/true}});
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(c.Tick(cold).merges.empty());
 }
 
 TEST(LoadControllerTest, ThrottleFloorRampsClampsAndBleeds) {

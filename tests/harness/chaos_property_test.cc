@@ -52,9 +52,9 @@ ScenarioOptions SweepOptions(EngineKind engine, uint64_t seed,
   o.events_per_step = 30;
   o.num_keys = 8;
   // hot_split runs the load manager over a skewed-then-uniform workload,
-  // so split-epoch changes (install, widen, drain) race whatever the
-  // seeded fault plan throws at the cluster. A bit longer so the uniform
-  // phase can begin merges mid-faults.
+  // so split installs and shard traffic race whatever the seeded fault
+  // plan throws at the cluster. A bit longer so the uniform phase reads
+  // a split key under faults.
   o.hot_split = hot_split;
   if (hot_split) o.steps = 4;
   o.workload_seed = seed;
@@ -97,11 +97,11 @@ TEST(ChaosPropertyTest, Muppet2RandomizedSweep) {
   RunSweep(EngineKind::kMuppet2);
 }
 
-// Hot-split sweep: the load manager splits/merges the hot key while the
-// seeded fault plan crashes, partitions, drops, and reorders around it.
-// Split-epoch changes racing machine failures is exactly the surface this
-// covers; the oracle stays strict whenever no fault destroys state.
-TEST(ChaosPropertyTest, Muppet2SplitEpochSweep) {
+// Hot-split sweep: the load manager splits the hot key while the seeded
+// fault plan crashes, partitions, drops, and reorders around it. Shard
+// traffic racing machine failures is exactly the surface this covers; the
+// oracle stays strict whenever no fault destroys state.
+TEST(ChaosPropertyTest, Muppet2HotSplitSweep) {
   RunSweep(EngineKind::kMuppet2, /*hot_split=*/true);
 }
 

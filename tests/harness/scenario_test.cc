@@ -158,10 +158,10 @@ TEST_P(ScenarioTest, StoreBackedCrashRestartPreservesDurableCounts) {
 TEST_P(ScenarioTest, HotSplitWorkloadStaysExact) {
   // hot_split declares the updater associative and skews the workload
   // onto one hot key, then spreads it; on Muppet 2.0 the load manager runs
-  // aggressively and the hot key actually splits (and merges back)
-  // mid-run, while 1.0 runs no load manager. No fault destroys state, so the oracle is
-  // strict: FetchSlate's base+shard aggregation must equal the reference
-  // for every key, whatever split state the run ended in.
+  // aggressively and the hot key actually splits mid-run, while 1.0 runs
+  // no load manager. No fault destroys state, so the oracle is strict:
+  // FetchSlate's base+shard aggregation must equal the reference for
+  // every key.
   ScenarioOptions o = BaseOptions(GetParam());
   o.hot_split = true;
   o.steps = 6;
@@ -171,13 +171,11 @@ TEST_P(ScenarioTest, HotSplitWorkloadStaysExact) {
   EXPECT_EQ(r.stats.events_lost_failure, 0);
 }
 
-TEST(ScenarioHotSplitTest, SplitEpochChangeRacesCrashRestart) {
-  // A machine dies and rejoins while the hot key is mid-split: split
-  // epochs change on the wire (install, widen, begin-drain) while the
-  // ring reroutes around the dead machine. Stale-epoch events must
-  // reshard to the base key rather than land in a wrong shard, so
+TEST(ScenarioHotSplitTest, SplitRacesCrashRestart) {
+  // A machine dies and rejoins while the hot key is split: the ring
+  // reroutes shard events around the dead machine and back, so
   // conservation (A) balances exactly and the oracle (B) still bounds
-  // every live count by the reference.
+  // every live count (base + shard fold) by the reference.
   ScenarioOptions o = BaseOptions(EngineKind::kMuppet2);
   o.hot_split = true;
   o.steps = 6;

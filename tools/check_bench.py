@@ -35,7 +35,7 @@ METRIC_KEYS = frozenset({
     "latency_p999_us",
     "queue_wait_p99_us",
     "secondary_dispatches", "slate_contentions",
-    "key_splits", "key_merges",
+    "key_splits",
     "exact",
     "slatelog_appends", "checkpoints",
     "replay_records", "replay_elapsed_us", "replay_records_per_sec",

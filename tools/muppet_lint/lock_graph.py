@@ -14,6 +14,10 @@ Builds the whole-program lock acquisition graph:
   * calls made while holding a lock propagate the callee's transitive
     acquisition set (callees resolved through receiver typing: class
     members, local declarations, same-class methods, free functions);
+  * a local object handed to a call the resolver cannot follow (an
+    operator's virtual hook, `updater->Update(utils, ...)`) is modelled
+    as having each of its methods called there, so what an updater
+    reaches through its utilities object counts under the caller's locks;
   * MUPPET_REQUIRES(mu) on the header declaration seeds the entry-held
     set of the matching definition; MUPPET_EXCLUDES(mu) is verified at
     call sites.
@@ -101,6 +105,8 @@ class FuncModel:
     acquisitions: list[Acquisition] = field(default_factory=list)
     calls: list[tuple[int, str, str]] = field(default_factory=list)
     # (offset, receiver_expr or "", callee_name)
+    # Per call: the bare identifiers among its arguments.
+    call_args: list[list[str]] = field(default_factory=list)
     entry_held: list[str] = field(default_factory=list)   # levels
     excludes: list[str] = field(default_factory=list)     # levels
     local_types: dict[str, str] = field(default_factory=dict)
@@ -144,6 +150,7 @@ class LockGraphPass:
         self._collect_classes()
         self._collect_mutexes()
         self._collect_functions()
+        self._model_handed_objects()
         self._resolve_calls_and_edges()
         return self.findings
 
@@ -302,6 +309,28 @@ class LockGraphPass:
                 if fm.fn.is_lambda:
                     _bind_lambda_argument(fm.fn, models)
 
+    def _model_handed_objects(self) -> None:
+        """A local object handed to a call the resolver cannot follow (an
+        operator's virtual hook: `updater->Update(utils, ...)`) may have
+        any of its methods called there. Model a call to each, so the
+        locks an updater takes through its utilities object (publishing,
+        slate writes) count as taken under the caller's locks."""
+        methods: dict[str, set[str]] = {}
+        for key in self.funcs:
+            if "::" in key and "lambda#" not in key:
+                cls, name = key.rsplit("::", 1)
+                methods.setdefault(cls, set()).add(name)
+        for models in self.funcs.values():
+            for fm in models:
+                handed = []
+                for (off, recv, callee), args in zip(fm.calls, fm.call_args):
+                    if self._candidate_keys(fm, recv, callee):
+                        continue
+                    for arg in args:
+                        for name in methods.get(fm.local_types.get(arg), ()):
+                            handed.append((off, arg, name))
+                fm.calls.extend(handed)
+
     def _model_function(self, fn: FunctionInfo, body_text: str) -> FuncModel:
         sf = fn.file
         fm = FuncModel(fn=fn, body_text=body_text)
@@ -343,6 +372,7 @@ class LockGraphPass:
                 continue
             recv = (cm.group(1) or "").rstrip(".->")
             fm.calls.append((base + cm.start(), recv, callee))
+            fm.call_args.append(_identifier_args(body_text, cm.end() - 1))
         return fm
 
     def _annotation_args(self, fn: FunctionInfo,
@@ -693,6 +723,21 @@ def _bind_lambda_argument(lam: FunctionInfo, models: list[FuncModel]) -> None:
     parent = max(parents, key=lambda fm: fm.fn.body_start)
     # Resolves through _candidate_keys to `<cls>::<lam.name>` = fm_key(lam).
     parent.calls.append((lam.intro, "", lam.name))
+
+
+def _identifier_args(code: str, open_paren: int) -> list[str]:
+    """The arguments of the call whose `(` is at `open_paren` that are
+    bare identifiers."""
+    depth = 0
+    for i in range(open_paren, len(code)):
+        if code[i] == "(":
+            depth += 1
+        elif code[i] == ")":
+            depth -= 1
+            if depth == 0:
+                args = split_top_level(code[open_paren + 1:i])
+                return [a for a in args if re.fullmatch(r"[A-Za-z_]\w*", a)]
+    return []
 
 
 def _call_taking(code: str, pos: int) -> tuple[str, ...] | None:

@@ -23,6 +23,9 @@ report.
 src/testing and src/workload are out of scope: their options describe
 test scenarios and input data, which a scenario table may set in bulk.
 Static and constexpr members are constants already and are skipped.
+A write under src/testing/ counts as a test's write: the scenario
+runner sets only what its tests ask of it, so a field it sets is no
+more a deployment knob than one a test sets.
 
 A setter that only restates a default is flagged too: `o.name = V;`
 where V is a constant (a number or integer expression, `true`/`false`,
@@ -35,13 +38,13 @@ is left alone. Benchmark programs (bench/, perfbench/) are not checked
 for this: they state the configuration a published row was measured
 under in full, so the row does not move when a default does.
 
-A field whose only writes are under tests/ is flagged too: no caller
-sets it, so it is a constant that tests vary, and a test that needs
-another value should reach it through a seam that exists anyway (a
-simulated clock, a direct call, more data). The one exception is a field
-in TEST_ONLY below, whose entry names the behaviour a test checks that
-no constant can reach. With --verbose the pass lists those fields, with
-their reasons, as info lines.
+A field whose only writes are under tests/ or src/testing/ is flagged
+too: no caller sets it, so it is a constant that tests vary, and a test
+that needs another value should reach it through a seam that exists
+anyway (a simulated clock, a direct call, more data). The one exception
+is a field in TEST_ONLY below, whose entry names the behaviour a test
+checks that no constant can reach. With --verbose the pass lists those
+fields, with their reasons, as info lines.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ CHECK = "options"
 DECL_DIRS = tuple(f"src/{d}/" for d in (
     "common", "core", "engine", "kvstore", "net", "service", "apps"))
 ASSIGN_ROOTS = ("src", "tests", "bench", "examples", "perfbench")
+TEST_HARNESS = "src/testing/"  # its writes count as the root "tests"
 PINNED_ROOTS = ("bench/", "perfbench/")  # may restate defaults
 
 # Option fields only tests set, each kept for the behaviour its entry
@@ -65,6 +69,22 @@ TEST_ONLY = {
         "the application's column family (§4.2): two applications "
         "sharing one store keep their slates apart "
         "(SlateStoreTest.RowColumnLayoutMatchesPaper)",
+    "EngineOptions::clock":
+        "the engine's simulated-clock seam: drain waits advance a "
+        "SimulatedClock instead of sleeping "
+        "(DatapathTest.DrainWakesPromptlyOnSimulatedClock, DrainStressTest)",
+    "TcpTransportOptions::clock":
+        "a frozen clock holds the dialer's reconnect backoff, so only an "
+        "inbound HELLO can redial "
+        "(TcpTransportTest.InboundHelloCutsDialerBackoffShort)",
+    "DurabilityOptions::sync_every_records":
+        "a cadence of 1 below exactly-once pins lossless at-least-once "
+        "replay after a crash "
+        "(DurableEngine.Muppet2AtLeastOnceCrashRestartRestoresCounts)",
+    "DurabilityOptions::checkpoint_every_records":
+        "the recovery matrix's crash-during-checkpoint cells checkpoint "
+        "every 4 records, so the crash races a manifest write "
+        "(RecoveryMatrixTest, ChaosPropertyTest's recovery cells)",
 }
 
 # An optional root variable, a member-access chain (`.a.b`, `->a[i].b`),
@@ -84,6 +104,11 @@ TYPE_BEFORE_RE = re.compile(
     r"\b([A-Za-z_][\w:]*)\s*(?:<[^;{}()]*>)?\s*[&*]*\s*$")
 NOT_TYPES = {"return", "else", "case", "new", "delete", "throw", "const",
              "co_return", "sizeof", "typename"}
+
+
+def _root(rel: str) -> str:
+    """The root a write in file `rel` is credited to."""
+    return "tests" if rel.startswith(TEST_HARNESS) else rel.split("/")[0]
 
 
 def _value_type(type_text: str) -> str:
@@ -122,7 +147,7 @@ class _Writes:
                     last_owners = owners
                     for owner in owners:
                         self.pairs.setdefault((owner, name), set()).add(
-                            sf.rel.split("/")[0])
+                            _root(sf.rel))
                     owners = self._known(self.member_types.get(name, set()))
                 rhs = RHS_RE.match(sf.code, m.end())
                 if m.group("op") == "=" and rhs and None not in last_owners:
@@ -229,14 +254,14 @@ def run(files: list[SourceFile], root: str,
             if roots == {"tests"}:
                 where = f"{ci.file.rel}:{f.line}: {name}"
                 if name in TEST_ONLY:
-                    notes.append(f"{where} is written only under tests/ "
-                                 f"(kept: {TEST_ONLY[name]})")
+                    notes.append(f"{where} is written only under tests/ or "
+                                 f"src/testing/ (kept: {TEST_ONLY[name]})")
                     continue
                 findings.append(Finding(
                     CHECK, ci.file.rel, f.line,
-                    f"{name} is written only under tests/; make it a "
-                    f"named constant at its point of use, or name the "
-                    f"behaviour its test needs in options.py's TEST_ONLY"))
+                    f"{name} is written only under tests/ or src/testing/; "
+                    f"make it a named constant at its point of use, or name "
+                    f"the behaviour its test needs in options.py's TEST_ONLY"))
                 continue
             if roots or ci.file.allows(CHECK, f.line):
                 continue

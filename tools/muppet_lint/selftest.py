@@ -82,6 +82,15 @@ def main() -> int:
     check("bad_lambda_lock", out.count("[lock-graph]") == 1,
           "thread-spawned and stored lambdas add no edge")
 
+    rc, out = _run("bad_handed_lock")
+    check("bad_handed_lock", rc == 1,
+          f"exit 1 on an inversion through a handed object (got {rc})")
+    check("bad_handed_lock", "kMid" in out and "kLow" in out
+          and "via Utils::Emit (Engine::Inverted)" in out,
+          "object handed to an unresolved virtual hook modelled as used")
+    check("bad_handed_lock", out.count("[lock-graph]") == 1,
+          "an object handed to a resolved call adds no edge")
+
     rc, out = _run("bad_chained_lock")
     check("bad_chained_lock", rc == 1,
           f"exit 1 on an inversion behind a member chain (got {rc})")
@@ -137,7 +146,11 @@ def main() -> int:
           "src/engine/knobs.h:11: [options] KnobOptions::test_only is "
           "written only under tests/" in out,
           "the field written only under tests/ is flagged at its line")
-    check("test_only_options", out.count("[options]") == 1,
+    check("test_only_options",
+          "src/engine/knobs.h:12: [options] KnobOptions::scenario_only is "
+          "written only under tests/ or src/testing/" in out,
+          "a write under src/testing/ counts as a test's write")
+    check("test_only_options", out.count("[options]") == 2,
           "fields written in src/ or bench/ are not flagged")
 
     rc, out = _run("test_only_allowed", ["--checks", "options"])
@@ -149,7 +162,7 @@ def main() -> int:
                                          "--verbose"])
     check("test_only_allowed",
           "info: src/core/slate_store.h:10: SlateStoreOptions::column_family"
-          " is written only under tests/ (kept: " in out,
+          " is written only under tests/ or src/testing/ (kept: " in out,
           "--verbose lists the kept field with its reason")
 
     rc, out = _run("bad_wire")
