@@ -65,8 +65,6 @@ void Run(OverflowPolicy policy, const char* name, Table& table) {
   options.queue_capacity = 16;
   options.overflow.policy = policy;
   options.overflow.overflow_stream = "spill";
-  options.throttle.step_micros = 50;
-  options.throttle.max_delay_micros = 2000;
   Muppet2Engine engine(config, options);
   CheckOk(engine.Start(), "start");
 

@@ -2,11 +2,15 @@
 //
 // "Suppose, hypothetically, that a lot of people are checking into Best
 // Buy" — 90% of this stream's checkins hit one retailer. The mapper
-// splits the hot key into N sub-keys counted independently; the partial
-// counts are re-aggregated under the original key by a second updater.
+// splits the hot key round-robin into N sub-keys counted independently;
+// the partial counts are re-aggregated under the original key by a
+// second updater.
 //
 //   build/examples/hotspot_split
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "core/keysplit.h"
@@ -33,12 +37,21 @@ void BuildApp(muppet::AppConfig* config, int shards) {
   (void)config->AddMapper(
       "split",
       [shards](const muppet::AppConfig&, const std::string& name) {
-        auto splitter = std::make_shared<muppet::KeySplitter>(
-            shards, std::map<Bytes, bool>{{Bytes(kHot), true}});
+        // Round-robin cursor; atomic because a 2.0 machine runs its one
+        // mapper instance on every pool thread.
+        auto next = std::make_shared<std::atomic<uint64_t>>(0);
         return std::make_unique<muppet::LambdaMapper>(
-            name, [splitter](PerformerUtilities& out, const Event& e) {
-              (void)out.Publish("by_subkey", splitter->RouteKey(e.key),
-                                e.value);
+            name, [shards, next](PerformerUtilities& out, const Event& e) {
+              if (shards > 1 && e.key == kHot) {
+                const uint64_t n =
+                    next->fetch_add(1, std::memory_order_relaxed);
+                (void)out.Publish(
+                    "by_subkey",
+                    muppet::MakeSplitKey(e.key, static_cast<int>(n % shards)),
+                    e.value);
+              } else {
+                (void)out.Publish("by_subkey", e.key, e.value);
+              }
             });
       },
       {"checkins"});

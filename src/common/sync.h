@@ -46,7 +46,6 @@
 //     50   master           Master failed and recovering sets (read by
 //                           routing under a slate-stripe lock)
 //     60   drain            engine drain_mutex_ (inflight condvar)
-//     65   throttle         ThrottleGovernor delay state
 //     70   slate-cache      SlateCache index, blocks and CLOCK hand (Delete
 //                           waits on it for an in-flight flush write-back)
 //     80   store-node       StorageNode column-family registry
@@ -140,7 +139,6 @@ enum class LockLevel : int {
   kQueue = 40,
   kMaster = 50,
   kDrain = 60,
-  kThrottle = 65,
   kSlateCache = 70,
   kStoreNode = 80,
   kStoreTables = 90,

@@ -64,28 +64,6 @@ Status ParseSplitKey(BytesView split_key, Bytes* base_key, int* shard) {
   return Status::OK();
 }
 
-KeySplitter::KeySplitter(int shards, std::map<Bytes, bool> hot_keys)
-    : shards_(shards < 1 ? 1 : shards),
-      split_all_(false),
-      hot_keys_(std::move(hot_keys)) {}
-
-KeySplitter::KeySplitter(int shards)
-    : shards_(shards < 1 ? 1 : shards), split_all_(true) {}
-
-bool KeySplitter::IsSplit(BytesView key) const {
-  if (shards_ <= 1) return false;
-  if (split_all_) return true;
-  return hot_keys_.count(Bytes(key)) > 0;
-}
-
-Bytes KeySplitter::RouteKey(BytesView key) {
-  if (!IsSplit(key)) return Bytes(key);
-  uint64_t& cursor = cursors_[Bytes(key)];
-  const int shard = static_cast<int>(cursor % static_cast<uint64_t>(shards_));
-  ++cursor;
-  return MakeSplitKey(key, shard);
-}
-
 SplitTable::SplitTable(size_t max_entries)
     : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 

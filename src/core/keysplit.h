@@ -3,8 +3,8 @@
 // ("Best Buy") can be partitioned into sub-keys ("Best Buy#0", "Best
 // Buy#1", ...) counted by independent updaters whose partial results are
 // re-aggregated under the original key on read. These helpers implement
-// the mechanical parts: sub-key naming, deterministic-but-balanced shard
-// selection, parsing back, and the engine's live split registry.
+// the mechanical parts: sub-key naming, parsing back, and the engine's
+// live split registry (which also picks each event's shard).
 #ifndef MUPPET_CORE_KEYSPLIT_H_
 #define MUPPET_CORE_KEYSPLIT_H_
 
@@ -28,40 +28,14 @@ Bytes MakeSplitKey(BytesView base_key, int shard);
 // Inverse. Returns InvalidArgument for inputs not produced by MakeSplitKey.
 Status ParseSplitKey(BytesView split_key, Bytes* base_key, int* shard);
 
-// Chooses a shard for each event of a hot key. Round-robin per key gives
-// the even spread Example 6 wants; it is deterministic given the sequence
-// of calls (the engines call it from the single mapper that owns the
-// split).
-class KeySplitter {
- public:
-  // `shards` sub-keys per split key; keys not in `hot_keys` are passed
-  // through unchanged (shards <= 1 disables splitting entirely).
-  KeySplitter(int shards, std::map<Bytes, bool> hot_keys);
-
-  // Convenience: split every key.
-  explicit KeySplitter(int shards);
-
-  // Returns the (possibly split) routing key for an event with `key`.
-  Bytes RouteKey(BytesView key);
-
-  int shards() const { return shards_; }
-  bool IsSplit(BytesView key) const;
-
- private:
-  int shards_;
-  bool split_all_;
-  std::map<Bytes, bool> hot_keys_;
-  // Per-key round-robin cursors.
-  std::map<Bytes, uint64_t> cursors_;
-};
-
 // Live registry of dynamically split hot keys, shared between the dispatch
 // path (readers) and the load manager (writer). A split is permanent: once
 // installed, a (function, key) fans out over the same shards until the
 // engine stops. Reads fold the base slate and every shard slate through the
 // updater's merger, which is exact for an associative-commutative update
 // over any partition of its input, so nothing ever has to be merged back.
-// The table is volatile: a restarted engine starts with no splits.
+// The table is volatile: a restarted engine starts with no splits, so
+// reads fold every possible shard rather than asking it.
 class SplitTable {
  public:
   struct Entry {

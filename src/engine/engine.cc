@@ -11,9 +11,12 @@ namespace muppet {
 
 namespace {
 // Throttle policy (§4.3, §5): a declined send waits this long before it
-// is retried, at most this many times per event.
+// is retried, at most this many times per event. Publish() delivers on the
+// caller's thread, so this wait is what paces the source. The 30 ms budget
+// must outlast a full queue's refill gap, one popped batch of slow updates
+// (E8: 13 retries typical, 27 the most seen), with room for host stalls.
 constexpr Timestamp kThrottleRetryMicros = 200;
-constexpr int kMaxThrottleRetries = 50;
+constexpr int kMaxThrottleRetries = 150;
 // Background flusher cadence for SlateFlushPolicy::kInterval updaters.
 constexpr Timestamp kFlushPollMicros = 10 * kMicrosPerMilli;
 }  // namespace
@@ -47,7 +50,6 @@ Engine::Engine(const AppConfig& config, EngineOptions options,
       options_(options),
       clock_(options.clock != nullptr ? options.clock
                                       : SystemClock::Default()),
-      throttle_(options.throttle, clock_),
       published_(metrics_.GetCounter("muppet_events_published_total")),
       processed_(metrics_.GetCounter("muppet_events_processed_total")),
       emitted_(metrics_.GetCounter("muppet_events_emitted_total")),
@@ -76,9 +78,7 @@ Engine::Engine(const AppConfig& config, EngineOptions options,
       checkpoints_(metrics_.GetCounter("muppet_checkpoints_total")),
       deduped_(metrics_.GetCounter("muppet_events_deduped_total")),
       latency_(metrics_.GetHistogram("muppet_e2e_latency_us")),
-      engine_name_(engine_name),
-      pace_source_(options.overflow.policy == OverflowPolicy::kThrottle ||
-                   options.load_manager.enabled) {
+      engine_name_(engine_name) {
   if (options_.transport_backend != nullptr) {
     // External backend (muppetd's TcpTransport): not owned, carries its
     // own loss accounting, started by the caller after Start().
@@ -288,11 +288,6 @@ Status Engine::Publish(const std::string& stream, BytesView key, BytesView value
   if (!config_.IsInputStream(stream)) {
     return Status::InvalidArgument("'" + stream +
                                    "' is not a declared input stream");
-  }
-  if (pace_source_) {
-    // Source throttling (§5): safe because nothing emits into input
-    // streams, so slowing here cannot deadlock the workflow.
-    throttle_.PaceSource();
   }
   Event event;
   event.stream = stream;
@@ -659,7 +654,7 @@ Engine::DeclineAction Engine::OnDecline(const Event& event, bool self_emit,
       redirected_overflow_->Add();
       return DeclineAction::kReroute;
     case OverflowPolicy::kThrottle:
-      throttle_.NoteOverflow();
+      throttle_signals_.Add();
       if (self_emit) {
         deadlocks_avoided_->Add();
         break;
@@ -807,7 +802,7 @@ EngineStats Engine::Stats() const {
   stats.events_lost_failure = lost_failure_->Get();
   stats.events_dropped_overflow = dropped_overflow_->Get();
   stats.events_redirected_overflow = redirected_overflow_->Get();
-  stats.throttle_signals = throttle_.overflow_signals();
+  stats.throttle_signals = throttle_signals_.Get();
   stats.deadlocks_avoided = deadlocks_avoided_->Get();
   for (const auto& machine : machines_) {
     if (machine == nullptr) continue;
@@ -996,11 +991,6 @@ void Engine::RegisterCallbackMetrics() {
   metrics_.RegisterCallback(
       "muppet_inflight_events", {}, MetricType::kGauge,
       [this] { return inflight_.load(std::memory_order_acquire); });
-  // Source-pacing visibility: the delay PaceSource() would apply right
-  // now (decayed overflow pressure, clamped to the adaptive floor).
-  metrics_.RegisterCallback(
-      "muppet_throttle_delay_micros", {}, MetricType::kGauge,
-      [this] { return throttle_.CurrentDelayMicros(); });
 
   for (const auto& machine_ptr : machines_) {
     if (machine_ptr == nullptr) continue;

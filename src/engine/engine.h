@@ -53,7 +53,6 @@
 #include "engine/overflow.h"
 #include "engine/queue.h"
 #include "engine/slatelog.h"
-#include "engine/throttle.h"
 #include "engine/watchdog.h"
 #include "engine/wire.h"
 #include "net/transport.h"
@@ -79,13 +78,11 @@ struct EngineOptions {
 
   // Queue-overflow handling (§4.3).
   OverflowOptions overflow;
-  ThrottleOptions throttle;
 
   // Self-tuning load management (engine/load_manager.h): hotspot
-  // detection, dynamic key splitting of associative updaters, and
-  // occupancy-driven source pacing. Off by default; Muppet 2.0 in a
-  // single process only (Start() rejects it on Muppet 1.0, and with
-  // hosted_machines or transport_backend).
+  // detection and dynamic key splitting of associative updaters. Off by
+  // default; Muppet 2.0 in a single process only (Start() rejects it on
+  // Muppet 1.0, and with hosted_machines or transport_backend).
   LoadManagerOptions load_manager;
 
   // Muppet 2.0: disable the secondary queue entirely (ablation for E7 —
@@ -162,7 +159,7 @@ struct EngineStats {
   int64_t events_lost_failure = 0;
   int64_t events_dropped_overflow = 0;  // dropped by overflow policy
   int64_t events_redirected_overflow = 0;  // sent to the overflow stream
-  int64_t throttle_signals = 0;
+  int64_t throttle_signals = 0;  // declines met under kThrottle
   int64_t deadlocks_avoided = 0;  // self-emit blocking averted (§5)
 
   int64_t slate_cache_hits = 0;
@@ -307,8 +304,9 @@ class Engine {
 
   // Inject an external event into a declared input stream, acting as the
   // paper's special mapper M0 (§4.1). `ts` must be nonnegative; pass
-  // clock->Now() for live sources. Applies source throttling when the
-  // overflow policy is kThrottle.
+  // clock->Now() for live sources. The event is delivered on the calling
+  // thread, so under kThrottle a declined delivery blocks the caller until
+  // the target queue drains: that is the source throttle (§5).
   Status Publish(const std::string& stream, BytesView key, BytesView value,
                  Timestamp ts);
 
@@ -395,10 +393,7 @@ class Engine {
 
  protected:
   // `engine_name` labels muppet_build_info and prefixes flight-recorder
-  // dumps. Publish() paces the source under kThrottle, and whenever the
-  // load manager runs (2.0's occupancy floor acts through the same
-  // governor). `config` must outlive the engine and Validate() OK at
-  // Start().
+  // dumps. `config` must outlive the engine and Validate() OK at Start().
   Engine(const AppConfig& config, EngineOptions options,
          const char* engine_name);
 
@@ -508,7 +503,7 @@ class Engine {
   // (ResourceExhausted) applies options_.overflow.policy: drop the event;
   // reroute a copy of it onto the overflow stream through
   // `reroute(Event)`; or throttle, trying again after a 200 µs wait, at
-  // most 50 times per event. `self_emit` marks a send into a queue the
+  // most 150 times per event. `self_emit` marks a send into a queue the
   // sending worker itself drains: waiting there can never succeed (the §5
   // deadlock), so throttling drops the event.
   template <typename Attempt, typename Reroute>
@@ -589,7 +584,6 @@ class Engine {
   // HashRing's default shape: every muppetd process must derive the same
   // ring from the shared cluster config.
   HashRing ring_;
-  ThrottleGovernor throttle_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
@@ -682,7 +676,8 @@ class Engine {
   void RegisterCallbackMetrics();
 
   const char* const engine_name_;
-  const bool pace_source_;
+  // Declines met under kThrottle (EngineStats::throttle_signals).
+  Counter throttle_signals_;
 
   // Per-input-stream published counters (built at Start()).
   std::map<std::string, Counter*> stream_published_;

@@ -1,9 +1,8 @@
 // Self-tuning load management: the control loop that turns the heat
-// sketch (core/heat.h) and queue-depth gauges into runtime actions —
-// permanent key splits for associative updaters (paper §5, Example 6,
-// automated) and an occupancy-driven source-throttle floor
-// (deadlock-free because only the source is paced, §5). Placement stays
-// with the hash ring.
+// sketch (core/heat.h) into permanent key splits for associative updaters
+// (paper §5, Example 6, automated). Placement stays with the hash ring,
+// and pacing the source is the kThrottle overflow policy's job
+// (engine/overflow.h).
 //
 // The decision logic lives in LoadController, a pure object with no
 // threads or engine references: the engine's load-manager tick gathers a
@@ -59,8 +58,6 @@ struct LoadSignals {
   int64_t sampled_total = 0;
   // Hottest (function, key) pairs, aggregated across machines.
   std::vector<HeatReading> top;
-  // Depth/capacity of the fullest live queue.
-  double max_queue_occupancy = 0.0;
 
   // Keys already split, as (function, key).
   std::vector<std::pair<int32_t, Bytes>> active_splits;
@@ -74,8 +71,6 @@ struct LoadActions {
   // Keys to split now, into kSplitShards shards each (engine filters for
   // associativity).
   std::vector<Split> splits;
-  // New source-pacing floor.
-  Timestamp floor_delay_micros = 0;
 };
 
 class LoadController {
@@ -87,24 +82,11 @@ class LoadController {
   static constexpr size_t kMaxSplits = 16;
   // Shards installed per split key.
   static constexpr int kSplitShards = 8;
-  // Queue-occupancy throttling. Integral gain: fraction of
-  // kMaxFloorDelayMicros added to the pacing floor per unit of occupancy
-  // error per tick (the target is half the hottest queue's capacity).
-  static constexpr double kThrottleGain = 0.2;
-  // Ceiling on the occupancy-driven pacing floor.
-  static constexpr Timestamp kMaxFloorDelayMicros = 5 * kMicrosPerMilli;
 
-  LoadActions Tick(const LoadSignals& signals);
-
-  Timestamp floor_delay_micros() const {
-    return static_cast<Timestamp>(floor_);
-  }
+  LoadActions Tick(const LoadSignals& signals) const;
 
  private:
   const LoadManagerOptions options_;
-  // Integral throttle state, in micros (double so sub-micro gains
-  // accumulate across ticks).
-  double floor_ = 0.0;
 };
 
 }  // namespace muppet

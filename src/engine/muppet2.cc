@@ -535,16 +535,17 @@ Status Muppet2Engine::ReadLiveSlate(uint32_t op, BytesView key,
                                     const std::set<MachineId>& failed,
                                     Bytes* slate) {
   const OperatorSpec& spec = *ops_[op].spec;
+  if (!Splittable(spec)) return FetchRoutedSlate(spec.name, key, failed, slate);
   // Paper §5 Example 6's re-aggregation: the base slate folded with
-  // every shard slate through the updater's merger.
-  int shards = 0;
-  if (!split_table_.Lookup(static_cast<int32_t>(op), key, &shards) ||
-      spec.updater_options.merger == nullptr) {
-    return FetchRoutedSlate(spec.name, key, failed, slate);
-  }
-  bool has = FetchRoutedSlate(spec.name, key, failed, slate).ok();
+  // every shard slate through the updater's merger. Every shard is read
+  // whether or not the split table lists the key, because the table is
+  // volatile: an engine restarted on the same changelog or store starts
+  // with no splits, yet its shard slates survive. A shard never written
+  // reads as absent and folds nothing.
+  const Status base = FetchRoutedSlate(spec.name, key, failed, slate);
+  bool has = base.ok();
   Bytes part;
-  for (int shard = 0; shard < shards; ++shard) {
+  for (int shard = 0; shard < LoadController::kSplitShards; ++shard) {
     part.clear();
     if (FetchRoutedSlate(spec.name, MakeSplitKey(key, shard), failed, &part)
             .ok()) {
@@ -552,7 +553,7 @@ Status Muppet2Engine::ReadLiveSlate(uint32_t op, BytesView key,
       has = true;
     }
   }
-  return has ? Status::OK() : Status::NotFound("slate absent");
+  return has ? Status::OK() : base;
 }
 
 size_t Muppet2Engine::LargestQueueDepth() const {
@@ -567,12 +568,16 @@ size_t Muppet2Engine::LargestQueueDepth() const {
   return largest;
 }
 
-void Muppet2Engine::LoadManagerTick() {
-  const LoadManagerOptions& opt = options_.load_manager;
+bool Muppet2Engine::Splittable(const OperatorSpec& spec) const {
+  return options_.load_manager.enabled &&
+         spec.kind == OperatorKind::kUpdater &&
+         spec.updater_options.associativity ==
+             Associativity::kAssociativeCommutative &&
+         spec.updater_options.merger != nullptr;
+}
 
-  // --- Gather signals: decayed heat aggregated across machines, hottest
-  // queue occupancy, and the live split set.
-  LoadSignals signals;
+std::vector<HeatReading> Muppet2Engine::AggregateHeat(
+    int64_t* sampled_total) const {
   std::map<std::pair<int32_t, Bytes>, int64_t> agg;
   for (const auto& slot : machines_) {
     const auto* machine = static_cast<const MachineCtx*>(slot.get());
@@ -580,57 +585,50 @@ void Muppet2Engine::LoadManagerTick() {
         machine->crashed.load(std::memory_order_acquire)) {
       continue;
     }
-    machine->heat->Decay(opt.heat_decay);
-    signals.sampled_total += machine->heat->sampled_total();
-    for (HeatEntry& e : machine->heat->TopK(opt.heat.capacity)) {
+    if (sampled_total != nullptr) {
+      *sampled_total += machine->heat->sampled_total();
+    }
+    for (HeatEntry& e :
+         machine->heat->TopK(options_.load_manager.heat.capacity)) {
       agg[{e.function_id, std::move(e.key)}] += e.count;
     }
   }
-  signals.top.reserve(agg.size());
+  std::vector<HeatReading> top;
+  top.reserve(agg.size());
   for (const auto& [fk, count] : agg) {
-    signals.top.push_back(HeatReading{fk.first, fk.second, count});
+    top.push_back(HeatReading{fk.first, fk.second, count});
   }
-  std::stable_sort(signals.top.begin(), signals.top.end(),
+  std::stable_sort(top.begin(), top.end(),
                    [](const HeatReading& a, const HeatReading& b) {
                      return a.count > b.count;
                    });
+  return top;
+}
+
+void Muppet2Engine::LoadManagerTick() {
+  // --- Gather signals: decayed heat aggregated across machines and the
+  // live split set.
   for (const auto& slot : machines_) {
     const auto* machine = static_cast<const MachineCtx*>(slot.get());
-    if (machine == nullptr) continue;
-    if (machine->crashed.load(std::memory_order_acquire)) continue;
-    for (const auto& thread_ctx : machine->threads) {
-      const double occ =
-          static_cast<double>(thread_ctx->queue->size()) /
-          static_cast<double>(std::max<size_t>(1, options_.queue_capacity));
-      signals.max_queue_occupancy =
-          std::max(signals.max_queue_occupancy, occ);
+    if (machine != nullptr && machine->heat != nullptr &&
+        !machine->crashed.load(std::memory_order_acquire)) {
+      machine->heat->Decay(options_.load_manager.heat_decay);
     }
   }
+  LoadSignals signals;
+  signals.top = AggregateHeat(&signals.sampled_total);
   for (SplitTable::Entry& e : split_table_.Entries()) {
     signals.active_splits.emplace_back(e.function_id, std::move(e.key));
   }
 
-  LoadActions actions = lm_controller_->Tick(signals);
-
-  // --- Throttle: occupancy-driven floor under the decaying overflow
-  // signal (source-only, so deadlock-free; §5).
-  throttle_.SetFloorDelayMicros(actions.floor_delay_micros);
-
   // --- Splits: only updaters that declared their computation associative
   // and commutative (and provided a merger) may split (§5, Example 6).
-  for (const auto& split : actions.splits) {
+  for (const auto& split : lm_controller_->Tick(signals).splits) {
     if (split.function_id < 0 ||
-        static_cast<size_t>(split.function_id) >= ops_.size()) {
+        static_cast<size_t>(split.function_id) >= ops_.size() ||
+        !Splittable(*ops_[static_cast<size_t>(split.function_id)].spec)) {
       continue;
     }
-    const OperatorSpec& spec =
-        *ops_[static_cast<size_t>(split.function_id)].spec;
-    if (spec.kind != OperatorKind::kUpdater) continue;
-    if (spec.updater_options.associativity !=
-        Associativity::kAssociativeCommutative) {
-      continue;
-    }
-    if (spec.updater_options.merger == nullptr) continue;
     if (split_table_.Split(split.function_id, split.key,
                            LoadController::kSplitShards)) {
       splits_installed_->Add();
@@ -641,47 +639,34 @@ void Muppet2Engine::LoadManagerTick() {
 std::vector<HotKeyInfo> Muppet2Engine::HotKeys() const {
   std::vector<HotKeyInfo> out;
   if (!started_) return out;
-  std::map<std::pair<int32_t, Bytes>, int64_t> agg;
-  for (const auto& slot : machines_) {
-    const auto* machine = static_cast<const MachineCtx*>(slot.get());
-    if (machine == nullptr || machine->heat == nullptr) continue;
-    for (HeatEntry& e :
-         machine->heat->TopK(options_.load_manager.heat.capacity)) {
-      agg[{e.function_id, std::move(e.key)}] += e.count;
+  std::vector<HeatReading> readings = AggregateHeat(nullptr);
+  // Splits stay on the panel even when their heat has decayed away.
+  for (SplitTable::Entry& e : split_table_.Entries()) {
+    const bool listed =
+        std::any_of(readings.begin(), readings.end(),
+                    [&e](const HeatReading& r) {
+                      return r.function_id == e.function_id && r.key == e.key;
+                    });
+    if (!listed) {
+      readings.push_back(HeatReading{e.function_id, std::move(e.key), 0});
     }
   }
-  // Splits stay on the panel even when their heat has decayed away.
-  for (const auto& e : split_table_.Entries()) {
-    agg.emplace(std::make_pair(e.function_id, e.key), 0);
-  }
-  for (const auto& [fk, count] : agg) {
-    if (fk.first < 0 || static_cast<size_t>(fk.first) >= ops_.size()) {
+  for (HeatReading& r : readings) {
+    if (r.function_id < 0 ||
+        static_cast<size_t>(r.function_id) >= ops_.size()) {
       continue;
     }
     HotKeyInfo info;
-    info.function = ops_[static_cast<size_t>(fk.first)].spec->name;
-    info.key = fk.second;
-    info.sampled_count = count;
-    info.split = split_table_.Lookup(fk.first, fk.second, &info.shards);
+    info.function = ops_[static_cast<size_t>(r.function_id)].spec->name;
+    info.split = split_table_.Lookup(r.function_id, r.key, &info.shards);
+    info.key = std::move(r.key);
+    info.sampled_count = r.count;
     out.push_back(std::move(info));
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const HotKeyInfo& a, const HotKeyInfo& b) {
-                     return a.sampled_count > b.sampled_count;
-                   });
   return out;
 }
 
 void Muppet2Engine::RegisterEngineMetrics() {
-  // Load-management plane: the occupancy floor under the source-pacing
-  // delay. Splits are permanent, so muppet_key_splits_total is also the
-  // live split count.
-  metrics_.RegisterCallback(
-      "muppet_throttle_floor_micros", {}, MetricType::kGauge,
-      [this] {
-        return static_cast<int64_t>(throttle_.floor_delay_micros());
-      });
-
   for (const auto& slot : machines_) {
     const auto* machine = static_cast<const MachineCtx*>(slot.get());
     if (machine == nullptr) continue;

@@ -131,6 +131,13 @@ class Muppet2Engine final : public Engine {
   // One pass of the self-tuning load-management loop, which one
   // engine-wide thread runs every tick_micros.
   void LoadManagerTick();
+  // The live machines' heat sketches summed per (function, key), hottest
+  // first; adds their sampled arrivals to *sampled_total when non-null.
+  std::vector<HeatReading> AggregateHeat(int64_t* sampled_total) const;
+  // True when the load manager may split `spec`'s keys: it is enabled and
+  // the updater declared itself associative and commutative with a merger
+  // (§5, Example 6). Reads of such an updater fold every shard slate.
+  bool Splittable(const OperatorSpec& spec) const;
 
   // Two-choice dispatch of an arrived event into one of the machine's
   // thread queues; locks at most the two candidate queues. On success *re

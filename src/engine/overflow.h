@@ -14,7 +14,7 @@ namespace muppet {
 enum class OverflowPolicy : uint8_t {
   kDrop,            // drop + log (the default; latency over completeness)
   kOverflowStream,  // redirect to `overflow_stream` (degraded service)
-  kThrottle,        // signal the source-throttling governor
+  kThrottle,        // block the sender and retry (source throttling)
 };
 
 struct OverflowOptions {

@@ -15,7 +15,6 @@
 #include "engine/master.h"
 #include "engine/muppet2.h"
 #include "engine/queue.h"
-#include "engine/throttle.h"
 #include "engine/watchdog.h"
 #include "kvstore/memtable.h"
 #include "kvstore/node.h"
@@ -258,7 +257,6 @@ TEST(LockHierarchyTest, SubsystemsAssignTheDocumentedLevels) {
   EXPECT_EQ(InMemoryTransport::kHoldLockLevel, LockLevel::kFaultHold);
   EXPECT_EQ(EventQueue::kLockLevel, LockLevel::kQueue);
   EXPECT_EQ(Master::kLockLevel, LockLevel::kMaster);
-  EXPECT_EQ(ThrottleGovernor::kLockLevel, LockLevel::kThrottle);
   EXPECT_EQ(SlateCache::kLockLevel, LockLevel::kSlateCache);
   EXPECT_EQ(kv::StorageNode::kCfLockLevel, LockLevel::kStoreNode);
   EXPECT_EQ(kv::Shard::kTablesLockLevel, LockLevel::kStoreTables);
@@ -280,7 +278,7 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
     return static_cast<int>(a) < static_cast<int>(b);
   };
   // Updater path: stripe -> taps -> transport -> queue -> master ->
-  // drain/throttle -> cache -> store.
+  // drain -> cache -> store.
   EXPECT_TRUE(lt(LockLevel::kSlateStripe, LockLevel::kTaps));
   // Load-management plane: the dispatch path consults the split table and
   // heat sketch under a stripe. An updater's publish to another machine
@@ -304,8 +302,7 @@ TEST(LockHierarchyTest, DocumentedOrderingHolds) {
   EXPECT_TRUE(lt(LockLevel::kFaultHold, LockLevel::kQueue));
   EXPECT_TRUE(lt(LockLevel::kQueue, LockLevel::kMaster));
   EXPECT_TRUE(lt(LockLevel::kMaster, LockLevel::kDrain));
-  EXPECT_TRUE(lt(LockLevel::kDrain, LockLevel::kThrottle));
-  EXPECT_TRUE(lt(LockLevel::kThrottle, LockLevel::kSlateCache));
+  EXPECT_TRUE(lt(LockLevel::kDrain, LockLevel::kSlateCache));
   // Durability plane (DESIGN.md §12): the dedup check runs on the receive
   // path before dispatch touches any queue lock; changelog appends run
   // under the updater's slate stripe / cache locks and may reach the

@@ -49,33 +49,6 @@ TEST(KeySplitTest, DistinctShardsDistinctKeys) {
   EXPECT_EQ(keys.size(), 16u);
 }
 
-TEST(KeySplitterTest, RoundRobinBalancesExactly) {
-  KeySplitter splitter(4);
-  std::map<Bytes, int> counts;
-  for (int i = 0; i < 400; ++i) counts[splitter.RouteKey("hot")]++;
-  ASSERT_EQ(counts.size(), 4u);
-  for (const auto& [key, count] : counts) EXPECT_EQ(count, 100);
-}
-
-TEST(KeySplitterTest, OnlyHotKeysSplit) {
-  KeySplitter splitter(4, {{Bytes("Best Buy"), true}});
-  EXPECT_TRUE(splitter.IsSplit("Best Buy"));
-  EXPECT_FALSE(splitter.IsSplit("JCPenney"));
-  EXPECT_EQ(splitter.RouteKey("JCPenney"), "JCPenney");
-  const Bytes routed = splitter.RouteKey("Best Buy");
-  Bytes base;
-  int shard;
-  ASSERT_OK(ParseSplitKey(routed, &base, &shard));
-  EXPECT_EQ(base, "Best Buy");
-  EXPECT_LT(shard, 4);
-}
-
-TEST(KeySplitterTest, SingleShardPassThrough) {
-  KeySplitter splitter(1);
-  EXPECT_FALSE(splitter.IsSplit("anything"));
-  EXPECT_EQ(splitter.RouteKey("anything"), "anything");
-}
-
 TEST(KeySplitTest, FuzzRoundTrip) {
   // Seeded fuzz over keys dense in the separator and digits — the two
   // character classes the codec treats specially — plus empty keys and
@@ -113,16 +86,6 @@ TEST(KeySplitTest, NegativeShardClampsToZero) {
   // so MakeSplitKey clamps instead of emitting an unparseable key.
   EXPECT_EQ(MakeSplitKey("k", -1), MakeSplitKey("k", 0));
   EXPECT_EQ(MakeSplitKey("k", -42), "k#0");
-}
-
-TEST(KeySplitterTest, PerKeyCursorsIndependent) {
-  KeySplitter splitter(2);
-  // Alternating keys each get their own round-robin.
-  EXPECT_EQ(splitter.RouteKey("a"), MakeSplitKey("a", 0));
-  EXPECT_EQ(splitter.RouteKey("b"), MakeSplitKey("b", 0));
-  EXPECT_EQ(splitter.RouteKey("a"), MakeSplitKey("a", 1));
-  EXPECT_EQ(splitter.RouteKey("b"), MakeSplitKey("b", 1));
-  EXPECT_EQ(splitter.RouteKey("a"), MakeSplitKey("a", 0));
 }
 
 TEST(SplitTableTest, SplitRoutesRoundRobin) {

@@ -223,7 +223,6 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
       "muppet_slatelog_synced_lsn{machine}",
       "muppet_slatelog_torn_tails_total{}",
       "muppet_stream_published_total{stream}",
-      "muppet_throttle_delay_micros{}",
       "muppet_transport_bytes_sent_total{}",
       "muppet_transport_frames_sent_total{}",
       "muppet_transport_messages_declined_total{}",
@@ -240,7 +239,6 @@ TEST_P(EngineApiTest, MetricFamiliesMatchParent) {
         "muppet_queue_wait_us{}",
         "muppet_secondary_dispatch_total{}",
         "muppet_slate_contention_total{}",
-        "muppet_throttle_floor_micros{}",
     });
   }
   EXPECT_EQ(MetricFamilies(engine->metrics()), expected);

@@ -1,5 +1,5 @@
 // LoadController policy tests: the controller is a pure object (no
-// threads, no engine), so every split/throttle decision is pinned here
+// threads, no engine), so every split decision is pinned here
 // without a cluster.
 #include "engine/load_manager.h"
 
@@ -75,40 +75,6 @@ TEST(LoadControllerTest, AlreadySplitKeysNotResplit) {
   // "other" key gets the remaining slot.
   ASSERT_EQ(a.splits.size(), 1u);
   EXPECT_EQ(a.splits[0].function_id, 2);
-}
-
-TEST(LoadControllerTest, ThrottleFloorRampsClampsAndBleeds) {
-  static_assert(LoadController::kMaxFloorDelayMicros == 5000);
-  LoadController c(BaseOptions());  // target 0.5, gain 0.2, max 5000us
-  // Occupancy at target: floor stays zero.
-  LoadSignals s = Signals(0, {});
-  s.max_queue_occupancy = 0.5;
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 0);
-
-  // Full queues: +0.5 error * 0.2 gain * 5000us = +500us per tick,
-  // clamped at max after enough ticks.
-  s.max_queue_occupancy = 1.0;
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 500);
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 1000);
-  for (int i = 0; i < 50; ++i) c.Tick(s);
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 5000);
-  EXPECT_EQ(c.floor_delay_micros(), 5000);
-
-  // Empty queues bleed it back off, clamped at zero.
-  s.max_queue_occupancy = 0.0;
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 4500);
-  for (int i = 0; i < 50; ++i) c.Tick(s);
-  EXPECT_EQ(c.Tick(s).floor_delay_micros, 0);
-}
-
-TEST(LoadControllerTest, ThrottleActsEvenBelowMinSamples) {
-  // Queue pressure is real regardless of how few heat samples exist.
-  LoadController c(BaseOptions());
-  LoadSignals s = Signals(0, {{1, "hot", 0}});
-  s.max_queue_occupancy = 1.0;
-  LoadActions a = c.Tick(s);
-  EXPECT_EQ(a.floor_delay_micros, 500);
-  EXPECT_TRUE(a.splits.empty());
 }
 
 }  // namespace

@@ -694,14 +694,9 @@ EngineOptions DurableOptions(const std::string& dir, Consistency knob) {
   return eo;
 }
 
-// A split hot key's count lives in its base slate plus one slate per
-// shard, each written by the updater under its own key. Replaying every
-// machine's changelog (last record wins) must restore slates whose merger
-// fold equals the hot count, although the split itself does not outlive
-// the engine.
-TEST(DurableEngine, SplitSlatesReplayFromTheChangelog) {
-  TempDir dir;
-  AppConfig config;
+// The counting updater declared associative and commutative, with a
+// merger that sums partial counts, so the load manager may split its keys.
+UpdaterOptions SummingUpdater() {
   UpdaterOptions uo;
   uo.associativity = Associativity::kAssociativeCommutative;
   uo.merger = [](const Bytes* base, const Bytes& part) {
@@ -711,21 +706,37 @@ TEST(DurableEngine, SplitSlatesReplayFromTheChangelog) {
         b.data().GetInt("count", 0) + p.data().GetInt("count", 0);
     return b.Serialize();
   };
+  return uo;
+}
+
+// The chaos scenarios' hot_split tuning, with Muppet2Test's 5 ms ticks and
+// full sampling so a sanitizer-slowed publisher still reaches the
+// controller's min_samples.
+void EnableHotSplit(EngineOptions* eo) {
+  eo->load_manager.enabled = true;
+  eo->load_manager.tick_micros = 5 * kMicrosPerMilli;
+  eo->load_manager.heat.sample_period = 1;
+  eo->load_manager.heat_decay = 0.5;
+  eo->load_manager.min_samples = 8;
+  eo->load_manager.split_heat_fraction = 0.3;
+}
+
+// A split hot key's count lives in its base slate plus one slate per
+// shard, each written by the updater under its own key. Replaying every
+// machine's changelog (last record wins) must restore slates whose merger
+// fold equals the hot count, although the split itself does not outlive
+// the engine.
+TEST(DurableEngine, SplitSlatesReplayFromTheChangelog) {
+  TempDir dir;
+  AppConfig config;
+  const UpdaterOptions uo = SummingUpdater();
   BuildCountingApp(&config, /*forward=*/false, uo);
 
   EngineOptions eo = DurableOptions<Muppet2Engine>(
       dir.path(), Consistency::kAtLeastOnce);
   eo.num_machines = 2;
   eo.durability.checkpoint_every_records = 0;
-  // The chaos scenarios' hot_split tuning, with Muppet2Test's 5 ms ticks
-  // and full sampling so a sanitizer-slowed publisher still reaches the
-  // controller's min_samples.
-  eo.load_manager.enabled = true;
-  eo.load_manager.tick_micros = 5 * kMicrosPerMilli;
-  eo.load_manager.heat.sample_period = 1;
-  eo.load_manager.heat_decay = 0.5;
-  eo.load_manager.min_samples = 8;
-  eo.load_manager.split_heat_fraction = 0.3;
+  EnableHotSplit(&eo);
   Muppet2Engine engine(config, eo);
   ASSERT_OK(engine.Start());
 
@@ -792,6 +803,44 @@ TEST(DurableEngine, SplitSlatesReplayFromTheChangelog) {
   JsonSlate total(&*folded);
   EXPECT_EQ(total.data().GetInt("count", -1), hot_count)
       << "base + shard slates replay to the hot count";
+}
+
+// The split table does not outlive the engine, but the shard slates do:
+// an engine restarted on the same changelog must fold them into a read of
+// the hot key, not report only its base slate.
+TEST(DurableEngine, SplitKeyReadsWholeCountAfterRestart) {
+  TempDir dir;
+  AppConfig config;
+  BuildCountingApp(&config, /*forward=*/false, SummingUpdater());
+
+  EngineOptions eo = DurableOptions<Muppet2Engine>(
+      dir.path(), Consistency::kAtLeastOnce);
+  eo.num_machines = 2;
+  EnableHotSplit(&eo);
+  constexpr int64_t kEvents = 2000;
+  {
+    Muppet2Engine engine(config, eo);
+    ASSERT_OK(engine.Start());
+    for (int64_t seq = 1; seq <= kEvents; ++seq) {
+      ASSERT_OK(engine.Publish("in", "hot", "", seq));
+      // Paced until the split, so the load manager ticks while the key is
+      // hot; the rest of the events go to the shards.
+      if (seq % 16 == 0 && engine.key_splits() == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ASSERT_OK(engine.Drain());
+    ASSERT_GT(engine.key_splits(), 0) << "hot key never split";
+    ASSERT_EQ(CountOf(engine, "count", "hot"), kEvents);
+    ASSERT_OK(engine.Stop());
+  }
+
+  Muppet2Engine restarted(config, eo);
+  ASSERT_OK(restarted.Start());
+  EXPECT_EQ(restarted.key_splits(), 0) << "splits are volatile";
+  EXPECT_EQ(CountOf(restarted, "count", "hot"), kEvents)
+      << "a read after restart folds the replayed shard slates";
+  ASSERT_OK(restarted.Stop());
 }
 
 TEST(DurableEngine, StartRequiresDirWhenDurable) {

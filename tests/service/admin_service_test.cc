@@ -92,7 +92,7 @@ TEST_F(AdminServiceTest, MetricsEndpointServesPrometheusText) {
   EXPECT_NE(response.body.find("muppet_queue_depth{"), std::string::npos);
   EXPECT_NE(response.body.find("muppet_transport_messages_sent_total"),
             std::string::npos);
-  EXPECT_NE(response.body.find("# TYPE muppet_throttle_delay_micros gauge"),
+  EXPECT_NE(response.body.find("# TYPE muppet_inflight_events gauge"),
             std::string::npos);
 }
 
@@ -368,7 +368,7 @@ TEST(AdminServiceMuppet1Test, EndpointsWorkOnTheLegacyEngine) {
   EXPECT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.body.find("muppet_events_published_total 10"),
             std::string::npos);
-  EXPECT_NE(metrics.body.find("muppet_throttle_delay_micros"),
+  EXPECT_NE(metrics.body.find("muppet_inflight_events"),
             std::string::npos);
   Result<Json> statusz = Json::Parse(admin.Statusz().body);
   ASSERT_OK(statusz.status());

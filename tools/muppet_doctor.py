@@ -193,13 +193,6 @@ def diagnose(healthz, statusz, sloz, samples, where="cluster"):
 
     # --- Metrics-only signals (work even if the JSON endpoints are off).
     if samples:
-        throttle = metric_value(samples, "muppet_throttle_delay_micros")
-        if throttle:
-            findings.append(Finding(
-                WARN, where,
-                f"source throttle active ({int(throttle)}us per publish)",
-                "the cluster is shedding ingest; scale out or accept "
-                "reduced input rate"))
         # Events settled as lost (§4.3): routed to or queued on a crashed
         # machine, or failed in processing — a slate fetch that missed
         # the cache while the store could not serve the read.
@@ -247,7 +240,9 @@ def diagnose(healthz, statusz, sloz, samples, where="cluster"):
                 "scrape /statusz for the incident panel"))
         # Cross-process transport health (muppetd deployments): dropped
         # sends mark the paper's §4.3 failed-send detection window;
-        # declines mark write-queue / receiver backpressure.
+        # declines mark write-queue / receiver backpressure, which under
+        # the throttle policy is also the source throttle (a declined
+        # sender blocks and retries, so its publisher slows down).
         dropped = metric_value(
             samples, "muppet_transport_messages_dropped_total")
         if dropped:
@@ -266,8 +261,9 @@ def diagnose(healthz, statusz, sloz, samples, where="cluster"):
                 f"{int(declined)} message(s) declined by transport "
                 "backpressure",
                 "a peer's TCP write queue (or its receiver queue) is full; "
-                "the overflow policy is engaged — scale out the slow node "
-                "or raise the queue caps"))
+                "the overflow policy is engaged (under throttle the "
+                "senders block, which paces ingest) — scale out the slow "
+                "node or raise the queue caps"))
 
     findings.sort(key=lambda f: _SEV_RANK[f.severity])
     return findings
